@@ -4,8 +4,9 @@ The stationary temperature variable w = e^theta solves a nonlocal fixed-point
 equation whose kernel e^(-r)/(4 pi r^2) carries total mass < 1 over any
 bounded domain -- at the center of the unit ball the mass is exactly
 1 - e^(-1).  For an isotropic unit boundary profile the exact solution is the
-radiation bath w = 1, which makes a sharp accuracy probe: the lattice
-solution should be constant, radially symmetric, and equal to 1.
+radiation bath w = 1, which makes a sharp accuracy probe: the forcing
+-div R / (4 pi) comes from the transport identity on the same sphere rule as
+the kernel mass, so the lattice solution should equal 1 to round-off.
 """
 
 import math
@@ -24,9 +25,10 @@ print(f"kernel mass at the center: {mass0:.10f}  (exact 1 - 1/e = {1 - math.exp(
 
 print("solving on a 32^3 lattice ...")
 field = solve_w(ball, lambda n: np.ones(len(n)), consts, LatticeSpec(32), sphere)
-print(f"{len(field.points)} interior cells, {field.iterations} Picard sweeps, "
+print(f"{len(field.points)} interior cells, {field.iterations} Picard sweeps "
+      f"(converged: {field.converged}), "
       f"ratio {field.picard_ratio:.3f} (max kernel mass {field.kernel_mass.max():.3f})")
-print(f"w range: [{field.values.min():.8f}, {field.values.max():.8f}]  (exact: 1)")
+print(f"w range: [{field.values.min():.12f}, {field.values.max():.12f}]  (exact: 1)")
 
 rr = np.linalg.norm(field.points, axis=1)
 print("\nradial profile (shell means):")

@@ -22,7 +22,6 @@ from .errors import (
     NonContraction,
     NonPositiveW,
     NotInterior,
-    TooCloseToBoundary,
     SingularSystem,
     ConfigError,
 )

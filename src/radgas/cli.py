@@ -68,7 +68,7 @@ _SCHEMAS = {
         "lattice_n": (int, 32, "lattice cells per axis"),
         "sphere_n_theta": (int, 16, "sphere polar nodes"),
         "sphere_n_phi": (int, 32, "sphere azimuthal nodes"),
-        "f_profile": (str, "isotropic", "boundary profile: isotropic|up"),
+        "f_profile": (str, "isotropic", "boundary profile: isotropic|up|zero"),
         "f_scale": (float, 1.0, "profile amplitude"),
     },
     "nonexist": {
@@ -78,7 +78,6 @@ _SCHEMAS = {
         "box": (str, "-10,-10,0,10,10,1", "box bounds: x0,y0,z0,x1,y1,z1"),
         "a2": (float, 2.0, "absorption constant A2"),
         "tol": (float, 1e-3, "balance tolerance for the verdict"),
-        "fd_h": (float, 0.01, "finite-difference step"),
         "f_profile": (str, "up", "boundary profile: isotropic|up|zero"),
         "samples": (str, "0,0,0.3;0,0,0.5;1,-2,0.7", "semicolon-separated x,y,z"),
         "sphere_n_theta": (int, 16, "sphere polar nodes"),
@@ -124,12 +123,9 @@ class RunConfig:
     values: dict
     out: str
     seed: int
-    threads: int | None
 
     def lines(self):
         rows = [f"subcommand = {self.subcommand}", f"out = {self.out}", f"seed = {self.seed}"]
-        if self.threads is not None:
-            rows.append(f"threads = {self.threads}")
         for key in sorted(self.values):
             rows.append(f"{key} = {_fmt(self.values[key])}")
         return rows
@@ -177,15 +173,14 @@ def parse_config(subcommand: str, path: str | None, overrides: dict) -> RunConfi
     if subcommand not in _SCHEMAS:
         raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
     schema = _SCHEMAS[subcommand]
-    reserved = {"out", "seed", "threads", "subcommand"}
     values = {key: default for key, (_, default, _) in schema.items()}
-    meta = {"out": None, "seed": 0, "threads": None}
+    meta = {"out": None, "seed": 0}
 
     if path is not None:
         for key, (raw, lineno) in _read_config_file(path).items():
             if key in ("out",):
                 meta["out"] = raw
-            elif key in ("seed", "threads"):
+            elif key == "seed":
                 meta[key] = _convert(key, raw, int)
             elif key == "subcommand":
                 if raw != subcommand:
@@ -200,7 +195,7 @@ def parse_config(subcommand: str, path: str | None, overrides: dict) -> RunConfi
     for key, raw in overrides.items():
         if raw is None:
             continue
-        if key in ("out", "seed", "threads"):
+        if key in ("out", "seed"):
             meta[key] = raw
         elif key in schema:
             values[key] = _convert(key, raw, schema[key][0])
@@ -213,10 +208,13 @@ def parse_config(subcommand: str, path: str | None, overrides: dict) -> RunConfi
         values=values,
         out=str(out),
         seed=int(meta["seed"]),
-        threads=meta["threads"],
     )
     _validate(config)
     return config
+
+
+_DOMAIN_KINDS = {"domain3d": ("ball", "box"), "nonexist": ("ball", "box", "slab-box")}
+_SPHERE_PROFILES = ("isotropic", "up", "zero")
 
 
 def _validate(config: RunConfig):
@@ -224,7 +222,7 @@ def _validate(config: RunConfig):
     positive = [k for k in ("epsilon0", "sigma", "c0", "c0_kernel") if k in v]
     positive += [
         k
-        for k in ("step", "slab_l", "t0", "radius", "a2", "tol", "fd_h", "eps", "rho0", "p12", "p23", "r_max")
+        for k in ("step", "slab_l", "t0", "radius", "a2", "tol", "eps", "rho0", "p12", "p23", "r_max")
         if k in v
     ]
     for key in positive:
@@ -233,6 +231,46 @@ def _validate(config: RunConfig):
     for key in ("n_y", "n_mu", "n_r", "n_rho", "n_theta", "lattice_n", "n_levels", "n_samples"):
         if key in v and v[key] <= 0:
             raise ConfigError(f"key {key!r} must be positive, got {v[key]}")
+    if "domain" in v:
+        kinds = _DOMAIN_KINDS[config.subcommand]
+        if v["domain"] not in kinds:
+            raise ConfigError(f"key 'domain' must be one of {'|'.join(kinds)}, got {v['domain']!r}")
+    if "box" in v:
+        _box_bounds(v["box"])
+    if "f_profile" in v and v["f_profile"] not in _SPHERE_PROFILES:
+        raise ConfigError(
+            f"key 'f_profile' must be one of {'|'.join(_SPHERE_PROFILES)}, got {v['f_profile']!r}"
+        )
+    if "samples" in v:
+        _sample_points(v["samples"])
+
+
+def _finite_floats(key: str, raw: str) -> list:
+    try:
+        nums = [float(x) for x in raw.split(",")]
+    except ValueError:
+        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as comma-separated numbers") from None
+    if not all(math.isfinite(x) for x in nums):
+        raise ConfigError(f"key {key!r}: {raw!r} has a non-finite number")
+    return nums
+
+
+def _box_bounds(raw: str):
+    """(mins, maxs) from 'x0,y0,z0,x1,y1,z1'."""
+    bounds = _finite_floats("box", raw)
+    if len(bounds) != 6:
+        raise ConfigError(f"key 'box' needs 6 numbers x0,y0,z0,x1,y1,z1, got {raw!r}")
+    if not all(hi > lo for lo, hi in zip(bounds[:3], bounds[3:])):
+        raise ConfigError(f"key 'box' needs x1 > x0, y1 > y0 and z1 > z0, got {raw!r}")
+    return bounds[:3], bounds[3:]
+
+
+def _sample_points(raw: str) -> list:
+    """[[x, y, z], ...] from 'x,y,z;x,y,z;...'; at least one point."""
+    points = [_finite_floats("samples", triple) for triple in raw.split(";") if triple]
+    if not points or any(len(p) != 3 for p in points):
+        raise ConfigError(f"key 'samples' needs semicolon-separated x,y,z triples, got {raw!r}")
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +466,7 @@ def _domain_from_config(v):
 
     if v["domain"] == "ball":
         return ConvexDomain.ball((0.0, 0.0, 0.0), v["radius"])
-    bounds = [float(x) for x in v["box"].split(",")]
-    if len(bounds) != 6:
-        raise ConfigError(f"box bounds need 6 numbers, got {v['box']!r}")
-    return ConvexDomain.box(bounds[:3], bounds[3:])
+    return ConvexDomain.box(*_box_bounds(v["box"]))
 
 
 def _sphere_profile(spec: str, scale: float):
@@ -439,9 +474,7 @@ def _sphere_profile(spec: str, scale: float):
         return lambda n: scale * np.ones(len(n))
     if spec == "up":
         return lambda n: scale * (n[:, 2] > 0).astype(float)
-    if spec == "zero":
-        return lambda n: np.zeros(len(n))
-    raise ConfigError(f"unknown sphere profile {spec!r}")
+    return lambda n: np.zeros(len(n))  # "zero": _validate admits only _SPHERE_PROFILES
 
 
 def _run_domain3d(config: RunConfig, art: _Artifacts) -> int:
@@ -466,29 +499,21 @@ def _run_domain3d(config: RunConfig, art: _Artifacts) -> int:
             "iterations": field.iterations,
             "w_min": float(field.values.min()),
             "w_max": float(field.values.max()),
+            "converged": field.converged,
         },
     )
-    converged = field.iterations is not None and field.picard_ratio < 1.0
-    return 0 if converged else 1
+    return 0 if (field.converged and field.picard_ratio < 1.0) else 1
 
 
 def _run_nonexist(config: RunConfig, art: _Artifacts) -> int:
-    from .domain3d import ConvexDomain, SphereGrid, nonexistence_check
+    from .domain3d import SphereGrid, nonexistence_check
 
     v = config.values
-    if v["domain"] == "slab-box":
-        bounds = [float(x) for x in v["box"].split(",")]
-        domain = ConvexDomain.box(bounds[:3], bounds[3:])
-    else:
-        domain = _domain_from_config(v)
+    domain = _domain_from_config(v)  # slab-box is a box with a slab-shaped default
     sphere = SphereGrid(v["sphere_n_theta"], v["sphere_n_phi"])
     f = _sphere_profile(v["f_profile"], 1.0)
-    samples = [
-        [float(x) for x in triple.split(",")] for triple in v["samples"].split(";") if triple
-    ]
-    report = nonexistence_check(
-        domain, f, v["a2"], samples, tol=v["tol"], sphere=sphere, h=v["fd_h"]
-    )
+    samples = _sample_points(v["samples"])
+    report = nonexistence_check(domain, f, v["a2"], samples, tol=v["tol"], sphere=sphere)
     art.json("report.json", report)
     return 1 if report["verdict"] == "NONEXISTENT" else 0
 
@@ -660,7 +685,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--out", default=None, help="output directory (default $RADGAS_OUT)")
         p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--threads", type=int, default=None, help="worker-count cap")
         p.add_argument("--print-config", action="store_true", help="echo the resolved config")
         for key, (typ, default, help_text) in schema.items():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, help=help_text)
@@ -671,7 +695,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {
         key: getattr(args, key)
-        for key in list(_SCHEMAS[args.subcommand]) + ["out", "seed", "threads"]
+        for key in list(_SCHEMAS[args.subcommand]) + ["out", "seed"]
         if getattr(args, key, None) is not None
     }
     try:
@@ -679,11 +703,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.threads is not None:
-        # best-effort cap for any library that reads these lazily; the solvers
-        # themselves are deterministic regardless of thread count
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     if args.print_config:
         print("\n".join(config.lines()))
         return 0

@@ -10,7 +10,7 @@ enters there).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Boltzmann constant of the model, fixed once and for all.
 K_BOLTZMANN = 0.5

@@ -16,13 +16,13 @@ ball integral 1 - e^(-r_eq)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from .constants import PhysConsts
-from .errors import NonPositiveW, NotInterior, TooCloseToBoundary
+from .errors import NonPositiveW, NotInterior
 
 __all__ = [
     "ConvexDomain",
@@ -89,17 +89,6 @@ class ConvexDomain:
             mins, maxs = self._geom["mins"], self._geom["maxs"]
             return np.all(p > mins, axis=-1) & np.all(p < maxs, axis=-1)
         return np.asarray(self._geom["sdf"](p)) < 0
-
-    def boundary_distance(self, points) -> np.ndarray:
-        """Distance from interior points to the boundary (exact per kind)."""
-        p = np.asarray(points, dtype=float)
-        if self.kind == "ball":
-            c, r = self._geom["center"], self._geom["radius"]
-            return r - np.sqrt(np.sum((p - c) ** 2, axis=-1))
-        if self.kind == "box":
-            mins, maxs = self._geom["mins"], self._geom["maxs"]
-            return np.minimum(np.min(p - mins, axis=-1), np.min(maxs - p, axis=-1))
-        return -np.asarray(self._geom["sdf"](p))
 
     def exit_distances(self, points, dirs) -> np.ndarray:
         """s(y, n) for a batch: points (P, 3), dirs (S, 3) -> (P, S).
@@ -213,54 +202,30 @@ def vector_R(domain: ConvexDomain, f, A2: float, y, sphere: SphereGrid) -> np.nd
     return _vector_R_batch(domain, fvals, A2, y[None, :], nodes, weights)[0]
 
 
-def _div_R_batch(domain, fvals, A2, points, nodes, weights, h):
-    """Richardson-extrapolated central-difference divergence for a batch.
+def _div_R_batch(domain, fvals, A2, points, nodes, weights) -> np.ndarray:
+    """div R at a batch of interior points by the transport identity.
 
-    Returns (divergence, error_bar); the error bar is |D(h) - D(h/2)| / 3.
+    On a convex domain s(y + t*n, n) = s(y, n) + t, so n . grad_y s = 1 and
+    div R(y) = -A2 * int_{S^2} f(n) e^(-A2 s(y,n)) dn: the radiative transfer
+    equation n . grad I = -A2 I integrated over angle.
     """
-
-    def central(step):
-        acc = np.zeros(points.shape[0])
-        for axis in range(3):
-            e = np.zeros(3)
-            e[axis] = step
-            rp = _vector_R_batch(domain, fvals, A2, points + e, nodes, weights)
-            rm = _vector_R_batch(domain, fvals, A2, points - e, nodes, weights)
-            acc += (rp[:, axis] - rm[:, axis]) / (2.0 * step)
-        return acc
-
-    d_h = central(h)
-    d_h2 = central(0.5 * h)
-    return (4.0 * d_h2 - d_h) / 3.0, np.abs(d_h - d_h2) / 3.0
+    s = domain.exit_distances(points, nodes)
+    return -A2 * (np.exp(-A2 * s) @ (weights * fvals))
 
 
-def div_R(
-    domain: ConvexDomain,
-    f,
-    A2: float,
-    y,
-    sphere: SphereGrid,
-    h: float,
-    with_error: bool = False,
-):
-    """Divergence of R at y by Richardson-extrapolated central differences.
+def div_R(domain: ConvexDomain, f, A2: float, y, sphere: SphereGrid) -> float:
+    """Divergence of R at y, -A2 * int_{S^2} f(n) e^(-A2 s(y,n)) dn, on the
+    sphere rule that vector_R uses.
 
-    Requires y further than h from the boundary (the stencil must stay
-    interior).  With with_error=True returns (value, error_bar).
+    Exact up to the sphere quadrature at every strictly interior point, the
+    boundary skin included; never positive for f >= 0.
     """
     y = np.asarray(y, dtype=float).reshape(3)
     if not bool(domain.contains(y)):
         raise NotInterior(f"point {y} is not strictly inside the domain")
-    if float(domain.boundary_distance(y)) <= h:
-        raise TooCloseToBoundary(
-            f"point {y} is within the stencil step {h} of the boundary"
-        )
     nodes, weights = sphere.nodes_weights()
     fvals = _profile_values(f, nodes)
-    val, err = _div_R_batch(domain, fvals, A2, y[None, :], nodes, weights, h)
-    if with_error:
-        return float(val[0]), float(err[0])
-    return float(val[0])
+    return float(_div_R_batch(domain, fvals, A2, y[None, :], nodes, weights)[0])
 
 
 def kernel_mass_at(domain: ConvexDomain, points, sphere: SphereGrid) -> np.ndarray:
@@ -301,6 +266,7 @@ class VolumeField:
     kernel_mass: np.ndarray | None = None
     picard_ratio: float | None = None
     iterations: int | None = None
+    converged: bool = False
 
 
 def _build_lattice(domain: ConvexDomain, spec: LatticeSpec):
@@ -316,7 +282,6 @@ def _build_lattice(domain: ConvexDomain, spec: LatticeSpec):
     offsets = np.array(
         [[sx, sy, sz] for sx in (-0.25, 0.25) for sy in (-0.25, 0.25) for sz in (-0.25, 0.25)]
     )
-    frac_all = np.zeros(centers.shape[:3])
     flat = centers.reshape(-1, 3)
     acc = np.zeros(len(flat))
     for off in offsets:
@@ -397,32 +362,19 @@ def solve_w(
 
     w is represented on a structured lattice clipped to the domain (zero
     outside), the convolution is applied by FFT with per-cell kernel moments,
-    and the forcing -div(R)/(4*pi) uses Richardson-extrapolated differences
-    with step = lattice spacing / 4.  Raises NonPositiveW if the converged
-    solution dips <= 0 while not identically zero (inadmissible profile f).
+    and the forcing -div(R)/(4*pi) comes from the transport identity on the
+    same sphere rule as the kernel mass, so a constant isotropic profile
+    reproduces its constant solution to round-off.  `converged` records
+    whether the update fell below tol before max_iter.  Raises NonPositiveW
+    if the final iterate dips <= 0 while not identically zero (inadmissible
+    profile f).
     """
     centers, inside, frac, origin, spacing = _build_lattice(domain, lattice)
     pts = centers[inside]
     nodes, weights = sphere.nodes_weights()
     fvals = _profile_values(f, nodes)
 
-    h_fd = float(np.min(spacing)) / 4.0
-    deep = domain.boundary_distance(pts) > 1.5 * h_fd
-    g = np.zeros(len(pts))
-    if np.any(deep):
-        dv, _ = _div_R_batch(domain, fvals, 1.0, pts[deep], nodes, weights, h_fd)
-        g[deep] = -dv / (4.0 * math.pi)
-    if np.any(~deep):
-        # too close to the boundary for the full stencil: shrink the step,
-        # quantized to powers of two so the batches stay few and large
-        shallow = np.where(~deep)[0]
-        h_allow = np.clip(0.45 * domain.boundary_distance(pts[shallow]), 1e-9, h_fd)
-        levels = np.ceil(np.log2(h_fd / h_allow)).astype(int)
-        for lev in np.unique(levels):
-            sel = shallow[levels == lev]
-            hs = h_fd / 2.0**lev
-            dv, _ = _div_R_batch(domain, fvals, 1.0, pts[sel], nodes, weights, float(hs))
-            g[sel] = -dv / (4.0 * math.pi)
+    g = -_div_R_batch(domain, fvals, 1.0, pts, nodes, weights) / (4.0 * math.pi)
 
     table = _kernel_table(inside.shape, spacing)
     frac_grid = np.zeros(inside.shape)
@@ -445,6 +397,7 @@ def solve_w(
     prev_diff = None
     ratios = []
     iterations = 0
+    converged = False
     for iterations in range(1, max_iter + 1):
         conv = fftconvolve(w_grid * frac_grid, table, mode="same")
         new_grid = np.where(inside, scale_grid * conv + g_grid, 0.0)
@@ -453,6 +406,7 @@ def solve_w(
             ratios.append(diff / prev_diff)
         w_grid = new_grid
         if diff <= tol * max(1.0, float(np.max(np.abs(w_grid)))):
+            converged = True
             break
         prev_diff = diff
 
@@ -473,6 +427,7 @@ def solve_w(
         kernel_mass=kernel_mass,
         picard_ratio=ratio,
         iterations=iterations,
+        converged=converged,
     )
 
 
@@ -483,32 +438,27 @@ def nonexistence_check(
     samples,
     tol: float,
     sphere: SphereGrid = SphereGrid(),
-    h: float = 0.01,
 ) -> dict:
     """Evaluate the stationarity obstruction div(R) at sample points.
 
     Verdict: EXISTS_POSSIBLE when max |div R| < tol, otherwise NONEXISTENT
-    with the witnessing point.  Each row carries the Richardson error bar;
-    rows whose error bar exceeds tol are marked unreliable (the verdict
-    requires tol > error bar to be trustworthy).
+    with the witnessing point.  div R comes from the transport identity, so
+    it carries only the sphere-quadrature error and any strictly interior
+    sample is accepted.
     """
     nodes, weights = sphere.nodes_weights()
     fvals = _profile_values(f, nodes)
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     if not np.all(domain.contains(pts)):
         raise NotInterior("all sample points must be strictly interior")
-    if np.any(domain.boundary_distance(pts) <= h):
-        raise TooCloseToBoundary(f"samples must be further than h = {h} from the boundary")
-    vals, errs = _div_R_batch(domain, fvals, A2, pts, nodes, weights, h)
+    vals = _div_R_batch(domain, fvals, A2, pts, nodes, weights)
     rows = [
         {
             "point": tuple(float(c) for c in p),
             "div_R": float(v),
-            "error_bar": float(e),
             "exceeds_tol": bool(abs(v) >= tol),
-            "reliable": bool(e < tol),
         }
-        for p, v, e in zip(pts, vals, errs)
+        for p, v in zip(pts, vals)
     ]
     worst = int(np.argmax(np.abs(vals)))
     verdict = "NONEXISTENT" if abs(vals[worst]) >= tol else "EXISTS_POSSIBLE"
@@ -517,7 +467,5 @@ def nonexistence_check(
         "tol": float(tol),
         "witness_point": rows[worst]["point"],
         "witness_div_R": rows[worst]["div_R"],
-        "max_error_bar": float(np.max(errs)),
-        "reliable": bool(np.all(errs < tol)),
         "samples": rows,
     }

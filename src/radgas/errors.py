@@ -37,10 +37,6 @@ class NotInterior(RadgasError):
     """Query point lies on or outside the domain boundary."""
 
 
-class TooCloseToBoundary(RadgasError):
-    """Finite-difference stencil would leave the domain."""
-
-
 class SingularSystem(RadgasError):
     """Node-local linear system is rank deficient beyond tolerance."""
 

@@ -10,7 +10,7 @@ what the smoothness hypothesis of the nonexistence result asks for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

@@ -8,7 +8,7 @@ quadrature and solver modules build on these primitives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -21,7 +21,7 @@ slab, which makes Picard a contraction and cross-checks the direct path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import exp1, expn

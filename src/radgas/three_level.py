@@ -18,7 +18,7 @@ Two solution paths are implemented: a global sparse-free dense assembly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

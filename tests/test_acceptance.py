@@ -164,7 +164,7 @@ class TestAcceptance:
         sphere = SphereGrid(16, 32)
         f_up = lambda n: (n[:, 2] > 0).astype(float)
         a2, z = 2.0, 0.3
-        rep = nonexistence_check(slab, f_up, a2, [[0.0, 0.0, z]], tol=1e-3, sphere=sphere, h=0.01)
+        rep = nonexistence_check(slab, f_up, a2, [[0.0, 0.0, z]], tol=1e-3, sphere=sphere)
         oracle = -2.0 * math.pi * a2 * float(expn(2, a2 * z))
         ok = rep["verdict"] == "NONEXISTENT"
         ok &= abs(rep["witness_div_R"] - oracle) < 0.01 * abs(oracle)

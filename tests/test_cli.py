@@ -1,10 +1,12 @@
 """Configuration parsing, artifact layout, exit codes, determinism."""
 
+import functools
 import json
 import os
 
 import pytest
 
+import radgas.domain3d
 from radgas import ConfigError
 from radgas.cli import main, parse_config
 
@@ -118,6 +120,46 @@ class TestRun:
     def test_config_error_exit_two(self, tmp_path, capsys):
         code = main(["levelscan", "--step", "banana", "--out", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["domain3d", "--domain", "slab-box"], id="domain3d-domain"),
+            pytest.param(["nonexist", "--domain", "cube"], id="nonexist-domain"),
+            pytest.param(["nonexist", "--box", "1,2,3"], id="box-short"),
+            pytest.param(["nonexist", "--box", "a,b,c,d,e,f"], id="box-not-numbers"),
+            pytest.param(["nonexist", "--box", "0,0,0,1,1,inf"], id="box-infinite"),
+            pytest.param(["domain3d", "--domain", "box", "--box", "1,-1,-1,-1,1,1"], id="box-inverted"),
+            pytest.param(["nonexist", "--samples", "0,0"], id="samples-pair"),
+            pytest.param(["nonexist", "--samples", ";"], id="samples-empty"),
+            pytest.param(["nonexist", "--f-profile", "nope"], id="nonexist-profile"),
+            pytest.param(["domain3d", "--f-profile", "nope"], id="domain3d-profile"),
+        ],
+    )
+    def test_malformed_3d_config_exit_two(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_domain3d_reports_convergence(self, tmp_path):
+        out = tmp_path / "d3"
+        assert main(["domain3d", "--lattice-n", "12", "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["converged"] is True
+
+    def test_domain3d_unconverged_exits_one(self, tmp_path, monkeypatch):
+        capped = functools.partial(radgas.domain3d.solve_w, max_iter=2)
+        monkeypatch.setattr(radgas.domain3d, "solve_w", capped)
+        out = tmp_path / "d3"
+        assert main(["domain3d", "--lattice-n", "12", "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is False
+        assert report["iterations"] == 2
+
+    def test_threads_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["levelscan", "--threads", "2", "--print-config"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_bit_identical_reruns(self, tmp_path):
         args = [

@@ -1,0 +1,25 @@
+"""The 3-D demos run end to end against the current public API."""
+
+import os
+import runpy
+
+import pytest
+
+DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "demos")
+
+
+def _run_demo(name, capsys):
+    runpy.run_path(os.path.join(DEMOS, name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def test_nonexistence_criterion(capsys):
+    out = _run_demo("nonexistence_criterion.py", capsys)
+    assert "verdict: NONEXISTENT" in out
+    assert "verdict: EXISTS_POSSIBLE" in out
+
+
+def test_ball_contraction(capsys):
+    out = _run_demo("ball_contraction.py", capsys)
+    assert "converged: True" in out
+    assert "(exact: 1)" in out
