@@ -13,10 +13,8 @@ import math
 
 import numpy as np
 
-from radgas import PhysConsts
 from radgas.domain3d import ConvexDomain, LatticeSpec, SphereGrid, kernel_mass_at, solve_w
 
-consts = PhysConsts()
 ball = ConvexDomain.ball((0.0, 0.0, 0.0), 1.0)
 sphere = SphereGrid(16, 32)
 
@@ -24,7 +22,7 @@ mass0 = kernel_mass_at(ball, [[0.0, 0.0, 0.0]], sphere)[0]
 print(f"kernel mass at the center: {mass0:.10f}  (exact 1 - 1/e = {1 - math.exp(-1):.10f})")
 
 print("solving on a 32^3 lattice ...")
-field = solve_w(ball, lambda n: np.ones(len(n)), consts, LatticeSpec(32), sphere)
+field = solve_w(ball, lambda n: np.ones(len(n)), LatticeSpec(32), sphere)
 print(f"{len(field.points)} interior cells, {field.iterations} Picard sweeps "
       f"(converged: {field.converged}), "
       f"ratio {field.picard_ratio:.3f} (max kernel mass {field.kernel_mass.max():.3f})")

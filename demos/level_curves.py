@@ -8,28 +8,24 @@ eight evenly spaced contour levels with marching squares, and reports their
 connectivity: one clean component per level and no saddle ambiguities is
 exactly the smooth-curve picture.
 
-Run:  python3 demos/level_curves.py [--coarse]
-Writes grid.csv / contours.csv next to this script for external plotting
+Run:  python3 demos/level_curves.py
+Writes grid.csv / contours.csv to the current directory for external plotting
 (e.g. pandas + matplotlib: pivot grid.csv on T1/T2 and contour it).
 """
 
-import sys
 import time
 
 import numpy as np
 
-from radgas import PhysConsts, TripleQuadSpec
+from radgas import PhysConsts
 from radgas.levelscan import ScanWindow, extract_contours, scan, smoothness_report
 
-coarse = "--coarse" in sys.argv
-step = 0.4 if coarse else 0.1
-spec = TripleQuadSpec(n_r=48, n_rho=48, n_theta=24) if coarse else TripleQuadSpec()
 consts = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
 
-print(f"scanning L on [10,12]^2 with step {step} ...")
+print("scanning L on [10,12]^2 with step 0.1 ...")
 t0 = time.time()
-window = ScanWindow(10.0, 12.0, 10.0, 12.0, step)
-result = scan(window, consts, spec)
+window = ScanWindow(10.0, 12.0, 10.0, 12.0, 0.1)
+result = scan(window, consts)
 print(f"  {result.grid.shape[0]}x{result.grid.shape[1]} grid in {time.time()-t0:.1f}s, "
       f"{len(result.failures)} singular cells")
 print(f"  L range: [{result.grid.min():.6f}, {result.grid.max():.6f}]")

@@ -41,7 +41,6 @@ _SCHEMAS = {
         "r_max": (float, 12.0, "radial truncation of the triple quadrature"),
         "n_r": (int, 96, "radial nodes (r)"),
         "n_rho": (int, 96, "radial nodes (rho)"),
-        "n_theta": (int, 48, "polar nodes"),
     },
     "slab-lte": {
         **_COMMON_SCHEMA,
@@ -61,7 +60,6 @@ _SCHEMAS = {
         "normalize": (str, "true", "rescale the profile to unit incoming flux"),
     },
     "domain3d": {
-        **_COMMON_SCHEMA,
         "domain": (str, "ball", "ball|box"),
         "radius": (float, 1.0, "ball radius"),
         "box": (str, "-1,-1,-1,1,1,1", "box bounds: x0,y0,z0,x1,y1,z1"),
@@ -228,7 +226,7 @@ def _validate(config: RunConfig):
     for key in positive:
         if not v[key] > 0:
             raise ConfigError(f"key {key!r} must be > 0, got {v[key]}")
-    for key in ("n_y", "n_mu", "n_r", "n_rho", "n_theta", "lattice_n", "n_levels", "n_samples"):
+    for key in ("n_y", "n_mu", "n_r", "n_rho", "lattice_n", "n_levels", "n_samples"):
         if key in v and v[key] <= 0:
             raise ConfigError(f"key {key!r} must be positive, got {v[key]}")
     if "domain" in v:
@@ -241,8 +239,29 @@ def _validate(config: RunConfig):
         raise ConfigError(
             f"key 'f_profile' must be one of {'|'.join(_SPHERE_PROFILES)}, got {v['f_profile']!r}"
         )
+    if config.subcommand == "levelscan":
+        _scan_setup(v)
     if "samples" in v:
-        _sample_points(v["samples"])
+        domain = _domain_from_config(v)
+        for point in _sample_points(v["samples"]):
+            if not domain.contains(point):
+                raise ConfigError(
+                    f"key 'samples': point {','.join(map(repr, point))} is not strictly "
+                    f"inside the {v['domain']} domain"
+                )
+
+
+def _scan_setup(v):
+    """(ScanWindow, TripleQuadSpec) of a levelscan config; their checks become config errors."""
+    from .collision_reduction import TripleQuadSpec
+    from .levelscan import ScanWindow
+
+    try:
+        window = ScanWindow(v["t1_min"], v["t1_max"], v["t2_min"], v["t2_max"], v["step"])
+        spec = TripleQuadSpec(r_max=v["r_max"], n_r=v["n_r"], n_rho=v["n_rho"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return window, spec
 
 
 def _finite_floats(key: str, raw: str) -> list:
@@ -360,12 +379,10 @@ def _radiation_rows(field):
 
 
 def _run_levelscan(config: RunConfig, art: _Artifacts) -> int:
-    from .collision_reduction import TripleQuadSpec
-    from .levelscan import ScanWindow, extract_contours, scan, smoothness_report
+    from .levelscan import extract_contours, scan, smoothness_report
 
     v = config.values
-    window = ScanWindow(v["t1_min"], v["t1_max"], v["t2_min"], v["t2_max"], v["step"])
-    spec = TripleQuadSpec(r_max=v["r_max"], n_r=v["n_r"], n_rho=v["n_rho"], n_theta=v["n_theta"])
+    window, spec = _scan_setup(v)
     result = scan(window, _consts(v), spec)
 
     t1s, t2s = window.t1_values(), window.t2_values()
@@ -484,7 +501,7 @@ def _run_domain3d(config: RunConfig, art: _Artifacts) -> int:
     domain = _domain_from_config(v)
     sphere = SphereGrid(v["sphere_n_theta"], v["sphere_n_phi"])
     f = _sphere_profile(v["f_profile"], v["f_scale"])
-    field = solve_w(domain, f, _consts(v), LatticeSpec(v["lattice_n"]), sphere)
+    field = solve_w(domain, f, LatticeSpec(v["lattice_n"]), sphere)
     art.csv(
         "w.csv",
         ["x", "y", "z", "w"],
@@ -674,8 +691,16 @@ def run(config: RunConfig) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reports a bad command line like any other config error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"config error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radgas",
         description="Stationary gas-radiation solvers: batch runs with CSV/JSON artifacts.",
     )

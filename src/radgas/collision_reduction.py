@@ -11,6 +11,10 @@ collapse to 3-fold integrals over (r, rho, theta) with five printed kernels:
 F_delta and B2delta are the divided-difference forms with the removable
 T2 = T1 singularity eliminated via delta = sqrt(T2/T1) - 1.
 
+Every printed kernel is elementary in u = cos(theta), so the theta integral is
+taken in closed form (`_theta_integral`) and only the (r, rho) plane is
+summed by Gauss-Legendre.
+
 Two evaluation modes exist.  "printed" evaluates the reduced formulas exactly
 as stated (this is what the level-curve scan consumes; every constant cancels
 from the ratios there).  "calibrated" restores the change-of-variables factors
@@ -53,25 +57,29 @@ _SINGULAR_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class TripleQuadSpec:
-    """Node counts and truncation for the (r, rho, theta) quadrature.
+    """Node counts and truncation for the (r, rho) quadrature of the triple integrals.
 
-    r_max = 12 puts the discarded Gaussian tail below 1e-30 of the integrand
-    mass; Gauss-Legendre on the mapped intervals handles the square-root
-    kernels, which are smooth but not polynomial.
+    The theta direction is integrated exactly, so only the two radial axes
+    carry nodes.  r_max = 12 puts the discarded Gaussian tail below 1e-30 of
+    the integrand mass; Gauss-Legendre on the mapped intervals handles the
+    square-root kernels, which are smooth but not polynomial.
     """
 
     r_max: float = 12.0
     n_r: int = 96
     n_rho: int = 96
-    n_theta: int = 48
 
     def __post_init__(self):
         if not self.r_max > 0:
             raise ValueError(f"r_max must be > 0, got {self.r_max}")
         if self.n_r < 16 or self.n_rho < 16:
-            raise ValueError("radial node counts must be >= 16")
-        if self.n_theta < 8:
-            raise ValueError("n_theta must be >= 8")
+            raise ValueError(f"n_r and n_rho must be >= 16, got ({self.n_r}, {self.n_rho})")
+
+    @property
+    def n_theta(self) -> int:
+        # The theta integral is exact, so one triple integral evaluates
+        # n_r * n_rho nodes; node counters that multiply by n_theta stay right.
+        return 1
 
 
 @dataclass(frozen=True)
@@ -105,8 +113,9 @@ def _check_cone(a, b, c):
     return a, b, c
 
 
-def _kernel_value(kind: str, a, b, c, params: ReducedKernelParams):
-    """Evaluate one printed kernel on (possibly array) cone coordinates."""
+def eval_reduced_kernel(kind: str, a, b, c, params: ReducedKernelParams):
+    """Pointwise value of a printed reduced kernel; validates the cone."""
+    a, b, c = _check_cone(a, b, c)
     T1, T2, eps0 = params.T1, params.T2, params.epsilon0
     delta = params.delta
     four_eps = 4.0 * eps0 / T1
@@ -131,18 +140,13 @@ def _kernel_value(kind: str, a, b, c, params: ReducedKernelParams):
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-def eval_reduced_kernel(kind: str, a, b, c, params: ReducedKernelParams):
-    """Pointwise value of a printed reduced kernel; validates the cone."""
-    a, b, c = _check_cone(a, b, c)
-    return _kernel_value(kind, a, b, c, params)
-
-
 @lru_cache(maxsize=8)
 def _quad_grid(spec: TripleQuadSpec):
-    """Flattened (a, b, c) nodes and combined weights for the triple integral.
+    """Flattened (a, m, c) nodes and combined weights on the (r, rho) plane.
 
-    Weight includes pi^2 * r^2 rho^2 sin(theta) * exp(-(r^2+rho^2)/2) and the
-    Gauss-Legendre weights on [0, r_max] x [0, r_max] x [0, pi].
+    a = rho^2, m = rho*r and c = r^2, so the cone coordinate b is m*u with
+    u = cos(theta).  The weight is pi^2 * r^2 rho^2 * exp(-(r^2+rho^2)/2)
+    times the Gauss-Legendre weights on [0, r_max] x [0, r_max].
     """
     xr, wr = np.polynomial.legendre.leggauss(spec.n_r)
     r = 0.5 * spec.r_max * (xr + 1.0)
@@ -150,36 +154,74 @@ def _quad_grid(spec: TripleQuadSpec):
     xq, wq = np.polynomial.legendre.leggauss(spec.n_rho)
     rho = 0.5 * spec.r_max * (xq + 1.0)
     wq = 0.5 * spec.r_max * wq
-    xt, wt = np.polynomial.legendre.leggauss(spec.n_theta)
-    theta = 0.5 * math.pi * (xt + 1.0)
-    wt = 0.5 * math.pi * wt
 
-    R, RHO, TH = np.meshgrid(r, rho, theta, indexing="ij")
-    WEIGHT = (
-        math.pi**2
-        * R**2
-        * RHO**2
-        * np.sin(TH)
-        * np.exp(-0.5 * (R**2 + RHO**2))
-        * np.einsum("i,j,k->ijk", wr, wq, wt)
+    R, RHO = np.meshgrid(r, rho, indexing="ij")
+    WEIGHT = math.pi**2 * R**2 * RHO**2 * np.exp(-0.5 * (R**2 + RHO**2)) * np.outer(wr, wq)
+    return (RHO**2).ravel(), (RHO * R).ravel(), (R**2).ravel(), WEIGHT.ravel()
+
+
+def _theta_integral(kind: str, a, m, c, params: ReducedKernelParams):
+    """int_{-1}^{1} kernel(a, m*u, c) du in closed form.
+
+    With kappa = 4*eps0/T1 and h = 1 + delta/2 the G_delta radicand is
+    r1^2 = P - Q*u, P = a*h^2 + delta^2*c/4 + kappa, Q = delta*h*m, and
+    P > |Q| on the whole cone.  The integrals of r1 and u*r1 are written in
+    t = Q/P through p = sqrt(1+t), q = sqrt(1-t), which stays accurate as
+    Q -> 0.  F_delta is 4*pi*(r1 - r2)/(delta*s) with r2 = sqrt(a + kappa) and
+    s = sqrt(T1) + sqrt(T2); its divided difference D is written with delta
+    cancelled by hand, so no formula divides by delta and the diagonal
+    T2 = T1 needs no special case.
+    """
+    T1, T2, eps0 = params.T1, params.T2, params.epsilon0
+    if kind == "one":
+        return np.full_like(a, 2.0)
+    if kind == "A_kern":  # the odd term in b integrates to zero
+        return 8.0 * math.pi * (T1 / 8.0 * (a + c) + eps0) * np.sqrt(T1 * a + 4.0 * eps0)
+    kappa = 4.0 * eps0 / T1
+    r2 = np.sqrt(a + kappa)
+    if kind == "B1":
+        return math.pi * (a + c) * r2
+
+    delta = params.delta
+    h = 1.0 + 0.5 * delta
+    P = a * h * h + 0.25 * delta * delta * c + kappa
+    Q_over_delta = h * m
+    t = delta * Q_over_delta / P
+    p = np.sqrt(1.0 + t)
+    q = np.sqrt(1.0 - t)
+    sigma = p + q
+    pq = p * q
+    sqrt_P = np.sqrt(P)
+    if kind == "G_delta":  # 4*pi * int r1 du
+        return 4.0 * math.pi * (4.0 / 3.0) * sqrt_P * (2.0 + pq) / sigma
+
+    # D = (int r1 du - 2*r2)/delta, split as 2*(sqrt(P) - r2)/delta plus
+    # (int r1 du - 2*sqrt(P))/delta, each with the factor delta taken out.
+    D = 2.0 * (a * (1.0 + 0.25 * delta) + 0.25 * delta * c) / (sqrt_P + r2) - (
+        (4.0 / 3.0) * sqrt_P * Q_over_delta * (t / P) * (sigma - 1.0)
+        / (sigma * sigma * (1.0 + p) * (1.0 + q))
     )
-    a = (RHO**2).ravel()
-    b = (RHO * R * np.cos(TH)).ravel()
-    c = (R**2).ravel()
-    return a, b, c, WEIGHT.ravel()
+    s = math.sqrt(T1) + math.sqrt(T2)
+    if kind == "F_delta":
+        return 4.0 * math.pi / s * D
+    if kind == "B2delta":
+        # K = int u*r1 du; u*r2 integrates to zero
+        K_over_delta = -(4.0 / 15.0) * sqrt_P * Q_over_delta / P * (3.0 * pq + 2.0) / (
+            sigma * (1.0 + pq)
+        )
+        return 2.0 * math.pi * T2 / s * (0.25 * (a + c) * D - 0.5 * m * K_over_delta)
+    raise ValueError(f"unknown kernel kind {kind!r}")
 
 
 def triple_integral(kind: str, params: ReducedKernelParams, spec: TripleQuadSpec) -> float:
     """pi^2 * triple integral of r^2 rho^2 sin(theta) * kernel * exp(-(r^2+rho^2)/2).
 
+    The theta integral is exact; (r, rho) use spec's Gauss-Legendre grid.
     `kind` is one of the printed kernels, or "one" (kernel identically 1,
     test hook: the exact value is pi^3).
     """
-    a, b, c, w = _quad_grid(spec)
-    if kind == "one":
-        vals = np.ones_like(a)
-    else:
-        vals = _kernel_value(kind, a, b, c, params)
+    a, m, c, w = _quad_grid(spec)
+    vals = _theta_integral(kind, a, m, c, params)
     # Fixed summation order for cross-run determinism.
     return float(np.add.reduce(vals * w))
 
@@ -212,6 +254,19 @@ def default_calibration(consts: PhysConsts) -> dict:
     return {"P": consts.c0**2, "P21": consts.c0**2, "A": consts.c0**2, "B": consts.c0**2}
 
 
+_UNIT_CALIBRATION = {"P": 1.0, "P21": 1.0, "A": 1.0, "B": 1.0}
+
+
+@lru_cache(maxsize=512)
+def _t1_integrals(T1: float, epsilon0: float, spec: TripleQuadSpec) -> tuple:
+    """The integrals that depend on T1 only: G_delta at T2 = T1, A_kern and B1.
+
+    Cached, so a scan pays for them once per T1 row.
+    """
+    p = ReducedKernelParams(T1, T1, epsilon0)
+    return tuple(triple_integral(kind, p, spec) for kind in ("G_delta", "A_kern", "B1"))
+
+
 def functionals(
     T1: float,
     T2: float,
@@ -229,32 +284,29 @@ def functionals(
     integrals; `constants` overrides the analytic defaults (fitted values
     from `fit_calibration` go here).
     """
+    if mode not in ("printed", "calibrated"):
+        raise ValueError(f"unknown mode {mode!r}")
+    t_g0, t_a, t_b1 = _t1_integrals(T1, consts.epsilon0, spec)
     p = ReducedKernelParams(T1, T2, consts.epsilon0)
-    p_diag = ReducedKernelParams(T1, T1, consts.epsilon0)
-    t_g0 = triple_integral("G_delta", p_diag, spec)
     t_gd = triple_integral("G_delta", p, spec)
     t_fd = triple_integral("F_delta", p, spec)
-    t_a = triple_integral("A_kern", p, spec)
-    t_b1 = triple_integral("B1", p, spec)
     t_b2 = triple_integral("B2delta", p, spec)
 
     if mode == "printed":
         return CollisionFunctionals(
             P11=t_g0, P21=t_gd, P_diff=t_fd, A=t_a, B_diff=-(t_b1 + t_b2)
         )
-    if mode == "calibrated":
-        k = default_calibration(consts)
-        if constants:
-            k = {**k, **constants}
-        s1 = math.sqrt(T1)
-        return CollisionFunctionals(
-            P11=k["P"] * s1 * t_g0,
-            P21=k["P21"] * s1 * t_gd,
-            P_diff=k["P"] * t_fd,
-            A=k["A"] * t_a,
-            B_diff=-k["B"] * (s1 * t_b1 + t_b2),
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    k = default_calibration(consts)
+    if constants:
+        k = {**k, **constants}
+    s1 = math.sqrt(T1)
+    return CollisionFunctionals(
+        P11=k["P"] * s1 * t_g0,
+        P21=k["P21"] * s1 * t_gd,
+        P_diff=k["P"] * t_fd,
+        A=k["A"] * t_a,
+        B_diff=-k["B"] * (s1 * t_b1 + t_b2),
+    )
 
 
 def _check_denominator(name: str, value: float, scale: float, T1: float, T2: float):
@@ -373,21 +425,19 @@ def structural_value(
     """Reduced-integral value carrying the sqrt(T1) structure but no constant.
 
     The oracle satisfies  mc == constant * structural_value  with one constant
-    per quantity (c0^2 analytically); `fit_calibration` estimates it.
+    per quantity (c0^2 analytically); `fit_calibration` estimates it.  This is
+    the calibrated functional with every constant set to 1.
     """
-    p = ReducedKernelParams(T1, T2, consts.epsilon0)
-    p_diag = ReducedKernelParams(T1, T1, consts.epsilon0)
-    s1 = math.sqrt(T1)
+    if quantity not in _UNIT_CALIBRATION:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    f = functionals(T1, T2, consts, spec, mode="calibrated", constants=_UNIT_CALIBRATION)
     if quantity == "P":
-        return s1 * triple_integral("G_delta", p_diag, spec)
+        return f.P11
     if quantity == "P21":
-        return s1 * triple_integral("G_delta", p, spec)
+        return f.P21
     if quantity == "A":
-        return triple_integral("A_kern", p, spec)
-    if quantity == "B":
-        b_diff = -(s1 * triple_integral("B1", p, spec) + triple_integral("B2delta", p, spec))
-        return (T2 - T1) * b_diff
-    raise ValueError(f"unknown quantity {quantity!r}")
+        return f.A
+    return (T2 - T1) * f.B_diff
 
 
 def fit_calibration(

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .constants import PhysConsts
 from .errors import NonPositiveW, NotInterior
 
 __all__ = [
@@ -352,7 +351,6 @@ def _kernel_table(shape, spacing, near_range: int = 6):
 def solve_w(
     domain: ConvexDomain,
     f,
-    consts: PhysConsts,
     lattice: LatticeSpec = LatticeSpec(),
     sphere: SphereGrid = SphereGrid(),
     tol: float = 1e-10,

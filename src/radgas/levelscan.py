@@ -9,22 +9,12 @@ what the smoothness hypothesis of the nonexistence result asks for.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .constants import PhysConsts
-from .collision_reduction import (
-    CollisionFunctionals,
-    ReducedKernelParams,
-    TripleQuadSpec,
-    H_func,
-    L_func,
-    S_func,
-    triple_integral,
-)
+from .collision_reduction import TripleQuadSpec, L_func, functionals
 from .errors import EmptyLevel, SingularDenominator
 
 __all__ = [
@@ -95,29 +85,6 @@ class ContourSet:
     saddle_counts: list  # ambiguous cells encountered per level
 
 
-@lru_cache(maxsize=512)
-def _t1_triples(T1: float, epsilon0: float, spec: TripleQuadSpec):
-    """Kernels that depend on T1 only; cached across a scan's inner loop."""
-    p = ReducedKernelParams(T1, T1, epsilon0)
-    return (
-        triple_integral("G_delta", p, spec),
-        triple_integral("A_kern", p, spec),
-        triple_integral("B1", p, spec),
-    )
-
-
-def _functionals_cached(T1, T2, consts: PhysConsts, spec: TripleQuadSpec):
-    t_g0, t_a, t_b1 = _t1_triples(T1, consts.epsilon0, spec)
-    p = ReducedKernelParams(T1, T2, consts.epsilon0)
-    return CollisionFunctionals(
-        P11=t_g0,
-        P21=triple_integral("G_delta", p, spec),
-        P_diff=triple_integral("F_delta", p, spec),
-        A=t_a,
-        B_diff=-(t_b1 + triple_integral("B2delta", p, spec)),
-    )
-
-
 def scan(
     window: ScanWindow, consts: PhysConsts, spec: TripleQuadSpec = TripleQuadSpec()
 ) -> ScanResult:
@@ -125,7 +92,8 @@ def scan(
 
     Per-cell SingularDenominator is recorded in `failures` (the grid entry
     becomes NaN) without aborting the scan.  The evaluation is pure, so the
-    result is independent of traversal order.
+    result is independent of traversal order; `functionals` caches the
+    T1-only integrals, so each T1 row pays for them once.
     """
     t1s = window.t1_values()
     t2s = window.t2_values()
@@ -133,7 +101,7 @@ def scan(
     failures = []
     for i, T1 in enumerate(t1s):
         for j, T2 in enumerate(t2s):
-            funcs = _functionals_cached(float(T1), float(T2), consts, spec)
+            funcs = functionals(float(T1), float(T2), consts, spec)
             try:
                 grid[i, j] = L_func(float(T1), float(T2), consts, spec, funcs=funcs)
             except SingularDenominator:

@@ -142,7 +142,7 @@ class TestAcceptance:
         sphere = SphereGrid(16, 32)
         mass0 = kernel_mass_at(ball, [[0.0, 0.0, 0.0]], sphere)[0]
         ok = abs(mass0 - (1.0 - math.exp(-1.0))) < 1e-4
-        field = solve_w(ball, lambda n: np.ones(len(n)), PHYS, LatticeSpec(32), sphere)
+        field = solve_w(ball, lambda n: np.ones(len(n)), LatticeSpec(32), sphere)
         ok &= field.picard_ratio < 1.0
         ok &= field.picard_ratio <= field.kernel_mass.max() + 1e-3
         # radial symmetry: spread within thin shells below 1% of the mean

@@ -70,7 +70,6 @@ class TestRun:
                 "--step", "0.5",
                 "--n-r", "48",
                 "--n-rho", "48",
-                "--n-theta", "24",
                 "--c0", "1.0",
                 "--out", str(out),
             ]
@@ -140,6 +139,35 @@ class TestRun:
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["levelscan", "--n-r", "8"], id="n-r-below-16"),
+            pytest.param(["levelscan", "--n-rho", "8"], id="n-rho-below-16"),
+            pytest.param(["levelscan", "--step", "0.3"], id="step-not-dividing"),
+            pytest.param(["levelscan", "--n-theta", "4"], id="n-theta-removed"),
+            pytest.param(["domain3d", "--sigma", "7"], id="domain3d-sigma-removed"),
+            pytest.param(["nonexist", "--domain", "ball"], id="default-samples-outside-ball"),
+        ],
+    )
+    def test_bad_config_exit_two(self, tmp_path, capsys, argv):
+        try:
+            code = main(argv + ["--out", str(tmp_path / "x")])
+        except SystemExit as exc:  # argparse rejects unknown options
+            code = exc.code
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_samples_outside_domain_named(self, tmp_path, capsys):
+        assert main(["nonexist", "--domain", "ball", "--out", str(tmp_path / "x")]) == 2
+        assert "point 1.0,-2.0,0.7 " in capsys.readouterr().err
+
+    def test_nonexist_ball_interior_sample(self, tmp_path):
+        out = tmp_path / "nx"
+        assert main(["nonexist", "--domain", "ball", "--samples", "0,0,0.3", "--out", str(out)]) == 1
+        assert json.loads((out / "report.json").read_text())["verdict"] == "NONEXISTENT"
 
     def test_domain3d_reports_convergence(self, tmp_path):
         out = tmp_path / "d3"

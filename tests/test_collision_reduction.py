@@ -1,5 +1,6 @@
 """Reduced collision integrals: printed kernels, quadrature, oracle agreement."""
 
+import functools
 import math
 
 import numpy as np
@@ -24,7 +25,29 @@ from radgas.collision_reduction import structural_value
 FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
 PHYS = PhysConsts(epsilon0=1.0, sigma=1.0)
 SPEC = TripleQuadSpec()
-FAST = TripleQuadSpec(n_r=48, n_rho=48, n_theta=24)
+FAST = TripleQuadSpec(n_r=48, n_rho=48)
+
+
+@functools.lru_cache(maxsize=1)
+def _oracle_grid(n_r=96, n_rho=96, n_theta=48, r_max=12.0):
+    """(a, b, c) nodes and weights of the 3-fold Gauss sum over (r, rho, theta)."""
+    nodes = []
+    for n, hi in ((n_r, r_max), (n_rho, r_max), (n_theta, math.pi)):
+        x, w = np.polynomial.legendre.leggauss(n)
+        nodes.append((0.5 * hi * (x + 1.0), 0.5 * hi * w))
+    (r, wr), (rho, wq), (theta, wt) = nodes
+    R, RHO, TH = np.meshgrid(r, rho, theta, indexing="ij")
+    weight = (
+        math.pi**2 * R**2 * RHO**2 * np.sin(TH) * np.exp(-0.5 * (R**2 + RHO**2))
+        * np.einsum("i,j,k->ijk", wr, wq, wt)
+    )
+    return (RHO**2).ravel(), (RHO * R * np.cos(TH)).ravel(), (R**2).ravel(), weight.ravel()
+
+
+def triple_oracle(kind, params):
+    """The 3-fold Gauss sum of a printed kernel, evaluated pointwise."""
+    a, b, c, w = _oracle_grid()
+    return float(np.sum(eval_reduced_kernel(kind, a, b, c, params) * w))
 
 
 class TestReducedKernels:
@@ -70,13 +93,37 @@ class TestTripleIntegral:
         p = ReducedKernelParams(10.0, 11.0, 1.0)
         assert triple_integral("one", p, SPEC) == pytest.approx(math.pi**3, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["F_delta", "G_delta", "A_kern", "B1", "B2delta"])
+    @pytest.mark.parametrize(
+        "T1, T2",
+        [
+            (10.0, 10.0),  # delta = 0
+            (10.0, 10.0 * (1 + 1e-8) ** 2),  # delta = 1e-8
+            (10.0, 10.0 * (1 - 1e-8) ** 2),  # delta = -1e-8
+            (10.0, 10.0 + 1e-7),
+            (10.0, 12.0),
+            (12.0, 10.0),
+            (12.0, 12.0),
+            (0.3, 9.0),
+            (5.0, 1.0),
+        ],
+    )
+    def test_closed_theta_matches_triple_gauss_oracle(self, kind, T1, T2):
+        p = ReducedKernelParams(T1, T2, 1.0)
+        assert triple_integral(kind, p, SPEC) == pytest.approx(triple_oracle(kind, p), rel=1e-13)
+
+    def test_spec_has_no_theta_nodes(self):
+        with pytest.raises(TypeError):
+            TripleQuadSpec(n_theta=48)
+        assert SPEC.n_theta == 1  # node counters read n_r * n_rho * n_theta
+
     def test_quadrature_convergence_on_doubling(self):
         p = ReducedKernelParams(10.0, 11.5, 1.0)
-        dense = TripleQuadSpec(n_r=192, n_rho=192, n_theta=96)
+        dense = TripleQuadSpec(n_r=192, n_rho=192)
         for kind in ("F_delta", "G_delta", "A_kern", "B1", "B2delta"):
             coarse = triple_integral(kind, p, SPEC)
             fine = triple_integral(kind, p, dense)
-            assert abs(fine - coarse) <= 1e-6 * max(abs(fine), 1e-30)
+            assert abs(fine - coarse) <= 1e-12 * max(abs(fine), 1e-30)
 
     def test_mc_oracle_agreement_g_delta(self):
         # P(T1) with T1 = T2 = 10 against the 6-fold MC integral

@@ -1,4 +1,4 @@
-"""The 3-D demos run end to end against the current public API."""
+"""The demos run end to end against the current public API."""
 
 import os
 import runpy
@@ -23,3 +23,10 @@ def test_ball_contraction(capsys):
     out = _run_demo("ball_contraction.py", capsys)
     assert "converged: True" in out
     assert "(exact: 1)" in out
+
+
+def test_level_curves(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # the demo writes its CSVs to the cwd
+    out = _run_demo("level_curves.py", capsys)
+    assert "smooth-curve hypothesis HOLDS" in out
+    assert (tmp_path / "grid.csv").read_text().count("\n") == 1 + 21 * 21

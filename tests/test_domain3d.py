@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expn
 
-from radgas import PhysConsts, NotInterior
+from radgas import NotInterior
 from radgas.domain3d import (
     ConvexDomain,
     LatticeSpec,
@@ -19,7 +19,6 @@ from radgas.domain3d import (
     vector_R,
 )
 
-CONSTS = PhysConsts()
 SPHERE = SphereGrid(16, 32)
 BALL = ConvexDomain.ball((0.0, 0.0, 0.0), 1.0)
 # slab-like box: thin in z, wide in x, y (aspect ratio 20)
@@ -216,14 +215,14 @@ class TestKernelMass:
 
 class TestSolveW:
     def test_zero_profile_gives_zero(self):
-        field = solve_w(BALL, lambda n: np.zeros(len(n)), CONSTS, LatticeSpec(12), SPHERE)
+        field = solve_w(BALL, lambda n: np.zeros(len(n)), LatticeSpec(12), SPHERE)
         np.testing.assert_array_equal(field.values, 0.0)
 
     def test_isotropic_ball_constant_solution(self):
         # exact solution for isotropic f = c is w = c everywhere; the forcing
         # and the kernel-mass rows share one sphere rule, so w = 1 is a
         # fixed point of the discrete map up to round-off
-        field = solve_w(BALL, f_iso, CONSTS, LatticeSpec(16), SPHERE)
+        field = solve_w(BALL, f_iso, LatticeSpec(16), SPHERE)
         assert field.converged
         assert np.max(np.abs(field.values - 1.0)) < 1e-8
         rr = np.linalg.norm(field.points, axis=1)
@@ -232,21 +231,21 @@ class TestSolveW:
         assert spread < 0.01 * field.values.mean()
 
     def test_picard_ratio_below_kernel_mass(self):
-        field = solve_w(BALL, f_iso, CONSTS, LatticeSpec(16), SPHERE)
+        field = solve_w(BALL, f_iso, LatticeSpec(16), SPHERE)
         assert field.picard_ratio <= field.kernel_mass.max() + 1e-3
 
     def test_lattice_points_strictly_interior(self):
-        field = solve_w(BALL, f_iso, CONSTS, LatticeSpec(12), SPHERE)
+        field = solve_w(BALL, f_iso, LatticeSpec(12), SPHERE)
         assert np.all(BALL.contains(field.points))
 
     def test_max_iter_reported_as_not_converged(self):
-        field = solve_w(BALL, f_iso, CONSTS, LatticeSpec(12), SPHERE, max_iter=2)
+        field = solve_w(BALL, f_iso, LatticeSpec(12), SPHERE, max_iter=2)
         assert field.iterations == 2
         assert not field.converged
 
     def test_deterministic(self):
-        f1 = solve_w(BALL, f_iso, CONSTS, LatticeSpec(12), SPHERE)
-        f2 = solve_w(BALL, f_iso, CONSTS, LatticeSpec(12), SPHERE)
+        f1 = solve_w(BALL, f_iso, LatticeSpec(12), SPHERE)
+        f2 = solve_w(BALL, f_iso, LatticeSpec(12), SPHERE)
         np.testing.assert_array_equal(f1.values, f2.values)
 
 

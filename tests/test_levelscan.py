@@ -14,7 +14,7 @@ from radgas.levelscan import (
 )
 
 FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
-FAST = TripleQuadSpec(n_r=48, n_rho=48, n_theta=24)
+FAST = TripleQuadSpec(n_r=48, n_rho=48)
 
 
 def synthetic_result(field, t1=(0.0, 1.0), t2=(0.0, 1.0), n=10):
