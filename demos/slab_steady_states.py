@@ -53,10 +53,9 @@ print(f"theta(0) = {res.theta[0]:+.6f}, theta(L/2) = {res.theta[len(res.theta)//
       f"theta(L) = {res.theta[-1]:+.6f}")
 print(f"Nystroem vs Picard gap = {res.picard_gap:.2e}")
 print(f"recovered flux i0 = {res.i0:.8f}; depth variation of J = {np.ptp(res.flux_j):.2e}")
-print(f"wall Neumann residual of zeta + theta: {res.neumann_residual:.2e}")
 
 print("\n== 3. exponential-dependence solve ==")
-res2 = solve_exp_limit(BoundaryProfile.constant(1.0), grid, angles, consts)
+res2 = solve_exp_limit(BoundaryProfile.constant(1.0), grid, angles)
 print(f"w > 0 everywhere: {bool(np.all(res2.w > 0))}; "
       f"w range [{res2.w.min():.6f}, {res2.w.max():.6f}]")
 print(f"measured contraction ratio {res2.picard_ratio:.4f} <= kernel norm {res2.kernel_sup:.4f}")

@@ -5,6 +5,7 @@ Subsystems:
 - physics:              closed-form Maxwellians, equilibria, collision kinematics
 - collision_reduction:  reduced nonelastic collision integrals + MC oracle
 - levelscan:            level curves of the nonexistence quantity L(T1, T2)
+- picard:               the fixed-point loop the slab, 3-D and three-level solvers share
 - slab:                 slab-geometry transport, Fredholm and exponential-limit solvers
 - domain3d:             convex-domain ray geometry, contraction solver, nonexistence check
 - three_level:          linearized stationary three-level (non-LTE) solver

@@ -43,7 +43,7 @@ _SCHEMAS = {
         "n_rho": (int, 96, "radial nodes (rho)"),
     },
     "slab-lte": {
-        **_COMMON_SCHEMA,
+        "epsilon0": _COMMON_SCHEMA["epsilon0"],
         "slab_l": (float, 1.0, "slab width (rescaled units)"),
         "n_y": (int, 257, "spatial nodes"),
         "n_mu": (int, 48, "angular nodes"),
@@ -52,12 +52,11 @@ _SCHEMAS = {
         "zeta_mass": (str, "none", "prescribed integral of zeta, or none"),
     },
     "slab-exp": {
-        **_COMMON_SCHEMA,
         "slab_l": (float, 1.0, "slab width (rescaled units)"),
         "n_y": (int, 257, "spatial nodes"),
         "n_mu": (int, 48, "angular nodes"),
-        "a_plus_profile": (str, "uniform", "incoming profile: uniform|<number>"),
-        "normalize": (str, "true", "rescale the profile to unit incoming flux"),
+        "a_plus_profile": (str, "uniform", "incoming profile: cos|uniform|zero|<number>"),
+        "normalize": (str, "true", "rescale the profile to unit incoming flux: true|false"),
     },
     "domain3d": {
         "domain": (str, "ball", "ball|box"),
@@ -82,7 +81,6 @@ _SCHEMAS = {
         "sphere_n_phi": (int, 32, "sphere azimuthal nodes"),
     },
     "three-level": {
-        **_COMMON_SCHEMA,
         "gamma1": (float, 0.7, "first line weight (gamma2 = 1 - gamma1)"),
         "eps": (float, 1.0, "level spacing"),
         "t0": (float, 2.0, "background temperature"),
@@ -226,9 +224,24 @@ def _validate(config: RunConfig):
     for key in positive:
         if not v[key] > 0:
             raise ConfigError(f"key {key!r} must be > 0, got {v[key]}")
-    for key in ("n_y", "n_mu", "n_r", "n_rho", "lattice_n", "n_levels", "n_samples"):
+    for key in ("n_r", "n_rho", "lattice_n", "n_levels", "n_samples"):
         if key in v and v[key] <= 0:
             raise ConfigError(f"key {key!r} must be positive, got {v[key]}")
+    for key in ("n_y", "n_mu"):  # the SlabGrid and AngleGrid minimums
+        if key in v and v[key] < 16:
+            raise ConfigError(f"key {key!r} must be >= 16, got {v[key]}")
+    if "gamma1" in v and not 0.0 <= v["gamma1"] <= 1.0:
+        raise ConfigError(f"key 'gamma1' must lie in [0, 1], got {v['gamma1']}")
+    if "j0" in v and not v["j0"] >= 0:
+        raise ConfigError(f"key 'j0' must be >= 0, got {v['j0']}")
+    for key in ("j0_profile", "a_plus_profile"):
+        if key in v:
+            _slab_profile(key, v[key])
+    if "normalize" in v and v["normalize"] not in ("true", "false"):
+        raise ConfigError(f"key 'normalize' must be true or false, got {v['normalize']!r}")
+    for key, word in (("zeta_mass", "none"), ("mass_c0", "from-mass"), ("m0", "none")):
+        if key in v:
+            _number_or(key, v[key], word)
     if "domain" in v:
         kinds = _DOMAIN_KINDS[config.subcommand]
         if v["domain"] not in kinds:
@@ -262,6 +275,19 @@ def _scan_setup(v):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return window, spec
+
+
+def _number_or(key: str, raw: str, word: str):
+    """None when `raw` is the keyword `word`, else the finite number `raw` spells."""
+    if raw == word:
+        return None
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"key {key!r} must be a number or {word!r}, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r} must be finite, got {raw!r}")
+    return value
 
 
 def _finite_floats(key: str, raw: str) -> list:
@@ -409,61 +435,48 @@ def _run_levelscan(config: RunConfig, art: _Artifacts) -> int:
     return 1 if (result.failures or report["any_flagged"]) else 0
 
 
-def _run_slab_lte(config: RunConfig, art: _Artifacts) -> int:
-    from .slab import AngleGrid, BoundaryProfile, SlabGrid, solve_lte_fredholm
+def _run_slab(config: RunConfig, art: _Artifacts) -> int:
+    from .constants import PhysConsts
+    from .slab import AngleGrid, SlabGrid, solve_exp_limit, solve_lte_fredholm
 
     v = config.values
     grid = SlabGrid(L=v["slab_l"], n_y=v["n_y"])
     angles = AngleGrid(n_mu=v["n_mu"])
-    profile = _slab_profile(v["j0_profile"])
-    zeta_mass = None if v["zeta_mass"] == "none" else float(v["zeta_mass"])
-    res = solve_lte_fredholm(profile, grid, angles, _consts(v), T0=v["t0"], zeta_mass=zeta_mass)
-    art.csv("theta.csv", ["y", "value"], zip(grid.y, res.theta))
-    art.csv("zeta.csv", ["y", "value"], zip(grid.y, res.zeta))
-    art.csv("radiation.csv", ["y", "mu", "sign", "G"], _radiation_rows(res.h_field))
+    if config.subcommand == "slab-lte":
+        profile = _slab_profile("j0_profile", v["j0_profile"])
+        zeta_mass = _number_or("zeta_mass", v["zeta_mass"], "none")
+        consts = PhysConsts(epsilon0=v["epsilon0"])
+        res = solve_lte_fredholm(profile, grid, angles, consts, T0=v["t0"], zeta_mass=zeta_mass)
+        art.csv("theta.csv", ["y", "value"], zip(grid.y, res.theta))
+        art.csv("zeta.csv", ["y", "value"], zip(grid.y, res.zeta))
+        field, report = res.h_field, {"i0": res.i0, "C0": res.C0, "alpha0": res.alpha0}
+    else:
+        profile = _slab_profile("a_plus_profile", v["a_plus_profile"])
+        res = solve_exp_limit(profile, grid, angles, normalize=v["normalize"] == "true")
+        art.csv("w.csv", ["y", "value"], zip(grid.y, res.w))
+        field = res.H
+        report = {
+            "j0": res.j0,
+            "energy_residual_max": float(np.max(np.abs(res.energy_residual[1:-1]))),
+        }
+    art.csv("radiation.csv", ["y", "mu", "sign", "G"], _radiation_rows(field))
     art.json(
         "report.json",
         {
-            "i0": res.i0,
-            "C0": res.C0,
-            "alpha0": res.alpha0,
+            **report,
             "kernel_sup": res.kernel_sup,
             "picard_ratio": res.picard_ratio,
             "picard_gap": res.picard_gap,
             "residual_max": res.residual_max,
             "flux_ptp": float(np.ptp(res.flux_j)),
+            "converged": res.converged,
         },
     )
-    return 0 if res.picard_gap < 1e-8 else 1
+    return 0 if (res.converged and res.picard_ratio < 1.0 and res.picard_gap < 1e-8) else 1
 
 
-def _run_slab_exp(config: RunConfig, art: _Artifacts) -> int:
-    from .slab import AngleGrid, BoundaryProfile, SlabGrid, solve_exp_limit
-
-    v = config.values
-    grid = SlabGrid(L=v["slab_l"], n_y=v["n_y"])
-    angles = AngleGrid(n_mu=v["n_mu"])
-    profile = _slab_profile(v["a_plus_profile"])
-    res = solve_exp_limit(
-        profile, grid, angles, _consts(v), normalize=v["normalize"].lower() == "true"
-    )
-    art.csv("w.csv", ["y", "value"], zip(grid.y, res.w))
-    art.csv("radiation.csv", ["y", "mu", "sign", "G"], _radiation_rows(res.H))
-    art.json(
-        "report.json",
-        {
-            "j0": res.j0,
-            "kernel_sup": res.kernel_sup,
-            "picard_ratio": res.picard_ratio,
-            "picard_gap": res.picard_gap,
-            "flux_ptp": float(np.ptp(res.flux_j)),
-            "energy_residual_max": float(np.max(np.abs(res.energy_residual[1:-1]))),
-        },
-    )
-    return 0 if (res.picard_ratio < 1.0 and res.picard_gap < 1e-8) else 1
-
-
-def _slab_profile(spec: str):
+def _slab_profile(key: str, spec: str):
+    """Incoming slab profile: cos, uniform, zero or a constant intensity >= 0."""
     from .slab import BoundaryProfile
 
     if spec == "zero":
@@ -473,9 +486,14 @@ def _slab_profile(spec: str):
     if spec == "uniform":
         return BoundaryProfile.constant(1.0 / (2.0 * math.pi))
     try:
-        return BoundaryProfile.constant(float(spec))
+        value = float(spec)
     except ValueError:
-        raise ConfigError(f"unknown slab profile {spec!r}")
+        raise ConfigError(f"key {key!r} must be cos|uniform|zero or a number, got {spec!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: constant intensity {spec!r} is not finite")
+    if value < 0:
+        raise ConfigError(f"key {key!r}: constant intensity {spec!r} is negative")
+    return BoundaryProfile.constant(value)
 
 
 def _domain_from_config(v):
@@ -552,11 +570,11 @@ def _run_three_level(config: RunConfig, art: _Artifacts) -> int:
     grid = SlabGrid(L=v["slab_l"], n_y=v["n_y"])
     angles = AngleGrid(n_mu=v["n_mu"])
     boundary = (BoundaryProfile.constant(v["j0"]), BoundaryProfile.zero())
-    mass_c0 = "from-mass" if v["mass_c0"] == "from-mass" else float(v["mass_c0"])
-    m0 = None if v["m0"] == "none" else float(v["m0"])
-    sol = solve_three_level(
-        np.full(grid.n_y, v["xi_const"]), boundary, params, grid, angles, mass_C0=mass_c0, m0=m0
-    )
+    mass_c0 = _number_or("mass_c0", v["mass_c0"], "from-mass")
+    m0 = _number_or("m0", v["m0"], "none")
+    xi = np.full(grid.n_y, v["xi_const"])
+    mass_c0 = "from-mass" if mass_c0 is None else mass_c0
+    sol = solve_three_level(xi, boundary, params, grid, angles, mass_C0=mass_c0, m0=m0)
     art.csv(
         "solution.csv",
         ["y", "sigma1", "sigma2", "sigma3", "xi"],
@@ -575,9 +593,10 @@ def _run_three_level(config: RunConfig, art: _Artifacts) -> int:
             "lte_deviation": dev,
             "lte_deviation_at": where,
             "picard_iterations": sol.picard_iterations,
+            "converged": sol.converged,
         },
     )
-    return 0 if sol.path_gap < 1e-8 else 1
+    return 0 if (sol.converged and sol.path_gap < 1e-8) else 1
 
 
 def _run_verify(config: RunConfig, art: _Artifacts) -> int:
@@ -674,8 +693,8 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
 
 _RUNNERS = {
     "levelscan": _run_levelscan,
-    "slab-lte": _run_slab_lte,
-    "slab-exp": _run_slab_exp,
+    "slab-lte": _run_slab,
+    "slab-exp": _run_slab,
     "domain3d": _run_domain3d,
     "nonexist": _run_nonexist,
     "three-level": _run_three_level,

@@ -19,9 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.signal import fftconvolve
 
 from .errors import NonPositiveW, NotInterior
+from .picard import fixed_point
 
 __all__ = [
     "ConvexDomain",
@@ -389,31 +391,25 @@ def solve_w(
     scale_grid = np.zeros(inside.shape)
     scale_grid[inside] = kernel_mass / disc_mass
 
-    w_grid = np.zeros(inside.shape)
+    # the constant kernel table is transformed once; each sweep then repeats
+    # the arithmetic of fftconvolve(x, table, mode="same"): real FFTs padded
+    # to the full length n + (2n - 1) - 1, cropped to the centred n^3 block
+    fshape = [next_fast_len(3 * m - 2, True) for m in inside.shape]
+    table_hat = rfftn(table, fshape)
+    same = tuple(slice(m - 1, 2 * m - 1) for m in inside.shape)
     g_grid = np.zeros(inside.shape)
     g_grid[inside] = g
-    prev_diff = None
-    ratios = []
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        conv = fftconvolve(w_grid * frac_grid, table, mode="same")
-        new_grid = np.where(inside, scale_grid * conv + g_grid, 0.0)
-        diff = float(np.max(np.abs(new_grid - w_grid)))
-        if prev_diff is not None and prev_diff > 0:
-            ratios.append(diff / prev_diff)
-        w_grid = new_grid
-        if diff <= tol * max(1.0, float(np.max(np.abs(w_grid)))):
-            converged = True
-            break
-        prev_diff = diff
 
-    w = w_grid[inside]
+    def sweep(w_grid):
+        conv = irfftn(rfftn(w_grid * frac_grid, fshape) * table_hat, fshape)[same]
+        return np.where(inside, scale_grid * conv + g_grid, 0.0)
+
+    picard = fixed_point(sweep, np.zeros(inside.shape), tol, max_iter)
+    w = picard.x[inside]
     if float(np.max(np.abs(w))) > 0 and float(np.min(w)) <= 0:
         at = int(np.argmin(w))
         raise NonPositiveW(f"w{tuple(pts[at])} = {w[at]:.3e} <= 0: inadmissible profile")
 
-    ratio = float(np.median(ratios[2:])) if len(ratios) > 4 else float(np.max(kernel_mass))
     return VolumeField(
         points=pts,
         values=w,
@@ -423,9 +419,9 @@ def solve_w(
         shape=inside.shape,
         inside=inside,
         kernel_mass=kernel_mass,
-        picard_ratio=ratio,
-        iterations=iterations,
-        converged=converged,
+        picard_ratio=picard.ratio(float(np.max(kernel_mass))),
+        iterations=picard.iterations,
+        converged=picard.converged,
     )
 
 

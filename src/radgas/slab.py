@@ -29,6 +29,7 @@ from scipy.special import exp1, expn
 from .constants import PhysConsts
 from .errors import DomainError, NonContraction, NonPositiveW
 from .physics import pseudo_planck
+from .picard import fixed_point
 
 __all__ = [
     "SlabGrid",
@@ -63,10 +64,6 @@ class SlabGrid:
     @property
     def y(self) -> np.ndarray:
         return np.linspace(0.0, self.L, self.n_y)
-
-    @property
-    def h(self) -> float:
-        return self.L / (self.n_y - 1)
 
 
 @dataclass(frozen=True)
@@ -144,8 +141,8 @@ class RadiationField:
 
     grid: SlabGrid
     angles: AngleGrid
-    g_plus: np.ndarray  # (n_y, n_mu), direction +mu
-    g_minus: np.ndarray  # (n_y, n_mu), direction -mu
+    g_plus: np.ndarray  # (n_y, n_mu), direction +mu; (n_y, k, n_mu) for k batched sources
+    g_minus: np.ndarray  # (n_y, n_mu), direction -mu; (n_y, k, n_mu) for k batched sources
 
 
 def _cell_coeffs(nodes: np.ndarray) -> np.ndarray:
@@ -186,16 +183,22 @@ def ray_integrate(
 
     sigma is treated as constant per cell (midpoint of the nodal values) and
     the emission as linear per cell; both choices make the sweep exact for
-    constant coefficients.
+    constant coefficients.  An emission of shape (n_y, k) sweeps k sources
+    at once and gives fields of shape (n_y, k, n_mu); each column is what the
+    1-D emission would give.
     """
     y = grid.y
     mu = angles.mu
     n_y = grid.n_y
     sigma_c = _cell_coeffs(np.broadcast_to(np.asarray(sigma_nodes, dtype=float), (n_y,)))
-    j = np.broadcast_to(np.asarray(emission_nodes, dtype=float), (n_y,))
+    j = np.asarray(emission_nodes, dtype=float)
+    j = np.broadcast_to(j, (n_y,) + j.shape[1:])
+    if j.ndim == 2:
+        j = j[:, :, None]  # one row per source, broadcast against mu
+    shape = j.shape[:2] + (angles.n_mu,)
     deltas = np.diff(y)
 
-    g_plus = np.empty((n_y, angles.n_mu))
+    g_plus = np.empty(shape)
     g_plus[0] = a_plus(mu)
     for k in range(n_y - 1):
         att = np.exp(-sigma_c[k] * deltas[k] / mu)
@@ -203,7 +206,7 @@ def ray_integrate(
             j[k], j[k + 1], sigma_c[k], deltas[k], mu
         )
 
-    g_minus = np.empty((n_y, angles.n_mu))
+    g_minus = np.empty(shape)
     g_minus[n_y - 1] = a_minus(mu)
     for k in range(n_y - 2, -1, -1):
         att = np.exp(-sigma_c[k] * deltas[k] / mu)
@@ -240,17 +243,15 @@ def transport_solve(
     return ray_integrate(sigma, emission, a_plus, a_minus, grid, angles)
 
 
-def flux(field: RadiationField, angles: AngleGrid | None = None) -> np.ndarray:
+def flux(field: RadiationField) -> np.ndarray:
     """Net radiative flux J(y) = 2*pi * sum_j w_j mu_j (G(y, +mu_j) - G(y, -mu_j))."""
-    a = angles if angles is not None else field.angles
-    wmu = a.weights * a.mu
+    wmu = field.angles.weights * field.angles.mu
     return 2.0 * math.pi * (field.g_plus - field.g_minus) @ wmu
 
 
-def angular_mean(field: RadiationField, angles: AngleGrid | None = None) -> np.ndarray:
+def angular_mean(field: RadiationField) -> np.ndarray:
     """Full-sphere integral int G dn = 2*pi * sum_j w_j (G(y,+mu_j) + G(y,-mu_j))."""
-    a = angles if angles is not None else field.angles
-    return 2.0 * math.pi * (field.g_plus + field.g_minus) @ a.weights
+    return 2.0 * math.pi * (field.g_plus + field.g_minus) @ field.angles.weights
 
 
 # ---------------------------------------------------------------------------
@@ -310,23 +311,6 @@ def _nystrom_matrix(y: np.ndarray) -> np.ndarray:
     return A
 
 
-def _picard(A: np.ndarray, g: np.ndarray, tol: float = 1e-13, max_iter: int = 10_000):
-    """Fixed-point iteration u <- A u + g from zero; returns (u, ratios)."""
-    u = np.zeros_like(g)
-    prev_diff = None
-    ratios = []
-    for _ in range(max_iter):
-        nxt = A @ u + g
-        diff = float(np.max(np.abs(nxt - u)))
-        if prev_diff is not None and prev_diff > 0:
-            ratios.append(diff / prev_diff)
-        u = nxt
-        if diff <= tol * max(1.0, float(np.max(np.abs(u)))):
-            break
-        prev_diff = diff
-    return u, ratios
-
-
 def _ensure_positive(w: np.ndarray, y: np.ndarray):
     """Reject solutions that dip <= 0 (identically-zero w is admissible)."""
     if float(np.max(np.abs(w))) > 0 and float(np.min(w)) <= 0:
@@ -369,6 +353,40 @@ def _e2_product_flux(u: np.ndarray, y: np.ndarray, boundary_term: np.ndarray, co
     return boundary_term + coeff * inner
 
 
+def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, angles: AngleGrid):
+    """The solve both slab models share: u = A u + g, then the field and flux of u.
+
+    g(y) = int_0^1 profile(mu) e^(-y/mu) dmu / (2 * coupling) is driven by the
+    incoming profile at y = 0, and the rays carry the emission coupling * u.
+    The direct Nystroem solve is authoritative; Picard iteration from zero
+    cross-checks it.  Returns (u, field, flux_j, diagnostics), the diagnostics
+    as result-dataclass keywords.
+    """
+    y = grid.y
+    mu = angles.mu
+    wq = angles.weights
+    vals = profile(mu)
+    decay = np.exp(-y[:, None] / mu[None, :])
+    g = (decay @ (wq * vals)) / (2.0 * coupling)
+
+    A = _nystrom_matrix(y)
+    sup = _check_contraction(A)
+    u = np.linalg.solve(np.eye(len(y)) - A, g)
+    picard = fixed_point(lambda x: A @ x + g, np.zeros_like(g), tol=1e-13, max_iter=10_000)
+
+    field = ray_integrate(np.ones_like(y), coupling * u, profile, BoundaryProfile.zero(), grid, angles)
+    boundary_term = decay @ (wq * mu * vals)
+    flux_j = 2.0 * math.pi * _e2_product_flux(u, y, boundary_term, coupling)
+    diagnostics = {
+        "kernel_sup": sup,
+        "picard_ratio": picard.ratio(sup),
+        "picard_gap": float(np.max(np.abs(u - picard.x))),
+        "residual_max": float(np.max(np.abs(u - A @ u - g))),
+        "converged": picard.converged,
+    }
+    return u, field, flux_j, diagnostics
+
+
 @dataclass
 class FredholmResult:
     """Output of the linearized-LTE slab solve."""
@@ -384,10 +402,8 @@ class FredholmResult:
     picard_ratio: float
     picard_gap: float  # max |Nystroem - Picard|
     residual_max: float
+    converged: bool  # the Picard check met its tolerance before its iteration cap
     alpha0: float
-    # wall derivative of zeta + theta: automatically zero since zeta + theta
-    # is the constant C0; recorded rather than enforced
-    neumann_residual: float = 0.0
 
 
 def solve_lte_fredholm(
@@ -404,61 +420,32 @@ def solve_lte_fredholm(
     built from the incoming perturbation j0 at y = 0 only (the constant flux
     i0 drops under the differentiation and is recovered a posteriori from the
     reconstructed field).  zeta = C0 - theta with C0 fixed by the prescribed
-    integral of zeta (C0 = 0 when no mass constraint is given).
+    integral of zeta (C0 = 0 when no mass constraint is given), so zeta + theta
+    is constant and its wall Neumann condition holds by construction.
 
     Uses rescaled units with unit absorption depth; T0 sets the coupling
     alpha0 = (2*eps0/T0)*(1 + G0(T0)) which linearly scales theta and zeta
     but none of the flux quantities.
     """
-    y = grid.y
-    mu = angles.mu
-    w = angles.weights
     g0 = float(pseudo_planck(T0, consts))
     alpha0 = 2.0 * consts.epsilon0 / T0 * (1.0 + g0)
-
-    j0_vals = j0(mu)
-    decay = np.exp(-y[:, None] / mu[None, :])
-    g = (decay @ (w * j0_vals)) / (2.0 * alpha0)
-
-    A = _nystrom_matrix(y)
-    sup = _check_contraction(A)
-    theta = np.linalg.solve(np.eye(len(y)) - A, g)
-    residual_max = float(np.max(np.abs(theta - A @ theta - g)))
-    theta_picard, ratios = _picard(A, g)
-    picard_gap = float(np.max(np.abs(theta - theta_picard)))
-    picard_ratio = float(np.max(ratios[2:])) if len(ratios) > 3 else sup
+    theta, h_field, flux_j, diagnostics = _slab_fredholm(j0, alpha0, grid, angles)
 
     if zeta_mass is None:
         C0 = 0.0
     else:
-        C0 = (zeta_mass + float(np.trapezoid(theta, y))) / grid.L
-    zeta = C0 - theta
-    total = zeta + theta
-    neumann = max(
-        abs(float(total[1] - total[0])), abs(float(total[-1] - total[-2]))
-    ) / grid.h
-
-    h_field = ray_integrate(
-        np.ones_like(y), alpha0 * theta, j0, BoundaryProfile.zero(), grid, angles
-    )
-    boundary_term = decay @ (w * mu * j0_vals)
-    flux_j = 2.0 * math.pi * _e2_product_flux(theta, y, boundary_term, alpha0)
-    i0 = float(np.mean(flux_j)) / (2.0 * math.pi)
+        C0 = (zeta_mass + float(np.trapezoid(theta, grid.y))) / grid.L
 
     return FredholmResult(
         theta=theta,
-        zeta=zeta,
-        i0=i0,
+        zeta=C0 - theta,
+        i0=float(np.mean(flux_j)) / (2.0 * math.pi),
         C0=C0,
         grid=grid,
         h_field=h_field,
         flux_j=flux_j,
-        kernel_sup=sup,
-        picard_ratio=picard_ratio,
-        picard_gap=picard_gap,
-        residual_max=residual_max,
         alpha0=alpha0,
-        neumann_residual=neumann,
+        **diagnostics,
     )
 
 
@@ -475,6 +462,7 @@ class ExpLimitResult:
     picard_ratio: float
     picard_gap: float
     residual_max: float
+    converged: bool  # the Picard check met its tolerance before its iteration cap
     energy_residual: np.ndarray  # int (H - w) dn at interior nodes, angle-grid route
 
 
@@ -482,7 +470,6 @@ def solve_exp_limit(
     a_plus: BoundaryProfile,
     grid: SlabGrid,
     angles: AngleGrid,
-    consts: PhysConsts,
     normalize: bool = True,
 ) -> ExpLimitResult:
     """Stationary solution of the exponential-dependence slab model.
@@ -493,46 +480,20 @@ def solve_exp_limit(
     2*pi*int a+ = 1 when `normalize` is set (zero profiles are left alone).
     Raises NonPositiveW if the converged w dips <= 0 while not identically 0.
     """
-    y = grid.y
-    mu = angles.mu
-    wq = angles.weights
-
-    a_vals = a_plus(mu)
-    norm = 2.0 * math.pi * float(np.sum(wq * a_vals))
+    norm = 2.0 * math.pi * float(np.sum(angles.weights * a_plus(angles.mu)))
     if normalize and norm > 0:
-        a_vals = a_vals / norm
         a_plus = BoundaryProfile.from_function(
             lambda m, base=a_plus, n=norm: base(m) / n, label=f"normalized({a_plus.label})"
         )
-
-    decay = np.exp(-y[:, None] / mu[None, :])
-    g = 0.5 * (decay @ (wq * a_vals))
-
-    A = _nystrom_matrix(y)
-    sup = _check_contraction(A)
-    w = np.linalg.solve(np.eye(len(y)) - A, g)
-    residual_max = float(np.max(np.abs(w - A @ w - g)))
-    w_picard, ratios = _picard(A, g)
-    picard_gap = float(np.max(np.abs(w - w_picard)))
-    picard_ratio = float(np.max(ratios[2:])) if len(ratios) > 3 else sup
-
-    _ensure_positive(w, y)
-
-    H = ray_integrate(np.ones_like(y), w, a_plus, BoundaryProfile.zero(), grid, angles)
-    boundary_term = decay @ (wq * mu * a_vals)
-    flux_j = 2.0 * math.pi * _e2_product_flux(w, y, boundary_term, 1.0)
-    j0 = float(np.mean(flux_j))
-    energy_residual = angular_mean(H) - 4.0 * math.pi * w
+    w, H, flux_j, diagnostics = _slab_fredholm(a_plus, 1.0, grid, angles)
+    _ensure_positive(w, grid.y)
 
     return ExpLimitResult(
         w=w,
-        j0=j0,
+        j0=float(np.mean(flux_j)),
         H=H,
         grid=grid,
         flux_j=flux_j,
-        kernel_sup=sup,
-        picard_ratio=picard_ratio,
-        picard_gap=picard_gap,
-        residual_max=residual_max,
-        energy_residual=energy_residual,
+        energy_residual=angular_mean(H) - 4.0 * math.pi * w,
+        **diagnostics,
     )

@@ -25,6 +25,7 @@ import numpy as np
 from .constants import PhysConsts
 from .errors import SingularSystem
 from .physics import pseudo_planck
+from .picard import fixed_point
 from .slab import AngleGrid, BoundaryProfile, RadiationField, SlabGrid, angular_mean, ray_integrate
 
 __all__ = [
@@ -126,6 +127,7 @@ class ThreeLevelSolution:
     eq3_residual: float
     path_gap: float  # max |assembled - Picard|
     picard_iterations: int
+    converged: bool  # the Picard check met its tolerance before max_iter
 
 
 def _node_matrix(params: ThreeLevelParams, G_p: float):
@@ -182,79 +184,57 @@ def solve_three_level(
             f"node matrix is rank deficient (det = {det:.3e}); rows = {local.tolist()}"
         )
 
-    # response of the angular integral of h to a unit nodal source, plus the
+    # response of the angular integral of h to a unit source at each node
+    # (column k: one ray sweep of all n unit sources at once), plus the
     # boundary-driven offset
     zero = BoundaryProfile.zero()
-    kappa = params.eps * params.rho0 * (g1 + g2 * q) * (1.0 - q)
-    kappa_nodes = np.full(n, kappa)
-    M_src = np.empty((n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        M_src[:, k] = angular_mean(ray_integrate(kappa_nodes, e, zero, zero, grid, angles))
+    kappa_nodes = np.full(n, params.eps * params.rho0 * (g1 + g2 * q) * (1.0 - q))
+    M_src = angular_mean(ray_integrate(kappa_nodes, np.eye(n), zero, zero, grid, angles))
     b_I = angular_mean(ray_integrate(kappa_nodes, np.zeros(n), boundary[0], boundary[1], grid, angles))
 
     # source coefficients: src = eps*rho0*(g1*(s2-s1) + g2*q*(s3-s2))
     c_src = params.eps * params.rho0 * np.array([-g1, g1 - g2 * q, g2 * q])
     rad = q * (g1 + g2 * q)
 
-    # assembled system: rows = eq1, eq2, eq3 at each node
-    A = np.zeros((3 * n, 3 * n))
-    rhs = np.zeros(3 * n)
-    I = np.eye(n)
-    for block in range(3):
-        A[0:n, block * n : (block + 1) * n] = local[0, block] * I - rad * c_src[block] * M_src
-        A[n : 2 * n, block * n : (block + 1) * n] = local[1, block] * I
-        A[2 * n : 3 * n, block * n : (block + 1) * n] = local[2, block] * I
-    rhs[0:n] = rad * b_I
-    rhs[n : 2 * n] = C0 - (1.0 + q + q**2) * xi
-    rhs[2 * n : 3 * n] = (2.0 * params.eps / params.T0) * (params.P12 + params.P23 * q**2) * xi
+    # assembled system: rows = eq1, eq2, eq3 at each node, one n-block per
+    # sigma_i; only eq1 couples nodes, through the radiation
+    A = np.kron(local, np.eye(n))
+    A[:n] -= np.kron(rad * c_src, M_src)
+    rhs = np.concatenate(
+        [
+            rad * b_I,
+            C0 - (1.0 + q + q**2) * xi,
+            (2.0 * params.eps / params.T0) * (params.P12 + params.P23 * q**2) * xi,
+        ]
+    )
+    sigma = np.linalg.solve(A, rhs).reshape(3, n)
 
-    sol = np.linalg.solve(A, rhs)
-    s1, s2, s3 = sol[0:n], sol[n : 2 * n], sol[2 * n : 3 * n]
+    def node_rhs(I_h):
+        return np.vstack([rad * I_h, rhs[n:].reshape(2, n)])
 
     # Picard cross-check: sigma -> h -> sigma
-    sp = np.zeros((3, n))
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        I_h = M_src @ (c_src[0] * sp[0] + c_src[1] * sp[1] + c_src[2] * sp[2]) + b_I
-        rhs_local = np.vstack(
-            [
-                rad * I_h,
-                np.broadcast_to(C0 - (1.0 + q + q**2) * xi, (n,)),
-                np.broadcast_to(rhs[2 * n : 3 * n], (n,)),
-            ]
-        )
-        new = np.linalg.solve(local, rhs_local)
-        diff = float(np.max(np.abs(new - sp)))
-        sp = new
-        if diff <= tol * max(1.0, float(np.max(np.abs(sp)))):
-            break
-    path_gap = float(np.max(np.abs(np.vstack([s1, s2, s3]) - sp)))
-
-    h = radiation_solve_3p(s1, s2, s3, params, boundary, grid, angles)
-    I_h = angular_mean(h)
-    eq1 = local[0, 0] * s1 + local[0, 1] * s2 + local[0, 2] * s3 - rad * I_h
-    eq2 = s1 + q * s2 + q**2 * s3 - (C0 - (1.0 + q + q**2) * xi)
-    eq3 = (
-        local[2, 0] * s1
-        + local[2, 1] * s2
-        + local[2, 2] * s3
-        - rhs[2 * n : 3 * n]
+    picard = fixed_point(
+        lambda sp: np.linalg.solve(local, node_rhs(M_src @ (c_src @ sp) + b_I)),
+        np.zeros((3, n)),
+        tol,
+        max_iter,
     )
+    h = radiation_solve_3p(*sigma, params, boundary, grid, angles)
+    residuals = np.max(np.abs(local @ sigma - node_rhs(angular_mean(h))), axis=1)
     return ThreeLevelSolution(
-        sigma1=s1,
-        sigma2=s2,
-        sigma3=s3,
+        sigma1=sigma[0],
+        sigma2=sigma[1],
+        sigma3=sigma[2],
         h=h,
         C0=C0,
         xi=xi,
         grid=grid,
-        eq1_residual=float(np.max(np.abs(eq1))),
-        eq2_residual=float(np.max(np.abs(eq2))),
-        eq3_residual=float(np.max(np.abs(eq3))),
-        path_gap=path_gap,
-        picard_iterations=iterations,
+        eq1_residual=float(residuals[0]),
+        eq2_residual=float(residuals[1]),
+        eq3_residual=float(residuals[2]),
+        path_gap=float(np.max(np.abs(sigma - picard.x))),
+        picard_iterations=picard.iterations,
+        converged=picard.converged,
     )
 
 

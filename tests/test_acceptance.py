@@ -128,7 +128,7 @@ class TestAcceptance:
     def test_05_exp_limit_solver(self):
         t0 = time.time()
         res = solve_exp_limit(
-            BoundaryProfile.constant(1.0), SlabGrid(L=1.0, n_y=513), AngleGrid(n_mu=48), PHYS
+            BoundaryProfile.constant(1.0), SlabGrid(L=1.0, n_y=513), AngleGrid(n_mu=48)
         )
         ok = res.picard_ratio <= res.kernel_sup + 1e-3
         ok &= res.kernel_sup < 1.0

@@ -7,6 +7,9 @@ import os
 import pytest
 
 import radgas.domain3d
+import radgas.picard
+import radgas.slab
+import radgas.three_level
 from radgas import ConfigError
 from radgas.cli import main, parse_config
 
@@ -149,6 +152,19 @@ class TestRun:
             pytest.param(["levelscan", "--n-theta", "4"], id="n-theta-removed"),
             pytest.param(["domain3d", "--sigma", "7"], id="domain3d-sigma-removed"),
             pytest.param(["nonexist", "--domain", "ball"], id="default-samples-outside-ball"),
+            pytest.param(["slab-exp", "--sigma", "7"], id="slab-exp-sigma-removed"),
+            pytest.param(["slab-lte", "--c0", "2"], id="slab-lte-c0-removed"),
+            pytest.param(["three-level", "--epsilon0", "3"], id="three-level-epsilon0-removed"),
+            pytest.param(["slab-lte", "--zeta-mass", "abc"], id="zeta-mass-not-a-number"),
+            pytest.param(["three-level", "--mass-c0", "xyz"], id="mass-c0-not-a-number"),
+            pytest.param(["three-level", "--mass-c0", "from-mass", "--m0", "abc"], id="m0-not-a-number"),
+            pytest.param(["slab-lte", "--n-y", "8"], id="n-y-below-16"),
+            pytest.param(["slab-exp", "--n-mu", "8"], id="n-mu-below-16"),
+            pytest.param(["three-level", "--gamma1", "1.5"], id="gamma1-above-one"),
+            pytest.param(["three-level", "--j0", "-0.1"], id="three-level-j0-negative"),
+            pytest.param(["slab-exp", "--a-plus-profile", "foo"], id="slab-profile-unknown"),
+            pytest.param(["slab-lte", "--j0-profile", "-1"], id="slab-profile-negative"),
+            pytest.param(["slab-exp", "--normalize", "maybe"], id="normalize-not-boolean"),
         ],
     )
     def test_bad_config_exit_two(self, tmp_path, capsys, argv):
@@ -159,6 +175,10 @@ class TestRun:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_negative_slab_profile_named(self, tmp_path, capsys):
+        assert main(["slab-lte", "--j0-profile", "-1", "--out", str(tmp_path / "x")]) == 2
+        assert "'j0_profile': constant intensity '-1' is negative" in capsys.readouterr().err
 
     def test_samples_outside_domain_named(self, tmp_path, capsys):
         assert main(["nonexist", "--domain", "ball", "--out", str(tmp_path / "x")]) == 2
@@ -182,6 +202,28 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False
         assert report["iterations"] == 2
+
+    @pytest.mark.parametrize("subcommand", ["slab-lte", "slab-exp", "three-level"])
+    def test_picard_reports_convergence(self, tmp_path, subcommand):
+        out = tmp_path / "run"
+        assert main([subcommand, "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["converged"] is True
+
+    @pytest.mark.parametrize(
+        "subcommand, module",
+        [("slab-lte", radgas.slab), ("slab-exp", radgas.slab), ("three-level", radgas.three_level)],
+    )
+    def test_picard_unconverged_exits_one(self, tmp_path, monkeypatch, subcommand, module):
+        def capped(step, x0, tol, max_iter):
+            return radgas.picard.fixed_point(step, x0, tol, max_iter=2)
+
+        monkeypatch.setattr(module, "fixed_point", capped)
+        out = tmp_path / "run"
+        assert main([subcommand, "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is False
+        if subcommand == "three-level":
+            assert report["picard_iterations"] == 2
 
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -30,3 +30,15 @@ def test_level_curves(capsys, monkeypatch, tmp_path):
     out = _run_demo("level_curves.py", capsys)
     assert "smooth-curve hypothesis HOLDS" in out
     assert (tmp_path / "grid.csv").read_text().count("\n") == 1 + 21 * 21
+
+
+def test_slab_steady_states(capsys):
+    out = _run_demo("slab_steady_states.py", capsys)
+    assert "w > 0 everywhere: True" in out
+    assert "Nystroem vs Picard gap" in out
+
+
+def test_three_level_nonlte(capsys):
+    out = _run_demo("three_level_nonlte.py", capsys)
+    assert "assembled vs Picard gap" in out
+    assert "(LTE)" in out

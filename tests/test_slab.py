@@ -187,6 +187,7 @@ class TestFredholmSolver:
         j0 = BoundaryProfile.from_function(lambda m: m, "cos")
         res = solve_lte_fredholm(j0, grid, angles, CONSTS, T0=1.0)
         assert res.kernel_sup < 1
+        assert res.converged
         assert res.picard_gap < 1e-8
         assert res.residual_max < 1e-12
         # flux constancy at this resolution; the acceptance suite runs the
@@ -203,8 +204,6 @@ class TestFredholmSolver:
         got = float(np.trapezoid(res.zeta, grid.y))
         assert got == pytest.approx(0.7, abs=1e-8)
         np.testing.assert_allclose(res.zeta, res.C0 - res.theta, rtol=0, atol=1e-15)
-        # zeta + theta = C0 makes the wall Neumann condition automatic
-        assert res.neumann_residual < 1e-12
 
     def test_theta_scales_inversely_with_alpha0_but_flux_does_not(self):
         grid = SlabGrid(L=1.0, n_y=65)
@@ -219,7 +218,7 @@ class TestFredholmSolver:
 
 class TestExpLimitSolver:
     def test_zero_boundary_gives_zero_solution(self):
-        res = solve_exp_limit(BoundaryProfile.zero(), SlabGrid(1.0, 65), ANGLES, CONSTS)
+        res = solve_exp_limit(BoundaryProfile.zero(), SlabGrid(1.0, 65), ANGLES)
         assert np.max(np.abs(res.w)) == 0.0
         assert res.j0 == 0.0
         assert np.max(np.abs(res.H.g_plus)) == 0.0
@@ -227,7 +226,7 @@ class TestExpLimitSolver:
     def test_uniform_boundary_golden_fixture(self):
         grid = SlabGrid(L=1.0, n_y=257)
         angles = AngleGrid(n_mu=48)
-        res = solve_exp_limit(BoundaryProfile.constant(1.0), grid, angles, CONSTS)
+        res = solve_exp_limit(BoundaryProfile.constant(1.0), grid, angles)
         assert np.all(res.w > 0)
         assert res.picard_ratio <= res.kernel_sup + 1e-3
         assert res.kernel_sup == pytest.approx(0.673356137675447, rel=1e-12)
@@ -238,18 +237,18 @@ class TestExpLimitSolver:
 
     def test_flux_y_independent(self):
         grid = SlabGrid(L=1.0, n_y=513)
-        res = solve_exp_limit(BoundaryProfile.constant(1.0), grid, AngleGrid(48), CONSTS)
+        res = solve_exp_limit(BoundaryProfile.constant(1.0), grid, AngleGrid(48))
         assert np.ptp(res.flux_j) < 1e-6
 
     def test_energy_balance_residual_interior(self):
         grid = SlabGrid(L=1.0, n_y=257)
-        res = solve_exp_limit(BoundaryProfile.constant(1.0), grid, AngleGrid(48), CONSTS)
+        res = solve_exp_limit(BoundaryProfile.constant(1.0), grid, AngleGrid(48))
         assert np.max(np.abs(res.energy_residual[1:-1])) < 5e-5
 
     def test_normalization_applied(self):
         grid = SlabGrid(L=1.0, n_y=65)
-        r1 = solve_exp_limit(BoundaryProfile.constant(1.0), grid, ANGLES, CONSTS)
-        r2 = solve_exp_limit(BoundaryProfile.constant(7.0), grid, ANGLES, CONSTS)
+        r1 = solve_exp_limit(BoundaryProfile.constant(1.0), grid, ANGLES)
+        r2 = solve_exp_limit(BoundaryProfile.constant(7.0), grid, ANGLES)
         np.testing.assert_allclose(r1.w, r2.w, rtol=1e-12)
 
     def test_nonpositive_w_guard(self):

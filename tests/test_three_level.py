@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from radgas import SingularSystem
-from radgas.slab import AngleGrid, BoundaryProfile, SlabGrid, angular_mean
+from radgas.slab import AngleGrid, BoundaryProfile, SlabGrid, angular_mean, ray_integrate
 from radgas.three_level import (
     ThreeLevelParams,
     constant_state,
@@ -88,6 +88,38 @@ class TestRadiationSolve:
         )
 
 
+class TestBatchedSweep:
+    @pytest.mark.parametrize("n_y", [33, 65])
+    def test_source_response_matches_per_column_sweeps(self, n_y):
+        # the solver's M_src: one sweep of the identity emission, against the
+        # n_y single-source sweeps it replaces
+        grid = SlabGrid(L=1.0, n_y=n_y)
+        q = PARAMS.q
+        kappa = np.full(n_y, PARAMS.eps * PARAMS.rho0 * (PARAMS.gamma1 + PARAMS.gamma2 * q) * (1 - q))
+        zero = BoundaryProfile.zero()
+        batched = ray_integrate(kappa, np.eye(n_y), zero, zero, grid, ANGLES)
+        assert batched.g_plus.shape == (n_y, n_y, ANGLES.n_mu)
+        M_src = angular_mean(batched)
+        oracle = np.empty((n_y, n_y))
+        for k in range(n_y):
+            column = ray_integrate(kappa, np.eye(n_y)[:, k], zero, zero, grid, ANGLES)
+            np.testing.assert_array_equal(batched.g_plus[:, k], column.g_plus)
+            np.testing.assert_array_equal(batched.g_minus[:, k], column.g_minus)
+            oracle[:, k] = angular_mean(column)
+        np.testing.assert_allclose(M_src, oracle, rtol=0, atol=1e-14)
+
+    def test_batched_boundary_and_variable_absorption(self):
+        rng = np.random.default_rng(11)
+        sigma = rng.uniform(0.2, 3.0, size=GRID.n_y)
+        sources = rng.normal(size=(GRID.n_y, 4))
+        bc = (BoundaryProfile.constant(0.3), BoundaryProfile.from_function(lambda m: m, "cos"))
+        batched = ray_integrate(sigma, sources, *bc, GRID, ANGLES)
+        for k in range(4):
+            column = ray_integrate(sigma, sources[:, k], *bc, GRID, ANGLES)
+            np.testing.assert_array_equal(batched.g_plus[:, k], column.g_plus)
+            np.testing.assert_array_equal(batched.g_minus[:, k], column.g_minus)
+
+
 class TestSolveThreeLevel:
     def test_zero_inputs_give_background(self):
         sol = solve_three_level(0.0, ZERO_BC, PARAMS, GRID, ANGLES, mass_C0=0.0)
@@ -98,6 +130,7 @@ class TestSolveThreeLevel:
 
     def test_generic_golden_run(self):
         sol = solve_three_level(0.0, DRIVE_BC, PARAMS, GRID, ANGLES, mass_C0=0.0)
+        assert sol.converged
         assert sol.path_gap < 1e-8
         assert sol.eq1_residual < 1e-10
         assert sol.eq2_residual < 1e-10
