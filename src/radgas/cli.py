@@ -10,6 +10,7 @@ significant digits and all randomness is seeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -69,7 +70,6 @@ _SCHEMAS = {
         "f_scale": (float, 1.0, "profile amplitude"),
     },
     "nonexist": {
-        **_COMMON_SCHEMA,
         "domain": (str, "slab-box", "ball|box|slab-box"),
         "radius": (float, 1.0, "ball radius"),
         "box": (str, "-10,-10,0,10,10,1", "box bounds: x0,y0,z0,x1,y1,z1"),
@@ -96,7 +96,7 @@ _SCHEMAS = {
         "m0": (str, "none", "total gas mass when mass_c0 = from-mass"),
     },
     "verify": {
-        **_COMMON_SCHEMA,
+        **{key: _COMMON_SCHEMA[key] for key in ("epsilon0", "c0", "c0_kernel")},
         "n_samples": (int, 10**6, "Monte Carlo samples per estimator"),
         "n_tuples": (int, 10**5, "tuples for the detailed-balance sweep"),
         "t_lte": (float, 5.0, "temperature of the LTE annihilation check"),
@@ -135,13 +135,12 @@ def _fmt(x) -> str:
 
 def _convert(key, raw, typ):
     try:
-        if typ is float:
-            return float(raw)
-        if typ is int:
-            return int(raw)
-        return str(raw)
+        value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {typ.__name__}") from exc
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"key {key!r} must be finite, got {raw!r}")
+    return value
 
 
 def _read_config_file(path: str) -> dict:
@@ -215,16 +214,13 @@ _SPHERE_PROFILES = ("isotropic", "up", "zero")
 
 def _validate(config: RunConfig):
     v = config.values
-    positive = [k for k in ("epsilon0", "sigma", "c0", "c0_kernel") if k in v]
-    positive += [
-        k
-        for k in ("step", "slab_l", "t0", "radius", "a2", "tol", "eps", "rho0", "p12", "p23", "r_max")
-        if k in v
-    ]
-    for key in positive:
-        if not v[key] > 0:
+    for key in (
+        *_COMMON_SCHEMA, "step", "slab_l", "t0", "radius", "a2", "tol", "eps", "rho0", "p12",
+        "p23", "r_max", "t_lte", "t1", "t2", "rho1", "rho2",
+    ):
+        if key in v and not v[key] > 0:
             raise ConfigError(f"key {key!r} must be > 0, got {v[key]}")
-    for key in ("n_r", "n_rho", "lattice_n", "n_levels", "n_samples"):
+    for key in ("n_levels", "n_tuples"):
         if key in v and v[key] <= 0:
             raise ConfigError(f"key {key!r} must be positive, got {v[key]}")
     for key in ("n_y", "n_mu"):  # the SlabGrid and AngleGrid minimums
@@ -232,8 +228,9 @@ def _validate(config: RunConfig):
             raise ConfigError(f"key {key!r} must be >= 16, got {v[key]}")
     if "gamma1" in v and not 0.0 <= v["gamma1"] <= 1.0:
         raise ConfigError(f"key 'gamma1' must lie in [0, 1], got {v['gamma1']}")
-    if "j0" in v and not v["j0"] >= 0:
-        raise ConfigError(f"key 'j0' must be >= 0, got {v['j0']}")
+    for key in ("j0", "f_scale"):
+        if key in v and not v[key] >= 0:
+            raise ConfigError(f"key {key!r} must be >= 0, got {v[key]}")
     for key in ("j0_profile", "a_plus_profile"):
         if key in v:
             _slab_profile(key, v[key])
@@ -254,6 +251,10 @@ def _validate(config: RunConfig):
         )
     if config.subcommand == "levelscan":
         _scan_setup(v)
+    if config.subcommand == "verify":
+        _verify_setup(v, config.seed)
+    if "sphere_n_theta" in v:
+        _sphere_setup(v)
     if "samples" in v:
         domain = _domain_from_config(v)
         for point in _sample_points(v["samples"]):
@@ -264,17 +265,46 @@ def _validate(config: RunConfig):
                 )
 
 
+@contextlib.contextmanager
+def _constructor_checks(what: str):
+    """Report a ValueError or OverflowError of the solver objects built inside as a config error."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 def _scan_setup(v):
-    """(ScanWindow, TripleQuadSpec) of a levelscan config; their checks become config errors."""
+    """(ScanWindow, TripleQuadSpec) of a levelscan config."""
     from .collision_reduction import TripleQuadSpec
     from .levelscan import ScanWindow
 
-    try:
+    with _constructor_checks("levelscan window or quadrature"):
         window = ScanWindow(v["t1_min"], v["t1_max"], v["t2_min"], v["t2_max"], v["step"])
         spec = TripleQuadSpec(r_max=v["r_max"], n_r=v["n_r"], n_rho=v["n_rho"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     return window, spec
+
+
+def _sphere_setup(v):
+    """(SphereGrid, LatticeSpec or None) of a domain3d or nonexist config."""
+    from .domain3d import LatticeSpec, SphereGrid
+
+    with _constructor_checks("sphere grid or lattice"):
+        sphere = SphereGrid(v["sphere_n_theta"], v["sphere_n_phi"])
+        lattice = LatticeSpec(v["lattice_n"]) if "lattice_n" in v else None
+    return sphere, lattice
+
+
+def _verify_setup(v, seed):
+    """(McPlan, entropy-check temperatures) of a verify config."""
+    from .kinetic import McPlan
+
+    with _constructor_checks("Monte Carlo plan"):
+        plan = McPlan(n_samples=v["n_samples"], seed=seed)
+    temps = _finite_floats("t_entropy", v["t_entropy"])
+    if not all(t > 0 for t in temps):
+        raise ConfigError(f"key 't_entropy' needs temperatures > 0, got {v['t_entropy']!r}")
+    return plan, temps
 
 
 def _number_or(key: str, raw: str, word: str):
@@ -379,14 +409,11 @@ def _json_default(obj):
 
 
 def _consts(values):
+    """PhysConsts from the constant keys a subcommand has; the others keep their defaults."""
     from .constants import PhysConsts
 
-    return PhysConsts(
-        epsilon0=values["epsilon0"],
-        sigma=values["sigma"],
-        c0=values["c0"],
-        C0_kernel=values["c0_kernel"],
-    )
+    names = {"c0_kernel": "C0_kernel"}
+    return PhysConsts(**{names.get(k, k): values[k] for k in _COMMON_SCHEMA if k in values})
 
 
 def _radiation_rows(field):
@@ -513,13 +540,13 @@ def _sphere_profile(spec: str, scale: float):
 
 
 def _run_domain3d(config: RunConfig, art: _Artifacts) -> int:
-    from .domain3d import LatticeSpec, SphereGrid, solve_w
+    from .domain3d import solve_w
 
     v = config.values
     domain = _domain_from_config(v)
-    sphere = SphereGrid(v["sphere_n_theta"], v["sphere_n_phi"])
+    sphere, lattice = _sphere_setup(v)
     f = _sphere_profile(v["f_profile"], v["f_scale"])
-    field = solve_w(domain, f, LatticeSpec(v["lattice_n"]), sphere)
+    field = solve_w(domain, f, lattice, sphere)
     art.csv(
         "w.csv",
         ["x", "y", "z", "w"],
@@ -541,11 +568,11 @@ def _run_domain3d(config: RunConfig, art: _Artifacts) -> int:
 
 
 def _run_nonexist(config: RunConfig, art: _Artifacts) -> int:
-    from .domain3d import SphereGrid, nonexistence_check
+    from .domain3d import nonexistence_check
 
     v = config.values
     domain = _domain_from_config(v)  # slab-box is a box with a slab-shaped default
-    sphere = SphereGrid(v["sphere_n_theta"], v["sphere_n_phi"])
+    sphere, _ = _sphere_setup(v)
     f = _sphere_profile(v["f_profile"], 1.0)
     samples = _sample_points(v["samples"])
     report = nonexistence_check(domain, f, v["a2"], samples, tol=v["tol"], sphere=sphere)
@@ -601,7 +628,6 @@ def _run_three_level(config: RunConfig, art: _Artifacts) -> int:
 
 def _run_verify(config: RunConfig, art: _Artifacts) -> int:
     from .kinetic import (
-        McPlan,
         detailed_balance_residual,
         entropy_identity_check,
         kernel_of_L_check,
@@ -613,7 +639,7 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
 
     v = config.values
     consts = _consts(v)
-    plan = McPlan(n_samples=v["n_samples"], seed=config.seed)
+    plan, temps = _verify_setup(v, config.seed)
     checks = []
 
     # detailed balance on a Boltzmann-ratio pair
@@ -671,7 +697,6 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
     )
 
     # entropy identity
-    temps = [float(t) for t in v["t_entropy"].split(",")]
     ent = entropy_identity_check(temps, consts)
     checks.append(
         {

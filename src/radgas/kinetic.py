@@ -10,9 +10,11 @@ momentum, and total energy holds per sample up to floating-point rounding.
 A nonzero residual therefore points at a kinematics or kernel bug, not at
 Monte Carlo noise.
 
-Sampling uses the Maxwellians themselves as proposals (unit weights) with
-per-batch counter-based RNG streams, so reports are reproducible bit for bit
-for a fixed plan.
+Sampling uses the Maxwellians themselves as proposals (unit weights).  One
+loss pass and one gain pass feed a whole vector of test functions.  Each
+batch draws from an RNG keyed by (seed, side, batch), so reports are
+reproducible bit for bit for a fixed plan, and estimates on the same pair of
+Maxwellians share their random numbers.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ class McPlan:
     def __post_init__(self):
         if self.n_samples < 10**4:
             raise ValueError(f"n_samples must be >= 1e4, got {self.n_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -104,80 +108,77 @@ def detailed_balance_residual(
     return float(res) if np.ndim(res) == 0 else res
 
 
-def _phi_delta(phi1, phi2, v1, v2, v3, v4):
-    """phi1(v4) + phi2(v3) - phi1(v1) - phi1(v2) on sample batches."""
-    return phi1(v4) + phi2(v3) - phi1(v1) - phi1(v2)
+def _collision_batch(state1, state2, consts, side, rng, size):
+    """(weight, v1, v2, v3, v4) of one batch: side 0 draws the loss product
+    (v1, v2 ground; open above threshold), side 1 the gain product (v3
+    excited, v4 ground; always open)."""
+    m1 = state1.rho * consts.maxwellian_mass
+    pref = 2.0 * math.pi * consts.C0_kernel
+    eps0 = consts.epsilon0
+    first = state1 if side == 0 else state2
+    a = first.u + math.sqrt(first.T / 2.0) * rng.standard_normal((size, 3))
+    b = state1.u + math.sqrt(state1.T / 2.0) * rng.standard_normal((size, 3))
+    omega = rng.standard_normal((size, 3))
+    omega /= np.linalg.norm(omega, axis=1, keepdims=True)
+    rel2 = np.sum((a - b) ** 2, axis=1)
+    center = 0.5 * (a + b)
+    if side == 0:
+        k = np.sqrt(np.maximum(0.25 * rel2 - eps0, 0.0))
+        weight = np.where(
+            rel2 > 4.0 * eps0, m1 * m1 * pref * np.sqrt(np.maximum(rel2 - 4.0 * eps0, 0.0)), 0.0
+        )
+        return weight, a, b, center + k[:, None] * omega, center - k[:, None] * omega
+    kp = np.sqrt(0.25 * rel2 + eps0)
+    m2 = state2.rho * consts.maxwellian_mass
+    weight = m2 * m1 * pref * np.sqrt(rel2 + 4.0 * eps0)
+    return weight, center + kp[:, None] * omega, center - kp[:, None] * omega, a, b
 
 
-def _weak_form_moment(
+def _weak_form_moments(
     state1: MaxwellianState,
     state2: MaxwellianState,
     consts: PhysConsts,
     plan: McPlan,
     phi1,
     phi2,
-    stream: int,
-) -> Estimate:
-    """Loss-side minus gain-side Monte Carlo estimate of <phi, K_non.el[F]>."""
-    n = plan.n_samples
-    m1 = state1.rho * consts.maxwellian_mass
-    m2 = state2.rho * consts.maxwellian_mass
-    pref = 2.0 * math.pi * consts.C0_kernel
-    eps0 = consts.epsilon0
+) -> list:
+    """Loss-side minus gain-side Monte Carlo estimates of <phi, K_non.el[F]>.
 
-    def batches(side):
-        start = 0
-        b = 0
-        while start < n:
-            size = min(_BATCH, n - start)
-            yield np.random.default_rng([plan.seed, stream, side, b]), size
-            start += size
-            b += 1
+    `phi1` (ground) and `phi2` (excited) map an (n, 3) velocity batch to
+    (n, k) test-function values; one loss pass and one gain pass feed all k
+    columns, and the result is one Estimate per column.
+    """
+    n = plan.n_samples
 
     def accumulate(side):
-        total = 0.0
-        total_sq = 0.0
-        weight_abs = 0.0
-        for rng, size in batches(side):
-            if side == 0:  # loss: v1, v2 ~ ground Maxwellian at (u1, T1)
-                v1 = state1.u + math.sqrt(state1.T / 2.0) * rng.standard_normal((size, 3))
-                v2 = state1.u + math.sqrt(state1.T / 2.0) * rng.standard_normal((size, 3))
-                omega = rng.standard_normal((size, 3))
-                omega /= np.linalg.norm(omega, axis=1, keepdims=True)
-                rel2 = np.sum((v1 - v2) ** 2, axis=1)
-                open_ch = rel2 > 4.0 * eps0
-                k = np.sqrt(np.maximum(0.25 * rel2 - eps0, 0.0))
-                center = 0.5 * (v1 + v2)
-                v3 = center + k[:, None] * omega
-                v4 = center - k[:, None] * omega
-                weight = np.where(
-                    open_ch, m1 * m1 * pref * np.sqrt(np.maximum(rel2 - 4.0 * eps0, 0.0)), 0.0
-                )
-            else:  # gain: v3 ~ excited at (u2, T2), v4 ~ ground at (u1, T1)
-                v3 = state2.u + math.sqrt(state2.T / 2.0) * rng.standard_normal((size, 3))
-                v4 = state1.u + math.sqrt(state1.T / 2.0) * rng.standard_normal((size, 3))
-                omega = rng.standard_normal((size, 3))
-                omega /= np.linalg.norm(omega, axis=1, keepdims=True)
-                rel2 = np.sum((v3 - v4) ** 2, axis=1)
-                kp = np.sqrt(0.25 * rel2 + eps0)
-                center = 0.5 * (v3 + v4)
-                v1 = center + kp[:, None] * omega
-                v2 = center - kp[:, None] * omega
-                weight = m2 * m1 * pref * np.sqrt(rel2 + 4.0 * eps0)
-            samples = weight * _phi_delta(phi1, phi2, v1, v2, v3, v4)
-            total += float(np.sum(samples))
-            total_sq += float(np.sum(samples * samples))
+        total = total_sq = weight_abs = 0.0
+        for b, start in enumerate(range(0, n, _BATCH)):
+            rng = np.random.default_rng([plan.seed, side, b])
+            size = min(_BATCH, n - start)
+            weight, v1, v2, v3, v4 = _collision_batch(state1, state2, consts, side, rng, size)
+            samples = weight[:, None] * (phi1(v4) + phi2(v3) - phi1(v1) - phi1(v2))
+            total = total + np.sum(samples, axis=0)
+            total_sq = total_sq + np.sum(samples * samples, axis=0)
             weight_abs += float(np.sum(np.abs(weight)))
         mean = total / n
-        var = max(total_sq / n - mean * mean, 0.0)
-        se = math.sqrt(var / n)
+        se = np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
         # rounding floor: the weak-form weights carry ~1e-16 relative noise,
         # so a per-sample-exact cancellation still reports a positive error
-        return mean, max(se, 1e-16 * (weight_abs / n) / math.sqrt(n))
+        return mean, np.maximum(se, 1e-16 * (weight_abs / n) / math.sqrt(n))
 
     loss_mean, loss_se = accumulate(0)
     gain_mean, gain_se = accumulate(1)
-    return Estimate(loss_mean - gain_mean, math.sqrt(loss_se**2 + gain_se**2))
+    se = np.sqrt(loss_se**2 + gain_se**2)
+    return [Estimate(float(m), float(e)) for m, e in zip(loss_mean - gain_mean, se)]
+
+
+def _conserved(v, excitation=0.0):
+    """Columns 1, v and |v|^2/2 + excitation of an (n, 3) velocity batch."""
+    return np.column_stack([np.ones(len(v)), v, 0.5 * np.sum(v * v, axis=1) + excitation])
+
+
+def _zeros(k):
+    return lambda v: np.zeros((len(v), k))
 
 
 def mc_conservation(
@@ -190,24 +191,10 @@ def mc_conservation(
     tuple by the collision kinematics, so the estimates sit at the rounding
     floor unless the kinematics are broken.
     """
-    one = lambda v: np.ones(v.shape[0])
-    mass = _weak_form_moment(state1, state2, consts, plan, one, one, stream=0)
-    momentum = tuple(
-        _weak_form_moment(
-            state1,
-            state2,
-            consts,
-            plan,
-            lambda v, ax=ax: v[:, ax],
-            lambda v, ax=ax: v[:, ax],
-            stream=1 + ax,
-        )
-        for ax in range(3)
+    mass, *momentum, energy = _weak_form_moments(
+        state1, state2, consts, plan, _conserved, lambda v: _conserved(v, consts.epsilon0)
     )
-    kin = lambda v: 0.5 * np.sum(v * v, axis=1)
-    kin_exc = lambda v: 0.5 * np.sum(v * v, axis=1) + consts.epsilon0
-    energy = _weak_form_moment(state1, state2, consts, plan, kin, kin_exc, stream=4)
-    return MomentReport(mass=mass, momentum=momentum, energy=energy)
+    return MomentReport(mass=mass, momentum=tuple(momentum), energy=energy)
 
 
 def mass_exchange_estimate(
@@ -218,9 +205,8 @@ def mass_exchange_estimate(
     Weak-form moment with (phi1, phi2) = (0, 1); its reduced closed form is
     rho1^2 e^(-2 eps0/T1) P(T1) - rho1 rho2 P(T2, T1).
     """
-    zero = lambda v: np.zeros(v.shape[0])
-    one = lambda v: np.ones(v.shape[0])
-    return _weak_form_moment(state1, state2, consts, plan, zero, one, stream=9)
+    one = lambda v: np.ones((len(v), 1))
+    return _weak_form_moments(state1, state2, consts, plan, _zeros(1), one)[0]
 
 
 def mass_exchange_reduced(
@@ -239,35 +225,14 @@ def mass_exchange_reduced(
 def kernel_of_L_check(state: MaxwellianState, consts: PhysConsts, plan: McPlan) -> dict:
     """Verify that the collision operator annihilates the LTE pair built on `state`.
 
-    Projects K[F_eq] on the excited-species moments 1, (v - u), |v - u|^2;
+    Projects K[F_eq] on the excited-species moments 1, v - u and |v - u|^2/2;
     at LTE every projection is consistent with zero.
     """
     q = math.exp(-2.0 * consts.epsilon0 / state.T)
     state2 = MaxwellianState(state.rho * q, state.u, state.T)
-    zero = lambda v: np.zeros(v.shape[0])
-    rows = {}
-    rows["number"] = _weak_form_moment(
-        state, state2, consts, plan, zero, lambda v: np.ones(v.shape[0]), stream=9
-    )
-    for ax in range(3):
-        rows[f"momentum_{'xyz'[ax]}"] = _weak_form_moment(
-            state,
-            state2,
-            consts,
-            plan,
-            zero,
-            lambda v, ax=ax: v[:, ax] - state.u[ax],
-            stream=20 + ax,
-        )
-    rows["energy"] = _weak_form_moment(
-        state,
-        state2,
-        consts,
-        plan,
-        zero,
-        lambda v: np.sum((v - state.u) ** 2, axis=1),
-        stream=24,
-    )
+    excited = lambda v: _conserved(v - state.u)
+    estimates = _weak_form_moments(state, state2, consts, plan, _zeros(5), excited)
+    rows = dict(zip(["number", "momentum_x", "momentum_y", "momentum_z", "energy"], estimates))
     return {
         "projections": rows,
         "all_within_3_sigma": all(e.consistent_with_zero() for e in rows.values()),

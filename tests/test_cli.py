@@ -5,13 +5,14 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import radgas.domain3d
 import radgas.picard
 import radgas.slab
 import radgas.three_level
 from radgas import ConfigError
-from radgas.cli import main, parse_config
+from radgas.cli import SUBCOMMANDS, RunConfig, _SCHEMAS, main, parse_config
 
 
 class TestParseConfig:
@@ -63,6 +64,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="step"):
             parse_config("levelscan", str(cfg), {})
 
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_one_override_parses_or_is_a_config_error(self, subcommand, data):
+        # parse only: a drawn size could make a solver allocate without bound
+        key = data.draw(st.sampled_from(sorted(_SCHEMAS[subcommand])), label="key")
+        edges = st.sampled_from(["inf", "-inf", "nan", "0", "-1", "5e-324", "1e308", ""])
+        raw = data.draw(st.one_of(edges, st.text(max_size=24), st.floats().map(repr)), label="raw")
+        try:
+            config = parse_config(subcommand, None, {key: raw})
+        except ConfigError:
+            return
+        assert isinstance(config, RunConfig)
+
 
 class TestRun:
     def test_levelscan_artifacts(self, tmp_path):
@@ -95,6 +110,19 @@ class TestRun:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["all_pass"]
+        assert [(c["name"], set(c)) for c in report["checks"]] == [
+            ("detailed_balance", {"name", "value", "pass"}),
+            ("weak_form_conservation", {"name", "rows", "pass"}),
+            ("mass_exchange_vs_reduced", {"name", "mc", "std_error", "reduced", "pass"}),
+            ("kernel_of_L", {"name", "rows", "pass"}),
+            ("entropy_identity", {"name", "max_rel_error", "pass"}),
+        ]
+        moments = {"momentum_x", "momentum_y", "momentum_z", "energy"}
+        rows = {c["name"]: c["rows"] for c in report["checks"] if "rows" in c}
+        assert set(rows["weak_form_conservation"]) == {"mass", *moments}
+        assert set(rows["kernel_of_L"]) == {"number", *moments}
+        for check_rows in rows.values():
+            assert all(set(row) == {"value", "std_error"} for row in check_rows.values())
 
     def test_nonexist_exit_code_and_artifact(self, tmp_path):
         out = tmp_path / "nx"
@@ -165,6 +193,23 @@ class TestRun:
             pytest.param(["slab-exp", "--a-plus-profile", "foo"], id="slab-profile-unknown"),
             pytest.param(["slab-lte", "--j0-profile", "-1"], id="slab-profile-negative"),
             pytest.param(["slab-exp", "--normalize", "maybe"], id="normalize-not-boolean"),
+            pytest.param(["nonexist", "--sigma", "7"], id="nonexist-sigma-removed"),
+            pytest.param(["verify", "--sigma", "7"], id="verify-sigma-removed"),
+            pytest.param(["verify", "--n-samples", "100"], id="verify-n-samples-below-plan"),
+            pytest.param(["verify", "--n-tuples", "0"], id="verify-n-tuples-zero"),
+            pytest.param(["verify", "--t-entropy", "abc"], id="verify-t-entropy-not-numbers"),
+            pytest.param(["verify", "--t-entropy", "1,-2"], id="verify-t-entropy-negative"),
+            pytest.param(["verify", "--t1", "-1"], id="verify-t1-negative"),
+            pytest.param(["verify", "--rho2", "0"], id="verify-rho2-zero"),
+            pytest.param(["verify", "--seed", "-1"], id="verify-seed-negative"),
+            pytest.param(["domain3d", "--lattice-n", "4"], id="domain3d-lattice-below-spec"),
+            pytest.param(["domain3d", "--sphere-n-theta", "3"], id="domain3d-sphere-theta-odd"),
+            pytest.param(["domain3d", "--f-scale", "-1"], id="domain3d-f-scale-negative"),
+            pytest.param(["nonexist", "--sphere-n-phi", "2"], id="nonexist-sphere-phi-below-grid"),
+            pytest.param(["levelscan", "--t1-max", "inf", "--print-config"], id="t1-max-infinite"),
+            pytest.param(["levelscan", "--step", "1e-320"], id="step-overflows-window"),
+            pytest.param(["three-level", "--xi-const", "nan"], id="xi-const-nan"),
+            pytest.param(["slab-lte", "--t0", "inf"], id="t0-infinite"),
         ],
     )
     def test_bad_config_exit_two(self, tmp_path, capsys, argv):

@@ -9,6 +9,7 @@ import pytest
 from radgas import PhysConsts, MaxwellianState, CollisionTuple
 from radgas.kinetic import (
     McPlan,
+    _weak_form_moments,
     detailed_balance_residual,
     entropy_identity_check,
     kernel_of_L_check,
@@ -105,6 +106,23 @@ class TestConservation:
         # certainly within the 3-sigma criterion
         assert abs(a.value - b.value) <= 3.0 * math.hypot(a.std_error, b.std_error)
         assert abs(a.value - b.value) < 1e-9 * max(1.0, abs(a.value))
+
+
+class TestVectorTestFunctions:
+    def test_columns_match_one_column_calls(self):
+        # non-conserved test functions, so no column cancels to rounding noise
+        s1 = MaxwellianState(1.3, (0.2, -0.1, 0.0), 4.0)
+        s2 = MaxwellianState(0.4, (0.0, 0.3, 0.1), 7.0)
+        cols1 = [lambda v: v[:, 0] ** 2, lambda v: np.zeros(len(v)), lambda v: v[:, 2] ** 3]
+        cols2 = [lambda v: np.ones(len(v)), lambda v: np.sum(v * v, axis=1), lambda v: v[:, 1]]
+        stack = lambda cols: lambda v: np.column_stack([c(v) for c in cols])
+        joint = _weak_form_moments(s1, s2, CONSTS, PLAN, stack(cols1), stack(cols2))
+        assert len(joint) == 3
+        for est, c1, c2 in zip(joint, cols1, cols2):
+            (one,) = _weak_form_moments(s1, s2, CONSTS, PLAN, stack([c1]), stack([c2]))
+            assert est.value == pytest.approx(one.value, rel=1e-12)
+            assert est.std_error == pytest.approx(one.std_error, rel=1e-12)
+            assert abs(one.value) > 3 * one.std_error
 
 
 class TestKernelOfL:
