@@ -187,32 +187,29 @@ def ray_integrate(
     at once and gives fields of shape (n_y, k, n_mu); each column is what the
     1-D emission would give.
     """
-    y = grid.y
     mu = angles.mu
     n_y = grid.n_y
-    sigma_c = _cell_coeffs(np.broadcast_to(np.asarray(sigma_nodes, dtype=float), (n_y,)))
     j = np.asarray(emission_nodes, dtype=float)
-    j = np.broadcast_to(j, (n_y,) + j.shape[1:])
-    if j.ndim == 2:
-        j = j[:, :, None]  # one row per source, broadcast against mu
-    shape = j.shape[:2] + (angles.n_mu,)
-    deltas = np.diff(y)
+    j = np.broadcast_to(j, (n_y,) + j.shape[1:])[..., None]  # broadcast against mu
+    shape = j.shape[:-1] + (angles.n_mu,)
+    # per-cell coefficients, shaped to broadcast against one node's (k, n_mu) block
+    cell = (n_y - 1,) + (1,) * (j.ndim - 1)
+    sigma = np.broadcast_to(np.asarray(sigma_nodes, dtype=float), (n_y,))
+    sigma_c = _cell_coeffs(sigma).reshape(cell)
+    deltas = np.diff(grid.y).reshape(cell)
+    att = np.exp(-sigma_c * deltas / mu).reshape(n_y - 1, angles.n_mu)
+    e_plus = _linear_emission_integral(j[:-1], j[1:], sigma_c, deltas, mu)
+    e_minus = _linear_emission_integral(j[1:], j[:-1], sigma_c, deltas, mu)
 
     g_plus = np.empty(shape)
     g_plus[0] = a_plus(mu)
     for k in range(n_y - 1):
-        att = np.exp(-sigma_c[k] * deltas[k] / mu)
-        g_plus[k + 1] = g_plus[k] * att + _linear_emission_integral(
-            j[k], j[k + 1], sigma_c[k], deltas[k], mu
-        )
+        g_plus[k + 1] = g_plus[k] * att[k] + e_plus[k]
 
     g_minus = np.empty(shape)
     g_minus[n_y - 1] = a_minus(mu)
     for k in range(n_y - 2, -1, -1):
-        att = np.exp(-sigma_c[k] * deltas[k] / mu)
-        g_minus[k] = g_minus[k + 1] * att + _linear_emission_integral(
-            j[k + 1], j[k], sigma_c[k], deltas[k], mu
-        )
+        g_minus[k] = g_minus[k + 1] * att[k] + e_minus[k]
 
     return RadiationField(grid=grid, angles=angles, g_plus=g_plus, g_minus=g_minus)
 
@@ -292,22 +289,40 @@ def kernel_sup(L: float) -> float:
     return float(2.0 * _m0(L / 2.0))
 
 
+def _toeplitz_weights(y: np.ndarray, m0, m1):
+    """Cell weights (lo, hi) of a piecewise-linear u against a kernel k(y_i - xi).
+
+    m0 and m1 are antiderivatives of k(t) and t * k(t); then
+    int_{y_j}^{y_j+1} k(y_i - xi) u(xi) dxi = lo[i, j] u_j + hi[i, j] u_j+1.
+    On the uniform grid each weight depends on i - j only, so m0 and m1 are
+    evaluated on the 2n - 1 offsets (i - j) * h and the (n, n - 1) matrices
+    are gathered from the cell values with the index i - j + n - 2.  The
+    offsets equal the node differences y_i - y_j exactly when h is a power
+    of two; otherwise they differ in the last bits.
+    """
+    n = len(y)
+    h = (y[-1] - y[0]) / (n - 1)
+    d = np.arange(-(n - 1), n) * h
+    b = d[1:]  # y_i - y_j at index i - j + n - 2
+    k0, k1 = m0(d), m1(d)
+    i0 = k0[1:] - k0[:-1]
+    i1 = b * i0 - (k1[1:] - k1[:-1])
+    lo = i0 - i1 / h
+    hi = i1 / h
+    idx = np.subtract.outer(np.arange(n), np.arange(n - 1)) + (n - 2)
+    return lo[idx], hi[idx]
+
+
 def _nystrom_matrix(y: np.ndarray) -> np.ndarray:
     """Product-integration matrix A with (A u)_i ~= int_0^L K(y_i - xi) u(xi) dxi.
 
     u is piecewise linear on the grid; each cell integral uses the exact E1
     moments, so the diagonal (singular) cells are handled analytically.
     """
-    n = len(y)
-    delta = np.diff(y)
-    X = y[:, None]
-    b = X - y[None, :-1]
-    a = X - y[None, 1:]
-    i0 = _m0(b) - _m0(a)
-    i1 = (X - y[None, :-1]) * i0 - (_m1(b) - _m1(a))
-    A = np.zeros((n, n))
-    A[:, :-1] += i0 - i1 / delta[None, :]
-    A[:, 1:] += i1 / delta[None, :]
+    lo, hi = _toeplitz_weights(y, _m0, _m1)
+    A = np.zeros((len(y), len(y)))
+    A[:, :-1] += lo
+    A[:, 1:] += hi
     return A
 
 
@@ -326,29 +341,25 @@ def _check_contraction(A: np.ndarray):
     return sup
 
 
+def _p0(t):
+    """Even antiderivative of the odd flux integrand sgn(u) E2(|u|)."""
+    s = np.abs(t)
+    return 0.5 - expn(3, s)
+
+
+def _p1(t):
+    """Odd antiderivative of the even flux integrand |u| E2(|u|)."""
+    s = np.abs(t)
+    return np.sign(t) * (-s * expn(3, s) - expn(4, s) + 1.0 / 3.0)
+
+
 def _e2_product_flux(u: np.ndarray, y: np.ndarray, boundary_term: np.ndarray, coeff: float):
     """J(y)/(2*pi) = boundary_term + coeff * int_0^L u(xi) sgn(y-xi) E2(|y-xi|) dxi.
 
     Piecewise-linear u with analytic E2/E3/E4 moments (mu integrated exactly),
     so the only inconsistency left is the interpolation of u itself.
     """
-
-    def p0(t):  # even antiderivative of the odd integrand sgn(u) E2(|u|)
-        s = np.abs(t)
-        return 0.5 - expn(3, s)
-
-    def p1(t):  # odd antiderivative of the even integrand |u| E2(|u|)
-        s = np.abs(t)
-        return np.sign(t) * (-s * expn(3, s) - expn(4, s) + 1.0 / 3.0)
-
-    delta = np.diff(y)
-    X = y[:, None]
-    b = X - y[None, :-1]
-    a = X - y[None, 1:]
-    i0 = p0(b) - p0(a)
-    i1 = (X - y[None, :-1]) * i0 - (p1(b) - p1(a))
-    w_lo = i0 - i1 / delta[None, :]
-    w_hi = i1 / delta[None, :]
+    w_lo, w_hi = _toeplitz_weights(y, _p0, _p1)
     inner = w_lo @ u[:-1] + w_hi @ u[1:]
     return boundary_term + coeff * inner
 

@@ -37,6 +37,10 @@ __all__ = [
     "lte_deviation",
 ]
 
+#: Unit sources per ray sweep when solve_three_level builds its source
+#: response; a multiple of 4, so M_src is bit-equal to a single sweep.
+_SOURCE_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class ThreeLevelParams:
@@ -185,11 +189,20 @@ def solve_three_level(
         )
 
     # response of the angular integral of h to a unit source at each node
-    # (column k: one ray sweep of all n unit sources at once), plus the
-    # boundary-driven offset
+    # (column k: the unit source at node k), plus the boundary-driven offset.
+    # The unit sources are swept _SOURCE_BLOCK columns at a time, so the
+    # (n, block, n_mu) fields stay small.  The angular mean of a block gives
+    # the bits of one product over all columns as long as the blocks keep the
+    # BLAS kernel's groups of 4 columns, and a last block of one column (a
+    # single row, which numpy reduces on another path) joins the one before.
     zero = BoundaryProfile.zero()
     kappa_nodes = np.full(n, params.eps * params.rho0 * (g1 + g2 * q) * (1.0 - q))
-    M_src = angular_mean(ray_integrate(kappa_nodes, np.eye(n), zero, zero, grid, angles))
+    unit = np.eye(n)
+    M_src = np.empty((n, n))
+    edges = [*range(0, n - 1, _SOURCE_BLOCK), n]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        field = ray_integrate(kappa_nodes, unit[:, lo:hi], zero, zero, grid, angles)
+        M_src[:, lo:hi] = angular_mean(field)
     b_I = angular_mean(ray_integrate(kappa_nodes, np.zeros(n), boundary[0], boundary[1], grid, angles))
 
     # source coefficients: src = eps*rho0*(g1*(s2-s1) + g2*q*(s3-s2))

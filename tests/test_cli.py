@@ -4,6 +4,7 @@ import functools
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +13,17 @@ import radgas.picard
 import radgas.slab
 import radgas.three_level
 from radgas import ConfigError
-from radgas.cli import SUBCOMMANDS, RunConfig, _SCHEMAS, main, parse_config
+from radgas.cli import (
+    SUBCOMMANDS,
+    RunConfig,
+    _SCHEMAS,
+    _Artifacts,
+    _fmt,
+    _radiation_columns,
+    main,
+    parse_config,
+)
+from radgas.slab import AngleGrid, RadiationField, SlabGrid
 
 
 class TestParseConfig:
@@ -79,6 +90,43 @@ class TestParseConfig:
         assert isinstance(config, RunConfig)
 
 
+class TestCsvWriter:
+    """The column writer against the per-value _fmt join it replaces."""
+
+    @staticmethod
+    def fmt_join(header, rows):
+        return ",".join(header) + "\n" + "".join(",".join(_fmt(x) for x in row) + "\n" for row in rows)
+
+    def test_matches_per_value_fmt(self, tmp_path):
+        floats = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 0.1, 1 / 3, -2.5e-17, 1e16])
+        n = len(floats)
+        columns = [
+            floats,
+            list(range(-3, n - 3)),  # Python ints
+            np.arange(n, dtype=np.int64) * 10**12,  # numpy ints
+            np.arange(n) % 3 == 0,  # bools
+            floats[::-1].copy(),
+        ]
+        header = ["f", "py_int", "np_int", "flag", "g"]
+        art = _Artifacts(str(tmp_path))
+        art.csv("t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_text() == self.fmt_join(header, zip(*columns))
+        assert art.records == [{"name": "t.csv", "rows": n, "header": header}]
+
+    def test_radiation_columns_match_row_order(self):
+        grid, angles = SlabGrid(L=1.0, n_y=17), AngleGrid(n_mu=16)
+        rng = np.random.default_rng(5)
+        field = RadiationField(grid, angles, rng.normal(size=(17, 16)), rng.normal(size=(17, 16)))
+        rows = [
+            (yi, mj, sign, g[i, j])
+            for i, yi in enumerate(grid.y)
+            for sign, g in ((1, field.g_plus), (-1, field.g_minus))
+            for j, mj in enumerate(angles.mu)
+        ]
+        columns = _radiation_columns(field)
+        assert [c.tolist() for c in columns] == [list(c) for c in zip(*rows)]
+
+
 class TestRun:
     def test_levelscan_artifacts(self, tmp_path):
         out = tmp_path / "scan"
@@ -123,6 +171,16 @@ class TestRun:
         assert set(rows["kernel_of_L"]) == {"number", *moments}
         for check_rows in rows.values():
             assert all(set(row) == {"value", "std_error"} for row in check_rows.values())
+
+    @pytest.mark.parametrize("seed", ["1", "6"])
+    def test_verify_empty_detailed_balance_set_fails_without_traceback(self, tmp_path, seed):
+        # one tuple below the threshold leaves nothing to check
+        out = tmp_path / "verify"
+        argv = ["verify", "--n-tuples", "1", "--n-samples", "10000", "--seed", seed, "--out", str(out)]
+        assert main(argv) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["checks"][0] == {"name": "detailed_balance", "value": None, "pass": False}
+        assert report["all_pass"] is False
 
     def test_nonexist_exit_code_and_artifact(self, tmp_path):
         out = tmp_path / "nx"

@@ -17,11 +17,22 @@ from radgas.slab import (
     flux,
     fredholm_kernel_K,
     kernel_sup,
+    ray_integrate,
     solve_exp_limit,
     solve_lte_fredholm,
     transport_solve,
 )
-from radgas.slab import _check_contraction, _nystrom_matrix
+from radgas.slab import (
+    _check_contraction,
+    _e2_product_flux,
+    _linear_emission_integral,
+    _m0,
+    _m1,
+    _nystrom_matrix,
+    _p0,
+    _p1,
+    _toeplitz_weights,
+)
 
 CONSTS = PhysConsts(epsilon0=1.0)
 GRID = SlabGrid(L=2.0, n_y=65)
@@ -38,6 +49,49 @@ def constant_coefficient_oracle(y, mu_signed, rho, T, a_plus, a_minus, L, consts
         return a_plus * att + g0 * (1.0 - att)
     att = math.exp(-kappa * (L - y) / (-mu_signed))
     return a_minus * att + g0 * (1.0 - att)
+
+
+def dense_cell_weights(y, m0, m1):
+    """The n^2 product-integration weights that the Toeplitz gather replaces.
+
+    Every entry evaluates m0 and m1 at its own node differences y_i - y_j and
+    divides by its own cell width.
+    """
+    delta = np.diff(y)
+    X = y[:, None]
+    b = X - y[None, :-1]
+    a = X - y[None, 1:]
+    i0 = m0(b) - m0(a)
+    i1 = (X - y[None, :-1]) * i0 - (m1(b) - m1(a))
+    return i0 - i1 / delta[None, :], i1 / delta[None, :]
+
+
+def dense_nystrom_matrix(y):
+    lo, hi = dense_cell_weights(y, _m0, _m1)
+    A = np.zeros((len(y), len(y)))
+    A[:, :-1] += lo
+    A[:, 1:] += hi
+    return A
+
+
+def per_cell_sweep(sigma_nodes, emission, a_plus, a_minus, grid, angles):
+    """ray_integrate as one exp and one emission integral per cell and step."""
+    mu = angles.mu
+    y = grid.y
+    sigma_c = 0.5 * (sigma_nodes[1:] + sigma_nodes[:-1])
+    deltas = np.diff(y)
+    j = emission[:, :, None] if emission.ndim == 2 else emission
+    g_plus = np.empty(j.shape[:2] + (angles.n_mu,))
+    g_minus = np.empty_like(g_plus)
+    g_plus[0] = a_plus(mu)
+    for k in range(grid.n_y - 1):
+        att = np.exp(-sigma_c[k] * deltas[k] / mu)
+        g_plus[k + 1] = g_plus[k] * att + _linear_emission_integral(j[k], j[k + 1], sigma_c[k], deltas[k], mu)
+    g_minus[-1] = a_minus(mu)
+    for k in range(grid.n_y - 2, -1, -1):
+        att = np.exp(-sigma_c[k] * deltas[k] / mu)
+        g_minus[k] = g_minus[k + 1] * att + _linear_emission_integral(j[k + 1], j[k], sigma_c[k], deltas[k], mu)
+    return g_plus, g_minus
 
 
 class TestAngleGrid:
@@ -110,6 +164,24 @@ class TestTransport:
             )
 
 
+class TestHoistedSweep:
+    """The sweep's per-cell coefficients, computed up front, against the per-cell loop."""
+
+    @pytest.mark.parametrize("n_y, batch", [(257, None), (129, 129), (65, 3)])
+    def test_bit_equal_to_per_cell_loop(self, n_y, batch):
+        rng = np.random.default_rng(n_y)
+        grid = SlabGrid(L=1.0, n_y=n_y)
+        sigma = rng.uniform(0.0, 3.0, size=n_y)
+        sigma[5:8] = 0.0  # zero-absorption cells
+        sigma[20:23] = 1e-9  # optically thin cells: the series branch
+        emission = rng.normal(size=(n_y,) if batch is None else (n_y, batch))
+        bc = (BoundaryProfile.constant(0.3), BoundaryProfile.from_function(lambda m: m, "cos"))
+        field = ray_integrate(sigma, emission, *bc, grid, ANGLES)
+        g_plus, g_minus = per_cell_sweep(sigma, emission, *bc, grid, ANGLES)
+        np.testing.assert_array_equal(field.g_plus, g_plus)
+        np.testing.assert_array_equal(field.g_minus, g_minus)
+
+
 class TestFlux:
     def test_isotropic_field_has_zero_flux(self):
         vals = np.ones((GRID.n_y, ANGLES.n_mu)) * 3.7
@@ -168,6 +240,28 @@ class TestKernelK:
         y = np.linspace(0.0, L, 301)
         rows = _nystrom_matrix(y).sum(axis=1)
         assert np.max(rows) == pytest.approx(sup, rel=1e-10)
+
+    @pytest.mark.parametrize("n_y", [257, 1025])
+    def test_toeplitz_assembly_equals_dense_on_dyadic_grid(self, n_y):
+        y = SlabGrid(L=1.0, n_y=n_y).y
+        np.testing.assert_array_equal(_nystrom_matrix(y), dense_nystrom_matrix(y))
+        for m0, m1 in ((_m0, _m1), (_p0, _p1)):
+            for got, want in zip(_toeplitz_weights(y, m0, m1), dense_cell_weights(y, m0, m1)):
+                np.testing.assert_array_equal(got, want)
+        u = np.cos(3.0 * y)
+        want_lo, want_hi = dense_cell_weights(y, _p0, _p1)
+        flux_j = _e2_product_flux(u, y, np.sin(y), 0.7)
+        np.testing.assert_array_equal(flux_j, np.sin(y) + 0.7 * (want_lo @ u[:-1] + want_hi @ u[1:]))
+
+    def test_toeplitz_assembly_near_dense_off_dyadic_grid(self):
+        # h = 3.7 / 299 is not a power of two: the offsets (i - j) * h and the
+        # node differences y_i - y_j differ in the last bits
+        y = SlabGrid(L=3.7, n_y=300).y
+        want = dense_nystrom_matrix(y)
+        assert np.max(np.abs(_nystrom_matrix(y) - want)) <= 1e-10 * np.max(np.abs(want))
+        for m0, m1 in ((_m0, _m1), (_p0, _p1)):
+            for got, dense in zip(_toeplitz_weights(y, m0, m1), dense_cell_weights(y, m0, m1)):
+                assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
 
     def test_noncontraction_raises(self):
         with pytest.raises(NonContraction):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import radgas.three_level
 from radgas import SingularSystem
 from radgas.slab import AngleGrid, BoundaryProfile, SlabGrid, angular_mean, ray_integrate
 from radgas.three_level import (
@@ -118,6 +119,20 @@ class TestBatchedSweep:
             column = ray_integrate(sigma, sources[:, k], *bc, GRID, ANGLES)
             np.testing.assert_array_equal(batched.g_plus[:, k], column.g_plus)
             np.testing.assert_array_equal(batched.g_minus[:, k], column.g_minus)
+
+    @pytest.mark.parametrize("block", [8, 32, 64])
+    def test_blocked_source_response_equals_one_sweep(self, monkeypatch, block):
+        # column blocks of the unit sources (the last one of 9, 33 and 65
+        # columns), against one sweep of all of them
+        grid = SlabGrid(L=1.0, n_y=129)
+
+        def solve(columns):
+            monkeypatch.setattr(radgas.three_level, "_SOURCE_BLOCK", columns)
+            return solve_three_level(0.02, DRIVE_BC, PARAMS, grid, ANGLES)
+
+        whole, blocked = solve(grid.n_y), solve(block)
+        for name in ("sigma1", "sigma2", "sigma3"):
+            np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name))
 
 
 class TestSolveThreeLevel:
