@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.signal import fftconvolve
 
 from .errors import NonPositiveW, NotInterior
 from .picard import fixed_point
@@ -184,11 +183,6 @@ def _profile_values(f, nodes) -> np.ndarray:
     return vals
 
 
-def _vector_R_batch(domain, fvals, A2, points, nodes, weights) -> np.ndarray:
-    s = domain.exit_distances(points, nodes)
-    return (weights * fvals * np.exp(-A2 * s)) @ nodes
-
-
 def vector_R(domain: ConvexDomain, f, A2: float, y, sphere: SphereGrid) -> np.ndarray:
     """R(y) = int_{S^2} n f(n) e^(-A2 s(y,n)) dn by sphere quadrature.
 
@@ -200,7 +194,8 @@ def vector_R(domain: ConvexDomain, f, A2: float, y, sphere: SphereGrid) -> np.nd
         raise NotInterior(f"point {y} is not strictly inside the domain")
     nodes, weights = sphere.nodes_weights()
     fvals = _profile_values(f, nodes)
-    return _vector_R_batch(domain, fvals, A2, y[None, :], nodes, weights)[0]
+    s = domain.exit_distances(y[None, :], nodes)[0]
+    return (weights * fvals * np.exp(-A2 * s)) @ nodes
 
 
 def _div_R_batch(domain, fvals, A2, points, nodes, weights) -> np.ndarray:
@@ -238,8 +233,12 @@ def kernel_mass_at(domain: ConvexDomain, points, sphere: SphereGrid) -> np.ndarr
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     nodes, weights = sphere.nodes_weights()
-    s = domain.exit_distances(pts, nodes)
-    return ((1.0 - np.exp(-s)) @ weights) / (4.0 * math.pi)
+    return _kernel_mass(np.exp(-domain.exit_distances(pts, nodes)), weights)
+
+
+def _kernel_mass(e, weights) -> np.ndarray:
+    """(1/4pi) int_{S^2} (1 - e) dn from e = e^(-s) on the sphere nodes."""
+    return ((1.0 - e) @ weights) / (4.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -301,17 +300,21 @@ def _build_lattice(domain: ConvexDomain, spec: LatticeSpec):
         oi = np.argwhere(orphans)
         ti = nearest[:, oi[:, 0], oi[:, 1], oi[:, 2]]
         np.add.at(frac_grid, (ti[0], ti[1], ti[2]), frac_all[orphans])
-    return centers, inside, frac_grid[inside], np.asarray(mins, dtype=float), spacing
+    return centers[inside], inside, frac_grid, np.asarray(mins, dtype=float), spacing
 
 
-def _kernel_table(shape, spacing, near_range: int = 6):
-    """Per-cell integrals of e^(-r)/(4*pi*r^2) over lattice offset cells.
-
-    Self cell: analytic over the equal-volume ball.  Cells within
-    `near_range` of the origin: 4^3 Gauss-Legendre; beyond: 2^3.
+def _kernel_table(n: int, spacing, near_range: int = 6):
+    """Per-cell integrals of e^(-r)/(4*pi*r^2) over lattice offset cells, on a
+    circular table of period L = next_fast_len(2n - 1) per axis: offset k sits
+    at index k mod L, so the first n^3 block of a circular product with a
+    zero-padded n^3 input is the linear convolution (Hockney and Eastwood
+    1988).  Offsets |k| >= n fill the wrap gap and are never read.  Self cell:
+    analytic over the equal-volume ball; cells within `near_range` of the
+    origin: 4^3 Gauss-Legendre; beyond: 2^3.
     """
-    n = shape[0]
-    offs = [spacing[i] * np.arange(-(n - 1), n) for i in range(3)]
+    L = next_fast_len(2 * n - 1, True)
+    k = np.arange(L)
+    offs = [spacing[i] * np.where(k < n, k, k - L) for i in range(3)]
     OX, OY, OZ = np.meshgrid(*offs, indexing="ij")
     centers = np.stack([OX, OY, OZ], axis=-1).reshape(-1, 3)
     vol = float(np.prod(spacing))
@@ -324,11 +327,7 @@ def _kernel_table(shape, spacing, near_range: int = 6):
     def cell_integrals(cells, m):
         x, wq = np.polynomial.legendre.leggauss(m)
         pts1d = [0.5 * spacing[i] * x for i in range(3)]
-        w3 = (
-            np.einsum("i,j,k->ijk", wq, wq, wq).ravel()
-            * (0.5**3)
-            * vol
-        )
+        w3 = np.einsum("i,j,k->ijk", wq, wq, wq).ravel() * (0.5**3) * vol
         gx, gy, gz = np.meshgrid(*pts1d, indexing="ij")
         gpts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
         out = np.zeros(len(cells))
@@ -346,8 +345,16 @@ def _kernel_table(shape, spacing, near_range: int = 6):
     table[near] = cell_integrals(centers[near], 4)
     table[far] = cell_integrals(centers[far], 2)
     r_eq = (3.0 * vol / (4.0 * math.pi)) ** (1.0 / 3.0)
-    table[np.all(np.abs(centers) < 1e-12 * np.max(spacing), axis=-1)] = 1.0 - math.exp(-r_eq)
-    return table.reshape(2 * n - 1, 2 * n - 1, 2 * n - 1)
+    table[0] = 1.0 - math.exp(-r_eq)  # offset (0, 0, 0)
+    return table.reshape(L, L, L)
+
+
+def fftconvolve(x, table_hat, period) -> np.ndarray:
+    """Centred ("same") block of the linear convolution of the lattice array
+    x with the kernel table, from table_hat = rfftn(table) of the circular
+    table of shape `period`.
+    """
+    return irfftn(rfftn(x, period) * table_hat, period)[tuple(map(slice, x.shape))]
 
 
 def solve_w(
@@ -369,39 +376,32 @@ def solve_w(
     if the final iterate dips <= 0 while not identically zero (inadmissible
     profile f).
     """
-    centers, inside, frac, origin, spacing = _build_lattice(domain, lattice)
-    pts = centers[inside]
+    pts, inside, frac_grid, origin, spacing = _build_lattice(domain, lattice)
     nodes, weights = sphere.nodes_weights()
     fvals = _profile_values(f, nodes)
 
-    g = -_div_R_batch(domain, fvals, 1.0, pts, nodes, weights) / (4.0 * math.pi)
-
-    table = _kernel_table(inside.shape, spacing)
-    frac_grid = np.zeros(inside.shape)
-    frac_grid[inside] = frac
-
-    # kernel mass by the exact angular reduction of the volume integral:
+    # one exit-distance pass gives both the forcing -div(R)/(4*pi) (transport
+    # identity at A2 = 1) and the kernel mass by the exact angular reduction
     # int_Omega k(|y-x|) dx = (1/4pi) int_{S^2} (1 - e^(-s(y,n))) dn
-    kernel_mass = kernel_mass_at(domain, pts, sphere)
+    e = np.exp(-domain.exit_distances(pts, nodes))
+    g_grid = np.zeros(inside.shape)
+    g_grid[inside] = (e @ (weights * fvals)) / (4.0 * math.pi)
+    kernel_mass = _kernel_mass(e, weights)
+    del e
+
+    table = _kernel_table(lattice.n, spacing)
+    period = table.shape
+    table_hat = rfftn(table)
 
     # renormalize each discrete operator row to the exact local kernel mass;
     # this removes the O(h) boundary-cell volume error (constants in the
     # kernel's range become exact fixed points) and keeps row sums < 1
-    disc_mass = fftconvolve(frac_grid, table, mode="same")[inside]
+    disc_mass = fftconvolve(frac_grid, table_hat, period)[inside]
     scale_grid = np.zeros(inside.shape)
     scale_grid[inside] = kernel_mass / disc_mass
 
-    # the constant kernel table is transformed once; each sweep then repeats
-    # the arithmetic of fftconvolve(x, table, mode="same"): real FFTs padded
-    # to the full length n + (2n - 1) - 1, cropped to the centred n^3 block
-    fshape = [next_fast_len(3 * m - 2, True) for m in inside.shape]
-    table_hat = rfftn(table, fshape)
-    same = tuple(slice(m - 1, 2 * m - 1) for m in inside.shape)
-    g_grid = np.zeros(inside.shape)
-    g_grid[inside] = g
-
     def sweep(w_grid):
-        conv = irfftn(rfftn(w_grid * frac_grid, fshape) * table_hat, fshape)[same]
+        conv = fftconvolve(w_grid * frac_grid, table_hat, period)
         return np.where(inside, scale_grid * conv + g_grid, 0.0)
 
     picard = fixed_point(sweep, np.zeros(inside.shape), tol, max_iter)
@@ -413,7 +413,7 @@ def solve_w(
     return VolumeField(
         points=pts,
         values=w,
-        fractions=frac,
+        fractions=frac_grid[inside],
         origin=origin,
         spacing=spacing,
         shape=inside.shape,

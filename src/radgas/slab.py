@@ -117,17 +117,6 @@ class BoundaryProfile:
     def from_function(cls, fn, label: str = "custom") -> "BoundaryProfile":
         return cls(lambda mu: np.asarray(fn(np.asarray(mu, dtype=float)), dtype=float), label)
 
-    @classmethod
-    def tabulated(cls, values, angles: "AngleGrid") -> "BoundaryProfile":
-        """Values on the AngleGrid nodes, linearly interpolated in mu."""
-        vals = np.asarray(values, dtype=float)
-        nodes = angles.mu
-        if vals.shape != nodes.shape:
-            raise ValueError(f"need one value per angular node, got {vals.shape}")
-        if np.any(vals < 0):
-            raise ValueError("boundary intensities must be >= 0")
-        return cls(lambda mu: np.interp(mu, nodes, vals), "tabulated")
-
     def __call__(self, mu) -> np.ndarray:
         vals = np.asarray(self._fn(np.asarray(mu, dtype=float)), dtype=float)
         if np.any(vals < 0):
@@ -384,10 +373,6 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
     sup = _check_contraction(A)
     u = np.linalg.solve(np.eye(len(y)) - A, g)
     picard = fixed_point(lambda x: A @ x + g, np.zeros_like(g), tol=1e-13, max_iter=10_000)
-
-    field = ray_integrate(np.ones_like(y), coupling * u, profile, BoundaryProfile.zero(), grid, angles)
-    boundary_term = decay @ (wq * mu * vals)
-    flux_j = 2.0 * math.pi * _e2_product_flux(u, y, boundary_term, coupling)
     diagnostics = {
         "kernel_sup": sup,
         "picard_ratio": picard.ratio(sup),
@@ -395,6 +380,11 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
         "residual_max": float(np.max(np.abs(u - A @ u - g))),
         "converged": picard.converged,
     }
+    del A  # the flux gather below builds n^2 weight matrices of its own
+
+    field = ray_integrate(np.ones_like(y), coupling * u, profile, BoundaryProfile.zero(), grid, angles)
+    boundary_term = decay @ (wq * mu * vals)
+    flux_j = 2.0 * math.pi * _e2_product_flux(u, y, boundary_term, coupling)
     return u, field, flux_j, diagnostics
 
 

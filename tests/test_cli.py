@@ -3,6 +3,8 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -364,3 +366,11 @@ class TestRun:
         monkeypatch.setenv("RADGAS_OUT", str(tmp_path / "envout"))
         assert main(["levelscan", "--print-config"]) == 0
         assert f"out = {tmp_path / 'envout'}" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    src = os.path.dirname(os.path.dirname(radgas.domain3d.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, radgas.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len, rfftn
 from scipy.special import expn
 
+import radgas.domain3d
 from radgas import NotInterior
 from radgas.domain3d import (
     ConvexDomain,
     LatticeSpec,
     SphereGrid,
+    _kernel_table,
     div_R,
     exit_distance,
+    fftconvolve,
     kernel_mass_at,
     nonexistence_check,
     solve_w,
@@ -213,7 +217,49 @@ class TestKernelMass:
         assert np.all(kernel_mass_at(dom, pts, SPHERE) < 1.0)
 
 
+class TestFftConvolve:
+    # periods 15 and 25 are odd, 18 and 24 exceed 2n - 1 (a wrap gap), 64 is even
+    @pytest.mark.parametrize("n", [8, 9, 12, 13, 32])
+    def test_matches_scipy_same_mode(self, n):
+        from scipy.signal import fftconvolve as scipy_fftconvolve  # the method it replaced
+
+        table = _kernel_table(n, np.array([2.0, 1.5, 0.5]) / n)
+        period = next_fast_len(2 * n - 1, True)
+        assert table.shape == (period,) * 3
+        centred = table[np.ix_(*[np.arange(-(n - 1), n) % period] * 3)]
+        x = np.random.default_rng(n).uniform(size=(n, n, n))
+        want = scipy_fftconvolve(x, centred, mode="same")
+        got = fftconvolve(x, rfftn(table), table.shape)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_self_cell_at_index_zero(self):
+        table = _kernel_table(8, np.full(3, 0.25))
+        assert table[0, 0, 0] == np.max(table)
+
+
 class TestSolveW:
+    @pytest.mark.parametrize("domain", [BALL, ConvexDomain.box((-2, -1, -3), (1, 2, 0.5))])
+    def test_kernel_mass_matches_kernel_mass_at(self, domain):
+        field = solve_w(domain, f_up, LatticeSpec(12), SPHERE)
+        assert np.array_equal(field.kernel_mass, kernel_mass_at(domain, field.points, SPHERE))
+
+    def test_one_geometry_pass_and_one_convolution_per_sweep(self, monkeypatch):
+        calls = {"exit": 0, "conv": 0}
+        exit_distances, conv = ConvexDomain.exit_distances, radgas.domain3d.fftconvolve
+
+        def counted_exit(self, *args):
+            calls["exit"] += 1
+            return exit_distances(self, *args)
+
+        def counted_conv(*args):
+            calls["conv"] += 1
+            return conv(*args)
+
+        monkeypatch.setattr(ConvexDomain, "exit_distances", counted_exit)
+        monkeypatch.setattr(radgas.domain3d, "fftconvolve", counted_conv)
+        field = solve_w(BALL, f_up, LatticeSpec(8), SPHERE)
+        assert calls == {"exit": 1, "conv": 1 + field.iterations}
+
     def test_zero_profile_gives_zero(self):
         field = solve_w(BALL, lambda n: np.zeros(len(n)), LatticeSpec(12), SPHERE)
         np.testing.assert_array_equal(field.values, 0.0)

@@ -104,12 +104,6 @@ class TestAngleGrid:
 
 
 class TestBoundaryProfile:
-    def test_tabulated_interpolates_node_values(self):
-        a = AngleGrid(n_mu=24)
-        vals = 0.5 + a.mu**2
-        bp = BoundaryProfile.tabulated(vals, a)
-        np.testing.assert_allclose(bp(a.mu), vals, rtol=1e-14)
-
     def test_negative_profiles_rejected(self):
         with pytest.raises(ValueError):
             BoundaryProfile.constant(-1.0)
