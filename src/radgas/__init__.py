@@ -102,6 +102,7 @@ from .kinetic import (
     detailed_balance_residual,
     mc_conservation,
     mass_exchange_estimate,
+    conservation_and_exchange,
     kernel_of_L_check,
     entropy_identity_check,
 )

@@ -198,6 +198,36 @@ def vector_R(domain: ConvexDomain, f, A2: float, y, sphere: SphereGrid) -> np.nd
     return (weights * fvals * np.exp(-A2 * s)) @ nodes
 
 
+#: Rays (point, sphere node) per block of the attenuation pass: 128 points
+#: at the default 512-node sphere.  Every (points, nodes) temporary of the
+#: exit-distance geometry lives only inside its block.
+_RAY_BLOCK = 1 << 16
+
+
+def _attenuation_pass(domain, points, nodes, weights, fvals=None, A2: float = 1.0):
+    """Angular moments of e = e^(-A2 s(y,n)) at each point, from one blocked
+    pass over the (point, node) rays.
+
+    Returns (e @ (weights * fvals), (1 - e) @ weights), the first None when
+    fvals is None.  Points go through in blocks of _RAY_BLOCK rays, so memory
+    stays bounded whatever the number of points.  Each row takes the same
+    operations as in one (P, S) pass; only the BLAS row grouping of the
+    matrix-vector products, which can move a row's last bit, follows the
+    blocks.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    step = max(1, _RAY_BLOCK // len(nodes))
+    wf = None if fvals is None else weights * fvals
+    flux = None if fvals is None else np.empty(len(pts))
+    mass = np.empty(len(pts))
+    for lo in range(0, len(pts), step):
+        e = np.exp(-A2 * domain.exit_distances(pts[lo : lo + step], nodes))
+        if wf is not None:
+            flux[lo : lo + step] = e @ wf
+        mass[lo : lo + step] = (1.0 - e) @ weights
+    return flux, mass
+
+
 def _div_R_batch(domain, fvals, A2, points, nodes, weights) -> np.ndarray:
     """div R at a batch of interior points by the transport identity.
 
@@ -205,8 +235,8 @@ def _div_R_batch(domain, fvals, A2, points, nodes, weights) -> np.ndarray:
     div R(y) = -A2 * int_{S^2} f(n) e^(-A2 s(y,n)) dn: the radiative transfer
     equation n . grad I = -A2 I integrated over angle.
     """
-    s = domain.exit_distances(points, nodes)
-    return -A2 * (np.exp(-A2 * s) @ (weights * fvals))
+    flux, _ = _attenuation_pass(domain, points, nodes, weights, fvals, A2)
+    return -A2 * flux
 
 
 def div_R(domain: ConvexDomain, f, A2: float, y, sphere: SphereGrid) -> float:
@@ -229,16 +259,15 @@ def kernel_mass_at(domain: ConvexDomain, points, sphere: SphereGrid) -> np.ndarr
 
     Uses the exact angular reduction (1/4pi) * int_{S^2} (1 - e^(-s(y,n))) dn,
     so only the sphere quadrature contributes error; at the center of a ball
-    the exit distance is constant and the value is exact.
+    the exit distance is constant and the value is exact.  Every point must
+    be strictly interior.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(domain.contains(pts)):
+        raise NotInterior("all points must be strictly interior")
     nodes, weights = sphere.nodes_weights()
-    return _kernel_mass(np.exp(-domain.exit_distances(pts, nodes)), weights)
-
-
-def _kernel_mass(e, weights) -> np.ndarray:
-    """(1/4pi) int_{S^2} (1 - e) dn from e = e^(-s) on the sphere nodes."""
-    return ((1.0 - e) @ weights) / (4.0 * math.pi)
+    _, mass = _attenuation_pass(domain, pts, nodes, weights)
+    return mass / (4.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -267,6 +296,7 @@ class VolumeField:
     picard_ratio: float | None = None
     iterations: int | None = None
     converged: bool = False
+    picard_diffs: list | None = None  # max|w_k - w_(k-1)| per Picard sweep
 
 
 def _build_lattice(domain: ConvexDomain, spec: LatticeSpec):
@@ -380,14 +410,13 @@ def solve_w(
     nodes, weights = sphere.nodes_weights()
     fvals = _profile_values(f, nodes)
 
-    # one exit-distance pass gives both the forcing -div(R)/(4*pi) (transport
+    # one attenuation pass gives both the forcing -div(R)/(4*pi) (transport
     # identity at A2 = 1) and the kernel mass by the exact angular reduction
     # int_Omega k(|y-x|) dx = (1/4pi) int_{S^2} (1 - e^(-s(y,n))) dn
-    e = np.exp(-domain.exit_distances(pts, nodes))
+    flux, mass = _attenuation_pass(domain, pts, nodes, weights, fvals)
     g_grid = np.zeros(inside.shape)
-    g_grid[inside] = (e @ (weights * fvals)) / (4.0 * math.pi)
-    kernel_mass = _kernel_mass(e, weights)
-    del e
+    g_grid[inside] = flux / (4.0 * math.pi)
+    kernel_mass = mass / (4.0 * math.pi)
 
     table = _kernel_table(lattice.n, spacing)
     period = table.shape
@@ -422,6 +451,7 @@ def solve_w(
         picard_ratio=picard.ratio(float(np.max(kernel_mass))),
         iterations=picard.iterations,
         converged=picard.converged,
+        picard_diffs=picard.diffs,
     )
 
 

@@ -299,6 +299,19 @@ class TestRun:
         assert main(["domain3d", "--lattice-n", "12", "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["converged"] is True
 
+    def test_domain3d_reports_picard_diffs(self, tmp_path):
+        reports = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["domain3d", "--lattice-n", "12", "--out", str(out)]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        first, second = reports
+        assert len(first["picard_diffs"]) == first["iterations"]
+        assert first["picard_diffs"] == second["picard_diffs"]
+        # picard_ratio is still the diff-ratio median of the reported trace
+        trace = radgas.picard.FixedPoint(None, first["iterations"], True, first["picard_diffs"])
+        assert trace.ratio(first["max_kernel_mass"]) == first["picard_ratio"]
+
     def test_domain3d_unconverged_exits_one(self, tmp_path, monkeypatch):
         capped = functools.partial(radgas.domain3d.solve_w, max_iter=2)
         monkeypatch.setattr(radgas.domain3d, "solve_w", capped)
@@ -307,6 +320,7 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False
         assert report["iterations"] == 2
+        assert len(report["picard_diffs"]) == 2
 
     @pytest.mark.parametrize("subcommand", ["slab-lte", "slab-exp", "three-level"])
     def test_picard_reports_convergence(self, tmp_path, subcommand):

@@ -1,6 +1,7 @@
 """Convex-domain geometry, the boundary field R, and the 3D contraction solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from radgas.domain3d import (
     ConvexDomain,
     LatticeSpec,
     SphereGrid,
+    _attenuation_pass,
     _kernel_table,
     div_R,
     exit_distance,
@@ -27,6 +29,12 @@ SPHERE = SphereGrid(16, 32)
 BALL = ConvexDomain.ball((0.0, 0.0, 0.0), 1.0)
 # slab-like box: thin in z, wide in x, y (aspect ratio 20)
 SLAB = ConvexDomain.box((-10.0, -10.0, 0.0), (10.0, 10.0, 1.0))
+BOX = ConvexDomain.box((-2, -1, -3), (1, 2, 0.5))
+IMPLICIT_BALL = ConvexDomain.implicit(
+    lambda p: np.sqrt(np.sum(np.asarray(p, dtype=float) ** 2, axis=-1)) - 1.0,
+    (-1, -1, -1),
+    (1, 1, 1),
+)
 
 
 def f_up(nodes):
@@ -65,6 +73,13 @@ def fd_div_R_oracle(domain, f, a2, y, h):
     return (4.0 * d_h2 - d_h) / 3.0, abs(d_h - d_h2) / 3.0
 
 
+def full_pass_oracle(domain, points, a2=1.0, f=f_up):
+    """e @ (w * f) and (1 - e) @ w from one unblocked (P, S) array e = e^(-a2 s)."""
+    nodes, weights = SPHERE.nodes_weights()
+    e = np.exp(-a2 * domain.exit_distances(points, nodes))
+    return e @ (weights * f(nodes)), (1.0 - e) @ weights
+
+
 def _ball_points(rng, count):
     p = rng.normal(size=(count, 3))
     return p / np.linalg.norm(p, axis=1, keepdims=True) * rng.uniform(0.0, 0.8, size=(count, 1))
@@ -74,6 +89,17 @@ def _slab_points(rng, count):
     return np.column_stack(
         [rng.uniform(-2, 2, count), rng.uniform(-2, 2, count), rng.uniform(0.15, 0.85, count)]
     )
+
+
+def _box_points(rng, count):
+    return rng.uniform((-1.8, -0.8, -2.8), (0.8, 1.8, 0.3), size=(count, 3))
+
+
+PASS_DOMAINS = pytest.mark.parametrize(
+    "domain, points",
+    [(BALL, _ball_points), (BOX, _box_points), (IMPLICIT_BALL, _ball_points)],
+    ids=["ball", "box", "implicit"],
+)
 
 
 class TestExitDistance:
@@ -211,10 +237,79 @@ class TestKernelMass:
         assert np.all(mass > 0.0)
 
     def test_box_mass_below_one(self):
-        dom = ConvexDomain.box((-2, -1, -3), (1, 2, 0.5))
         rng = np.random.default_rng(8)
         pts = rng.uniform(-0.4, 0.4, size=(50, 3))
-        assert np.all(kernel_mass_at(dom, pts, SPHERE) < 1.0)
+        assert np.all(kernel_mass_at(BOX, pts, SPHERE) < 1.0)
+
+    @pytest.mark.parametrize(
+        "domain, point",
+        [(BALL, (2.0, 0, 0)), (BALL, (0, 0, 5.0)), (BALL, (1.0, 0, 0)), (BOX, (3.0, 0, 0))],
+    )
+    def test_exterior_point_raises(self, domain, point):
+        with pytest.raises(NotInterior):
+            kernel_mass_at(domain, [(0.0, 0.5, 0.0), point], SPHERE)
+
+
+class TestAttenuationPass:
+    """The blocked pass against one unblocked (P, S) evaluation, bit for bit.
+
+    Point counts are multiples of 8: BLAS reduces the rows of a matrix-vector
+    product in groups of rows and splits the rows across threads, and a group
+    boundary that moves changes a row's summation order in the last bit.
+    With blocks and counts that keep the groups aligned, every row must come
+    out with the same bits.
+    """
+
+    BLOCK = 16  # points per block, small so that the implicit domain's bisection stays cheap
+    COUNTS = pytest.mark.parametrize("count", [8, 16, 40], ids=["below", "equal", "not-multiple"])
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        rays = self.BLOCK * SPHERE.n_theta * SPHERE.n_phi
+        monkeypatch.setattr(radgas.domain3d, "_RAY_BLOCK", rays)
+
+    @PASS_DOMAINS
+    @COUNTS
+    @pytest.mark.usefixtures("small_blocks")
+    def test_forcing_and_kernel_mass(self, domain, points, count):
+        pts = points(np.random.default_rng(count), count)
+        nodes, weights = SPHERE.nodes_weights()
+        flux, mass = _attenuation_pass(domain, pts, nodes, weights, f_up(nodes))
+        want_flux, want_mass = full_pass_oracle(domain, pts)
+        assert np.array_equal(flux, want_flux)
+        assert np.array_equal(mass, want_mass)
+
+    @PASS_DOMAINS
+    @COUNTS
+    @pytest.mark.usefixtures("small_blocks")
+    def test_kernel_mass_at(self, domain, points, count):
+        pts = points(np.random.default_rng(count), count)
+        _, want_mass = full_pass_oracle(domain, pts)
+        assert np.array_equal(kernel_mass_at(domain, pts, SPHERE), want_mass / (4.0 * math.pi))
+
+    @PASS_DOMAINS
+    @COUNTS
+    @pytest.mark.usefixtures("small_blocks")
+    def test_div_R_of_nonexistence_check(self, domain, points, count):
+        pts = points(np.random.default_rng(count), count)
+        rep = nonexistence_check(domain, f_up, 1.5, pts, tol=1e-3, sphere=SPHERE)
+        want_flux, _ = full_pass_oracle(domain, pts, 1.5)
+        assert np.array_equal([row["div_R"] for row in rep["samples"]], -1.5 * want_flux)
+
+    @pytest.mark.parametrize("count", [32, 128, 200], ids=["below", "equal", "not-multiple"])
+    def test_default_block(self, count):
+        assert radgas.domain3d._RAY_BLOCK // (SPHERE.n_theta * SPHERE.n_phi) == 128
+        pts = _ball_points(np.random.default_rng(count), count)
+        nodes, weights = SPHERE.nodes_weights()
+        flux, mass = _attenuation_pass(BALL, pts, nodes, weights, f_up(nodes))
+        want_flux, want_mass = full_pass_oracle(BALL, pts)
+        assert np.array_equal(flux, want_flux)
+        assert np.array_equal(mass, want_mass)
+
+    def test_div_R_at_one_point(self):
+        y = np.array([0.2, -0.1, 0.3])
+        want_flux, _ = full_pass_oracle(BALL, y[None, :], 0.7)
+        assert div_R(BALL, f_up, 0.7, y, SPHERE) == -0.7 * want_flux[0]
 
 
 class TestFftConvolve:
@@ -238,18 +333,18 @@ class TestFftConvolve:
 
 
 class TestSolveW:
-    @pytest.mark.parametrize("domain", [BALL, ConvexDomain.box((-2, -1, -3), (1, 2, 0.5))])
+    @pytest.mark.parametrize("domain", [BALL, BOX])
     def test_kernel_mass_matches_kernel_mass_at(self, domain):
         field = solve_w(domain, f_up, LatticeSpec(12), SPHERE)
         assert np.array_equal(field.kernel_mass, kernel_mass_at(domain, field.points, SPHERE))
 
-    def test_one_geometry_pass_and_one_convolution_per_sweep(self, monkeypatch):
-        calls = {"exit": 0, "conv": 0}
+    def test_every_ray_once_and_one_convolution_per_sweep(self, monkeypatch):
+        rays, calls = [], {"conv": 0}
         exit_distances, conv = ConvexDomain.exit_distances, radgas.domain3d.fftconvolve
 
-        def counted_exit(self, *args):
-            calls["exit"] += 1
-            return exit_distances(self, *args)
+        def counted_exit(self, points, dirs):
+            rays.append((np.array(points), np.array(dirs)))
+            return exit_distances(self, points, dirs)
 
         def counted_conv(*args):
             calls["conv"] += 1
@@ -258,7 +353,23 @@ class TestSolveW:
         monkeypatch.setattr(ConvexDomain, "exit_distances", counted_exit)
         monkeypatch.setattr(radgas.domain3d, "fftconvolve", counted_conv)
         field = solve_w(BALL, f_up, LatticeSpec(8), SPHERE)
-        assert calls == {"exit": 1, "conv": 1 + field.iterations}
+        nodes, _ = SPHERE.nodes_weights()
+        # each block pairs its points with every node, and the blocks
+        # partition the lattice points: every (point, node) ray exactly once
+        assert len(rays) > 1
+        assert all(np.array_equal(dirs, nodes) for _, dirs in rays)
+        assert np.array_equal(np.concatenate([points for points, _ in rays]), field.points)
+        assert calls == {"conv": 1 + field.iterations}
+
+    def test_geometry_memory_bounded_by_blocks(self):
+        # a single (P, S) exit-distance pass peaked at 272 MB here
+        tracemalloc.start()
+        try:
+            solve_w(BALL, f_up, LatticeSpec(32), SphereGrid())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_zero_profile_gives_zero(self):
         field = solve_w(BALL, lambda n: np.zeros(len(n)), LatticeSpec(12), SPHERE)

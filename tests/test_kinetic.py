@@ -9,7 +9,9 @@ import pytest
 from radgas import PhysConsts, MaxwellianState, CollisionTuple
 from radgas.kinetic import (
     McPlan,
+    _conserved,
     _weak_form_moments,
+    conservation_and_exchange,
     detailed_balance_residual,
     entropy_identity_check,
     kernel_of_L_check,
@@ -93,6 +95,21 @@ class TestConservation:
         est = mass_exchange_estimate(s1, s2, PLAN, CONSTS)
         red = mass_exchange_reduced(s1, s2, CONSTS)
         assert abs(est.value - red) <= 3.0 * est.std_error
+
+    def test_shared_pass_matches_separate_estimators(self):
+        s1 = MaxwellianState(1.3, (0.2, 0.0, 0.0), 4.0)
+        s2 = MaxwellianState(0.4, (0.2, 0.0, 0.0), 7.0)
+        rep, est = conservation_and_exchange(s1, s2, PLAN, CONSTS)
+        # the five conservation columns alone, as mc_conservation drew them before sharing
+        alone = _weak_form_moments(
+            s1, s2, CONSTS, PLAN, _conserved, lambda v: _conserved(v, CONSTS.epsilon0)
+        )
+        assert [(e.value, e.std_error) for _, e in rep.rows()] == [
+            (e.value, e.std_error) for e in alone
+        ]
+        one = mass_exchange_estimate(s1, s2, PLAN, CONSTS)
+        assert est.value == pytest.approx(one.value, rel=1e-12)
+        assert est.std_error == pytest.approx(one.std_error, rel=1e-12)
 
     def test_u_shift_invariance_of_mass_exchange(self):
         s1 = MaxwellianState(1.3, (0.0, 0.0, 0.0), 4.0)
