@@ -1,6 +1,12 @@
 """Batch command-line driver: flat key = value configs, per-subcommand numeric
 overrides, CSV/JSON artifacts with a manifest.
 
+`parse_config` builds each run's solver inputs once (`_INPUTS`) and stores
+them on `RunConfig.inputs` for the runners.  Those objects decide every range
+they receive; a value one of them rejects is a config error naming it.  The CLI
+checks only the keys no object reads, the words of word-valued keys (listed in
+`_SCHEMAS`) and the lists `box`, `samples` and `t_entropy`.
+
 Exit codes: 0 success; 1 solver-reported nonconvergence or a NONEXISTENT
 verdict (the report is still written); 2 configuration error.  Artifacts are
 bit-identical for identical (config, seed): every float is serialized with 17
@@ -10,19 +16,35 @@ significant digits and all randomness is seeded.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .constants import C0_MAXWELLIAN
+from .collision_reduction import TripleQuadSpec
+from .constants import C0_MAXWELLIAN, PhysConsts
+from .domain3d import ConvexDomain, LatticeSpec, SphereGrid
 from .errors import ConfigError, RadgasError
+from .kinetic import McPlan
+from .levelscan import ScanWindow
+from .physics import MaxwellianState
+from .slab import AngleGrid, BoundaryProfile, SlabGrid
+from .three_level import ThreeLevelParams
 
+#: Boundary profiles on the unit sphere, by the name `f_profile` takes.
+_SPHERE_PROFILES = {
+    "isotropic": lambda n: np.ones(len(n)),
+    "up": lambda n: (n[:, 2] > 0).astype(float),
+    "zero": lambda n: np.zeros(len(n)),
+}
+
+# key: (type, default, help); a tuple type lists the words a key may take
 _COMMON_SCHEMA = {
     "epsilon0": (float, 1.0, "energy quantum"),
     "sigma": (float, 1.0, "nonelastic/radiative scale ratio"),
@@ -57,25 +79,25 @@ _SCHEMAS = {
         "n_y": (int, 257, "spatial nodes"),
         "n_mu": (int, 48, "angular nodes"),
         "a_plus_profile": (str, "uniform", "incoming profile: cos|uniform|zero|<number>"),
-        "normalize": (str, "true", "rescale the profile to unit incoming flux: true|false"),
+        "normalize": (("true", "false"), "true", "rescale the profile to unit incoming flux: true|false"),
     },
     "domain3d": {
-        "domain": (str, "ball", "ball|box"),
+        "domain": (("ball", "box"), "ball", "ball|box"),
         "radius": (float, 1.0, "ball radius"),
         "box": (str, "-1,-1,-1,1,1,1", "box bounds: x0,y0,z0,x1,y1,z1"),
         "lattice_n": (int, 32, "lattice cells per axis"),
         "sphere_n_theta": (int, 16, "sphere polar nodes"),
         "sphere_n_phi": (int, 32, "sphere azimuthal nodes"),
-        "f_profile": (str, "isotropic", "boundary profile: isotropic|up|zero"),
+        "f_profile": (tuple(_SPHERE_PROFILES), "isotropic", "boundary profile: isotropic|up|zero"),
         "f_scale": (float, 1.0, "profile amplitude"),
     },
     "nonexist": {
-        "domain": (str, "slab-box", "ball|box|slab-box"),
+        "domain": (("ball", "box", "slab-box"), "slab-box", "ball|box|slab-box"),
         "radius": (float, 1.0, "ball radius"),
         "box": (str, "-10,-10,0,10,10,1", "box bounds: x0,y0,z0,x1,y1,z1"),
         "a2": (float, 2.0, "absorption constant A2"),
         "tol": (float, 1e-3, "balance tolerance for the verdict"),
-        "f_profile": (str, "up", "boundary profile: isotropic|up|zero"),
+        "f_profile": (tuple(_SPHERE_PROFILES), "up", "boundary profile: isotropic|up|zero"),
         "samples": (str, "0,0,0.3;0,0,0.5;1,-2,0.7", "semicolon-separated x,y,z"),
         "sphere_n_theta": (int, 16, "sphere polar nodes"),
         "sphere_n_phi": (int, 32, "sphere azimuthal nodes"),
@@ -113,12 +135,13 @@ SUBCOMMANDS = tuple(_SCHEMAS)
 
 @dataclass
 class RunConfig:
-    """Fully resolved run: subcommand, validated values, output directory, seed."""
+    """Fully resolved run: subcommand, values, output directory, seed, solver inputs."""
 
     subcommand: str
     values: dict
     out: str
     seed: int
+    inputs: SimpleNamespace
 
     def lines(self):
         rows = [f"subcommand = {self.subcommand}", f"out = {self.out}", f"seed = {self.seed}"]
@@ -134,6 +157,10 @@ def _fmt(x) -> str:
 
 
 def _convert(key, raw, typ):
+    if isinstance(typ, tuple):
+        if raw not in typ:
+            raise ConfigError(f"key {key!r} must be one of {'|'.join(typ)}, got {raw!r}")
+        return raw
     try:
         value = typ(raw)
     except ValueError as exc:
@@ -160,10 +187,12 @@ def _read_config_file(path: str) -> dict:
 
 
 def parse_config(subcommand: str, path: str | None, overrides: dict) -> RunConfig:
-    """Resolve subcommand defaults, config-file entries, and flag overrides.
+    """Resolve subcommand defaults, config-file entries, and flag overrides,
+    then build the run's solver inputs.
 
     Unknown keys are rejected with the offending line; flags win over the
-    file; defaults fill the rest.
+    file; defaults fill the rest.  A value a solver object rejects (its
+    ValueError or OverflowError) is a ConfigError naming that object.
     """
     if subcommand not in _SCHEMAS:
         raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
@@ -198,119 +227,40 @@ def parse_config(subcommand: str, path: str | None, overrides: dict) -> RunConfi
             raise ConfigError(f"unknown override {key!r} for {subcommand}")
 
     out = meta["out"] or os.environ.get("RADGAS_OUT") or "radgas_out"
-    config = RunConfig(
-        subcommand=subcommand,
-        values=values,
-        out=str(out),
-        seed=int(meta["seed"]),
-    )
-    _validate(config)
-    return config
-
-
-_DOMAIN_KINDS = {"domain3d": ("ball", "box"), "nonexist": ("ball", "box", "slab-box")}
-_SPHERE_PROFILES = ("isotropic", "up", "zero")
-
-
-def _validate(config: RunConfig):
-    v = config.values
-    for key in (
-        *_COMMON_SCHEMA, "step", "slab_l", "t0", "radius", "a2", "tol", "eps", "rho0", "p12",
-        "p23", "r_max", "t_lte", "t1", "t2", "rho1", "rho2",
-    ):
-        if key in v and not v[key] > 0:
-            raise ConfigError(f"key {key!r} must be > 0, got {v[key]}")
-    for key in ("n_levels", "n_tuples"):
-        if key in v and v[key] <= 0:
-            raise ConfigError(f"key {key!r} must be positive, got {v[key]}")
-    for key in ("n_y", "n_mu"):  # the SlabGrid and AngleGrid minimums
-        if key in v and v[key] < 16:
-            raise ConfigError(f"key {key!r} must be >= 16, got {v[key]}")
-    if "gamma1" in v and not 0.0 <= v["gamma1"] <= 1.0:
-        raise ConfigError(f"key 'gamma1' must lie in [0, 1], got {v['gamma1']}")
-    for key in ("j0", "f_scale"):
-        if key in v and not v[key] >= 0:
-            raise ConfigError(f"key {key!r} must be >= 0, got {v[key]}")
-    for key in ("j0_profile", "a_plus_profile"):
-        if key in v:
-            _slab_profile(key, v[key])
-    if "normalize" in v and v["normalize"] not in ("true", "false"):
-        raise ConfigError(f"key 'normalize' must be true or false, got {v['normalize']!r}")
-    for key, word in (("zeta_mass", "none"), ("mass_c0", "from-mass"), ("m0", "none")):
-        if key in v:
-            _number_or(key, v[key], word)
-    if "domain" in v:
-        kinds = _DOMAIN_KINDS[config.subcommand]
-        if v["domain"] not in kinds:
-            raise ConfigError(f"key 'domain' must be one of {'|'.join(kinds)}, got {v['domain']!r}")
-    if "box" in v:
-        _box_bounds(v["box"])
-    if "f_profile" in v and v["f_profile"] not in _SPHERE_PROFILES:
-        raise ConfigError(
-            f"key 'f_profile' must be one of {'|'.join(_SPHERE_PROFILES)}, got {v['f_profile']!r}"
-        )
-    if config.subcommand == "levelscan":
-        _scan_setup(v)
-    if config.subcommand == "verify":
-        _verify_setup(v, config.seed)
-    if "sphere_n_theta" in v:
-        _sphere_setup(v)
-    if "samples" in v:
-        domain = _domain_from_config(v)
-        for point in _sample_points(v["samples"]):
-            if not domain.contains(point):
-                raise ConfigError(
-                    f"key 'samples': point {','.join(map(repr, point))} is not strictly "
-                    f"inside the {v['domain']} domain"
-                )
-
-
-@contextlib.contextmanager
-def _constructor_checks(what: str):
-    """Report a ValueError or OverflowError of the solver objects built inside as a config error."""
+    seed = int(meta["seed"])
+    _validate(subcommand, values)
     try:
-        yield
+        inputs = _INPUTS[subcommand](values, seed)
     except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what}: {exc}") from None
+        raise ConfigError(f"{_raised_in(exc)}: {exc}") from None
+    return RunConfig(subcommand=subcommand, values=values, out=str(out), seed=seed, inputs=inputs)
 
 
-def _scan_setup(v):
-    """(ScanWindow, TripleQuadSpec) of a levelscan config."""
-    from .collision_reduction import TripleQuadSpec
-    from .levelscan import ScanWindow
-
-    with _constructor_checks("levelscan window or quadrature"):
-        window = ScanWindow(v["t1_min"], v["t1_max"], v["t2_min"], v["t2_max"], v["step"])
-        spec = TripleQuadSpec(r_max=v["r_max"], n_r=v["n_r"], n_rho=v["n_rho"])
-    return window, spec
+#: Keys that go straight to a solve call or a runner, so no solver object checks them.
+_POSITIVE_KEYS = {
+    "levelscan": ("n_levels",), "slab-lte": ("t0",), "nonexist": ("a2", "tol"), "verify": ("n_tuples",)
+}
 
 
-def _sphere_setup(v):
-    """(SphereGrid, LatticeSpec or None) of a domain3d or nonexist config."""
-    from .domain3d import LatticeSpec, SphereGrid
-
-    with _constructor_checks("sphere grid or lattice"):
-        sphere = SphereGrid(v["sphere_n_theta"], v["sphere_n_phi"])
-        lattice = LatticeSpec(v["lattice_n"]) if "lattice_n" in v else None
-    return sphere, lattice
+def _validate(subcommand: str, v: dict):
+    for key in _POSITIVE_KEYS.get(subcommand, ()):
+        if not v[key] > 0:
+            raise ConfigError(f"key {key!r} must be > 0, got {v[key]}")
+    if "f_scale" in v and not v["f_scale"] >= 0:
+        raise ConfigError(f"key 'f_scale' must be >= 0, got {v['f_scale']}")
 
 
-def _verify_setup(v, seed):
-    """(McPlan, entropy-check temperatures) of a verify config."""
-    from .kinetic import McPlan
-
-    with _constructor_checks("Monte Carlo plan"):
-        plan = McPlan(n_samples=v["n_samples"], seed=seed)
-    temps = _finite_floats("t_entropy", v["t_entropy"])
-    if not all(t > 0 for t in temps):
-        raise ConfigError(f"key 't_entropy' needs temperatures > 0, got {v['t_entropy']!r}")
-    return plan, temps
+def _raised_in(exc) -> str:
+    """Class (or function) name of the innermost radgas frame that raised `exc`."""
+    frames = traceback.walk_tb(exc.__traceback__)
+    code = [f for f, _ in frames if f.f_globals.get("__name__", "").startswith("radgas.")][-1].f_code
+    return getattr(code, "co_qualname", code.co_name).split(".")[0]  # co_qualname: 3.11+
 
 
-def _number_or(key: str, raw: str, word: str):
-    """None when `raw` is the keyword `word`, else the finite number `raw` spells."""
+def _number_or(key: str, raw: str, word: str, word_value=None):
+    """`word_value` when `raw` is the keyword `word`, else the finite number `raw` spells."""
     if raw == word:
-        return None
+        return word_value
     try:
         value = float(raw)
     except ValueError:
@@ -335,8 +285,6 @@ def _box_bounds(raw: str):
     bounds = _finite_floats("box", raw)
     if len(bounds) != 6:
         raise ConfigError(f"key 'box' needs 6 numbers x0,y0,z0,x1,y1,z1, got {raw!r}")
-    if not all(hi > lo for lo, hi in zip(bounds[:3], bounds[3:])):
-        raise ConfigError(f"key 'box' needs x1 > x0, y1 > y0 and z1 > z0, got {raw!r}")
     return bounds[:3], bounds[3:]
 
 
@@ -346,6 +294,137 @@ def _sample_points(raw: str) -> list:
     if not points or any(len(p) != 3 for p in points):
         raise ConfigError(f"key 'samples' needs semicolon-separated x,y,z triples, got {raw!r}")
     return points
+
+
+def _slab_profile(key: str, spec: str):
+    """Incoming slab profile: cos, uniform, zero or a constant intensity >= 0."""
+    if spec == "zero":
+        return BoundaryProfile.zero()
+    if spec == "cos":
+        return BoundaryProfile.from_function(lambda mu: mu, "cos")
+    if spec == "uniform":
+        return BoundaryProfile.constant(1.0 / (2.0 * math.pi))
+    try:
+        value = float(spec)
+    except ValueError:
+        raise ConfigError(f"key {key!r} must be cos|uniform|zero or a number, got {spec!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: constant intensity {spec!r} is not finite")
+    if value < 0:
+        raise ConfigError(f"key {key!r}: constant intensity {spec!r} is negative")
+    return BoundaryProfile.constant(value)
+
+
+def _consts(values):
+    """PhysConsts from the constant keys a subcommand has; the others keep their defaults."""
+    names = {"c0_kernel": "C0_kernel"}
+    return PhysConsts(**{names.get(k, k): values[k] for k in _COMMON_SCHEMA if k in values})
+
+
+def _domain(v):
+    """The ConvexDomain `domain` names (slab-box is a box); both shapes are built,
+    so `radius` and `box` are checked whichever is used."""
+    ball = ConvexDomain.ball((0.0, 0.0, 0.0), v["radius"])
+    box = ConvexDomain.box(*_box_bounds(v["box"]))
+    return ball if v["domain"] == "ball" else box
+
+
+# ---------------------------------------------------------------------------
+# solver inputs, one builder per subcommand: (values, seed) -> SimpleNamespace
+# ---------------------------------------------------------------------------
+
+
+def _levelscan_inputs(v, seed):
+    return SimpleNamespace(
+        window=ScanWindow(v["t1_min"], v["t1_max"], v["t2_min"], v["t2_max"], v["step"]),
+        consts=_consts(v),
+        spec=TripleQuadSpec(r_max=v["r_max"], n_r=v["n_r"], n_rho=v["n_rho"]),
+    )
+
+
+def _slab_lte_inputs(v, seed):
+    return SimpleNamespace(
+        grid=SlabGrid(L=v["slab_l"], n_y=v["n_y"]),
+        angles=AngleGrid(n_mu=v["n_mu"]),
+        profile=_slab_profile("j0_profile", v["j0_profile"]),
+        consts=_consts(v),
+        zeta_mass=_number_or("zeta_mass", v["zeta_mass"], "none"),
+    )
+
+
+def _slab_exp_inputs(v, seed):
+    return SimpleNamespace(
+        grid=SlabGrid(L=v["slab_l"], n_y=v["n_y"]),
+        angles=AngleGrid(n_mu=v["n_mu"]),
+        profile=_slab_profile("a_plus_profile", v["a_plus_profile"]),
+    )
+
+
+def _domain3d_inputs(v, seed):
+    profile, scale = _SPHERE_PROFILES[v["f_profile"]], v["f_scale"]
+    return SimpleNamespace(
+        domain=_domain(v),
+        f=lambda n: scale * profile(n),
+        lattice=LatticeSpec(v["lattice_n"]),
+        sphere=SphereGrid(v["sphere_n_theta"], v["sphere_n_phi"]),
+    )
+
+
+def _nonexist_inputs(v, seed):
+    domain = _domain(v)
+    samples = _sample_points(v["samples"])
+    for point in samples:
+        if not domain.contains(point):
+            raise ConfigError(
+                f"key 'samples': point {','.join(map(repr, point))} is not strictly "
+                f"inside the {v['domain']} domain"
+            )
+    return SimpleNamespace(
+        domain=domain,
+        f=_SPHERE_PROFILES[v["f_profile"]],
+        samples=samples,
+        sphere=SphereGrid(v["sphere_n_theta"], v["sphere_n_phi"]),
+    )
+
+
+def _three_level_inputs(v, seed):
+    g1 = v["gamma1"]
+    return SimpleNamespace(
+        params=ThreeLevelParams(g1, 1.0 - g1, v["eps"], v["t0"], v["rho0"], v["p12"], v["p23"]),
+        grid=SlabGrid(L=v["slab_l"], n_y=v["n_y"]),
+        angles=AngleGrid(n_mu=v["n_mu"]),
+        boundary=(BoundaryProfile.constant(v["j0"]), BoundaryProfile.zero()),
+        mass_C0=_number_or("mass_c0", v["mass_c0"], "from-mass", "from-mass"),
+        m0=_number_or("m0", v["m0"], "none"),
+    )
+
+
+def _verify_inputs(v, seed):
+    consts = _consts(v)
+    temps = _finite_floats("t_entropy", v["t_entropy"])
+    if not all(t > 0 for t in temps):
+        raise ConfigError(f"key 't_entropy' needs temperatures > 0, got {v['t_entropy']!r}")
+    u, T = np.array([0.3, 0.0, 0.0]), v["t_lte"]
+    return SimpleNamespace(
+        consts=consts,
+        plan=McPlan(n_samples=v["n_samples"], seed=seed),
+        # a Boltzmann-ratio pair drifting at u, for detailed balance
+        lte_pair=(MaxwellianState(1.0, u, T), MaxwellianState(math.exp(-2 * consts.epsilon0 / T), u, T)),
+        lte_at_rest=MaxwellianState(1.0, np.zeros(3), T),
+        generic_pair=[MaxwellianState(v[f"rho{k}"], np.zeros(3), v[f"t{k}"]) for k in (1, 2)],
+        temps=temps,
+    )
+
+
+_INPUTS = {
+    "levelscan": _levelscan_inputs,
+    "slab-lte": _slab_lte_inputs,
+    "slab-exp": _slab_exp_inputs,
+    "domain3d": _domain3d_inputs,
+    "nonexist": _nonexist_inputs,
+    "three-level": _three_level_inputs,
+    "verify": _verify_inputs,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +490,6 @@ def _json_default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def _consts(values):
-    """PhysConsts from the constant keys a subcommand has; the others keep their defaults."""
-    from .constants import PhysConsts
-
-    names = {"c0_kernel": "C0_kernel"}
-    return PhysConsts(**{names.get(k, k): values[k] for k in _COMMON_SCHEMA if k in values})
-
-
 def _radiation_columns(field):
     """(y, mu, sign, G): per node, the +mu rows and then the -mu rows."""
     n_y, n_mu = field.grid.n_y, field.angles.n_mu
@@ -438,24 +509,23 @@ def _radiation_columns(field):
 def _run_levelscan(config: RunConfig, art: _Artifacts) -> int:
     from .levelscan import extract_contours, scan, smoothness_report
 
-    v = config.values
-    window, spec = _scan_setup(v)
-    result = scan(window, _consts(v), spec)
+    p = config.inputs
+    result = scan(p.window, p.consts, p.spec)
 
-    t1s, t2s = window.t1_values(), window.t2_values()
+    t1s, t2s = p.window.t1_values(), p.window.t2_values()
     art.csv(
         "grid.csv",
         ["T1", "T2", "L"],
         [np.repeat(t1s, len(t2s)), np.tile(t2s, len(t1s)), result.grid.ravel()],
     )
     finite = result.grid[np.isfinite(result.grid)]
-    levels = np.linspace(finite.min(), finite.max(), v["n_levels"] + 2)[1:-1]
+    levels = np.linspace(finite.min(), finite.max(), config.values["n_levels"] + 2)[1:-1]
     contours = extract_contours(result, levels)
     rows = [
-        (level, ci, *p)
+        (level, ci, *pt)
         for level, chains in zip(contours.levels, contours.polylines)
         for ci, chain in enumerate(chains)
-        for p in chain
+        for pt in chain
     ]
     art.csv("contours.csv", ["level", "chain", "T1", "T2"], zip(*rows))
     report = smoothness_report(result, contours)
@@ -464,24 +534,17 @@ def _run_levelscan(config: RunConfig, art: _Artifacts) -> int:
 
 
 def _run_slab(config: RunConfig, art: _Artifacts) -> int:
-    from .constants import PhysConsts
-    from .slab import AngleGrid, SlabGrid, solve_exp_limit, solve_lte_fredholm
+    from .slab import solve_exp_limit, solve_lte_fredholm
 
-    v = config.values
-    grid = SlabGrid(L=v["slab_l"], n_y=v["n_y"])
-    angles = AngleGrid(n_mu=v["n_mu"])
+    v, p = config.values, config.inputs
     if config.subcommand == "slab-lte":
-        profile = _slab_profile("j0_profile", v["j0_profile"])
-        zeta_mass = _number_or("zeta_mass", v["zeta_mass"], "none")
-        consts = PhysConsts(epsilon0=v["epsilon0"])
-        res = solve_lte_fredholm(profile, grid, angles, consts, T0=v["t0"], zeta_mass=zeta_mass)
-        art.csv("theta.csv", ["y", "value"], [grid.y, res.theta])
-        art.csv("zeta.csv", ["y", "value"], [grid.y, res.zeta])
+        res = solve_lte_fredholm(p.profile, p.grid, p.angles, p.consts, T0=v["t0"], zeta_mass=p.zeta_mass)
+        art.csv("theta.csv", ["y", "value"], [p.grid.y, res.theta])
+        art.csv("zeta.csv", ["y", "value"], [p.grid.y, res.zeta])
         field, report = res.h_field, {"i0": res.i0, "C0": res.C0, "alpha0": res.alpha0}
     else:
-        profile = _slab_profile("a_plus_profile", v["a_plus_profile"])
-        res = solve_exp_limit(profile, grid, angles, normalize=v["normalize"] == "true")
-        art.csv("w.csv", ["y", "value"], [grid.y, res.w])
+        res = solve_exp_limit(p.profile, p.grid, p.angles, normalize=v["normalize"] == "true")
+        art.csv("w.csv", ["y", "value"], [p.grid.y, res.w])
         field = res.H
         report = {
             "j0": res.j0,
@@ -503,51 +566,11 @@ def _run_slab(config: RunConfig, art: _Artifacts) -> int:
     return 0 if (res.converged and res.picard_ratio < 1.0 and res.picard_gap < 1e-8) else 1
 
 
-def _slab_profile(key: str, spec: str):
-    """Incoming slab profile: cos, uniform, zero or a constant intensity >= 0."""
-    from .slab import BoundaryProfile
-
-    if spec == "zero":
-        return BoundaryProfile.zero()
-    if spec == "cos":
-        return BoundaryProfile.from_function(lambda mu: mu, "cos")
-    if spec == "uniform":
-        return BoundaryProfile.constant(1.0 / (2.0 * math.pi))
-    try:
-        value = float(spec)
-    except ValueError:
-        raise ConfigError(f"key {key!r} must be cos|uniform|zero or a number, got {spec!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"key {key!r}: constant intensity {spec!r} is not finite")
-    if value < 0:
-        raise ConfigError(f"key {key!r}: constant intensity {spec!r} is negative")
-    return BoundaryProfile.constant(value)
-
-
-def _domain_from_config(v):
-    from .domain3d import ConvexDomain
-
-    if v["domain"] == "ball":
-        return ConvexDomain.ball((0.0, 0.0, 0.0), v["radius"])
-    return ConvexDomain.box(*_box_bounds(v["box"]))
-
-
-def _sphere_profile(spec: str, scale: float):
-    if spec == "isotropic":
-        return lambda n: scale * np.ones(len(n))
-    if spec == "up":
-        return lambda n: scale * (n[:, 2] > 0).astype(float)
-    return lambda n: np.zeros(len(n))  # "zero": _validate admits only _SPHERE_PROFILES
-
-
 def _run_domain3d(config: RunConfig, art: _Artifacts) -> int:
     from .domain3d import solve_w
 
-    v = config.values
-    domain = _domain_from_config(v)
-    sphere, lattice = _sphere_setup(v)
-    f = _sphere_profile(v["f_profile"], v["f_scale"])
-    field = solve_w(domain, f, lattice, sphere)
+    p = config.inputs
+    field = solve_w(p.domain, p.f, p.lattice, p.sphere)
     art.csv("w.csv", ["x", "y", "z", "w"], [*field.points.T, field.values])
     art.json(
         "report.json",
@@ -568,42 +591,22 @@ def _run_domain3d(config: RunConfig, art: _Artifacts) -> int:
 def _run_nonexist(config: RunConfig, art: _Artifacts) -> int:
     from .domain3d import nonexistence_check
 
-    v = config.values
-    domain = _domain_from_config(v)  # slab-box is a box with a slab-shaped default
-    sphere, _ = _sphere_setup(v)
-    f = _sphere_profile(v["f_profile"], 1.0)
-    samples = _sample_points(v["samples"])
-    report = nonexistence_check(domain, f, v["a2"], samples, tol=v["tol"], sphere=sphere)
+    v, p = config.values, config.inputs
+    report = nonexistence_check(p.domain, p.f, v["a2"], p.samples, tol=v["tol"], sphere=p.sphere)
     art.json("report.json", report)
     return 1 if report["verdict"] == "NONEXISTENT" else 0
 
 
 def _run_three_level(config: RunConfig, art: _Artifacts) -> int:
-    from .slab import AngleGrid, BoundaryProfile, SlabGrid
-    from .three_level import ThreeLevelParams, lte_deviation, solve_three_level
+    from .three_level import lte_deviation, solve_three_level
 
-    v = config.values
-    params = ThreeLevelParams(
-        gamma1=v["gamma1"],
-        gamma2=1.0 - v["gamma1"],
-        eps=v["eps"],
-        T0=v["t0"],
-        rho0=v["rho0"],
-        P12=v["p12"],
-        P23=v["p23"],
-    )
-    grid = SlabGrid(L=v["slab_l"], n_y=v["n_y"])
-    angles = AngleGrid(n_mu=v["n_mu"])
-    boundary = (BoundaryProfile.constant(v["j0"]), BoundaryProfile.zero())
-    mass_c0 = _number_or("mass_c0", v["mass_c0"], "from-mass")
-    m0 = _number_or("m0", v["m0"], "none")
-    xi = np.full(grid.n_y, v["xi_const"])
-    mass_c0 = "from-mass" if mass_c0 is None else mass_c0
-    sol = solve_three_level(xi, boundary, params, grid, angles, mass_C0=mass_c0, m0=m0)
+    p = config.inputs
+    xi = np.full(p.grid.n_y, config.values["xi_const"])
+    sol = solve_three_level(xi, p.boundary, p.params, p.grid, p.angles, mass_C0=p.mass_C0, m0=p.m0)
     art.csv(
         "solution.csv",
         ["y", "sigma1", "sigma2", "sigma3", "xi"],
-        [grid.y, sol.sigma1, sol.sigma2, sol.sigma3, sol.xi],
+        [p.grid.y, sol.sigma1, sol.sigma2, sol.sigma3, sol.xi],
     )
     art.csv("radiation.csv", ["y", "mu", "sign", "G"], _radiation_columns(sol.h))
     dev, where = lte_deviation(sol)
@@ -632,25 +635,21 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
         kernel_of_L_check,
         mass_exchange_reduced,
     )
-    from .physics import CollisionTuple, MaxwellianState
+    from .physics import CollisionTuple
 
-    v = config.values
-    consts = _consts(v)
-    plan, temps = _verify_setup(v, config.seed)
+    p = config.inputs
+    consts, n_tuples = p.consts, config.values["n_tuples"]
     checks = []
 
     # detailed balance on a Boltzmann-ratio pair
+    s1, s2 = p.lte_pair
     rng = np.random.default_rng([config.seed, 1])
-    T = v["t_lte"]
-    u = np.array([0.3, 0.0, 0.0])
-    v1 = u + rng.normal(size=(v["n_tuples"], 3)) * math.sqrt(T / 2)
-    v2 = u + rng.normal(size=(v["n_tuples"], 3)) * math.sqrt(T / 2)
+    v1 = s1.u + rng.normal(size=(n_tuples, 3)) * math.sqrt(s1.T / 2)
+    v2 = s1.u + rng.normal(size=(n_tuples, 3)) * math.sqrt(s1.T / 2)
     keep = np.sum((v1 - v2) ** 2, axis=1) > 4 * consts.epsilon0 + 1e-9
     om = rng.normal(size=(int(keep.sum()), 3))
     om /= np.linalg.norm(om, axis=1, keepdims=True)
     tup = CollisionTuple.nonelastic(v1[keep], v2[keep], om, consts)
-    s1 = MaxwellianState(1.0, u, T)
-    s2 = MaxwellianState(math.exp(-2 * consts.epsilon0 / T), u, T)
     residuals = np.abs(detailed_balance_residual(s1, s2, tup, consts))
     # no tuple above threshold: nothing was checked, so the check cannot pass
     res = float(np.max(residuals)) if residuals.size else None
@@ -658,9 +657,8 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
     checks.append({"name": "detailed_balance", "value": res, "pass": passed})
 
     # weak-form conservation and mass exchange on the generic pair, one pass
-    g1 = MaxwellianState(v["rho1"], np.zeros(3), v["t1"])
-    g2 = MaxwellianState(v["rho2"], np.zeros(3), v["t2"])
-    rep, est = conservation_and_exchange(g1, g2, plan, consts)
+    g1, g2 = p.generic_pair
+    rep, est = conservation_and_exchange(g1, g2, p.plan, consts)
     checks.append(
         {
             "name": "weak_form_conservation",
@@ -683,7 +681,7 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
     )
 
     # kernel of the linearized operator at LTE
-    chk = kernel_of_L_check(MaxwellianState(1.0, np.zeros(3), v["t_lte"]), consts, plan)
+    chk = kernel_of_L_check(p.lte_at_rest, consts, p.plan)
     checks.append(
         {
             "name": "kernel_of_L",
@@ -696,7 +694,7 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
     )
 
     # entropy identity
-    ent = entropy_identity_check(temps, consts)
+    ent = entropy_identity_check(p.temps, consts)
     checks.append(
         {
             "name": "entropy_identity",

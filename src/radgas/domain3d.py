@@ -344,39 +344,29 @@ def _kernel_table(n: int, spacing, near_range: int = 6):
     """
     L = next_fast_len(2 * n - 1, True)
     k = np.arange(L)
-    offs = [spacing[i] * np.where(k < n, k, k - L) for i in range(3)]
-    OX, OY, OZ = np.meshgrid(*offs, indexing="ij")
-    centers = np.stack([OX, OY, OZ], axis=-1).reshape(-1, 3)
+    k = np.where(k < n, k, k - L)  # signed offset at each index
+    offs = [spacing[i] * k for i in range(3)]
     vol = float(np.prod(spacing))
 
-    def kern(r2):
-        r = np.sqrt(r2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(r > 0, np.exp(-r) / (4.0 * math.pi * r2), 0.0)
-
-    def cell_integrals(cells, m):
+    def cell_integrals(axes, m):
+        """Integrals over the cells axes[0] x axes[1] x axes[2] (per-axis offsets) by the
+        m^3 Gauss-Legendre rule, one broadcast sum per Gauss point.  No Gauss node
+        sits on a cell centre, so r > 0 at every node, the self cell's included."""
         x, wq = np.polynomial.legendre.leggauss(m)
-        pts1d = [0.5 * spacing[i] * x for i in range(3)]
-        w3 = np.einsum("i,j,k->ijk", wq, wq, wq).ravel() * (0.5**3) * vol
-        gx, gy, gz = np.meshgrid(*pts1d, indexing="ij")
-        gpts = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-        out = np.zeros(len(cells))
-        chunk = 200_000 // max(len(gpts), 1) + 1
-        for lo in range(0, len(cells), chunk):
-            sub = cells[lo : lo + chunk]
-            d = sub[:, None, :] + gpts[None, :, :]
-            out[lo : lo + chunk] = kern(np.sum(d * d, axis=-1)) @ w3
+        w3 = np.einsum("i,j,k->ijk", wq, wq, wq) * (0.5**3) * vol
+        out = np.zeros([len(a) for a in axes])
+        for g in np.ndindex(w3.shape):
+            dx, dy, dz = (a + 0.5 * h * x[j] for a, h, j in zip(axes, spacing, g))
+            r2 = (dx * dx)[:, None, None] + (dy * dy)[None, :, None] + (dz * dz)[None, None, :]
+            out += w3[g] * (np.exp(-np.sqrt(r2)) / (4.0 * math.pi * r2))
         return out
 
-    dist_cells = np.max(np.abs(centers / spacing), axis=-1)
-    table = np.zeros(len(centers))
-    near = (dist_cells > 0.5) & (dist_cells <= near_range + 0.5)
-    far = dist_cells > near_range + 0.5
-    table[near] = cell_integrals(centers[near], 4)
-    table[far] = cell_integrals(centers[far], 2)
+    table = cell_integrals(offs, 2)
+    near = np.flatnonzero(np.abs(k) <= near_range)
+    table[np.ix_(near, near, near)] = cell_integrals([o[near] for o in offs], 4)
     r_eq = (3.0 * vol / (4.0 * math.pi)) ** (1.0 / 3.0)
-    table[0] = 1.0 - math.exp(-r_eq)  # offset (0, 0, 0)
-    return table.reshape(L, L, L)
+    table[0, 0, 0] = 1.0 - math.exp(-r_eq)
+    return table
 
 
 def fftconvolve(x, table_hat, period) -> np.ndarray:

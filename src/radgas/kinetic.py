@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision_reduction import TripleQuadSpec, functionals
+from .collision_reduction import functionals
 from .constants import PhysConsts
 from .physics import MaxwellianState, energy_density, entropy_lambda, maxwellian
 
@@ -239,15 +239,9 @@ def mass_exchange_estimate(
     return _weak_form_moments(state1, state2, consts, plan, _zeros(1), one)[0]
 
 
-def mass_exchange_reduced(
-    state1: MaxwellianState,
-    state2: MaxwellianState,
-    consts: PhysConsts,
-    spec: TripleQuadSpec = TripleQuadSpec(),
-    constants: dict | None = None,
-) -> float:
+def mass_exchange_reduced(state1: MaxwellianState, state2: MaxwellianState, consts: PhysConsts) -> float:
     """The same rate from the calibrated reduced integrals (cross-module oracle)."""
-    f = functionals(state1.T, state2.T, consts, spec, mode="calibrated", constants=constants)
+    f = functionals(state1.T, state2.T, consts, mode="calibrated")
     q = math.exp(-2.0 * consts.epsilon0 / state1.T)
     return state1.rho**2 * q * f.P11 - state1.rho * state2.rho * f.P21
 

@@ -138,48 +138,33 @@ def nonelastic_post_velocities(v1, v2, omega, consts: PhysConsts):
     return center + k * omega, center - k * omega
 
 
-def _hard_sphere_b(rel_speed, omega, rel_vec, consts: PhysConsts, kernel_kind: str):
-    """Hard-sphere cross section: C0*|v-v'| (simplified) or C0*|omega.(v-v')|."""
-    if kernel_kind == "simplified":
-        return consts.C0_kernel * rel_speed
-    if kernel_kind == "angular":
-        if omega is None:
-            raise ValueError("angular kernel requires omega")
-        return consts.C0_kernel * np.abs(np.sum(np.asarray(omega) * rel_vec, axis=-1))
-    raise ValueError(f"unknown kernel_kind {kernel_kind!r}")
-
-
-def w_plus(v3, v4, consts: PhysConsts, omega=None, kernel_kind: str = "simplified"):
+def w_plus(v3, v4, consts: PhysConsts):
     """Gain-side rate factor sqrt(|v3-v4|^2 + 4*eps0)/(2|v3-v4|) * B(|v3-v4|).
 
-    With the simplified hard-sphere kernel this is
+    With the hard-sphere kernel B = C0*|v3-v4| this is
     (C0/2)*sqrt(|v3-v4|^2 + 4*eps0); C0 = 2 gives sqrt(|v3-v4|^2 + 4*eps0).
     """
     v3 = np.asarray(v3, dtype=float)
     v4 = np.asarray(v4, dtype=float)
-    rel_vec = v3 - v4
-    rel2 = np.sum(rel_vec**2, axis=-1)
+    rel2 = np.sum((v3 - v4) ** 2, axis=-1)
     rel = np.sqrt(rel2)
-    b = _hard_sphere_b(rel, omega, rel_vec, consts, kernel_kind)
-    return np.sqrt(rel2 + 4.0 * consts.epsilon0) / (2.0 * rel) * b
+    return np.sqrt(rel2 + 4.0 * consts.epsilon0) / (2.0 * rel) * (consts.C0_kernel * rel)
 
 
-def w_minus(v1, v2, consts: PhysConsts, omega=None, kernel_kind: str = "simplified"):
-    """Loss-side rate factor sqrt(|v1-v2|^2 - 4*eps0)/(2|v1-v2|) * B(|v1-v2|).
+def w_minus(v1, v2, consts: PhysConsts):
+    """Loss-side rate factor sqrt(|v1-v2|^2 - 4*eps0)/(2|v1-v2|) * C0*|v1-v2|.
 
     Raises BelowThreshold below the endothermic threshold |v1-v2|^2 = 4*eps0.
     """
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    rel_vec = v1 - v2
-    rel2 = np.sum(rel_vec**2, axis=-1)
+    rel2 = np.sum((v1 - v2) ** 2, axis=-1)
     if np.any(rel2 < 4.0 * consts.epsilon0):
         raise BelowThreshold(
             f"|v1-v2|^2 = {np.min(rel2):.6g} < 4*epsilon0 = {4 * consts.epsilon0:.6g}"
         )
     rel = np.sqrt(rel2)
-    b = _hard_sphere_b(rel, omega, rel_vec, consts, kernel_kind)
-    return np.sqrt(rel2 - 4.0 * consts.epsilon0) / (2.0 * rel) * b
+    return np.sqrt(rel2 - 4.0 * consts.epsilon0) / (2.0 * rel) * (consts.C0_kernel * rel)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,19 @@
 """Configuration parsing, artifact layout, exit codes, determinism."""
 
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import radgas.cli
 import radgas.domain3d
 import radgas.picard
 import radgas.slab
@@ -26,6 +30,19 @@ from radgas.cli import (
     parse_config,
 )
 from radgas.slab import AngleGrid, RadiationField, SlabGrid
+
+
+# One small run per subcommand: n_y <= 65, lattice_n <= 12, n_samples and
+# n_tuples <= 2e4, levelscan windows of at most 3 x 3 points at n_r = n_rho = 16.
+SMALL_RUNS = {
+    "levelscan": ["levelscan", "--t1-max=10.2", "--t2-max=10.2", "--n-r=16", "--n-rho=16"],
+    "slab-lte": ["slab-lte", "--n-y=33", "--n-mu=16"],
+    "slab-exp": ["slab-exp", "--n-y=33", "--n-mu=16"],
+    "domain3d": ["domain3d", "--lattice-n=8", "--sphere-n-theta=8", "--sphere-n-phi=16"],
+    "nonexist": ["nonexist", "--sphere-n-theta=8", "--sphere-n-phi=16"],
+    "three-level": ["three-level", "--n-y=33", "--n-mu=16"],
+    "verify": ["verify", "--n-samples=10000", "--n-tuples=2000"],
+}
 
 
 class TestParseConfig:
@@ -261,6 +278,9 @@ class TestRun:
             pytest.param(["verify", "--t-entropy", "1,-2"], id="verify-t-entropy-negative"),
             pytest.param(["verify", "--t1", "-1"], id="verify-t1-negative"),
             pytest.param(["verify", "--rho2", "0"], id="verify-rho2-zero"),
+            pytest.param(["verify", "--t-lte", "0.001"], id="verify-t-lte-underflows-lte-pair"),
+            pytest.param(["domain3d", "--box", "1,-1,-1,-1,1,1"], id="box-inverted-unused"),
+            pytest.param(["domain3d", "--domain", "box", "--radius", "-1"], id="radius-negative-unused"),
             pytest.param(["verify", "--seed", "-1"], id="verify-seed-negative"),
             pytest.param(["domain3d", "--lattice-n", "4"], id="domain3d-lattice-below-spec"),
             pytest.param(["domain3d", "--sphere-n-theta", "3"], id="domain3d-sphere-theta-odd"),
@@ -280,6 +300,40 @@ class TestRun:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv, rejected_by",
+        [
+            (["slab-lte", "--slab-l", "-1"], "SlabGrid: L must be > 0"),
+            (["three-level", "--gamma1", "1.5"], "ThreeLevelParams: "),
+            (["levelscan", "--step", "1e-320"], "ScanWindow: "),
+            (["verify", "--t2", "-1"], "MaxwellianState: T must be > 0"),
+            (["domain3d", "--lattice-n", "4"], "LatticeSpec: "),
+            (["nonexist", "--radius", "0"], "ConvexDomain: radius must be > 0"),
+        ],
+    )
+    def test_rejecting_object_named(self, tmp_path, capsys, argv, rejected_by):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert f"config error: {rejected_by}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand, name",
+        [
+            ("levelscan", "ScanWindow"),
+            ("slab-lte", "SlabGrid"),
+            ("slab-exp", "AngleGrid"),
+            ("domain3d", "SphereGrid"),
+            ("nonexist", "SphereGrid"),
+            ("three-level", "ThreeLevelParams"),
+            ("verify", "McPlan"),
+        ],
+    )
+    def test_solver_inputs_built_once(self, tmp_path, monkeypatch, subcommand, name):
+        built = []
+        cls = getattr(radgas.cli, name)
+        monkeypatch.setattr(radgas.cli, name, lambda *a, **k: built.append(cls(*a, **k)) or built[-1])
+        assert main(SMALL_RUNS[subcommand] + ["--out", str(tmp_path / "x")]) in (0, 1)
+        assert len(built) == 1
 
     def test_negative_slab_profile_named(self, tmp_path, capsys):
         assert main(["slab-lte", "--j0-profile", "-1", "--out", str(tmp_path / "x")]) == 2
@@ -388,3 +442,70 @@ def test_cli_import_leaves_scipy_signal_out():
     code = "import sys, radgas.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Candidate values per key for the random small runs, valid and invalid; every
+# valid one keeps the run within the SMALL_RUNS size bounds.
+_POS = ["1", "0.5", "2.5", "0", "-1", "nan", "x"]
+_SLAB = {"slab_l": ["1", "0.3", "4", "0", "-1"], "n_y": ["17", "65", "8", "x"], "n_mu": ["16", "24", "4", "0"]}
+_SPHERE = {"sphere_n_theta": ["8", "16", "3", "0"], "sphere_n_phi": ["16", "8", "2"]}
+_PROFILE = ["cos", "uniform", "zero", "0.2", "-1", "inf", "foo"]
+_SHAPE = {
+    "radius": ["1", "0.5", "0", "-1"],
+    "box": ["-1,-1,-1,1,1,1", "0,0,0,1,2,0.5", "1,2,3", "1,1,1,0,0,0", "a,b,c,d,e,f"],
+    "f_profile": ["isotropic", "up", "zero", "nope"],
+}
+E2E_VALUES = {
+    "levelscan": {
+        "t1_min": ["10", "10.1", "10.2", "11", "nan"], "t1_max": ["10.2", "10.1", "9", "inf"],
+        "t2_min": ["10", "10.1", "10.3", "x"], "step": ["0.1", "0.2", "0.3", "0", "-0.1", "1e-320"],
+        "n_levels": ["1", "8", "0", "-3"], "r_max": ["12", "6", "0"], "n_r": ["16", "8", "x"],
+        "n_rho": ["16", "0"], "epsilon0": _POS, "sigma": _POS, "c0": _POS, "c0_kernel": _POS,
+    },
+    "slab-lte": {
+        **_SLAB, "t0": _POS, "epsilon0": _POS, "j0_profile": _PROFILE,
+        "zeta_mass": ["none", "0.3", "-2", "abc", "inf"],
+    },
+    "slab-exp": {**_SLAB, "a_plus_profile": _PROFILE, "normalize": ["true", "false", "maybe"]},
+    "domain3d": {
+        **_SPHERE, **_SHAPE, "domain": ["ball", "box", "slab-box"],
+        "lattice_n": ["8", "12", "4", "x"], "f_scale": ["1", "0", "2.5", "-1", "inf"],
+    },
+    "nonexist": {
+        **_SPHERE, **_SHAPE, "domain": ["ball", "box", "slab-box", "cube"], "a2": _POS,
+        "tol": ["1e-3", "10", "0", "-1"],
+        "samples": ["0,0,0.3", "0,0,0.3;0.1,0.1,0.5", "0,0", ";", "5,5,5"],
+    },
+    "three-level": {
+        **_SLAB, "gamma1": ["0", "0.3", "1", "1.5", "-0.1"], "eps": _POS, "t0": _POS,
+        "rho0": _POS, "p12": _POS, "p23": _POS, "j0": ["0", "0.1", "-0.1", "nan"],
+        "xi_const": ["0", "0.05", "-3", "nan"], "mass_c0": ["0.0", "1", "from-mass", "xyz"],
+        "m0": ["none", "2", "-1", "abc"],
+    },
+    "verify": {
+        "n_samples": ["10000", "20000", "100", "x"], "n_tuples": ["1", "2000", "20000", "0"],
+        "t_lte": ["5", "0.5", "0.001", "0", "-1"], "t1": _POS, "t2": _POS, "rho1": _POS,
+        "rho2": _POS, "t_entropy": ["0.5,2", "1", "abc", "1,-2", "inf"], "epsilon0": _POS,
+        "c0": _POS, "c0_kernel": _POS, "seed": ["0", "3", "-1"],
+    },
+}
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_random_small_runs_end_cleanly(subcommand, data):
+    candidates = E2E_VALUES[subcommand]
+    keys = data.draw(st.lists(st.sampled_from(sorted(candidates)), min_size=2, max_size=2, unique=True))
+    argv = list(SMALL_RUNS[subcommand])
+    for key in keys:
+        argv.append(f"--{key.replace('_', '-')}={data.draw(st.sampled_from(candidates[key]), label=key)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "run")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", out])
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert "config error:" in err.getvalue()
+            assert not os.path.exists(out)

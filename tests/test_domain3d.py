@@ -312,6 +312,57 @@ class TestAttenuationPass:
         assert div_R(BALL, f_up, 0.7, y, SPHERE) == -0.7 * want_flux[0]
 
 
+def kernel_table_oracle(n, spacing, near_range=6):
+    """_kernel_table as it was first written: every offset cell's centre in one
+    (L^3, 3) array, classified by its Chebyshev distance in cells."""
+    L = next_fast_len(2 * n - 1, True)
+    k = np.arange(L)
+    offs = [spacing[i] * np.where(k < n, k, k - L) for i in range(3)]
+    OX, OY, OZ = np.meshgrid(*offs, indexing="ij")
+    centers = np.stack([OX, OY, OZ], axis=-1).reshape(-1, 3)
+    vol = float(np.prod(spacing))
+
+    def kern(r2):
+        r = np.sqrt(r2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(r > 0, np.exp(-r) / (4.0 * math.pi * r2), 0.0)
+
+    def cell_integrals(cells, m):
+        x, wq = np.polynomial.legendre.leggauss(m)
+        pts1d = [0.5 * spacing[i] * x for i in range(3)]
+        w3 = np.einsum("i,j,k->ijk", wq, wq, wq).ravel() * (0.5**3) * vol
+        gpts = np.stack(np.meshgrid(*pts1d, indexing="ij"), axis=-1).reshape(-1, 3)
+        d = cells[:, None, :] + gpts[None, :, :]
+        return kern(np.sum(d * d, axis=-1)) @ w3
+
+    dist_cells = np.max(np.abs(centers / spacing), axis=-1)
+    table = np.zeros(len(centers))
+    near = (dist_cells > 0.5) & (dist_cells <= near_range + 0.5)
+    far = dist_cells > near_range + 0.5
+    table[near] = cell_integrals(centers[near], 4)
+    table[far] = cell_integrals(centers[far], 2)
+    table[0] = 1.0 - math.exp(-((3.0 * vol / (4.0 * math.pi)) ** (1.0 / 3.0)))
+    return table.reshape(L, L, L)
+
+
+class TestKernelTable:
+    @pytest.mark.parametrize("n", [8, 12, 13, 32])
+    @pytest.mark.parametrize("spacing", [(0.25, 0.25, 0.25), (2.0, 1.5, 0.5)], ids=["cubic", "anisotropic"])
+    def test_matches_full_offset_oracle(self, n, spacing):
+        spacing = np.array(spacing) / n * 8
+        np.testing.assert_allclose(_kernel_table(n, spacing), kernel_table_oracle(n, spacing), rtol=1e-14, atol=0)
+
+    def test_memory_bounded_by_the_table(self):
+        # the table is 96^3 float64 (7 MB) at n = 48; the full-offset form peaked near 98 MB
+        tracemalloc.start()
+        try:
+            _kernel_table(48, np.full(3, 2.0 / 48))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
+
+
 class TestFftConvolve:
     # periods 15 and 25 are odd, 18 and 24 exceed 2n - 1 (a wrap gap), 64 is even
     @pytest.mark.parametrize("n", [8, 9, 12, 13, 32])

@@ -215,6 +215,18 @@ class TestRateFactors:
         with pytest.raises(BelowThreshold):
             w_minus(np.array([1.0, 0, 0]), np.zeros(3), CONSTS)
 
+    def test_hard_sphere_closed_forms(self):
+        # B = C0 |v - v'| cancels the 1/(2|v - v'|): w = (C0/2) sqrt(|v - v'|^2 -+ 4 eps0)
+        consts = PhysConsts(epsilon0=0.7, C0_kernel=3.0)
+        rng = np.random.default_rng(11)
+        v, w = rng.normal(size=(500, 3)) * 3, rng.normal(size=(500, 3)) * 3
+        rel2 = np.sum((v - w) ** 2, axis=1)
+        np.testing.assert_allclose(w_plus(v, w, consts), 1.5 * np.sqrt(rel2 + 2.8), rtol=1e-14)
+        above = rel2 > 2.8
+        np.testing.assert_allclose(
+            w_minus(v[above], w[above], consts), 1.5 * np.sqrt(rel2[above] - 2.8), rtol=1e-13, atol=1e-15
+        )
+
     def test_galilean_invariance(self):
         rng = np.random.default_rng(13)
         v3 = rng.normal(size=(1000, 3))
@@ -223,16 +235,6 @@ class TestRateFactors:
         np.testing.assert_allclose(
             w_plus(v3 + U, v4 + U, CONSTS), w_plus(v3, v4, CONSTS), rtol=1e-12
         )
-
-    def test_angular_kernel_switch(self):
-        v3 = np.array([1.0, 0.0, 0.0])
-        v4 = np.array([-1.0, 0.0, 0.0])
-        omega = np.array([0.0, 1.0, 0.0])
-        # omega perpendicular to the relative velocity: angular kernel vanishes
-        assert w_plus(v3, v4, CONSTS, omega=omega, kernel_kind="angular") == 0.0
-        omega = np.array([1.0, 0.0, 0.0])
-        want = math.sqrt(4 + 4) / (2 * 2) * CONSTS.C0_kernel * 2.0
-        assert w_plus(v3, v4, CONSTS, omega=omega, kernel_kind="angular") == pytest.approx(want)
 
 
 class TestDetailedBalancePointwise:
