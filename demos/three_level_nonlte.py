@@ -5,8 +5,9 @@ Boltzmann ratio; with three levels the radiative balance only constrains the
 weighted sum of the two line exchanges, so one-sided incoming radiation
 sustains density perturbations that sit off the Boltzmann ratio.  The solver
 couples a per-node 3x3 linear system to the slab transport of the radiation
-perturbation h; the assembled global solve and a sigma -> h -> sigma Picard
-loop must agree.
+perturbation h; eliminating the 3x3 node equations leaves one n x n solve
+for the radiation source, and it and a sigma -> h -> sigma Picard loop must
+agree.
 
 Switching the second line off (gamma2 = 0) restores the two-level situation:
 the radiative subsystem then fixes sigma2 - sigma1 on its own, and feeding
@@ -31,7 +32,7 @@ print(f"background densities: {bg['rho1']:.4f}, {bg['rho2']:.4f}, {bg['rho3']:.4
 sol = solve_three_level(0.0, boundary, params, grid, angles, mass_C0=0.0)
 dev, where = lte_deviation(sol)
 print(f"\ndriven run (one-sided h boundary 0.1):")
-print(f"  assembled vs Picard gap: {sol.path_gap:.2e} ({sol.picard_iterations} sweeps)")
+print(f"  direct vs Picard gap: {sol.path_gap:.2e} ({sol.picard_iterations} sweeps)")
 print(f"  equation residuals: {sol.eq1_residual:.1e} / {sol.eq2_residual:.1e} / {sol.eq3_residual:.1e}")
 print(f"  non-LTE deviation max |sigma_i - sigma_j| = {dev:.4f} "
       f"(pair {where['pair']} at y = {where['y']:.3f})")

@@ -100,8 +100,6 @@ from .kinetic import (
     McPlan,
     MomentReport,
     detailed_balance_residual,
-    mc_conservation,
-    mass_exchange_estimate,
     conservation_and_exchange,
     kernel_of_L_check,
     entropy_identity_check,

@@ -287,11 +287,6 @@ class VolumeField:
 
     points: np.ndarray  # (P, 3) interior cell centers
     values: np.ndarray  # (P,)
-    fractions: np.ndarray  # (P,) interior volume fraction of each cell
-    origin: np.ndarray
-    spacing: np.ndarray  # (3,) cell size
-    shape: tuple
-    inside: np.ndarray  # boolean mask over the full lattice, shape `shape`
     kernel_mass: np.ndarray | None = None
     picard_ratio: float | None = None
     iterations: int | None = None
@@ -330,7 +325,7 @@ def _build_lattice(domain: ConvexDomain, spec: LatticeSpec):
         oi = np.argwhere(orphans)
         ti = nearest[:, oi[:, 0], oi[:, 1], oi[:, 2]]
         np.add.at(frac_grid, (ti[0], ti[1], ti[2]), frac_all[orphans])
-    return centers[inside], inside, frac_grid, np.asarray(mins, dtype=float), spacing
+    return centers[inside], inside, frac_grid, spacing
 
 
 def _kernel_table(n: int, spacing, near_range: int = 6):
@@ -396,7 +391,7 @@ def solve_w(
     if the final iterate dips <= 0 while not identically zero (inadmissible
     profile f).
     """
-    pts, inside, frac_grid, origin, spacing = _build_lattice(domain, lattice)
+    pts, inside, frac_grid, spacing = _build_lattice(domain, lattice)
     nodes, weights = sphere.nodes_weights()
     fvals = _profile_values(f, nodes)
 
@@ -432,11 +427,6 @@ def solve_w(
     return VolumeField(
         points=pts,
         values=w,
-        fractions=frac_grid[inside],
-        origin=origin,
-        spacing=spacing,
-        shape=inside.shape,
-        inside=inside,
         kernel_mass=kernel_mass,
         picard_ratio=picard.ratio(float(np.max(kernel_mass))),
         iterations=picard.iterations,

@@ -32,8 +32,6 @@ __all__ = [
     "McPlan",
     "MomentReport",
     "detailed_balance_residual",
-    "mc_conservation",
-    "mass_exchange_estimate",
     "conservation_and_exchange",
     "kernel_of_L_check",
     "entropy_identity_check",
@@ -191,29 +189,19 @@ def _zeros(k):
     return lambda v: np.zeros((len(v), k))
 
 
-def mc_conservation(
-    state1: MaxwellianState, state2: MaxwellianState, plan: McPlan, consts: PhysConsts
-) -> MomentReport:
-    """Mass/momentum/energy residuals of the nonelastic operators.
-
-    Test functions: (1, 1) for molecule number, (v, v) for momentum, and
-    (|v|^2/2, |v|^2/2 + eps0) for total energy.  All three vanish per sampled
-    tuple by the collision kinematics, so the estimates sit at the rounding
-    floor unless the kinematics are broken.
-    """
-    return conservation_and_exchange(state1, state2, plan, consts)[0]
-
-
 def conservation_and_exchange(
     state1: MaxwellianState, state2: MaxwellianState, plan: McPlan, consts: PhysConsts
 ) -> tuple:
     """The conservation report and the mass-exchange estimate of one pair
     from one loss and one gain pass: (MomentReport, Estimate).
 
-    The five conservation columns are those of mc_conservation; the sixth is
-    the mass-exchange pair (0, 1).  Both estimators draw the same tuples, so
-    the estimate differs from mass_exchange_estimate's one-column pass only
-    in the summation order of its column (about 1e-14 relative).
+    Five conservation columns: test functions (1, 1) for molecule number,
+    (v, v) for momentum and (|v|^2/2, |v|^2/2 + eps0) for total energy.  All
+    three vanish per sampled tuple by the collision kinematics, so their
+    estimates sit at the rounding floor unless the kinematics are broken.
+    The sixth column is the excited-molecule production rate, test functions
+    (0, 1); its reduced closed form is
+    rho1^2 e^(-2 eps0/T1) P(T1) - rho1 rho2 P(T2, T1).
     """
     *conserved, exchange = _weak_form_moments(
         state1,
@@ -225,18 +213,6 @@ def conservation_and_exchange(
     )
     mass, *momentum, energy = conserved
     return MomentReport(mass=mass, momentum=tuple(momentum), energy=energy), exchange
-
-
-def mass_exchange_estimate(
-    state1: MaxwellianState, state2: MaxwellianState, plan: McPlan, consts: PhysConsts
-) -> Estimate:
-    """Monte Carlo estimate of the excited-molecule production rate.
-
-    Weak-form moment with (phi1, phi2) = (0, 1); its reduced closed form is
-    rho1^2 e^(-2 eps0/T1) P(T1) - rho1 rho2 P(T2, T1).
-    """
-    one = lambda v: np.ones((len(v), 1))
-    return _weak_form_moments(state1, state2, consts, plan, _zeros(1), one)[0]
 
 
 def mass_exchange_reduced(state1: MaxwellianState, state2: MaxwellianState, consts: PhysConsts) -> float:

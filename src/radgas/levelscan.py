@@ -26,6 +26,10 @@ __all__ = [
     "smoothness_report",
 ]
 
+#: Most grid nodes a window may have: 10^6 nodes is about 15 minutes of
+#: quadrature at the default TripleQuadSpec (the Figure-1 window has 441).
+_MAX_NODES = 10**6
+
 
 @dataclass(frozen=True)
 class ScanWindow:
@@ -46,6 +50,8 @@ class ScanWindow:
             n = round((hi - lo) / self.step)
             if n < 1 or abs(n * self.step - (hi - lo)) > 1e-9:
                 raise ValueError(f"step {self.step} does not divide range [{lo}, {hi}]")
+        if (self.n1 + 1) * (self.n2 + 1) > _MAX_NODES:
+            raise ValueError(f"step {self.step} gives more than {_MAX_NODES} grid nodes")
 
     @property
     def n1(self) -> int:

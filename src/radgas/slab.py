@@ -130,8 +130,8 @@ class RadiationField:
 
     grid: SlabGrid
     angles: AngleGrid
-    g_plus: np.ndarray  # (n_y, n_mu), direction +mu; (n_y, k, n_mu) for k batched sources
-    g_minus: np.ndarray  # (n_y, n_mu), direction -mu; (n_y, k, n_mu) for k batched sources
+    g_plus: np.ndarray  # (n_y, n_mu), direction +mu
+    g_minus: np.ndarray  # (n_y, n_mu), direction -mu
 
 
 def _cell_coeffs(nodes: np.ndarray) -> np.ndarray:
@@ -172,24 +172,20 @@ def ray_integrate(
 
     sigma is treated as constant per cell (midpoint of the nodal values) and
     the emission as linear per cell; both choices make the sweep exact for
-    constant coefficients.  An emission of shape (n_y, k) sweeps k sources
-    at once and gives fields of shape (n_y, k, n_mu); each column is what the
-    1-D emission would give.
+    constant coefficients.
     """
     mu = angles.mu
     n_y = grid.n_y
-    j = np.asarray(emission_nodes, dtype=float)
-    j = np.broadcast_to(j, (n_y,) + j.shape[1:])[..., None]  # broadcast against mu
-    shape = j.shape[:-1] + (angles.n_mu,)
-    # per-cell coefficients, shaped to broadcast against one node's (k, n_mu) block
-    cell = (n_y - 1,) + (1,) * (j.ndim - 1)
+    # per-node and per-cell columns, broadcast against mu
+    j = np.broadcast_to(np.asarray(emission_nodes, dtype=float), (n_y,))[:, None]
     sigma = np.broadcast_to(np.asarray(sigma_nodes, dtype=float), (n_y,))
-    sigma_c = _cell_coeffs(sigma).reshape(cell)
-    deltas = np.diff(grid.y).reshape(cell)
-    att = np.exp(-sigma_c * deltas / mu).reshape(n_y - 1, angles.n_mu)
+    sigma_c = _cell_coeffs(sigma)[:, None]
+    deltas = np.diff(grid.y)[:, None]
+    att = np.exp(-sigma_c * deltas / mu)
     e_plus = _linear_emission_integral(j[:-1], j[1:], sigma_c, deltas, mu)
     e_minus = _linear_emission_integral(j[1:], j[:-1], sigma_c, deltas, mu)
 
+    shape = (n_y, angles.n_mu)
     g_plus = np.empty(shape)
     g_plus[0] = a_plus(mu)
     for k in range(n_y - 1):
@@ -278,6 +274,13 @@ def kernel_sup(L: float) -> float:
     return float(2.0 * _m0(L / 2.0))
 
 
+def _by_offset(cells: np.ndarray) -> np.ndarray:
+    """The (n, n - 1) matrix of per-offset cell values: entry (i, j), cell j
+    seen from node i, is cells[i - j + n - 2]."""
+    n = len(cells) // 2 + 1
+    return cells[np.subtract.outer(np.arange(n), np.arange(n - 1)) + (n - 2)]
+
+
 def _toeplitz_weights(y: np.ndarray, m0, m1):
     """Cell weights (lo, hi) of a piecewise-linear u against a kernel k(y_i - xi).
 
@@ -285,9 +288,9 @@ def _toeplitz_weights(y: np.ndarray, m0, m1):
     int_{y_j}^{y_j+1} k(y_i - xi) u(xi) dxi = lo[i, j] u_j + hi[i, j] u_j+1.
     On the uniform grid each weight depends on i - j only, so m0 and m1 are
     evaluated on the 2n - 1 offsets (i - j) * h and the (n, n - 1) matrices
-    are gathered from the cell values with the index i - j + n - 2.  The
-    offsets equal the node differences y_i - y_j exactly when h is a power
-    of two; otherwise they differ in the last bits.
+    are gathered from the cell values by `_by_offset`.  The offsets equal the
+    node differences y_i - y_j exactly when h is a power of two; otherwise
+    they differ in the last bits.
     """
     n = len(y)
     h = (y[-1] - y[0]) / (n - 1)
@@ -296,10 +299,15 @@ def _toeplitz_weights(y: np.ndarray, m0, m1):
     k0, k1 = m0(d), m1(d)
     i0 = k0[1:] - k0[:-1]
     i1 = b * i0 - (k1[1:] - k1[:-1])
-    lo = i0 - i1 / h
-    hi = i1 / h
-    idx = np.subtract.outer(np.arange(n), np.arange(n - 1)) + (n - 2)
-    return lo[idx], hi[idx]
+    return _by_offset(i0 - i1 / h), _by_offset(i1 / h)
+
+
+def _node_matrix(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(n, n) matrix A with (A u)_i = sum_j lo[i, j] u_j + hi[i, j] u_j+1."""
+    A = np.zeros((len(lo), len(lo)))
+    A[:, :-1] += lo
+    A[:, 1:] += hi
+    return A
 
 
 def _nystrom_matrix(y: np.ndarray) -> np.ndarray:
@@ -308,11 +316,32 @@ def _nystrom_matrix(y: np.ndarray) -> np.ndarray:
     u is piecewise linear on the grid; each cell integral uses the exact E1
     moments, so the diagonal (singular) cells are handled analytically.
     """
-    lo, hi = _toeplitz_weights(y, _m0, _m1)
-    A = np.zeros((len(y), len(y)))
-    A[:, :-1] += lo
-    A[:, 1:] += hi
-    return A
+    return _node_matrix(*_toeplitz_weights(y, _m0, _m1))
+
+
+def angular_response(kappa: float, grid: SlabGrid, angles: AngleGrid) -> np.ndarray:
+    """Matrix M with angular_mean(ray_integrate(kappa, e, zero, zero)) = M @ e.
+
+    Under a constant absorption kappa the sweep's cell integral of a linear
+    emission reaches a node m cells downstream attenuated by
+    exp(-kappa*m*h/mu), so each cell weight depends only on the offset i - j
+    between receiving node i and cell j.  The weights are the sweep's own
+    integrals of a unit far (upstream) and a unit near node, attenuated and
+    summed over the angles, and gathered by offset like the Nystroem weights.
+    """
+    n = grid.n_y
+    h = grid.L / (n - 1)
+    mu = angles.mu
+    far = _linear_emission_integral(1.0, 0.0, kappa, h, mu)
+    near = _linear_emission_integral(0.0, 1.0, kappa, h, mu)
+    att = np.exp(-kappa * h * np.arange(n - 1)[:, None] / mu)  # m = 0 .. n - 2 cells
+    wq = 2.0 * math.pi * angles.weights
+    f, e = att @ (wq * far), att @ (wq * near)
+    # cell j reaches node i = j + t along +mu for t >= 1 (node j far, t - 1
+    # cells between) and along -mu for t <= 0 (node j near, -t cells between)
+    lo = np.concatenate([e[::-1], f])  # weight of node j, by offset t = 2 - n .. n - 1
+    hi = np.concatenate([f[::-1], e])  # weight of node j + 1
+    return _node_matrix(_by_offset(lo), _by_offset(hi))
 
 
 def _ensure_positive(w: np.ndarray, y: np.ndarray):

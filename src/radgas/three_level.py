@@ -11,8 +11,12 @@ h satisfy, at every node,
   (3) collisional balance   P12*(s2-s1) + P23*q^2*(s3-s2) = (2e/T0)*(P12+P23*q^2)*xi,
 
 plus the transport equation for h with absorption eps*rho0*(g1+g2*q)*(1-q).
-Two solution paths are implemented: a global sparse-free dense assembly
-(authoritative) and a sigma -> h -> sigma Picard loop (cross-check).
+The densities reach the radiation only through the scalar source
+s = c_src . sigma, and the angular integral of h is M_src s + b_I, with M_src
+the n x n `slab.angular_response` matrix and b_I the boundary-driven sweep.
+Eliminating the local 3 x 3 node equations leaves one n x n system for s;
+this direct path is authoritative, and a sigma -> h -> sigma Picard loop
+cross-checks it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from .constants import PhysConsts
 from .errors import SingularSystem
 from .physics import pseudo_planck
 from .picard import fixed_point
-from .slab import AngleGrid, BoundaryProfile, RadiationField, SlabGrid, angular_mean, ray_integrate
+from .slab import AngleGrid, BoundaryProfile, RadiationField, SlabGrid
+from .slab import angular_mean, angular_response, ray_integrate
 
 __all__ = [
     "ThreeLevelParams",
@@ -36,10 +41,6 @@ __all__ = [
     "solve_three_level",
     "lte_deviation",
 ]
-
-#: Unit sources per ray sweep when solve_three_level builds its source
-#: response; a multiple of 4, so M_src is bit-equal to a single sweep.
-_SOURCE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,12 @@ class ThreeLevelParams:
     def q(self) -> float:
         return math.exp(-2.0 * self.eps / self.T0)
 
+    @property
+    def kappa(self) -> float:
+        """Constant line absorption eps*rho0*(g1 + g2*q)*(1-q) of h."""
+        q = self.q
+        return self.eps * self.rho0 * (self.gamma1 + self.gamma2 * q) * (1.0 - q)
+
 
 def constant_state(params: ThreeLevelParams) -> dict:
     """The constant stationary background the linearization expands around."""
@@ -99,20 +106,19 @@ def radiation_solve_3p(
 ) -> RadiationField:
     """Ray-integral solution of the linearized radiation equation.
 
-    Absorption kappa = eps*rho0*(g1 + g2*q)*(1-q) is constant; the source is
-    built linearly from the density perturbations.  Affine in (sigma, boundary).
+    The absorption params.kappa is constant; the source is built linearly
+    from the density perturbations.  Affine in (sigma, boundary).
     """
     q = params.q
     n = grid.n_y
     s1 = np.broadcast_to(np.asarray(sigma1, dtype=float), (n,))
     s2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (n,))
     s3 = np.broadcast_to(np.asarray(sigma3, dtype=float), (n,))
-    kappa = params.eps * params.rho0 * (params.gamma1 + params.gamma2 * q) * (1.0 - q)
     source = params.eps * params.rho0 * (
         params.gamma1 * (s2 - s1) + params.gamma2 * q * (s3 - s2)
     )
     a_plus, a_minus = boundary
-    return ray_integrate(np.full(n, kappa), source, a_plus, a_minus, grid, angles)
+    return ray_integrate(np.full(n, params.kappa), source, a_plus, a_minus, grid, angles)
 
 
 @dataclass
@@ -129,7 +135,7 @@ class ThreeLevelSolution:
     eq1_residual: float
     eq2_residual: float
     eq3_residual: float
-    path_gap: float  # max |assembled - Picard|
+    path_gap: float  # max |direct - Picard|
     picard_iterations: int
     converged: bool  # the Picard check met its tolerance before max_iter
 
@@ -161,9 +167,9 @@ def solve_three_level(
     which case C0 is computed from the total-gas relation using m0 (default:
     the background mass, which gives C0 = (1+q+q^2) * mean(xi)).
 
-    Both the globally assembled dense solve and the sigma -> h -> sigma
-    fixed-point loop are run; their max-norm gap is reported and the
-    assembled path is authoritative.
+    Both the direct n x n solve for the source and the sigma -> h -> sigma
+    fixed-point loop are run; their max-norm gap is reported and the direct
+    path is authoritative.
     """
     q = params.q
     g1, g2 = params.gamma1, params.gamma2
@@ -188,42 +194,27 @@ def solve_three_level(
             f"node matrix is rank deficient (det = {det:.3e}); rows = {local.tolist()}"
         )
 
-    # response of the angular integral of h to a unit source at each node
-    # (column k: the unit source at node k), plus the boundary-driven offset.
-    # The unit sources are swept _SOURCE_BLOCK columns at a time, so the
-    # (n, block, n_mu) fields stay small.  The angular mean of a block gives
-    # the bits of one product over all columns as long as the blocks keep the
-    # BLAS kernel's groups of 4 columns, and a last block of one column (a
-    # single row, which numpy reduces on another path) joins the one before.
-    zero = BoundaryProfile.zero()
-    kappa_nodes = np.full(n, params.eps * params.rho0 * (g1 + g2 * q) * (1.0 - q))
-    unit = np.eye(n)
-    M_src = np.empty((n, n))
-    edges = [*range(0, n - 1, _SOURCE_BLOCK), n]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        field = ray_integrate(kappa_nodes, unit[:, lo:hi], zero, zero, grid, angles)
-        M_src[:, lo:hi] = angular_mean(field)
-    b_I = angular_mean(ray_integrate(kappa_nodes, np.zeros(n), boundary[0], boundary[1], grid, angles))
-
-    # source coefficients: src = eps*rho0*(g1*(s2-s1) + g2*q*(s3-s2))
+    # angular integral of h: M_src @ src + b_I, src = c_src @ sigma
+    M_src = angular_response(params.kappa, grid, angles)
+    b_I = angular_mean(ray_integrate(np.full(n, params.kappa), np.zeros(n), *boundary, grid, angles))
     c_src = params.eps * params.rho0 * np.array([-g1, g1 - g2 * q, g2 * q])
     rad = q * (g1 + g2 * q)
-
-    # assembled system: rows = eq1, eq2, eq3 at each node, one n-block per
-    # sigma_i; only eq1 couples nodes, through the radiation
-    A = np.kron(local, np.eye(n))
-    A[:n] -= np.kron(rad * c_src, M_src)
-    rhs = np.concatenate(
-        [
-            rad * b_I,
-            C0 - (1.0 + q + q**2) * xi,
-            (2.0 * params.eps / params.T0) * (params.P12 + params.P23 * q**2) * xi,
-        ]
-    )
-    sigma = np.linalg.solve(A, rhs).reshape(3, n)
+    eq23 = np.vstack([
+        C0 - (1.0 + q + q**2) * xi,
+        (2.0 * params.eps / params.T0) * (params.P12 + params.P23 * q**2) * xi,
+    ])
 
     def node_rhs(I_h):
-        return np.vstack([rad * I_h, rhs[n:].reshape(2, n)])
+        return np.vstack([rad * I_h, eq23])
+
+    # sigma = local^-1 node_rhs(I) makes src = alpha*I + c_src . local^-1 [0; eq2; eq3],
+    # so src solves (1 - alpha M_src) src = alpha b_I + c_src . local^-1 [0; eq2; eq3]
+    alpha = rad * (c_src @ np.linalg.solve(local, [1.0, 0.0, 0.0]))
+    src = np.linalg.solve(
+        np.eye(n) - alpha * M_src,
+        alpha * b_I + c_src @ np.linalg.solve(local, node_rhs(np.zeros(n))),
+    )
+    sigma = np.linalg.solve(local, node_rhs(M_src @ src + b_I))
 
     # Picard cross-check: sigma -> h -> sigma
     picard = fixed_point(

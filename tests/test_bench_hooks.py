@@ -27,8 +27,8 @@ JOBS = [
     {"id": "three-level", "argv": ["three-level", "--n-y=33", "--n-mu=16"]},
     {"id": "verify", "argv": ["verify", "--n-samples=10000", "--n-tuples=2000"]},
 ]
-#: WORK entries no subcommand calls: `verify` takes both estimates from one
-#: kinetic.conservation_and_exchange pass, which WORK does not count yet.
+#: WORK entries whose functions radgas no longer has: `verify` takes both
+#: estimates from one kinetic.conservation_and_exchange pass.
 NOT_CALLED = {"kinetic.mc_conservation", "kinetic.mass_exchange_estimate"}
 
 
@@ -46,3 +46,14 @@ def test_traced_run_records_every_counted_span(tmp_path):
             "domain3d.nonexistence_check"} <= names
     worked = {span[0] for span in out["spans"] if span[5] > 0}
     assert set(WORK) - NOT_CALLED - worked == set()
+    # the boundary sweep and the reconstruction of h; M_src needs no sweep
+    spans = out["spans"]
+
+    def under_solve(span):
+        while span[3] >= 0:
+            span = spans[span[3]]
+            if span[0] == "three_level.solve_three_level":
+                return True
+        return False
+
+    assert sum(span[0] == "slab.ray_integrate" and under_solve(span) for span in spans) == 2

@@ -307,6 +307,8 @@ class TestRun:
             (["slab-lte", "--slab-l", "-1"], "SlabGrid: L must be > 0"),
             (["three-level", "--gamma1", "1.5"], "ThreeLevelParams: "),
             (["levelscan", "--step", "1e-320"], "ScanWindow: "),
+            (["levelscan", "--step", "1e-300"], "ScanWindow: "),
+            (["levelscan", "--step", "1e-12"], "ScanWindow: "),
             (["verify", "--t2", "-1"], "MaxwellianState: T must be > 0"),
             (["domain3d", "--lattice-n", "4"], "LatticeSpec: "),
             (["nonexist", "--radius", "0"], "ConvexDomain: radius must be > 0"),

@@ -40,5 +40,5 @@ def test_slab_steady_states(capsys):
 
 def test_three_level_nonlte(capsys):
     out = _run_demo("three_level_nonlte.py", capsys)
-    assert "assembled vs Picard gap" in out
+    assert "direct vs Picard gap" in out
     assert "(LTE)" in out

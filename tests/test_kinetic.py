@@ -15,9 +15,7 @@ from radgas.kinetic import (
     detailed_balance_residual,
     entropy_identity_check,
     kernel_of_L_check,
-    mass_exchange_estimate,
     mass_exchange_reduced,
-    mc_conservation,
 )
 
 CONSTS = PhysConsts(epsilon0=1.0)
@@ -75,7 +73,7 @@ class TestConservation:
     def test_residuals_within_3_sigma_generic_pair(self):
         s1 = MaxwellianState(1.3, (0.2, 0.0, 0.0), 4.0)
         s2 = MaxwellianState(0.4, (0.2, 0.0, 0.0), 7.0)
-        rep = mc_conservation(s1, s2, PLAN, CONSTS)
+        rep, _ = conservation_and_exchange(s1, s2, PLAN, CONSTS)
         assert rep.all_pass(n_sigma=3.0, floor=1e-10)
         for _, est in rep.rows():
             assert est.std_error > 0
@@ -83,16 +81,17 @@ class TestConservation:
     def test_seeded_determinism(self):
         s1 = MaxwellianState(1.0, np.zeros(3), 3.0)
         s2 = MaxwellianState(0.5, np.zeros(3), 3.0)
-        r1 = mc_conservation(s1, s2, PLAN, CONSTS)
-        r2 = mc_conservation(s1, s2, PLAN, CONSTS)
+        r1, e1 = conservation_and_exchange(s1, s2, PLAN, CONSTS)
+        r2, e2 = conservation_and_exchange(s1, s2, PLAN, CONSTS)
         assert r1.mass.value == r2.mass.value
         assert r1.energy.value == r2.energy.value
         assert [e.value for e in r1.momentum] == [e.value for e in r2.momentum]
+        assert e1.value == e2.value
 
     def test_mass_exchange_matches_reduced_formula(self):
         s1 = MaxwellianState(1.3, np.zeros(3), 4.0)
         s2 = MaxwellianState(0.4, np.zeros(3), 7.0)
-        est = mass_exchange_estimate(s1, s2, PLAN, CONSTS)
+        _, est = conservation_and_exchange(s1, s2, PLAN, CONSTS)
         red = mass_exchange_reduced(s1, s2, CONSTS)
         assert abs(est.value - red) <= 3.0 * est.std_error
 
@@ -100,14 +99,16 @@ class TestConservation:
         s1 = MaxwellianState(1.3, (0.2, 0.0, 0.0), 4.0)
         s2 = MaxwellianState(0.4, (0.2, 0.0, 0.0), 7.0)
         rep, est = conservation_and_exchange(s1, s2, PLAN, CONSTS)
-        # the five conservation columns alone, as mc_conservation drew them before sharing
+        # the five conservation columns alone, and the mass-exchange column alone
         alone = _weak_form_moments(
             s1, s2, CONSTS, PLAN, _conserved, lambda v: _conserved(v, CONSTS.epsilon0)
         )
         assert [(e.value, e.std_error) for _, e in rep.rows()] == [
             (e.value, e.std_error) for e in alone
         ]
-        one = mass_exchange_estimate(s1, s2, PLAN, CONSTS)
+        (one,) = _weak_form_moments(
+            s1, s2, CONSTS, PLAN, lambda v: np.zeros((len(v), 1)), lambda v: np.ones((len(v), 1))
+        )
         assert est.value == pytest.approx(one.value, rel=1e-12)
         assert est.std_error == pytest.approx(one.std_error, rel=1e-12)
 
@@ -117,8 +118,8 @@ class TestConservation:
         U = np.array([0.7, -0.4, 1.1])
         s1b = MaxwellianState(1.3, U, 4.0)
         s2b = MaxwellianState(0.4, U, 7.0)
-        a = mass_exchange_estimate(s1, s2, PLAN, CONSTS)
-        b = mass_exchange_estimate(s1b, s2b, PLAN, CONSTS)
+        _, a = conservation_and_exchange(s1, s2, PLAN, CONSTS)
+        _, b = conservation_and_exchange(s1b, s2b, PLAN, CONSTS)
         # common random numbers: the shifted estimate matches almost exactly,
         # certainly within the 3-sigma criterion
         assert abs(a.value - b.value) <= 3.0 * math.hypot(a.std_error, b.std_error)
@@ -154,7 +155,7 @@ class TestKernelOfL:
     def test_off_ratio_number_projection_large(self):
         s1 = MaxwellianState(1.0, np.zeros(3), 5.0)
         s2 = MaxwellianState(2.0 * math.exp(-2.0 / 5.0), np.zeros(3), 5.0)
-        est = mass_exchange_estimate(s1, s2, PLAN, CONSTS)
+        _, est = conservation_and_exchange(s1, s2, PLAN, CONSTS)
         assert est.sigmas > 5.0
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import radgas.three_level
 from radgas import SingularSystem
-from radgas.slab import AngleGrid, BoundaryProfile, SlabGrid, angular_mean, ray_integrate
+from radgas.slab import AngleGrid, BoundaryProfile, SlabGrid, angular_mean, angular_response, ray_integrate
 from radgas.three_level import (
     ThreeLevelParams,
     constant_state,
@@ -89,50 +89,49 @@ class TestRadiationSolve:
         )
 
 
-class TestBatchedSweep:
-    @pytest.mark.parametrize("n_y", [33, 65])
-    def test_source_response_matches_per_column_sweeps(self, n_y):
-        # the solver's M_src: one sweep of the identity emission, against the
-        # n_y single-source sweeps it replaces
+def per_column_response(params, grid, angles):
+    """M_src column by column: the angular mean of one unit-source sweep each."""
+    kappa = np.full(grid.n_y, params.kappa)
+    zero = BoundaryProfile.zero()
+    columns = [ray_integrate(kappa, e, zero, zero, grid, angles) for e in np.eye(grid.n_y)]
+    return np.column_stack([angular_mean(field) for field in columns])
+
+
+def kron_assembly(xi, boundary, params, grid, angles, C0):
+    """The 3n x 3n system on (sigma1, sigma2, sigma3) that the n x n source
+    solve replaces: eq1, eq2, eq3 at each node, coupled through M_src."""
+    q, g1, g2, n = params.q, params.gamma1, params.gamma2, grid.n_y
+    local = radgas.three_level._node_matrix(params, constant_state(params)["G_p"])
+    kappa = np.full(n, params.kappa)
+    b_I = angular_mean(ray_integrate(kappa, np.zeros(n), *boundary, grid, angles))
+    c_src = params.eps * params.rho0 * np.array([-g1, g1 - g2 * q, g2 * q])
+    rad = q * (g1 + g2 * q)
+    A = np.kron(local, np.eye(n))
+    A[:n] -= np.kron(rad * c_src, per_column_response(params, grid, angles))
+    rhs = np.concatenate([
+        rad * b_I,
+        C0 - (1.0 + q + q**2) * xi,
+        (2.0 * params.eps / params.T0) * (params.P12 + params.P23 * q**2) * xi,
+    ])
+    return np.linalg.solve(A, rhs).reshape(3, n)
+
+
+class TestDirectPath:
+    @pytest.mark.parametrize("rho0", [1e-4, 1.0, 40.0])  # optically thin, unit, thick
+    @pytest.mark.parametrize("n_y", [33, 129])
+    def test_response_matches_per_column_sweeps(self, rho0, n_y):
+        p = ThreeLevelParams(0.7, 0.3, eps=1.0, T0=2.0, rho0=rho0, P12=1.0, P23=1.0)
         grid = SlabGrid(L=1.0, n_y=n_y)
-        q = PARAMS.q
-        kappa = np.full(n_y, PARAMS.eps * PARAMS.rho0 * (PARAMS.gamma1 + PARAMS.gamma2 * q) * (1 - q))
-        zero = BoundaryProfile.zero()
-        batched = ray_integrate(kappa, np.eye(n_y), zero, zero, grid, ANGLES)
-        assert batched.g_plus.shape == (n_y, n_y, ANGLES.n_mu)
-        M_src = angular_mean(batched)
-        oracle = np.empty((n_y, n_y))
-        for k in range(n_y):
-            column = ray_integrate(kappa, np.eye(n_y)[:, k], zero, zero, grid, ANGLES)
-            np.testing.assert_array_equal(batched.g_plus[:, k], column.g_plus)
-            np.testing.assert_array_equal(batched.g_minus[:, k], column.g_minus)
-            oracle[:, k] = angular_mean(column)
-        np.testing.assert_allclose(M_src, oracle, rtol=0, atol=1e-14)
+        M_src = angular_response(p.kappa, grid, ANGLES)
+        np.testing.assert_allclose(M_src, per_column_response(p, grid, ANGLES), rtol=0, atol=1e-14)
 
-    def test_batched_boundary_and_variable_absorption(self):
-        rng = np.random.default_rng(11)
-        sigma = rng.uniform(0.2, 3.0, size=GRID.n_y)
-        sources = rng.normal(size=(GRID.n_y, 4))
-        bc = (BoundaryProfile.constant(0.3), BoundaryProfile.from_function(lambda m: m, "cos"))
-        batched = ray_integrate(sigma, sources, *bc, GRID, ANGLES)
-        for k in range(4):
-            column = ray_integrate(sigma, sources[:, k], *bc, GRID, ANGLES)
-            np.testing.assert_array_equal(batched.g_plus[:, k], column.g_plus)
-            np.testing.assert_array_equal(batched.g_minus[:, k], column.g_minus)
-
-    @pytest.mark.parametrize("block", [8, 32, 64])
-    def test_blocked_source_response_equals_one_sweep(self, monkeypatch, block):
-        # column blocks of the unit sources (the last one of 9, 33 and 65
-        # columns), against one sweep of all of them
-        grid = SlabGrid(L=1.0, n_y=129)
-
-        def solve(columns):
-            monkeypatch.setattr(radgas.three_level, "_SOURCE_BLOCK", columns)
-            return solve_three_level(0.02, DRIVE_BC, PARAMS, grid, ANGLES)
-
-        whole, blocked = solve(grid.n_y), solve(block)
-        for name in ("sigma1", "sigma2", "sigma3"):
-            np.testing.assert_array_equal(getattr(blocked, name), getattr(whole, name))
+    @pytest.mark.parametrize("mass_C0", [0.0, "from-mass"])
+    def test_matches_kron_assembly(self, mass_C0):
+        xi = 0.03 * np.sin(np.pi * GRID.y) if mass_C0 == "from-mass" else np.zeros(GRID.n_y)
+        sol = solve_three_level(xi, DRIVE_BC, PARAMS, GRID, ANGLES, mass_C0=mass_C0, m0=1.9)
+        want = kron_assembly(xi, DRIVE_BC, PARAMS, GRID, ANGLES, sol.C0)
+        got = np.vstack([sol.sigma1, sol.sigma2, sol.sigma3])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestSolveThreeLevel:
