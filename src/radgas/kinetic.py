@@ -10,11 +10,14 @@ momentum, and total energy holds per sample up to floating-point rounding.
 A nonzero residual therefore points at a kinematics or kernel bug, not at
 Monte Carlo noise.
 
-Sampling uses the Maxwellians themselves as proposals (unit weights).  One
-loss pass and one gain pass feed a whole vector of test functions.  Each
-batch draws from an RNG keyed by (seed, side, batch), so reports are
-reproducible bit for bit for a fixed plan, and estimates on the same pair of
-Maxwellians share their random numbers.
+Sampling uses the Maxwellians themselves as proposals (unit weights).  Each
+batch draws its standard normals from an RNG keyed by (seed, side, batch), so
+reports are reproducible bit for bit for a fixed plan and every estimator
+sees the same random numbers.  One draw per side therefore serves several
+estimators at once (`weak_form_checks`: conservation, mass exchange and the
+kernel of L): each forms its collision tuples from its own Maxwellians, in
+row chunks of the batch, and feeds its whole vector of test functions, so
+memory stays bounded by the batch and the chunk whatever the sample count.
 """
 
 from __future__ import annotations
@@ -26,18 +29,21 @@ import numpy as np
 
 from .collision_reduction import functionals
 from .constants import PhysConsts
-from .physics import MaxwellianState, energy_density, entropy_lambda, maxwellian
+from .physics import CollisionTuple, MaxwellianState, energy_density, entropy_lambda, maxwellian
 
 __all__ = [
     "McPlan",
     "MomentReport",
     "detailed_balance_residual",
+    "detailed_balance_check",
     "conservation_and_exchange",
     "kernel_of_L_check",
+    "weak_form_checks",
     "entropy_identity_check",
 ]
 
 _BATCH = 1 << 17
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -107,86 +113,163 @@ def detailed_balance_residual(
     return float(res) if np.ndim(res) == 0 else res
 
 
-def _collision_batch(state1, state2, consts, side, rng, size):
-    """(weight, v1, v2, v3, v4) of one batch: side 0 draws the loss product
-    (v1, v2 ground; open above threshold), side 1 the gain product (v3
-    excited, v4 ground; always open)."""
+def detailed_balance_check(lte_pair, n_tuples: int, seed: int, consts: PhysConsts) -> float | None:
+    """Largest |detailed_balance_residual| of `lte_pair` over the nonelastic
+    tuples among `n_tuples` sampled ground-state pairs, or None when no pair
+    is above threshold (nothing was checked).
+
+    Both molecules come from the ground Maxwellian of `lte_pair`, the scattering
+    direction is uniform, and the RNG is keyed by (seed, 1).
+    """
+    s1, s2 = lte_pair
+    rng = np.random.default_rng([seed, 1])
+    v1 = s1.u + rng.normal(size=(n_tuples, 3)) * math.sqrt(s1.T / 2)
+    v2 = s1.u + rng.normal(size=(n_tuples, 3)) * math.sqrt(s1.T / 2)
+    keep = np.sum((v1 - v2) ** 2, axis=1) > 4 * consts.epsilon0 + 1e-9
+    om = rng.normal(size=(int(keep.sum()), 3))
+    om /= np.linalg.norm(om, axis=1, keepdims=True)
+    tup = CollisionTuple.nonelastic(v1[keep], v2[keep], om, consts)
+    residuals = np.abs(detailed_balance_residual(s1, s2, tup, consts))
+    return float(np.max(residuals)) if residuals.size else None
+
+
+def _tuple_chunk(state1, state2, consts, side, normals):
+    """(weight, v1, v2, v3, v4) of one chunk from its standard normals
+    (za, zb, unit omega), each (c, 3): side 0 forms the loss product (v1, v2
+    ground; open above threshold), side 1 the gain product (v3 excited, v4
+    ground; always open)."""
+    za, zb, omega = normals
     m1 = state1.rho * consts.maxwellian_mass
     pref = 2.0 * math.pi * consts.C0_kernel
     eps0 = consts.epsilon0
     first = state1 if side == 0 else state2
-    a = first.u + math.sqrt(first.T / 2.0) * rng.standard_normal((size, 3))
-    b = state1.u + math.sqrt(state1.T / 2.0) * rng.standard_normal((size, 3))
-    omega = rng.standard_normal((size, 3))
-    omega /= np.linalg.norm(omega, axis=1, keepdims=True)
-    rel2 = np.sum((a - b) ** 2, axis=1)
-    center = 0.5 * (a + b)
+    a = first.u + math.sqrt(first.T / 2.0) * za
+    b = state1.u + math.sqrt(state1.T / 2.0) * zb
+    d = a - b
+    d *= d
+    rel2 = d[:, 0] + d[:, 1] + d[:, 2]
+    center = a + b
+    center *= 0.5
     if side == 0:
         k = np.sqrt(np.maximum(0.25 * rel2 - eps0, 0.0))
         weight = np.where(
             rel2 > 4.0 * eps0, m1 * m1 * pref * np.sqrt(np.maximum(rel2 - 4.0 * eps0, 0.0)), 0.0
         )
-        return weight, a, b, center + k[:, None] * omega, center - k[:, None] * omega
+        kw = k[:, None] * omega
+        return weight, a, b, center + kw, center - kw
     kp = np.sqrt(0.25 * rel2 + eps0)
     m2 = state2.rho * consts.maxwellian_mass
     weight = m2 * m1 * pref * np.sqrt(rel2 + 4.0 * eps0)
-    return weight, center + kp[:, None] * omega, center - kp[:, None] * omega, a, b
+    kw = kp[:, None] * omega
+    return weight, center + kw, center - kw, a, b
 
 
-def _weak_form_moments(
-    state1: MaxwellianState,
-    state2: MaxwellianState,
-    consts: PhysConsts,
-    plan: McPlan,
-    phi1,
-    phi2,
-) -> list:
-    """Loss-side minus gain-side Monte Carlo estimates of <phi, K_non.el[F]>.
+def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
+    """Loss-side minus gain-side Monte Carlo estimates of <phi, K_non.el[F]>,
+    one list of Estimates per problem (state1, state2, phi1, phi2).
 
     `phi1` (ground) and `phi2` (excited) map an (n, 3) velocity batch to
-    (n, k) test-function values; one loss pass and one gain pass feed all k
-    columns, and the result is one Estimate per column.
+    (n, k) test-function values.  Each (seed, side, batch) block of standard
+    normals is drawn once and serves every problem: walking it in row chunks,
+    each problem forms the chunk's collision tuples from its own Maxwellians
+    and adds the column sums of w*D and (w*D)^2, with
+    D = phi1(v4) + phi2(v3) - phi1(v1) - phi1(v2), to its running totals.
     """
     n = plan.n_samples
+    # per side and problem: [sum of w*D, sum of (w*D)^2, sum of w]; weights are >= 0
+    sums = [[[0.0, 0.0, 0.0] for _ in problems] for _ in (0, 1)]
 
-    def batch_sums(side, b, size):
-        """Column sums of one batch's weighted samples and of their squares,
-        and the sum of |weight|; the batch's arrays are freed on return, so
-        the next batch is drawn without them."""
-        rng = np.random.default_rng([plan.seed, side, b])
-        weight, v1, v2, v3, v4 = _collision_batch(state1, state2, consts, side, rng, size)
-        samples = weight[:, None] * (phi1(v4) + phi2(v3) - phi1(v1) - phi1(v2))
-        sq = np.sum(samples * samples, axis=0)
-        return np.sum(samples, axis=0), sq, float(np.sum(np.abs(weight)))
+    def add_batch(side, b, size):
+        """Adds one batch to the side's sums; its normals are freed on
+        return, so the next batch is drawn without them."""
+        normals = np.random.default_rng([plan.seed, side, b]).standard_normal((3, size, 3))
+        omega = normals[2]
+        omega /= np.sqrt(omega[:, 0] ** 2 + omega[:, 1] ** 2 + omega[:, 2] ** 2)[:, None]
+        for lo in range(0, size, _CHUNK):
+            chunk = normals[:, lo : lo + _CHUNK]
+            for acc, (state1, state2, phi1, phi2) in zip(sums[side], problems):
+                weight, v1, v2, v3, v4 = _tuple_chunk(state1, state2, consts, side, chunk)
+                samples = phi1(v4) + phi2(v3)
+                samples -= phi1(v1)
+                samples -= phi1(v2)
+                samples *= weight[:, None]
+                # a column sum reads that column alone, so a problem's
+                # estimates do not depend on which other columns ride along
+                acc[0] = acc[0] + samples.sum(axis=0)
+                samples *= samples
+                acc[1] = acc[1] + samples.sum(axis=0)
+                acc[2] += float(weight.sum())
 
-    def accumulate(side):
-        total = total_sq = weight_abs = 0.0
+    for side in (0, 1):
         for b, start in enumerate(range(0, n, _BATCH)):
-            batch_total, batch_sq, batch_abs = batch_sums(side, b, min(_BATCH, n - start))
-            total = total + batch_total
-            total_sq = total_sq + batch_sq
-            weight_abs += batch_abs
+            add_batch(side, b, min(_BATCH, n - start))
+
+    def side_estimate(total, total_sq, weight_sum):
         mean = total / n
         se = np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
         # rounding floor: the weak-form weights carry ~1e-16 relative noise,
         # so a per-sample-exact cancellation still reports a positive error
-        return mean, np.maximum(se, 1e-16 * (weight_abs / n) / math.sqrt(n))
+        return mean, np.maximum(se, 1e-16 * (weight_sum / n) / math.sqrt(n))
 
-    loss_mean, loss_se = accumulate(0)
-    gain_mean, gain_se = accumulate(1)
-    se = np.sqrt(loss_se**2 + gain_se**2)
-    return [Estimate(float(m), float(e)) for m, e in zip(loss_mean - gain_mean, se)]
+    out = []
+    for loss, gain in zip(*sums):
+        (loss_mean, loss_se), (gain_mean, gain_se) = side_estimate(*loss), side_estimate(*gain)
+        se = np.sqrt(loss_se**2 + gain_se**2)
+        out.append([Estimate(float(m), float(e)) for m, e in zip(loss_mean - gain_mean, se)])
+    return out
 
 
 def _conserved(v, excitation=0.0, *extra):
     """Columns 1, v and |v|^2/2 + excitation of an (n, 3) velocity batch, then
-    one constant column per `extra` value."""
-    cols = [np.ones(len(v)), v, 0.5 * np.sum(v * v, axis=1) + excitation]
-    return np.column_stack(cols + [np.full(len(v), c) for c in extra])
+    one constant column per `extra` value; filled row by row in a (k, n)
+    array and returned as its (n, k) transpose, so each column is contiguous."""
+    out = np.empty((5 + len(extra), len(v)))
+    out[0] = 1.0
+    out[1:4] = v.T
+    energy = out[4]
+    np.multiply(out[1], out[1], out=energy)
+    energy += out[2] * out[2]
+    energy += out[3] * out[3]
+    energy *= 0.5
+    energy += excitation
+    out[5:] = np.reshape(extra, (-1, 1))
+    return out.T
 
 
 def _zeros(k):
-    return lambda v: np.zeros((len(v), k))
+    return lambda v: np.zeros((k, len(v))).T
+
+
+def _exchange_problem(state1, state2, consts):
+    """Five conservation columns and the mass-exchange column (see
+    `conservation_and_exchange`)."""
+    return (
+        state1,
+        state2,
+        lambda v: _conserved(v, 0.0, 0.0),
+        lambda v: _conserved(v, consts.epsilon0, 1.0),
+    )
+
+
+def _exchange_result(estimates) -> tuple:
+    *conserved, exchange = estimates
+    mass, *momentum, energy = conserved
+    return MomentReport(mass=mass, momentum=tuple(momentum), energy=energy), exchange
+
+
+def _kernel_problem(state, consts):
+    """The LTE pair on `state`, projected on the excited-species moments."""
+    q = math.exp(-2.0 * consts.epsilon0 / state.T)
+    state2 = MaxwellianState(state.rho * q, state.u, state.T)
+    return state, state2, _zeros(5), lambda v: _conserved(v - state.u)
+
+
+def _kernel_result(estimates) -> dict:
+    rows = dict(zip(["number", "momentum_x", "momentum_y", "momentum_z", "energy"], estimates))
+    return {
+        "projections": rows,
+        "all_within_3_sigma": all(e.consistent_with_zero() for e in rows.values()),
+    }
 
 
 def conservation_and_exchange(
@@ -203,16 +286,8 @@ def conservation_and_exchange(
     (0, 1); its reduced closed form is
     rho1^2 e^(-2 eps0/T1) P(T1) - rho1 rho2 P(T2, T1).
     """
-    *conserved, exchange = _weak_form_moments(
-        state1,
-        state2,
-        consts,
-        plan,
-        lambda v: _conserved(v, 0.0, 0.0),
-        lambda v: _conserved(v, consts.epsilon0, 1.0),
-    )
-    mass, *momentum, energy = conserved
-    return MomentReport(mass=mass, momentum=tuple(momentum), energy=energy), exchange
+    (estimates,) = _weak_form_moments([_exchange_problem(state1, state2, consts)], consts, plan)
+    return _exchange_result(estimates)
 
 
 def mass_exchange_reduced(state1: MaxwellianState, state2: MaxwellianState, consts: PhysConsts) -> float:
@@ -228,15 +303,21 @@ def kernel_of_L_check(state: MaxwellianState, consts: PhysConsts, plan: McPlan) 
     Projects K[F_eq] on the excited-species moments 1, v - u and |v - u|^2/2;
     at LTE every projection is consistent with zero.
     """
-    q = math.exp(-2.0 * consts.epsilon0 / state.T)
-    state2 = MaxwellianState(state.rho * q, state.u, state.T)
-    excited = lambda v: _conserved(v - state.u)
-    estimates = _weak_form_moments(state, state2, consts, plan, _zeros(5), excited)
-    rows = dict(zip(["number", "momentum_x", "momentum_y", "momentum_z", "energy"], estimates))
-    return {
-        "projections": rows,
-        "all_within_3_sigma": all(e.consistent_with_zero() for e in rows.values()),
-    }
+    (estimates,) = _weak_form_moments([_kernel_problem(state, consts)], consts, plan)
+    return _kernel_result(estimates)
+
+
+def weak_form_checks(generic_pair, lte_state: MaxwellianState, plan: McPlan, consts: PhysConsts) -> tuple:
+    """`conservation_and_exchange(*generic_pair)` and `kernel_of_L_check(lte_state)`
+    from one draw per side: (MomentReport, Estimate, kernel dict).
+
+    Both estimators key their batches by (seed, side, batch), so they share
+    their random numbers; the results equal the two separate calls bit for bit.
+    """
+    exchange, kernel = _weak_form_moments(
+        [_exchange_problem(*generic_pair, consts), _kernel_problem(lte_state, consts)], consts, plan
+    )
+    return (*_exchange_result(exchange), _kernel_result(kernel))
 
 
 def entropy_identity_check(T_list, consts: PhysConsts, rel_step: float = 1e-5) -> dict:

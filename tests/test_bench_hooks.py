@@ -27,9 +27,10 @@ JOBS = [
     {"id": "three-level", "argv": ["three-level", "--n-y=33", "--n-mu=16"]},
     {"id": "verify", "argv": ["verify", "--n-samples=10000", "--n-tuples=2000"]},
 ]
-#: WORK entries whose functions radgas no longer has: `verify` takes both
-#: estimates from one kinetic.conservation_and_exchange pass.
-NOT_CALLED = {"kinetic.mc_conservation", "kinetic.mass_exchange_estimate"}
+#: WORK entries no subcommand calls: radgas no longer has the first two, and
+#: `verify` takes the conservation, mass-exchange and kernel-of-L estimates
+#: from one kinetic.weak_form_checks pass instead of kernel_of_L_check.
+NOT_CALLED = {"kinetic.mc_conservation", "kinetic.mass_exchange_estimate", "kinetic.kernel_of_L_check"}
 
 
 def test_traced_run_records_every_counted_span(tmp_path):

@@ -136,14 +136,42 @@ class TestCsvWriter:
         grid, angles = SlabGrid(L=1.0, n_y=17), AngleGrid(n_mu=16)
         rng = np.random.default_rng(5)
         field = RadiationField(grid, angles, rng.normal(size=(17, 16)), rng.normal(size=(17, 16)))
+        # y and mu arrive formatted, each distinct value once
         rows = [
-            (yi, mj, sign, g[i, j])
+            (_fmt(float(yi)), _fmt(float(mj)), sign, g[i, j])
             for i, yi in enumerate(grid.y)
             for sign, g in ((1, field.g_plus), (-1, field.g_minus))
             for j, mj in enumerate(angles.mu)
         ]
         columns = _radiation_columns(field)
         assert [c.tolist() for c in columns] == [list(c) for c in zip(*rows)]
+
+    @pytest.mark.parametrize("n_y", [65, 129])
+    @pytest.mark.parametrize("subcommand", ["slab-lte", "slab-exp"])
+    def test_radiation_csv_matches_float_columns(self, tmp_path, monkeypatch, subcommand, n_y):
+        fields = []
+
+        def recording(field):
+            fields.append(field)
+            return _radiation_columns(field)
+
+        monkeypatch.setattr(radgas.cli, "_radiation_columns", recording)
+        out = tmp_path / "run"
+        assert main([subcommand, f"--n-y={n_y}", "--out", str(out)]) == 0
+        (field,) = fields
+        n_mu = field.angles.n_mu
+        # the generic writer on the float y and mu columns
+        _Artifacts(str(tmp_path / "ref")).csv(
+            "radiation.csv",
+            ["y", "mu", "sign", "G"],
+            [
+                np.repeat(field.grid.y, 2 * n_mu),
+                np.tile(field.angles.mu, 2 * n_y),
+                np.tile(np.repeat([1, -1], n_mu), n_y),
+                np.concatenate([field.g_plus, field.g_minus], axis=1).ravel(),
+            ],
+        )
+        assert (out / "radiation.csv").read_bytes() == (tmp_path / "ref" / "radiation.csv").read_bytes()
 
 
 class TestRun:

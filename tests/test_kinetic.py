@@ -2,24 +2,78 @@
 kernel of the linearized operator, and the entropy identity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from radgas import PhysConsts, MaxwellianState, CollisionTuple
 from radgas.kinetic import (
+    _BATCH,
     McPlan,
     _conserved,
     _weak_form_moments,
     conservation_and_exchange,
+    detailed_balance_check,
     detailed_balance_residual,
     entropy_identity_check,
     kernel_of_L_check,
     mass_exchange_reduced,
+    weak_form_checks,
 )
 
 CONSTS = PhysConsts(epsilon0=1.0)
 PLAN = McPlan(n_samples=200_000, seed=42)
+
+
+def _collision_batch(state1, state2, consts, side, rng, size):
+    """(weight, v1, v2, v3, v4) of one batch, drawn as three (size, 3) normal
+    blocks: side 0 draws the loss product (v1, v2 ground; open above
+    threshold), side 1 the gain product (v3 excited, v4 ground)."""
+    m1 = state1.rho * consts.maxwellian_mass
+    pref = 2.0 * math.pi * consts.C0_kernel
+    eps0 = consts.epsilon0
+    first = state1 if side == 0 else state2
+    a = first.u + math.sqrt(first.T / 2.0) * rng.standard_normal((size, 3))
+    b = state1.u + math.sqrt(state1.T / 2.0) * rng.standard_normal((size, 3))
+    omega = rng.standard_normal((size, 3))
+    omega /= np.linalg.norm(omega, axis=1, keepdims=True)
+    rel2 = np.sum((a - b) ** 2, axis=1)
+    center = 0.5 * (a + b)
+    if side == 0:
+        k = np.sqrt(np.maximum(0.25 * rel2 - eps0, 0.0))
+        weight = np.where(
+            rel2 > 4.0 * eps0, m1 * m1 * pref * np.sqrt(np.maximum(rel2 - 4.0 * eps0, 0.0)), 0.0
+        )
+        return weight, a, b, center + k[:, None] * omega, center - k[:, None] * omega
+    kp = np.sqrt(0.25 * rel2 + eps0)
+    m2 = state2.rho * consts.maxwellian_mass
+    weight = m2 * m1 * pref * np.sqrt(rel2 + 4.0 * eps0)
+    return weight, center + kp[:, None] * omega, center - kp[:, None] * omega, a, b
+
+
+def separate_pass_oracle(state1, state2, consts, plan, phi1, phi2):
+    """One estimator's own loss and gain passes: whole batches, the weighted
+    samples materialized and summed by column (the reference for the fused,
+    chunked pass)."""
+    n = plan.n_samples
+
+    def accumulate(side):
+        total = total_sq = weight_abs = 0.0
+        for b, start in enumerate(range(0, n, _BATCH)):
+            rng = np.random.default_rng([plan.seed, side, b])
+            w, v1, v2, v3, v4 = _collision_batch(state1, state2, consts, side, rng, min(_BATCH, n - start))
+            samples = w[:, None] * (phi1(v4) + phi2(v3) - phi1(v1) - phi1(v2))
+            total = total + np.sum(samples, axis=0)
+            total_sq = total_sq + np.sum(samples * samples, axis=0)
+            weight_abs += float(np.sum(np.abs(w)))
+        mean = total / n
+        se = np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
+        return mean, np.maximum(se, 1e-16 * (weight_abs / n) / math.sqrt(n))
+
+    (loss_mean, loss_se), (gain_mean, gain_se) = accumulate(0), accumulate(1)
+    se = np.sqrt(loss_se**2 + gain_se**2)
+    return [(float(m), float(e)) for m, e in zip(loss_mean - gain_mean, se)]
 
 
 def random_nonelastic_tuples(rng, n, u, T, consts):
@@ -69,6 +123,22 @@ class TestDetailedBalance:
             )
 
 
+class TestDetailedBalanceCheck:
+    U, T = np.array([0.3, 0.0, 0.0]), 5.0
+    PAIR = (MaxwellianState(1.0, U, T), MaxwellianState(math.exp(-2.0 / T), U, T))
+
+    def test_max_residual_of_the_seeded_tuples(self):
+        # the tuples drawn from the (seed, 1) stream, as the check draws them
+        tup = random_nonelastic_tuples(np.random.default_rng([3, 1]), 20_000, self.U, self.T, CONSTS)
+        want = float(np.max(np.abs(detailed_balance_residual(*self.PAIR, tup, CONSTS))))
+        assert detailed_balance_check(self.PAIR, 20_000, 3, CONSTS) == want
+        assert want < 1e-12
+
+    def test_no_tuple_above_threshold_gives_none(self):
+        # the single pair that seed 1 draws is below the threshold
+        assert detailed_balance_check(self.PAIR, 1, 1, CONSTS) is None
+
+
 class TestConservation:
     def test_residuals_within_3_sigma_generic_pair(self):
         s1 = MaxwellianState(1.3, (0.2, 0.0, 0.0), 4.0)
@@ -100,14 +170,14 @@ class TestConservation:
         s2 = MaxwellianState(0.4, (0.2, 0.0, 0.0), 7.0)
         rep, est = conservation_and_exchange(s1, s2, PLAN, CONSTS)
         # the five conservation columns alone, and the mass-exchange column alone
-        alone = _weak_form_moments(
-            s1, s2, CONSTS, PLAN, _conserved, lambda v: _conserved(v, CONSTS.epsilon0)
+        (alone,) = _weak_form_moments(
+            [(s1, s2, _conserved, lambda v: _conserved(v, CONSTS.epsilon0))], CONSTS, PLAN
         )
         assert [(e.value, e.std_error) for _, e in rep.rows()] == [
             (e.value, e.std_error) for e in alone
         ]
-        (one,) = _weak_form_moments(
-            s1, s2, CONSTS, PLAN, lambda v: np.zeros((len(v), 1)), lambda v: np.ones((len(v), 1))
+        ((one,),) = _weak_form_moments(
+            [(s1, s2, lambda v: np.zeros((len(v), 1)), lambda v: np.ones((len(v), 1)))], CONSTS, PLAN
         )
         assert est.value == pytest.approx(one.value, rel=1e-12)
         assert est.std_error == pytest.approx(one.std_error, rel=1e-12)
@@ -134,13 +204,74 @@ class TestVectorTestFunctions:
         cols1 = [lambda v: v[:, 0] ** 2, lambda v: np.zeros(len(v)), lambda v: v[:, 2] ** 3]
         cols2 = [lambda v: np.ones(len(v)), lambda v: np.sum(v * v, axis=1), lambda v: v[:, 1]]
         stack = lambda cols: lambda v: np.column_stack([c(v) for c in cols])
-        joint = _weak_form_moments(s1, s2, CONSTS, PLAN, stack(cols1), stack(cols2))
+        (joint,) = _weak_form_moments([(s1, s2, stack(cols1), stack(cols2))], CONSTS, PLAN)
         assert len(joint) == 3
         for est, c1, c2 in zip(joint, cols1, cols2):
-            (one,) = _weak_form_moments(s1, s2, CONSTS, PLAN, stack([c1]), stack([c2]))
+            ((one,),) = _weak_form_moments([(s1, s2, stack([c1]), stack([c2]))], CONSTS, PLAN)
             assert est.value == pytest.approx(one.value, rel=1e-12)
             assert est.std_error == pytest.approx(one.std_error, rel=1e-12)
             assert abs(one.value) > 3 * one.std_error
+
+
+def conserved_columns(v, excitation=0.0, *extra):
+    """Columns 1, v, |v|^2/2 + excitation and the `extra` constants, stacked."""
+    cols = [np.ones(len(v)), v, 0.5 * np.sum(v * v, axis=1) + excitation]
+    return np.column_stack(cols + [np.full(len(v), c) for c in extra])
+
+
+class TestFusedPass:
+    GENERIC = (
+        MaxwellianState(1.3, (0.2, 0.0, 0.0), 4.0),
+        MaxwellianState(0.4, (0.2, 0.0, 0.0), 7.0),
+    )
+    LTE = MaxwellianState(1.0, (0.5, 0.0, -0.2), 5.0)
+
+    # 150_001 samples: a partial final batch that ends in a partial chunk
+    @pytest.mark.parametrize("n_samples", [200_000, 150_001])
+    def test_matches_separate_pass_oracle(self, n_samples):
+        plan = McPlan(n_samples=n_samples, seed=42)
+        rep, est, chk = weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS)
+        eps0 = CONSTS.epsilon0
+        *_, exchange = separate_pass_oracle(
+            *self.GENERIC,
+            CONSTS,
+            plan,
+            lambda v: conserved_columns(v, 0.0, 0.0),
+            lambda v: conserved_columns(v, eps0, 1.0),
+        )
+        q = math.exp(-2.0 * eps0 / self.LTE.T)
+        lte2 = MaxwellianState(self.LTE.rho * q, self.LTE.u, self.LTE.T)
+        kernel = separate_pass_oracle(
+            self.LTE,
+            lte2,
+            CONSTS,
+            plan,
+            lambda v: np.zeros((len(v), 5)),
+            lambda v: conserved_columns(v - self.LTE.u),
+        )
+        for got, (value, std_error) in zip([est, *chk["projections"].values()], [exchange, *kernel]):
+            assert abs(got.value - value) <= 1e-9 * std_error
+            assert got.std_error == pytest.approx(std_error, rel=1e-9, abs=0)
+        assert all(abs(e.value) < 1e-12 for _, e in rep.rows())
+        assert rep.all_pass()
+
+    def test_equals_separate_estimator_calls(self):
+        rep, est, chk = weak_form_checks(self.GENERIC, self.LTE, PLAN, CONSTS)
+        rep1, est1 = conservation_and_exchange(*self.GENERIC, PLAN, CONSTS)
+        chk1 = kernel_of_L_check(self.LTE, CONSTS, PLAN)
+        assert (rep, est, chk) == (rep1, est1, chk1)
+
+    def test_peak_memory_bounded(self):
+        # one batch of normals (3 x 2^17 x 3 floats, 9.4 MB) plus one chunk's
+        # tuples: a second live batch or an unchunked pass exceeds the bound
+        plan = McPlan(n_samples=10**6, seed=1)
+        tracemalloc.start()
+        try:
+            weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestKernelOfL:
