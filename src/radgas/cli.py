@@ -432,6 +432,11 @@ _INPUTS = {
 # ---------------------------------------------------------------------------
 
 
+#: Rows formatted per write in `_Artifacts.csv`, which bounds the Python
+#: objects a large table holds at once.
+_CSV_BLOCK = 1 << 15
+
+
 class _Artifacts:
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
@@ -442,14 +447,17 @@ class _Artifacts:
         """One row per index of the equal-length columns, each row through one format string.
 
         A float64 column is written with %.17g (the bytes of _fmt); any other
-        column goes through str.
+        column goes through str.  Rows are formatted _CSV_BLOCK at a time.
         """
         cols = [np.asarray(c) for c in columns]
+        rows = len(cols[0]) if cols else 0
         line = ",".join("%.17g" if c.dtype == np.float64 else "%s" for c in cols) + "\n"
         with open(os.path.join(self.out_dir, name), "w") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(map(line.__mod__, zip(*(c.tolist() for c in cols))))
-        self.records.append({"name": name, "rows": len(cols[0]), "header": header})
+            for start in range(0, rows, _CSV_BLOCK):
+                block = (c[start : start + _CSV_BLOCK].tolist() for c in cols)
+                fh.writelines(map(line.__mod__, zip(*block)))
+        self.records.append({"name": name, "rows": rows, "header": header})
 
     def json(self, name: str, payload: dict) -> None:
         path = os.path.join(self.out_dir, name)

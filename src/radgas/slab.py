@@ -13,17 +13,24 @@ with the even kernel K(x) = (1/2) * E1(|x|) (logarithmic singularity at 0,
 integral 1 over the line).  The discretization is a product-integration
 Nystroem scheme on a uniform grid: u is piecewise linear and every kernel
 moment over a cell is computed from the closed-form antiderivatives of E1,
-so the singularity never meets a quadrature node.  A direct dense solve and
-Picard iteration are both run; the kernel row sums are < 1 on any finite
-slab, which makes Picard a contraction and cross-checks the direct path.
+so the singularity never meets a quadrature node.  On the uniform grid the
+Nystroem matrix is a Toeplitz matrix T (the cell weights depend on the node
+offset only) minus two boundary columns, and it is never formed: products go
+through one FFT of T's circular embedding and the direct solve through
+Levinson recursion on I - T with a rank-2 Woodbury correction, both in O(n)
+memory.  The direct solve and Picard iteration are both run; the kernel row
+sums are < 1 on any finite slab, which makes Picard a contraction and
+cross-checks the direct path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.special import exp1, expn
 
 from .constants import PhysConsts
@@ -66,6 +73,14 @@ class SlabGrid:
         return np.linspace(0.0, self.L, self.n_y)
 
 
+@functools.lru_cache(maxsize=8)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class AngleGrid:
     """Gauss-Legendre nodes for mu = cos(psi) on (0, 1]; weights sum to 1."""
@@ -78,12 +93,12 @@ class AngleGrid:
 
     @property
     def mu(self) -> np.ndarray:
-        x, _ = np.polynomial.legendre.leggauss(self.n_mu)
+        x, _ = _leggauss(self.n_mu)
         return 0.5 * (x + 1.0)
 
     @property
     def weights(self) -> np.ndarray:
-        _, w = np.polynomial.legendre.leggauss(self.n_mu)
+        _, w = _leggauss(self.n_mu)
         return 0.5 * w
 
 
@@ -138,15 +153,9 @@ def _cell_coeffs(nodes: np.ndarray) -> np.ndarray:
     return 0.5 * (nodes[1:] + nodes[:-1])
 
 
-def _linear_emission_integral(j_lo, j_hi, sigma_c, delta, mu):
-    """int over one cell of the attenuated piecewise-linear emission.
-
-    Computes int_0^D (j_hi - s*x) * (1/mu) * exp(-sigma*x/mu) dx with
-    s = (j_hi - j_lo)/D, where x is measured back from the downstream face.
-    Exact for linear emission under constant per-cell absorption.
-    """
+def _emission_moments(sigma_c, delta, mu):
+    """(i0, i1) = int_0^D (1, x) * (1/mu) * exp(-sigma*x/mu) dx over one cell."""
     x = sigma_c * delta / mu
-    s = (j_hi - j_lo) / delta
     small = x < 1e-3
     with np.errstate(divide="ignore", invalid="ignore"):
         one_minus_e = -np.expm1(-x)
@@ -157,6 +166,18 @@ def _linear_emission_integral(j_lo, j_hi, sigma_c, delta, mu):
         sig = np.where(sigma_c == 0, 1.0, sigma_c)
         exact = (mu / sig**2) * one_minus_e - (delta / sig) * np.exp(-x)
         i1 = np.where(small, series, exact)
+    return i0, i1
+
+
+def _linear_emission_integral(j_lo, j_hi, sigma_c, delta, mu):
+    """int over one cell of the attenuated piecewise-linear emission.
+
+    Computes int_0^D (j_hi - s*x) * (1/mu) * exp(-sigma*x/mu) dx with
+    s = (j_hi - j_lo)/D, where x is measured back from the downstream face.
+    Exact for linear emission under constant per-cell absorption.
+    """
+    i0, i1 = _emission_moments(sigma_c, delta, mu)
+    s = (j_hi - j_lo) / delta
     return j_hi * i0 - s * i1
 
 
@@ -182,8 +203,13 @@ def ray_integrate(
     sigma_c = _cell_coeffs(sigma)[:, None]
     deltas = np.diff(grid.y)[:, None]
     att = np.exp(-sigma_c * deltas / mu)
-    e_plus = _linear_emission_integral(j[:-1], j[1:], sigma_c, deltas, mu)
-    e_minus = _linear_emission_integral(j[1:], j[:-1], sigma_c, deltas, mu)
+    # _linear_emission_integral in both directions on one set of moments: the
+    # slope s changes sign, and subtracting -s * i1 adds s * i1 exactly
+    i0, i1 = _emission_moments(sigma_c, deltas, mu)
+    s = (j[1:] - j[:-1]) / deltas
+    e_plus = j[1:] * i0 - s * i1
+    e_minus = j[:-1] * i0 + s * i1
+    del i0, i1
 
     shape = (n_y, angles.n_mu)
     g_plus = np.empty(shape)
@@ -274,23 +300,15 @@ def kernel_sup(L: float) -> float:
     return float(2.0 * _m0(L / 2.0))
 
 
-def _by_offset(cells: np.ndarray) -> np.ndarray:
-    """The (n, n - 1) matrix of per-offset cell values: entry (i, j), cell j
-    seen from node i, is cells[i - j + n - 2]."""
-    n = len(cells) // 2 + 1
-    return cells[np.subtract.outer(np.arange(n), np.arange(n - 1)) + (n - 2)]
-
-
 def _toeplitz_weights(y: np.ndarray, m0, m1):
-    """Cell weights (lo, hi) of a piecewise-linear u against a kernel k(y_i - xi).
+    """Cell weights (lo, hi) of a piecewise-linear u against a kernel k(y_i - xi), by offset.
 
     m0 and m1 are antiderivatives of k(t) and t * k(t); then
-    int_{y_j}^{y_j+1} k(y_i - xi) u(xi) dxi = lo[i, j] u_j + hi[i, j] u_j+1.
+    int_{y_j}^{y_j+1} k(y_i - xi) u(xi) dxi = lo[i - j + n - 2] u_j + hi[i - j + n - 2] u_j+1.
     On the uniform grid each weight depends on i - j only, so m0 and m1 are
-    evaluated on the 2n - 1 offsets (i - j) * h and the (n, n - 1) matrices
-    are gathered from the cell values by `_by_offset`.  The offsets equal the
-    node differences y_i - y_j exactly when h is a power of two; otherwise
-    they differ in the last bits.
+    evaluated on the 2n - 1 offsets (i - j) * h.  The offsets equal the node
+    differences y_i - y_j exactly when h is a power of two; otherwise they
+    differ in the last bits.
     """
     n = len(y)
     h = (y[-1] - y[0]) / (n - 1)
@@ -299,35 +317,91 @@ def _toeplitz_weights(y: np.ndarray, m0, m1):
     k0, k1 = m0(d), m1(d)
     i0 = k0[1:] - k0[:-1]
     i1 = b * i0 - (k1[1:] - k1[:-1])
-    return _by_offset(i0 - i1 / h), _by_offset(i1 / h)
+    return i0 - i1 / h, i1 / h
 
 
-def _node_matrix(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(n, n) matrix A with (A u)_i = sum_j lo[i, j] u_j + hi[i, j] u_j+1."""
-    A = np.zeros((len(lo), len(lo)))
-    A[:, :-1] += lo
-    A[:, 1:] += hi
-    return A
+class _CellToeplitz:
+    """The (n, n) matrix A with (A u)_i = sum_j lo[i - j + n - 2] u_j + hi[i - j + n - 2] u_j+1.
+
+    A is the Toeplitz matrix T with t(i - k) = lo[i - k + n - 2] + hi[i - k + n - 1]
+    minus two boundary columns: the hi weight of the missing cell -1 in
+    column 0 and the lo weight of the missing cell n - 1 in column n - 1.
+    Products go through the FFT of T's circular embedding and (I - A) u = g
+    through Levinson on I - T plus a rank-2 Woodbury correction, both in O(n)
+    memory; `dense` gathers the matrix itself.
+    """
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        self.lo, self.hi = lo, hi
+        n = self.n = len(lo) // 2 + 1
+        # t(d) at index d + n - 1, d = i - k = 1 - n .. n - 1
+        self.t = np.zeros(2 * n - 1)
+        self.t[1:] += lo
+        self.t[:-1] += hi
+        self.c0 = np.append(hi[n - 1:], 0.0)  # T[:, 0] - A[:, 0]
+        self.c1 = np.insert(lo[: n - 1], 0, 0.0)  # T[:, n - 1] - A[:, n - 1]
+
+    @functools.cached_property
+    def _spectrum(self):
+        n = self.n
+        period = scipy.fft.next_fast_len(2 * n - 1, real=True)
+        circ = np.zeros(period)
+        circ[:n] = self.t[n - 1:]  # d = 0 .. n - 1
+        circ[period - n + 1:] = self.t[: n - 1]  # d = 1 - n .. -1
+        return period, scipy.fft.rfft(circ)
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """A @ u."""
+        period, spectrum = self._spectrum
+        Tu = scipy.fft.irfft(spectrum * scipy.fft.rfft(u, period), period)[: self.n]
+        return Tu - self.c0 * u[0] - self.c1 * u[-1]
+
+    def row_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row sums of A and of T."""
+        a = self.apply(np.ones(self.n))
+        return a, a + self.c0 + self.c1
+
+    def solve_shifted(self, g: np.ndarray) -> np.ndarray:
+        """u with (I - A) u = g; needs the leading minors of I - T nonsingular."""
+        from scipy.linalg import solve_toeplitz
+
+        n = self.n
+        shifted = -self.t
+        shifted[n - 1] += 1.0
+        # (I - A) = (I - T) + U V^T with U = [c0, c1] and V = [e_0, e_n-1]
+        z = solve_toeplitz((shifted[n - 1:], shifted[n - 1::-1]), np.column_stack([g, self.c0, self.c1]))
+        zg, zu = z[:, 0], z[:, 1:]
+        ends = [0, n - 1]
+        return zg - zu @ np.linalg.solve(np.eye(2) + zu[ends], zg[ends])
+
+    def dense(self) -> np.ndarray:
+        """The matrix A, gathered from the cells by offset."""
+        n = self.n
+        offset = np.subtract.outer(np.arange(n), np.arange(n - 1)) + (n - 2)
+        A = np.zeros((n, n))
+        A[:, :-1] += self.lo[offset]
+        A[:, 1:] += self.hi[offset]
+        return A
 
 
-def _nystrom_matrix(y: np.ndarray) -> np.ndarray:
-    """Product-integration matrix A with (A u)_i ~= int_0^L K(y_i - xi) u(xi) dxi.
+def _nystrom_operator(y: np.ndarray) -> _CellToeplitz:
+    """Product-integration operator A with (A u)_i ~= int_0^L K(y_i - xi) u(xi) dxi.
 
     u is piecewise linear on the grid; each cell integral uses the exact E1
     moments, so the diagonal (singular) cells are handled analytically.
     """
-    return _node_matrix(*_toeplitz_weights(y, _m0, _m1))
+    return _CellToeplitz(*_toeplitz_weights(y, _m0, _m1))
 
 
-def angular_response(kappa: float, grid: SlabGrid, angles: AngleGrid) -> np.ndarray:
-    """Matrix M with angular_mean(ray_integrate(kappa, e, zero, zero)) = M @ e.
+def angular_response(kappa: float, grid: SlabGrid, angles: AngleGrid) -> _CellToeplitz:
+    """Operator M with angular_mean(ray_integrate(kappa, e, zero, zero)) = M e.
 
     Under a constant absorption kappa the sweep's cell integral of a linear
     emission reaches a node m cells downstream attenuated by
     exp(-kappa*m*h/mu), so each cell weight depends only on the offset i - j
     between receiving node i and cell j.  The weights are the sweep's own
     integrals of a unit far (upstream) and a unit near node, attenuated and
-    summed over the angles, and gathered by offset like the Nystroem weights.
+    summed over the angles, and held by offset like the Nystroem weights.
     """
     n = grid.n_y
     h = grid.L / (n - 1)
@@ -341,7 +415,7 @@ def angular_response(kappa: float, grid: SlabGrid, angles: AngleGrid) -> np.ndar
     # cells between) and along -mu for t <= 0 (node j near, -t cells between)
     lo = np.concatenate([e[::-1], f])  # weight of node j, by offset t = 2 - n .. n - 1
     hi = np.concatenate([f[::-1], e])  # weight of node j + 1
-    return _node_matrix(_by_offset(lo), _by_offset(hi))
+    return _CellToeplitz(lo, hi)
 
 
 def _ensure_positive(w: np.ndarray, y: np.ndarray):
@@ -351,12 +425,18 @@ def _ensure_positive(w: np.ndarray, y: np.ndarray):
         raise NonPositiveW(f"w({y[at]:.6g}) = {w[at]:.3e} <= 0: inadmissible boundary profile")
 
 
-def _check_contraction(A: np.ndarray):
-    row_sums = A.sum(axis=1)
-    sup = float(np.max(row_sums))
-    if sup >= 1.0:
-        raise NonContraction(f"kernel row sum {sup:.6f} >= 1; quadrature misconfigured")
-    return sup
+def _check_contraction(A: _CellToeplitz) -> float:
+    """The largest row sum of A; NonContraction unless those of A and T are all < 1.
+
+    Picard needs the rows of A below 1 and Levinson a definite I - T; T's
+    rows exceed A's by the two boundary columns.
+    """
+    a_rows, t_rows = A.row_sums()
+    for name, rows in (("A", a_rows), ("T", t_rows)):
+        sup = float(np.max(rows))
+        if sup >= 1.0:
+            raise NonContraction(f"kernel row sum of {name} {sup:.6f} >= 1; quadrature misconfigured")
+    return float(np.max(a_rows))
 
 
 def _p0(t):
@@ -375,10 +455,10 @@ def _e2_product_flux(u: np.ndarray, y: np.ndarray, boundary_term: np.ndarray, co
     """J(y)/(2*pi) = boundary_term + coeff * int_0^L u(xi) sgn(y-xi) E2(|y-xi|) dxi.
 
     Piecewise-linear u with analytic E2/E3/E4 moments (mu integrated exactly),
-    so the only inconsistency left is the interpolation of u itself.
+    so the only inconsistency left is the interpolation of u itself.  The
+    odd kernel has the same offset structure as K and is applied by FFT.
     """
-    w_lo, w_hi = _toeplitz_weights(y, _p0, _p1)
-    inner = w_lo @ u[:-1] + w_hi @ u[1:]
+    inner = _CellToeplitz(*_toeplitz_weights(y, _p0, _p1)).apply(u)
     return boundary_term + coeff * inner
 
 
@@ -387,9 +467,9 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
 
     g(y) = int_0^1 profile(mu) e^(-y/mu) dmu / (2 * coupling) is driven by the
     incoming profile at y = 0, and the rays carry the emission coupling * u.
-    The direct Nystroem solve is authoritative; Picard iteration from zero
-    cross-checks it.  Returns (u, field, flux_j, diagnostics), the diagnostics
-    as result-dataclass keywords.
+    The direct Nystroem solve (Levinson) is authoritative; Picard iteration
+    from zero, on FFT products, cross-checks it.  Returns (u, field, flux_j,
+    diagnostics), the diagnostics as result-dataclass keywords.
     """
     y = grid.y
     mu = angles.mu
@@ -397,22 +477,22 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
     vals = profile(mu)
     decay = np.exp(-y[:, None] / mu[None, :])
     g = (decay @ (wq * vals)) / (2.0 * coupling)
+    boundary_term = decay @ (wq * mu * vals)
+    del decay  # as large as one angle-resolved field
 
-    A = _nystrom_matrix(y)
+    A = _nystrom_operator(y)
     sup = _check_contraction(A)
-    u = np.linalg.solve(np.eye(len(y)) - A, g)
-    picard = fixed_point(lambda x: A @ x + g, np.zeros_like(g), tol=1e-13, max_iter=10_000)
+    u = A.solve_shifted(g)
+    picard = fixed_point(lambda x: A.apply(x) + g, np.zeros_like(g), tol=1e-13, max_iter=10_000)
     diagnostics = {
         "kernel_sup": sup,
         "picard_ratio": picard.ratio(sup),
         "picard_gap": float(np.max(np.abs(u - picard.x))),
-        "residual_max": float(np.max(np.abs(u - A @ u - g))),
+        "residual_max": float(np.max(np.abs(u - A.apply(u) - g))),
         "converged": picard.converged,
     }
-    del A  # the flux gather below builds n^2 weight matrices of its own
 
     field = ray_integrate(np.ones_like(y), coupling * u, profile, BoundaryProfile.zero(), grid, angles)
-    boundary_term = decay @ (wq * mu * vals)
     flux_j = 2.0 * math.pi * _e2_product_flux(u, y, boundary_term, coupling)
     return u, field, flux_j, diagnostics
 

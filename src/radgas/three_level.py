@@ -13,7 +13,8 @@ h satisfy, at every node,
 plus the transport equation for h with absorption eps*rho0*(g1+g2*q)*(1-q).
 The densities reach the radiation only through the scalar source
 s = c_src . sigma, and the angular integral of h is M_src s + b_I, with M_src
-the n x n `slab.angular_response` matrix and b_I the boundary-driven sweep.
+the n x n matrix gathered from the `slab.angular_response` operator and b_I
+the boundary-driven sweep.
 Eliminating the local 3 x 3 node equations leaves one n x n system for s;
 this direct path is authoritative, and a sigma -> h -> sigma Picard loop
 cross-checks it.
@@ -195,7 +196,9 @@ def solve_three_level(
         )
 
     # angular integral of h: M_src @ src + b_I, src = c_src @ sigma
-    M_src = angular_response(params.kappa, grid, angles)
+    # I - alpha M_src is not definite, so Levinson does not apply: one dense LU,
+    # and the matrix is kept for the products, which beat FFTs at these sizes
+    M_src = angular_response(params.kappa, grid, angles).dense()
     b_I = angular_mean(ray_integrate(np.full(n, params.kappa), np.zeros(n), *boundary, grid, angles))
     c_src = params.eps * params.rho0 * np.array([-g1, g1 - g2 * q, g2 * q])
     rad = q * (g1 + g2 * q)

@@ -132,6 +132,22 @@ class TestCsvWriter:
         assert (tmp_path / "t.csv").read_text() == self.fmt_join(header, zip(*columns))
         assert art.records == [{"name": "t.csv", "rows": n, "header": header}]
 
+    def test_blocks_write_the_bytes_of_one_pass(self, tmp_path, monkeypatch):
+        n = 2 * radgas.cli._CSV_BLOCK + 123  # three blocks, the last one partial
+        rng = np.random.default_rng(11)
+        labels = np.tile(np.array(["a", "bc"], dtype=object), n // 2 + 1)[:n]
+        columns = [rng.normal(size=n), np.arange(n) % 7, labels]
+        header = ["x", "k", "s"]
+        _Artifacts(str(tmp_path / "blocks")).csv("t.csv", header, columns)
+        monkeypatch.setattr(radgas.cli, "_CSV_BLOCK", n)
+        art = _Artifacts(str(tmp_path / "one"))
+        art.csv("t.csv", header, columns)
+        assert (tmp_path / "blocks" / "t.csv").read_bytes() == (tmp_path / "one" / "t.csv").read_bytes()
+        assert art.records == [{"name": "t.csv", "rows": n, "header": header}]
+        lines = (tmp_path / "one" / "t.csv").read_text().splitlines()
+        assert len(lines) == n + 1
+        assert lines[-1] == self.fmt_join([], [[c[-1] for c in columns]]).strip()
+
     def test_radiation_columns_match_row_order(self):
         grid, angles = SlabGrid(L=1.0, n_y=17), AngleGrid(n_mu=16)
         rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 """Slab transport, the E1 kernel, and the two stationary slab solvers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,14 +24,17 @@ from radgas.slab import (
     transport_solve,
 )
 from radgas.slab import (
+    _CellToeplitz,
     _check_contraction,
     _e2_product_flux,
+    _leggauss,
     _linear_emission_integral,
     _m0,
     _m1,
-    _nystrom_matrix,
+    _nystrom_operator,
     _p0,
     _p1,
+    _slab_fredholm,
     _toeplitz_weights,
 )
 
@@ -66,12 +70,18 @@ def dense_cell_weights(y, m0, m1):
     return i0 - i1 / delta[None, :], i1 / delta[None, :]
 
 
-def dense_nystrom_matrix(y):
-    lo, hi = dense_cell_weights(y, _m0, _m1)
+def dense_nystrom_matrix(y, m0=_m0, m1=_m1):
+    lo, hi = dense_cell_weights(y, m0, m1)
     A = np.zeros((len(y), len(y)))
     A[:, :-1] += lo
     A[:, 1:] += hi
     return A
+
+
+def by_offset(cells):
+    """The (n, n - 1) matrix of cell values held by offset: entry (i, j) is cells[i - j + n - 2]."""
+    n = len(cells) // 2 + 1
+    return cells[np.subtract.outer(np.arange(n), np.arange(n - 1)) + (n - 2)]
 
 
 def per_cell_sweep(sigma_nodes, j, a_plus, a_minus, grid, angles):
@@ -100,6 +110,17 @@ class TestAngleGrid:
         assert np.all(a.mu <= 1)
         assert np.all(a.weights > 0)
         assert np.sum(a.weights) == pytest.approx(1.0, abs=1e-10)
+
+    def test_rule_is_cached_and_bit_identical(self):
+        a = AngleGrid(n_mu=40)
+        x, w = np.polynomial.legendre.leggauss(40)
+        np.testing.assert_array_equal(a.mu, 0.5 * (x + 1.0))
+        np.testing.assert_array_equal(a.weights, 0.5 * w)
+        misses = _leggauss.cache_info().misses
+        mu = AngleGrid(n_mu=40).mu
+        assert _leggauss.cache_info().misses == misses
+        mu[0] = -1.0  # each access returns a fresh array
+        assert a.mu[0] == 0.5 * (x[0] + 1.0)
 
 
 class TestBoundaryProfile:
@@ -231,34 +252,91 @@ class TestKernelK:
         assert 0 < sup < 1
         # row sums of the Nystroem matrix agree with the closed form
         y = np.linspace(0.0, L, 301)
-        rows = _nystrom_matrix(y).sum(axis=1)
+        rows, _ = _nystrom_operator(y).row_sums()
         assert np.max(rows) == pytest.approx(sup, rel=1e-10)
 
     @pytest.mark.parametrize("n_y", [257, 1025])
     def test_toeplitz_assembly_equals_dense_on_dyadic_grid(self, n_y):
         y = SlabGrid(L=1.0, n_y=n_y).y
-        np.testing.assert_array_equal(_nystrom_matrix(y), dense_nystrom_matrix(y))
+        np.testing.assert_array_equal(_nystrom_operator(y).dense(), dense_nystrom_matrix(y))
         for m0, m1 in ((_m0, _m1), (_p0, _p1)):
             for got, want in zip(_toeplitz_weights(y, m0, m1), dense_cell_weights(y, m0, m1)):
-                np.testing.assert_array_equal(got, want)
-        u = np.cos(3.0 * y)
-        want_lo, want_hi = dense_cell_weights(y, _p0, _p1)
-        flux_j = _e2_product_flux(u, y, np.sin(y), 0.7)
-        np.testing.assert_array_equal(flux_j, np.sin(y) + 0.7 * (want_lo @ u[:-1] + want_hi @ u[1:]))
+                np.testing.assert_array_equal(by_offset(got), want)
 
     def test_toeplitz_assembly_near_dense_off_dyadic_grid(self):
         # h = 3.7 / 299 is not a power of two: the offsets (i - j) * h and the
         # node differences y_i - y_j differ in the last bits
         y = SlabGrid(L=3.7, n_y=300).y
         want = dense_nystrom_matrix(y)
-        assert np.max(np.abs(_nystrom_matrix(y) - want)) <= 1e-10 * np.max(np.abs(want))
+        assert np.max(np.abs(_nystrom_operator(y).dense() - want)) <= 1e-10 * np.max(np.abs(want))
         for m0, m1 in ((_m0, _m1), (_p0, _p1)):
             for got, dense in zip(_toeplitz_weights(y, m0, m1), dense_cell_weights(y, m0, m1)):
-                assert np.max(np.abs(got - dense)) <= 1e-10 * np.max(np.abs(dense))
+                assert np.max(np.abs(by_offset(got) - dense)) <= 1e-10 * np.max(np.abs(dense))
 
     def test_noncontraction_raises(self):
-        with pytest.raises(NonContraction):
-            _check_contraction(np.array([[0.6, 0.5], [0.1, 0.2]]))
+        # the two-node matrix [[0.6, 0.5], [0.1, 0.2]], row sums 1.1 and 0.3
+        A = _CellToeplitz(np.array([0.6, 0.1]), np.array([0.5, 0.2]))
+        np.testing.assert_array_equal(A.dense(), [[0.6, 0.5], [0.1, 0.2]])
+        with pytest.raises(NonContraction, match="of A"):
+            _check_contraction(A)
+
+    def test_noncontraction_when_only_toeplitz_rows_reach_one(self):
+        # at slab_l 1, n_y 257 the row sums are 0.67336 (A) and 0.67445 (T);
+        # scaled by 1/0.674 the rows of A stay below 1 and those of T do not
+        A = _nystrom_operator(SlabGrid(L=1.0, n_y=257).y)
+        a_rows, t_rows = A.row_sums()
+        assert np.max(a_rows) == pytest.approx(0.67336, abs=1e-5)
+        assert np.max(t_rows) == pytest.approx(0.67445, abs=1e-5)
+        scaled = _CellToeplitz(A.lo / 0.674, A.hi / 0.674)
+        assert np.max(scaled.row_sums()[0]) < 1.0
+        with pytest.raises(NonContraction, match="of T"):
+            _check_contraction(scaled)
+        assert _check_contraction(_CellToeplitz(A.lo / 0.6746, A.hi / 0.6746)) < 1.0
+
+
+class TestCellToeplitz:
+    """FFT products and the Levinson solve against the dense matrices they replace."""
+
+    @pytest.mark.parametrize("L, n_y", [(1.0, 257), (2.0, 513), (1.0, 1025)])
+    def test_apply_and_e2_flux_match_dense_on_dyadic_grid(self, L, n_y):
+        y = SlabGrid(L=L, n_y=n_y).y
+        u = np.cos(3.0 * y) + np.random.default_rng(n_y).normal(size=n_y)
+        want = dense_nystrom_matrix(y) @ u
+        got = _nystrom_operator(y).apply(u)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        inner = dense_nystrom_matrix(y, _p0, _p1) @ u
+        flux_j = _e2_product_flux(u, y, np.sin(y), 0.7)
+        assert np.max(np.abs(flux_j - (np.sin(y) + 0.7 * inner))) <= 1e-13 * np.max(np.abs(inner))
+
+    def test_apply_matches_own_dense_off_dyadic_grid(self):
+        # off a dyadic h the dense oracle differs from the offset weights by
+        # 1e-14 per entry, so the products are checked against dense() here
+        y = SlabGrid(L=3.7, n_y=300).y
+        u = np.random.default_rng(300).normal(size=300)
+        for A in (_nystrom_operator(y), _CellToeplitz(*_toeplitz_weights(y, _p0, _p1))):
+            want = A.dense() @ u
+            assert np.max(np.abs(A.apply(u) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_y", [257, 2049])
+    def test_solve_shifted_matches_dense_solve(self, n_y):
+        y = SlabGrid(L=1.0, n_y=n_y).y
+        g = np.exp(-y) + np.random.default_rng(n_y).uniform(size=n_y)
+        want = np.linalg.solve(np.eye(n_y) - dense_nystrom_matrix(y), g)
+        got = _nystrom_operator(y).solve_shifted(g)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_slab_solve_memory_is_linear_in_n(self):
+        # the dense matrix, its gathers and its LU would take over 400 MB here
+        grid, angles = SlabGrid(L=1.0, n_y=4097), AngleGrid(n_mu=48)
+        # a small solve first, so that lazy imports are not counted
+        _slab_fredholm(BoundaryProfile.constant(1.0), 1.0, SlabGrid(L=1.0, n_y=33), angles)
+        tracemalloc.start()
+        try:
+            _slab_fredholm(BoundaryProfile.constant(1.0), 1.0, grid, angles)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestFredholmSolver:

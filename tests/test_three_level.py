@@ -123,7 +123,10 @@ class TestDirectPath:
         p = ThreeLevelParams(0.7, 0.3, eps=1.0, T0=2.0, rho0=rho0, P12=1.0, P23=1.0)
         grid = SlabGrid(L=1.0, n_y=n_y)
         M_src = angular_response(p.kappa, grid, ANGLES)
-        np.testing.assert_allclose(M_src, per_column_response(p, grid, ANGLES), rtol=0, atol=1e-14)
+        want = per_column_response(p, grid, ANGLES)
+        np.testing.assert_allclose(M_src.dense(), want, rtol=0, atol=1e-14)
+        e = np.random.default_rng(n_y).normal(size=n_y)
+        np.testing.assert_allclose(M_src.apply(e), want @ e, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("mass_C0", [0.0, "from-mass"])
     def test_matches_kron_assembly(self, mass_C0):
