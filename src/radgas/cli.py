@@ -592,6 +592,7 @@ def _run_domain3d(config: RunConfig, art: _Artifacts) -> int:
             "lattice_points": int(len(field.points)),
             "max_kernel_mass": float(field.kernel_mass.max()),
             "picard_ratio": field.picard_ratio,
+            "picard_ratio_source": "kernel_mass_bound",
             "picard_diffs": field.picard_diffs,
             "iterations": field.iterations,
             "w_min": float(field.values.min()),

@@ -408,9 +408,9 @@ class TestRun:
         first, second = reports
         assert len(first["picard_diffs"]) == first["iterations"]
         assert first["picard_diffs"] == second["picard_diffs"]
-        # picard_ratio is still the diff-ratio median of the reported trace
-        trace = radgas.picard.FixedPoint(None, first["iterations"], True, first["picard_diffs"])
-        assert trace.ratio(first["max_kernel_mass"]) == first["picard_ratio"]
+        # the loop is Anderson-mixed: the ratio is the kernel-mass bound, not a diff ratio
+        assert first["picard_ratio"] == first["max_kernel_mass"]
+        assert first["picard_ratio_source"] == "kernel_mass_bound"
 
     def test_domain3d_unconverged_exits_one(self, tmp_path, monkeypatch):
         capped = functools.partial(radgas.domain3d.solve_w, max_iter=2)

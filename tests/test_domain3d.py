@@ -10,6 +10,7 @@ from scipy.special import expn
 
 import radgas.domain3d
 from radgas import NotInterior
+from radgas.picard import fixed_point
 from radgas.domain3d import (
     ConvexDomain,
     LatticeSpec,
@@ -441,6 +442,26 @@ class TestSolveW:
     def test_picard_ratio_below_kernel_mass(self):
         field = solve_w(BALL, f_iso, LatticeSpec(16), SPHERE)
         assert field.picard_ratio <= field.kernel_mass.max() + 1e-3
+
+    def test_anderson_matches_the_plain_solve(self, monkeypatch):
+        field = solve_w(BALL, f_up, LatticeSpec(16), SPHERE)
+        monkeypatch.setattr(
+            radgas.domain3d, "fixed_point", lambda step, x0, tol, max_iter, anderson: fixed_point(step, x0, tol, max_iter)
+        )
+        plain = solve_w(BALL, f_up, LatticeSpec(16), SPHERE)
+        assert field.converged and plain.converged
+        assert field.iterations <= 16 < plain.iterations
+        # both stop within tol / (1 - ratio) of the fixed point in the max norm
+        bound = 1e-10 / (1.0 - field.kernel_mass.max())
+        assert np.max(np.abs(field.values - plain.values)) <= bound
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_isotropic_ball_exact_in_few_sweeps(self, n):
+        field = solve_w(BALL, f_iso, LatticeSpec(n), SphereGrid())
+        assert field.converged
+        assert field.iterations <= 16
+        assert np.max(np.abs(field.values - 1.0)) <= 1e-10
+        assert field.picard_ratio == field.kernel_mass.max()
 
     def test_lattice_points_strictly_interior(self):
         field = solve_w(BALL, f_iso, LatticeSpec(12), SPHERE)
