@@ -54,7 +54,7 @@ _COMMON_SCHEMA = {
 
 _SCHEMAS = {
     "levelscan": {
-        **_COMMON_SCHEMA,
+        **{key: _COMMON_SCHEMA[key] for key in ("epsilon0", "sigma", "c0")},
         "t1_min": (float, 10.0, "window lower T1"),
         "t1_max": (float, 12.0, "window upper T1"),
         "t2_min": (float, 10.0, "window lower T2"),

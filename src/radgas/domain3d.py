@@ -106,11 +106,15 @@ class ConvexDomain:
             return nd + np.sqrt(np.maximum(disc, 0.0))
         if self.kind == "box":
             mins, maxs = self._geom["mins"], self._geom["maxs"]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_pos = (p[:, None, :] - mins) / n[None, :, :]
-                t_neg = (p[:, None, :] - maxs) / n[None, :, :]
-                t = np.where(n[None, :, :] > 0, t_pos, np.where(n[None, :, :] < 0, t_neg, np.inf))
-            return np.min(t, axis=-1)
+            s = np.full((p.shape[0], n.shape[0]), np.inf)
+            for i in range(3):
+                # per axis, the ray entered through mins[i] when n_i > 0 and
+                # maxs[i] when n_i < 0; with n_i = 0 it meets neither face
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t = (p[:, i, None] - np.where(n[:, i] > 0, mins[i], maxs[i])) / n[:, i]
+                t[:, n[:, i] == 0] = np.inf
+                np.minimum(s, t, out=s)
+            return s
         return self._exit_bisection(p, n)
 
     def _exit_bisection(self, p, n, iters: int = 60):
@@ -373,11 +377,6 @@ def fftconvolve(x, table_hat, period) -> np.ndarray:
     return irfftn(rfftn(x, period) * table_hat, period)[tuple(map(slice, x.shape))]
 
 
-#: Anderson window of the 3-D Picard loop: 34 plain sweeps at lattice 24 to 48
-#: become about 13 (41 on the box at lattice 12 become 12).
-_ANDERSON_WINDOW = 5
-
-
 def solve_w(
     domain: ConvexDomain,
     f,
@@ -428,7 +427,7 @@ def solve_w(
         w_grid[inside] = w * frac
         return scale * fftconvolve(w_grid, table_hat, period)[inside] + forcing
 
-    picard = fixed_point(sweep, np.zeros(len(pts)), tol, max_iter, anderson=_ANDERSON_WINDOW)
+    picard = fixed_point(sweep, np.zeros(len(pts)), tol, max_iter)
     w = picard.x
     if float(np.max(np.abs(w))) > 0 and float(np.min(w)) <= 0:
         at = int(np.argmin(w))

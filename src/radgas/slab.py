@@ -467,9 +467,11 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
 
     g(y) = int_0^1 profile(mu) e^(-y/mu) dmu / (2 * coupling) is driven by the
     incoming profile at y = 0, and the rays carry the emission coupling * u.
-    The direct Nystroem solve (Levinson) is authoritative; Picard iteration
-    from zero, on FFT products, cross-checks it.  Returns (u, field, flux_j,
-    diagnostics), the diagnostics as result-dataclass keywords.
+    The direct Nystroem solve (Levinson) is authoritative; the Anderson-mixed
+    Picard loop from zero, on FFT products, cross-checks it.  `picard_ratio`
+    is the max-norm contraction bound, the largest row sum of A (equal to
+    `kernel_sup`).  Returns (u, field, flux_j, diagnostics), the diagnostics
+    as result-dataclass keywords.
     """
     y = grid.y
     mu = angles.mu
@@ -486,7 +488,7 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
     picard = fixed_point(lambda x: A.apply(x) + g, np.zeros_like(g), tol=1e-13, max_iter=10_000)
     diagnostics = {
         "kernel_sup": sup,
-        "picard_ratio": picard.ratio(sup),
+        "picard_ratio": sup,
         "picard_gap": float(np.max(np.abs(u - picard.x))),
         "residual_max": float(np.max(np.abs(u - A.apply(u) - g))),
         "converged": picard.converged,

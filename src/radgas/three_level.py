@@ -168,9 +168,10 @@ def solve_three_level(
     which case C0 is computed from the total-gas relation using m0 (default:
     the background mass, which gives C0 = (1+q+q^2) * mean(xi)).
 
-    Both the direct n x n solve for the source and the sigma -> h -> sigma
-    fixed-point loop are run; their max-norm gap is reported and the direct
-    path is authoritative.
+    Both the direct n x n solve for the source and the Anderson-mixed
+    sigma -> h -> sigma fixed-point loop, on the (3, n) array of the three
+    fields, are run; their max-norm gap is reported and the direct path is
+    authoritative.
     """
     q = params.q
     g1, g2 = params.gamma1, params.gamma2

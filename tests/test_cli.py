@@ -303,6 +303,7 @@ class TestRun:
             pytest.param(["nonexist", "--domain", "ball"], id="default-samples-outside-ball"),
             pytest.param(["slab-exp", "--sigma", "7"], id="slab-exp-sigma-removed"),
             pytest.param(["slab-lte", "--c0", "2"], id="slab-lte-c0-removed"),
+            pytest.param(["levelscan", "--c0-kernel", "2"], id="levelscan-c0-kernel-removed"),
             pytest.param(["three-level", "--epsilon0", "3"], id="three-level-epsilon0-removed"),
             pytest.param(["slab-lte", "--zeta-mass", "abc"], id="zeta-mass-not-a-number"),
             pytest.param(["three-level", "--mass-c0", "xyz"], id="mass-c0-not-a-number"),
@@ -506,7 +507,7 @@ E2E_VALUES = {
         "t1_min": ["10", "10.1", "10.2", "11", "nan"], "t1_max": ["10.2", "10.1", "9", "inf"],
         "t2_min": ["10", "10.1", "10.3", "x"], "step": ["0.1", "0.2", "0.3", "0", "-0.1", "1e-320"],
         "n_levels": ["1", "8", "0", "-3"], "r_max": ["12", "6", "0"], "n_r": ["16", "8", "x"],
-        "n_rho": ["16", "0"], "epsilon0": _POS, "sigma": _POS, "c0": _POS, "c0_kernel": _POS,
+        "n_rho": ["16", "0"], "epsilon0": _POS, "sigma": _POS, "c0": _POS,
     },
     "slab-lte": {
         **_SLAB, "t0": _POS, "epsilon0": _POS, "j0_profile": _PROFILE,

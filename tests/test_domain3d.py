@@ -10,7 +10,7 @@ from scipy.special import expn
 
 import radgas.domain3d
 from radgas import NotInterior
-from radgas.picard import fixed_point
+from radgas.picard import FixedPoint
 from radgas.domain3d import (
     ConvexDomain,
     LatticeSpec,
@@ -25,6 +25,7 @@ from radgas.domain3d import (
     solve_w,
     vector_R,
 )
+from test_picard import _plain_loop
 
 SPHERE = SphereGrid(16, 32)
 BALL = ConvexDomain.ball((0.0, 0.0, 0.0), 1.0)
@@ -81,6 +82,15 @@ def full_pass_oracle(domain, points, a2=1.0, f=f_up):
     return e @ (weights * f(nodes)), (1.0 - e) @ weights
 
 
+def box_exit_oracle(mins, maxs, p, n):
+    """Box exit distances from both (P, S, 3) face quotients and a nested where."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_pos = (p[:, None, :] - mins) / n[None, :, :]
+        t_neg = (p[:, None, :] - maxs) / n[None, :, :]
+        t = np.where(n[None, :, :] > 0, t_pos, np.where(n[None, :, :] < 0, t_neg, np.inf))
+    return np.min(t, axis=-1)
+
+
 def _ball_points(rng, count):
     p = rng.normal(size=(count, 3))
     return p / np.linalg.norm(p, axis=1, keepdims=True) * rng.uniform(0.0, 0.8, size=(count, 1))
@@ -117,6 +127,23 @@ class TestExitDistance:
     def test_unit_box(self):
         box = ConvexDomain.box((0, 0, 0), (1, 1, 1))
         assert exit_distance(box, (0.5, 0.5, 0.5), (1, 0, 0)) == pytest.approx(0.5, rel=1e-14)
+
+    @pytest.mark.parametrize("bounds", [(0, 0, 0, 1, 1, 1), (-10, -10, 0, 10, 10, 1), (0, 0, 0, 1, 2, 0.5)])
+    def test_box_matches_three_component_oracle(self, bounds):
+        box = ConvexDomain.box(bounds[:3], bounds[3:])
+        lo, hi = np.array(bounds[:3], dtype=float), np.array(bounds[3:], dtype=float)
+        points = lo + (hi - lo) * np.random.default_rng(5).uniform(0.01, 0.99, size=(64, 3))
+        # sphere nodes, the six axis directions and directions with one or two
+        # exact zero components (one of them -0.0)
+        dirs = np.vstack([
+            SPHERE.nodes_weights()[0],
+            np.eye(3),
+            -np.eye(3),
+            [[0.6, -0.8, 0.0], [0.0, -0.6, 0.8], [-0.0, 0.0, 1.0]],
+        ])
+        s = box.exit_distances(points, dirs)
+        np.testing.assert_array_equal(s, box_exit_oracle(lo, hi, points, dirs))
+        assert np.all(np.isfinite(s)) and np.all(s > 0)
 
     def test_implicit_matches_ball(self):
         sdf = lambda p: np.sqrt(np.sum(np.asarray(p, dtype=float) ** 2, axis=-1)) - 1.0
@@ -446,7 +473,7 @@ class TestSolveW:
     def test_anderson_matches_the_plain_solve(self, monkeypatch):
         field = solve_w(BALL, f_up, LatticeSpec(16), SPHERE)
         monkeypatch.setattr(
-            radgas.domain3d, "fixed_point", lambda step, x0, tol, max_iter, anderson: fixed_point(step, x0, tol, max_iter)
+            radgas.domain3d, "fixed_point", lambda step, x0, tol, max_iter: FixedPoint(*_plain_loop(step, x0, tol, max_iter))
         )
         plain = solve_w(BALL, f_up, LatticeSpec(16), SPHERE)
         assert field.converged and plain.converged

@@ -145,6 +145,13 @@ class TestSolveThreeLevel:
         assert np.max(np.abs(sol.sigma3)) == 0.0
         assert np.max(np.abs(sol.h.g_plus)) == 0.0
 
+    @pytest.mark.parametrize("n_y", [65, 129, 1025])
+    def test_picard_cross_check_in_few_sweeps(self, n_y):
+        sol = solve_three_level(0.0, DRIVE_BC, PARAMS, SlabGrid(L=1.0, n_y=n_y), ANGLES, mass_C0=0.0)
+        assert sol.converged
+        assert sol.path_gap < 1e-8
+        assert sol.picard_iterations <= 16
+
     def test_generic_golden_run(self):
         sol = solve_three_level(0.0, DRIVE_BC, PARAMS, GRID, ANGLES, mass_C0=0.0)
         assert sol.converged
