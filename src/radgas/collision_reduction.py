@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from numpy.random import default_rng
 
 from .constants import PhysConsts
 from .errors import DomainError, SingularDenominator
@@ -148,10 +150,10 @@ def _quad_grid(spec: TripleQuadSpec):
     u = cos(theta).  The weight is pi^2 * r^2 rho^2 * exp(-(r^2+rho^2)/2)
     times the Gauss-Legendre weights on [0, r_max] x [0, r_max].
     """
-    xr, wr = np.polynomial.legendre.leggauss(spec.n_r)
+    xr, wr = leggauss(spec.n_r)
     r = 0.5 * spec.r_max * (xr + 1.0)
     wr = 0.5 * spec.r_max * wr
-    xq, wq = np.polynomial.legendre.leggauss(spec.n_rho)
+    xq, wq = leggauss(spec.n_rho)
     rho = 0.5 * spec.r_max * (xq + 1.0)
     wq = 0.5 * spec.r_max * wq
 
@@ -390,7 +392,7 @@ def mc_oracle(
         raise ValueError(f"n_samples must be >= 1e4, got {n_samples}")
     if quantity not in ("P", "P21", "A", "B"):
         raise ValueError(f"unknown quantity {quantity!r}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     z3 = rng.standard_normal((n_samples, 3))
     z4 = rng.standard_normal((n_samples, 3))
     pref = 2.0 * math.pi * consts.C0_kernel * consts.maxwellian_mass**2

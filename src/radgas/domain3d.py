@@ -11,6 +11,10 @@ domain is < 1, so Picard iteration contracts; the volume integral is a
 translation-invariant convolution on the lattice and is applied by FFT with
 per-cell kernel moments (the singular self-cell uses the analytic equal-volume
 ball integral 1 - e^(-r_eq)).
+
+The module runs on numpy alone: the FFTs are `numpy.fft`, the FFT period
+comes from `_next_fast_len` and the clipped boundary cells find their nearest
+interior cell by a lattice search (`_nearest_interior`).
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
+from numpy.fft import irfftn, rfftn
+from numpy.polynomial.legendre import leggauss
 
 from .errors import NonPositiveW, NotInterior
 from .picard import fixed_point
@@ -160,7 +165,7 @@ class SphereGrid:
 
     def nodes_weights(self):
         half = self.n_theta // 2
-        x, w = np.polynomial.legendre.leggauss(half)
+        x, w = leggauss(half)
         ct = np.concatenate([0.5 * (x - 1.0), 0.5 * (x + 1.0)])
         wt = np.concatenate([0.5 * w, 0.5 * w])
         phi = 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
@@ -322,19 +327,60 @@ def _build_lattice(domain: ConvexDomain, spec: LatticeSpec):
     # operator keeps the boundary-skin mass (mass-conserving, FFT-compatible)
     frac_grid = np.where(inside, frac_all, 0.0)
     orphans = (~inside) & (frac_all > 0)
-    if np.any(orphans):
-        from scipy.ndimage import distance_transform_edt
-
-        _, nearest = distance_transform_edt(~inside, return_indices=True)
-        oi = np.argwhere(orphans)
-        ti = nearest[:, oi[:, 0], oi[:, 1], oi[:, 2]]
+    if np.any(orphans) and np.any(inside):
+        ti = _nearest_interior(inside, np.argwhere(orphans))
         np.add.at(frac_grid, (ti[0], ti[1], ti[2]), frac_all[orphans])
     return centers[inside], inside, frac_grid, spacing
 
 
+def _nearest_interior(inside: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Index arrays (3, m) of the interior lattice cell nearest to each of the (m, 3) `cells`.
+
+    Searches the cube of lattice offsets of half-width r = 1, 2, ... around
+    each cell and accepts the nearest interior cell found once its distance
+    is at most r, since every cell outside the cube lies farther than r.
+    Distance ties go to the smallest (k, j, i), last axis first, as in
+    scipy.ndimage.distance_transform_edt: the offsets are ordered that way
+    and argmin keeps the first minimum.  `inside` must hold an interior cell.
+    """
+    out = np.empty((len(cells), 3), dtype=np.intp)
+    todo = np.arange(len(cells))
+    r = 1
+    while len(todo):
+        span = np.arange(-r, r + 1)
+        dk, dj, di = np.meshgrid(span, span, span, indexing="ij")
+        offsets = np.stack([di.ravel(), dj.ravel(), dk.ravel()], axis=1)
+        cand = cells[todo, None, :] + offsets
+        ok = np.all((cand >= 0) & (cand < inside.shape), axis=-1)
+        at = np.where(ok[..., None], cand, 0)
+        ok &= inside[at[..., 0], at[..., 1], at[..., 2]]
+        dist = np.where(ok, np.sum(offsets**2, axis=1), np.iinfo(np.intp).max)
+        best = np.argmin(dist, axis=1)
+        rows = np.arange(len(todo))
+        done = dist[rows, best] <= r * r
+        out[todo[done]] = cand[rows[done], best[done]]
+        todo = todo[~done]
+        r += 1
+    return out.T
+
+
+def _next_fast_len(m: int) -> int:
+    """The smallest 5-smooth integer 2^a 3^b 5^c >= m (scipy.fft.next_fast_len(m, real=True))."""
+    best = 1 << (m - 1).bit_length()  # a power of two >= m
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two times p35 that reaches m
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _kernel_table(n: int, spacing, near_range: int = 6):
     """Per-cell integrals of e^(-r)/(4*pi*r^2) over lattice offset cells, on a
-    circular table of period L = next_fast_len(2n - 1) per axis: offset k sits
+    circular table of period L = _next_fast_len(2n - 1) per axis: offset k sits
     at index k mod L, so the first n^3 block of a circular product with a
     zero-padded n^3 input is the linear convolution (Hockney and Eastwood
     1988).  Offsets |k| >= n fill the wrap gap and are never read.  Self cell:
@@ -342,7 +388,7 @@ def _kernel_table(n: int, spacing, near_range: int = 6):
     origin: 4^3 Gauss-Legendre; beyond: 2^3.  The table is even in every
     axis, so the integrals are taken on the distinct |k| and gathered.
     """
-    L = next_fast_len(2 * n - 1, True)
+    L = _next_fast_len(2 * n - 1)
     k = np.arange(L)
     a = np.minimum(k, L - k)  # |offset| at each index: k below n, L - k for the offset k - L
     offs = [spacing[i] * np.arange(a.max() + 1) for i in range(3)]
@@ -352,7 +398,7 @@ def _kernel_table(n: int, spacing, near_range: int = 6):
         """Integrals over the cells axes[0] x axes[1] x axes[2] (per-axis offsets) by the
         m^3 Gauss-Legendre rule, one broadcast sum per Gauss point.  No Gauss node
         sits on a cell centre, so r > 0 at every node, the self cell's included."""
-        x, wq = np.polynomial.legendre.leggauss(m)
+        x, wq = leggauss(m)
         w3 = np.einsum("i,j,k->ijk", wq, wq, wq) * (0.5**3) * vol
         out = np.zeros([len(a) for a in axes])
         for g in np.ndindex(w3.shape):
@@ -374,7 +420,8 @@ def fftconvolve(x, table_hat, period) -> np.ndarray:
     x with the kernel table, from table_hat = rfftn(table) of the circular
     table of shape `period`.
     """
-    return irfftn(rfftn(x, period) * table_hat, period)[tuple(map(slice, x.shape))]
+    axes = (0, 1, 2)
+    return irfftn(rfftn(x, period, axes) * table_hat, period, axes)[tuple(map(slice, x.shape))]
 
 
 def solve_w(

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .collision_reduction import functionals
 from .constants import PhysConsts
@@ -122,7 +123,7 @@ def detailed_balance_check(lte_pair, n_tuples: int, seed: int, consts: PhysConst
     direction is uniform, and the RNG is keyed by (seed, 1).
     """
     s1, s2 = lte_pair
-    rng = np.random.default_rng([seed, 1])
+    rng = default_rng([seed, 1])
     v1 = s1.u + rng.normal(size=(n_tuples, 3)) * math.sqrt(s1.T / 2)
     v2 = s1.u + rng.normal(size=(n_tuples, 3)) * math.sqrt(s1.T / 2)
     keep = np.sum((v1 - v2) ** 2, axis=1) > 4 * consts.epsilon0 + 1e-9
@@ -182,7 +183,7 @@ def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
     def add_batch(side, b, size):
         """Adds one batch to the side's sums; its normals are freed on
         return, so the next batch is drawn without them."""
-        normals = np.random.default_rng([plan.seed, side, b]).standard_normal((3, size, 3))
+        normals = default_rng([plan.seed, side, b]).standard_normal((3, size, 3))
         omega = normals[2]
         omega /= np.sqrt(omega[:, 0] ** 2 + omega[:, 1] ** 2 + omega[:, 2] ** 2)[:, None]
         for lo in range(0, size, _CHUNK):

@@ -21,6 +21,10 @@ Levinson recursion on I - T with a rank-2 Woodbury correction, both in O(n)
 memory.  The direct solve and Picard iteration are both run; the kernel row
 sums are < 1 on any finite slab, which makes Picard a contraction and
 cross-checks the direct path.
+
+Everything runs on numpy alone: the exponential integrals E1, E3 and E4
+(`_expn`), the real FFTs (`numpy.fft`) and the Toeplitz solve (`_levinson`
+and `_toeplitz_solve`) are the module's own.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-from scipy.special import exp1, expn
+from numpy.fft import irfft, rfft
+from numpy.polynomial.legendre import leggauss
 
 from .constants import PhysConsts
+from .domain3d import _next_fast_len
 from .errors import DomainError, NonContraction, NonPositiveW
 from .physics import pseudo_planck
 from .picard import fixed_point
@@ -76,7 +81,7 @@ class SlabGrid:
 @functools.lru_cache(maxsize=8)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per n (read-only)."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -267,6 +272,48 @@ def angular_mean(field: RadiationField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_EULER = 0.57721566490153286061
+
+#: Depth of the continued fraction in `_expn`: at x just above 1, where it
+#: converges slowest, 100 levels already reach the round-off of the series.
+_EXPN_CF_DEPTH = 120
+
+
+def _expn(n: int, x) -> np.ndarray:
+    """E_n(x) = int_1^inf e^(-x t) / t^n dt for n >= 1 and x >= 0, elementwise.
+
+    A power series for 0 < x <= 1 and the even continued fraction, evaluated
+    bottom-up from a fixed depth, for x > 1 (Abramowitz and Stegun 5.1.12 and
+    5.1.22); E_1(0) = inf and E_n(0) = 1/(n - 1) exactly.  Within 1e-14
+    relative of scipy.special.expn over [1e-12, 700].
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    out[x == 0] = np.inf if n == 1 else 1.0 / (n - 1)
+
+    near = (x > 0) & (x <= 1)
+    s = x[near]
+    log_s = np.log(s)
+    # sum_k (-s)^k / k! * c_k with c_k = -1/(k - n + 1), except at k = n - 1,
+    # where the term is (-s)^(n-1) / (n-1)! * (psi(n) - log s)
+    total = (-log_s - _EULER) if n == 1 else np.full_like(s, 1.0 / (n - 1))
+    term = np.ones_like(s)
+    psi = -_EULER + sum(1.0 / m for m in range(1, n))
+    for k in range(1, 21):
+        term *= -s / k
+        total += term * (psi - log_s) if k == n - 1 else term / (n - 1 - k)
+    out[near] = total
+
+    far = x > 1
+    s = x[far]
+    # E_n(s) = e^-s / (s + n - 1*n / (s + n + 2 - 2*(n + 1) / (s + n + 4 - ...)))
+    den = s + (n + 2 * _EXPN_CF_DEPTH)
+    for i in range(_EXPN_CF_DEPTH, 0, -1):
+        den = (s + (n + 2 * (i - 1))) - (i * (n - 1 + i)) / den
+    out[far] = np.exp(-s) / den
+    return out
+
+
 def fredholm_kernel_K(x):
     """K(x) = (1/2) * int_0^(pi/2) tan(psi) exp(-|x|/cos(psi)) dpsi = E1(|x|)/2.
 
@@ -276,48 +323,111 @@ def fredholm_kernel_K(x):
     x = np.asarray(x, dtype=float)
     if np.any(x == 0):
         raise DomainError("K has a logarithmic singularity at x = 0")
-    return 0.5 * exp1(np.abs(x))
+    return 0.5 * _expn(1, np.abs(x))
 
 
-def _m0(t):
-    """Odd antiderivative of K: int_0^t K(u) du = sgn(t)/2 * (|t| E1(|t|) - e^-|t| + 1)."""
-    t = np.asarray(t, dtype=float)
-    s = np.abs(t)
-    val = np.where(s > 0, 0.5 * (s * exp1(np.where(s > 0, s, 1.0)) - np.exp(-s) + 1.0), 0.0)
-    return np.sign(t) * val
+def _kernel_moments(s):
+    """Antiderivatives of K at s = |t| from one E1 evaluation: (m0, m1) with
+
+    m0 = int_0^s K(u) du = (s E1(s) - e^-s + 1)/2, odd in t, and
+    m1 = int_0^s u K(u) du = (s^2 E1(s)/2 - (s+1) e^-s / 2 + 1/2) / 2, even in t.
+    """
+    s = np.asarray(s, dtype=float)
+    e1 = _expn(1, np.where(s > 0, s, 1.0))  # both moments are 0 at s = 0
+    es = np.exp(-s)
+    return 0.5 * (s * e1 - es + 1.0), 0.5 * (0.5 * s**2 * e1 - 0.5 * (s + 1.0) * es + 0.5)
 
 
-def _m1(t):
-    """Even second moment: int_0^t u K(u) du = (s^2 E1(s)/2 - (s+1) e^-s / 2 + 1/2) / 2."""
-    t = np.asarray(t, dtype=float)
-    s = np.abs(t)
-    e1 = exp1(np.where(s > 0, s, 1.0))
-    return np.where(s > 0, 0.5 * (0.5 * s**2 * e1 - 0.5 * (s + 1.0) * np.exp(-s) + 0.5), 0.0)
+#: Parity of (m0, m1) under t -> -t.
+_KERNEL_PARITY = (-1.0, 1.0)
 
 
 def kernel_sup(L: float) -> float:
     """sup over x in (0, L) of int_0^L K(x - xi) dxi; attained at the midpoint."""
-    return float(2.0 * _m0(L / 2.0))
+    m0, _ = _kernel_moments(L / 2.0)
+    return float(2.0 * m0)
 
 
-def _toeplitz_weights(y: np.ndarray, m0, m1):
+def _toeplitz_weights(y: np.ndarray, moments, parity):
     """Cell weights (lo, hi) of a piecewise-linear u against a kernel k(y_i - xi), by offset.
 
-    m0 and m1 are antiderivatives of k(t) and t * k(t); then
+    moments(s) gives the antiderivatives (m0, m1) of k(t) and t * k(t) at
+    s = |t|, and parity their signs under t -> -t; then
     int_{y_j}^{y_j+1} k(y_i - xi) u(xi) dxi = lo[i - j + n - 2] u_j + hi[i - j + n - 2] u_j+1.
-    On the uniform grid each weight depends on i - j only, so m0 and m1 are
-    evaluated on the 2n - 1 offsets (i - j) * h.  The offsets equal the node
-    differences y_i - y_j exactly when h is a power of two; otherwise they
-    differ in the last bits.
+    On the uniform grid each weight depends on i - j only, so the moments are
+    evaluated once on the n distinct |offsets| k * h and mirrored onto the
+    2n - 1 offsets (i - j) * h.  The offsets equal the node differences
+    y_i - y_j exactly when h is a power of two; otherwise they differ in the
+    last bits.
     """
     n = len(y)
     h = (y[-1] - y[0]) / (n - 1)
-    d = np.arange(-(n - 1), n) * h
-    b = d[1:]  # y_i - y_j at index i - j + n - 2
-    k0, k1 = m0(d), m1(d)
+    s = np.arange(n) * h
+    k0, k1 = (np.concatenate([p * m[:0:-1], m]) for p, m in zip(parity, moments(s)))
+    b = np.arange(2 - n, n) * h  # y_i - y_j at index i - j + n - 2
     i0 = k0[1:] - k0[:-1]
     i1 = b * i0 - (k1[1:] - k1[:-1])
     return i0 - i1 / h, i1 / h
+
+
+def _levinson(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last columns (f, g) of T^-1 for the Toeplitz T with first column c and first row r.
+
+    Levinson recursion (Golub and Van Loan, section 4.7) on the forward
+    vectors f_k (T_k f_k = e_0) and backward vectors g_k (T_k g_k = e_k-1) of
+    the leading k x k blocks; g_k is held reversed, so that [f_k; 0] and
+    [0; g_k] reversed are both leading slices.  Needs every leading minor
+    of T nonsingular.  O(n^2) time, O(n) memory.
+    """
+    n = len(c)
+    c_rev, r_rev = c[::-1].copy(), r[::-1].copy()
+    f = np.zeros(n)
+    g_rev = np.zeros(n)
+    f[0] = g_rev[0] = 1.0 / c[0]
+    for k in range(1, n):
+        # T_k+1 [f_k; 0] = e_0 + ef e_k and T_k+1 [0; g_k] = eb e_0 + e_k
+        ef = c_rev[n - 1 - k : n - 1] @ f[:k]
+        eb = r_rev[n - 1 - k : n - 1] @ g_rev[:k]
+        scale = 1.0 / (1.0 - ef * eb)
+        fk, gk = f[: k + 1], g_rev[: k + 1]
+        new_f = fk - ef * gk[::-1]
+        gk -= eb * fk[::-1]
+        gk *= scale
+        np.multiply(new_f, scale, out=fk)
+    return f, g_rev[::-1]
+
+
+def _toeplitz_solve(c: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with T x = b for the Toeplitz T with first column c and first row r; b is (n,) or (n, m).
+
+    With the columns f, g of T^-1 from `_levinson`, the Gohberg-Semencul
+    formula
+
+        T^-1 = (L(f) U(J g) - L(Z g) U(Z J f)) / f[0]
+
+    (L(a), U(a): the lower and upper triangular Toeplitz matrices with first
+    column, first row a; J the reversal, Z the down-shift) applies T^-1 to
+    all right-hand sides by FFT products, U(a) = J L(a) J being a
+    convolution too.
+    """
+    f, g = _levinson(c, r)
+    n = len(f)
+    period = _next_fast_len(2 * n - 1)
+    cols = np.asarray(b, dtype=float).reshape(n, -1)
+    # the first columns of L(f), L(J g), L(Z g) and L(Z J f)
+    first = np.zeros((4, n))
+    first[0], first[1], first[2, 1:], first[3, 1:] = f, g[::-1], g[:-1], f[:0:-1]
+    f_hat, jg_hat, zg_hat, zjf_hat = rfft(first, period)[:, :, None]
+
+    def lower(a_hat, v_hat):
+        """The first n entries of the convolution of two spectra: L(a) v."""
+        return irfft(a_hat * v_hat, period, axis=0)[:n]
+
+    jb_hat = rfft(cols[::-1], period, axis=0)
+    u1 = lower(jg_hat, jb_hat)[::-1]  # U(J g) b
+    u2 = lower(zjf_hat, jb_hat)[::-1]  # U(Z J f) b
+    x = lower(f_hat, rfft(u1, period, axis=0)) - lower(zg_hat, rfft(u2, period, axis=0))
+    return (x / f[0]).reshape(np.shape(b))
 
 
 class _CellToeplitz:
@@ -327,8 +437,8 @@ class _CellToeplitz:
     minus two boundary columns: the hi weight of the missing cell -1 in
     column 0 and the lo weight of the missing cell n - 1 in column n - 1.
     Products go through the FFT of T's circular embedding and (I - A) u = g
-    through Levinson on I - T plus a rank-2 Woodbury correction, both in O(n)
-    memory; `dense` gathers the matrix itself.
+    through `_toeplitz_solve` on I - T plus a rank-2 Woodbury correction,
+    both in O(n) memory; `dense` gathers the matrix itself.
     """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray):
@@ -344,16 +454,16 @@ class _CellToeplitz:
     @functools.cached_property
     def _spectrum(self):
         n = self.n
-        period = scipy.fft.next_fast_len(2 * n - 1, real=True)
+        period = _next_fast_len(2 * n - 1)
         circ = np.zeros(period)
         circ[:n] = self.t[n - 1:]  # d = 0 .. n - 1
         circ[period - n + 1:] = self.t[: n - 1]  # d = 1 - n .. -1
-        return period, scipy.fft.rfft(circ)
+        return period, rfft(circ)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """A @ u."""
         period, spectrum = self._spectrum
-        Tu = scipy.fft.irfft(spectrum * scipy.fft.rfft(u, period), period)[: self.n]
+        Tu = irfft(spectrum * rfft(u, period), period)[: self.n]
         return Tu - self.c0 * u[0] - self.c1 * u[-1]
 
     def row_sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -363,13 +473,11 @@ class _CellToeplitz:
 
     def solve_shifted(self, g: np.ndarray) -> np.ndarray:
         """u with (I - A) u = g; needs the leading minors of I - T nonsingular."""
-        from scipy.linalg import solve_toeplitz
-
         n = self.n
         shifted = -self.t
         shifted[n - 1] += 1.0
         # (I - A) = (I - T) + U V^T with U = [c0, c1] and V = [e_0, e_n-1]
-        z = solve_toeplitz((shifted[n - 1:], shifted[n - 1::-1]), np.column_stack([g, self.c0, self.c1]))
+        z = _toeplitz_solve(shifted[n - 1:], shifted[n - 1::-1], np.column_stack([g, self.c0, self.c1]))
         zg, zu = z[:, 0], z[:, 1:]
         ends = [0, n - 1]
         return zg - zu @ np.linalg.solve(np.eye(2) + zu[ends], zg[ends])
@@ -390,7 +498,7 @@ def _nystrom_operator(y: np.ndarray) -> _CellToeplitz:
     u is piecewise linear on the grid; each cell integral uses the exact E1
     moments, so the diagonal (singular) cells are handled analytically.
     """
-    return _CellToeplitz(*_toeplitz_weights(y, _m0, _m1))
+    return _CellToeplitz(*_toeplitz_weights(y, _kernel_moments, _KERNEL_PARITY))
 
 
 def angular_response(kappa: float, grid: SlabGrid, angles: AngleGrid) -> _CellToeplitz:
@@ -439,16 +547,19 @@ def _check_contraction(A: _CellToeplitz) -> float:
     return float(np.max(a_rows))
 
 
-def _p0(t):
-    """Even antiderivative of the odd flux integrand sgn(u) E2(|u|)."""
-    s = np.abs(t)
-    return 0.5 - expn(3, s)
+def _flux_moments(s):
+    """Antiderivatives of the odd flux integrand sgn(u) E2(|u|) at s = |t|, from one
+    E3 and one E4 evaluation: (p0, p1) with
+
+    p0 = 0.5 - E3(s), even in t, the antiderivative of sgn(u) E2(|u|), and
+    p1 = -s E3(s) - E4(s) + 1/3, odd in t, that of |u| E2(|u|).
+    """
+    e3 = _expn(3, s)
+    return 0.5 - e3, -s * e3 - _expn(4, s) + 1.0 / 3.0
 
 
-def _p1(t):
-    """Odd antiderivative of the even flux integrand |u| E2(|u|)."""
-    s = np.abs(t)
-    return np.sign(t) * (-s * expn(3, s) - expn(4, s) + 1.0 / 3.0)
+#: Parity of (p0, p1) under t -> -t.
+_FLUX_PARITY = (1.0, -1.0)
 
 
 def _e2_product_flux(u: np.ndarray, y: np.ndarray, boundary_term: np.ndarray, coeff: float):
@@ -458,7 +569,7 @@ def _e2_product_flux(u: np.ndarray, y: np.ndarray, boundary_term: np.ndarray, co
     so the only inconsistency left is the interpolation of u itself.  The
     odd kernel has the same offset structure as K and is applied by FFT.
     """
-    inner = _CellToeplitz(*_toeplitz_weights(y, _p0, _p1)).apply(u)
+    inner = _CellToeplitz(*_toeplitz_weights(y, _flux_moments, _FLUX_PARITY)).apply(u)
     return boundary_term + coeff * inner
 
 

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -483,12 +484,66 @@ class TestRun:
         assert f"out = {tmp_path / 'envout'}" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_scipy_signal_out():
+#: scipy submodules that no radgas run may load: the solvers run on numpy alone
+#: and the manifest reads only the version of the top-level package.
+SCIPY_SUBMODULES = (
+    "scipy.fft", "scipy.special", "scipy.linalg", "scipy.ndimage", "scipy.signal", "scipy._lib._array_api",
+)
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Standard output of `code` run by a new interpreter that imports radgas from this tree."""
     src = os.path.dirname(os.path.dirname(radgas.domain3d.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, radgas.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_runs_load_no_scipy_submodule(tmp_path):
+    # a fresh process: import the CLI, then one small job of every subcommand
+    code = (
+        "import contextlib, io, json, sys, radgas.cli\n"
+        "runs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = {name: radgas.cli.main(argv + ['--out', out + '/' + name]) for name, argv in runs.items()}\n"
+        "print(json.dumps({'codes': codes, 'modules': sorted(sys.modules)}))\n"
+    )
+    result = json.loads(fresh_python(code, json.dumps(SMALL_RUNS), str(tmp_path)))
+    assert sorted(result["codes"]) == sorted(SUBCOMMANDS)
+    assert all(code in (0, 1) for code in result["codes"].values()), result["codes"]
+    assert all((tmp_path / name / "manifest.json").exists() for name in SMALL_RUNS)
+    assert [m for m in result["modules"] if m in SCIPY_SUBMODULES] == []
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc limits are glibc's")
+def test_repeated_jobs_reuse_freed_memory(tmp_path):
+    # at glibc's default limits the third of three equal domain3d jobs in a
+    # numpy-only process page-faults about 2700 times; with them it reuses
+    # the heap the first job grew
+    code = (
+        "import contextlib, io, resource, sys, radgas.cli\n"
+        "faults = []\n"
+        "for k in range(3):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        radgas.cli.main(['domain3d', '--lattice-n=12', '--out', sys.argv[1] + str(k)])\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "print(faults[-1])\n"
+    )
+    assert int(fresh_python(code, str(tmp_path / "run"))) < 200
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    assert radgas.cli._build_parser() is radgas.cli._build_parser()
+    assert main(SMALL_RUNS["slab-exp"] + ["--out", str(tmp_path / "exp")]) == 0
+    assert main(SMALL_RUNS["three-level"] + ["--out", str(tmp_path / "tl")]) == 0
+    assert (tmp_path / "exp" / "w.csv").exists() and (tmp_path / "tl" / "solution.csv").exists()
+    # an option of an earlier call does not stick to the next one
+    assert main(["slab-exp", "--print-config"]) == 0
+    assert "n_y = 257" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["slab-exp", "--no-such-option=1"])
+    assert exc.value.code == 2
+    assert "config error" in capsys.readouterr().err
 
 
 # Candidate values per key for the random small runs, valid and invalid; every

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.fft import next_fast_len, rfftn
 from scipy.special import expn
 
@@ -16,7 +17,9 @@ from radgas.domain3d import (
     LatticeSpec,
     SphereGrid,
     _attenuation_pass,
+    _build_lattice,
     _kernel_table,
+    _next_fast_len,
     div_R,
     exit_distance,
     fftconvolve,
@@ -409,6 +412,65 @@ class TestFftConvolve:
     def test_self_cell_at_index_zero(self):
         table = _kernel_table(8, np.full(3, 0.25))
         assert table[0, 0, 0] == np.max(table)
+
+
+def test_next_fast_len_matches_scipy():
+    got = [_next_fast_len(m) for m in range(1, 10_001)]
+    assert got == [scipy.fft.next_fast_len(m, real=True) for m in range(1, 10_001)]
+
+
+def frac_grid_edt_oracle(domain, n):
+    """_build_lattice's frac_grid as first written: each clipped cell's interior
+    volume goes to the nearest interior cell that
+    scipy.ndimage.distance_transform_edt finds.  Returns (frac_grid, orphans)."""
+    from scipy.ndimage import distance_transform_edt
+
+    mins, maxs = domain.bounding_box
+    spacing = (maxs - mins) / n
+    axes = [mins[i] + spacing[i] * (np.arange(n) + 0.5) for i in range(3)]
+    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    inside = domain.contains(centers)
+    flat = centers.reshape(-1, 3)
+    acc = np.zeros(len(flat))
+    for off in [[sx, sy, sz] for sx in (-0.25, 0.25) for sy in (-0.25, 0.25) for sz in (-0.25, 0.25)]:
+        acc += domain.contains(flat + np.array(off) * spacing)
+    frac_all = (acc / 8).reshape(centers.shape[:3])
+    frac_grid = np.where(inside, frac_all, 0.0)
+    orphans = (~inside) & (frac_all > 0)
+    if np.any(orphans):
+        _, nearest = distance_transform_edt(~inside, return_indices=True)
+        oi = np.argwhere(orphans)
+        ti = nearest[:, oi[:, 0], oi[:, 1], oi[:, 2]]
+        np.add.at(frac_grid, (ti[0], ti[1], ti[2]), frac_all[orphans])
+    return frac_grid, int(orphans.sum())
+
+
+ELLIPSOID = ConvexDomain.implicit(
+    lambda p: np.sum((np.asarray(p, dtype=float) / (1.0, 0.6, 0.4)) ** 2, axis=-1) - 1.0,
+    (-1.0, -0.6, -0.4),
+    (1.0, 0.6, 0.4),
+)
+
+
+class TestNearestInterior:
+    """Orphan cells go where the distance transform they replace sent them."""
+
+    @pytest.mark.parametrize("n", [8, 9, 13, 20, 24, 32, 48])
+    @pytest.mark.parametrize(
+        "domain",
+        [BALL, ConvexDomain.ball((0.3, -0.2, 0.1), 0.7), ConvexDomain.ball((-1.1, 0.45, 2.0), 1.3)],
+        ids=["centred", "off-centre", "off-centre-large"],
+    )
+    def test_ball_frac_grid_bit_identical_to_edt(self, domain, n):
+        want, orphans = frac_grid_edt_oracle(domain, n)
+        assert orphans > 0
+        np.testing.assert_array_equal(_build_lattice(domain, LatticeSpec(n))[2], want)
+
+    @pytest.mark.parametrize("n", [8, 12, 21, 32])
+    @pytest.mark.parametrize("domain", [BOX, SLAB, IMPLICIT_BALL, ELLIPSOID], ids=["box", "slab", "implicit-ball", "ellipsoid"])
+    def test_other_domains_frac_grid_bit_identical_to_edt(self, domain, n):
+        want, _ = frac_grid_edt_oracle(domain, n)
+        np.testing.assert_array_equal(_build_lattice(domain, LatticeSpec(n))[2], want)
 
 
 class TestSolveW:

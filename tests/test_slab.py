@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 
 import radgas.slab
 from radgas import PhysConsts, DomainError, NonContraction, NonPositiveW, pseudo_planck
@@ -28,14 +30,16 @@ from radgas.slab import (
     _CellToeplitz,
     _check_contraction,
     _e2_product_flux,
+    _expn,
+    _FLUX_PARITY,
+    _KERNEL_PARITY,
+    _flux_moments,
+    _kernel_moments,
     _leggauss,
     _linear_emission_integral,
-    _m0,
-    _m1,
     _nystrom_operator,
-    _p0,
-    _p1,
     _slab_fredholm,
+    _toeplitz_solve,
     _toeplitz_weights,
 )
 from radgas.picard import fixed_point
@@ -57,23 +61,34 @@ def constant_coefficient_oracle(y, mu_signed, rho, T, a_plus, a_minus, L, consts
     return a_minus * att + g0 * (1.0 - att)
 
 
-def dense_cell_weights(y, m0, m1):
+#: (moments at |t|, their parities) of the Nystroem kernel K and of the E2 flux kernel
+KERNEL = (_kernel_moments, _KERNEL_PARITY)
+FLUX = (_flux_moments, _FLUX_PARITY)
+
+
+def signed_moments(t, moments, parity):
+    """The two antiderivatives at signed offsets t, from their values at |t|."""
+    return [v * (np.sign(t) if p < 0 else 1.0) for p, v in zip(parity, moments(np.abs(t)))]
+
+
+def dense_cell_weights(y, moments, parity):
     """The n^2 product-integration weights that the Toeplitz gather replaces.
 
-    Every entry evaluates m0 and m1 at its own node differences y_i - y_j and
-    divides by its own cell width.
+    Every entry evaluates the moments at its own node differences y_i - y_j
+    and divides by its own cell width.
     """
     delta = np.diff(y)
     X = y[:, None]
     b = X - y[None, :-1]
     a = X - y[None, 1:]
-    i0 = m0(b) - m0(a)
-    i1 = (X - y[None, :-1]) * i0 - (m1(b) - m1(a))
+    (m0b, m1b), (m0a, m1a) = signed_moments(b, moments, parity), signed_moments(a, moments, parity)
+    i0 = m0b - m0a
+    i1 = b * i0 - (m1b - m1a)
     return i0 - i1 / delta[None, :], i1 / delta[None, :]
 
 
-def dense_nystrom_matrix(y, m0=_m0, m1=_m1):
-    lo, hi = dense_cell_weights(y, m0, m1)
+def dense_nystrom_matrix(y, kernel=KERNEL):
+    lo, hi = dense_cell_weights(y, *kernel)
     A = np.zeros((len(y), len(y)))
     A[:, :-1] += lo
     A[:, 1:] += hi
@@ -261,8 +276,8 @@ class TestKernelK:
     def test_toeplitz_assembly_equals_dense_on_dyadic_grid(self, n_y):
         y = SlabGrid(L=1.0, n_y=n_y).y
         np.testing.assert_array_equal(_nystrom_operator(y).dense(), dense_nystrom_matrix(y))
-        for m0, m1 in ((_m0, _m1), (_p0, _p1)):
-            for got, want in zip(_toeplitz_weights(y, m0, m1), dense_cell_weights(y, m0, m1)):
+        for kernel in (KERNEL, FLUX):
+            for got, want in zip(_toeplitz_weights(y, *kernel), dense_cell_weights(y, *kernel)):
                 np.testing.assert_array_equal(by_offset(got), want)
 
     def test_toeplitz_assembly_near_dense_off_dyadic_grid(self):
@@ -271,8 +286,8 @@ class TestKernelK:
         y = SlabGrid(L=3.7, n_y=300).y
         want = dense_nystrom_matrix(y)
         assert np.max(np.abs(_nystrom_operator(y).dense() - want)) <= 1e-10 * np.max(np.abs(want))
-        for m0, m1 in ((_m0, _m1), (_p0, _p1)):
-            for got, dense in zip(_toeplitz_weights(y, m0, m1), dense_cell_weights(y, m0, m1)):
+        for kernel in (KERNEL, FLUX):
+            for got, dense in zip(_toeplitz_weights(y, *kernel), dense_cell_weights(y, *kernel)):
                 assert np.max(np.abs(by_offset(got) - dense)) <= 1e-10 * np.max(np.abs(dense))
 
     def test_noncontraction_raises(self):
@@ -306,7 +321,7 @@ class TestCellToeplitz:
         want = dense_nystrom_matrix(y) @ u
         got = _nystrom_operator(y).apply(u)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        inner = dense_nystrom_matrix(y, _p0, _p1) @ u
+        inner = dense_nystrom_matrix(y, FLUX) @ u
         flux_j = _e2_product_flux(u, y, np.sin(y), 0.7)
         assert np.max(np.abs(flux_j - (np.sin(y) + 0.7 * inner))) <= 1e-13 * np.max(np.abs(inner))
 
@@ -315,7 +330,7 @@ class TestCellToeplitz:
         # 1e-14 per entry, so the products are checked against dense() here
         y = SlabGrid(L=3.7, n_y=300).y
         u = np.random.default_rng(300).normal(size=300)
-        for A in (_nystrom_operator(y), _CellToeplitz(*_toeplitz_weights(y, _p0, _p1))):
+        for A in (_nystrom_operator(y), _CellToeplitz(*_toeplitz_weights(y, *FLUX))):
             want = A.dense() @ u
             assert np.max(np.abs(A.apply(u) - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -326,6 +341,16 @@ class TestCellToeplitz:
         want = np.linalg.solve(np.eye(n_y) - dense_nystrom_matrix(y), g)
         got = _nystrom_operator(y).solve_shifted(g)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_y", [257, 1025])
+    @pytest.mark.parametrize("kernel", [KERNEL, FLUX], ids=["K", "E2-flux"])
+    def test_solve_shifted_matches_own_dense_solve(self, kernel, n_y):
+        # the flux operator is odd, so I - A is nonsymmetric
+        y = SlabGrid(L=1.0, n_y=n_y).y
+        A = _CellToeplitz(*_toeplitz_weights(y, *kernel))
+        g = np.cos(2.0 * y) + np.random.default_rng(n_y).uniform(size=n_y)
+        want = np.linalg.solve(np.eye(n_y) - A.dense(), g)
+        assert np.max(np.abs(A.solve_shifted(g) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_slab_solve_memory_is_linear_in_n(self):
         # the dense matrix, its gathers and its LU would take over 400 MB here
@@ -339,6 +364,45 @@ class TestCellToeplitz:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestScipyOracles:
+    """The numpy routines of the slab solve against the scipy routines they replace."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_expn_matches_scipy(self, n):
+        x = np.concatenate([[0.0], np.logspace(-12, 2.85, 4001)])
+        want = scipy.special.exp1(x) if n == 1 else scipy.special.expn(n, x)
+        got = _expn(n, x)
+        assert got[0] == want[0]  # inf for n = 1, else 1/(n - 1)
+        assert np.max(np.abs(got[1:] - want[1:]) / want[1:]) <= 5e-14
+
+    def test_expn_keeps_the_shape(self):
+        assert _expn(1, 0.5).shape == ()
+        x = np.array([[0.0, 0.5], [1.0, 3.0]])
+        np.testing.assert_array_equal(_expn(4, x), [[_expn(4, v) for v in row] for row in x])
+
+    @staticmethod
+    def toeplitz_case(n, symmetric):
+        """(c, r, b): a diagonally dominant Toeplitz matrix, so every leading minor is
+        nonsingular, and three right-hand sides."""
+        rng = np.random.default_rng([n, symmetric])
+        k = np.arange(n)
+        c = 0.6**k * rng.uniform(-1.0, 1.0, n)
+        r = c.copy() if symmetric else 0.4**k * rng.uniform(-1.0, 1.0, n)
+        c[0] = r[0] = 3.0
+        return c, r, rng.normal(size=(n, 3))
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])
+    @pytest.mark.parametrize("n", [1, 2, 257, 1025])
+    def test_toeplitz_solve_matches_scipy_and_dense(self, n, symmetric):
+        c, r, b = self.toeplitz_case(n, symmetric)
+        got = _toeplitz_solve(c, r, b)
+        for want in (scipy.linalg.solve_toeplitz((c, r), b), np.linalg.solve(scipy.linalg.toeplitz(c, r), b)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        one = _toeplitz_solve(c, r, b[:, 1])
+        assert one.shape == (n,)
+        assert np.max(np.abs(one - got[:, 1])) <= 1e-14 * np.max(np.abs(got[:, 1]))
 
 
 @pytest.mark.parametrize("n_y", [257, 1025])
