@@ -61,6 +61,7 @@ from .levelscan import (
     extract_contours,
     smoothness_report,
 )
+from .picard import FixedPoint, fixed_point
 from .slab import (
     SlabGrid,
     AngleGrid,
@@ -100,8 +101,8 @@ from .kinetic import (
     McPlan,
     MomentReport,
     detailed_balance_residual,
-    conservation_and_exchange,
-    kernel_of_L_check,
+    detailed_balance_check,
+    weak_form_checks,
     entropy_identity_check,
 )
 

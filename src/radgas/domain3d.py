@@ -443,10 +443,13 @@ def solve_w(
     is the max-norm bound max(kernel_mass), which holds because each row is
     renormalised to its local kernel mass and the weights are non-negative.
     `converged` records whether the residual fell below tol before max_iter.
-    Raises NonPositiveW if the final iterate dips <= 0 while not identically
-    zero (inadmissible profile f).
+    Raises NotInterior if no lattice cell centre lies inside the domain, and
+    NonPositiveW if the final iterate dips <= 0 while not identically zero
+    (inadmissible profile f).
     """
     pts, inside, frac_grid, spacing = _build_lattice(domain, lattice)
+    if not len(pts):
+        raise NotInterior(f"no cell centre of the {lattice.n}^3 lattice lies inside the domain")
     nodes, weights = sphere.nodes_weights()
     fvals = _profile_values(f, nodes)
 

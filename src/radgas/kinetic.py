@@ -37,8 +37,6 @@ __all__ = [
     "MomentReport",
     "detailed_balance_residual",
     "detailed_balance_check",
-    "conservation_and_exchange",
-    "kernel_of_L_check",
     "weak_form_checks",
     "entropy_identity_check",
 ]
@@ -243,7 +241,7 @@ def _zeros(k):
 
 def _exchange_problem(state1, state2, consts):
     """Five conservation columns and the mass-exchange column (see
-    `conservation_and_exchange`)."""
+    `weak_form_checks`)."""
     return (
         state1,
         state2,
@@ -273,11 +271,18 @@ def _kernel_result(estimates) -> dict:
     }
 
 
-def conservation_and_exchange(
-    state1: MaxwellianState, state2: MaxwellianState, plan: McPlan, consts: PhysConsts
-) -> tuple:
-    """The conservation report and the mass-exchange estimate of one pair
-    from one loss and one gain pass: (MomentReport, Estimate).
+def mass_exchange_reduced(state1: MaxwellianState, state2: MaxwellianState, consts: PhysConsts) -> float:
+    """The mass-exchange rate of `weak_form_checks` from the calibrated reduced
+    integrals (cross-module oracle)."""
+    f = functionals(state1.T, state2.T, consts, mode="calibrated")
+    q = math.exp(-2.0 * consts.epsilon0 / state1.T)
+    return state1.rho**2 * q * f.P11 - state1.rho * state2.rho * f.P21
+
+
+def weak_form_checks(generic_pair, lte_state: MaxwellianState, plan: McPlan, consts: PhysConsts) -> tuple:
+    """The conservation report and the mass-exchange estimate of `generic_pair`
+    and the kernel-of-L check of the LTE pair on `lte_state`, from one draw
+    per side: (MomentReport, Estimate, kernel dict).
 
     Five conservation columns: test functions (1, 1) for molecule number,
     (v, v) for momentum and (|v|^2/2, |v|^2/2 + eps0) for total energy.  All
@@ -286,34 +291,12 @@ def conservation_and_exchange(
     The sixth column is the excited-molecule production rate, test functions
     (0, 1); its reduced closed form is
     rho1^2 e^(-2 eps0/T1) P(T1) - rho1 rho2 P(T2, T1).
-    """
-    (estimates,) = _weak_form_moments([_exchange_problem(state1, state2, consts)], consts, plan)
-    return _exchange_result(estimates)
 
+    The kernel check projects K[F_eq] on the excited-species moments 1, v - u
+    and |v - u|^2/2; at LTE every projection is consistent with zero.
 
-def mass_exchange_reduced(state1: MaxwellianState, state2: MaxwellianState, consts: PhysConsts) -> float:
-    """The same rate from the calibrated reduced integrals (cross-module oracle)."""
-    f = functionals(state1.T, state2.T, consts, mode="calibrated")
-    q = math.exp(-2.0 * consts.epsilon0 / state1.T)
-    return state1.rho**2 * q * f.P11 - state1.rho * state2.rho * f.P21
-
-
-def kernel_of_L_check(state: MaxwellianState, consts: PhysConsts, plan: McPlan) -> dict:
-    """Verify that the collision operator annihilates the LTE pair built on `state`.
-
-    Projects K[F_eq] on the excited-species moments 1, v - u and |v - u|^2/2;
-    at LTE every projection is consistent with zero.
-    """
-    (estimates,) = _weak_form_moments([_kernel_problem(state, consts)], consts, plan)
-    return _kernel_result(estimates)
-
-
-def weak_form_checks(generic_pair, lte_state: MaxwellianState, plan: McPlan, consts: PhysConsts) -> tuple:
-    """`conservation_and_exchange(*generic_pair)` and `kernel_of_L_check(lte_state)`
-    from one draw per side: (MomentReport, Estimate, kernel dict).
-
-    Both estimators key their batches by (seed, side, batch), so they share
-    their random numbers; the results equal the two separate calls bit for bit.
+    Every problem keys its batches by (seed, side, batch), so the results
+    equal those of each problem estimated alone, bit for bit.
     """
     exchange, kernel = _weak_form_moments(
         [_exchange_problem(*generic_pair, consts), _kernel_problem(lte_state, consts)], consts, plan

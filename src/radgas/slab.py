@@ -438,7 +438,7 @@ class _CellToeplitz:
     column 0 and the lo weight of the missing cell n - 1 in column n - 1.
     Products go through the FFT of T's circular embedding and (I - A) u = g
     through `_toeplitz_solve` on I - T plus a rank-2 Woodbury correction,
-    both in O(n) memory; `dense` gathers the matrix itself.
+    both in O(n) memory; `dense`, the tests' oracle, gathers the matrix itself.
     """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray):

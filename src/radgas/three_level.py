@@ -13,10 +13,14 @@ h satisfy, at every node,
 plus the transport equation for h with absorption eps*rho0*(g1+g2*q)*(1-q).
 The densities reach the radiation only through the scalar source
 s = c_src . sigma, and the angular integral of h is M_src s + b_I, with M_src
-the n x n matrix gathered from the `slab.angular_response` operator and b_I
-the boundary-driven sweep.
-Eliminating the local 3 x 3 node equations leaves one n x n system for s;
-this direct path is authoritative, and a sigma -> h -> sigma Picard loop
+the `slab.angular_response` operator (a Toeplitz matrix T minus two boundary
+columns, held by offset) and b_I the boundary-driven sweep.  Eliminating the
+local 3 x 3 node equations leaves (I - alpha M_src) s = r, with
+alpha = kappa/(4 pi): the linearised radiation is pure scattering, so
+alpha*T is symmetric and >= 0 with row sums 1 - (escape) < 1, and
+I - alpha*T is positive definite.  The slab's Levinson solve therefore gives
+s, and FFT products give M_src s, in O(n) memory with no n x n matrix.  This
+direct path is authoritative, and a sigma -> h -> sigma Picard loop
 cross-checks it.
 """
 
@@ -32,7 +36,7 @@ from .errors import SingularSystem
 from .physics import pseudo_planck
 from .picard import fixed_point
 from .slab import AngleGrid, BoundaryProfile, RadiationField, SlabGrid
-from .slab import angular_mean, angular_response, ray_integrate
+from .slab import _CellToeplitz, angular_mean, angular_response, ray_integrate
 
 __all__ = [
     "ThreeLevelParams",
@@ -168,10 +172,12 @@ def solve_three_level(
     which case C0 is computed from the total-gas relation using m0 (default:
     the background mass, which gives C0 = (1+q+q^2) * mean(xi)).
 
-    Both the direct n x n solve for the source and the Anderson-mixed
+    Both the direct Levinson solve for the source and the Anderson-mixed
     sigma -> h -> sigma fixed-point loop, on the (3, n) array of the three
     fields, are run; their max-norm gap is reported and the direct path is
-    authoritative.
+    authoritative.  Where kappa*L is so large that the escape rounds away
+    (alpha times T's largest row sum is 1 + 1.6e-15 at kappa 256), the
+    Picard check is what flags a run: it may stop unconverged at max_iter.
     """
     q = params.q
     g1, g2 = params.gamma1, params.gamma2
@@ -197,9 +203,7 @@ def solve_three_level(
         )
 
     # angular integral of h: M_src @ src + b_I, src = c_src @ sigma
-    # I - alpha M_src is not definite, so Levinson does not apply: one dense LU,
-    # and the matrix is kept for the products, which beat FFTs at these sizes
-    M_src = angular_response(params.kappa, grid, angles).dense()
+    M_src = angular_response(params.kappa, grid, angles)
     b_I = angular_mean(ray_integrate(np.full(n, params.kappa), np.zeros(n), *boundary, grid, angles))
     c_src = params.eps * params.rho0 * np.array([-g1, g1 - g2 * q, g2 * q])
     rad = q * (g1 + g2 * q)
@@ -212,17 +216,18 @@ def solve_three_level(
         return np.vstack([rad * I_h, eq23])
 
     # sigma = local^-1 node_rhs(I) makes src = alpha*I + c_src . local^-1 [0; eq2; eq3],
-    # so src solves (1 - alpha M_src) src = alpha b_I + c_src . local^-1 [0; eq2; eq3]
+    # so src solves (1 - alpha M_src) src = alpha b_I + c_src . local^-1 [0; eq2; eq3].
+    # alpha = kappa/(4 pi) to rounding, so I - alpha*T is positive definite
+    # (module docstring) and the Levinson solve applies
     alpha = rad * (c_src @ np.linalg.solve(local, [1.0, 0.0, 0.0]))
-    src = np.linalg.solve(
-        np.eye(n) - alpha * M_src,
+    src = _CellToeplitz(alpha * M_src.lo, alpha * M_src.hi).solve_shifted(
         alpha * b_I + c_src @ np.linalg.solve(local, node_rhs(np.zeros(n))),
     )
-    sigma = np.linalg.solve(local, node_rhs(M_src @ src + b_I))
+    sigma = np.linalg.solve(local, node_rhs(M_src.apply(src) + b_I))
 
     # Picard cross-check: sigma -> h -> sigma
     picard = fixed_point(
-        lambda sp: np.linalg.solve(local, node_rhs(M_src @ (c_src @ sp) + b_I)),
+        lambda sp: np.linalg.solve(local, node_rhs(M_src.apply(c_src @ sp) + b_I)),
         np.zeros((3, n)),
         tol,
         max_iter,

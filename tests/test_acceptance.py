@@ -25,10 +25,10 @@ from radgas.domain3d import (
 )
 from radgas.kinetic import (
     McPlan,
-    conservation_and_exchange,
     detailed_balance_residual,
     entropy_identity_check,
     mass_exchange_reduced,
+    weak_form_checks,
 )
 from radgas.levelscan import ScanWindow, extract_contours, scan, smoothness_report
 from radgas.slab import (
@@ -219,8 +219,9 @@ class TestAcceptance:
         plan = McPlan(n_samples=10**6, seed=7)
         g1 = MaxwellianState(1.3, np.zeros(3), 4.0)
         g2 = MaxwellianState(0.4, np.zeros(3), 7.0)
-        rep, est = conservation_and_exchange(g1, g2, plan, consts)
+        rep, est, chk = weak_form_checks((g1, g2), s1, plan, consts)
         ok &= rep.all_pass(n_sigma=3.0, floor=1e-10)
+        ok &= chk["all_within_3_sigma"]
         red = mass_exchange_reduced(g1, g2, consts)
         ok &= abs(est.value - red) <= 3.0 * est.std_error
         ok &= entropy_identity_check([0.5, 2.0, 10.0, 50.0], consts)["max_rel_error"] < 1e-6

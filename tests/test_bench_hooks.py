@@ -27,9 +27,9 @@ JOBS = [
     {"id": "three-level", "argv": ["three-level", "--n-y=33", "--n-mu=16"]},
     {"id": "verify", "argv": ["verify", "--n-samples=10000", "--n-tuples=2000"]},
 ]
-#: WORK entries no subcommand calls: radgas no longer has the first two, and
+#: WORK entries no subcommand calls: radgas no longer has these functions;
 #: `verify` takes the conservation, mass-exchange and kernel-of-L estimates
-#: from one kinetic.weak_form_checks pass instead of kernel_of_L_check.
+#: from one kinetic.weak_form_checks pass.
 NOT_CALLED = {"kinetic.mc_conservation", "kinetic.mass_exchange_estimate", "kinetic.kernel_of_L_check"}
 
 

@@ -552,6 +552,12 @@ class TestSolveW:
         assert np.max(np.abs(field.values - 1.0)) <= 1e-10
         assert field.picard_ratio == field.kernel_mass.max()
 
+    def test_no_interior_cell_centre_raises_not_interior(self):
+        # a radius-0.03 sphere in a [-1, 1]^3 box holds none of the 8^3 centres
+        tiny = ConvexDomain.implicit(lambda p: np.sqrt(np.sum(p**2, axis=-1)) - 0.03, (-1, -1, -1), (1, 1, 1))
+        with pytest.raises(NotInterior):
+            solve_w(tiny, f_iso, LatticeSpec(8), SPHERE)
+
     def test_lattice_points_strictly_interior(self):
         field = solve_w(BALL, f_iso, LatticeSpec(12), SPHERE)
         assert np.all(BALL.contains(field.points))

@@ -12,12 +12,14 @@ from radgas.kinetic import (
     _BATCH,
     McPlan,
     _conserved,
+    _exchange_problem,
+    _exchange_result,
+    _kernel_problem,
+    _kernel_result,
     _weak_form_moments,
-    conservation_and_exchange,
     detailed_balance_check,
     detailed_balance_residual,
     entropy_identity_check,
-    kernel_of_L_check,
     mass_exchange_reduced,
     weak_form_checks,
 )
@@ -143,7 +145,7 @@ class TestConservation:
     def test_residuals_within_3_sigma_generic_pair(self):
         s1 = MaxwellianState(1.3, (0.2, 0.0, 0.0), 4.0)
         s2 = MaxwellianState(0.4, (0.2, 0.0, 0.0), 7.0)
-        rep, _ = conservation_and_exchange(s1, s2, PLAN, CONSTS)
+        rep, _, _ = weak_form_checks((s1, s2), s1, PLAN, CONSTS)
         assert rep.all_pass(n_sigma=3.0, floor=1e-10)
         for _, est in rep.rows():
             assert est.std_error > 0
@@ -151,8 +153,8 @@ class TestConservation:
     def test_seeded_determinism(self):
         s1 = MaxwellianState(1.0, np.zeros(3), 3.0)
         s2 = MaxwellianState(0.5, np.zeros(3), 3.0)
-        r1, e1 = conservation_and_exchange(s1, s2, PLAN, CONSTS)
-        r2, e2 = conservation_and_exchange(s1, s2, PLAN, CONSTS)
+        r1, e1, _ = weak_form_checks((s1, s2), s1, PLAN, CONSTS)
+        r2, e2, _ = weak_form_checks((s1, s2), s1, PLAN, CONSTS)
         assert r1.mass.value == r2.mass.value
         assert r1.energy.value == r2.energy.value
         assert [e.value for e in r1.momentum] == [e.value for e in r2.momentum]
@@ -161,14 +163,14 @@ class TestConservation:
     def test_mass_exchange_matches_reduced_formula(self):
         s1 = MaxwellianState(1.3, np.zeros(3), 4.0)
         s2 = MaxwellianState(0.4, np.zeros(3), 7.0)
-        _, est = conservation_and_exchange(s1, s2, PLAN, CONSTS)
+        _, est, _ = weak_form_checks((s1, s2), s1, PLAN, CONSTS)
         red = mass_exchange_reduced(s1, s2, CONSTS)
         assert abs(est.value - red) <= 3.0 * est.std_error
 
     def test_shared_pass_matches_separate_estimators(self):
         s1 = MaxwellianState(1.3, (0.2, 0.0, 0.0), 4.0)
         s2 = MaxwellianState(0.4, (0.2, 0.0, 0.0), 7.0)
-        rep, est = conservation_and_exchange(s1, s2, PLAN, CONSTS)
+        rep, est, _ = weak_form_checks((s1, s2), s1, PLAN, CONSTS)
         # the five conservation columns alone, and the mass-exchange column alone
         (alone,) = _weak_form_moments(
             [(s1, s2, _conserved, lambda v: _conserved(v, CONSTS.epsilon0))], CONSTS, PLAN
@@ -188,8 +190,8 @@ class TestConservation:
         U = np.array([0.7, -0.4, 1.1])
         s1b = MaxwellianState(1.3, U, 4.0)
         s2b = MaxwellianState(0.4, U, 7.0)
-        _, a = conservation_and_exchange(s1, s2, PLAN, CONSTS)
-        _, b = conservation_and_exchange(s1b, s2b, PLAN, CONSTS)
+        _, a, _ = weak_form_checks((s1, s2), s1, PLAN, CONSTS)
+        _, b, _ = weak_form_checks((s1b, s2b), s1b, PLAN, CONSTS)
         # common random numbers: the shifted estimate matches almost exactly,
         # certainly within the 3-sigma criterion
         assert abs(a.value - b.value) <= 3.0 * math.hypot(a.std_error, b.std_error)
@@ -257,9 +259,10 @@ class TestFusedPass:
 
     def test_equals_separate_estimator_calls(self):
         rep, est, chk = weak_form_checks(self.GENERIC, self.LTE, PLAN, CONSTS)
-        rep1, est1 = conservation_and_exchange(*self.GENERIC, PLAN, CONSTS)
-        chk1 = kernel_of_L_check(self.LTE, CONSTS, PLAN)
-        assert (rep, est, chk) == (rep1, est1, chk1)
+        # each problem estimated alone, from its own draw
+        (exchange,) = _weak_form_moments([_exchange_problem(*self.GENERIC, CONSTS)], CONSTS, PLAN)
+        (kernel,) = _weak_form_moments([_kernel_problem(self.LTE, CONSTS)], CONSTS, PLAN)
+        assert (rep, est, chk) == (*_exchange_result(exchange), _kernel_result(kernel))
 
     def test_peak_memory_bounded(self):
         # one batch of normals (3 x 2^17 x 3 floats, 9.4 MB) plus one chunk's
@@ -276,17 +279,17 @@ class TestFusedPass:
 
 class TestKernelOfL:
     def test_lte_state_annihilated(self):
-        chk = kernel_of_L_check(MaxwellianState(1.0, np.zeros(3), 5.0), CONSTS, PLAN)
+        _, _, chk = weak_form_checks(TestFusedPass.GENERIC, MaxwellianState(1.0, np.zeros(3), 5.0), PLAN, CONSTS)
         assert chk["all_within_3_sigma"]
 
     def test_boosted_lte_state_annihilated(self):
-        chk = kernel_of_L_check(MaxwellianState(1.0, (1.0, 0.0, 0.0), 5.0), CONSTS, PLAN)
+        _, _, chk = weak_form_checks(TestFusedPass.GENERIC, MaxwellianState(1.0, (1.0, 0.0, 0.0), 5.0), PLAN, CONSTS)
         assert chk["all_within_3_sigma"]
 
     def test_off_ratio_number_projection_large(self):
         s1 = MaxwellianState(1.0, np.zeros(3), 5.0)
         s2 = MaxwellianState(2.0 * math.exp(-2.0 / 5.0), np.zeros(3), 5.0)
-        _, est = conservation_and_exchange(s1, s2, PLAN, CONSTS)
+        _, est, _ = weak_form_checks((s1, s2), s1, PLAN, CONSTS)
         assert est.sigmas > 5.0
 
 

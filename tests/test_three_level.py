@@ -1,6 +1,7 @@
 """Three-level linearized stationary solver: background, radiation, coupling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,72 @@ def kron_assembly(xi, boundary, params, grid, angles, C0):
         (2.0 * params.eps / params.T0) * (params.P12 + params.P23 * q**2) * xi,
     ])
     return np.linalg.solve(A, rhs).reshape(3, n)
+
+
+def dense_source_solve(xi, boundary, params, grid, angles, C0):
+    """The former direct path, kept as the oracle: M_src gathered by `dense()`,
+    one dense LU of I - alpha*M_src and dense products; (src, sigma)."""
+    q, g1, g2, n = params.q, params.gamma1, params.gamma2, grid.n_y
+    local = radgas.three_level._node_matrix(params, constant_state(params)["G_p"])
+    M_src = angular_response(params.kappa, grid, angles).dense()
+    b_I = angular_mean(ray_integrate(np.full(n, params.kappa), np.zeros(n), *boundary, grid, angles))
+    c_src = params.eps * params.rho0 * np.array([-g1, g1 - g2 * q, g2 * q])
+    rad = q * (g1 + g2 * q)
+    eq23 = np.vstack([
+        C0 - (1.0 + q + q**2) * xi,
+        (2.0 * params.eps / params.T0) * (params.P12 + params.P23 * q**2) * xi,
+    ])
+    alpha = rad * (c_src @ np.linalg.solve(local, [1.0, 0.0, 0.0]))
+    rhs = alpha * b_I + c_src @ np.linalg.solve(local, np.vstack([np.zeros(n), eq23]))
+    shifted = -alpha * M_src  # I - alpha*M_src, built in place to hold two n x n arrays, not four
+    shifted[np.diag_indices(n)] += 1.0
+    src = np.linalg.solve(shifted, rhs)
+    del shifted
+    sigma = np.linalg.solve(local, np.vstack([rad * (M_src @ src + b_I), eq23]))
+    return src, sigma
+
+
+#: (params, relative tolerance on src and sigma): the defaults (kappa 0.51) and
+#: two optically thick corners, kappa 50 and 256, where I - alpha*M_src is
+#: nearly singular and the two solves round differently
+CORNERS = {
+    "default": (PARAMS, 1e-13),
+    "kappa50": (ThreeLevelParams(1.0, 0.0, eps=5.0, T0=2.0, rho0=10.0, P12=10.0, P23=1.0), 1e-11),
+    "kappa256": (ThreeLevelParams(0.7, 0.3, eps=5.0, T0=10.0, rho0=100.0, P12=1.0, P23=1.0), 1e-10),
+}
+
+
+class TestStructuredSolve:
+    """The Levinson source solve and FFT products against the dense LU they replace."""
+
+    @pytest.mark.parametrize("corner", list(CORNERS))
+    @pytest.mark.parametrize("n_y", [65, 1025, 4097])
+    def test_matches_dense_lu(self, corner, n_y):
+        params, rtol = CORNERS[corner]
+        grid = SlabGrid(L=1.0, n_y=n_y)
+        xi = 0.03 * np.sin(np.pi * grid.y)
+        # max_iter=1: sigma comes from the direct solve alone, the Picard check is not needed here
+        sol = solve_three_level(xi, DRIVE_BC, params, grid, ANGLES, mass_C0=0.0, max_iter=1)
+        src, sigma = dense_source_solve(xi, DRIVE_BC, params, grid, ANGLES, sol.C0)
+        got = np.vstack([sol.sigma1, sol.sigma2, sol.sigma3])
+        q, g1, g2 = params.q, params.gamma1, params.gamma2
+        c_src = params.eps * params.rho0 * np.array([-g1, g1 - g2 * q, g2 * q])
+        assert np.max(np.abs(c_src @ got - src)) <= rtol * np.max(np.abs(src))
+        assert np.max(np.abs(got - sigma)) <= rtol * np.max(np.abs(sigma))
+
+    def test_memory_is_linear_in_n(self):
+        # M_src gathered dense and the LU of I - alpha*M_src would take over 400 MB here
+        grid = SlabGrid(L=1.0, n_y=4097)
+        # a small solve first, so that lazy imports are not counted
+        solve_three_level(0.0, DRIVE_BC, PARAMS, GRID, ANGLES)
+        tracemalloc.start()
+        try:
+            sol = solve_three_level(0.0, DRIVE_BC, PARAMS, grid, ANGLES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak < 16 * 2**20
 
 
 class TestDirectPath:
