@@ -806,8 +806,9 @@ def main(argv=None) -> int:
         return 0
     try:
         return run(config)
-    except RadgasError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
+    except (RadgasError, MemoryError) as exc:
+        reason = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"solver error: {reason}{exc}", file=sys.stderr)
         return 1
 
 

@@ -26,7 +26,7 @@ class EmptyLevel(RadgasError):
 
 
 class NonContraction(RadgasError):
-    """Discretized integral operator has norm >= 1 (quadrature misconfigured)."""
+    """Discretized integral operator has norm >= 1 (misconfigured quadrature, or escape below rounding)."""
 
 
 class NonPositiveW(RadgasError):

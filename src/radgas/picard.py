@@ -34,7 +34,7 @@ class FixedPoint:
 def fixed_point(step, x0, tol: float, max_iter: int) -> FixedPoint:
     """Iterate from x0 until the residual f_k = step(x_k) - x_k satisfies
     max|f_k| <= tol * max(1, max|step(x_k)|), or max_iter sweeps; each sweep
-    calls step once.
+    calls step once; a non-finite max|f_k| ends the loop unconverged.
 
     Type-II Anderson mixing with a window of 5 (Walker and Ni, SIAM J. Numer.
     Anal. 49, 2011): with g_k = step(x_k) and dF, dG the columns of the last
@@ -48,6 +48,8 @@ def fixed_point(step, x0, tol: float, max_iter: int) -> FixedPoint:
         g = step(x)
         f = (g - x).ravel()
         diffs.append(float(np.max(np.abs(f))))
+        if not np.isfinite(diffs[-1]):
+            return FixedPoint(g, iterations, False, diffs)
         if diffs[-1] <= tol * max(1.0, float(np.max(np.abs(g)))):
             return FixedPoint(g, iterations, True, diffs)
         x = g

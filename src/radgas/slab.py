@@ -17,10 +17,10 @@ so the singularity never meets a quadrature node.  On the uniform grid the
 Nystroem matrix is a Toeplitz matrix T (the cell weights depend on the node
 offset only) minus two boundary columns, and it is never formed: products go
 through one FFT of T's circular embedding and the direct solve through
-Levinson recursion on I - T with a rank-2 Woodbury correction, both in O(n)
-memory.  The direct solve and Picard iteration are both run; the kernel row
-sums are < 1 on any finite slab, which makes Picard a contraction and
-cross-checks the direct path.
+symmetric Levinson recursion on I - T with a rank-2 Woodbury correction,
+both in O(n) memory.  The kernel is even and its row sums are < 1 on any
+finite slab, so I - T is symmetric positive definite and Picard, which
+cross-checks the direct solve, is a contraction.
 
 Everything runs on numpy alone: the exponential integrals E1, E3 and E4
 (`_expn`), the real FFTs (`numpy.fft`) and the Toeplitz solve (`_levinson`
@@ -154,10 +154,6 @@ class RadiationField:
     g_minus: np.ndarray  # (n_y, n_mu), direction -mu
 
 
-def _cell_coeffs(nodes: np.ndarray) -> np.ndarray:
-    return 0.5 * (nodes[1:] + nodes[:-1])
-
-
 def _emission_moments(sigma_c, delta, mu):
     """(i0, i1) = int_0^D (1, x) * (1/mu) * exp(-sigma*x/mu) dx over one cell."""
     x = sigma_c * delta / mu
@@ -205,7 +201,7 @@ def ray_integrate(
     # per-node and per-cell columns, broadcast against mu
     j = np.broadcast_to(np.asarray(emission_nodes, dtype=float), (n_y,))[:, None]
     sigma = np.broadcast_to(np.asarray(sigma_nodes, dtype=float), (n_y,))
-    sigma_c = _cell_coeffs(sigma)[:, None]
+    sigma_c = (0.5 * (sigma[1:] + sigma[:-1]))[:, None]
     deltas = np.diff(grid.y)[:, None]
     att = np.exp(-sigma_c * deltas / mu)
     # _linear_emission_integral in both directions on one set of moments: the
@@ -370,63 +366,55 @@ def _toeplitz_weights(y: np.ndarray, moments, parity):
     return i0 - i1 / h, i1 / h
 
 
-def _levinson(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last columns (f, g) of T^-1 for the Toeplitz T with first column c and first row r.
+def _levinson(c: np.ndarray) -> np.ndarray:
+    """First column f of T^-1 for the symmetric Toeplitz T with first column c.
 
     Levinson recursion (Golub and Van Loan, section 4.7) on the forward
-    vectors f_k (T_k f_k = e_0) and backward vectors g_k (T_k g_k = e_k-1) of
-    the leading k x k blocks; g_k is held reversed, so that [f_k; 0] and
-    [0; g_k] reversed are both leading slices.  Needs every leading minor
-    of T nonsingular.  O(n^2) time, O(n) memory.
+    vectors f_k (T_k f_k = e_0) of the leading k x k blocks.  T is symmetric,
+    so T_k's backward vector (T_k g_k = e_k-1) is f_k reversed and one vector
+    carries the recursion.  Needs every leading minor of T nonsingular, which
+    a positive definite T has.  O(n^2) time, O(n) memory.
     """
     n = len(c)
-    c_rev, r_rev = c[::-1].copy(), r[::-1].copy()
+    c_rev = c[::-1].copy()
     f = np.zeros(n)
-    g_rev = np.zeros(n)
-    f[0] = g_rev[0] = 1.0 / c[0]
+    f[0] = 1.0 / c[0]
     for k in range(1, n):
-        # T_k+1 [f_k; 0] = e_0 + ef e_k and T_k+1 [0; g_k] = eb e_0 + e_k
-        ef = c_rev[n - 1 - k : n - 1] @ f[:k]
-        eb = r_rev[n - 1 - k : n - 1] @ g_rev[:k]
-        scale = 1.0 / (1.0 - ef * eb)
-        fk, gk = f[: k + 1], g_rev[: k + 1]
-        new_f = fk - ef * gk[::-1]
-        gk -= eb * fk[::-1]
-        gk *= scale
-        np.multiply(new_f, scale, out=fk)
-    return f, g_rev[::-1]
+        # T_k+1 [f_k; 0] = e_0 + e e_k and T_k+1 [0; J f_k] = e e_0 + e_k
+        e = c_rev[n - 1 - k : n - 1] @ f[:k]
+        fk = f[: k + 1]
+        np.multiply(fk - e * fk[::-1], 1.0 / (1.0 - e * e), out=fk)
+    return f
 
 
-def _toeplitz_solve(c: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with T x = b for the Toeplitz T with first column c and first row r; b is (n,) or (n, m).
+def _toeplitz_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with T x = b for the symmetric positive definite Toeplitz T with first column c; b is (n,) or (n, m).
 
-    With the columns f, g of T^-1 from `_levinson`, the Gohberg-Semencul
-    formula
+    With the first column f of T^-1 from `_levinson` (its last column is
+    J f), the Gohberg-Semencul formula
 
-        T^-1 = (L(f) U(J g) - L(Z g) U(Z J f)) / f[0]
+        T^-1 = (L(f) U(f) - L(Z J f) U(Z J f)) / f[0]
 
     (L(a), U(a): the lower and upper triangular Toeplitz matrices with first
     column, first row a; J the reversal, Z the down-shift) applies T^-1 to
-    all right-hand sides by FFT products, U(a) = J L(a) J being a
-    convolution too.
+    all right-hand sides by FFT products with two spectra, U(a) = J L(a) J
+    being a convolution too.
     """
-    f, g = _levinson(c, r)
+    f = _levinson(c)
     n = len(f)
     period = _next_fast_len(2 * n - 1)
     cols = np.asarray(b, dtype=float).reshape(n, -1)
-    # the first columns of L(f), L(J g), L(Z g) and L(Z J f)
-    first = np.zeros((4, n))
-    first[0], first[1], first[2, 1:], first[3, 1:] = f, g[::-1], g[:-1], f[:0:-1]
-    f_hat, jg_hat, zg_hat, zjf_hat = rfft(first, period)[:, :, None]
+    # the first columns of L(f) and L(Z J f)
+    f_hat, zjf_hat = rfft([f, np.append(0.0, f[:0:-1])], period)[:, :, None]
 
     def lower(a_hat, v_hat):
         """The first n entries of the convolution of two spectra: L(a) v."""
         return irfft(a_hat * v_hat, period, axis=0)[:n]
 
     jb_hat = rfft(cols[::-1], period, axis=0)
-    u1 = lower(jg_hat, jb_hat)[::-1]  # U(J g) b
+    u1 = lower(f_hat, jb_hat)[::-1]  # U(f) b
     u2 = lower(zjf_hat, jb_hat)[::-1]  # U(Z J f) b
-    x = lower(f_hat, rfft(u1, period, axis=0)) - lower(zg_hat, rfft(u2, period, axis=0))
+    x = lower(f_hat, rfft(u1, period, axis=0)) - lower(zjf_hat, rfft(u2, period, axis=0))
     return (x / f[0]).reshape(np.shape(b))
 
 
@@ -472,12 +460,14 @@ class _CellToeplitz:
         return a, a + self.c0 + self.c1
 
     def solve_shifted(self, g: np.ndarray) -> np.ndarray:
-        """u with (I - A) u = g; needs the leading minors of I - T nonsingular."""
+        """u with (I - A) u = g; needs I - T symmetric positive definite: T symmetric and >= 0
+        with row sums < 1, which `_check_contraction` enforces for the Nystroem operator and
+        the `three_level` module docstring argues for alpha * M_src."""
         n = self.n
-        shifted = -self.t
-        shifted[n - 1] += 1.0
+        shifted = -self.t[n - 1:]  # the first column of I - T
+        shifted[0] += 1.0
         # (I - A) = (I - T) + U V^T with U = [c0, c1] and V = [e_0, e_n-1]
-        z = _toeplitz_solve(shifted[n - 1:], shifted[n - 1::-1], np.column_stack([g, self.c0, self.c1]))
+        z = _toeplitz_solve(shifted, np.column_stack([g, self.c0, self.c1]))
         zg, zu = z[:, 0], z[:, 1:]
         ends = [0, n - 1]
         return zg - zu @ np.linalg.solve(np.eye(2) + zu[ends], zg[ends])
@@ -536,14 +526,18 @@ def _ensure_positive(w: np.ndarray, y: np.ndarray):
 def _check_contraction(A: _CellToeplitz) -> float:
     """The largest row sum of A; NonContraction unless those of A and T are all < 1.
 
-    Picard needs the rows of A below 1 and Levinson a definite I - T; T's
-    rows exceed A's by the two boundary columns.
+    Picard needs the rows of A below 1 and Levinson a positive definite
+    I - T; T's rows exceed A's by the two boundary columns.  A row sum is 1
+    minus the escape, which is below the FFT's rounding past about 50 optical depths.
     """
     a_rows, t_rows = A.row_sums()
     for name, rows in (("A", a_rows), ("T", t_rows)):
         sup = float(np.max(rows))
         if sup >= 1.0:
-            raise NonContraction(f"kernel row sum of {name} {sup:.6f} >= 1; quadrature misconfigured")
+            raise NonContraction(
+                f"kernel row sum of {name} {sup!r} >= 1: the escape from a slab this thick is"
+                " below the rounding of the FFT row sums, or the quadrature is misconfigured"
+            )
     return float(np.max(a_rows))
 
 

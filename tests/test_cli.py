@@ -6,6 +6,7 @@ import io
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -445,6 +446,38 @@ class TestRun:
         assert report["converged"] is False
         if subcommand == "three-level":
             assert report["picard_iterations"] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["domain3d", "--f-scale", "1e308", "--lattice-n", "12"],
+            ["slab-lte", "--j0-profile", "1e308", "--n-y", "33", "--n-mu", "16"],
+            ["three-level", "--eps", "1e-300", "--n-y", "33", "--n-mu", "16"],
+        ],
+        ids=["domain3d", "slab-lte", "three-level"],
+    )
+    def test_overflowing_picard_exits_one(self, tmp_path, argv):
+        # inf or NaN sweeps: the loop stops at once instead of reading inf as converged
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            assert main(argv + ["--out", str(out)]) == 1
+        assert json.loads((out / "report.json").read_text())["converged"] is False
+
+    def test_out_of_memory_is_a_solver_error(self, tmp_path, monkeypatch, capsys):
+        def exhausted(config, art):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setitem(radgas.cli._RUNNERS, "slab-lte", exhausted)
+        assert main(["slab-lte", "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "solver error: out of memory: Unable to allocate 74.5 GiB\n"
+
+    def test_thick_slab_names_the_rounded_escape(self, tmp_path, capsys):
+        # at slab_l 80 the rows of A sum to 1 in floating point
+        assert main(["slab-lte", "--slab-l", "80", "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        printed = re.match(r"solver error: kernel row sum of A (\S+) >= 1: ", err).group(1)
+        assert float(printed) >= 1.0 and printed == repr(float(printed))  # not rounded to 1.000000
+        assert "escape from a slab this thick is below the rounding of the FFT row sums" in err
 
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

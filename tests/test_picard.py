@@ -2,6 +2,7 @@
 mixing, against the plain Picard loop and a direct solve."""
 
 import numpy as np
+import pytest
 
 from radgas.picard import fixed_point
 
@@ -62,3 +63,18 @@ def test_fixed_point_start_stops_at_once():
     assert fp.converged
     assert fp.iterations == 1
     assert fp.diffs == [0.0]
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_residual_stops_unconverged(bad):
+    # inf <= tol * max(1, inf) would pass the stopping test, and NaN breaks Anderson's lstsq
+    steps = []
+
+    def step(x):
+        steps.append(x)
+        return np.full_like(x, bad)
+
+    fp = fixed_point(step, np.zeros(4), tol=1e-12, max_iter=10)
+    assert fp.converged is False
+    assert fp.iterations == len(steps) == 1
+    assert not np.isfinite(fp.diffs[0])

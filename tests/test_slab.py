@@ -18,6 +18,7 @@ from radgas.slab import (
     ExpLimitResult,
     FredholmResult,
     angular_mean,
+    angular_response,
     flux,
     fredholm_kernel_K,
     kernel_sup,
@@ -43,6 +44,7 @@ from radgas.slab import (
     _toeplitz_weights,
 )
 from radgas.picard import fixed_point
+from radgas.three_level import ThreeLevelParams
 
 CONSTS = PhysConsts(epsilon0=1.0)
 GRID = SlabGrid(L=2.0, n_y=65)
@@ -93,6 +95,15 @@ def dense_nystrom_matrix(y, kernel=KERNEL):
     A[:, :-1] += lo
     A[:, 1:] += hi
     return A
+
+
+def three_level_operator(grid):
+    """alpha * M_src, the operator solve_three_level solves with, at its test
+    parameters; alpha = kappa/(4 pi) to rounding."""
+    kappa = ThreeLevelParams(0.7, 0.3, eps=1.0, T0=2.0, rho0=1.0, P12=1.0, P23=1.0).kappa
+    M_src = angular_response(kappa, grid, AngleGrid(n_mu=32))
+    alpha = kappa / (4.0 * math.pi)
+    return _CellToeplitz(alpha * M_src.lo, alpha * M_src.hi)
 
 
 def by_offset(cells):
@@ -342,15 +353,33 @@ class TestCellToeplitz:
         got = _nystrom_operator(y).solve_shifted(g)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("n_y", [257, 1025])
-    @pytest.mark.parametrize("kernel", [KERNEL, FLUX], ids=["K", "E2-flux"])
-    def test_solve_shifted_matches_own_dense_solve(self, kernel, n_y):
-        # the flux operator is odd, so I - A is nonsymmetric
-        y = SlabGrid(L=1.0, n_y=n_y).y
-        A = _CellToeplitz(*_toeplitz_weights(y, *kernel))
-        g = np.cos(2.0 * y) + np.random.default_rng(n_y).uniform(size=n_y)
+    @pytest.mark.parametrize(
+        "operator, L, n_y",
+        [("K", 1.0, 257), ("K", 1.0, 1025), ("K", 3.7, 300), ("three-level", 1.0, 65), ("three-level", 1.0, 1025)],
+        ids=["K-257", "K-1025", "K-off-dyadic-300", "three-level-65", "three-level-1025"],
+    )
+    def test_solve_shifted_matches_own_dense_solve(self, operator, L, n_y):
+        grid = SlabGrid(L=L, n_y=n_y)
+        A = _nystrom_operator(grid.y) if operator == "K" else three_level_operator(grid)
+        g = np.cos(2.0 * grid.y) + np.random.default_rng(n_y).uniform(size=n_y)
         want = np.linalg.solve(np.eye(n_y) - A.dense(), g)
         assert np.max(np.abs(A.solve_shifted(g) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_y", [65, 257, 1025, 4097])
+    def test_nystrom_toeplitz_is_bit_symmetric_on_dyadic_grids(self, n_y):
+        # solve_shifted solves with the first column of I - T alone
+        t = _nystrom_operator(SlabGrid(L=1.0, n_y=n_y).y).t
+        np.testing.assert_array_equal(t, t[::-1])
+
+    @pytest.mark.parametrize("L, n_y", [(3.7, 300), (0.3, 1000), (2.3, 200)])
+    def test_nystrom_toeplitz_is_symmetric_to_rounding_off_dyadic_grids(self, L, n_y):
+        t = _nystrom_operator(SlabGrid(L=L, n_y=n_y).y).t
+        assert np.max(np.abs(t - t[::-1])) <= 1e-15
+
+    @pytest.mark.parametrize("L, n_y", [(1.0, 65), (3.7, 300), (2.3, 200), (1.0, 1025)])
+    def test_angular_response_toeplitz_is_bit_symmetric(self, L, n_y):
+        t = three_level_operator(SlabGrid(L=L, n_y=n_y)).t
+        np.testing.assert_array_equal(t, t[::-1])
 
     def test_slab_solve_memory_is_linear_in_n(self):
         # the dense matrix, its gathers and its LU would take over 400 MB here
@@ -383,24 +412,21 @@ class TestScipyOracles:
         np.testing.assert_array_equal(_expn(4, x), [[_expn(4, v) for v in row] for row in x])
 
     @staticmethod
-    def toeplitz_case(n, symmetric):
-        """(c, r, b): a diagonally dominant Toeplitz matrix, so every leading minor is
-        nonsingular, and three right-hand sides."""
-        rng = np.random.default_rng([n, symmetric])
-        k = np.arange(n)
-        c = 0.6**k * rng.uniform(-1.0, 1.0, n)
-        r = c.copy() if symmetric else 0.4**k * rng.uniform(-1.0, 1.0, n)
-        c[0] = r[0] = 3.0
-        return c, r, rng.normal(size=(n, 3))
+    def toeplitz_case(n):
+        """(c, b): a diagonally dominant symmetric Toeplitz matrix, so positive
+        definite, by its first column, and three right-hand sides."""
+        rng = np.random.default_rng([n, 1])
+        c = 0.6 ** np.arange(n) * rng.uniform(-1.0, 1.0, n)
+        c[0] = 3.0
+        return c, rng.normal(size=(n, 3))
 
-    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])
     @pytest.mark.parametrize("n", [1, 2, 257, 1025])
-    def test_toeplitz_solve_matches_scipy_and_dense(self, n, symmetric):
-        c, r, b = self.toeplitz_case(n, symmetric)
-        got = _toeplitz_solve(c, r, b)
-        for want in (scipy.linalg.solve_toeplitz((c, r), b), np.linalg.solve(scipy.linalg.toeplitz(c, r), b)):
+    def test_toeplitz_solve_matches_scipy_and_dense(self, n):
+        c, b = self.toeplitz_case(n)
+        got = _toeplitz_solve(c, b)
+        for want in (scipy.linalg.solve_toeplitz(c, b), np.linalg.solve(scipy.linalg.toeplitz(c), b)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        one = _toeplitz_solve(c, r, b[:, 1])
+        one = _toeplitz_solve(c, b[:, 1])
         assert one.shape == (n,)
         assert np.max(np.abs(one - got[:, 1])) <= 1e-14 * np.max(np.abs(got[:, 1]))
 
