@@ -18,11 +18,19 @@ estimators at once (`weak_form_checks`: conservation, mass exchange and the
 kernel of L): each forms its collision tuples from its own Maxwellians, in
 row chunks of the batch, and feeds its whole vector of test functions, so
 memory stays bounded by the batch and the chunk whatever the sample count.
+
+The loss and gain sides share no running total, so they run at once: the
+loss side on one worker thread, the gain side on the calling thread.  Each
+side adds its batches to its own sums in batch order, so the estimates do
+not depend on the threads' timing.  Each side draws a batch's `za`/`zb`
+normals into one reused buffer and its `omega` normals, which come last in
+the batch's stream, one chunk at a time.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,12 +132,17 @@ def detailed_balance_check(lte_pair, n_tuples: int, seed: int, consts: PhysConst
     rng = default_rng([seed, 1])
     v1 = s1.u + rng.normal(size=(n_tuples, 3)) * math.sqrt(s1.T / 2)
     v2 = s1.u + rng.normal(size=(n_tuples, 3)) * math.sqrt(s1.T / 2)
-    keep = np.sum((v1 - v2) ** 2, axis=1) > 4 * consts.epsilon0 + 1e-9
-    om = rng.normal(size=(int(keep.sum()), 3))
-    om /= np.linalg.norm(om, axis=1, keepdims=True)
-    tup = CollisionTuple.nonelastic(v1[keep], v2[keep], om, consts)
-    residuals = np.abs(detailed_balance_residual(s1, s2, tup, consts))
-    return float(np.max(residuals)) if residuals.size else None
+    keep = np.flatnonzero(np.sum((v1 - v2) ** 2, axis=1) > 4 * consts.epsilon0 + 1e-9)
+    # the directions of the kept tuples come last in the stream, so drawing
+    # them chunk by chunk keeps their bits; a max is exact in any grouping
+    chunk_max = []
+    for lo in range(0, len(keep), _CHUNK):
+        rows = keep[lo : lo + _CHUNK]
+        om = rng.normal(size=(len(rows), 3))
+        om /= np.linalg.norm(om, axis=1, keepdims=True)
+        tup = CollisionTuple.nonelastic(v1[rows], v2[rows], om, consts)
+        chunk_max.append(np.max(np.abs(detailed_balance_residual(s1, s2, tup, consts))))
+    return float(np.max(chunk_max)) if chunk_max else None
 
 
 def _tuple_chunk(state1, state2, consts, side, normals):
@@ -147,6 +160,7 @@ def _tuple_chunk(state1, state2, consts, side, normals):
     d = a - b
     d *= d
     rel2 = d[:, 0] + d[:, 1] + d[:, 2]
+    del d
     center = a + b
     center *= 0.5
     if side == 0:
@@ -154,13 +168,44 @@ def _tuple_chunk(state1, state2, consts, side, normals):
         weight = np.where(
             rel2 > 4.0 * eps0, m1 * m1 * pref * np.sqrt(np.maximum(rel2 - 4.0 * eps0, 0.0)), 0.0
         )
-        kw = k[:, None] * omega
-        return weight, a, b, center + kw, center - kw
-    kp = np.sqrt(0.25 * rel2 + eps0)
-    m2 = state2.rho * consts.maxwellian_mass
-    weight = m2 * m1 * pref * np.sqrt(rel2 + 4.0 * eps0)
-    kw = kp[:, None] * omega
-    return weight, center + kw, center - kw, a, b
+    else:
+        k = np.sqrt(0.25 * rel2 + eps0)
+        m2 = state2.rho * consts.maxwellian_mass
+        weight = m2 * m1 * pref * np.sqrt(rel2 + 4.0 * eps0)
+    kw = k[:, None] * omega
+    minus = center - kw
+    center += kw
+    return (weight, a, b, center, minus) if side == 0 else (weight, center, minus, a, b)
+
+
+def _batch_normals(rng, size, pair, omega):
+    """The row chunks (za, zb, omega) of one batch's standard normals, in the
+    stream order of ``rng.standard_normal((3, size, 3))``: za and zb are drawn
+    whole into the reused buffer `pair` (at least 6 * size floats), then omega
+    one chunk at a time into the reused (_CHUNK, 3) buffer `omega`."""
+    za, zb = rng.standard_normal(out=pair[: 6 * size].reshape(2, size, 3))
+    for lo in range(0, size, _CHUNK):
+        om = rng.standard_normal(out=omega[: min(_CHUNK, size - lo)])
+        yield za[lo : lo + len(om)], zb[lo : lo + len(om)], om
+
+
+def _add_chunk(acc, problem, consts, side, normals):
+    """Adds one chunk's column sums of w*D and (w*D)^2 and its weight sum to
+    the problem's running totals `acc`; the chunk's tuples are freed on return."""
+    state1, state2, phi1, phi2 = problem
+    weight, v1, v2, v3, v4 = _tuple_chunk(state1, state2, consts, side, normals)
+    samples = phi2(v3)
+    if phi1 is not None:
+        samples += phi1(v4)
+        samples -= phi1(v1)
+        samples -= phi1(v2)
+    samples *= weight[:, None]
+    # a column sum reads that column alone, so a problem's estimates do not
+    # depend on which other columns ride along
+    acc[0] = acc[0] + samples.sum(axis=0)
+    samples *= samples
+    acc[1] = acc[1] + samples.sum(axis=0)
+    acc[2] += float(weight.sum())
 
 
 def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
@@ -168,40 +213,45 @@ def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
     one list of Estimates per problem (state1, state2, phi1, phi2).
 
     `phi1` (ground) and `phi2` (excited) map an (n, 3) velocity batch to
-    (n, k) test-function values.  Each (seed, side, batch) block of standard
-    normals is drawn once and serves every problem: walking it in row chunks,
-    each problem forms the chunk's collision tuples from its own Maxwellians
-    and adds the column sums of w*D and (w*D)^2, with
+    (n, k) test-function values; `phi1` None stands for all-zero ground-state
+    test functions.  Each (seed, side, batch) block of standard normals is
+    drawn once and serves every problem: walking it in row chunks, each
+    problem forms the chunk's collision tuples from its own Maxwellians and
+    adds the column sums of w*D and (w*D)^2, with
     D = phi1(v4) + phi2(v3) - phi1(v1) - phi1(v2), to its running totals.
+
+    The loss side runs on one worker thread and the gain side on the calling
+    thread; the worker is always joined, and its exception re-raised here.
     """
     n = plan.n_samples
     # per side and problem: [sum of w*D, sum of (w*D)^2, sum of w]; weights are >= 0
     sums = [[[0.0, 0.0, 0.0] for _ in problems] for _ in (0, 1)]
 
-    def add_batch(side, b, size):
-        """Adds one batch to the side's sums; its normals are freed on
-        return, so the next batch is drawn without them."""
-        normals = default_rng([plan.seed, side, b]).standard_normal((3, size, 3))
-        omega = normals[2]
-        omega /= np.sqrt(omega[:, 0] ** 2 + omega[:, 1] ** 2 + omega[:, 2] ** 2)[:, None]
-        for lo in range(0, size, _CHUNK):
-            chunk = normals[:, lo : lo + _CHUNK]
-            for acc, (state1, state2, phi1, phi2) in zip(sums[side], problems):
-                weight, v1, v2, v3, v4 = _tuple_chunk(state1, state2, consts, side, chunk)
-                samples = phi1(v4) + phi2(v3)
-                samples -= phi1(v1)
-                samples -= phi1(v2)
-                samples *= weight[:, None]
-                # a column sum reads that column alone, so a problem's
-                # estimates do not depend on which other columns ride along
-                acc[0] = acc[0] + samples.sum(axis=0)
-                samples *= samples
-                acc[1] = acc[1] + samples.sum(axis=0)
-                acc[2] += float(weight.sum())
-
-    for side in (0, 1):
+    def add_side(side):
+        pair, omega = np.empty(6 * _BATCH), np.empty((_CHUNK, 3))
         for b, start in enumerate(range(0, n, _BATCH)):
-            add_batch(side, b, min(_BATCH, n - start))
+            rng = default_rng([plan.seed, side, b])
+            for za, zb, om in _batch_normals(rng, min(_BATCH, n - start), pair, omega):
+                om /= np.sqrt(om[:, 0] ** 2 + om[:, 1] ** 2 + om[:, 2] ** 2)[:, None]
+                for acc, problem in zip(sums[side], problems):
+                    _add_chunk(acc, problem, consts, side, (za, zb, om))
+
+    failure = []
+
+    def add_loss_side():
+        try:
+            add_side(0)
+        except BaseException as exc:
+            failure.append(exc)
+
+    worker = threading.Thread(target=add_loss_side, name="radgas-loss-side")
+    worker.start()
+    try:
+        add_side(1)
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
 
     def side_estimate(total, total_sq, weight_sum):
         mean = total / n
@@ -235,10 +285,6 @@ def _conserved(v, excitation=0.0, *extra):
     return out.T
 
 
-def _zeros(k):
-    return lambda v: np.zeros((k, len(v))).T
-
-
 def _exchange_problem(state1, state2, consts):
     """Five conservation columns and the mass-exchange column (see
     `weak_form_checks`)."""
@@ -260,7 +306,7 @@ def _kernel_problem(state, consts):
     """The LTE pair on `state`, projected on the excited-species moments."""
     q = math.exp(-2.0 * consts.epsilon0 / state.T)
     state2 = MaxwellianState(state.rho * q, state.u, state.T)
-    return state, state2, _zeros(5), lambda v: _conserved(v - state.u)
+    return state, state2, None, lambda v: _conserved(v - state.u)
 
 
 def _kernel_result(estimates) -> dict:

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -28,6 +29,7 @@ from radgas.cli import (
     _Artifacts,
     _fmt,
     _radiation_columns,
+    _strict_json,
     main,
     parse_config,
 )
@@ -236,6 +238,23 @@ class TestRun:
         assert set(rows["kernel_of_L"]) == {"number", *moments}
         for check_rows in rows.values():
             assert all(set(row) == {"value", "std_error"} for row in check_rows.values())
+
+    # sha256 of report.json and report.txt of the default `verify`, pinned to
+    # the bytes of the single-threaded pass: the loss side on its own thread
+    # and the streamed draws keep every bit
+    @pytest.mark.parametrize(
+        "seed, report_json",
+        [
+            ("1", "35a13d6d3eec74044483cee474cb9ef4ad97ddb7226e6b00a01d56ce2ea4ae04"),
+            ("47", "ff91e506a2236175b7f158f860fb98fbf02d14ba9a13a5a2c7be419f3c7eb5b1"),
+        ],
+    )
+    def test_verify_default_artifacts_pinned(self, tmp_path, capsys, seed, report_json):
+        out = tmp_path / "verify"
+        assert main(["verify", "--seed", seed, "--out", str(out)]) == 0
+        sha = lambda name: hashlib.sha256((out / name).read_bytes()).hexdigest()  # noqa: E731
+        assert sha("report.json") == report_json
+        assert sha("report.txt") == "db17ea184c2cd032f7cb23d296746b3ad7f04f17588ffb9122c5f4f3f7a08591"
 
     @pytest.mark.parametrize("seed", ["1", "6"])
     def test_verify_empty_detailed_balance_set_fails_without_traceback(self, tmp_path, seed):
@@ -462,6 +481,42 @@ class TestRun:
         with np.errstate(all="ignore"):
             assert main(argv + ["--out", str(out)]) == 1
         assert json.loads((out / "report.json").read_text())["converged"] is False
+
+    @pytest.mark.parametrize(
+        "argv, nulls",
+        [
+            (["domain3d", "--f-scale", "1e308", "--lattice-n", "12"], ["w_max", "w_min"]),
+            (["slab-lte", "--j0-profile", "1e308"], ["flux_ptp", "i0", "picard_gap", "residual_max"]),
+        ],
+        ids=["domain3d", "slab-lte"],
+    )
+    def test_overflowing_report_is_strict_json(self, tmp_path, argv, nulls):
+        # inf and NaN are written as null; numpy still warns of the overflow
+        out = tmp_path / "run"
+        with pytest.warns(RuntimeWarning) as warned:
+            assert main(argv + ["--out", str(out)]) == 1
+        assert any("overflow" in str(w.message) for w in warned)
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert [report[key] for key in nulls] == [None] * len(nulls)
+        assert report["converged"] is False
+
+    def test_strict_json_keeps_finite_payloads(self):
+        finite = {
+            "a": np.float64(0.1),
+            "b": (np.int64(3), 2.5e-300, True, None, "s"),
+            "c": np.array([[1.0, -2.0], [3.5, 1e308]]),
+            "d": [{"e": np.float32(0.5)}],
+        }
+        old_default = lambda obj: obj.item() if isinstance(obj, np.generic) else obj.tolist()  # noqa: E731
+        assert json.dumps(_strict_json(finite), indent=2, sort_keys=True) == json.dumps(
+            finite, indent=2, sort_keys=True, default=old_default
+        )
+        odd = {"x": [np.inf, -np.inf, np.nan], "y": np.array([np.nan, 1.0]), "z": np.float64(-np.inf)}
+        assert _strict_json(odd) == {"x": [None, None, None], "y": [None, 1.0], "z": None}
 
     def test_out_of_memory_is_a_solver_error(self, tmp_path, monkeypatch, capsys):
         def exhausted(config, art):

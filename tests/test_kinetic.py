@@ -1,16 +1,25 @@
 """Kinetic-identity verification: detailed balance, weak-form conservation,
 kernel of the linearized operator, and the entropy identity."""
 
+import importlib
+import inspect
 import math
+import pkgutil
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import radgas
+import radgas.kinetic
 from radgas import PhysConsts, MaxwellianState, CollisionTuple
+from radgas.cli import main
 from radgas.kinetic import (
     _BATCH,
+    _CHUNK,
     McPlan,
+    _batch_normals,
     _conserved,
     _exchange_problem,
     _exchange_result,
@@ -139,6 +148,17 @@ class TestDetailedBalanceCheck:
     def test_no_tuple_above_threshold_gives_none(self):
         # the single pair that seed 1 draws is below the threshold
         assert detailed_balance_check(self.PAIR, 1, 1, CONSTS) is None
+
+    @pytest.mark.parametrize("seed", [1, 5, 33])
+    def test_chunked_max_equals_unchunked_formula(self, seed):
+        # a pair off the Boltzmann ratio: O(1) residuals whose largest sits in
+        # one of the 11 chunks of 2^13 kept tuples
+        pair = (self.PAIR[0], MaxwellianState(self.PAIR[1].rho, self.U, 6.0))
+        tup = random_nonelastic_tuples(np.random.default_rng([seed, 1]), 10**5, self.U, self.T, CONSTS)
+        assert len(tup.v1) > 10 * _CHUNK
+        want = float(np.max(np.abs(detailed_balance_residual(*pair, tup, CONSTS))))
+        assert detailed_balance_check(pair, 10**5, seed, CONSTS) == want
+        assert want > 1e-3
 
 
 class TestConservation:
@@ -275,6 +295,114 @@ class TestFusedPass:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestStreamedDraw:
+    # a full batch, and the partial last batch of 10^6 samples: 82,496 rows,
+    # ten full chunks and one of 576 rows
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("b, size", [(0, _BATCH), (7, 10**6 - 7 * _BATCH)])
+    def test_equals_one_draw_of_the_batch(self, side, b, size):
+        pair, omega = np.empty(6 * _BATCH), np.empty((_CHUNK, 3))
+        chunks = [
+            [part.copy() for part in chunk]
+            for chunk in _batch_normals(np.random.default_rng([7, side, b]), size, pair, omega)
+        ]
+        streamed = np.stack([np.concatenate(parts) for parts in zip(*chunks)])
+        want = np.random.default_rng([7, side, b]).standard_normal((3, size, 3))
+        assert np.array_equal(streamed, want)
+        assert [len(chunk[2]) for chunk in chunks][-1] == (576 if b else _CHUNK)
+
+
+class _RecordedThread(threading.Thread):
+    started = []
+
+    def start(self):
+        type(self).started.append(self)
+        super().start()
+
+
+class TestWorkerThread:
+    GENERIC, LTE = TestFusedPass.GENERIC, TestFusedPass.LTE
+    QUICK = McPlan(n_samples=20_000, seed=3)
+
+    @pytest.fixture
+    def failing_side(self, monkeypatch):
+        """Makes `_tuple_chunk` raise one MemoryError on the given side;
+        returns that error and records every thread started."""
+        monkeypatch.setattr(_RecordedThread, "started", [])
+        monkeypatch.setattr(radgas.kinetic.threading, "Thread", _RecordedThread)
+        tuple_chunk = radgas.kinetic._tuple_chunk
+
+        def arm(side):
+            error = MemoryError(f"Unable to allocate on side {side}")
+
+            def failing(state1, state2, consts, chunk_side, normals):
+                if chunk_side == side:
+                    raise error
+                return tuple_chunk(state1, state2, consts, chunk_side, normals)
+
+            monkeypatch.setattr(radgas.kinetic, "_tuple_chunk", failing)
+            return error
+
+        return arm
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["worker", "caller"])
+    def test_failure_reaches_the_caller_and_the_worker_is_joined(self, failing_side, side):
+        error = failing_side(side)
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as exc:
+            weak_form_checks(self.GENERIC, self.LTE, self.QUICK, CONSTS)
+        assert exc.value is error
+        assert threading.active_count() == before
+        (worker,) = _RecordedThread.started
+        assert not worker.is_alive()
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["worker", "caller"])
+    def test_verify_reports_one_out_of_memory_line(self, failing_side, side, tmp_path, capsys):
+        failing_side(side)
+        before = threading.active_count()
+        argv = ["verify", "--n-samples", "20000", "--n-tuples", "2000", "--out", str(tmp_path / "run")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"solver error: out of memory: Unable to allocate on side {side}\n"
+        assert threading.active_count() == before
+
+    def test_one_worker_per_call(self, monkeypatch):
+        monkeypatch.setattr(_RecordedThread, "started", [])
+        monkeypatch.setattr(radgas.kinetic.threading, "Thread", _RecordedThread)
+        weak_form_checks(self.GENERIC, self.LTE, self.QUICK, CONSTS)
+        weak_form_checks(self.GENERIC, self.LTE, self.QUICK, CONSTS)
+        assert len(_RecordedThread.started) == 2
+        assert not any(t.is_alive() for t in _RecordedThread.started)
+
+    def test_worker_calls_no_public_function(self):
+        # the benchmark's tracer wraps every public radgas function and keeps
+        # one span stack, which a second thread in a public call would corrupt
+        main_thread, called = threading.main_thread(), set()
+
+        def record(frame, event, arg):
+            if event == "call" and threading.current_thread() is not main_thread:
+                called.add((frame.f_globals.get("__name__"), frame.f_code.co_name))
+
+        threading.setprofile(record)
+        try:
+            weak_form_checks(self.GENERIC, self.LTE, self.QUICK, CONSTS)
+        finally:
+            threading.setprofile(None)
+        modules = [radgas] + [
+            importlib.import_module(f"radgas.{m.name}") for m in pkgutil.iter_modules(radgas.__path__)
+        ]
+        public = {name for mod in modules for name in getattr(mod, "__all__", ())}
+        public |= {
+            name
+            for mod in modules
+            for name, obj in vars(mod).items()
+            if inspect.isfunction(obj) and not name.startswith("_")
+        }
+        ours = {name for module, name in called if module and module.startswith("radgas")}
+        assert "_tuple_chunk" in ours
+        assert ours & public == set()
 
 
 class TestKernelOfL:
