@@ -577,7 +577,6 @@ def _run_slab(config: RunConfig, art: _Artifacts) -> int:
         "report.json",
         {
             **report,
-            "kernel_sup": res.kernel_sup,
             "picard_ratio": res.picard_ratio,
             "picard_gap": res.picard_gap,
             "residual_max": res.residual_max,
@@ -598,9 +597,7 @@ def _run_domain3d(config: RunConfig, art: _Artifacts) -> int:
         "report.json",
         {
             "lattice_points": int(len(field.points)),
-            "max_kernel_mass": float(field.kernel_mass.max()),
             "picard_ratio": field.picard_ratio,
-            "picard_ratio_source": "kernel_mass_bound",
             "picard_diffs": field.picard_diffs,
             "iterations": field.iterations,
             "w_min": float(field.values.min()),

@@ -27,7 +27,7 @@ constant per quantity (c0^2 analytically) -- so the values match the defining
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -250,13 +250,8 @@ class CollisionFunctionals:
             raise ValueError("P11, P21, A must be positive")
 
 
-#: Analytic calibration constants: the printed triples drop c0^2 from the
-#: two Maxwellian normalizations.
-def default_calibration(consts: PhysConsts) -> dict:
-    return {"P": consts.c0**2, "P21": consts.c0**2, "A": consts.c0**2, "B": consts.c0**2}
-
-
-_UNIT_CALIBRATION = {"P": 1.0, "P21": 1.0, "A": 1.0, "B": 1.0}
+#: The quantities `mc_oracle` samples, one calibration constant each.
+_QUANTITIES = ("P", "P21", "A", "B")
 
 
 @lru_cache(maxsize=512)
@@ -275,16 +270,14 @@ def functionals(
     consts: PhysConsts,
     spec: TripleQuadSpec = TripleQuadSpec(),
     mode: str = "printed",
-    constants: dict | None = None,
 ) -> CollisionFunctionals:
     """Evaluate all five functionals at (T1, T2).
 
     mode="printed" reproduces the stated reduced formulas verbatim.
     mode="calibrated" restores sqrt(T1) inside G_delta/G_0/B1 (A and the
     divided-difference kernels already carry consistent factors) and applies
-    one constant per quantity, so the results equal the defining 6-fold
-    integrals; `constants` overrides the analytic defaults (fitted values
-    from `fit_calibration` go here).
+    the constant c0^2 that the printed triples drop from the two Maxwellian
+    normalizations, so the results equal the defining 6-fold integrals.
     """
     if mode not in ("printed", "calibrated"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -298,16 +291,14 @@ def functionals(
         return CollisionFunctionals(
             P11=t_g0, P21=t_gd, P_diff=t_fd, A=t_a, B_diff=-(t_b1 + t_b2)
         )
-    k = default_calibration(consts)
-    if constants:
-        k = {**k, **constants}
+    k = consts.c0**2
     s1 = math.sqrt(T1)
     return CollisionFunctionals(
-        P11=k["P"] * s1 * t_g0,
-        P21=k["P21"] * s1 * t_gd,
-        P_diff=k["P"] * t_fd,
-        A=k["A"] * t_a,
-        B_diff=-k["B"] * (s1 * t_b1 + t_b2),
+        P11=k * s1 * t_g0,
+        P21=k * s1 * t_gd,
+        P_diff=k * t_fd,
+        A=k * t_a,
+        B_diff=-k * (s1 * t_b1 + t_b2),
     )
 
 
@@ -428,11 +419,11 @@ def structural_value(
 
     The oracle satisfies  mc == constant * structural_value  with one constant
     per quantity (c0^2 analytically); `fit_calibration` estimates it.  This is
-    the calibrated functional with every constant set to 1.
+    the calibrated functional at c0 = 1.
     """
-    if quantity not in _UNIT_CALIBRATION:
+    if quantity not in _QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    f = functionals(T1, T2, consts, spec, mode="calibrated", constants=_UNIT_CALIBRATION)
+    f = functionals(T1, T2, replace(consts, c0=1.0), spec, "calibrated")
     if quantity == "P":
         return f.P11
     if quantity == "P21":
@@ -457,7 +448,7 @@ def fit_calibration(
     """
     constants: dict[str, float] = {}
     detail = []
-    for iq, quantity in enumerate(("P", "P21", "A", "B")):
+    for iq, quantity in enumerate(_QUANTITIES):
         num = 0.0
         den = 0.0
         for ip, (T1, T2) in enumerate(pairs):
@@ -471,6 +462,6 @@ def fit_calibration(
         constants[quantity] = num / den if den > 0 else float(consts.c0**2)
     return {
         "constants": constants,
-        "analytic": default_calibration(consts),
+        "analytic": dict.fromkeys(_QUANTITIES, consts.c0**2),
         "detail": detail,
     }

@@ -350,11 +350,15 @@ def weak_form_checks(generic_pair, lte_state: MaxwellianState, plan: McPlan, con
     return (*_exchange_result(exchange), _kernel_result(kernel))
 
 
-def entropy_identity_check(T_list, consts: PhysConsts, rel_step: float = 1e-5) -> dict:
+#: Central-difference step of `entropy_identity_check`, relative to T.
+_REL_STEP = 1e-5
+
+
+def entropy_identity_check(T_list, consts: PhysConsts) -> dict:
     """Finite-difference check of T * lambda'(T) = 2 * e'(T) at each temperature."""
     rows = []
     for T in T_list:
-        h = rel_step * T
+        h = _REL_STEP * T
         lam_p = float(entropy_lambda(T + h, consts) - entropy_lambda(T - h, consts)) / (2 * h)
         e_p = float(energy_density(T + h, consts) - energy_density(T - h, consts)) / (2 * h)
         rel = abs(T * lam_p - 2.0 * e_p) / abs(2.0 * e_p)

@@ -574,9 +574,10 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
     incoming profile at y = 0, and the rays carry the emission coupling * u.
     The direct Nystroem solve (Levinson) is authoritative; the Anderson-mixed
     Picard loop from zero, on FFT products, cross-checks it.  `picard_ratio`
-    is the max-norm contraction bound, the largest row sum of A (equal to
-    `kernel_sup`).  Returns (u, field, flux_j, diagnostics), the diagnostics
-    as result-dataclass keywords.
+    is the max-norm contraction bound, the largest row sum of A: the integral
+    of K over the slab at a node, `kernel_sup(L)` to rounding when a node
+    sits at the midpoint.  Returns (u, field, flux_j, diagnostics), the
+    diagnostics as result-dataclass keywords.
     """
     y = grid.y
     mu = angles.mu
@@ -592,7 +593,6 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
     u = A.solve_shifted(g)
     picard = fixed_point(lambda x: A.apply(x) + g, np.zeros_like(g), tol=1e-13, max_iter=10_000)
     diagnostics = {
-        "kernel_sup": sup,
         "picard_ratio": sup,
         "picard_gap": float(np.max(np.abs(u - picard.x))),
         "residual_max": float(np.max(np.abs(u - A.apply(u) - g))),
@@ -615,7 +615,6 @@ class FredholmResult:
     grid: SlabGrid
     h_field: RadiationField
     flux_j: np.ndarray  # product-integration flux J(y); constant in theory
-    kernel_sup: float
     picard_ratio: float
     picard_gap: float  # max |Nystroem - Picard|
     residual_max: float
@@ -675,7 +674,6 @@ class ExpLimitResult:
     H: RadiationField
     grid: SlabGrid
     flux_j: np.ndarray
-    kernel_sup: float
     picard_ratio: float
     picard_gap: float
     residual_max: float

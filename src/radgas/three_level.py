@@ -15,13 +15,14 @@ The densities reach the radiation only through the scalar source
 s = c_src . sigma, and the angular integral of h is M_src s + b_I, with M_src
 the `slab.angular_response` operator (a Toeplitz matrix T minus two boundary
 columns, held by offset) and b_I the boundary-driven sweep.  Eliminating the
-local 3 x 3 node equations leaves (I - alpha M_src) s = r, with
+local 3 x 3 node equations leaves (I - alpha M_src) s = g, with
 alpha = kappa/(4 pi): the linearised radiation is pure scattering, so
 alpha*T is symmetric and >= 0 with row sums 1 - (escape) < 1, and
 I - alpha*T is positive definite.  The slab's Levinson solve therefore gives
 s, and FFT products give M_src s, in O(n) memory with no n x n matrix.  This
-direct path is authoritative, and a sigma -> h -> sigma Picard loop
-cross-checks it.
+direct path is authoritative.  The affine Picard loop s = alpha M_src s + g
+on the n-vector s, the loop the slab models run, cross-checks it; both
+sources go through the same node solve to densities, which are compared.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class ThreeLevelSolution:
     eq1_residual: float
     eq2_residual: float
     eq3_residual: float
-    path_gap: float  # max |direct - Picard|
+    path_gap: float  # max |sigma(direct source) - sigma(Picard source)|
     picard_iterations: int
     converged: bool  # the Picard check met its tolerance before max_iter
 
@@ -172,10 +173,11 @@ def solve_three_level(
     which case C0 is computed from the total-gas relation using m0 (default:
     the background mass, which gives C0 = (1+q+q^2) * mean(xi)).
 
-    Both the direct Levinson solve for the source and the Anderson-mixed
-    sigma -> h -> sigma fixed-point loop, on the (3, n) array of the three
-    fields, are run; their max-norm gap is reported and the direct path is
-    authoritative.  Where kappa*L is so large that the escape rounds away
+    Both the direct Levinson solve for the source s and the Anderson-mixed
+    Picard loop s = alpha M_src s + g are run; each s is mapped to
+    (sigma1, sigma2, sigma3) by the same node solve, the max-norm gap of the
+    two is reported as path_gap, and the direct path is authoritative.
+    Where kappa*L is so large that the escape rounds away
     (alpha times T's largest row sum is 1 + 1.6e-15 at kappa 256), the
     Picard check is what flags a run: it may stop unconverged at max_iter.
     """
@@ -216,22 +218,18 @@ def solve_three_level(
         return np.vstack([rad * I_h, eq23])
 
     # sigma = local^-1 node_rhs(I) makes src = alpha*I + c_src . local^-1 [0; eq2; eq3],
-    # so src solves (1 - alpha M_src) src = alpha b_I + c_src . local^-1 [0; eq2; eq3].
+    # so src solves (1 - alpha M_src) src = g = alpha b_I + c_src . local^-1 [0; eq2; eq3].
     # alpha = kappa/(4 pi) to rounding, so I - alpha*T is positive definite
     # (module docstring) and the Levinson solve applies
     alpha = rad * (c_src @ np.linalg.solve(local, [1.0, 0.0, 0.0]))
-    src = _CellToeplitz(alpha * M_src.lo, alpha * M_src.hi).solve_shifted(
-        alpha * b_I + c_src @ np.linalg.solve(local, node_rhs(np.zeros(n))),
-    )
-    sigma = np.linalg.solve(local, node_rhs(M_src.apply(src) + b_I))
+    A = _CellToeplitz(alpha * M_src.lo, alpha * M_src.hi)
+    g = alpha * b_I + c_src @ np.linalg.solve(local, node_rhs(np.zeros(n)))
 
-    # Picard cross-check: sigma -> h -> sigma
-    picard = fixed_point(
-        lambda sp: np.linalg.solve(local, node_rhs(M_src.apply(c_src @ sp) + b_I)),
-        np.zeros((3, n)),
-        tol,
-        max_iter,
-    )
+    def sigma_of(src):
+        return np.linalg.solve(local, node_rhs(M_src.apply(src) + b_I))
+
+    sigma = sigma_of(A.solve_shifted(g))
+    picard = fixed_point(lambda src: A.apply(src) + g, np.zeros(n), tol, max_iter)
     h = radiation_solve_3p(*sigma, params, boundary, grid, angles)
     residuals = np.max(np.abs(local @ sigma - node_rhs(angular_mean(h))), axis=1)
     return ThreeLevelSolution(
@@ -245,7 +243,7 @@ def solve_three_level(
         eq1_residual=float(residuals[0]),
         eq2_residual=float(residuals[1]),
         eq3_residual=float(residuals[2]),
-        path_gap=float(np.max(np.abs(sigma - picard.x))),
+        path_gap=float(np.max(np.abs(sigma - sigma_of(picard.x)))),
         picard_iterations=picard.iterations,
         converged=picard.converged,
     )

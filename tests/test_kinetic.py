@@ -285,8 +285,9 @@ class TestFusedPass:
         assert (rep, est, chk) == (*_exchange_result(exchange), _kernel_result(kernel))
 
     def test_peak_memory_bounded(self):
-        # one batch of normals (3 x 2^17 x 3 floats, 9.4 MB) plus one chunk's
-        # tuples: a second live batch or an unchunked pass exceeds the bound
+        # one reused buffer of normals per side (2 x 2^17 x 3 floats, 6.0 MiB
+        # each, 12.0 MiB together) plus one chunk's tuples per side peaks at
+        # 15.6 MiB traced: a second live batch or an unchunked pass exceeds the bound
         plan = McPlan(n_samples=10**6, seed=1)
         tracemalloc.start()
         try:

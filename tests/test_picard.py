@@ -36,20 +36,6 @@ def test_matches_plain_loop_and_direct_solve_in_fewer_sweeps():
     assert fp.diffs[-1] <= 1e-13 * max(1.0, np.max(np.abs(fp.x)))
 
 
-def test_array_iterate_keeps_its_shape():
-    # three coupled fields on 12 nodes, iterated as a (3, 12) array
-    A, g = _affine_contraction(n=36, seed=7)
-    G = g.reshape(3, 12)
-    step = lambda X: (A @ X.ravel()).reshape(3, 12) + G
-    fp = fixed_point(step, np.zeros((3, 12)), tol=1e-13, max_iter=1000)
-    x, iterations, converged, _ = _plain_loop(step, np.zeros((3, 12)), 1e-13, 1000)
-    assert fp.converged and converged
-    assert fp.x.shape == (3, 12)
-    assert fp.iterations == len(fp.diffs) < iterations
-    np.testing.assert_allclose(fp.x.ravel(), np.linalg.solve(np.eye(36) - A, g), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(fp.x, x, rtol=0, atol=1e-12)
-
-
 def test_capped_loop_reports_not_converged():
     A, g = _affine_contraction()
     fp = fixed_point(lambda x: A @ x + g, np.zeros_like(g), tol=1e-13, max_iter=2)

@@ -8,6 +8,7 @@ import pytest
 
 import radgas.three_level
 from radgas import SingularSystem
+from radgas.picard import fixed_point
 from radgas.slab import AngleGrid, BoundaryProfile, SlabGrid, angular_mean, angular_response, ray_integrate
 from radgas.three_level import (
     ThreeLevelParams,
@@ -140,6 +141,28 @@ def dense_source_solve(xi, boundary, params, grid, angles, C0):
     return src, sigma
 
 
+def density_loop(xi, boundary, params, grid, angles, C0, tol=1e-12, max_iter=2000):
+    """The former Picard check, kept as the oracle: sigma -> h -> sigma on the
+    three density fields, mixed as one flat 3n vector.  Returns the loop's
+    FixedPoint and the map from a source s to the (3, n) densities."""
+    q, g1, g2, n = params.q, params.gamma1, params.gamma2, grid.n_y
+    local = radgas.three_level._node_matrix(params, constant_state(params)["G_p"])
+    M_src = angular_response(params.kappa, grid, angles)
+    b_I = angular_mean(ray_integrate(np.full(n, params.kappa), np.zeros(n), *boundary, grid, angles))
+    c_src = params.eps * params.rho0 * np.array([-g1, g1 - g2 * q, g2 * q])
+    rad = q * (g1 + g2 * q)
+    eq23 = np.vstack([
+        C0 - (1.0 + q + q**2) * xi,
+        (2.0 * params.eps / params.T0) * (params.P12 + params.P23 * q**2) * xi,
+    ])
+
+    def sigma_of(src):
+        return np.linalg.solve(local, np.vstack([rad * (M_src.apply(src) + b_I), eq23]))
+
+    step = lambda flat: sigma_of(c_src @ flat.reshape(3, n)).ravel()
+    return fixed_point(step, np.zeros(3 * n), tol, max_iter), sigma_of
+
+
 #: (params, relative tolerance on src and sigma): the defaults (kappa 0.51) and
 #: two optically thick corners, kappa 50 and 256, where I - alpha*M_src is
 #: nearly singular and the two solves round differently
@@ -181,6 +204,30 @@ class TestStructuredSolve:
             tracemalloc.stop()
         assert sol.converged
         assert peak < 16 * 2**20
+
+
+class TestSourceLoop:
+    """The Picard check on the source s against the density loop it replaces."""
+
+    @pytest.mark.parametrize(("corner", "n_y"), [("default", 65), ("default", 1025), ("kappa50", 65)])
+    def test_matches_density_loop(self, monkeypatch, corner, n_y):
+        params, _ = CORNERS[corner]
+        grid = SlabGrid(L=1.0, n_y=n_y)
+        xi = 0.03 * np.sin(np.pi * grid.y)
+        loops = []
+
+        def recorded(*args):
+            loops.append(fixed_point(*args))
+            return loops[-1]
+
+        monkeypatch.setattr(radgas.three_level, "fixed_point", recorded)
+        sol = solve_three_level(xi, DRIVE_BC, params, grid, ANGLES, mass_C0=0.0)
+        old, sigma_of = density_loop(xi, DRIVE_BC, params, grid, ANGLES, sol.C0)
+        assert sol.converged == old.converged
+        if corner == "default":
+            want = old.x.reshape(3, n_y)
+            assert np.max(np.abs(sigma_of(loops[0].x) - want)) <= 1e-10 * np.max(np.abs(want))
+            assert sol.picard_iterations <= old.iterations
 
 
 class TestDirectPath:
