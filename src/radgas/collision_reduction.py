@@ -12,8 +12,9 @@ F_delta and B2delta are the divided-difference forms with the removable
 T2 = T1 singularity eliminated via delta = sqrt(T2/T1) - 1.
 
 Every printed kernel is elementary in u = cos(theta), so the theta integral is
-taken in closed form (`_theta_integral`) and only the (r, rho) plane is
-summed by Gauss-Legendre.
+taken in closed form and only the (r, rho) plane is summed by Gauss-Legendre.
+G_delta, F_delta and B2delta share their radicand and are summed in one pass
+per (T1, T2) pair (`_pair_integrals`); A_kern and B1 depend on T1 alone.
 
 Two evaluation modes exist.  "printed" evaluates the reduced formulas exactly
 as stated (this is what the level-curve scan consumes; every constant cancels
@@ -50,8 +51,6 @@ __all__ = [
     "mc_oracle",
     "fit_calibration",
 ]
-
-KERNEL_KINDS = ("F_delta", "G_delta", "A_kern", "B1", "B2delta")
 
 #: Relative tolerance below which H/S/L denominators count as singular.
 _SINGULAR_RTOL = 1e-10
@@ -162,9 +161,32 @@ def _quad_grid(spec: TripleQuadSpec):
     return (RHO**2).ravel(), (RHO * R).ravel(), (R**2).ravel(), WEIGHT.ravel()
 
 
-def _theta_integral(kind: str, a, m, c, params: ReducedKernelParams):
-    """int_{-1}^{1} kernel(a, m*u, c) du in closed form.
+def triple_integral(kind: str, params: ReducedKernelParams, spec: TripleQuadSpec) -> float:
+    """pi^2 * triple integral of r^2 rho^2 sin(theta) * kernel * exp(-(r^2+rho^2)/2).
 
+    The theta integral is exact; (r, rho) use spec's Gauss-Legendre grid.
+    `kind` is one of the kernels of T1 alone, "A_kern" or "B1", or "one"
+    (kernel identically 1, test hook: the exact value is pi^3).  The kernels
+    of a (T1, T2) pair come from `_pair_integrals`.
+    """
+    a, m, c, w = _quad_grid(spec)
+    T1, eps0 = params.T1, params.epsilon0
+    if kind == "one":
+        vals = np.full_like(a, 2.0)
+    elif kind == "A_kern":  # the odd term in b integrates to zero
+        vals = 8.0 * math.pi * (T1 / 8.0 * (a + c) + eps0) * np.sqrt(T1 * a + 4.0 * eps0)
+    elif kind == "B1":
+        vals = math.pi * (a + c) * np.sqrt(a + 4.0 * eps0 / T1)
+    else:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    # Fixed summation order for cross-run determinism.
+    return float(np.add.reduce(vals * w))
+
+
+def _pair_integrals(params: ReducedKernelParams, spec: TripleQuadSpec) -> tuple:
+    """The triple integrals of G_delta, F_delta and B2delta, in that order.
+
+    One pass over spec's (r, rho) nodes with the theta integral in closed form.
     With kappa = 4*eps0/T1 and h = 1 + delta/2 the G_delta radicand is
     r1^2 = P - Q*u, P = a*h^2 + delta^2*c/4 + kappa, Q = delta*h*m, and
     P > |Q| on the whole cone.  The integrals of r1 and u*r1 are written in
@@ -174,16 +196,10 @@ def _theta_integral(kind: str, a, m, c, params: ReducedKernelParams):
     cancelled by hand, so no formula divides by delta and the diagonal
     T2 = T1 needs no special case.
     """
+    a, m, c, w = _quad_grid(spec)
     T1, T2, eps0 = params.T1, params.T2, params.epsilon0
-    if kind == "one":
-        return np.full_like(a, 2.0)
-    if kind == "A_kern":  # the odd term in b integrates to zero
-        return 8.0 * math.pi * (T1 / 8.0 * (a + c) + eps0) * np.sqrt(T1 * a + 4.0 * eps0)
     kappa = 4.0 * eps0 / T1
     r2 = np.sqrt(a + kappa)
-    if kind == "B1":
-        return math.pi * (a + c) * r2
-
     delta = params.delta
     h = 1.0 + 0.5 * delta
     P = a * h * h + 0.25 * delta * delta * c + kappa
@@ -194,8 +210,7 @@ def _theta_integral(kind: str, a, m, c, params: ReducedKernelParams):
     sigma = p + q
     pq = p * q
     sqrt_P = np.sqrt(P)
-    if kind == "G_delta":  # 4*pi * int r1 du
-        return 4.0 * math.pi * (4.0 / 3.0) * sqrt_P * (2.0 + pq) / sigma
+    G = 4.0 * math.pi * (4.0 / 3.0) * sqrt_P * (2.0 + pq) / sigma  # 4*pi * int r1 du
 
     # D = (int r1 du - 2*r2)/delta, split as 2*(sqrt(P) - r2)/delta plus
     # (int r1 du - 2*sqrt(P))/delta, each with the factor delta taken out.
@@ -204,28 +219,14 @@ def _theta_integral(kind: str, a, m, c, params: ReducedKernelParams):
         / (sigma * sigma * (1.0 + p) * (1.0 + q))
     )
     s = math.sqrt(T1) + math.sqrt(T2)
-    if kind == "F_delta":
-        return 4.0 * math.pi / s * D
-    if kind == "B2delta":
-        # K = int u*r1 du; u*r2 integrates to zero
-        K_over_delta = -(4.0 / 15.0) * sqrt_P * Q_over_delta / P * (3.0 * pq + 2.0) / (
-            sigma * (1.0 + pq)
-        )
-        return 2.0 * math.pi * T2 / s * (0.25 * (a + c) * D - 0.5 * m * K_over_delta)
-    raise ValueError(f"unknown kernel kind {kind!r}")
-
-
-def triple_integral(kind: str, params: ReducedKernelParams, spec: TripleQuadSpec) -> float:
-    """pi^2 * triple integral of r^2 rho^2 sin(theta) * kernel * exp(-(r^2+rho^2)/2).
-
-    The theta integral is exact; (r, rho) use spec's Gauss-Legendre grid.
-    `kind` is one of the printed kernels, or "one" (kernel identically 1,
-    test hook: the exact value is pi^3).
-    """
-    a, m, c, w = _quad_grid(spec)
-    vals = _theta_integral(kind, a, m, c, params)
+    F = 4.0 * math.pi / s * D
+    # K = int u*r1 du; u*r2 integrates to zero
+    K_over_delta = -(4.0 / 15.0) * sqrt_P * Q_over_delta / P * (3.0 * pq + 2.0) / (
+        sigma * (1.0 + pq)
+    )
+    B2 = 2.0 * math.pi * T2 / s * (0.25 * (a + c) * D - 0.5 * m * K_over_delta)
     # Fixed summation order for cross-run determinism.
-    return float(np.add.reduce(vals * w))
+    return tuple(float(np.add.reduce(vals * w)) for vals in (G, F, B2))
 
 
 @dataclass(frozen=True)
@@ -258,10 +259,20 @@ _QUANTITIES = ("P", "P21", "A", "B")
 def _t1_integrals(T1: float, epsilon0: float, spec: TripleQuadSpec) -> tuple:
     """The integrals that depend on T1 only: G_delta at T2 = T1, A_kern and B1.
 
-    Cached, so a scan pays for them once per T1 row.
+    Cached as floats, so a scan pays for them once per T1 row.
     """
+    a, _, _, w = _quad_grid(spec)
+    r2 = np.sqrt(a + 4.0 * epsilon0 / T1)
+    # delta = 0 identity of `_pair_integrals`' G: P = a + kappa exactly, so
+    # sqrt(P) is r2, and t = 0, p = q = pq = 1, sigma = 2; the integrand
+    # 4*pi*(4/3)*sqrt(P)*(2 + pq)/sigma is then this one, bit for bit.
+    g0 = 4.0 * math.pi * (4.0 / 3.0) * r2 * 3.0 / 2.0
     p = ReducedKernelParams(T1, T1, epsilon0)
-    return tuple(triple_integral(kind, p, spec) for kind in ("G_delta", "A_kern", "B1"))
+    return (
+        float(np.add.reduce(g0 * w)),
+        triple_integral("A_kern", p, spec),
+        triple_integral("B1", p, spec),
+    )
 
 
 def functionals(
@@ -283,9 +294,7 @@ def functionals(
         raise ValueError(f"unknown mode {mode!r}")
     t_g0, t_a, t_b1 = _t1_integrals(T1, consts.epsilon0, spec)
     p = ReducedKernelParams(T1, T2, consts.epsilon0)
-    t_gd = triple_integral("G_delta", p, spec)
-    t_fd = triple_integral("F_delta", p, spec)
-    t_b2 = triple_integral("B2delta", p, spec)
+    t_gd, t_fd, t_b2 = _pair_integrals(p, spec)
 
     if mode == "printed":
         return CollisionFunctionals(

@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line (visible with pytest -s / in the captured
 output).  Tolerances are pinned here, not configurable.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -47,6 +48,12 @@ from radgas.physics import pseudo_planck
 
 FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
 PHYS = PhysConsts(epsilon0=1.0, sigma=1.0)
+#: Bits of the Figure-1 scan, stricter than the 1e-9 `bench/fig1_L.csv` oracle:
+#: a change to the quadrature's arithmetic order shows here first.
+FIG1_SHA256 = {
+    "grid.csv": "d0019eff50248880efbc158cac322114c7a391026b55d2b91b19048c4f8ecbfa",
+    "contours.csv": "30b846258b610bddabea62a23eb7cbda09dede982d680848159862867c589a24",
+}
 
 
 def report(number: int, description: str, ok: bool, elapsed: float):
@@ -64,8 +71,10 @@ class TestAcceptance:
         )
         grid_lines = (out / "grid.csv").read_text().splitlines()
         rep = json.loads((out / "report.json").read_text())
+        sha = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in FIG1_SHA256}
         ok = (
             code == 0
+            and sha == FIG1_SHA256
             and len(grid_lines) == 1 + 441  # header + 21x21
             and rep["n_failures"] == 0
             and len(rep["levels"]) == 8

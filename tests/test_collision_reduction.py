@@ -20,12 +20,20 @@ from radgas import (
     mc_oracle,
     fit_calibration,
 )
-from radgas.collision_reduction import structural_value
+from radgas.collision_reduction import _pair_integrals, _t1_integrals, structural_value
 
 FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
 PHYS = PhysConsts(epsilon0=1.0, sigma=1.0)
 SPEC = TripleQuadSpec()
 FAST = TripleQuadSpec(n_r=48, n_rho=48)
+PAIR_KINDS = ("G_delta", "F_delta", "B2delta")  # the order _pair_integrals returns
+
+
+def integral(kind, params, spec):
+    """The quadrature of one printed kernel: the fused pass for the pair kernels."""
+    if kind in PAIR_KINDS:
+        return _pair_integrals(params, spec)[PAIR_KINDS.index(kind)]
+    return triple_integral(kind, params, spec)
 
 
 @functools.lru_cache(maxsize=1)
@@ -110,7 +118,7 @@ class TestTripleIntegral:
     )
     def test_closed_theta_matches_triple_gauss_oracle(self, kind, T1, T2):
         p = ReducedKernelParams(T1, T2, 1.0)
-        assert triple_integral(kind, p, SPEC) == pytest.approx(triple_oracle(kind, p), rel=1e-13)
+        assert integral(kind, p, SPEC) == pytest.approx(triple_oracle(kind, p), rel=1e-13)
 
     def test_spec_has_no_theta_nodes(self):
         with pytest.raises(TypeError):
@@ -121,9 +129,17 @@ class TestTripleIntegral:
         p = ReducedKernelParams(10.0, 11.5, 1.0)
         dense = TripleQuadSpec(n_r=192, n_rho=192)
         for kind in ("F_delta", "G_delta", "A_kern", "B1", "B2delta"):
-            coarse = triple_integral(kind, p, SPEC)
-            fine = triple_integral(kind, p, dense)
+            coarse = integral(kind, p, SPEC)
+            fine = integral(kind, p, dense)
             assert abs(fine - coarse) <= 1e-12 * max(abs(fine), 1e-30)
+
+    @pytest.mark.parametrize("spec", [SPEC, FAST], ids=["n96", "n48"])
+    @pytest.mark.parametrize("T1", [0.3, 1.0, 10.0, 12.0])
+    def test_diagonal_g_is_the_pair_pass_at_delta_zero(self, T1, spec):
+        # _t1_integrals takes G_delta at T2 = T1 from the delta = 0 identity in
+        # place of a full pair pass; the shortcut must keep every bit
+        pair = _pair_integrals(ReducedKernelParams(T1, T1, 1.0), spec)
+        assert _t1_integrals.__wrapped__(T1, 1.0, spec)[0] == pair[0]
 
     def test_mc_oracle_agreement_g_delta(self):
         # P(T1) with T1 = T2 = 10 against the 6-fold MC integral
