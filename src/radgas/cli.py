@@ -435,9 +435,11 @@ _INPUTS = {
 # ---------------------------------------------------------------------------
 
 
-#: Rows formatted per write in `_Artifacts.csv`, which bounds the Python
-#: objects a large table holds at once.
-_CSV_BLOCK = 1 << 15
+#: Rows formatted per write in `_Artifacts.csv`.  Writing a block of four
+#: float64 columns peaks at 3.1 MiB of numpy temporaries (24 field bytes per
+#: value and a few 8-byte words per float), under the 4.0 MiB of Python floats
+#: the former per-row writer held for each of its 2^15-row blocks.
+_CSV_BLOCK = 1 << 13
 
 
 class _Artifacts:
@@ -447,19 +449,20 @@ class _Artifacts:
         os.makedirs(out_dir, exist_ok=True)
 
     def csv(self, name: str, header: list, columns) -> None:
-        """One row per index of the equal-length columns, each row through one format string.
+        """One row per index of the equal-length columns, fields joined by commas.
 
         A float64 column is written with %.17g (the bytes of _fmt); any other
-        column goes through str.  Rows are formatted _CSV_BLOCK at a time.
+        column goes through str; a column may also be a `csvformat.Lookup`.
+        Rows are formatted in numpy, _CSV_BLOCK at a time.
         """
-        cols = [np.asarray(c) for c in columns]
+        from .csvformat import Lookup, block_bytes
+
+        cols = [c if isinstance(c, Lookup) else np.asarray(c) for c in columns]
         rows = len(cols[0]) if cols else 0
-        line = ",".join("%.17g" if c.dtype == np.float64 else "%s" for c in cols) + "\n"
-        with open(os.path.join(self.out_dir, name), "w") as fh:
-            fh.write(",".join(header) + "\n")
+        with open(os.path.join(self.out_dir, name), "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
             for start in range(0, rows, _CSV_BLOCK):
-                block = (c[start : start + _CSV_BLOCK].tolist() for c in cols)
-                fh.writelines(map(line.__mod__, zip(*block)))
+                fh.write(block_bytes(cols, slice(start, start + _CSV_BLOCK)))
         self.records.append({"name": name, "rows": rows, "header": header})
 
     def json(self, name: str, payload: dict) -> None:
@@ -509,16 +512,16 @@ def _strict_json(obj):
 def _radiation_columns(field):
     """(y, mu, sign, G): per node, the +mu rows and then the -mu rows.
 
-    Each distinct y and mu is formatted once, with the float columns' %.17g,
-    and the rows repeat references to its string (an object column); the
-    bytes are those of float columns.
+    y, mu and sign are `Lookup` columns: each distinct value is formatted once.
     """
+    from .csvformat import Lookup
+
     n_y, n_mu = field.grid.n_y, field.angles.n_mu
-    fmt = lambda x: np.array(["%.17g" % v for v in x.tolist()], dtype=object)
+    index = np.arange(2 * n_y * n_mu, dtype=np.int32)
     return [
-        np.repeat(fmt(field.grid.y), 2 * n_mu),
-        np.tile(fmt(field.angles.mu), 2 * n_y),
-        np.tile(np.repeat([1, -1], n_mu), n_y),
+        Lookup(field.grid.y, index // (2 * n_mu)),
+        Lookup(field.angles.mu, index % n_mu),
+        Lookup([1, -1], index // n_mu % 2),
         np.concatenate([field.g_plus, field.g_minus], axis=1).ravel(),
     ]
 

@@ -54,6 +54,18 @@ FIG1_SHA256 = {
     "grid.csv": "d0019eff50248880efbc158cac322114c7a391026b55d2b91b19048c4f8ecbfa",
     "contours.csv": "30b846258b610bddabea62a23eb7cbda09dede982d680848159862867c589a24",
 }
+#: Bits of the transport and volume artifacts at their default configs (domain3d
+#: at lattice 24), as the per-row "%.17g" writer wrote them: the CSV writer and
+#: the solves under these files must keep every byte.
+ARTIFACT_SHA256 = {
+    ("slab-lte",): {"radiation.csv": "1b09672377fbb683fab5c3ea24ef10390c326ada4f72daefa92788627f592f83"},
+    ("slab-exp",): {"radiation.csv": "b855b4bb43b5a8b66877e08e2643e7b0a1676920e82dabf80bc9607c5a7cecdb"},
+    ("three-level",): {
+        "solution.csv": "022c463ec2f1f24b717a6c0d99036c0391cf8b2ede76869c5ac7949f1235a386",
+        "radiation.csv": "c9d404e5f24aa95b09fc68aa29aea57c4550a3edae258540459033a4e4d1db8d",
+    },
+    ("domain3d", "--lattice-n", "24"): {"w.csv": "f4c667895bf7ce21746ee68456995123edede48640f17cc349b82bd89619dad6"},
+}
 
 
 def report(number: int, description: str, ok: bool, elapsed: float):
@@ -234,6 +246,14 @@ class TestAcceptance:
         ok &= abs(est.value - red) <= 3.0 * est.std_error
         ok &= entropy_identity_check([0.5, 2.0, 10.0, 50.0], consts)["max_rel_error"] < 1e-6
         report(9, "kinetic identities: balance, conservation, exchange", ok, time.time() - t0)
+
+
+@pytest.mark.parametrize("argv", list(ARTIFACT_SHA256), ids=" ".join)
+def test_artifacts_pinned(tmp_path, argv):
+    out = tmp_path / "run"
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    sha = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in ARTIFACT_SHA256[argv]}
+    assert sha == ARTIFACT_SHA256[argv]
 
 
 def _radial_oracle_ball(radius: float, m: int):

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from radgas.cli import (
     main,
     parse_config,
 )
+from radgas.csvformat import NUMPY_MIN, format_floats
 from radgas.slab import AngleGrid, RadiationField, SlabGrid
 
 
@@ -152,19 +154,49 @@ class TestCsvWriter:
         assert len(lines) == n + 1
         assert lines[-1] == self.fmt_join([], [[c[-1] for c in columns]]).strip()
 
-    def test_radiation_columns_match_row_order(self):
+    @pytest.mark.parametrize("n", [NUMPY_MIN - 1, NUMPY_MIN, 3 * NUMPY_MIN + 5])
+    def test_short_and_long_float_columns_match_per_value_fmt(self, tmp_path, n):
+        # below NUMPY_MIN values Python formats a float column, from it numpy
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 19, size=n)
+        x[:6] = [0.0, -0.0, np.nan, np.inf, 5e-324, 1e300]
+        header = ["x", "k"]
+        columns = [x, np.arange(n)]
+        _Artifacts(str(tmp_path)).csv("t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_text() == self.fmt_join(header, zip(*columns))
+
+    def test_radiation_columns_match_row_order(self, tmp_path):
         grid, angles = SlabGrid(L=1.0, n_y=17), AngleGrid(n_mu=16)
         rng = np.random.default_rng(5)
         field = RadiationField(grid, angles, rng.normal(size=(17, 16)), rng.normal(size=(17, 16)))
-        # y and mu arrive formatted, each distinct value once
         rows = [
-            (_fmt(float(yi)), _fmt(float(mj)), sign, g[i, j])
+            (float(yi), float(mj), sign, g[i, j])
             for i, yi in enumerate(grid.y)
             for sign, g in ((1, field.g_plus), (-1, field.g_minus))
             for j, mj in enumerate(angles.mu)
         ]
-        columns = _radiation_columns(field)
-        assert [c.tolist() for c in columns] == [list(c) for c in zip(*rows)]
+        header = ["y", "mu", "sign", "G"]
+        _Artifacts(str(tmp_path)).csv("r.csv", header, _radiation_columns(field))
+        assert (tmp_path / "r.csv").read_text() == self.fmt_join(header, rows)
+
+    # tracemalloc peak of the former per-row writer on this table (object
+    # columns for y and mu, 2^15-row blocks of Python values): 14.03 MiB
+    PER_ROW_WRITER_PEAK = 14.03 * 2**20
+
+    def test_radiation_table_peak_memory(self, tmp_path):
+        grid, angles = SlabGrid(L=1.0, n_y=4097), AngleGrid(n_mu=48)
+        rng = np.random.default_rng(5)
+        field = RadiationField(grid, angles, rng.random((4097, 48)), rng.random((4097, 48)))
+        art = _Artifacts(str(tmp_path))
+        art.csv("warm.csv", ["G"], [field.g_plus[:2].ravel()])  # first-use allocations
+        tracemalloc.start()
+        try:
+            art.csv("radiation.csv", ["y", "mu", "sign", "G"], _radiation_columns(field))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert art.records[-1]["rows"] == 4097 * 96
+        assert peak <= 1.1 * self.PER_ROW_WRITER_PEAK
 
     @pytest.mark.parametrize("n_y", [65, 129])
     @pytest.mark.parametrize("subcommand", ["slab-lte", "slab-exp"])
@@ -192,6 +224,60 @@ class TestCsvWriter:
             ],
         )
         assert (out / "radiation.csv").read_bytes() == (tmp_path / "ref" / "radiation.csv").read_bytes()
+
+
+def _formatted(values) -> list:
+    """The strings format_floats writes for `values`, one per value."""
+    fields = format_floats(np.asarray(values, dtype=np.float64))
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in fields]
+
+
+class TestFormatFloats:
+    """The numpy %.17g formatter against "%.17g" % v, value by value."""
+
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, dtype=np.float64)
+        assert _formatted(values) == ["%.17g" % v for v in values.tolist()]
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=50))
+    def test_hypothesis_floats(self, values):
+        self.check(values)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(2024)
+        self.check(rng.integers(0, 2**64, size=10**5, dtype=np.uint64).view(np.float64))
+
+    def test_neighbours_of_powers_of_ten(self):
+        values = []
+        for k in range(-7, 18):
+            p = float(f"1e{k}")
+            below = above = p
+            for _ in range(4):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+                values += [below, above]
+            values.append(p)
+        values = np.array(values)
+        self.check(np.concatenate([values, -values]))
+
+    def test_half_ulp_ties(self):
+        # the ulp near 1e15 is 1/8, so many of these end in a 5 just past the
+        # 17th digit: exact ties, rounded half to even
+        self.check(1e15 + np.arange(-400, 400) / 8)
+
+    def test_g_switch_points_and_largest_below_1e17(self):
+        # nextafter(1e17, 0) has 17 digits: no carry into the exponent
+        edges = [1e-5, 1e-4, 1e16, 1e17, np.nextafter(1e17, 0)]
+        values = [np.nextafter(e, d) for e in edges for d in (0.0, np.inf)] + edges
+        self.check(values + [-v for v in values])
+
+    def test_digit_patterns(self):
+        # short and trailing-zero digit strings at every exponent of the exact range
+        mantissas = np.concatenate([np.arange(1, 1000), [123456789012345678, 99999999999999999]])
+        values = np.array([float(m) * 10.0**e for m in mantissas for e in range(-9, 18)])
+        self.check(values)
+        self.check(-values)
 
 
 class TestRun:
