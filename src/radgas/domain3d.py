@@ -300,7 +300,7 @@ class VolumeField:
     picard_ratio: float | None = None  # max-norm contraction bound: max(kernel_mass)
     iterations: int | None = None
     converged: bool = False
-    picard_diffs: list | None = None  # max|step(w_k) - w_k| per sweep
+    picard_diffs: list | None = None  # max-norm residual after each step call
 
 
 def _build_lattice(domain: ConvexDomain, spec: LatticeSpec):
@@ -432,14 +432,14 @@ def solve_w(
     tol: float = 1e-10,
     max_iter: int = 500,
 ) -> VolumeField:
-    """Picard solve of the nonlocal fixed-point equation for w = e^theta.
+    """Solve the nonlocal fixed-point equation for w = e^theta.
 
     w is represented on a structured lattice clipped to the domain (zero
     outside), the convolution is applied by FFT with per-cell kernel moments,
     and the forcing -div(R)/(4*pi) comes from the transport identity on the
     same sphere rule as the kernel mass, so a constant isotropic profile
-    reproduces its constant solution to round-off.  The Picard loop is
-    Anderson-mixed, so its diffs do not measure the operator; `picard_ratio`
+    reproduces its constant solution to round-off.  The fixed point is
+    solved by GMRES, so its diffs do not measure the operator; `picard_ratio`
     is the max-norm bound max(kernel_mass), which holds because each row is
     renormalised to its local kernel mass and the weights are non-negative.
     `converged` records whether the residual fell below tol before max_iter.

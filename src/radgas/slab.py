@@ -19,8 +19,8 @@ offset only) minus two boundary columns, and it is never formed: products go
 through one FFT of T's circular embedding and the direct solve through
 symmetric Levinson recursion on I - T with a rank-2 Woodbury correction,
 both in O(n) memory.  The kernel is even and its row sums are < 1 on any
-finite slab, so I - T is symmetric positive definite and Picard, which
-cross-checks the direct solve, is a contraction.
+finite slab, so I - T is symmetric positive definite and the fixed-point
+map u = A u + g, whose GMRES solve cross-checks the direct one, is a contraction.
 
 Everything runs on numpy alone: the exponential integrals E1, E3 and E4
 (`_expn`), the real FFTs (`numpy.fft`) and the Toeplitz solve (`_levinson`
@@ -526,7 +526,7 @@ def _ensure_positive(w: np.ndarray, y: np.ndarray):
 def _check_contraction(A: _CellToeplitz) -> float:
     """The largest row sum of A; NonContraction unless those of A and T are all < 1.
 
-    Picard needs the rows of A below 1 and Levinson a positive definite
+    The contraction bound needs the rows of A below 1 and Levinson a positive definite
     I - T; T's rows exceed A's by the two boundary columns.  A row sum is 1
     minus the escape, which is below the FFT's rounding past about 50 optical depths.
     """
@@ -572,8 +572,8 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
 
     g(y) = int_0^1 profile(mu) e^(-y/mu) dmu / (2 * coupling) is driven by the
     incoming profile at y = 0, and the rays carry the emission coupling * u.
-    The direct Nystroem solve (Levinson) is authoritative; the Anderson-mixed
-    Picard loop from zero, on FFT products, cross-checks it.  `picard_ratio`
+    The direct Nystroem solve (Levinson) is authoritative; the GMRES
+    fixed-point solve from zero, on FFT products, cross-checks it.  `picard_ratio`
     is the max-norm contraction bound, the largest row sum of A: the integral
     of K over the slab at a node, `kernel_sup(L)` to rounding when a node
     sits at the midpoint.  Returns (u, field, flux_j, diagnostics), the
@@ -591,7 +591,7 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
     A = _nystrom_operator(y)
     sup = _check_contraction(A)
     u = A.solve_shifted(g)
-    picard = fixed_point(lambda x: A.apply(x) + g, np.zeros_like(g), tol=1e-13, max_iter=10_000)
+    picard = fixed_point(lambda x: A.apply(x) + g, np.zeros_like(g), tol=1e-13, max_iter=200)
     diagnostics = {
         "picard_ratio": sup,
         "picard_gap": float(np.max(np.abs(u - picard.x))),

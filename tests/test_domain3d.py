@@ -532,7 +532,7 @@ class TestSolveW:
         field = solve_w(BALL, f_iso, LatticeSpec(16), SPHERE)
         assert field.picard_ratio <= field.kernel_mass.max() + 1e-3
 
-    def test_anderson_matches_the_plain_solve(self, monkeypatch):
+    def test_gmres_matches_the_plain_solve(self, monkeypatch):
         field = solve_w(BALL, f_up, LatticeSpec(16), SPHERE)
         monkeypatch.setattr(
             radgas.domain3d, "fixed_point", lambda step, x0, tol, max_iter: FixedPoint(*_plain_loop(step, x0, tol, max_iter))

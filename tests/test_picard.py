@@ -1,10 +1,25 @@
-"""The shared fixed-point loop: stopping test, iteration cap and Anderson
-mixing, against the plain Picard loop and a direct solve."""
+"""The shared fixed-point solve: GMRES's stopping test, iteration cap, restarts
+and non-finite guard, against a direct solve, the plain Picard loop and the
+windowed Anderson loop it replaced."""
+
+import json
 
 import numpy as np
 import pytest
 
-from radgas.picard import fixed_point
+import radgas.domain3d
+import radgas.picard
+import radgas.slab
+import radgas.three_level
+from radgas.cli import main
+from radgas.picard import FixedPoint, fixed_point
+
+#: the thick three-level corners, kappa about 50 and 256, where the Anderson
+#: loop needed 1175 sweeps and stopped unconverged after 2000 at n_y 65
+CORNERS = {
+    "kappa50": ["three-level", "--gamma1", "1", "--eps", "5", "--t0", "2", "--rho0", "10", "--p12", "10"],
+    "kappa256": ["three-level", "--eps", "5", "--t0", "10", "--rho0", "100"],
+}
 
 
 def _affine_contraction(n=12, seed=3):
@@ -25,6 +40,32 @@ def _plain_loop(step, x0, tol, max_iter):
     return x, max_iter, False, diffs
 
 
+def _anderson_loop(step, x0, tol, max_iter):
+    """The former loop of every solver, kept as the oracle: type-II Anderson
+    mixing with a window of 5 (Walker and Ni, SIAM J. Numer. Anal. 49, 2011).
+    With g_k = step(x_k), f_k = g_k - x_k and dF, dG the last 5 differences of
+    f and g, gamma minimises |f_k - dF gamma|_2 and x_(k+1) = g_k - dG gamma;
+    the first sweep is plain.  Same stopping test as fixed_point."""
+    x = x0
+    diffs, dF, dG = [], [], []
+    for iterations in range(1, max_iter + 1):
+        g = step(x)
+        f = g - x
+        diffs.append(float(np.max(np.abs(f))))
+        if not np.isfinite(diffs[-1]):
+            return FixedPoint(g, iterations, False, diffs)
+        if diffs[-1] <= tol * max(1.0, float(np.max(np.abs(g)))):
+            return FixedPoint(g, iterations, True, diffs)
+        x = g
+        if iterations > 1:
+            dF = (dF + [f - f_prev])[-5:]
+            dG = (dG + [g - g_prev])[-5:]
+            gamma = np.linalg.lstsq(np.stack(dF, axis=1), f, rcond=None)[0]
+            x = g - np.stack(dG, axis=1) @ gamma
+        f_prev, g_prev = f, g
+    return FixedPoint(g, max_iter, False, diffs)
+
+
 def test_matches_plain_loop_and_direct_solve_in_fewer_sweeps():
     A, g = _affine_contraction()
     fp = fixed_point(lambda x: A @ x + g, np.zeros_like(g), tol=1e-13, max_iter=1000)
@@ -36,12 +77,96 @@ def test_matches_plain_loop_and_direct_solve_in_fewer_sweeps():
     assert fp.diffs[-1] <= 1e-13 * max(1.0, np.max(np.abs(fp.x)))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [5, 40, 300])
+def test_random_nonsymmetric_contractions_match_direct_solve(n, seed):
+    rng = np.random.default_rng(1000 * n + seed)
+    A = rng.normal(size=(n, n))
+    A *= 0.9 / np.abs(A).sum(axis=1, keepdims=True)  # signed, nonsymmetric, max norm 0.9
+    b = 10.0 * rng.normal(size=n)
+    fp = fixed_point(lambda x: A @ x + b, np.zeros(n), tol=1e-13, max_iter=200)
+    want = np.linalg.solve(np.eye(n) - A, b)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert fp.converged
+    assert fp.iterations == len(fp.diffs) <= n + 2
+    # |step(x) - x*| <= 0.9 |x - x*| <= 0.9 |step(x) - x| / (1 - 0.9), the residual within tol
+    assert np.max(np.abs(fp.x - want)) <= 9.0 * 1e-13 * scale * (1.0 + 1e-9)
+
+
+def test_nonzero_start_costs_one_call_for_b():
+    A, g = _affine_contraction(n=40, seed=5)
+    from_zero = fixed_point(lambda x: A @ x + g, np.zeros_like(g), tol=1e-13, max_iter=100)
+    calls = []
+
+    def step(x):
+        calls.append(x.copy())
+        return A @ x + g
+
+    fp = fixed_point(step, np.full_like(g, 0.25), tol=1e-13, max_iter=100)
+    assert fp.converged
+    assert fp.iterations == len(fp.diffs) == len(calls)
+    np.testing.assert_array_equal(calls[1], 0.0)  # b = step(0), after the start's own residual
+    assert fp.diffs[1] == np.max(np.abs(g))
+    np.testing.assert_allclose(fp.x, from_zero.x, rtol=0, atol=1e-12)
+
+
+def test_restarts_when_the_basis_fills(monkeypatch):
+    A, g = _affine_contraction(n=40, seed=7)
+    A *= 0.95 / 0.6
+    step = lambda x: A @ x + g  # noqa: E731
+    full = fixed_point(step, np.zeros_like(g), tol=1e-13, max_iter=500)
+    # three columns of 40 values: every Arnoldi cycle stops after three products
+    monkeypatch.setattr(radgas.picard, "_BASIS_BYTES", 3 * g.nbytes)
+    restarted = fixed_point(step, np.zeros_like(g), tol=1e-13, max_iter=500)
+    assert full.converged and restarted.converged
+    assert restarted.iterations == len(restarted.diffs) > full.iterations
+    want = np.linalg.solve(np.eye(len(g)) - A, g)
+    np.testing.assert_allclose(restarted.x, want, rtol=0, atol=1e-11)
+
+
+def test_constant_step_is_exact_after_one_product():
+    # K = 0: the first Arnoldi vector e_1 spans an invariant Krylov space
+    b = np.array([2.0, 0.0, 0.0])
+    fp = fixed_point(lambda x: b, np.zeros(3), tol=1e-13, max_iter=10)
+    assert fp.converged
+    assert fp.iterations == 3
+    assert fp.diffs == [2.0, 0.0, 0.0]
+    np.testing.assert_array_equal(fp.x, b)
+
+
+def test_tracked_residual_is_the_true_residual():
+    # capped after k calls, the solve returns its k-th iterate unevaluated: the
+    # max norm the Givens rotations tracked for it is its true residual
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(40, 40))
+    A *= 0.9 / np.abs(A).sum(axis=1, keepdims=True)
+    b = rng.normal(size=40)
+    step = lambda x: A @ x + b  # noqa: E731
+    for k in range(2, fixed_point(step, np.zeros(40), tol=1e-13, max_iter=100).iterations):
+        fp = fixed_point(step, np.zeros(40), tol=1e-13, max_iter=k)
+        assert not fp.converged
+        true = float(np.max(np.abs(step(fp.x) - fp.x)))
+        assert abs(fp.diffs[-1] - true) <= 1e-12 * max(1.0, true)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [lambda x: x + 1.0, lambda x: np.where(x == 0.0, 1.0, np.inf)],
+    ids=["(I - K) v rounds to 0", "K v overflows"],
+)
+def test_singular_or_overflowing_product_stops_unconverged(step):
+    with np.errstate(all="ignore"):
+        fp = fixed_point(step, np.zeros(4), tol=1e-12, max_iter=10)
+    assert fp.converged is False
+    assert fp.iterations == len(fp.diffs) == 2
+    assert np.isnan(fp.diffs[-1])
+
+
 def test_capped_loop_reports_not_converged():
     A, g = _affine_contraction()
     fp = fixed_point(lambda x: A @ x + g, np.zeros_like(g), tol=1e-13, max_iter=2)
     assert fp.converged is False
     assert fp.iterations == len(fp.diffs) == 2
-    np.testing.assert_array_equal(fp.x, A @ g + g)  # the first sweep is never mixed
 
 
 def test_fixed_point_start_stops_at_once():
@@ -53,7 +178,7 @@ def test_fixed_point_start_stops_at_once():
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_residual_stops_unconverged(bad):
-    # inf <= tol * max(1, inf) would pass the stopping test, and NaN breaks Anderson's lstsq
+    # inf <= tol * max(1, inf) would pass the stopping test, and NaN would poison the basis
     steps = []
 
     def step(x):
@@ -64,3 +189,73 @@ def test_non_finite_residual_stops_unconverged(bad):
     assert fp.converged is False
     assert fp.iterations == len(steps) == 1
     assert not np.isfinite(fp.diffs[0])
+
+
+def _run_recorded(tmp_path, monkeypatch, module, argv, solve):
+    """Run argv with `solve` in place of module.fixed_point; returns the exit
+    code and (step, tol, result) of the one solve."""
+    runs = []
+
+    def recorded(step, x0, tol, max_iter):
+        runs.append((step, tol, solve(step, x0, tol, max_iter)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(module, "fixed_point", recorded)
+    code = main([*argv, "--out", str(tmp_path / f"run{len(list(tmp_path.iterdir()))}")])
+    assert len(runs) == 1
+    return code, runs[0]
+
+
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        (radgas.slab, ["slab-lte", "--n-y", "257"]),
+        (radgas.slab, ["slab-exp", "--n-y", "257"]),
+        (radgas.three_level, ["three-level"]),
+        (radgas.domain3d, ["domain3d", "--lattice-n", "16"]),
+    ],
+    ids=["slab-lte", "slab-exp", "three-level", "domain3d"],
+)
+def test_no_more_products_than_anderson_and_agrees(tmp_path, monkeypatch, module, argv):
+    code, (step, tol, gmres) = _run_recorded(tmp_path, monkeypatch, module, argv, fixed_point)
+    old_code, (_, _, anderson) = _run_recorded(tmp_path, monkeypatch, module, argv, _anderson_loop)
+    assert code == old_code == 0
+    assert gmres.converged and anderson.converged
+    assert gmres.iterations <= anderson.iterations
+    # K is non-negative, so its max norm is max(K 1); each result is within
+    # tol * max(1, max|x|) / (1 - |K|) of the fixed point
+    n = len(gmres.x)
+    norm_K = float(np.max(step(np.ones(n)) - step(np.zeros(n))))
+    within = tol * max(1.0, float(np.max(np.abs(anderson.x)))) / (1.0 - norm_K)
+    assert np.max(np.abs(gmres.x - anderson.x)) <= 2.0 * within
+
+
+@pytest.mark.parametrize("corner, rtol", [("kappa50", 1e-11), ("kappa256", 1e-10)])
+def test_thick_corners_match_the_levinson_source(tmp_path, monkeypatch, corner, rtol):
+    # rtol: how close the Levinson source is to a dense LU there (test_three_level.CORNERS)
+    direct = []
+    solve_shifted = radgas.slab._CellToeplitz.solve_shifted
+
+    def recorded(A, g):
+        direct.append(solve_shifted(A, g))
+        return direct[-1]
+
+    monkeypatch.setattr(radgas.slab._CellToeplitz, "solve_shifted", recorded)
+    argv = [*CORNERS[corner], "--n-y", "65"]
+    code, (_, _, gmres) = _run_recorded(tmp_path, monkeypatch, radgas.three_level, argv, fixed_point)
+    _, (_, _, anderson) = _run_recorded(tmp_path, monkeypatch, radgas.three_level, argv, _anderson_loop)
+    assert code == 0 and gmres.converged
+    assert gmres.iterations <= anderson.iterations
+    assert len(direct) == 2  # one Levinson solve per run
+    source = direct[0]
+    assert np.max(np.abs(gmres.x - source)) <= rtol * np.max(np.abs(source))
+
+
+@pytest.mark.parametrize("corner", list(CORNERS))
+def test_thick_corners_exit_zero(tmp_path, corner):
+    out = tmp_path / corner
+    assert main([*CORNERS[corner], "--n-y", "65", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is True
+    assert report["path_gap"] < 1e-8
+    assert report["picard_iterations"] <= 100

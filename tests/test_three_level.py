@@ -205,6 +205,21 @@ class TestStructuredSolve:
         assert sol.converged
         assert peak < 16 * 2**20
 
+    def test_thick_corner_memory_bounded(self):
+        # kappa 256 takes about 270 GMRES products, so the basis is most of the peak
+        grid = SlabGrid(L=1.0, n_y=4097)
+        params, _ = CORNERS["kappa256"]
+        solve_three_level(0.0, DRIVE_BC, params, GRID, ANGLES)
+        tracemalloc.start()
+        try:
+            sol = solve_three_level(0.0, DRIVE_BC, params, grid, ANGLES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert sol.picard_iterations > 100
+        assert peak <= 16 * 2**20
+
 
 class TestSourceLoop:
     """The Picard check on the source s against the density loop it replaces."""
