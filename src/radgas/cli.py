@@ -526,6 +526,15 @@ def _radiation_columns(field):
     ]
 
 
+def _lattice_column(values):
+    """A lattice coordinate column as a `Lookup`: it takes one value per
+    lattice line, so each distinct bit pattern is formatted once."""
+    from .csvformat import Lookup
+
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return Lookup(bits.view(np.float64), index)
+
+
 # ---------------------------------------------------------------------------
 # subcommand runners (return exit code)
 # ---------------------------------------------------------------------------
@@ -595,7 +604,7 @@ def _run_domain3d(config: RunConfig, art: _Artifacts) -> int:
 
     p = config.inputs
     field = solve_w(p.domain, p.f, p.lattice, p.sphere)
-    art.csv("w.csv", ["x", "y", "z", "w"], [*field.points.T, field.values])
+    art.csv("w.csv", ["x", "y", "z", "w"], [*map(_lattice_column, field.points.T), field.values])
     art.json(
         "report.json",
         {

@@ -14,7 +14,10 @@ ball integral 1 - e^(-r_eq)).
 
 The module runs on numpy alone: the FFTs are `numpy.fft`, the FFT period
 comes from `_next_fast_len` and the clipped boundary cells find their nearest
-interior cell by a lattice search (`_nearest_interior`).
+interior cell by a lattice search (`_nearest_interior`).  The inverse FFT
+runs only over the lines whose output is read, the ball and box geometry
+works one coordinate column at a time, and the attenuation pass works in
+place on two threads; none of this changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import irfftn, rfftn
+from numpy.fft import ifft, irfft, rfftn
 from numpy.polynomial.legendre import leggauss
 
 from .errors import NonPositiveW, NotInterior
 from .picard import fixed_point
+from .twothreads import on_two_threads
 
 __all__ = [
     "ConvexDomain",
@@ -85,14 +89,19 @@ class ConvexDomain:
         return self._geom["mins"], self._geom["maxs"]
 
     def contains(self, points) -> np.ndarray:
-        """Strict interior test; points is (..., 3)."""
+        """Strict interior test; points is (..., 3).  Ball and box work one
+        coordinate column at a time, with no inner loop over the last axis."""
         p = np.asarray(points, dtype=float)
         if self.kind == "ball":
             c, r = self._geom["center"], self._geom["radius"]
-            return np.sum((p - c) ** 2, axis=-1) < r**2
+            return _squared_distance(p, c) < r**2
         if self.kind == "box":
             mins, maxs = self._geom["mins"], self._geom["maxs"]
-            return np.all(p > mins, axis=-1) & np.all(p < maxs, axis=-1)
+            inside = (p[..., 0] > mins[0]) & (p[..., 0] < maxs[0])
+            for i in (1, 2):
+                inside &= p[..., i] > mins[i]
+                inside &= p[..., i] < maxs[i]
+            return inside
         return np.asarray(self._geom["sdf"](p)) < 0
 
     def exit_distances(self, points, dirs) -> np.ndarray:
@@ -103,12 +112,22 @@ class ConvexDomain:
         """
         p = np.atleast_2d(np.asarray(points, dtype=float))
         n = np.atleast_2d(np.asarray(dirs, dtype=float))
+        return self._exit_distances(p, n)
+
+    def _exit_distances(self, p, n) -> np.ndarray:
+        """exit_distances of (P, 3) points and (S, 3) dirs, both float arrays;
+        the (P, S) result is a new array."""
         if self.kind == "ball":
+            # nd + sqrt(max(nd^2 + r^2 - |d|^2, 0)), one (P, S) array in place
             c, r = self._geom["center"], self._geom["radius"]
-            d = p - c
-            nd = d @ n.T
-            disc = nd**2 + r**2 - np.sum(d**2, axis=-1)[:, None]
-            return nd + np.sqrt(np.maximum(disc, 0.0))
+            nd = (p - c) @ n.T
+            s = nd * nd
+            s += r**2
+            s -= _squared_distance(p, c)[:, None]
+            np.maximum(s, 0.0, out=s)
+            np.sqrt(s, out=s)
+            s += nd
+            return s
         if self.kind == "box":
             mins, maxs = self._geom["mins"], self._geom["maxs"]
             s = np.full((p.shape[0], n.shape[0]), np.inf)
@@ -134,6 +153,18 @@ class ConvexDomain:
             lo = np.where(inside, mid, lo)
             hi = np.where(inside, hi, mid)
         return 0.5 * (lo + hi)
+
+
+def _squared_distance(p, c) -> np.ndarray:
+    """|p - c|^2 over the last axis of p (..., 3), one coordinate column at a
+    time: ((dx^2 + dy^2) + dz^2), the order of np.sum((p - c)**2, axis=-1)."""
+    d = np.subtract(p[..., 0], c[0], out=np.empty(p.shape[:-1]))
+    out = d * d
+    for i in (1, 2):
+        np.subtract(p[..., i], c[i], out=d)
+        d *= d
+        out += d
+    return out
 
 
 def exit_distance(domain: ConvexDomain, y, n) -> float:
@@ -209,7 +240,8 @@ def vector_R(domain: ConvexDomain, f, A2: float, y, sphere: SphereGrid) -> np.nd
 
 #: Rays (point, sphere node) per block of the attenuation pass: 128 points
 #: at the default 512-node sphere.  Every (points, nodes) temporary of the
-#: exit-distance geometry lives only inside its block.
+#: exit-distance geometry lives only inside its block, and at most two
+#: blocks, one per thread, are alive at once.
 _RAY_BLOCK = 1 << 16
 
 
@@ -219,21 +251,36 @@ def _attenuation_pass(domain, points, nodes, weights, fvals=None, A2: float = 1.
 
     Returns (e @ (weights * fvals), (1 - e) @ weights), the first None when
     fvals is None.  Points go through in blocks of _RAY_BLOCK rays, so memory
-    stays bounded whatever the number of points.  Each row takes the same
-    operations as in one (P, S) pass; only the BLAS row grouping of the
-    matrix-vector products, which can move a row's last bit, follows the
-    blocks.
+    stays bounded whatever the number of points; each block turns its exit
+    distances into e and then 1 - e in place.  The blocks alternate between
+    the calling thread and one worker (`twothreads.on_two_threads`; a single
+    block starts none), and each writes only its own rows of the results;
+    the worker's blocks go straight to `ConvexDomain._exit_distances`.
+    Each row takes the same operations as in one (P, S) pass; only the BLAS
+    row grouping of the matrix-vector products, which can move a row's last
+    bit, follows the blocks, never the threads.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     step = max(1, _RAY_BLOCK // len(nodes))
     wf = None if fvals is None else weights * fvals
     flux = None if fvals is None else np.empty(len(pts))
     mass = np.empty(len(pts))
-    for lo in range(0, len(pts), step):
-        e = np.exp(-A2 * domain.exit_distances(pts[lo : lo + step], nodes))
+
+    def block(item):
+        rows, exit_distances = item
+        e = exit_distances(pts[rows], nodes)
+        e *= -A2
+        np.exp(e, out=e)
         if wf is not None:
-            flux[lo : lo + step] = e @ wf
-        mass[lo : lo + step] = (1.0 - e) @ weights
+            flux[rows] = e @ wf
+        np.subtract(1.0, e, out=e)
+        mass[rows] = e @ weights
+
+    # the odd blocks, on the worker, call no public function: a tracer that
+    # wraps the public ones with one span stack would see them interleave
+    exits = (domain.exit_distances, domain._exit_distances)
+    blocks = [(slice(lo, lo + step), exits[k % 2]) for k, lo in enumerate(range(0, len(pts), step))]
+    on_two_threads(block, blocks)
     return flux, mass
 
 
@@ -312,14 +359,18 @@ def _build_lattice(domain: ConvexDomain, spec: LatticeSpec):
     centers = np.stack([X, Y, Z], axis=-1)
     inside = domain.contains(centers)
 
-    # 8-point subsampling for the interior volume fraction of every cell
+    # 8-point subsampling for the interior volume fraction of every cell;
+    # each shifted copy of the centres is written one coordinate column at a time
     offsets = np.array(
         [[sx, sy, sz] for sx in (-0.25, 0.25) for sy in (-0.25, 0.25) for sz in (-0.25, 0.25)]
     )
     flat = centers.reshape(-1, 3)
+    shifted = np.empty_like(flat)
     acc = np.zeros(len(flat))
     for off in offsets:
-        acc += domain.contains(flat + off * spacing)
+        for i in range(3):
+            np.add(flat[:, i], off[i] * spacing[i], out=shifted[:, i])
+        acc += domain.contains(shifted)
     frac_all = (acc / len(offsets)).reshape(centers.shape[:3])
 
     # clipped cells whose center fell outside still carry interior volume;
@@ -419,9 +470,20 @@ def fftconvolve(x, table_hat, period) -> np.ndarray:
     """Centred ("same") block of the linear convolution of the lattice array
     x with the kernel table, from table_hat = rfftn(table) of the circular
     table of shape `period`.
+
+    The forward rfftn pads one axis at a time.  The inverse is irfftn's
+    per-axis transforms in irfftn's order, each over only the lines whose
+    output is read: ifft along axis 0, keep the first n0 rows; ifft along
+    axis 1 over those rows, keep n1; irfft along axis 2 over the n0 * n1
+    kept lines.  Every kept line is computed as irfftn computes it, so the
+    result equals irfftn(...)[:n0, :n1, :n2] bit for bit.
     """
-    axes = (0, 1, 2)
-    return irfftn(rfftn(x, period, axes) * table_hat, period, axes)[tuple(map(slice, x.shape))]
+    n0, n1, n2 = x.shape
+    spec = rfftn(x, period, (0, 1, 2))
+    spec *= table_hat
+    spec = ifft(spec, axis=0)[:n0]
+    spec = ifft(spec, axis=1)[:, :n1]
+    return irfft(spec, period[2], axis=2)[:, :, :n2]
 
 
 def solve_w(
@@ -438,10 +500,13 @@ def solve_w(
     outside), the convolution is applied by FFT with per-cell kernel moments,
     and the forcing -div(R)/(4*pi) comes from the transport identity on the
     same sphere rule as the kernel mass, so a constant isotropic profile
-    reproduces its constant solution to round-off.  The fixed point is
-    solved by GMRES, so its diffs do not measure the operator; `picard_ratio`
-    is the max-norm bound max(kernel_mass), which holds because each row is
-    renormalised to its local kernel mass and the weights are non-negative.
+    reproduces its constant solution to round-off.  That attenuation pass
+    runs on two threads and every convolution inverts only the kept lines;
+    neither changes a bit of w (see `_attenuation_pass`, `fftconvolve`).
+    The fixed point is solved by GMRES, so its diffs do not measure the
+    operator; `picard_ratio` is the max-norm bound max(kernel_mass), which
+    holds because each row is renormalised to its local kernel mass and the
+    weights are non-negative.
     `converged` records whether the residual fell below tol before max_iter.
     Raises NotInterior if no lattice cell centre lies inside the domain, and
     NonPositiveW if the final iterate dips <= 0 while not identically zero

@@ -30,7 +30,6 @@ the batch's stream, one chunk at a time.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,7 @@ from numpy.random import default_rng
 from .collision_reduction import functionals
 from .constants import PhysConsts
 from .physics import CollisionTuple, MaxwellianState, energy_density, entropy_lambda, maxwellian
+from .twothreads import on_two_threads
 
 __all__ = [
     "McPlan",
@@ -221,7 +221,8 @@ def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
     D = phi1(v4) + phi2(v3) - phi1(v1) - phi1(v2), to its running totals.
 
     The loss side runs on one worker thread and the gain side on the calling
-    thread; the worker is always joined, and its exception re-raised here.
+    thread (`twothreads.on_two_threads`): the worker is always joined, and its
+    exception re-raised here.
     """
     n = plan.n_samples
     # per side and problem: [sum of w*D, sum of (w*D)^2, sum of w]; weights are >= 0
@@ -236,22 +237,7 @@ def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
                 for acc, problem in zip(sums[side], problems):
                     _add_chunk(acc, problem, consts, side, (za, zb, om))
 
-    failure = []
-
-    def add_loss_side():
-        try:
-            add_side(0)
-        except BaseException as exc:
-            failure.append(exc)
-
-    worker = threading.Thread(target=add_loss_side, name="radgas-loss-side")
-    worker.start()
-    try:
-        add_side(1)
-    finally:
-        worker.join()
-    if failure:
-        raise failure[0]
+    on_two_threads(add_side, (1, 0))  # the gain side here, the loss side on the worker
 
     def side_estimate(total, total_sq, weight_sum):
         mean = total / n

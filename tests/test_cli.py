@@ -29,6 +29,7 @@ from radgas.cli import (
     _SCHEMAS,
     _Artifacts,
     _fmt,
+    _lattice_column,
     _radiation_columns,
     _strict_json,
     main,
@@ -178,6 +179,18 @@ class TestCsvWriter:
         header = ["y", "mu", "sign", "G"]
         _Artifacts(str(tmp_path)).csv("r.csv", header, _radiation_columns(field))
         assert (tmp_path / "r.csv").read_text() == self.fmt_join(header, rows)
+
+    def test_lattice_columns_write_the_float_columns_bytes(self, tmp_path):
+        # 0.0 and -0.0 compare equal but print differently: the lookup keeps both
+        rng = np.random.default_rng(3)
+        axis = np.concatenate([[0.0, -0.0, 1e-7, np.nan], rng.normal(size=300)])
+        points = axis[rng.integers(len(axis), size=(2000, 3))]
+        header = ["x", "y", "z"]
+        columns = list(points.T)
+        art = _Artifacts(str(tmp_path))
+        art.csv("plain.csv", header, columns)
+        art.csv("lookup.csv", header, [_lattice_column(c) for c in columns])
+        assert (tmp_path / "lookup.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     # tracemalloc peak of the former per-row writer on this table (object
     # columns for y and mu, 2^15-row blocks of Python values): 14.03 MiB

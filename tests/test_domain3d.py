@@ -1,6 +1,7 @@
 """Convex-domain geometry, the boundary field R, and the 3D contraction solver."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -114,6 +115,35 @@ PASS_DOMAINS = pytest.mark.parametrize(
     [(BALL, _ball_points), (BOX, _box_points), (IMPLICIT_BALL, _ball_points)],
     ids=["ball", "box", "implicit"],
 )
+
+
+class TestContains:
+    """Ball and box work per coordinate column; the np.sum / np.all forms
+    they replace give the same booleans on every point."""
+
+    @pytest.mark.parametrize("shape", [(3,), (200, 3), (6, 7, 8, 3)], ids=["point", "rows", "lattice"])
+    def test_ball_matches_the_sum_form(self, shape):
+        c, r = np.array([0.3, -0.2, 0.1]), 0.7
+        p = np.random.default_rng(len(shape)).uniform(-0.5, 0.9, size=shape)
+        # points on the sphere itself, where the last bit decides
+        edge = c + r * np.eye(4, 3, -1)
+        p.reshape(-1, 3)[: len(edge)] = edge[: p.size // 3]
+        got = ConvexDomain.ball(c, r).contains(p)
+        want = np.sum((p - c) ** 2, axis=-1) < r**2
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(radgas.domain3d._squared_distance(p, c), np.sum((p - c) ** 2, axis=-1))
+
+    @pytest.mark.parametrize("shape", [(3,), (200, 3), (6, 7, 8, 3)], ids=["point", "rows", "lattice"])
+    def test_box_matches_the_all_form(self, shape):
+        mins, maxs = np.array([-2.0, -1.0, -3.0]), np.array([1.0, 2.0, 0.5])
+        p = np.random.default_rng(len(shape)).uniform(-3.5, 2.5, size=shape)
+        edge = np.array([mins, maxs])  # on the faces
+        p.reshape(-1, 3)[: len(edge)] = edge[: p.size // 3]
+        got = BOX.contains(p)
+        want = np.all(p > mins, axis=-1) & np.all(p < maxs, axis=-1)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
 
 
 class TestExitDistance:
@@ -343,6 +373,97 @@ class TestAttenuationPass:
         assert div_R(BALL, f_up, 0.7, y, SPHERE) == -0.7 * want_flux[0]
 
 
+def block_loop_oracle(domain, points, step, a2=1.0, f=f_up):
+    """The attenuation pass as one loop over blocks of `step` points on one thread."""
+    nodes, weights = SPHERE.nodes_weights()
+    flux, mass = np.empty(len(points)), np.empty(len(points))
+    for lo in range(0, len(points), step):
+        e = np.exp(-a2 * domain.exit_distances(points[lo : lo + step], nodes))
+        flux[lo : lo + step] = e @ (weights * f(nodes))
+        mass[lo : lo + step] = (1.0 - e) @ weights
+    return flux, mass
+
+
+class _RecordedThread(threading.Thread):
+    started = []
+
+    def start(self):
+        type(self).started.append(self)
+        super().start()
+
+
+class TestTwoThreadPass:
+    """The blocks alternate between the calling thread and one worker: the
+    result is the single-thread block loop's, bit for bit, whatever the
+    count; with one block no worker starts; a worker's exception reaches the
+    caller after the join."""
+
+    BLOCK = 16
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """Small blocks, and every thread started is recorded."""
+        monkeypatch.setattr(radgas.domain3d, "_RAY_BLOCK", self.BLOCK * SPHERE.n_theta * SPHERE.n_phi)
+        monkeypatch.setattr(_RecordedThread, "started", [])
+        monkeypatch.setattr(threading, "Thread", _RecordedThread)
+        return _RecordedThread.started
+
+    @PASS_DOMAINS
+    @pytest.mark.parametrize("blocks, count", [(1, 13), (2, 32), (3, 37)])
+    def test_equals_the_single_thread_block_loop(self, threads, domain, points, blocks, count):
+        pts = points(np.random.default_rng(count), count)
+        nodes, weights = SPHERE.nodes_weights()
+        flux, mass = _attenuation_pass(domain, pts, nodes, weights, f_up(nodes), 1.3)
+        want_flux, want_mass = block_loop_oracle(domain, pts, self.BLOCK, 1.3)
+        assert np.array_equal(flux, want_flux)
+        assert np.array_equal(mass, want_mass)
+        assert len(threads) == (blocks > 1)
+
+    def test_worker_exception_reaches_the_caller(self, threads):
+        error = ValueError("sdf failed on the worker")
+
+        def sdf(p):
+            if threading.current_thread() is not threading.main_thread():
+                raise error  # the worker walks the odd blocks
+            return np.sqrt(np.sum(np.asarray(p) ** 2, axis=-1)) - 1.0
+
+        domain = ConvexDomain.implicit(sdf, (-1, -1, -1), (1, 1, 1))
+        pts = _ball_points(np.random.default_rng(5), 3 * self.BLOCK)
+        nodes, weights = SPHERE.nodes_weights()
+        before = threading.active_count()
+        with pytest.raises(ValueError) as exc:
+            _attenuation_pass(domain, pts, nodes, weights, f_up(nodes))
+        assert exc.value is error
+        assert threading.active_count() == before
+        (worker,) = threads
+        assert not worker.is_alive()
+
+    def test_worker_calls_no_public_function(self, threads):
+        # the benchmark's tracer wraps every public radgas function, and
+        # ConvexDomain.exit_distances, with one span stack
+        caller, called = threading.current_thread(), set()
+
+        def record(frame, event, arg):
+            if event == "call" and threading.current_thread() is not caller:
+                called.add((frame.f_globals.get("__name__"), frame.f_code.co_name))
+
+        pts = _ball_points(np.random.default_rng(7), 3 * self.BLOCK)
+        nodes, weights = SPHERE.nodes_weights()
+        threading.setprofile(record)
+        try:
+            _attenuation_pass(BALL, pts, nodes, weights, f_up(nodes))
+        finally:
+            threading.setprofile(None)
+        ours = {name for module, name in called if module == "radgas.domain3d"}
+        assert "_exit_distances" in ours
+        public = set(radgas.domain3d.__all__) | {n for n in vars(ConvexDomain) if not n.startswith("_")}
+        assert ours & public == set()
+
+    def test_nonexist_samples_start_no_worker(self, threads):
+        nonexistence_check(SLAB, f_up, 2.0, [[0, 0, 0.3], [0, 0, 0.5], [1.0, -2.0, 0.7]], tol=1e-3)
+        assert threads == []
+
+
 def kernel_table_oracle(n, spacing, near_range=6):
     """_kernel_table as it was first written: every offset cell's centre in one
     (L^3, 3) array, classified by its Chebyshev distance in cells."""
@@ -408,6 +529,17 @@ class TestFftConvolve:
         want = scipy_fftconvolve(x, centred, mode="same")
         got = fftconvolve(x, rfftn(table), table.shape)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 13, 24, 32])
+    def test_pruned_inverse_matches_the_full_box_bit_for_bit(self, n):
+        # periods 15 and 25 are odd, 18 leaves a wrap gap; anisotropic cells
+        table = _kernel_table(n, np.array([2.0, 1.5, 0.5]) / n)
+        table_hat = np.fft.rfftn(table)
+        period = table.shape
+        x = np.random.default_rng(n).uniform(size=(n, n, n))
+        axes = (0, 1, 2)
+        full = np.fft.irfftn(np.fft.rfftn(x, period, axes) * table_hat, period, axes)[:n, :n, :n]
+        assert np.array_equal(fftconvolve(x, table_hat, period), full)
 
     def test_self_cell_at_index_zero(self):
         table = _kernel_table(8, np.full(3, 0.25))
@@ -480,8 +612,9 @@ class TestSolveW:
         assert np.array_equal(field.kernel_mass, kernel_mass_at(domain, field.points, SPHERE))
 
     def test_every_ray_once_and_one_convolution_per_sweep(self, monkeypatch):
+        # every block, on either thread, reaches the private implementation
         rays, calls = [], {"conv": 0}
-        exit_distances, conv = ConvexDomain.exit_distances, radgas.domain3d.fftconvolve
+        exit_distances, conv = ConvexDomain._exit_distances, radgas.domain3d.fftconvolve
 
         def counted_exit(self, points, dirs):
             rays.append((np.array(points), np.array(dirs)))
@@ -491,15 +624,19 @@ class TestSolveW:
             calls["conv"] += 1
             return conv(*args)
 
-        monkeypatch.setattr(ConvexDomain, "exit_distances", counted_exit)
+        monkeypatch.setattr(ConvexDomain, "_exit_distances", counted_exit)
         monkeypatch.setattr(radgas.domain3d, "fftconvolve", counted_conv)
         field = solve_w(BALL, f_up, LatticeSpec(8), SPHERE)
         nodes, _ = SPHERE.nodes_weights()
         # each block pairs its points with every node, and the blocks
-        # partition the lattice points: every (point, node) ray exactly once
+        # partition the lattice points: every (point, node) ray exactly once.
+        # The blocks run on two threads, so they are taken in the order of
+        # their first point, not in the order the calls came in
         assert len(rays) > 1
         assert all(np.array_equal(dirs, nodes) for _, dirs in rays)
-        assert np.array_equal(np.concatenate([points for points, _ in rays]), field.points)
+        row = {tuple(p): i for i, p in enumerate(field.points)}
+        blocks = sorted((points for points, _ in rays), key=lambda points: row[tuple(points[0])])
+        assert np.array_equal(np.concatenate(blocks), field.points)
         assert calls == {"conv": 1 + field.iterations}
 
     def test_geometry_memory_bounded_by_blocks(self):

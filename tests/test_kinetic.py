@@ -332,7 +332,7 @@ class TestWorkerThread:
         """Makes `_tuple_chunk` raise one MemoryError on the given side;
         returns that error and records every thread started."""
         monkeypatch.setattr(_RecordedThread, "started", [])
-        monkeypatch.setattr(radgas.kinetic.threading, "Thread", _RecordedThread)
+        monkeypatch.setattr(threading, "Thread", _RecordedThread)
         tuple_chunk = radgas.kinetic._tuple_chunk
 
         def arm(side):
@@ -371,7 +371,7 @@ class TestWorkerThread:
 
     def test_one_worker_per_call(self, monkeypatch):
         monkeypatch.setattr(_RecordedThread, "started", [])
-        monkeypatch.setattr(radgas.kinetic.threading, "Thread", _RecordedThread)
+        monkeypatch.setattr(threading, "Thread", _RecordedThread)
         weak_form_checks(self.GENERIC, self.LTE, self.QUICK, CONSTS)
         weak_form_checks(self.GENERIC, self.LTE, self.QUICK, CONSTS)
         assert len(_RecordedThread.started) == 2
