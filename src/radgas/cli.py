@@ -660,25 +660,18 @@ def _run_three_level(config: RunConfig, art: _Artifacts) -> int:
 
 
 def _run_verify(config: RunConfig, art: _Artifacts) -> int:
-    from .kinetic import (
-        detailed_balance_check,
-        entropy_identity_check,
-        mass_exchange_reduced,
-        weak_form_checks,
-    )
+    from .kinetic import entropy_identity_check, mass_exchange_reduced, verify_checks
 
     p = config.inputs
     consts = p.consts
-    checks = []
-
-    # detailed balance on a Boltzmann-ratio pair; None: no tuple above
-    # threshold, nothing was checked, so the check cannot pass
-    res = detailed_balance_check(p.lte_pair, config.values["n_tuples"], config.seed, consts)
-    checks.append({"name": "detailed_balance", "value": res, "pass": res is not None and res < 1e-12})
-
-    # weak-form conservation and mass exchange on the generic pair and the
-    # kernel of the linearized operator at LTE, from one draw per side
-    rep, est, chk = weak_form_checks(p.generic_pair, p.lte_at_rest, p.plan, consts)
+    # detailed balance on a Boltzmann-ratio pair; weak-form conservation and
+    # mass exchange on the generic pair and the kernel of the linearized
+    # operator at LTE, from one draw per side
+    res, (rep, est, chk) = verify_checks(
+        p.lte_pair, config.values["n_tuples"], p.generic_pair, p.lte_at_rest, p.plan, consts
+    )
+    # None: no tuple above threshold, nothing was checked, so the check cannot pass
+    checks = [{"name": "detailed_balance", "value": res, "pass": res is not None and res < 1e-12}]
     checks.append(
         {
             "name": "weak_form_conservation",
@@ -799,6 +792,15 @@ def _retain_freed_memory() -> None:
     cannot reuse the heap earlier jobs freed, and a benchmark `volume` batch
     peaked at 67 MB RSS instead of 59 MB.  Without glibc's mallopt nothing
     changes.
+
+    The one arena is also why the 3-D convolution stays on one thread:
+    `numpy.fft` allocates its work arrays per call, and two threads then
+    queue for the arena's lock.  Sixty rfftn/irfftn pairs per thread on
+    independent (32, 64, 33) arrays took 0.25-0.27 s on two threads with
+    one arena against 0.14-0.17 s with glibc's default arenas, while the
+    same work on one thread took 0.23-0.40 s (2-vCPU Xeon VM): under these
+    settings a second FFT thread saves little or nothing, and the default
+    arenas cost the RSS above.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

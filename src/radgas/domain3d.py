@@ -393,26 +393,36 @@ def _nearest_interior(inside: np.ndarray, cells: np.ndarray) -> np.ndarray:
     Distance ties go to the smallest (k, j, i), last axis first, as in
     scipy.ndimage.distance_transform_edt: the offsets are ordered that way
     and argmin keeps the first minimum.  `inside` must hold an interior cell.
+    The candidates are held one coordinate at a time, as (cells, offsets)
+    arrays, and looked up by their flat index.
     """
-    out = np.empty((len(cells), 3), dtype=np.intp)
+    out = np.empty((3, len(cells)), dtype=np.intp)
     todo = np.arange(len(cells))
+    flat_inside = inside.ravel()
     r = 1
     while len(todo):
         span = np.arange(-r, r + 1)
-        dk, dj, di = np.meshgrid(span, span, span, indexing="ij")
-        offsets = np.stack([di.ravel(), dj.ravel(), dk.ravel()], axis=1)
-        cand = cells[todo, None, :] + offsets
-        ok = np.all((cand >= 0) & (cand < inside.shape), axis=-1)
-        at = np.where(ok[..., None], cand, 0)
-        ok &= inside[at[..., 0], at[..., 1], at[..., 2]]
-        dist = np.where(ok, np.sum(offsets**2, axis=1), np.iinfo(np.intp).max)
+        dk, dj, di = (d.ravel() for d in np.meshgrid(span, span, span, indexing="ij"))
+        # one (m, offsets) array per coordinate, and the flat index of each candidate
+        cand = [cells[todo, axis, None] + d for axis, d in enumerate((di, dj, dk))]
+        ok = np.ones(cand[0].shape, dtype=bool)
+        flat = np.zeros(cand[0].shape, dtype=np.intp)
+        for c, n in zip(cand, inside.shape):
+            ok &= c >= 0
+            ok &= c < n
+            flat *= n
+            flat += c
+        np.copyto(flat, 0, where=~ok)
+        ok &= flat_inside[flat]
+        dist = np.where(ok, di * di + dj * dj + dk * dk, np.iinfo(np.intp).max)
         best = np.argmin(dist, axis=1)
         rows = np.arange(len(todo))
         done = dist[rows, best] <= r * r
-        out[todo[done]] = cand[rows[done], best[done]]
+        for axis, c in enumerate(cand):
+            out[axis, todo[done]] = c[rows[done], best[done]]
         todo = todo[~done]
         r += 1
-    return out.T
+    return out
 
 
 def _next_fast_len(m: int) -> int:

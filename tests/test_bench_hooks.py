@@ -29,7 +29,7 @@ JOBS = [
 ]
 #: WORK entries no subcommand calls: radgas no longer has these functions;
 #: `verify` takes the conservation, mass-exchange and kernel-of-L estimates
-#: from one kinetic.weak_form_checks pass.
+#: from one kinetic.verify_checks pass.
 NOT_CALLED = {"kinetic.mc_conservation", "kinetic.mass_exchange_estimate", "kinetic.kernel_of_L_check"}
 
 

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -339,21 +340,40 @@ class TestRun:
             assert all(set(row) == {"value", "std_error"} for row in check_rows.values())
 
     # sha256 of report.json and report.txt of the default `verify`, pinned to
-    # the bytes of the single-threaded pass: the loss side on its own thread
-    # and the streamed draws keep every bit
-    @pytest.mark.parametrize(
-        "seed, report_json",
-        [
-            ("1", "35a13d6d3eec74044483cee474cb9ef4ad97ddb7226e6b00a01d56ce2ea4ae04"),
-            ("47", "ff91e506a2236175b7f158f860fb98fbf02d14ba9a13a5a2c7be419f3c7eb5b1"),
-        ],
-    )
-    def test_verify_default_artifacts_pinned(self, tmp_path, capsys, seed, report_json):
-        out = tmp_path / "verify"
+    # the bytes of the single-threaded pass: the loss side on its own thread,
+    # the streamed draws, the row layout and the detailed-balance sweep beside
+    # the loss side keep every bit
+    VERIFY_REPORT_JSON = [
+        ("1", "35a13d6d3eec74044483cee474cb9ef4ad97ddb7226e6b00a01d56ce2ea4ae04"),
+        ("47", "ff91e506a2236175b7f158f860fb98fbf02d14ba9a13a5a2c7be419f3c7eb5b1"),
+    ]
+    VERIFY_REPORT_TXT = "db17ea184c2cd032f7cb23d296746b3ad7f04f17588ffb9122c5f4f3f7a08591"
+
+    def _verify_shas(self, out, seed):
         assert main(["verify", "--seed", seed, "--out", str(out)]) == 0
         sha = lambda name: hashlib.sha256((out / name).read_bytes()).hexdigest()  # noqa: E731
-        assert sha("report.json") == report_json
-        assert sha("report.txt") == "db17ea184c2cd032f7cb23d296746b3ad7f04f17588ffb9122c5f4f3f7a08591"
+        return sha("report.json"), sha("report.txt")
+
+    @pytest.mark.parametrize("seed, report_json", VERIFY_REPORT_JSON)
+    def test_verify_default_artifacts_pinned(self, tmp_path, capsys, seed, report_json):
+        assert self._verify_shas(tmp_path / "verify", seed) == (report_json, self.VERIFY_REPORT_TXT)
+
+    # side 1 (gain) runs on the calling thread, followed by the detailed-balance
+    # sweep; side 0 (loss) on the worker
+    @pytest.mark.parametrize("slow_side", [1, 0], ids=["caller", "worker"])
+    def test_verify_bytes_do_not_depend_on_thread_timing(self, tmp_path, monkeypatch, slow_side):
+        import radgas.kinetic
+
+        add_chunk = radgas.kinetic._add_chunk
+
+        def delayed(acc, problem, consts, side, normals, rows):
+            if side == slow_side:
+                time.sleep(2e-3)
+            add_chunk(acc, problem, consts, side, normals, rows)
+
+        monkeypatch.setattr(radgas.kinetic, "_add_chunk", delayed)
+        shas = self._verify_shas(tmp_path / "verify", "1")
+        assert shas == (dict(self.VERIFY_REPORT_JSON)["1"], self.VERIFY_REPORT_TXT)
 
     @pytest.mark.parametrize("seed", ["1", "6"])
     def test_verify_empty_detailed_balance_set_fails_without_traceback(self, tmp_path, seed):

@@ -20,6 +20,7 @@ from radgas.domain3d import (
     _attenuation_pass,
     _build_lattice,
     _kernel_table,
+    _nearest_interior,
     _next_fast_len,
     div_R,
     exit_distance,
@@ -584,8 +585,45 @@ ELLIPSOID = ConvexDomain.implicit(
 )
 
 
+def nearest_interior_oracle(inside, cells):
+    """`_nearest_interior` as first written: the (m, offsets, 3) candidates
+    reduced over their length-3 axis."""
+    out = np.empty((len(cells), 3), dtype=np.intp)
+    todo = np.arange(len(cells))
+    r = 1
+    while len(todo):
+        span = np.arange(-r, r + 1)
+        dk, dj, di = np.meshgrid(span, span, span, indexing="ij")
+        offsets = np.stack([di.ravel(), dj.ravel(), dk.ravel()], axis=1)
+        cand = cells[todo, None, :] + offsets
+        ok = np.all((cand >= 0) & (cand < inside.shape), axis=-1)
+        at = np.where(ok[..., None], cand, 0)
+        ok &= inside[at[..., 0], at[..., 1], at[..., 2]]
+        dist = np.where(ok, np.sum(offsets**2, axis=1), np.iinfo(np.intp).max)
+        best = np.argmin(dist, axis=1)
+        rows = np.arange(len(todo))
+        done = dist[rows, best] <= r * r
+        out[todo[done]] = cand[rows[done], best[done]]
+        todo = todo[~done]
+        r += 1
+    return out.T
+
+
 class TestNearestInterior:
     """Orphan cells go where the distance transform they replace sent them."""
+
+    @pytest.mark.parametrize("shape", [(9, 9, 9), (5, 12, 7), (16, 3, 11)])
+    @pytest.mark.parametrize("density", [0.002, 0.05, 0.5])
+    def test_per_column_search_matches_the_stacked_oracle(self, shape, density):
+        # sparse interiors force searches of several radii and many distance
+        # ties; every exterior cell is queried, the lattice edges included
+        rng = np.random.default_rng([len(shape), int(1000 * density), shape[0]])
+        inside = rng.random(shape) < density
+        inside[tuple(rng.integers(0, n) for n in shape)] = True
+        cells = np.argwhere(~inside)
+        got = _nearest_interior(inside, cells)
+        np.testing.assert_array_equal(got, nearest_interior_oracle(inside, cells))
+        assert got.dtype == np.intp
 
     @pytest.mark.parametrize("n", [8, 9, 13, 20, 24, 32, 48])
     @pytest.mark.parametrize(

@@ -20,11 +20,12 @@ from radgas.kinetic import (
     _CHUNK,
     McPlan,
     _batch_normals,
-    _conserved,
     _exchange_problem,
     _exchange_result,
     _kernel_problem,
     _kernel_result,
+    _moment_change,
+    verify_checks,
     _weak_form_moments,
     detailed_balance_check,
     detailed_balance_residual,
@@ -192,15 +193,15 @@ class TestConservation:
         s2 = MaxwellianState(0.4, (0.2, 0.0, 0.0), 7.0)
         rep, est, _ = weak_form_checks((s1, s2), s1, PLAN, CONSTS)
         # the five conservation columns alone, and the mass-exchange column alone
+        ground, excited = (None, 0.0, ()), (None, CONSTS.epsilon0, ())
         (alone,) = _weak_form_moments(
-            [(s1, s2, _conserved, lambda v: _conserved(v, CONSTS.epsilon0))], CONSTS, PLAN
+            [(s1, s2, lambda v, out: _moment_change(v, out, excited, ground), 5)], CONSTS, PLAN
         )
         assert [(e.value, e.std_error) for _, e in rep.rows()] == [
             (e.value, e.std_error) for e in alone
         ]
-        ((one,),) = _weak_form_moments(
-            [(s1, s2, lambda v: np.zeros((len(v), 1)), lambda v: np.ones((len(v), 1)))], CONSTS, PLAN
-        )
+        # test functions (0, 1): D = 1 for every tuple
+        ((one,),) = _weak_form_moments([(s1, s2, lambda v, out: out.fill(1.0), 1)], CONSTS, PLAN)
         assert est.value == pytest.approx(one.value, rel=1e-12)
         assert est.std_error == pytest.approx(one.std_error, rel=1e-12)
 
@@ -218,18 +219,69 @@ class TestConservation:
         assert abs(a.value - b.value) < 1e-9 * max(1.0, abs(a.value))
 
 
+def change_of(cols1, cols2):
+    """The per-tuple change D = phi2(v3) + phi1(v4) - phi1(v1) - phi1(v2) of
+    test functions given one column at a time, on the (4, 3, c) rows of
+    (v3, v4, v1, v2)."""
+
+    def change(v, out):
+        v3, v4, v1, v2 = v
+        for row, c1, c2 in zip(out, cols1, cols2):
+            row[...] = c2(v3)
+            row += c1(v4)
+            row -= c1(v1)
+            row -= c1(v2)
+
+    return change
+
+
+class TestMomentChange:
+    """`_moment_change` against the per-velocity test functions it replaced,
+    (n, k) columns evaluated one velocity at a time."""
+
+    @staticmethod
+    def columns(v, u, excitation, extra):
+        dv = v if u is None else v - u
+        energy = dv[:, 0] * dv[:, 0]
+        energy += dv[:, 1] * dv[:, 1]
+        energy += dv[:, 2] * dv[:, 2]
+        energy *= 0.5
+        energy += excitation
+        return np.column_stack([np.ones(len(v)), dv, energy, *[np.full(len(v), x) for x in extra]])
+
+    @pytest.mark.parametrize(
+        "excited, ground",
+        [
+            ((None, 1.0, (1.0,)), (None, 0.0, (0.0,))),
+            ((np.array([0.5, 0.0, -0.2]), 0.0, ()), None),
+            ((np.array([0.3, -1.1, 2.0]), 0.7, (2.5, -1.0)), (np.array([-0.4, 0.2, 0.1]), 0.0, (0.5, 3.0))),
+            ((None, 0.25, ()), (np.array([1.0, 2.0, 3.0]), 1e-3, ())),
+        ],
+    )
+    def test_bit_identical_to_per_velocity_columns(self, excited, ground):
+        v = np.random.default_rng(4).normal(scale=2.0, size=(4, 3, 1000))
+        want = self.columns(v[0].T, *excited)
+        if ground is not None:
+            for velocity, add in ((v[1], np.add), (v[2], np.subtract), (v[3], np.subtract)):
+                add(want, self.columns(velocity.T, *ground), out=want)
+        out = np.empty((want.shape[1], 1000))
+        _moment_change(v.copy(), out, excited, ground)
+        assert np.array_equal(out, want.T)
+
+
 class TestVectorTestFunctions:
     def test_columns_match_one_column_calls(self):
         # non-conserved test functions, so no column cancels to rounding noise
         s1 = MaxwellianState(1.3, (0.2, -0.1, 0.0), 4.0)
         s2 = MaxwellianState(0.4, (0.0, 0.3, 0.1), 7.0)
-        cols1 = [lambda v: v[:, 0] ** 2, lambda v: np.zeros(len(v)), lambda v: v[:, 2] ** 3]
-        cols2 = [lambda v: np.ones(len(v)), lambda v: np.sum(v * v, axis=1), lambda v: v[:, 1]]
-        stack = lambda cols: lambda v: np.column_stack([c(v) for c in cols])
-        (joint,) = _weak_form_moments([(s1, s2, stack(cols1), stack(cols2))], CONSTS, PLAN)
+        # each column maps (3, c) velocity rows to c values
+        cols1 = [lambda v: v[0] ** 2, lambda v: np.zeros(v.shape[1]), lambda v: v[2] ** 3]
+        cols2 = [lambda v: np.ones(v.shape[1]), lambda v: np.sum(v * v, axis=0), lambda v: v[1]]
+        problem = lambda c1, c2: (s1, s2, change_of(c1, c2), len(c1))  # noqa: E731
+        (joint,) = _weak_form_moments([problem(cols1, cols2)], CONSTS, PLAN)
         assert len(joint) == 3
         for est, c1, c2 in zip(joint, cols1, cols2):
-            ((one,),) = _weak_form_moments([(s1, s2, stack([c1]), stack([c2]))], CONSTS, PLAN)
+            ((one,),) = _weak_form_moments([problem([c1], [c2])], CONSTS, PLAN)
             assert est.value == pytest.approx(one.value, rel=1e-12)
             assert est.std_error == pytest.approx(one.std_error, rel=1e-12)
             assert abs(one.value) > 3 * one.std_error
@@ -284,18 +336,41 @@ class TestFusedPass:
         (kernel,) = _weak_form_moments([_kernel_problem(self.LTE, CONSTS)], CONSTS, PLAN)
         assert (rep, est, chk) == (*_exchange_result(exchange), _kernel_result(kernel))
 
-    def test_peak_memory_bounded(self):
+    @pytest.mark.parametrize("with_balance", [False, True], ids=["weak_form", "verify_checks"])
+    def test_peak_memory_bounded(self, with_balance):
         # one reused buffer of normals per side (2 x 2^17 x 3 floats, 6.0 MiB
-        # each, 12.0 MiB together) plus one chunk's tuples per side peaks at
-        # 15.6 MiB traced: a second live batch or an unchunked pass exceeds the bound
+        # each, 12.0 MiB together) plus one chunk's rows per side peaks at
+        # 15.2 MiB traced, with or without the detailed-balance sweep of 10^5
+        # tuples, which draws into the gain side's buffer: a second live batch
+        # or an unchunked pass exceeds the bound
         plan = McPlan(n_samples=10**6, seed=1)
         tracemalloc.start()
         try:
-            weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS)
+            if with_balance:
+                verify_checks(TestDetailedBalanceCheck.PAIR, 10**5, self.GENERIC, self.LTE, plan, CONSTS)
+            else:
+                weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestVerifyChecks:
+    GENERIC, LTE = TestFusedPass.GENERIC, TestFusedPass.LTE
+    PAIR = TestDetailedBalanceCheck.PAIR
+
+    # 2 * 10^4 tuples fit in the gain side's buffer, _BATCH + 1 do not
+    @pytest.mark.parametrize("n_tuples", [20_000, _BATCH + 1])
+    def test_equals_separate_calls(self, n_tuples):
+        plan = McPlan(n_samples=20_000, seed=5)
+        got = verify_checks(self.PAIR, n_tuples, self.GENERIC, self.LTE, plan, CONSTS)
+        want = (
+            detailed_balance_check(self.PAIR, n_tuples, 5, CONSTS),
+            weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS),
+        )
+        assert got == want
+        assert got[0] is not None
 
 
 class TestStreamedDraw:
@@ -306,8 +381,8 @@ class TestStreamedDraw:
     def test_equals_one_draw_of_the_batch(self, side, b, size):
         pair, omega = np.empty(6 * _BATCH), np.empty((_CHUNK, 3))
         chunks = [
-            [part.copy() for part in chunk]
-            for chunk in _batch_normals(np.random.default_rng([7, side, b]), size, pair, omega)
+            [zab[0].copy(), zab[1].copy(), om.copy()]
+            for zab, om in _batch_normals(np.random.default_rng([7, side, b]), size, pair, omega)
         ]
         streamed = np.stack([np.concatenate(parts) for parts in zip(*chunks)])
         want = np.random.default_rng([7, side, b]).standard_normal((3, size, 3))
@@ -338,10 +413,10 @@ class TestWorkerThread:
         def arm(side):
             error = MemoryError(f"Unable to allocate on side {side}")
 
-            def failing(state1, state2, consts, chunk_side, normals):
+            def failing(state1, state2, consts, chunk_side, normals, rows):
                 if chunk_side == side:
                     raise error
-                return tuple_chunk(state1, state2, consts, chunk_side, normals)
+                return tuple_chunk(state1, state2, consts, chunk_side, normals, rows)
 
             monkeypatch.setattr(radgas.kinetic, "_tuple_chunk", failing)
             return error
@@ -377,18 +452,20 @@ class TestWorkerThread:
         assert len(_RecordedThread.started) == 2
         assert not any(t.is_alive() for t in _RecordedThread.started)
 
-    def test_worker_calls_no_public_function(self):
+    def test_worker_calls_no_public_function(self, tmp_path):
         # the benchmark's tracer wraps every public radgas function and keeps
-        # one span stack, which a second thread in a public call would corrupt
+        # one span stack, which a second thread in a public call would corrupt;
+        # the whole verify pass runs, the detailed-balance sweep included
         main_thread, called = threading.main_thread(), set()
 
         def record(frame, event, arg):
             if event == "call" and threading.current_thread() is not main_thread:
                 called.add((frame.f_globals.get("__name__"), frame.f_code.co_name))
 
+        argv = ["verify", "--n-samples", "20000", "--n-tuples", "2000", "--out", str(tmp_path / "run")]
         threading.setprofile(record)
         try:
-            weak_form_checks(self.GENERIC, self.LTE, self.QUICK, CONSTS)
+            assert main(argv) == 0
         finally:
             threading.setprofile(None)
         modules = [radgas] + [
