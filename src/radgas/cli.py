@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-import scipy  # the package alone, for the manifest's version string
 
 from .collision_reduction import TripleQuadSpec
 from .constants import C0_MAXWELLIAN, PhysConsts
@@ -453,12 +452,17 @@ class _Artifacts:
 
         A float64 column is written with %.17g (the bytes of _fmt); any other
         column goes through str; a column may also be a `csvformat.Lookup`.
-        Rows are formatted in numpy, _CSV_BLOCK at a time.
+        Rows are formatted in numpy, _CSV_BLOCK at a time.  A header whose
+        length is not the number of columns, or columns of unequal lengths,
+        raise ValueError before the file is opened.
         """
         from .csvformat import Lookup, block_bytes
 
         cols = [c if isinstance(c, Lookup) else np.asarray(c) for c in columns]
-        rows = len(cols[0]) if cols else 0
+        lengths = [len(c) for c in cols]
+        if len(header) != len(cols) or len(set(lengths)) > 1:
+            raise ValueError(f"{name}: {len(header)} header fields for columns of lengths {lengths}")
+        rows = lengths[0] if cols else 0
         with open(os.path.join(self.out_dir, name), "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
             for start in range(0, rows, _CSV_BLOCK):
@@ -484,7 +488,6 @@ class _Artifacts:
             "versions": {
                 "radgas": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "python": sys.version.split()[0],
             },
             "artifacts": self.records,

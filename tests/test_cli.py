@@ -36,7 +36,7 @@ from radgas.cli import (
     main,
     parse_config,
 )
-from radgas.csvformat import NUMPY_MIN, format_floats
+from radgas.csvformat import FIELD, NUMPY_MIN, Lookup, block_bytes, format_floats
 from radgas.slab import AngleGrid, RadiationField, SlabGrid
 
 
@@ -193,6 +193,80 @@ class TestCsvWriter:
         art.csv("lookup.csv", header, [_lattice_column(c) for c in columns])
         assert (tmp_path / "lookup.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
+    # values whose "%.17g" widths run from 1 byte to the full FIELD = 24
+    WIDE_AND_NARROW = [-1.2345678901234567e-300, 0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, 0.5, -2.0, 1e-7, 123456.75]
+
+    @pytest.mark.parametrize("n_values", [len(WIDE_AND_NARROW), NUMPY_MIN + 7])
+    def test_lookup_columns_of_mixed_widths_match_per_value_fmt(self, tmp_path, n_values):
+        # below NUMPY_MIN values Python formats a lookup's values, from it numpy
+        rng = np.random.default_rng(n_values)
+        spread = rng.normal(size=n_values) * 10.0 ** rng.integers(-9, 20, size=n_values)
+        values = np.concatenate([self.WIDE_AND_NARROW, spread])[:n_values]
+        labels = np.array(["a", "", "long label", "-"], dtype=object)
+        n = 3000
+        index = rng.integers(len(values), size=n)
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-8, 19, size=n)
+        floats[:4] = [0.0, -0.0, np.nan, -1.2345678901234567e-300]
+        label_index = rng.integers(len(labels), size=n)
+        header = ["v", "f", "k", "s", "l"]
+        columns = [Lookup(values, index), floats, np.arange(n) - 7, labels[label_index], Lookup(labels, label_index)]
+        _Artifacts(str(tmp_path)).csv("t.csv", header, columns)
+        rows = zip(values[index], floats, np.arange(n) - 7, labels[label_index], labels[label_index])
+        assert (tmp_path / "t.csv").read_text() == self.fmt_join(header, rows)
+
+    @pytest.mark.parametrize("values", [WIDE_AND_NARROW, [0.5, 0.25, 1.0], [1, -22, 333], ["", "xyz"]])
+    def test_lookup_width_is_the_bytes_any_value_uses(self, values):
+        # the widest value of each set covers every byte the others use
+        column = np.array(values, dtype=object if isinstance(values[0], str) else None)
+        lookup = Lookup(column, np.arange(len(values)))
+        assert lookup.items.itemsize == max(len(_fmt(v)) for v in column.tolist())
+        assert block_bytes([lookup], slice(0, len(values))).decode() == "".join(_fmt(v) + "\n" for v in column.tolist())
+
+    def test_lookup_of_empty_strings_keeps_one_byte(self):
+        lookup = Lookup(np.array(["", ""], dtype=object), np.array([1, 0, 1]))
+        assert lookup.items.itemsize == 1
+        assert block_bytes([lookup, np.arange(3)], slice(0, 3)) == b",0\n,1\n,2\n"
+
+    def test_zero_row_table_is_its_header(self, tmp_path):
+        art = _Artifacts(str(tmp_path))
+        empty = np.array([], dtype=np.int64)
+        art.csv("t.csv", ["x", "k", "v"], [np.array([]), empty, Lookup([1.5, 2.5], empty)])
+        assert (tmp_path / "t.csv").read_bytes() == b"x,k,v\n"
+        assert art.records == [{"name": "t.csv", "rows": 0, "header": ["x", "k", "v"]}]
+
+    def test_block_boundary_inside_a_lookup_run(self, tmp_path, monkeypatch):
+        # runs of 5 equal rows: the first block ends 4 rows into a run
+        block = radgas.cli._CSV_BLOCK
+        n = block + 3 * NUMPY_MIN
+        run = (np.arange(n) + 2) // 5
+        values = np.random.default_rng(4).normal(size=run[-1] + 1)
+        assert run[block - 1] == run[block]
+        columns = [Lookup(values, run), np.arange(n) / 7.0]
+        header = ["v", "x"]
+        _Artifacts(str(tmp_path / "blocks")).csv("t.csv", header, columns)
+        monkeypatch.setattr(radgas.cli, "_CSV_BLOCK", n)
+        _Artifacts(str(tmp_path / "one")).csv("t.csv", header, columns)
+        text = (tmp_path / "blocks" / "t.csv").read_text()
+        assert text == (tmp_path / "one" / "t.csv").read_text()
+        assert text == self.fmt_join(header, zip(values[run], columns[1]))
+
+    @pytest.mark.parametrize(
+        "header, columns",
+        [
+            (["x", "k"], [np.arange(5.0), np.array([7])]),  # a length-1 column once broadcast
+            (["x", "k"], [np.arange(3.0), np.arange(5)]),  # a shorter first column
+            (["x"], [np.arange(5.0), np.arange(5)]),  # one header field for two columns
+            (["x", "k", "v"], [np.arange(5.0), np.arange(5)]),
+            (["v", "x"], [Lookup([1.0, 2.0], np.arange(4) % 2), np.arange(5.0)]),
+        ],
+    )
+    def test_mismatched_header_or_column_lengths_raise_before_writing(self, tmp_path, header, columns):
+        art = _Artifacts(str(tmp_path))
+        with pytest.raises(ValueError, match="t.csv"):
+            art.csv("t.csv", header, columns)
+        assert list(tmp_path.iterdir()) == []
+        assert art.records == []
+
     # tracemalloc peak of the former per-row writer on this table (object
     # columns for y and mu, 2^15-row blocks of Python values): 14.03 MiB
     PER_ROW_WRITER_PEAK = 14.03 * 2**20
@@ -292,6 +366,19 @@ class TestFormatFloats:
         values = np.array([float(m) * 10.0**e for m in mantissas for e in range(-9, 18)])
         self.check(values)
         self.check(-values)
+
+    def test_out_is_a_strided_slot_of_a_row_buffer(self):
+        # the slot's rows get the same bytes, NUL padding included; the bytes
+        # around it keep their value
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=500) * 10.0 ** rng.integers(-9, 20, size=500)
+        x[:5] = [0.0, -0.0, np.nan, -1.2345678901234567e-300, 1e300]
+        line = np.full((len(x), FIELD + 13), 7, np.uint8)
+        slot = line[:, 6 : 6 + FIELD]
+        assert format_floats(x, out=slot) is slot
+        assert np.array_equal(slot, format_floats(x))
+        assert (line[:, :6] == 7).all() and (line[:, 6 + FIELD :] == 7).all()
+        assert [row.tobytes().replace(b"\0", b"").decode() for row in slot] == ["%.17g" % v for v in x.tolist()]
 
 
 class TestRun:
@@ -688,13 +775,6 @@ class TestRun:
         assert f"out = {tmp_path / 'envout'}" in capsys.readouterr().out
 
 
-#: scipy submodules that no radgas run may load: the solvers run on numpy alone
-#: and the manifest reads only the version of the top-level package.
-SCIPY_SUBMODULES = (
-    "scipy.fft", "scipy.special", "scipy.linalg", "scipy.ndimage", "scipy.signal", "scipy._lib._array_api",
-)
-
-
 def fresh_python(code: str, *args: str) -> str:
     """Standard output of `code` run by a new interpreter that imports radgas from this tree."""
     src = os.path.dirname(os.path.dirname(radgas.domain3d.__file__))
@@ -703,7 +783,8 @@ def fresh_python(code: str, *args: str) -> str:
 
 
 def test_runs_load_no_scipy_submodule(tmp_path):
-    # a fresh process: import the CLI, then one small job of every subcommand
+    # a fresh process: import the CLI, then one small job of every subcommand;
+    # the solvers and the manifest run on numpy alone, so no scipy module loads
     code = (
         "import contextlib, io, json, sys, radgas.cli\n"
         "runs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
@@ -715,7 +796,7 @@ def test_runs_load_no_scipy_submodule(tmp_path):
     assert sorted(result["codes"]) == sorted(SUBCOMMANDS)
     assert all(code in (0, 1) for code in result["codes"].values()), result["codes"]
     assert all((tmp_path / name / "manifest.json").exists() for name in SMALL_RUNS)
-    assert [m for m in result["modules"] if m in SCIPY_SUBMODULES] == []
+    assert [m for m in result["modules"] if m == "scipy" or m.startswith("scipy.")] == []
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc limits are glibc's")
