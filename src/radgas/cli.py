@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
-import hashlib
 import json
 import math
 import os
@@ -28,6 +27,17 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+
+# hashlib loads OpenSSL's libcrypto, several MB that no solver needs; the
+# interpreter's own SHA-256 gives the same digest (random.py does the same
+# for SHA-512)
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .collision_reduction import TripleQuadSpec
 from .constants import C0_MAXWELLIAN, PhysConsts
@@ -482,7 +492,7 @@ class _Artifacts:
         resolved = "\n".join(config.lines())
         payload = {
             "subcommand": config.subcommand,
-            "config_sha256": hashlib.sha256(resolved.encode()).hexdigest(),
+            "config_sha256": sha256(resolved.encode()).hexdigest(),
             "resolved_config": config.lines(),
             "seed": config.seed,
             "versions": {
@@ -520,11 +530,11 @@ def _radiation_columns(field):
     from .csvformat import Lookup
 
     n_y, n_mu = field.grid.n_y, field.angles.n_mu
-    index = np.arange(2 * n_y * n_mu, dtype=np.int32)
+    signs = np.repeat(np.arange(2, dtype=np.int32), n_mu)
     return [
-        Lookup(field.grid.y, index // (2 * n_mu)),
-        Lookup(field.angles.mu, index % n_mu),
-        Lookup([1, -1], index // n_mu % 2),
+        Lookup(field.grid.y, np.repeat(np.arange(n_y, dtype=np.int32), 2 * n_mu)),
+        Lookup(field.angles.mu, np.tile(np.arange(n_mu, dtype=np.int32), 2 * n_y)),
+        Lookup([1, -1], np.tile(signs, n_y)),
         np.concatenate([field.g_plus, field.g_minus], axis=1).ravel(),
     ]
 

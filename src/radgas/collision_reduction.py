@@ -33,7 +33,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from numpy.random import default_rng
 
 from .constants import PhysConsts
 from .errors import DomainError, SingularDenominator
@@ -150,9 +149,10 @@ def _quad_grid(spec: TripleQuadSpec):
     times the Gauss-Legendre weights on [0, r_max] x [0, r_max].
     """
     xr, wr = leggauss(spec.n_r)
+    # one rule serves both axes when they have as many nodes
+    xq, wq = (xr, wr) if spec.n_rho == spec.n_r else leggauss(spec.n_rho)
     r = 0.5 * spec.r_max * (xr + 1.0)
     wr = 0.5 * spec.r_max * wr
-    xq, wq = leggauss(spec.n_rho)
     rho = 0.5 * spec.r_max * (xq + 1.0)
     wq = 0.5 * spec.r_max * wq
 
@@ -392,6 +392,8 @@ def mc_oracle(
         raise ValueError(f"n_samples must be >= 1e4, got {n_samples}")
     if quantity not in ("P", "P21", "A", "B"):
         raise ValueError(f"unknown quantity {quantity!r}")
+    from numpy.random import default_rng
+
     rng = default_rng(seed)
     z3 = rng.standard_normal((n_samples, 3))
     z4 = rng.standard_normal((n_samples, 3))

@@ -549,6 +549,10 @@ def solve_w(
     w_grid = np.zeros(inside.shape)
 
     def sweep(w):
+        if not np.any(w):
+            # GMRES's first step: the convolution of a zero grid is +0.0
+            # throughout, so this is the sum's value bit for bit
+            return forcing + 0.0
         w_grid[inside] = w * frac
         return scale * fftconvolve(w_grid, table_hat, period)[inside] + forcing
 

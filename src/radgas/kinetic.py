@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .collision_reduction import functionals
 from .constants import PhysConsts
@@ -142,6 +141,8 @@ def detailed_balance_check(lte_pair, n_tuples: int, seed: int, consts: PhysConst
 def _balance_sweep(lte_pair, n_tuples, seed, consts, pair=None):
     """`detailed_balance_check`, drawing v1 and v2 into the buffer `pair`
     (a fresh one when it is None or holds fewer than 6 * n_tuples floats)."""
+    from numpy.random import default_rng
+
     s1, s2 = lte_pair
     if pair is None or pair.size < 6 * n_tuples:
         pair = np.empty(6 * n_tuples)
@@ -261,9 +262,10 @@ def _add_chunk(acc, problem, consts, side, normals, rows):
     acc[2] += float(weight.sum())
 
 
-def _add_side(side_sums, problems, consts, plan, side, pair):
+def _add_side(side_sums, problems, consts, plan, side, pair, default_rng):
     """Adds every batch of `side` to the running totals of each problem,
-    drawing the batches' za/zb normals into `pair`."""
+    drawing the batches' za/zb normals into `pair` from the generators
+    `default_rng` makes."""
     n = plan.n_samples
     omega = np.empty((_CHUNK, 3))
     rows = _Rows(max(problem[3] for problem in problems))
@@ -308,13 +310,17 @@ def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan, then=None) ->
     its exception re-raised here.  A default `verify` pass peaks at 15.2 MiB
     of traced memory.
     """
+    # numpy.random is imported here, on the calling thread, before the worker
+    # starts: a run that draws nothing never loads it
+    from numpy.random import default_rng
+
     n = plan.n_samples
     # per side and problem: [sum of w*D, sum of (w*D)^2, sum of w]; weights are >= 0
     sums = [[[0.0, 0.0, 0.0] for _ in problems] for _ in (0, 1)]
 
     def add_side(side):
         pair = np.empty(6 * _BATCH)
-        _add_side(sums[side], problems, consts, plan, side, pair)
+        _add_side(sums[side], problems, consts, plan, side, pair, default_rng)
         if side == 1 and then is not None:
             then(pair)
 

@@ -194,36 +194,46 @@ def ray_integrate(
 
     sigma is treated as constant per cell (midpoint of the nodal values) and
     the emission as linear per cell; both choices make the sweep exact for
-    constant coefficients.
+    constant coefficients.  The attenuation and emission moments depend on a
+    cell only through (sigma, delta), so they are taken once per distinct
+    pair: a few pairs for a uniform sigma.  Both directions advance in one
+    loop, the +mu field from y = 0 and the -mu field from y = L.
     """
     mu = angles.mu
     n_y = grid.n_y
-    # per-node and per-cell columns, broadcast against mu
     j = np.broadcast_to(np.asarray(emission_nodes, dtype=float), (n_y,))[:, None]
     sigma = np.broadcast_to(np.asarray(sigma_nodes, dtype=float), (n_y,))
-    sigma_c = (0.5 * (sigma[1:] + sigma[:-1]))[:, None]
-    deltas = np.diff(grid.y)[:, None]
-    att = np.exp(-sigma_c * deltas / mu)
-    # _linear_emission_integral in both directions on one set of moments: the
-    # slope s changes sign, and subtracting -s * i1 adds s * i1 exactly
-    i0, i1 = _emission_moments(sigma_c, deltas, mu)
-    s = (j[1:] - j[:-1]) / deltas
-    e_plus = j[1:] * i0 - s * i1
-    e_minus = j[:-1] * i0 + s * i1
-    del i0, i1
+    deltas = np.diff(grid.y)
+    pairs = np.stack([0.5 * (sigma[1:] + sigma[:-1]), deltas], axis=1)
+    cells, cell = np.unique(pairs, axis=0, return_inverse=True)
+    sigma_c, delta = cells.T[:, :, None]
+    i0, i1 = _emission_moments(sigma_c, delta, mu)
 
-    shape = (n_y, angles.n_mu)
-    g_plus = np.empty(shape)
-    g_plus[0] = a_plus(mu)
+    # g[i] = (G(y_i, +mu), G(y_(n_y-1-i), -mu)): step k crosses cell k in +mu
+    # and cell n_y - 2 - k in -mu, and row k + 1 holds the step's emission
+    # until the step adds the attenuated row k to it.  The emission is
+    # _linear_emission_integral in both directions on one set of moments:
+    # the slope s changes sign, and subtracting -s * i1 adds s * i1 exactly
+    g = np.empty((n_y, 2, angles.n_mu))
+    e_plus, e_minus = g[1:, 0], g[:0:-1, 1]
+    slope = i1[cell]
+    slope *= (j[1:] - j[:-1]) / deltas[:, None]
+    np.take(i0, cell, axis=0, out=e_plus)
+    e_plus *= j[1:]
+    e_plus -= slope
+    np.take(i0, cell, axis=0, out=e_minus)
+    e_minus *= j[:-1]
+    e_minus += slope
+    del slope
+
+    att = np.exp(-sigma_c * delta / mu)[np.stack([cell, cell[::-1]], axis=1)]
+    g[0] = a_plus(mu), a_minus(mu)
+    step = np.empty((2, angles.n_mu))
     for k in range(n_y - 1):
-        g_plus[k + 1] = g_plus[k] * att[k] + e_plus[k]
-
-    g_minus = np.empty(shape)
-    g_minus[n_y - 1] = a_minus(mu)
-    for k in range(n_y - 2, -1, -1):
-        g_minus[k] = g_minus[k + 1] * att[k] + e_minus[k]
-
-    return RadiationField(grid=grid, angles=angles, g_plus=g_plus, g_minus=g_minus)
+        np.multiply(g[k], att[k], out=step)
+        g[k + 1] += step
+    del att
+    return RadiationField(grid=grid, angles=angles, g_plus=g[:, 0].copy(), g_minus=g[::-1, 1].copy())
 
 
 def transport_solve(

@@ -782,21 +782,53 @@ def fresh_python(code: str, *args: str) -> str:
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True).stdout
 
 
+def config_digest_is_hashlib_sha256(manifest_path) -> bool:
+    manifest = json.loads(manifest_path.read_text())
+    resolved = "\n".join(manifest["resolved_config"]).encode()
+    return manifest["config_sha256"] == hashlib.sha256(resolved).hexdigest()
+
+
 def test_runs_load_no_scipy_submodule(tmp_path):
-    # a fresh process: import the CLI, then one small job of every subcommand;
-    # the solvers and the manifest run on numpy alone, so no scipy module loads
+    # a fresh process: import the CLI, then one small job of every subcommand,
+    # verify last; the solvers and the manifest run on numpy alone, so no
+    # scipy module loads, and until verify draws its samples neither
+    # numpy.random nor hashlib (OpenSSL) is loaded
+    assert list(SMALL_RUNS)[-1] == "verify"
     code = (
         "import contextlib, io, json, sys, radgas.cli\n"
         "runs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
+        "codes, before_verify = {}, None\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    codes = {name: radgas.cli.main(argv + ['--out', out + '/' + name]) for name, argv in runs.items()}\n"
-        "print(json.dumps({'codes': codes, 'modules': sorted(sys.modules)}))\n"
+        "    for name, argv in runs.items():\n"
+        "        if name == 'verify':\n"
+        "            before_verify = sorted(sys.modules)\n"
+        "        codes[name] = radgas.cli.main(argv + ['--out', out + '/' + name])\n"
+        "print(json.dumps({'codes': codes, 'before_verify': before_verify, 'modules': sorted(sys.modules)}))\n"
     )
     result = json.loads(fresh_python(code, json.dumps(SMALL_RUNS), str(tmp_path)))
     assert sorted(result["codes"]) == sorted(SUBCOMMANDS)
     assert all(code in (0, 1) for code in result["codes"].values()), result["codes"]
-    assert all((tmp_path / name / "manifest.json").exists() for name in SMALL_RUNS)
+    assert result["codes"]["verify"] == 0
+    assert all(config_digest_is_hashlib_sha256(tmp_path / name / "manifest.json") for name in SMALL_RUNS)
     assert [m for m in result["modules"] if m == "scipy" or m.startswith("scipy.")] == []
+    lazy = ["numpy.random", "hashlib", "_hashlib"]
+    assert [m for m in lazy if m in result["before_verify"]] == []
+    assert "numpy.random" in result["modules"]
+
+
+def test_config_digest_without_the_builtin_sha256(tmp_path):
+    # with neither _sha2 (Python 3.12+) nor _sha256 (3.11) importable, the
+    # manifest's digest comes from hashlib, and is the same
+    code = (
+        "import contextlib, io, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import radgas.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = radgas.cli.main(['three-level', '--n-y=33', '--n-mu=16', '--out', sys.argv[1]])\n"
+        "print(code, 'hashlib' in sys.modules)\n"
+    )
+    assert fresh_python(code, str(tmp_path)).split() == ["0", "True"]
+    assert config_digest_is_hashlib_sha256(tmp_path / "manifest.json")
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc limits are glibc's")

@@ -20,7 +20,7 @@ from radgas import (
     mc_oracle,
     fit_calibration,
 )
-from radgas.collision_reduction import _pair_integrals, _t1_integrals, structural_value
+from radgas.collision_reduction import _pair_integrals, _quad_grid, _t1_integrals, structural_value
 
 FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
 PHYS = PhysConsts(epsilon0=1.0, sigma=1.0)
@@ -119,6 +119,18 @@ class TestTripleIntegral:
     def test_closed_theta_matches_triple_gauss_oracle(self, kind, T1, T2):
         p = ReducedKernelParams(T1, T2, 1.0)
         assert integral(kind, p, SPEC) == pytest.approx(triple_oracle(kind, p), rel=1e-13)
+
+    @pytest.mark.parametrize("n_r, n_rho", [(96, 96), (16, 24), (24, 16)])
+    def test_grid_takes_each_axis_rule_bit_for_bit(self, n_r, n_rho):
+        # one Gauss-Legendre rule serves both axes when the counts are equal
+        spec = TripleQuadSpec(n_r=n_r, n_rho=n_rho)
+        (xr, wr), (xq, wq) = np.polynomial.legendre.leggauss(n_r), np.polynomial.legendre.leggauss(n_rho)
+        r, rho = 0.5 * spec.r_max * (xr + 1.0), 0.5 * spec.r_max * (xq + 1.0)
+        R, RHO = np.meshgrid(r, rho, indexing="ij")
+        weight = math.pi**2 * R**2 * RHO**2 * np.exp(-0.5 * (R**2 + RHO**2))
+        weight = weight * np.outer(0.5 * spec.r_max * wr, 0.5 * spec.r_max * wq)
+        want = [(RHO**2).ravel(), (RHO * R).ravel(), (R**2).ravel(), weight.ravel()]
+        assert [a.tobytes() for a in _quad_grid(spec)] == [a.tobytes() for a in want]
 
     def test_spec_has_no_theta_nodes(self):
         with pytest.raises(TypeError):

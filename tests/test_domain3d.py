@@ -11,6 +11,7 @@ from scipy.fft import next_fast_len, rfftn
 from scipy.special import expn
 
 import radgas.domain3d
+import radgas.picard
 from radgas import NotInterior
 from radgas.picard import FixedPoint
 from radgas.domain3d import (
@@ -643,7 +644,39 @@ class TestNearestInterior:
         np.testing.assert_array_equal(_build_lattice(domain, LatticeSpec(n))[2], want)
 
 
+def solve_w_oracle(domain, f, lattice, sphere):
+    """solve_w with every step a convolution, step(0) included, as before
+    the zero iterate took the forcing: (values, picard_diffs, iterations)."""
+    d = radgas.domain3d
+    pts, inside, frac_grid, spacing = d._build_lattice(domain, lattice)
+    nodes, weights = sphere.nodes_weights()
+    flux, mass = _attenuation_pass(domain, pts, nodes, weights, d._profile_values(f, nodes))
+    forcing, kernel_mass = flux / (4.0 * math.pi), mass / (4.0 * math.pi)
+    table = _kernel_table(lattice.n, spacing)
+    table_hat = np.fft.rfftn(table)
+    scale = kernel_mass / fftconvolve(frac_grid, table_hat, table.shape)[inside]
+    frac, w_grid = frac_grid[inside], np.zeros(inside.shape)
+
+    def sweep(w):
+        w_grid[inside] = w * frac
+        return scale * fftconvolve(w_grid, table_hat, table.shape)[inside] + forcing
+
+    picard = radgas.picard.fixed_point(sweep, np.zeros(len(pts)), 1e-10, 500)
+    return picard.x, picard.diffs, picard.iterations
+
+
 class TestSolveW:
+    @pytest.mark.parametrize(
+        "domain, n, f",
+        [(BALL, 24, f_up), (BALL, 16, f_iso), (BOX, 12, f_iso), (BALL, 12, lambda n: np.zeros(len(n)))],
+        ids=["ball-24-up", "ball-16-isotropic", "box-12-isotropic", "ball-12-zero"],
+    )
+    def test_zero_iterate_takes_the_forcing_bit_for_bit(self, domain, n, f):
+        field = solve_w(domain, f, LatticeSpec(n), SPHERE)
+        values, diffs, iterations = solve_w_oracle(domain, f, LatticeSpec(n), SPHERE)
+        assert field.values.tobytes() == values.tobytes()
+        assert field.picard_diffs == diffs and field.iterations == iterations
+
     @pytest.mark.parametrize("domain", [BALL, BOX])
     def test_kernel_mass_matches_kernel_mass_at(self, domain):
         field = solve_w(domain, f_up, LatticeSpec(12), SPHERE)
@@ -675,7 +708,9 @@ class TestSolveW:
         row = {tuple(p): i for i, p in enumerate(field.points)}
         blocks = sorted((points for points, _ in rays), key=lambda points: row[tuple(points[0])])
         assert np.array_equal(np.concatenate(blocks), field.points)
-        assert calls == {"conv": 1 + field.iterations}
+        # one for the row scale, then one per step but the first: step(0)
+        # is the forcing, with no convolution
+        assert calls == {"conv": field.iterations}
 
     def test_geometry_memory_bounded_by_blocks(self):
         # a single (P, S) exit-distance pass peaked at 272 MB here

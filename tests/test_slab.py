@@ -131,6 +131,29 @@ def per_cell_sweep(sigma_nodes, j, a_plus, a_minus, grid, angles):
     return g_plus, g_minus
 
 
+def two_loop_sweep(sigma_nodes, j, a_plus, a_minus, grid, angles):
+    """ray_integrate as it was before the one-loop sweep: every cell's
+    coefficients up front, then one loop per direction."""
+    mu = angles.mu
+    j = np.asarray(j, dtype=float)[:, None]
+    sigma_c = (0.5 * (sigma_nodes[1:] + sigma_nodes[:-1]))[:, None]
+    deltas = np.diff(grid.y)[:, None]
+    att = np.exp(-sigma_c * deltas / mu)
+    i0, i1 = radgas.slab._emission_moments(sigma_c, deltas, mu)
+    s = (j[1:] - j[:-1]) / deltas
+    e_plus = j[1:] * i0 - s * i1
+    e_minus = j[:-1] * i0 + s * i1
+    g_plus = np.empty((grid.n_y, angles.n_mu))
+    g_plus[0] = a_plus(mu)
+    for k in range(grid.n_y - 1):
+        g_plus[k + 1] = g_plus[k] * att[k] + e_plus[k]
+    g_minus = np.empty_like(g_plus)
+    g_minus[-1] = a_minus(mu)
+    for k in range(grid.n_y - 2, -1, -1):
+        g_minus[k] = g_minus[k + 1] * att[k] + e_minus[k]
+    return g_plus, g_minus
+
+
 class TestAngleGrid:
     def test_weights_reproduce_unit_integral(self):
         a = AngleGrid(n_mu=24)
@@ -222,6 +245,46 @@ class TestHoistedSweep:
         g_plus, g_minus = per_cell_sweep(sigma, emission, *bc, grid, ANGLES)
         np.testing.assert_array_equal(field.g_plus, g_plus)
         np.testing.assert_array_equal(field.g_minus, g_minus)
+
+
+class TestOneLoopSweep:
+    """The sweep over distinct cells, both directions in one loop, against the two-loop sweep."""
+
+    BC = (BoundaryProfile.from_function(lambda m: 1.0 + 0.5 * m, "linear"), BoundaryProfile.constant(0.2))
+
+    def assert_matches_two_loops(self, sigma, emission, grid):
+        field = ray_integrate(sigma, emission, *self.BC, grid, ANGLES)
+        g_plus, g_minus = two_loop_sweep(sigma, emission, *self.BC, grid, ANGLES)
+        assert field.g_plus.tobytes() == g_plus.tobytes()
+        assert field.g_minus.tobytes() == g_minus.tobytes()
+        assert field.g_plus.flags.c_contiguous and field.g_minus.flags.c_contiguous
+
+    def test_transport_solve_with_varying_rho_and_t(self):
+        grid = SlabGrid(L=2.0, n_y=129)
+        y = grid.y
+        rho, T = 1.0 + 0.3 * np.sin(3.0 * y), 0.8 + 0.5 * y
+        field = transport_solve(rho, T, self.BC, CONSTS, grid, ANGLES)
+        q = np.exp(-2.0 * CONSTS.epsilon0 / T)
+        sigma, emission = CONSTS.epsilon0 * rho * (1.0 - q), CONSTS.epsilon0 * rho * q
+        assert len(np.unique(0.5 * (sigma[1:] + sigma[:-1]))) == grid.n_y - 1
+        g_plus, g_minus = two_loop_sweep(sigma, emission, *self.BC, grid, ANGLES)
+        assert field.g_plus.tobytes() == g_plus.tobytes()
+        assert field.g_minus.tobytes() == g_minus.tobytes()
+
+    @pytest.mark.parametrize("sigma0", [1.0, 0.37])
+    def test_spacings_that_differ_in_the_last_bit(self, sigma0):
+        grid = SlabGrid(L=0.3, n_y=100)
+        assert len(np.unique(np.diff(grid.y))) > 1
+        self.assert_matches_two_loops(np.full(grid.n_y, sigma0), 0.3 + np.cos(3.0 * grid.y), grid)
+
+    @pytest.mark.parametrize("n_y", [16, 65, 257])
+    def test_uniform_and_nonuniform_sigma(self, n_y):
+        grid = SlabGrid(L=1.0, n_y=n_y)
+        rng = np.random.default_rng(n_y)
+        sigma = rng.uniform(0.0, 3.0, size=n_y)
+        sigma[:3] = 0.0  # a zero-absorption cell
+        self.assert_matches_two_loops(sigma, rng.normal(size=n_y), grid)
+        self.assert_matches_two_loops(np.ones(n_y), rng.normal(size=n_y), grid)
 
 
 class TestFlux:
