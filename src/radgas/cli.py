@@ -1,5 +1,5 @@
 """Batch command-line driver: flat key = value configs, per-subcommand numeric
-overrides, CSV/JSON artifacts with a manifest.
+overrides, CSV, JSON and .npz artifacts with a manifest.
 
 `parse_config` builds each run's solver inputs once (`_INPUTS`) and stores
 them on `RunConfig.inputs` for the runners.  Those objects decide every range
@@ -8,9 +8,11 @@ checks only the keys no object reads, the words of word-valued keys (listed in
 `_SCHEMAS`) and the lists `box`, `samples` and `t_entropy`.
 
 Exit codes: 0 success; 1 solver-reported nonconvergence or a NONEXISTENT
-verdict (the report is still written); 2 configuration error.  Artifacts are
-bit-identical for identical (config, seed): every float is serialized with 17
-significant digits and all randomness is seeded.
+verdict (the report is still written); 2 configuration error, which includes
+an unreadable config file and an output directory that cannot be made.
+Artifacts are bit-identical for identical (config, seed): a CSV or JSON float
+is written with 17 significant digits, an .npz array keeps its float64 bits,
+and all randomness is seeded.
 """
 
 from __future__ import annotations
@@ -183,18 +185,24 @@ def _convert(key, raw, typ):
 
 
 def _read_config_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file {path!r} does not exist")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        raise ConfigError(f"config file {path!r} does not exist") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8: byte {exc.start} ({exc.reason})") from None
     entries = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
-            key, value = (part.strip() for part in body.split("=", 1))
-            entries[key] = (value, lineno)
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
+        key, value = (part.strip() for part in body.split("=", 1))
+        entries[key] = (value, lineno)
     return entries
 
 
@@ -444,40 +452,39 @@ _INPUTS = {
 # ---------------------------------------------------------------------------
 
 
-#: Rows formatted per write in `_Artifacts.csv`.  Writing a block of four
-#: float64 columns peaks at 3.1 MiB of numpy temporaries (24 field bytes per
-#: value and a few 8-byte words per float), under the 4.0 MiB of Python floats
-#: the former per-row writer held for each of its 2^15-row blocks.
-_CSV_BLOCK = 1 << 13
-
-
 class _Artifacts:
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.records = []
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir!r}: {exc.strerror}") from None
 
     def csv(self, name: str, header: list, columns) -> None:
-        """One row per index of the equal-length columns, fields joined by commas.
-
-        A float64 column is written with %.17g (the bytes of _fmt); any other
-        column goes through str; a column may also be a `csvformat.Lookup`.
-        Rows are formatted in numpy, _CSV_BLOCK at a time.  A header whose
-        length is not the number of columns, or columns of unequal lengths,
-        raise ValueError before the file is opened.
+        """One row per index of the equal-length columns, each value written
+        by `_fmt` (a float64 column with %.17g) and joined by commas.  A
+        header whose length is not the number of columns, or columns of
+        unequal lengths, raise ValueError before the file is opened.
         """
-        from .csvformat import Lookup, block_bytes
-
-        cols = [c if isinstance(c, Lookup) else np.asarray(c) for c in columns]
+        cols = [np.asarray(c) for c in columns]
         lengths = [len(c) for c in cols]
         if len(header) != len(cols) or len(set(lengths)) > 1:
             raise ValueError(f"{name}: {len(header)} header fields for columns of lengths {lengths}")
-        rows = lengths[0] if cols else 0
+        # "%.17g" % x is _fmt(x) for a float; any other column is formatted first
+        row = ",".join("%.17g" if c.dtype == np.float64 else "%s" for c in cols) + "\n"
+        values = [c.tolist() if c.dtype == np.float64 else list(map(_fmt, c.tolist())) for c in cols]
+        text = ",".join(header) + "\n" + "".join([row % r for r in zip(*values)])
         with open(os.path.join(self.out_dir, name), "wb") as fh:
-            fh.write((",".join(header) + "\n").encode())
-            for start in range(0, rows, _CSV_BLOCK):
-                fh.write(block_bytes(cols, slice(start, start + _CSV_BLOCK)))
-        self.records.append({"name": name, "rows": rows, "header": header})
+            fh.write(text.encode())
+        self.records.append({"name": name, "rows": lengths[0] if cols else 0, "header": header})
+
+    def npz(self, name: str, **arrays) -> None:
+        """The arrays in one uncompressed `np.savez` archive, each under its
+        keyword; the manifest record gives every array's shape."""
+        np.savez(os.path.join(self.out_dir, name), **arrays)
+        shapes = {key: list(np.shape(a)) for key, a in arrays.items()}
+        self.records.append({"name": name, "rows": None, "header": None, "shape": shapes})
 
     def json(self, name: str, payload: dict) -> None:
         path = os.path.join(self.out_dir, name)
@@ -522,30 +529,9 @@ def _strict_json(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def _radiation_columns(field):
-    """(y, mu, sign, G): per node, the +mu rows and then the -mu rows.
-
-    y, mu and sign are `Lookup` columns: each distinct value is formatted once.
-    """
-    from .csvformat import Lookup
-
-    n_y, n_mu = field.grid.n_y, field.angles.n_mu
-    signs = np.repeat(np.arange(2, dtype=np.int32), n_mu)
-    return [
-        Lookup(field.grid.y, np.repeat(np.arange(n_y, dtype=np.int32), 2 * n_mu)),
-        Lookup(field.angles.mu, np.tile(np.arange(n_mu, dtype=np.int32), 2 * n_y)),
-        Lookup([1, -1], np.tile(signs, n_y)),
-        np.concatenate([field.g_plus, field.g_minus], axis=1).ravel(),
-    ]
-
-
-def _lattice_column(values):
-    """A lattice coordinate column as a `Lookup`: it takes one value per
-    lattice line, so each distinct bit pattern is formatted once."""
-    from .csvformat import Lookup
-
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    return Lookup(bits.view(np.float64), index)
+def _radiation_arrays(field) -> dict:
+    """The `radiation.npz` arrays of a RadiationField: y, mu, G_plus and G_minus."""
+    return {"y": field.grid.y, "mu": field.angles.mu, "G_plus": field.g_plus, "G_minus": field.g_minus}
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +583,7 @@ def _run_slab(config: RunConfig, art: _Artifacts) -> int:
             "j0": res.j0,
             "energy_residual_max": float(np.max(np.abs(res.energy_residual[1:-1]))),
         }
-    art.csv("radiation.csv", ["y", "mu", "sign", "G"], _radiation_columns(field))
+    art.npz("radiation.npz", **_radiation_arrays(field))
     art.json(
         "report.json",
         {
@@ -617,7 +603,7 @@ def _run_domain3d(config: RunConfig, art: _Artifacts) -> int:
 
     p = config.inputs
     field = solve_w(p.domain, p.f, p.lattice, p.sphere)
-    art.csv("w.csv", ["x", "y", "z", "w"], [*map(_lattice_column, field.points.T), field.values])
+    art.npz("w.npz", points=field.points, w=field.values)
     art.json(
         "report.json",
         {
@@ -653,7 +639,7 @@ def _run_three_level(config: RunConfig, art: _Artifacts) -> int:
         ["y", "sigma1", "sigma2", "sigma3", "xi"],
         [p.grid.y, sol.sigma1, sol.sigma2, sol.sigma3, sol.xi],
     )
-    art.csv("radiation.csv", ["y", "mu", "sign", "G"], _radiation_columns(sol.h))
+    art.npz("radiation.npz", **_radiation_arrays(sol.h))
     dev, where = lte_deviation(sol)
     art.json(
         "report.json",
@@ -835,14 +821,14 @@ def main(argv=None) -> int:
     }
     try:
         config = parse_config(args.subcommand, args.config, overrides)
+        if args.print_config:
+            print("\n".join(config.lines()))
+            return 0
+        # in a run, only making the output directory raises ConfigError, before any solve
+        return run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.print_config:
-        print("\n".join(config.lines()))
-        return 0
-    try:
-        return run(config)
     except (RadgasError, MemoryError) as exc:
         reason = "out of memory: " if isinstance(exc, MemoryError) else ""
         print(f"solver error: {reason}{exc}", file=sys.stderr)

@@ -13,6 +13,9 @@ import numpy as np
 import pytest
 from scipy.special import exp1, expn
 
+import radgas.domain3d
+import radgas.slab
+import radgas.three_level
 from radgas import PhysConsts, MaxwellianState, CollisionTuple
 from radgas.cli import main as cli_main
 from radgas.collision_reduction import TripleQuadSpec, fit_calibration
@@ -55,18 +58,31 @@ FIG1_SHA256 = {
     "contours.csv": "30b846258b610bddabea62a23eb7cbda09dede982d680848159862867c589a24",
 }
 #: Bits of the transport and volume artifacts at their default configs (domain3d
-#: at lattice 24), as the per-row "%.17g" writer wrote them: the CSV writer and
-#: the solves under these files must keep every byte.  The domain3d w is the
-#: fixed-point solve's own result; it was re-pinned when GMRES replaced the
-#: Anderson loop and moved w by 1.5e-11 relative.
+#: at lattice 24): the writers and the solves under these files must keep every
+#: byte.  The domain3d w is the fixed-point solve's own result; it was re-pinned
+#: when GMRES replaced the Anderson loop and moved w by 1.5e-11 relative.
 ARTIFACT_SHA256 = {
-    ("slab-lte",): {"radiation.csv": "1b09672377fbb683fab5c3ea24ef10390c326ada4f72daefa92788627f592f83"},
-    ("slab-exp",): {"radiation.csv": "b855b4bb43b5a8b66877e08e2643e7b0a1676920e82dabf80bc9607c5a7cecdb"},
+    ("slab-lte",): {"radiation.npz": "b5fa214cbbcf366e235393cefc1266d782e23f09da13a808f474413d152c3b88"},
+    ("slab-exp",): {"radiation.npz": "c3adbc69340a1761b906d569221a9dacc2b9fcadb7d1d119e8311a96d0e08b3b"},
     ("three-level",): {
         "solution.csv": "022c463ec2f1f24b717a6c0d99036c0391cf8b2ede76869c5ac7949f1235a386",
-        "radiation.csv": "c9d404e5f24aa95b09fc68aa29aea57c4550a3edae258540459033a4e4d1db8d",
+        "radiation.npz": "ee7368876d153a95e8d6abd810bd276d9ff416c717ddac01a8ab717dd488b095",
     },
-    ("domain3d", "--lattice-n", "24"): {"w.csv": "39060c0fdcd027140f7eff52ba69ce12666bc4f216fea72ab0b7e298f6c38aca"},
+    ("domain3d", "--lattice-n", "24"): {"w.npz": "b77c68dc675f5cebd341f84d16796e22cb556c19d85f1daf7ed03d95fca513d1"},
+}
+
+
+def _radiation(field) -> dict:
+    return {"y": field.grid.y, "mu": field.angles.mu, "G_plus": field.g_plus, "G_minus": field.g_minus}
+
+
+#: Per subcommand: the solve the CLI calls (module, name), the archive it
+#: writes and the arrays of the solve's result that the archive holds.
+SOLVER_ARRAYS = {
+    "slab-lte": (radgas.slab, "solve_lte_fredholm", "radiation.npz", lambda res: _radiation(res.h_field)),
+    "slab-exp": (radgas.slab, "solve_exp_limit", "radiation.npz", lambda res: _radiation(res.H)),
+    "three-level": (radgas.three_level, "solve_three_level", "radiation.npz", lambda sol: _radiation(sol.h)),
+    "domain3d": (radgas.domain3d, "solve_w", "w.npz", lambda field: {"points": field.points, "w": field.values}),
 }
 
 
@@ -256,6 +272,22 @@ def test_artifacts_pinned(tmp_path, argv):
     assert cli_main([*argv, "--out", str(out)]) == 0
     sha = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in ARTIFACT_SHA256[argv]}
     assert sha == ARTIFACT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", list(ARTIFACT_SHA256), ids=" ".join)
+def test_archives_hold_the_solver_arrays_bit_for_bit(tmp_path, monkeypatch, argv):
+    module, name, archive, arrays = SOLVER_ARRAYS[argv[0]]
+    results, solve = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: results.append(solve(*a, **k)) or results[-1])
+    out = tmp_path / "run"
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    (result,) = results
+    expected = arrays(result)
+    with np.load(out / archive) as stored:
+        assert stored.files == list(expected)
+        for key, value in expected.items():
+            got = stored[key]
+            assert got.dtype == np.float64 and got.shape == value.shape and got.tobytes() == value.tobytes(), key
 
 
 def _radial_oracle_ball(radius: float, m: int):

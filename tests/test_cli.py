@@ -30,13 +30,11 @@ from radgas.cli import (
     _SCHEMAS,
     _Artifacts,
     _fmt,
-    _lattice_column,
-    _radiation_columns,
+    _radiation_arrays,
     _strict_json,
     main,
     parse_config,
 )
-from radgas.csvformat import FIELD, NUMPY_MIN, Lookup, block_bytes, format_floats
 from radgas.slab import AngleGrid, RadiationField, SlabGrid
 
 
@@ -118,7 +116,7 @@ class TestParseConfig:
 
 
 class TestCsvWriter:
-    """The column writer against the per-value _fmt join it replaces."""
+    """The CSV writer against the per-value _fmt join, and the .npz writer."""
 
     @staticmethod
     def fmt_join(header, rows):
@@ -133,32 +131,16 @@ class TestCsvWriter:
             np.arange(n, dtype=np.int64) * 10**12,  # numpy ints
             np.arange(n) % 3 == 0,  # bools
             floats[::-1].copy(),
+            np.array(["a", "", "long label", "-"] * 3, dtype=object)[:n],  # strings
         ]
-        header = ["f", "py_int", "np_int", "flag", "g"]
+        header = ["f", "py_int", "np_int", "flag", "g", "s"]
         art = _Artifacts(str(tmp_path))
         art.csv("t.csv", header, columns)
         assert (tmp_path / "t.csv").read_text() == self.fmt_join(header, zip(*columns))
         assert art.records == [{"name": "t.csv", "rows": n, "header": header}]
 
-    def test_blocks_write_the_bytes_of_one_pass(self, tmp_path, monkeypatch):
-        n = 2 * radgas.cli._CSV_BLOCK + 123  # three blocks, the last one partial
-        rng = np.random.default_rng(11)
-        labels = np.tile(np.array(["a", "bc"], dtype=object), n // 2 + 1)[:n]
-        columns = [rng.normal(size=n), np.arange(n) % 7, labels]
-        header = ["x", "k", "s"]
-        _Artifacts(str(tmp_path / "blocks")).csv("t.csv", header, columns)
-        monkeypatch.setattr(radgas.cli, "_CSV_BLOCK", n)
-        art = _Artifacts(str(tmp_path / "one"))
-        art.csv("t.csv", header, columns)
-        assert (tmp_path / "blocks" / "t.csv").read_bytes() == (tmp_path / "one" / "t.csv").read_bytes()
-        assert art.records == [{"name": "t.csv", "rows": n, "header": header}]
-        lines = (tmp_path / "one" / "t.csv").read_text().splitlines()
-        assert len(lines) == n + 1
-        assert lines[-1] == self.fmt_join([], [[c[-1] for c in columns]]).strip()
-
-    @pytest.mark.parametrize("n", [NUMPY_MIN - 1, NUMPY_MIN, 3 * NUMPY_MIN + 5])
+    @pytest.mark.parametrize("n", [199, 200, 605])
     def test_short_and_long_float_columns_match_per_value_fmt(self, tmp_path, n):
-        # below NUMPY_MIN values Python formats a float column, from it numpy
         rng = np.random.default_rng(n)
         x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 19, size=n)
         x[:6] = [0.0, -0.0, np.nan, np.inf, 5e-324, 1e300]
@@ -167,88 +149,11 @@ class TestCsvWriter:
         _Artifacts(str(tmp_path)).csv("t.csv", header, columns)
         assert (tmp_path / "t.csv").read_text() == self.fmt_join(header, zip(*columns))
 
-    def test_radiation_columns_match_row_order(self, tmp_path):
-        grid, angles = SlabGrid(L=1.0, n_y=17), AngleGrid(n_mu=16)
-        rng = np.random.default_rng(5)
-        field = RadiationField(grid, angles, rng.normal(size=(17, 16)), rng.normal(size=(17, 16)))
-        rows = [
-            (float(yi), float(mj), sign, g[i, j])
-            for i, yi in enumerate(grid.y)
-            for sign, g in ((1, field.g_plus), (-1, field.g_minus))
-            for j, mj in enumerate(angles.mu)
-        ]
-        header = ["y", "mu", "sign", "G"]
-        _Artifacts(str(tmp_path)).csv("r.csv", header, _radiation_columns(field))
-        assert (tmp_path / "r.csv").read_text() == self.fmt_join(header, rows)
-
-    def test_lattice_columns_write_the_float_columns_bytes(self, tmp_path):
-        # 0.0 and -0.0 compare equal but print differently: the lookup keeps both
-        rng = np.random.default_rng(3)
-        axis = np.concatenate([[0.0, -0.0, 1e-7, np.nan], rng.normal(size=300)])
-        points = axis[rng.integers(len(axis), size=(2000, 3))]
-        header = ["x", "y", "z"]
-        columns = list(points.T)
-        art = _Artifacts(str(tmp_path))
-        art.csv("plain.csv", header, columns)
-        art.csv("lookup.csv", header, [_lattice_column(c) for c in columns])
-        assert (tmp_path / "lookup.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
-
-    # values whose "%.17g" widths run from 1 byte to the full FIELD = 24
-    WIDE_AND_NARROW = [-1.2345678901234567e-300, 0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, 0.5, -2.0, 1e-7, 123456.75]
-
-    @pytest.mark.parametrize("n_values", [len(WIDE_AND_NARROW), NUMPY_MIN + 7])
-    def test_lookup_columns_of_mixed_widths_match_per_value_fmt(self, tmp_path, n_values):
-        # below NUMPY_MIN values Python formats a lookup's values, from it numpy
-        rng = np.random.default_rng(n_values)
-        spread = rng.normal(size=n_values) * 10.0 ** rng.integers(-9, 20, size=n_values)
-        values = np.concatenate([self.WIDE_AND_NARROW, spread])[:n_values]
-        labels = np.array(["a", "", "long label", "-"], dtype=object)
-        n = 3000
-        index = rng.integers(len(values), size=n)
-        floats = rng.normal(size=n) * 10.0 ** rng.integers(-8, 19, size=n)
-        floats[:4] = [0.0, -0.0, np.nan, -1.2345678901234567e-300]
-        label_index = rng.integers(len(labels), size=n)
-        header = ["v", "f", "k", "s", "l"]
-        columns = [Lookup(values, index), floats, np.arange(n) - 7, labels[label_index], Lookup(labels, label_index)]
-        _Artifacts(str(tmp_path)).csv("t.csv", header, columns)
-        rows = zip(values[index], floats, np.arange(n) - 7, labels[label_index], labels[label_index])
-        assert (tmp_path / "t.csv").read_text() == self.fmt_join(header, rows)
-
-    @pytest.mark.parametrize("values", [WIDE_AND_NARROW, [0.5, 0.25, 1.0], [1, -22, 333], ["", "xyz"]])
-    def test_lookup_width_is_the_bytes_any_value_uses(self, values):
-        # the widest value of each set covers every byte the others use
-        column = np.array(values, dtype=object if isinstance(values[0], str) else None)
-        lookup = Lookup(column, np.arange(len(values)))
-        assert lookup.items.itemsize == max(len(_fmt(v)) for v in column.tolist())
-        assert block_bytes([lookup], slice(0, len(values))).decode() == "".join(_fmt(v) + "\n" for v in column.tolist())
-
-    def test_lookup_of_empty_strings_keeps_one_byte(self):
-        lookup = Lookup(np.array(["", ""], dtype=object), np.array([1, 0, 1]))
-        assert lookup.items.itemsize == 1
-        assert block_bytes([lookup, np.arange(3)], slice(0, 3)) == b",0\n,1\n,2\n"
-
     def test_zero_row_table_is_its_header(self, tmp_path):
         art = _Artifacts(str(tmp_path))
-        empty = np.array([], dtype=np.int64)
-        art.csv("t.csv", ["x", "k", "v"], [np.array([]), empty, Lookup([1.5, 2.5], empty)])
-        assert (tmp_path / "t.csv").read_bytes() == b"x,k,v\n"
-        assert art.records == [{"name": "t.csv", "rows": 0, "header": ["x", "k", "v"]}]
-
-    def test_block_boundary_inside_a_lookup_run(self, tmp_path, monkeypatch):
-        # runs of 5 equal rows: the first block ends 4 rows into a run
-        block = radgas.cli._CSV_BLOCK
-        n = block + 3 * NUMPY_MIN
-        run = (np.arange(n) + 2) // 5
-        values = np.random.default_rng(4).normal(size=run[-1] + 1)
-        assert run[block - 1] == run[block]
-        columns = [Lookup(values, run), np.arange(n) / 7.0]
-        header = ["v", "x"]
-        _Artifacts(str(tmp_path / "blocks")).csv("t.csv", header, columns)
-        monkeypatch.setattr(radgas.cli, "_CSV_BLOCK", n)
-        _Artifacts(str(tmp_path / "one")).csv("t.csv", header, columns)
-        text = (tmp_path / "blocks" / "t.csv").read_text()
-        assert text == (tmp_path / "one" / "t.csv").read_text()
-        assert text == self.fmt_join(header, zip(values[run], columns[1]))
+        art.csv("t.csv", ["x", "k"], [np.array([]), np.array([], dtype=np.int64)])
+        assert (tmp_path / "t.csv").read_bytes() == b"x,k\n"
+        assert art.records == [{"name": "t.csv", "rows": 0, "header": ["x", "k"]}]
 
     @pytest.mark.parametrize(
         "header, columns",
@@ -257,7 +162,6 @@ class TestCsvWriter:
             (["x", "k"], [np.arange(3.0), np.arange(5)]),  # a shorter first column
             (["x"], [np.arange(5.0), np.arange(5)]),  # one header field for two columns
             (["x", "k", "v"], [np.arange(5.0), np.arange(5)]),
-            (["v", "x"], [Lookup([1.0, 2.0], np.arange(4) % 2), np.arange(5.0)]),
         ],
     )
     def test_mismatched_header_or_column_lengths_raise_before_writing(self, tmp_path, header, columns):
@@ -267,118 +171,42 @@ class TestCsvWriter:
         assert list(tmp_path.iterdir()) == []
         assert art.records == []
 
-    # tracemalloc peak of the former per-row writer on this table (object
-    # columns for y and mu, 2^15-row blocks of Python values): 14.03 MiB
-    PER_ROW_WRITER_PEAK = 14.03 * 2**20
+    def test_radiation_archive_rebuilds_the_row_order(self, tmp_path):
+        # per node the +mu rows, then the -mu rows: the recipe of the README
+        grid, angles = SlabGrid(L=1.0, n_y=17), AngleGrid(n_mu=16)
+        rng = np.random.default_rng(5)
+        field = RadiationField(grid, angles, rng.normal(size=(17, 16)), rng.normal(size=(17, 16)))
+        art = _Artifacts(str(tmp_path))
+        art.npz("radiation.npz", **_radiation_arrays(field))
+        shapes = {"y": [17], "mu": [16], "G_plus": [17, 16], "G_minus": [17, 16]}
+        assert art.records == [{"name": "radiation.npz", "rows": None, "header": None, "shape": shapes}]
+        z = np.load(tmp_path / "radiation.npz")
+        n_y, n_mu = z["G_plus"].shape
+        y, mu = np.repeat(z["y"], 2 * n_mu), np.tile(z["mu"], 2 * n_y)
+        sign, G = np.tile(np.repeat([1, -1], n_mu), n_y), np.hstack([z["G_plus"], z["G_minus"]]).ravel()
+        rows = [
+            (float(yi), float(mj), s, g[i, j])
+            for i, yi in enumerate(grid.y)
+            for s, g in ((1, field.g_plus), (-1, field.g_minus))
+            for j, mj in enumerate(angles.mu)
+        ]
+        assert list(zip(y.tolist(), mu.tolist(), sign.tolist(), G.tolist())) == rows
 
-    def test_radiation_table_peak_memory(self, tmp_path):
+    def test_radiation_archive_peak_memory(self, tmp_path):
+        # the archive streams each array into the zip: no concatenated copy
         grid, angles = SlabGrid(L=1.0, n_y=4097), AngleGrid(n_mu=48)
         rng = np.random.default_rng(5)
         field = RadiationField(grid, angles, rng.random((4097, 48)), rng.random((4097, 48)))
         art = _Artifacts(str(tmp_path))
-        art.csv("warm.csv", ["G"], [field.g_plus[:2].ravel()])  # first-use allocations
+        art.npz("warm.npz", G=field.g_plus[:2])  # first-use allocations
         tracemalloc.start()
         try:
-            art.csv("radiation.csv", ["y", "mu", "sign", "G"], _radiation_columns(field))
+            art.npz("radiation.npz", **_radiation_arrays(field))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert art.records[-1]["rows"] == 4097 * 96
-        assert peak <= 1.1 * self.PER_ROW_WRITER_PEAK
-
-    @pytest.mark.parametrize("n_y", [65, 129])
-    @pytest.mark.parametrize("subcommand", ["slab-lte", "slab-exp"])
-    def test_radiation_csv_matches_float_columns(self, tmp_path, monkeypatch, subcommand, n_y):
-        fields = []
-
-        def recording(field):
-            fields.append(field)
-            return _radiation_columns(field)
-
-        monkeypatch.setattr(radgas.cli, "_radiation_columns", recording)
-        out = tmp_path / "run"
-        assert main([subcommand, f"--n-y={n_y}", "--out", str(out)]) == 0
-        (field,) = fields
-        n_mu = field.angles.n_mu
-        # the generic writer on the float y and mu columns
-        _Artifacts(str(tmp_path / "ref")).csv(
-            "radiation.csv",
-            ["y", "mu", "sign", "G"],
-            [
-                np.repeat(field.grid.y, 2 * n_mu),
-                np.tile(field.angles.mu, 2 * n_y),
-                np.tile(np.repeat([1, -1], n_mu), n_y),
-                np.concatenate([field.g_plus, field.g_minus], axis=1).ravel(),
-            ],
-        )
-        assert (out / "radiation.csv").read_bytes() == (tmp_path / "ref" / "radiation.csv").read_bytes()
-
-
-def _formatted(values) -> list:
-    """The strings format_floats writes for `values`, one per value."""
-    fields = format_floats(np.asarray(values, dtype=np.float64))
-    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in fields]
-
-
-class TestFormatFloats:
-    """The numpy %.17g formatter against "%.17g" % v, value by value."""
-
-    @staticmethod
-    def check(values):
-        values = np.asarray(values, dtype=np.float64)
-        assert _formatted(values) == ["%.17g" % v for v in values.tolist()]
-
-    @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=50))
-    def test_hypothesis_floats(self, values):
-        self.check(values)
-
-    def test_random_bit_patterns(self):
-        rng = np.random.default_rng(2024)
-        self.check(rng.integers(0, 2**64, size=10**5, dtype=np.uint64).view(np.float64))
-
-    def test_neighbours_of_powers_of_ten(self):
-        values = []
-        for k in range(-7, 18):
-            p = float(f"1e{k}")
-            below = above = p
-            for _ in range(4):
-                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
-                values += [below, above]
-            values.append(p)
-        values = np.array(values)
-        self.check(np.concatenate([values, -values]))
-
-    def test_half_ulp_ties(self):
-        # the ulp near 1e15 is 1/8, so many of these end in a 5 just past the
-        # 17th digit: exact ties, rounded half to even
-        self.check(1e15 + np.arange(-400, 400) / 8)
-
-    def test_g_switch_points_and_largest_below_1e17(self):
-        # nextafter(1e17, 0) has 17 digits: no carry into the exponent
-        edges = [1e-5, 1e-4, 1e16, 1e17, np.nextafter(1e17, 0)]
-        values = [np.nextafter(e, d) for e in edges for d in (0.0, np.inf)] + edges
-        self.check(values + [-v for v in values])
-
-    def test_digit_patterns(self):
-        # short and trailing-zero digit strings at every exponent of the exact range
-        mantissas = np.concatenate([np.arange(1, 1000), [123456789012345678, 99999999999999999]])
-        values = np.array([float(m) * 10.0**e for m in mantissas for e in range(-9, 18)])
-        self.check(values)
-        self.check(-values)
-
-    def test_out_is_a_strided_slot_of_a_row_buffer(self):
-        # the slot's rows get the same bytes, NUL padding included; the bytes
-        # around it keep their value
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=500) * 10.0 ** rng.integers(-9, 20, size=500)
-        x[:5] = [0.0, -0.0, np.nan, -1.2345678901234567e-300, 1e300]
-        line = np.full((len(x), FIELD + 13), 7, np.uint8)
-        slot = line[:, 6 : 6 + FIELD]
-        assert format_floats(x, out=slot) is slot
-        assert np.array_equal(slot, format_floats(x))
-        assert (line[:, :6] == 7).all() and (line[:, 6 + FIELD :] == 7).all()
-        assert [row.tobytes().replace(b"\0", b"").decode() for row in slot] == ["%.17g" % v for v in x.tolist()]
+        assert art.records[-1]["shape"]["G_plus"] == [4097, 48]
+        assert peak <= 2 * field.g_plus.nbytes + 2**20
 
 
 class TestRun:
@@ -562,16 +390,42 @@ class TestRun:
             pytest.param(["levelscan", "--step", "1e-320"], id="step-overflows-window"),
             pytest.param(["three-level", "--xi-const", "nan"], id="xi-const-nan"),
             pytest.param(["slab-lte", "--t0", "inf"], id="t0-infinite"),
+            pytest.param(["slab-lte", "--out", "{tmp}/file"], id="out-is-a-file"),
+            pytest.param(["slab-lte", "--out", "{tmp}/file/sub"], id="out-under-a-file"),
+            pytest.param(["slab-lte", "--config", "{tmp}"], id="config-is-a-directory"),
+            pytest.param(["slab-lte", "--config", "{tmp}/latin1.cfg"], id="config-not-utf8"),
         ],
     )
     def test_bad_config_exit_two(self, tmp_path, capsys, argv):
+        (tmp_path / "file").write_text("n_y = 33\n")
+        (tmp_path / "latin1.cfg").write_bytes("n_y = 33  # \xe9t\xe9\n".encode("latin-1"))
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         try:
-            code = main(argv + ["--out", str(tmp_path / "x")])
+            # an --out of the case comes later and wins
+            code = main([argv[0], "--out", str(tmp_path / "x"), *argv[1:]])
         except SystemExit as exc:  # argparse rejects unknown options
             code = exc.code
         assert code == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "option, path, message",
+        [
+            ("--out", "file", "cannot create output directory {path!r}: File exists"),
+            ("--out", "file/sub", "cannot create output directory {path!r}: Not a directory"),
+            ("--config", "", "cannot read config file {path!r}: Is a directory"),
+            ("--config", "latin1.cfg", "config file {path!r} is not UTF-8: byte 12 (invalid continuation byte)"),
+        ],
+        ids=["out-is-a-file", "out-under-a-file", "config-is-a-directory", "config-not-utf8"],
+    )
+    def test_unusable_path_named_before_any_solve(self, tmp_path, monkeypatch, capsys, option, path, message):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "latin1.cfg").write_bytes("n_y = 33  # \xe9t\xe9\n".encode("latin-1"))
+        monkeypatch.setitem(radgas.cli._RUNNERS, "slab-lte", lambda config, art: pytest.fail("solved"))
+        path = os.path.join(tmp_path, path) if path else str(tmp_path)
+        assert main(["slab-lte", option, path]) == 2
+        assert capsys.readouterr().err == "config error: " + message.format(path=path) + "\n"
 
     @pytest.mark.parametrize(
         "argv, rejected_by",
@@ -751,7 +605,7 @@ class TestRun:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "w.csv").read_bytes() == (out2 / "w.csv").read_bytes()
-        assert (out1 / "radiation.csv").read_bytes() == (out2 / "radiation.csv").read_bytes()
+        assert (out1 / "radiation.npz").read_bytes() == (out2 / "radiation.npz").read_bytes()
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
     def test_three_level_solution_columns(self, tmp_path):
@@ -814,6 +668,28 @@ def test_runs_load_no_scipy_submodule(tmp_path):
     lazy = ["numpy.random", "hashlib", "_hashlib"]
     assert [m for m in lazy if m in result["before_verify"]] == []
     assert "numpy.random" in result["modules"]
+
+
+def test_manifest_records_every_artifact_with_rows_header_and_shapes(tmp_path, capsys):
+    # every record keeps "name", "rows" and "header" (the benchmark harness
+    # sums "rows"); an .npz record has null rows and header and the shape of
+    # each array it holds
+    archives = {}
+    for name, argv in SMALL_RUNS.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) in (0, 1)
+        records = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert sorted(r["name"] for r in records) == sorted(set(os.listdir(out)) - {"manifest.json"})
+        for record in records:
+            assert {"name", "rows", "header"} <= set(record)
+            if record["name"].endswith(".npz"):
+                assert record["rows"] is None and record["header"] is None
+                with np.load(out / record["name"]) as z:
+                    assert record["shape"] == {key: list(z[key].shape) for key in z.files}
+                archives[name] = record["name"]
+    assert archives == {
+        "slab-lte": "radiation.npz", "slab-exp": "radiation.npz", "domain3d": "w.npz", "three-level": "radiation.npz"
+    }
 
 
 def test_config_digest_without_the_builtin_sha256(tmp_path):
