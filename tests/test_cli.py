@@ -171,14 +171,15 @@ class TestCsvWriter:
         assert list(tmp_path.iterdir()) == []
         assert art.records == []
 
-    def test_radiation_archive_rebuilds_the_row_order(self, tmp_path):
+    @pytest.mark.parametrize("n_y, n_mu", [(17, 16), (16, 23)])
+    def test_radiation_archive_rebuilds_the_row_order(self, tmp_path, n_y, n_mu):
         # per node the +mu rows, then the -mu rows: the recipe of the README
-        grid, angles = SlabGrid(L=1.0, n_y=17), AngleGrid(n_mu=16)
+        grid, angles = SlabGrid(L=1.0, n_y=n_y), AngleGrid(n_mu=n_mu)
         rng = np.random.default_rng(5)
-        field = RadiationField(grid, angles, rng.normal(size=(17, 16)), rng.normal(size=(17, 16)))
+        field = RadiationField(grid, angles, rng.normal(size=(n_y, n_mu)), rng.normal(size=(n_y, n_mu)))
         art = _Artifacts(str(tmp_path))
         art.npz("radiation.npz", **_radiation_arrays(field))
-        shapes = {"y": [17], "mu": [16], "G_plus": [17, 16], "G_minus": [17, 16]}
+        shapes = {"y": [n_y], "mu": [n_mu], "G_plus": [n_y, n_mu], "G_minus": [n_y, n_mu]}
         assert art.records == [{"name": "radiation.npz", "rows": None, "header": None, "shape": shapes}]
         z = np.load(tmp_path / "radiation.npz")
         n_y, n_mu = z["G_plus"].shape
@@ -191,6 +192,36 @@ class TestCsvWriter:
             for j, mj in enumerate(angles.mu)
         ]
         assert list(zip(y.tolist(), mu.tolist(), sign.tolist(), G.tolist())) == rows
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+    def test_npz_keeps_every_float64_bit(self, bits):
+        # any bit pattern (NaN payloads, -0.0, subnormals) is stored as it is
+        x = np.array(bits, dtype=np.uint64).view(np.float64)
+        with tempfile.TemporaryDirectory() as out:
+            _Artifacts(out).npz("x.npz", x=x, square=x[: len(x) // 2 * 2].reshape(2, -1))
+            with np.load(os.path.join(out, "x.npz")) as z:
+                assert z["x"].dtype == np.float64 and z["x"].tobytes() == x.tobytes()
+                assert z["square"].shape == (2, len(x) // 2)
+
+    def test_npz_rewrite_gives_identical_bytes(self, tmp_path, monkeypatch):
+        # numpy dates every zip entry 1980-01-01: a write at another clock
+        # time gives the same bytes
+        x = np.random.default_rng(9).normal(size=(33, 16))
+        _Artifacts(str(tmp_path / "a")).npz("x.npz", x=x, y=x[0])
+        later, localtime = time.time() + 3e7, time.localtime
+        monkeypatch.setattr(time, "time", lambda: later)
+        monkeypatch.setattr(time, "localtime", lambda secs=None: localtime(later if secs is None else secs))
+        _Artifacts(str(tmp_path / "b")).npz("x.npz", x=x, y=x[0])
+        assert (tmp_path / "a" / "x.npz").read_bytes() == (tmp_path / "b" / "x.npz").read_bytes()
+
+    def test_npz_record_of_empty_and_zero_dimensional_arrays(self, tmp_path):
+        art = _Artifacts(str(tmp_path))
+        art.npz("t.npz", empty=np.zeros((0, 3)), scalar=np.float64(2.5))
+        assert art.records == [{"name": "t.npz", "rows": None, "header": None, "shape": {"empty": [0, 3], "scalar": []}}]
+        with np.load(tmp_path / "t.npz") as z:
+            assert z.files == ["empty", "scalar"]
+            assert z["empty"].shape == (0, 3) and z["scalar"][()] == 2.5
 
     def test_radiation_archive_peak_memory(self, tmp_path):
         # the archive streams each array into the zip: no concatenated copy
@@ -608,6 +639,14 @@ class TestRun:
         assert (out1 / "radiation.npz").read_bytes() == (out2 / "radiation.npz").read_bytes()
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
+    @pytest.mark.parametrize("subcommand", ["slab-lte", "three-level", "domain3d"])
+    def test_bit_identical_archive_reruns(self, tmp_path, subcommand):
+        args, archive = SMALL_RUNS[subcommand], ARCHIVES[subcommand][0]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        assert (out1 / archive).read_bytes() == (out2 / archive).read_bytes()
+
     def test_three_level_solution_columns(self, tmp_path):
         out = tmp_path / "tl"
         assert main(["three-level", "--n-y", "33", "--n-mu", "24", "--out", str(out)]) == 0
@@ -622,6 +661,13 @@ class TestRun:
         second = capsys.readouterr().out
         assert first == second
         assert "step = 0.1" in first
+
+    def test_print_config_makes_no_output_directory(self, tmp_path, capsys):
+        # only a run makes --out, so an --out that is a file does not matter here
+        (tmp_path / "file").write_text("")
+        assert main(["slab-lte", "--out", str(tmp_path / "file" / "sub"), "--print-config"]) == 0
+        assert "n_y = " in capsys.readouterr().out
+        assert (tmp_path / "file").read_text() == ""
 
     def test_env_var_default_out(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RADGAS_OUT", str(tmp_path / "envout"))
@@ -670,26 +716,30 @@ def test_runs_load_no_scipy_submodule(tmp_path):
     assert "numpy.random" in result["modules"]
 
 
-def test_manifest_records_every_artifact_with_rows_header_and_shapes(tmp_path, capsys):
+#: The .npz archive each subcommand writes; the others write none.
+ARCHIVES = {"slab-lte": ["radiation.npz"], "slab-exp": ["radiation.npz"], "domain3d": ["w.npz"], "three-level": ["radiation.npz"]}
+
+
+@pytest.mark.parametrize("subcommand", list(SMALL_RUNS))
+def test_manifest_records_every_artifact_with_rows_header_and_shapes(tmp_path, capsys, subcommand):
     # every record keeps "name", "rows" and "header" (the benchmark harness
     # sums "rows"); an .npz record has null rows and header and the shape of
     # each array it holds
-    archives = {}
-    for name, argv in SMALL_RUNS.items():
-        out = tmp_path / name
-        assert main(argv + ["--out", str(out)]) in (0, 1)
-        records = json.loads((out / "manifest.json").read_text())["artifacts"]
-        assert sorted(r["name"] for r in records) == sorted(set(os.listdir(out)) - {"manifest.json"})
-        for record in records:
-            assert {"name", "rows", "header"} <= set(record)
-            if record["name"].endswith(".npz"):
-                assert record["rows"] is None and record["header"] is None
-                with np.load(out / record["name"]) as z:
-                    assert record["shape"] == {key: list(z[key].shape) for key in z.files}
-                archives[name] = record["name"]
-    assert archives == {
-        "slab-lte": "radiation.npz", "slab-exp": "radiation.npz", "domain3d": "w.npz", "three-level": "radiation.npz"
-    }
+    out = tmp_path / subcommand
+    assert main(SMALL_RUNS[subcommand] + ["--out", str(out)]) in (0, 1)
+    records = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert sorted(r["name"] for r in records) == sorted(set(os.listdir(out)) - {"manifest.json"})
+    archives = []
+    for record in records:
+        assert {"name", "rows", "header"} <= set(record)
+        if record["name"].endswith(".npz"):
+            assert record["rows"] is None and record["header"] is None
+            with np.load(out / record["name"]) as z:
+                assert record["shape"] == {key: list(z[key].shape) for key in z.files}
+            archives.append(record["name"])
+        else:
+            assert "shape" not in record
+    assert archives == ARCHIVES.get(subcommand, [])
 
 
 def test_config_digest_without_the_builtin_sha256(tmp_path):
