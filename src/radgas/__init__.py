@@ -70,7 +70,6 @@ from .slab import (
     transport_solve,
     flux,
     angular_mean,
-    fredholm_kernel_K,
     kernel_sup,
     solve_lte_fredholm,
     solve_exp_limit,

@@ -22,6 +22,7 @@ place on two threads; none of this changes a bit of the result.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,6 +177,14 @@ def exit_distance(domain: ConvexDomain, y, n) -> float:
     return float(domain.exit_distances(y[None, :], n[None, :])[0, 0])
 
 
+@functools.lru_cache(maxsize=8)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n (read-only)."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class SphereGrid:
     """Product quadrature on S^2: two-panel Gauss-Legendre in cos(theta)
@@ -195,23 +204,29 @@ class SphereGrid:
             raise ValueError("sphere grid needs at least 26 nodes")
 
     def nodes_weights(self):
-        half = self.n_theta // 2
-        x, w = leggauss(half)
-        ct = np.concatenate([0.5 * (x - 1.0), 0.5 * (x + 1.0)])
-        wt = np.concatenate([0.5 * w, 0.5 * w])
-        phi = 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
-        wphi = 2.0 * math.pi / self.n_phi
-        st = np.sqrt(1.0 - ct**2)
-        nodes = np.stack(
-            [
-                np.outer(st, np.cos(phi)).ravel(),
-                np.outer(st, np.sin(phi)).ravel(),
-                np.outer(ct, np.ones_like(phi)).ravel(),
-            ],
-            axis=-1,
-        )
-        weights = np.outer(wt, np.full(self.n_phi, wphi)).ravel()
-        return nodes, weights
+        """(nodes (n_theta * n_phi, 3), weights), built once per grid (read-only)."""
+        return _sphere_rule(self.n_theta, self.n_phi)
+
+
+@functools.lru_cache(maxsize=8)
+def _sphere_rule(n_theta: int, n_phi: int):
+    x, w = _leggauss(n_theta // 2)
+    ct = np.concatenate([0.5 * (x - 1.0), 0.5 * (x + 1.0)])
+    wt = np.concatenate([0.5 * w, 0.5 * w])
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    wphi = 2.0 * math.pi / n_phi
+    st = np.sqrt(1.0 - ct**2)
+    nodes = np.stack(
+        [
+            np.outer(st, np.cos(phi)).ravel(),
+            np.outer(st, np.sin(phi)).ravel(),
+            np.outer(ct, np.ones_like(phi)).ravel(),
+        ],
+        axis=-1,
+    )
+    weights = np.outer(wt, np.full(n_phi, wphi)).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _profile_values(f, nodes) -> np.ndarray:
@@ -459,7 +474,7 @@ def _kernel_table(n: int, spacing, near_range: int = 6):
         """Integrals over the cells axes[0] x axes[1] x axes[2] (per-axis offsets) by the
         m^3 Gauss-Legendre rule, one broadcast sum per Gauss point.  No Gauss node
         sits on a cell centre, so r > 0 at every node, the self cell's included."""
-        x, wq = leggauss(m)
+        x, wq = _leggauss(m)
         w3 = np.einsum("i,j,k->ijk", wq, wq, wq) * (0.5**3) * vol
         out = np.zeros([len(a) for a in axes])
         for g in np.ndindex(w3.shape):

@@ -35,11 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from numpy.polynomial.legendre import leggauss
 
 from .constants import PhysConsts
-from .domain3d import _next_fast_len
-from .errors import DomainError, NonContraction, NonPositiveW
+from .domain3d import _leggauss, _next_fast_len
+from .errors import NonContraction, NonPositiveW
 from .physics import pseudo_planck
 from .picard import fixed_point
 
@@ -51,7 +50,6 @@ __all__ = [
     "transport_solve",
     "flux",
     "angular_mean",
-    "fredholm_kernel_K",
     "kernel_sup",
     "solve_lte_fredholm",
     "solve_exp_limit",
@@ -76,14 +74,6 @@ class SlabGrid:
     @property
     def y(self) -> np.ndarray:
         return np.linspace(0.0, self.L, self.n_y)
-
-
-@functools.lru_cache(maxsize=8)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n (read-only)."""
-    x, w = leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
 
 
 @dataclass(frozen=True)
@@ -320,18 +310,6 @@ def _expn(n: int, x) -> np.ndarray:
     return out
 
 
-def fredholm_kernel_K(x):
-    """K(x) = (1/2) * int_0^(pi/2) tan(psi) exp(-|x|/cos(psi)) dpsi = E1(|x|)/2.
-
-    Even, positive, decreasing in |x|, log-singular at 0 (DomainError there;
-    the solvers integrate across the singularity analytically instead).
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x == 0):
-        raise DomainError("K has a logarithmic singularity at x = 0")
-    return 0.5 * _expn(1, np.abs(x))
-
-
 def _kernel_moments(s):
     """Antiderivatives of K at s = |t| from one E1 evaluation: (m0, m1) with
 
@@ -397,8 +375,16 @@ def _levinson(c: np.ndarray) -> np.ndarray:
     return f
 
 
-def _toeplitz_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with T x = b for the symmetric positive definite Toeplitz T with first column c; b is (n,) or (n, m).
+def _frozen(*arrays):
+    """Mark each array read-only and return them: the operators and factors below
+    are shared by every solve on their grid."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class _ToeplitzInverse:
+    """T^-1 for the symmetric positive definite Toeplitz T with first column c, factored once.
 
     With the first column f of T^-1 from `_levinson` (its last column is
     J f), the Gohberg-Semencul formula
@@ -407,25 +393,40 @@ def _toeplitz_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     (L(a), U(a): the lower and upper triangular Toeplitz matrices with first
     column, first row a; J the reversal, Z the down-shift) applies T^-1 to
-    all right-hand sides by FFT products with two spectra, U(a) = J L(a) J
-    being a convolution too.
+    any right-hand side by FFT products with the two spectra of f and Z J f,
+    U(a) = J L(a) J being a convolution too.  numpy's FFT transforms each
+    column of a batch as it transforms that column alone, so a column's
+    result does not depend on the batch it came in.
     """
-    f = _levinson(c)
-    n = len(f)
-    period = _next_fast_len(2 * n - 1)
-    cols = np.asarray(b, dtype=float).reshape(n, -1)
-    # the first columns of L(f) and L(Z J f)
-    f_hat, zjf_hat = rfft([f, np.append(0.0, f[:0:-1])], period)[:, :, None]
 
-    def lower(a_hat, v_hat):
-        """The first n entries of the convolution of two spectra: L(a) v."""
-        return irfft(a_hat * v_hat, period, axis=0)[:n]
+    def __init__(self, c: np.ndarray):
+        self.f = f = _levinson(c)
+        n = self.n = len(f)
+        self.period = _next_fast_len(2 * n - 1)
+        # the first columns of L(f) and L(Z J f)
+        self.spectra = rfft([f, np.append(0.0, f[:0:-1])], self.period)
+        _frozen(self.f, self.spectra)
 
-    jb_hat = rfft(cols[::-1], period, axis=0)
-    u1 = lower(f_hat, jb_hat)[::-1]  # U(f) b
-    u2 = lower(zjf_hat, jb_hat)[::-1]  # U(Z J f) b
-    x = lower(f_hat, rfft(u1, period, axis=0)) - lower(zjf_hat, rfft(u2, period, axis=0))
-    return (x / f[0]).reshape(np.shape(b))
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        """T^-1 b for b of shape (n,) or (n, m)."""
+        n, period = self.n, self.period
+        cols = np.asarray(b, dtype=float).reshape(n, -1)
+        f_hat, zjf_hat = self.spectra[:, :, None]
+
+        def lower(a_hat, v_hat):
+            """The first n entries of the convolution of two spectra: L(a) v."""
+            return irfft(a_hat * v_hat, period, axis=0)[:n]
+
+        jb_hat = rfft(cols[::-1], period, axis=0)
+        u1 = lower(f_hat, jb_hat)[::-1]  # U(f) b
+        u2 = lower(zjf_hat, jb_hat)[::-1]  # U(Z J f) b
+        x = lower(f_hat, rfft(u1, period, axis=0)) - lower(zjf_hat, rfft(u2, period, axis=0))
+        return (x / self.f[0]).reshape(np.shape(b))
+
+
+def _toeplitz_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with T x = b for the symmetric positive definite Toeplitz T with first column c; b is (n,) or (n, m)."""
+    return _ToeplitzInverse(c)(b)
 
 
 class _CellToeplitz:
@@ -435,8 +436,10 @@ class _CellToeplitz:
     minus two boundary columns: the hi weight of the missing cell -1 in
     column 0 and the lo weight of the missing cell n - 1 in column n - 1.
     Products go through the FFT of T's circular embedding and (I - A) u = g
-    through `_toeplitz_solve` on I - T plus a rank-2 Woodbury correction,
-    both in O(n) memory; `dense`, the tests' oracle, gathers the matrix itself.
+    through the Gohberg-Semencul inverse of I - T plus a rank-2 Woodbury
+    correction, both in O(n) memory.  The spectrum and the factor are built
+    on first use and kept, so every later product and solve on the operator
+    costs FFTs alone; all of the operator's arrays are read-only.
     """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray):
@@ -448,6 +451,7 @@ class _CellToeplitz:
         self.t[:-1] += hi
         self.c0 = np.append(hi[n - 1:], 0.0)  # T[:, 0] - A[:, 0]
         self.c1 = np.insert(lo[: n - 1], 0, 0.0)  # T[:, n - 1] - A[:, n - 1]
+        _frozen(self.lo, self.hi, self.t, self.c0, self.c1)
 
     @functools.cached_property
     def _spectrum(self):
@@ -456,7 +460,18 @@ class _CellToeplitz:
         circ = np.zeros(period)
         circ[:n] = self.t[n - 1:]  # d = 0 .. n - 1
         circ[period - n + 1:] = self.t[: n - 1]  # d = 1 - n .. -1
-        return period, rfft(circ)
+        return period, *_frozen(rfft(circ))
+
+    @functools.cached_property
+    def _factor(self):
+        """(inverse, zu, woodbury): the `_ToeplitzInverse` of I - T, its solved boundary
+        columns zu = (I - T)^-1 [c0, c1] and the 2 x 2 Woodbury matrix I + zu[ends]."""
+        n = self.n
+        shifted = -self.t[n - 1:]  # the first column of I - T
+        shifted[0] += 1.0
+        inverse = _ToeplitzInverse(shifted)
+        zu = inverse(np.column_stack([self.c0, self.c1]))
+        return inverse, *_frozen(zu, np.eye(2) + zu[[0, n - 1]])
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """A @ u."""
@@ -472,24 +487,15 @@ class _CellToeplitz:
     def solve_shifted(self, g: np.ndarray) -> np.ndarray:
         """u with (I - A) u = g; needs I - T symmetric positive definite: T symmetric and >= 0
         with row sums < 1, which `_check_contraction` enforces for the Nystroem operator and
-        the `three_level` module docstring argues for alpha * M_src."""
-        n = self.n
-        shifted = -self.t[n - 1:]  # the first column of I - T
-        shifted[0] += 1.0
-        # (I - A) = (I - T) + U V^T with U = [c0, c1] and V = [e_0, e_n-1]
-        z = _toeplitz_solve(shifted, np.column_stack([g, self.c0, self.c1]))
-        zg, zu = z[:, 0], z[:, 1:]
-        ends = [0, n - 1]
-        return zg - zu @ np.linalg.solve(np.eye(2) + zu[ends], zg[ends])
+        the `three_level` module docstring argues for alpha * M_src.
 
-    def dense(self) -> np.ndarray:
-        """The matrix A, gathered from the cells by offset."""
-        n = self.n
-        offset = np.subtract.outer(np.arange(n), np.arange(n - 1)) + (n - 2)
-        A = np.zeros((n, n))
-        A[:, :-1] += self.lo[offset]
-        A[:, 1:] += self.hi[offset]
-        return A
+        (I - A) = (I - T) + U V^T with U = [c0, c1] and V = [e_0, e_n-1], so with
+        the cached factor the solve is one Gohberg-Semencul product on g and a
+        2 x 2 Woodbury solve; no recursion runs after the first solve.
+        """
+        inverse, zu, woodbury = self._factor
+        zg = inverse(g)
+        return zg - zu @ np.linalg.solve(woodbury, zg[[0, self.n - 1]])
 
 
 def _nystrom_operator(y: np.ndarray) -> _CellToeplitz:
@@ -566,15 +572,36 @@ def _flux_moments(s):
 _FLUX_PARITY = (1.0, -1.0)
 
 
-def _e2_product_flux(u: np.ndarray, y: np.ndarray, boundary_term: np.ndarray, coeff: float):
+#: Slab grids whose operators `_slab_operators` keeps: a batch's jobs share a
+#: few grids, and one grid's operators take about 0.9 MB at n_y 4097.
+_GRID_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _slab_operators(grid: SlabGrid):
+    """(A, sup, flux): the Nystroem operator of the grid, its contraction bound from
+    `_check_contraction` and the odd E2 flux operator, built once per grid.
+
+    Each depends on the grid alone, so the weights, the spectra and (on the
+    first solve) A's factor are shared by every solve on the grid; their
+    arrays are read-only.  A grid that fails the contraction check raises
+    NonContraction and is not kept, so every solve on it raises again.
+    """
+    y = grid.y
+    A = _nystrom_operator(y)
+    sup = _check_contraction(A)
+    return A, sup, _CellToeplitz(*_toeplitz_weights(y, _flux_moments, _FLUX_PARITY))
+
+
+def _e2_product_flux(u: np.ndarray, grid: SlabGrid, boundary_term: np.ndarray, coeff: float):
     """J(y)/(2*pi) = boundary_term + coeff * int_0^L u(xi) sgn(y-xi) E2(|y-xi|) dxi.
 
     Piecewise-linear u with analytic E2/E3/E4 moments (mu integrated exactly),
     so the only inconsistency left is the interpolation of u itself.  The
     odd kernel has the same offset structure as K and is applied by FFT.
     """
-    inner = _CellToeplitz(*_toeplitz_weights(y, _flux_moments, _FLUX_PARITY)).apply(u)
-    return boundary_term + coeff * inner
+    _, _, flux_operator = _slab_operators(grid)
+    return boundary_term + coeff * flux_operator.apply(u)
 
 
 def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, angles: AngleGrid):
@@ -582,12 +609,15 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
 
     g(y) = int_0^1 profile(mu) e^(-y/mu) dmu / (2 * coupling) is driven by the
     incoming profile at y = 0, and the rays carry the emission coupling * u.
-    The direct Nystroem solve (Levinson) is authoritative; the GMRES
-    fixed-point solve from zero, on FFT products, cross-checks it.  `picard_ratio`
-    is the max-norm contraction bound, the largest row sum of A: the integral
-    of K over the slab at a node, `kernel_sup(L)` to rounding when a node
-    sits at the midpoint.  Returns (u, field, flux_j, diagnostics), the
-    diagnostics as result-dataclass keywords.
+    A, its contraction bound and the flux operator depend on the grid alone
+    and come from `_slab_operators`, built once per grid; only g is per solve.
+    The direct Nystroem solve (on A's cached Levinson factor) is
+    authoritative; the GMRES fixed-point solve from zero, on FFT products,
+    cross-checks it on every solve.  `picard_ratio` is the max-norm
+    contraction bound, the largest row sum of A: the integral of K over the
+    slab at a node, `kernel_sup(L)` to rounding when a node sits at the
+    midpoint.  Returns (u, field, flux_j, diagnostics), the diagnostics as
+    result-dataclass keywords.
     """
     y = grid.y
     mu = angles.mu
@@ -598,8 +628,7 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
     boundary_term = decay @ (wq * mu * vals)
     del decay  # as large as one angle-resolved field
 
-    A = _nystrom_operator(y)
-    sup = _check_contraction(A)
+    A, sup, _ = _slab_operators(grid)
     u = A.solve_shifted(g)
     picard = fixed_point(lambda x: A.apply(x) + g, np.zeros_like(g), tol=1e-13, max_iter=200)
     diagnostics = {
@@ -610,7 +639,7 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
     }
 
     field = ray_integrate(np.ones_like(y), coupling * u, profile, BoundaryProfile.zero(), grid, angles)
-    flux_j = 2.0 * math.pi * _e2_product_flux(u, y, boundary_term, coupling)
+    flux_j = 2.0 * math.pi * _e2_product_flux(u, grid, boundary_term, coupling)
     return u, field, flux_j, diagnostics
 
 

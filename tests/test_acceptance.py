@@ -40,7 +40,6 @@ from radgas.slab import (
     BoundaryProfile,
     SlabGrid,
     flux,
-    fredholm_kernel_K,
     kernel_sup,
     solve_exp_limit,
     solve_lte_fredholm,
@@ -48,6 +47,7 @@ from radgas.slab import (
 )
 from radgas.three_level import ThreeLevelParams, lte_deviation, solve_three_level
 from radgas.physics import pseudo_planck
+from oracles import fredholm_kernel_K
 
 FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
 PHYS = PhysConsts(epsilon0=1.0, sigma=1.0)

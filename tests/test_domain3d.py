@@ -209,6 +209,27 @@ class TestSphereGrid:
         with pytest.raises(ValueError):
             SphereGrid(2, 4)
 
+    @pytest.mark.parametrize("n_theta, n_phi", [(16, 32), (6, 8), (24, 12)])
+    def test_rule_is_cached_read_only_and_bit_identical(self, n_theta, n_phi):
+        # the rule as it was built on every call before it was cached
+        x, w = np.polynomial.legendre.leggauss(n_theta // 2)
+        ct = np.concatenate([0.5 * (x - 1.0), 0.5 * (x + 1.0)])
+        phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+        st = np.sqrt(1.0 - ct**2)
+        want_nodes = np.stack(
+            [np.outer(st, np.cos(phi)).ravel(), np.outer(st, np.sin(phi)).ravel(), np.outer(ct, np.ones_like(phi)).ravel()],
+            axis=-1,
+        )
+        want_weights = np.outer(np.concatenate([0.5 * w, 0.5 * w]), np.full(n_phi, 2.0 * math.pi / n_phi)).ravel()
+        nodes, weights = SphereGrid(n_theta, n_phi).nodes_weights()
+        assert nodes.tobytes() == want_nodes.tobytes() and nodes.shape == want_nodes.shape
+        assert weights.tobytes() == want_weights.tobytes()
+        again = SphereGrid(n_theta, n_phi).nodes_weights()
+        assert again[0] is nodes and again[1] is weights
+        for a in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0.0
+
 
 class TestVectorR:
     def test_zero_profile(self):

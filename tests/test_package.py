@@ -19,6 +19,14 @@ def test_layer_all_is_reexported(layer):
     assert [name for name in module.__all__ if getattr(radgas, name, None) is not getattr(module, name)] == []
 
 
+def test_test_oracles_are_not_in_the_library():
+    # the plain kernel K and the gathered matrix live in tests/oracles.py
+    import radgas.slab
+
+    assert not hasattr(radgas, "fredholm_kernel_K") and not hasattr(radgas.slab, "fredholm_kernel_K")
+    assert not hasattr(radgas.slab._CellToeplitz, "dense")
+
+
 def test_numpy_is_the_only_runtime_dependency():
     # scipy is a test dependency: the tests hold numpy routines against it
     tomllib = pytest.importorskip("tomllib")

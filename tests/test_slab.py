@@ -20,7 +20,6 @@ from radgas.slab import (
     angular_mean,
     angular_response,
     flux,
-    fredholm_kernel_K,
     kernel_sup,
     ray_integrate,
     solve_exp_limit,
@@ -40,10 +39,14 @@ from radgas.slab import (
     _linear_emission_integral,
     _nystrom_operator,
     _slab_fredholm,
+    _slab_operators,
     _toeplitz_solve,
     _toeplitz_weights,
 )
+from radgas.cli import main as cli_main
 from radgas.picard import fixed_point
+import oracles
+from oracles import fredholm_kernel_K
 from radgas.three_level import ThreeLevelParams
 
 CONSTS = PhysConsts(epsilon0=1.0)
@@ -349,7 +352,7 @@ class TestKernelK:
     @pytest.mark.parametrize("n_y", [257, 1025])
     def test_toeplitz_assembly_equals_dense_on_dyadic_grid(self, n_y):
         y = SlabGrid(L=1.0, n_y=n_y).y
-        np.testing.assert_array_equal(_nystrom_operator(y).dense(), dense_nystrom_matrix(y))
+        np.testing.assert_array_equal(oracles.dense(_nystrom_operator(y)), dense_nystrom_matrix(y))
         for kernel in (KERNEL, FLUX):
             for got, want in zip(_toeplitz_weights(y, *kernel), dense_cell_weights(y, *kernel)):
                 np.testing.assert_array_equal(by_offset(got), want)
@@ -359,7 +362,7 @@ class TestKernelK:
         # node differences y_i - y_j differ in the last bits
         y = SlabGrid(L=3.7, n_y=300).y
         want = dense_nystrom_matrix(y)
-        assert np.max(np.abs(_nystrom_operator(y).dense() - want)) <= 1e-10 * np.max(np.abs(want))
+        assert np.max(np.abs(oracles.dense(_nystrom_operator(y)) - want)) <= 1e-10 * np.max(np.abs(want))
         for kernel in (KERNEL, FLUX):
             for got, dense in zip(_toeplitz_weights(y, *kernel), dense_cell_weights(y, *kernel)):
                 assert np.max(np.abs(by_offset(got) - dense)) <= 1e-10 * np.max(np.abs(dense))
@@ -367,7 +370,7 @@ class TestKernelK:
     def test_noncontraction_raises(self):
         # the two-node matrix [[0.6, 0.5], [0.1, 0.2]], row sums 1.1 and 0.3
         A = _CellToeplitz(np.array([0.6, 0.1]), np.array([0.5, 0.2]))
-        np.testing.assert_array_equal(A.dense(), [[0.6, 0.5], [0.1, 0.2]])
+        np.testing.assert_array_equal(oracles.dense(A), [[0.6, 0.5], [0.1, 0.2]])
         with pytest.raises(NonContraction, match="of A"):
             _check_contraction(A)
 
@@ -396,7 +399,7 @@ class TestCellToeplitz:
         got = _nystrom_operator(y).apply(u)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         inner = dense_nystrom_matrix(y, FLUX) @ u
-        flux_j = _e2_product_flux(u, y, np.sin(y), 0.7)
+        flux_j = _e2_product_flux(u, SlabGrid(L=L, n_y=n_y), np.sin(y), 0.7)
         assert np.max(np.abs(flux_j - (np.sin(y) + 0.7 * inner))) <= 1e-13 * np.max(np.abs(inner))
 
     def test_apply_matches_own_dense_off_dyadic_grid(self):
@@ -405,7 +408,7 @@ class TestCellToeplitz:
         y = SlabGrid(L=3.7, n_y=300).y
         u = np.random.default_rng(300).normal(size=300)
         for A in (_nystrom_operator(y), _CellToeplitz(*_toeplitz_weights(y, *FLUX))):
-            want = A.dense() @ u
+            want = oracles.dense(A) @ u
             assert np.max(np.abs(A.apply(u) - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n_y", [257, 2049])
@@ -425,7 +428,7 @@ class TestCellToeplitz:
         grid = SlabGrid(L=L, n_y=n_y)
         A = _nystrom_operator(grid.y) if operator == "K" else three_level_operator(grid)
         g = np.cos(2.0 * grid.y) + np.random.default_rng(n_y).uniform(size=n_y)
-        want = np.linalg.solve(np.eye(n_y) - A.dense(), g)
+        want = np.linalg.solve(np.eye(n_y) - oracles.dense(A), g)
         assert np.max(np.abs(A.solve_shifted(g) - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n_y", [65, 257, 1025, 4097])
@@ -456,6 +459,111 @@ class TestCellToeplitz:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def batched_solve_shifted(A, g):
+    """solve_shifted as it was before the factor was cached: one Levinson
+    recursion per call and g solved in one batch with the boundary columns."""
+    n = A.n
+    shifted = -A.t[n - 1:]
+    shifted[0] += 1.0
+    z = _toeplitz_solve(shifted, np.column_stack([g, A.c0, A.c1]))
+    zg, zu = z[:, 0], z[:, 1:]
+    ends = [0, n - 1]
+    return zg - zu @ np.linalg.solve(np.eye(2) + zu[ends], zg[ends])
+
+
+#: The two slab models on one grid, with a second incoming profile for each.
+SLAB_SOLVES = {
+    "lte": lambda grid, c: solve_lte_fredholm(
+        BoundaryProfile.from_function(lambda m: c + m, "affine"), grid, AngleGrid(n_mu=48), CONSTS, T0=1.3, zeta_mass=0.2
+    ),
+    "exp": lambda grid, c: solve_exp_limit(BoundaryProfile.from_function(lambda m: c + m * m, "quadratic"), grid, AngleGrid(n_mu=48)),
+}
+
+
+def result_bytes(res) -> dict:
+    """Every field of a slab result as bytes; a radiation field by its two arrays."""
+    out = {}
+    for name, value in vars(res).items():
+        if isinstance(value, RadiationField):
+            out[name] = value.g_plus.tobytes() + value.g_minus.tobytes()
+        elif name != "grid":
+            out[name] = np.asarray(value).tobytes()
+    return out
+
+
+class TestGridCache:
+    """The operators and the factor built once per grid, against solves that build their own."""
+
+    @pytest.mark.parametrize("L, n_y", [(1.0, 257), (1.0, 1025), (0.3, 100)], ids=["257", "1025", "l0.3-100"])
+    @pytest.mark.parametrize("model", list(SLAB_SOLVES))
+    def test_warm_solve_equals_cold_solve_bit_for_bit(self, model, L, n_y):
+        grid, solve = SlabGrid(L=L, n_y=n_y), SLAB_SOLVES[model]
+        _slab_operators.cache_clear()
+        solve(grid, 0.7)  # builds the grid's operators and A's factor
+        hits = _slab_operators.cache_info().hits
+        warm = solve(grid, 0.2)
+        assert _slab_operators.cache_info().hits > hits
+        _slab_operators.cache_clear()
+        cold = solve(grid, 0.2)
+        assert result_bytes(warm) == result_bytes(cold)
+
+    @pytest.mark.parametrize("operator, L, n_y", [("K", 1.0, 65), ("K", 1.0, 4097), ("K", 0.3, 100), ("three-level", 1.0, 1025)])
+    def test_solve_shifted_equals_the_batched_solve_bit_for_bit(self, operator, L, n_y):
+        grid = SlabGrid(L=L, n_y=n_y)
+        A = _nystrom_operator(grid.y) if operator == "K" else three_level_operator(grid)
+        rng = np.random.default_rng(n_y)
+        for g in (np.exp(-grid.y), rng.normal(size=n_y)):
+            assert A.solve_shifted(g).tobytes() == batched_solve_shifted(A, g).tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        grid = SlabGrid(L=1.0, n_y=65)
+        A, _, flux_operator = _slab_operators(grid)
+        A.solve_shifted(np.ones(65))
+        flux_operator.apply(np.ones(65))
+        inverse, zu, woodbury = A._factor
+        arrays = [inverse.f, inverse.spectra, zu, woodbury]
+        for op in (A, flux_operator):
+            arrays += [op.lo, op.hi, op.t, op.c0, op.c1, op._spectrum[1]]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0.0
+        assert _slab_operators(grid)[0] is A
+
+    @pytest.mark.parametrize("model", list(SLAB_SOLVES))
+    def test_thick_slab_raises_on_every_solve(self, model):
+        # slab_l 60: the escape falls below the rounding of the FFT row sums
+        grid = SlabGrid(L=60.0, n_y=257)
+        _slab_operators.cache_clear()
+        for _ in range(2):
+            with pytest.raises(NonContraction, match="kernel row sum"):
+                SLAB_SOLVES[model](grid, 0.5)
+        assert _slab_operators.cache_info().currsize == 0
+
+    def test_cache_stays_at_its_bound(self):
+        _slab_operators.cache_clear()
+        for k in range(radgas.slab._GRID_CACHE_SIZE + 2):
+            SLAB_SOLVES["exp"](SlabGrid(L=1.0, n_y=33 + k), 0.5)
+        assert _slab_operators.cache_info().currsize == radgas.slab._GRID_CACHE_SIZE
+
+    def test_one_levinson_recursion_per_grid_over_mixed_jobs(self, tmp_path, monkeypatch):
+        calls = []
+        levinson = radgas.slab._levinson
+        monkeypatch.setattr(radgas.slab, "_levinson", lambda c: calls.append(len(c)) or levinson(c))
+        _slab_operators.cache_clear()
+        jobs = [
+            ["slab-lte", "--n-y", "257", "--j0-profile", "cos"],
+            ["slab-exp", "--n-y", "257"],
+            ["slab-lte", "--n-y", "129", "--t0", "0.7", "--zeta-mass", "0.3"],
+            ["slab-lte", "--n-y", "257", "--j0-profile", "uniform"],
+            ["slab-exp", "--n-y", "129", "--a-plus-profile", "0.4"],
+            ["slab-lte", "--slab-l", "0.3", "--n-y", "100"],
+            ["slab-exp", "--slab-l", "0.3", "--n-y", "100"],
+        ]
+        for k, argv in enumerate(jobs):
+            assert cli_main([*argv, "--out", str(tmp_path / str(k))]) == 0
+        assert sorted(calls) == [100, 129, 257]
 
 
 class TestScipyOracles:

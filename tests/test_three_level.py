@@ -17,6 +17,7 @@ from radgas.three_level import (
     radiation_solve_3p,
     solve_three_level,
 )
+from oracles import dense
 
 PARAMS = ThreeLevelParams(gamma1=0.7, gamma2=0.3, eps=1.0, T0=2.0, rho0=1.0, P12=1.0, P23=1.0)
 GRID = SlabGrid(L=1.0, n_y=65)
@@ -123,7 +124,7 @@ def dense_source_solve(xi, boundary, params, grid, angles, C0):
     one dense LU of I - alpha*M_src and dense products; (src, sigma)."""
     q, g1, g2, n = params.q, params.gamma1, params.gamma2, grid.n_y
     local = radgas.three_level._node_matrix(params, constant_state(params)["G_p"])
-    M_src = angular_response(params.kappa, grid, angles).dense()
+    M_src = dense(angular_response(params.kappa, grid, angles))
     b_I = angular_mean(ray_integrate(np.full(n, params.kappa), np.zeros(n), *boundary, grid, angles))
     c_src = params.eps * params.rho0 * np.array([-g1, g1 - g2 * q, g2 * q])
     rad = q * (g1 + g2 * q)
@@ -253,7 +254,7 @@ class TestDirectPath:
         grid = SlabGrid(L=1.0, n_y=n_y)
         M_src = angular_response(p.kappa, grid, ANGLES)
         want = per_column_response(p, grid, ANGLES)
-        np.testing.assert_allclose(M_src.dense(), want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(dense(M_src), want, rtol=0, atol=1e-14)
         e = np.random.default_rng(n_y).normal(size=n_y)
         np.testing.assert_allclose(M_src.apply(e), want @ e, rtol=0, atol=1e-13)
 
