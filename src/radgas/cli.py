@@ -590,6 +590,7 @@ def _run_slab(config: RunConfig, art: _Artifacts) -> int:
             **report,
             "picard_ratio": res.picard_ratio,
             "picard_gap": res.picard_gap,
+            "direct_residual": res.direct_residual,
             "residual_max": res.residual_max,
             "flux_ptp": float(np.ptp(res.flux_j)),
             "converged": res.converged,
@@ -646,6 +647,7 @@ def _run_three_level(config: RunConfig, art: _Artifacts) -> int:
         {
             "C0": sol.C0,
             "path_gap": sol.path_gap,
+            "direct_residual": sol.direct_residual,
             "eq1_residual": sol.eq1_residual,
             "eq2_residual": sol.eq2_residual,
             "eq3_residual": sol.eq3_residual,

@@ -484,18 +484,34 @@ class _CellToeplitz:
         a = self.apply(np.ones(self.n))
         return a, a + self.c0 + self.c1
 
-    def solve_shifted(self, g: np.ndarray) -> np.ndarray:
-        """u with (I - A) u = g; needs I - T symmetric positive definite: T symmetric and >= 0
-        with row sums < 1, which `_check_contraction` enforces for the Nystroem operator and
-        the `three_level` module docstring argues for alpha * M_src.
-
-        (I - A) = (I - T) + U V^T with U = [c0, c1] and V = [e_0, e_n-1], so with
-        the cached factor the solve is one Gohberg-Semencul product on g and a
-        2 x 2 Woodbury solve; no recursion runs after the first solve.
-        """
+    def _direct(self, g: np.ndarray) -> np.ndarray:
+        """(I - A)^-1 g on the cached factor: (I - A) = (I - T) + U V^T with U = [c0, c1]
+        and V = [e_0, e_n-1], so one Gohberg-Semencul product on g and a 2 x 2
+        Woodbury solve; no recursion runs after the first solve."""
         inverse, zu, woodbury = self._factor
         zg = inverse(g)
         return zg - zu @ np.linalg.solve(woodbury, zg[[0, self.n - 1]])
+
+    def solve_shifted(self, g: np.ndarray) -> np.ndarray:
+        """The direct solve of (I - A) u = g; `refine` takes one step on it.
+
+        Needs I - T symmetric positive definite: T symmetric and >= 0 with row
+        sums < 1, which `_check_contraction` enforces for the Nystroem operator
+        and the `three_level` module docstring argues for alpha * M_src.
+        """
+        return self._direct(g)
+
+    def refine(self, g: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
+        """s after one step of iterative refinement, and max|(I - A) s - g| before it.
+
+        The residual r = g - (I - A) s takes one product and the correction
+        solves (I - A) d = r on the same cached factor, so the step costs FFTs
+        and no second recursion (Wilkinson; Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed., ch. 12).  It removes most of the
+        Levinson solve's own rounding where I - A is nearly singular.
+        """
+        r = g - (s - self.apply(s))
+        return s + self._direct(r), float(np.max(np.abs(r)))
 
 
 def _nystrom_operator(y: np.ndarray) -> _CellToeplitz:
@@ -611,9 +627,11 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
     incoming profile at y = 0, and the rays carry the emission coupling * u.
     A, its contraction bound and the flux operator depend on the grid alone
     and come from `_slab_operators`, built once per grid; only g is per solve.
-    The direct Nystroem solve (on A's cached Levinson factor) is
-    authoritative; the GMRES fixed-point solve from zero, on FFT products,
-    cross-checks it on every solve.  `picard_ratio` is the max-norm
+    The direct Nystroem solve (on A's cached Levinson factor, then one step
+    of iterative refinement) is authoritative; `direct_residual` is
+    max|(I - A) s - g| before the step and `residual_max` the same after it.
+    The GMRES fixed-point solve from zero, on FFT products, cross-checks it
+    on every solve.  `picard_ratio` is the max-norm
     contraction bound, the largest row sum of A: the integral of K over the
     slab at a node, `kernel_sup(L)` to rounding when a node sits at the
     midpoint.  Returns (u, field, flux_j, diagnostics), the diagnostics as
@@ -629,10 +647,11 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
     del decay  # as large as one angle-resolved field
 
     A, sup, _ = _slab_operators(grid)
-    u = A.solve_shifted(g)
+    u, direct_residual = A.refine(g, A.solve_shifted(g))
     picard = fixed_point(lambda x: A.apply(x) + g, np.zeros_like(g), tol=1e-13, max_iter=200)
     diagnostics = {
         "picard_ratio": sup,
+        "direct_residual": direct_residual,
         "picard_gap": float(np.max(np.abs(u - picard.x))),
         "residual_max": float(np.max(np.abs(u - A.apply(u) - g))),
         "converged": picard.converged,
@@ -656,6 +675,7 @@ class FredholmResult:
     flux_j: np.ndarray  # product-integration flux J(y); constant in theory
     picard_ratio: float
     picard_gap: float  # max |Nystroem - Picard|
+    direct_residual: float  # max |(I - A) s - g| of the direct solve s, before refinement
     residual_max: float
     converged: bool  # the Picard check met its tolerance before its iteration cap
     alpha0: float
@@ -715,6 +735,7 @@ class ExpLimitResult:
     flux_j: np.ndarray
     picard_ratio: float
     picard_gap: float
+    direct_residual: float  # max |(I - A) s - g| of the direct solve s, before refinement
     residual_max: float
     converged: bool  # the Picard check met its tolerance before its iteration cap
     energy_residual: np.ndarray  # int (H - w) dn at interior nodes, angle-grid route

@@ -18,9 +18,9 @@ columns, held by offset) and b_I the boundary-driven sweep.  Eliminating the
 local 3 x 3 node equations leaves (I - alpha M_src) s = g, with
 alpha = kappa/(4 pi): the linearised radiation is pure scattering, so
 alpha*T is symmetric and >= 0 with row sums 1 - (escape) < 1, and
-I - alpha*T is positive definite.  The slab's Levinson solve therefore gives
-s, and FFT products give M_src s, in O(n) memory with no n x n matrix.  This
-direct path is authoritative.  The fixed-point solve of s = alpha M_src s + g
+I - alpha*T is positive definite.  The slab's Levinson solve, refined by one
+step, therefore gives s, and FFT products give M_src s, in O(n) memory with
+no n x n matrix.  This direct path is authoritative.  The fixed-point solve of s = alpha M_src s + g
 on the n-vector s, the one the slab models run, cross-checks it; both
 sources go through the same node solve to densities, which are compared.
 """
@@ -142,6 +142,7 @@ class ThreeLevelSolution:
     eq2_residual: float
     eq3_residual: float
     path_gap: float  # max |sigma(direct source) - sigma(Picard source)|
+    direct_residual: float  # max |(I - A) s - g| of the Levinson source s, before refinement
     picard_iterations: int
     converged: bool  # the Picard check met its tolerance before max_iter
 
@@ -173,8 +174,9 @@ def solve_three_level(
     which case C0 is computed from the total-gas relation using m0 (default:
     the background mass, which gives C0 = (1+q+q^2) * mean(xi)).
 
-    Both the direct Levinson solve for the source s and the GMRES
-    fixed-point solve of s = alpha M_src s + g are run; each s is mapped to
+    Both the direct Levinson solve for the source s, refined by one step
+    (`direct_residual` is its max|(I - A) s - g| before the step), and the
+    GMRES fixed-point solve of s = alpha M_src s + g are run; each s is mapped to
     (sigma1, sigma2, sigma3) by the same node solve, the max-norm gap of the
     two is reported as path_gap, and the direct path is authoritative.
     GMRES needs no contraction, so it converges where kappa*L is so large
@@ -228,7 +230,8 @@ def solve_three_level(
     def sigma_of(src):
         return np.linalg.solve(local, node_rhs(M_src.apply(src) + b_I))
 
-    sigma = sigma_of(A.solve_shifted(g))
+    src, direct_residual = A.refine(g, A.solve_shifted(g))
+    sigma = sigma_of(src)
     picard = fixed_point(lambda src: A.apply(src) + g, np.zeros(n), tol, max_iter)
     h = radiation_solve_3p(*sigma, params, boundary, grid, angles)
     residuals = np.max(np.abs(local @ sigma - node_rhs(angular_mean(h))), axis=1)
@@ -244,6 +247,7 @@ def solve_three_level(
         eq2_residual=float(residuals[1]),
         eq3_residual=float(residuals[2]),
         path_gap=float(np.max(np.abs(sigma - sigma_of(picard.x)))),
+        direct_residual=direct_residual,
         picard_iterations=picard.iterations,
         converged=picard.converged,
     )

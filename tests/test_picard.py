@@ -251,6 +251,16 @@ def test_thick_corners_match_the_levinson_source(tmp_path, monkeypatch, corner, 
     assert np.max(np.abs(gmres.x - source)) <= rtol * np.max(np.abs(source))
 
 
+def test_kappa50_exits_zero_at_4097_after_refinement(tmp_path):
+    # the Levinson source alone left path_gap at 1.39e-8 here, above the gate
+    out = tmp_path / "kappa50"
+    assert main([*CORNERS["kappa50"], "--n-y", "4097", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is True
+    assert report["path_gap"] < 2e-9
+    assert 0 < report["direct_residual"] < 1e-12
+
+
 @pytest.mark.parametrize("corner", list(CORNERS))
 def test_thick_corners_exit_zero(tmp_path, corner):
     out = tmp_path / corner
