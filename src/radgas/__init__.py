@@ -11,98 +11,34 @@ Subsystems:
 - three_level:          linearized stationary three-level (non-LTE) solver
 - kinetic:              Monte Carlo verification of kinetic-level identities
 - cli:                  batch command line driver
+
+The package namespace holds every name in a layer's ``__all__``: the
+constants and errors, which every layer imports, are bound here; any other
+name loads its layer on first use (PEP 562), so ``import radgas`` loads no
+solver module.
 """
 
+import importlib
+
 from .constants import PhysConsts, K_BOLTZMANN, C0_MAXWELLIAN
-from .errors import (
-    RadgasError,
-    BelowThreshold,
-    DomainError,
-    SingularDenominator,
-    EmptyLevel,
-    NonContraction,
-    NonPositiveW,
-    NotInterior,
-    SingularSystem,
-    ConfigError,
-)
-from .physics import (
-    MaxwellianState,
-    CollisionTuple,
-    maxwellian,
-    boltzmann_ratio,
-    pseudo_planck,
-    energy_density,
-    entropy_lambda,
-    entropy_density,
-    elastic_post_velocities,
-    nonelastic_post_velocities,
-    w_plus,
-    w_minus,
-)
-from .collision_reduction import (
-    TripleQuadSpec,
-    ReducedKernelParams,
-    CollisionFunctionals,
-    eval_reduced_kernel,
-    triple_integral,
-    functionals,
-    H_func,
-    S_func,
-    L_func,
-    mc_oracle,
-    fit_calibration,
-)
-from .levelscan import (
-    ScanWindow,
-    ScanResult,
-    ContourSet,
-    scan,
-    extract_contours,
-    smoothness_report,
-)
-from .picard import FixedPoint, fixed_point
-from .slab import (
-    SlabGrid,
-    AngleGrid,
-    BoundaryProfile,
-    RadiationField,
-    transport_solve,
-    flux,
-    angular_mean,
-    kernel_sup,
-    solve_lte_fredholm,
-    solve_exp_limit,
-    FredholmResult,
-    ExpLimitResult,
-)
-from .domain3d import (
-    ConvexDomain,
-    SphereGrid,
-    LatticeSpec,
-    VolumeField,
-    exit_distance,
-    vector_R,
-    div_R,
-    solve_w,
-    kernel_mass_at,
-    nonexistence_check,
-)
-from .three_level import (
-    ThreeLevelParams,
-    ThreeLevelSolution,
-    constant_state,
-    radiation_solve_3p,
-    solve_three_level,
-    lte_deviation,
-)
-from .kinetic import (
-    McPlan,
-    MomentReport,
-    detailed_balance_residual,
-    detailed_balance_check,
-    weak_form_checks,
-    entropy_identity_check,
-)
+from .errors import *  # noqa: F403 (the module defines the error classes and nothing else)
 
 __version__ = "0.1.0"
+
+_LAYERS = ("physics", "collision_reduction", "levelscan", "picard", "slab", "domain3d", "three_level", "kinetic")
+
+
+def _layer(layer):
+    return importlib.import_module(f"{__name__}.{layer}")
+
+
+def __getattr__(name):
+    for layer in _LAYERS:
+        module = _layer(layer)
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *(name for layer in _LAYERS for name in _layer(layer).__all__)})

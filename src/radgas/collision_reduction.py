@@ -35,13 +35,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .constants import PhysConsts
-from .errors import DomainError, SingularDenominator
+from .errors import SingularDenominator
 
 __all__ = [
     "TripleQuadSpec",
     "ReducedKernelParams",
     "CollisionFunctionals",
-    "eval_reduced_kernel",
     "triple_integral",
     "functionals",
     "H_func",
@@ -100,44 +99,6 @@ class ReducedKernelParams:
     def delta(self) -> float:
         # Recomputed on demand so it can never go stale.
         return math.sqrt(self.T2 / self.T1) - 1.0
-
-
-def _check_cone(a, b, c):
-    """The reachable region is a = rho^2, b = rho*r*cos(theta), c = r^2."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    tol = 1e-9 * (1.0 + np.sqrt(np.abs(a * c)))
-    if np.any(a < 0) or np.any(c < 0) or np.any(np.abs(b) > np.sqrt(a * c) + tol):
-        raise DomainError("(a, b, c) outside the cone a,c >= 0, |b| <= sqrt(a*c)")
-    return a, b, c
-
-
-def eval_reduced_kernel(kind: str, a, b, c, params: ReducedKernelParams):
-    """Pointwise value of a printed reduced kernel; validates the cone."""
-    a, b, c = _check_cone(a, b, c)
-    T1, T2, eps0 = params.T1, params.T2, params.epsilon0
-    delta = params.delta
-    four_eps = 4.0 * eps0 / T1
-    w4sq = 0.25 * a + 0.25 * c - 0.5 * b  # |w4|^2 in the (xi, eta) variables
-
-    if kind == "G_delta":
-        return 4.0 * math.pi * np.sqrt(a + delta * (a - b) + delta**2 * w4sq + four_eps)
-    if kind == "A_kern":
-        return 4.0 * math.pi * (T1 / 8.0 * (a + 2.0 * b + c) + eps0) * np.sqrt(T1 * a + 4.0 * eps0)
-    if kind == "B1":
-        return 2.0 * math.pi * w4sq * np.sqrt(a + four_eps)
-
-    # The two divided-difference kernels share the same rationalized core.
-    r1 = np.sqrt(a + delta * (a - b) + delta**2 * w4sq + four_eps)
-    r2 = np.sqrt(a + four_eps)
-    sroot = math.sqrt(T1) + math.sqrt(T2)
-    lin = (a - b) / sroot + (a - 2.0 * b + c) / (4.0 * sroot) * delta
-    if kind == "F_delta":
-        return 4.0 * math.pi * lin / (r1 + r2)
-    if kind == "B2delta":
-        return 2.0 * math.pi * T2 * w4sq * lin / (r1 + r2)
-    raise ValueError(f"unknown kernel kind {kind!r}")
 
 
 @lru_cache(maxsize=8)

@@ -1,5 +1,5 @@
-"""Convex-domain ray geometry, the boundary-driven field R, and the 3D
-contraction-mapping solver for the exponential-limit temperature variable.
+"""Convex-domain ray geometry, the divergence of the boundary-driven field R,
+and the 3D contraction-mapping solver for the exponential-limit temperature variable.
 
 The nonlocal fixed-point equation solved here is
 
@@ -39,9 +39,6 @@ __all__ = [
     "SphereGrid",
     "LatticeSpec",
     "VolumeField",
-    "exit_distance",
-    "vector_R",
-    "div_R",
     "solve_w",
     "nonexistence_check",
     "kernel_mass_at",
@@ -51,8 +48,7 @@ __all__ = [
 class ConvexDomain:
     """Convex region answering interior and ray-exit queries.
 
-    Kinds: ball(center, radius), box(mins, maxs), implicit(sdf, bbox) where
-    sdf is a signed-distance oracle (negative inside) and bbox a bounding box.
+    Kinds: ball(center, radius) and box(mins, maxs).
     """
 
     def __init__(self, kind, **geom):
@@ -73,15 +69,6 @@ class ConvexDomain:
             raise ValueError("box must satisfy maxs > mins componentwise")
         return cls("box", mins=mins, maxs=maxs)
 
-    @classmethod
-    def implicit(cls, sdf, bbox_mins, bbox_maxs) -> "ConvexDomain":
-        return cls(
-            "implicit",
-            sdf=sdf,
-            mins=np.asarray(bbox_mins, dtype=float).reshape(3),
-            maxs=np.asarray(bbox_maxs, dtype=float).reshape(3),
-        )
-
     @property
     def bounding_box(self):
         if self.kind == "ball":
@@ -96,14 +83,12 @@ class ConvexDomain:
         if self.kind == "ball":
             c, r = self._geom["center"], self._geom["radius"]
             return _squared_distance(p, c) < r**2
-        if self.kind == "box":
-            mins, maxs = self._geom["mins"], self._geom["maxs"]
-            inside = (p[..., 0] > mins[0]) & (p[..., 0] < maxs[0])
-            for i in (1, 2):
-                inside &= p[..., i] > mins[i]
-                inside &= p[..., i] < maxs[i]
-            return inside
-        return np.asarray(self._geom["sdf"](p)) < 0
+        mins, maxs = self._geom["mins"], self._geom["maxs"]
+        inside = (p[..., 0] > mins[0]) & (p[..., 0] < maxs[0])
+        for i in (1, 2):
+            inside &= p[..., i] > mins[i]
+            inside &= p[..., i] < maxs[i]
+        return inside
 
     def exit_distances(self, points, dirs) -> np.ndarray:
         """s(y, n) for a batch: points (P, 3), dirs (S, 3) -> (P, S).
@@ -129,31 +114,16 @@ class ConvexDomain:
             np.sqrt(s, out=s)
             s += nd
             return s
-        if self.kind == "box":
-            mins, maxs = self._geom["mins"], self._geom["maxs"]
-            s = np.full((p.shape[0], n.shape[0]), np.inf)
-            for i in range(3):
-                # per axis, the ray entered through mins[i] when n_i > 0 and
-                # maxs[i] when n_i < 0; with n_i = 0 it meets neither face
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t = (p[:, i, None] - np.where(n[:, i] > 0, mins[i], maxs[i])) / n[:, i]
-                t[:, n[:, i] == 0] = np.inf
-                np.minimum(s, t, out=s)
-            return s
-        return self._exit_bisection(p, n)
-
-    def _exit_bisection(self, p, n, iters: int = 60):
-        sdf = self._geom["sdf"]
         mins, maxs = self._geom["mins"], self._geom["maxs"]
-        hi = float(np.linalg.norm(maxs - mins)) * np.ones((p.shape[0], n.shape[0]))
-        lo = np.zeros_like(hi)
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            pts = p[:, None, :] - mid[..., None] * n[None, :, :]
-            inside = np.asarray(sdf(pts)) < 0
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        return 0.5 * (lo + hi)
+        s = np.full((p.shape[0], n.shape[0]), np.inf)
+        for i in range(3):
+            # per axis, the ray entered through mins[i] when n_i > 0 and
+            # maxs[i] when n_i < 0; with n_i = 0 it meets neither face
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (p[:, i, None] - np.where(n[:, i] > 0, mins[i], maxs[i])) / n[:, i]
+            t[:, n[:, i] == 0] = np.inf
+            np.minimum(s, t, out=s)
+        return s
 
 
 def _squared_distance(p, c) -> np.ndarray:
@@ -166,15 +136,6 @@ def _squared_distance(p, c) -> np.ndarray:
         d *= d
         out += d
     return out
-
-
-def exit_distance(domain: ConvexDomain, y, n) -> float:
-    """Ray-exit distance s > 0 with y - s*n on the boundary; y strictly interior."""
-    y = np.asarray(y, dtype=float).reshape(3)
-    n = np.asarray(n, dtype=float).reshape(3)
-    if not bool(domain.contains(y)):
-        raise NotInterior(f"point {y} is not strictly inside the domain")
-    return float(domain.exit_distances(y[None, :], n[None, :])[0, 0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -238,21 +199,6 @@ def _profile_values(f, nodes) -> np.ndarray:
     return vals
 
 
-def vector_R(domain: ConvexDomain, f, A2: float, y, sphere: SphereGrid) -> np.ndarray:
-    """R(y) = int_{S^2} n f(n) e^(-A2 s(y,n)) dn by sphere quadrature.
-
-    f is either a callable on unit vectors or an array of values on the
-    sphere nodes (nonnegative).
-    """
-    y = np.asarray(y, dtype=float).reshape(3)
-    if not bool(domain.contains(y)):
-        raise NotInterior(f"point {y} is not strictly inside the domain")
-    nodes, weights = sphere.nodes_weights()
-    fvals = _profile_values(f, nodes)
-    s = domain.exit_distances(y[None, :], nodes)[0]
-    return (weights * fvals * np.exp(-A2 * s)) @ nodes
-
-
 #: Rays (point, sphere node) per block of the attenuation pass: 128 points
 #: at the default 512-node sphere.  Every (points, nodes) temporary of the
 #: exit-distance geometry lives only inside its block, and at most two
@@ -308,21 +254,6 @@ def _div_R_batch(domain, fvals, A2, points, nodes, weights) -> np.ndarray:
     """
     flux, _ = _attenuation_pass(domain, points, nodes, weights, fvals, A2)
     return -A2 * flux
-
-
-def div_R(domain: ConvexDomain, f, A2: float, y, sphere: SphereGrid) -> float:
-    """Divergence of R at y, -A2 * int_{S^2} f(n) e^(-A2 s(y,n)) dn, on the
-    sphere rule that vector_R uses.
-
-    Exact up to the sphere quadrature at every strictly interior point, the
-    boundary skin included; never positive for f >= 0.
-    """
-    y = np.asarray(y, dtype=float).reshape(3)
-    if not bool(domain.contains(y)):
-        raise NotInterior(f"point {y} is not strictly inside the domain")
-    nodes, weights = sphere.nodes_weights()
-    fvals = _profile_values(f, nodes)
-    return float(_div_R_batch(domain, fvals, A2, y[None, :], nodes, weights)[0])
 
 
 def kernel_mass_at(domain: ConvexDomain, points, sphere: SphereGrid) -> np.ndarray:

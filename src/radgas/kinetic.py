@@ -14,7 +14,7 @@ Sampling uses the Maxwellians themselves as proposals (unit weights).  Each
 batch draws its standard normals from an RNG keyed by (seed, side, batch), so
 reports are reproducible bit for bit for a fixed plan and every estimator
 sees the same random numbers.  One draw per side therefore serves several
-estimators at once (`weak_form_checks`: conservation, mass exchange and the
+estimators at once (`verify_checks`: conservation, mass exchange and the
 kernel of L): each forms its collision tuples from its own Maxwellians, in
 row chunks of the batch, and feeds its whole vector of test functions, so
 memory stays bounded by the batch and the chunk whatever the sample count.
@@ -48,8 +48,6 @@ __all__ = [
     "McPlan",
     "MomentReport",
     "detailed_balance_residual",
-    "detailed_balance_check",
-    "weak_form_checks",
     "entropy_identity_check",
 ]
 
@@ -127,20 +125,16 @@ def detailed_balance_residual(
     return float(res) if np.ndim(res) == 0 else res
 
 
-def detailed_balance_check(lte_pair, n_tuples: int, seed: int, consts: PhysConsts) -> float | None:
+def _balance_sweep(lte_pair, n_tuples, seed, consts, pair=None):
     """Largest |detailed_balance_residual| of `lte_pair` over the nonelastic
     tuples among `n_tuples` sampled ground-state pairs, or None when no pair
     is above threshold (nothing was checked).
 
-    Both molecules come from the ground Maxwellian of `lte_pair`, the scattering
-    direction is uniform, and the RNG is keyed by (seed, 1).
+    Both molecules come from the ground Maxwellian of `lte_pair`, drawn into
+    the buffer `pair` (a fresh one when it is None or holds fewer than
+    6 * n_tuples floats), the scattering direction is uniform, and the RNG
+    is keyed by (seed, 1).
     """
-    return _balance_sweep(lte_pair, n_tuples, seed, consts)
-
-
-def _balance_sweep(lte_pair, n_tuples, seed, consts, pair=None):
-    """`detailed_balance_check`, drawing v1 and v2 into the buffer `pair`
-    (a fresh one when it is None or holds fewer than 6 * n_tuples floats)."""
     from numpy.random import default_rng
 
     s1, s2 = lte_pair
@@ -387,7 +381,7 @@ def _moment_change(v, out, excited, ground=None):
 
 def _exchange_problem(state1, state2, consts):
     """Five conservation columns and the mass-exchange column (see
-    `weak_form_checks`)."""
+    `verify_checks`)."""
     ground, excited = (None, 0.0, (0.0,)), (None, consts.epsilon0, (1.0,))
     return state1, state2, lambda v, out: _moment_change(v, out, excited, ground), 6
 
@@ -414,36 +408,16 @@ def _kernel_result(estimates) -> dict:
 
 
 def mass_exchange_reduced(state1: MaxwellianState, state2: MaxwellianState, consts: PhysConsts) -> float:
-    """The mass-exchange rate of `weak_form_checks` from the calibrated reduced
+    """The mass-exchange rate of `verify_checks` from the calibrated reduced
     integrals (cross-module oracle)."""
     f = functionals(state1.T, state2.T, consts, mode="calibrated")
     q = math.exp(-2.0 * consts.epsilon0 / state1.T)
     return state1.rho**2 * q * f.P11 - state1.rho * state2.rho * f.P21
 
 
-def weak_form_checks(generic_pair, lte_state: MaxwellianState, plan: McPlan, consts: PhysConsts) -> tuple:
-    """The conservation report and the mass-exchange estimate of `generic_pair`
-    and the kernel-of-L check of the LTE pair on `lte_state`, from one draw
-    per side: (MomentReport, Estimate, kernel dict).
-
-    Five conservation columns: test functions (1, 1) for molecule number,
-    (v, v) for momentum and (|v|^2/2, |v|^2/2 + eps0) for total energy.  All
-    three vanish per sampled tuple by the collision kinematics, so their
-    estimates sit at the rounding floor unless the kinematics are broken.
-    The sixth column is the excited-molecule production rate, test functions
-    (0, 1); its reduced closed form is
-    rho1^2 e^(-2 eps0/T1) P(T1) - rho1 rho2 P(T2, T1).
-
-    The kernel check projects K[F_eq] on the excited-species moments 1, v - u
-    and |v - u|^2/2; at LTE every projection is consistent with zero.
-
-    Every problem keys its batches by (seed, side, batch), so the results
-    equal those of each problem estimated alone, bit for bit.
-    """
-    return _weak_form_checks(generic_pair, lte_state, plan, consts)
-
-
 def _weak_form_checks(generic_pair, lte_state, plan, consts, then=None):
+    """(MomentReport, Estimate, kernel dict) of `verify_checks` from one draw
+    per side; the calling thread calls ``then(pair)`` after the gain side."""
     exchange, kernel = _weak_form_moments(
         [_exchange_problem(*generic_pair, consts), _kernel_problem(lte_state, consts)], consts, plan, then
     )
@@ -451,12 +425,31 @@ def _weak_form_checks(generic_pair, lte_state, plan, consts, then=None):
 
 
 def verify_checks(lte_pair, n_tuples, generic_pair, lte_state, plan, consts) -> tuple:
-    """(detailed_balance_check(lte_pair, n_tuples, plan.seed, consts),
-    weak_form_checks(generic_pair, lte_state, plan, consts)), the checks of
-    `radgas verify`, from one two-thread pass: the calling thread runs the
-    gain side and then the detailed-balance sweep, in the gain side's spent
-    normals buffer, while the worker runs the loss side.  The values are
-    those of the two calls, bit for bit."""
+    """The checks of `radgas verify`: (balance, (MomentReport, Estimate,
+    kernel dict)).
+
+    `balance` is the largest detailed-balance residual of `lte_pair` over
+    `n_tuples` sampled ground-state pairs (`_balance_sweep`, keyed by
+    (plan.seed, 1)), or None when no pair is above threshold.
+
+    The rest comes from one draw per side.  The conservation report and the
+    mass-exchange estimate are those of `generic_pair`.  Five conservation
+    columns: test functions (1, 1) for molecule number, (v, v) for momentum
+    and (|v|^2/2, |v|^2/2 + eps0) for total energy.  All three vanish per
+    sampled tuple by the collision kinematics, so their estimates sit at the
+    rounding floor unless the kinematics are broken.  The sixth column is
+    the excited-molecule production rate, test functions (0, 1); its reduced
+    closed form is rho1^2 e^(-2 eps0/T1) P(T1) - rho1 rho2 P(T2, T1).  The
+    kernel check projects K[F_eq] of the LTE pair on `lte_state` on the
+    excited-species moments 1, v - u and |v - u|^2/2; at LTE every
+    projection is consistent with zero.
+
+    Every problem keys its batches by (seed, side, batch), so the results
+    equal those of each problem estimated alone, bit for bit.  One
+    two-thread pass serves all: the calling thread runs the gain side and
+    then the detailed-balance sweep, in the gain side's spent normals
+    buffer, while the worker runs the loss side.
+    """
     balance = []
 
     def sweep(pair):

@@ -23,11 +23,7 @@ __all__ = [
     "pseudo_planck",
     "energy_density",
     "entropy_lambda",
-    "entropy_density",
-    "elastic_post_velocities",
     "nonelastic_post_velocities",
-    "w_plus",
-    "w_minus",
 ]
 
 
@@ -90,31 +86,12 @@ def entropy_lambda(T, consts: PhysConsts):
     return 1.5 * np.log(T) + np.log1p(q) + x * q / (1.0 + q) - math.log(consts.c0) + 1.5
 
 
-def entropy_density(rho_total, T, consts: PhysConsts):
-    """Entropy per molecule of the two-state gas at total density rho_total."""
-    return -np.log(np.asarray(rho_total, dtype=float)) + entropy_lambda(T, consts)
-
-
 def _check_unit(omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     norms = np.sqrt(np.sum(omega**2, axis=-1))
     if not np.allclose(norms, 1.0, rtol=0, atol=1e-10):
         raise ValueError("omega must be a unit vector")
     return omega
-
-
-def elastic_post_velocities(v1, v2, omega):
-    """Post-collision velocities of an elastic binary collision.
-
-    v3,4 = (v1+v2)/2 +- (|v1-v2|/2) * omega.  Momentum and kinetic energy are
-    conserved identically.  Broadcasts over leading axes.
-    """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    omega = _check_unit(omega)
-    center = 0.5 * (v1 + v2)
-    half_rel = 0.5 * np.sqrt(np.sum((v1 - v2) ** 2, axis=-1))[..., None]
-    return center + half_rel * omega, center - half_rel * omega
 
 
 def nonelastic_post_velocities(v1, v2, omega, consts: PhysConsts):
@@ -138,35 +115,6 @@ def nonelastic_post_velocities(v1, v2, omega, consts: PhysConsts):
     return center + k * omega, center - k * omega
 
 
-def w_plus(v3, v4, consts: PhysConsts):
-    """Gain-side rate factor sqrt(|v3-v4|^2 + 4*eps0)/(2|v3-v4|) * B(|v3-v4|).
-
-    With the hard-sphere kernel B = C0*|v3-v4| this is
-    (C0/2)*sqrt(|v3-v4|^2 + 4*eps0); C0 = 2 gives sqrt(|v3-v4|^2 + 4*eps0).
-    """
-    v3 = np.asarray(v3, dtype=float)
-    v4 = np.asarray(v4, dtype=float)
-    rel2 = np.sum((v3 - v4) ** 2, axis=-1)
-    rel = np.sqrt(rel2)
-    return np.sqrt(rel2 + 4.0 * consts.epsilon0) / (2.0 * rel) * (consts.C0_kernel * rel)
-
-
-def w_minus(v1, v2, consts: PhysConsts):
-    """Loss-side rate factor sqrt(|v1-v2|^2 - 4*eps0)/(2|v1-v2|) * C0*|v1-v2|.
-
-    Raises BelowThreshold below the endothermic threshold |v1-v2|^2 = 4*eps0.
-    """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    rel2 = np.sum((v1 - v2) ** 2, axis=-1)
-    if np.any(rel2 < 4.0 * consts.epsilon0):
-        raise BelowThreshold(
-            f"|v1-v2|^2 = {np.min(rel2):.6g} < 4*epsilon0 = {4 * consts.epsilon0:.6g}"
-        )
-    rel = np.sqrt(rel2)
-    return np.sqrt(rel2 - 4.0 * consts.epsilon0) / (2.0 * rel) * (consts.C0_kernel * rel)
-
-
 @dataclass(frozen=True)
 class CollisionTuple:
     """A kinematically valid binary collision (v1, v2) -> (v3, v4)."""
@@ -177,8 +125,6 @@ class CollisionTuple:
     v4: np.ndarray
     kind: str  # "elastic" | "nonelastic"
 
-    _ATOL = 1e-9
-
     def __post_init__(self):
         for name in ("v1", "v2", "v3", "v4"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
@@ -186,21 +132,6 @@ class CollisionTuple:
             raise ValueError(f"kind must be elastic|nonelastic, got {self.kind!r}")
 
     @classmethod
-    def elastic(cls, v1, v2, omega) -> "CollisionTuple":
-        v3, v4 = elastic_post_velocities(v1, v2, omega)
-        return cls(v1, v2, v3, v4, "elastic")
-
-    @classmethod
     def nonelastic(cls, v1, v2, omega, consts: PhysConsts) -> "CollisionTuple":
         v3, v4 = nonelastic_post_velocities(v1, v2, omega, consts)
         return cls(v1, v2, v3, v4, "nonelastic")
-
-    def momentum_residual(self) -> np.ndarray:
-        return (self.v1 + self.v2) - (self.v3 + self.v4)
-
-    def energy_residual(self, consts: PhysConsts) -> np.ndarray:
-        """Total-energy defect; includes the quantum eps0 for nonelastic tuples."""
-        kin_in = 0.5 * (np.sum(self.v1**2, axis=-1) + np.sum(self.v2**2, axis=-1))
-        kin_out = 0.5 * (np.sum(self.v3**2, axis=-1) + np.sum(self.v4**2, axis=-1))
-        shift = consts.epsilon0 if self.kind == "nonelastic" else 0.0
-        return kin_in - (kin_out + shift)

@@ -24,7 +24,7 @@ map u = A u + g, whose GMRES solve cross-checks the direct one, is a contraction
 
 Everything runs on numpy alone: the exponential integrals E1, E3 and E4
 (`_expn`), the real FFTs (`numpy.fft`) and the Toeplitz solve (`_levinson`
-and `_toeplitz_solve`) are the module's own.
+and `_ToeplitzInverse`) are the module's own.
 """
 
 from __future__ import annotations
@@ -422,11 +422,6 @@ class _ToeplitzInverse:
         u2 = lower(zjf_hat, jb_hat)[::-1]  # U(Z J f) b
         x = lower(f_hat, rfft(u1, period, axis=0)) - lower(zjf_hat, rfft(u2, period, axis=0))
         return (x / self.f[0]).reshape(np.shape(b))
-
-
-def _toeplitz_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with T x = b for the symmetric positive definite Toeplitz T with first column c; b is (n,) or (n, m)."""
-    return _ToeplitzInverse(c)(b)
 
 
 class _CellToeplitz:

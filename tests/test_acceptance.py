@@ -32,7 +32,6 @@ from radgas.kinetic import (
     detailed_balance_residual,
     entropy_identity_check,
     mass_exchange_reduced,
-    weak_form_checks,
 )
 from radgas.levelscan import ScanWindow, extract_contours, scan, smoothness_report
 from radgas.slab import (
@@ -47,7 +46,7 @@ from radgas.slab import (
 )
 from radgas.three_level import ThreeLevelParams, lte_deviation, solve_three_level
 from radgas.physics import pseudo_planck
-from oracles import fredholm_kernel_K
+from oracles import fredholm_kernel_K, weak_form_checks
 
 FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
 PHYS = PhysConsts(epsilon0=1.0, sigma=1.0)

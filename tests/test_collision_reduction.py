@@ -11,7 +11,6 @@ from radgas import (
     TripleQuadSpec,
     ReducedKernelParams,
     DomainError,
-    eval_reduced_kernel,
     triple_integral,
     functionals,
     H_func,
@@ -21,6 +20,7 @@ from radgas import (
     fit_calibration,
 )
 from radgas.collision_reduction import _pair_integrals, _quad_grid, _t1_integrals, structural_value
+from oracles import eval_reduced_kernel
 
 FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
 PHYS = PhysConsts(epsilon0=1.0, sigma=1.0)

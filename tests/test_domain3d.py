@@ -23,14 +23,12 @@ from radgas.domain3d import (
     _kernel_table,
     _nearest_interior,
     _next_fast_len,
-    div_R,
-    exit_distance,
     fftconvolve,
     kernel_mass_at,
     nonexistence_check,
     solve_w,
-    vector_R,
 )
+from oracles import ImplicitDomain, div_R, exit_distance, vector_R
 from test_picard import _plain_loop
 
 SPHERE = SphereGrid(16, 32)
@@ -38,7 +36,7 @@ BALL = ConvexDomain.ball((0.0, 0.0, 0.0), 1.0)
 # slab-like box: thin in z, wide in x, y (aspect ratio 20)
 SLAB = ConvexDomain.box((-10.0, -10.0, 0.0), (10.0, 10.0, 1.0))
 BOX = ConvexDomain.box((-2, -1, -3), (1, 2, 0.5))
-IMPLICIT_BALL = ConvexDomain.implicit(
+IMPLICIT_BALL = ImplicitDomain(
     lambda p: np.sqrt(np.sum(np.asarray(p, dtype=float) ** 2, axis=-1)) - 1.0,
     (-1, -1, -1),
     (1, 1, 1),
@@ -182,7 +180,7 @@ class TestExitDistance:
 
     def test_implicit_matches_ball(self):
         sdf = lambda p: np.sqrt(np.sum(np.asarray(p, dtype=float) ** 2, axis=-1)) - 1.0
-        imp = ConvexDomain.implicit(sdf, (-1, -1, -1), (1, 1, 1))
+        imp = ImplicitDomain(sdf, (-1, -1, -1), (1, 1, 1))
         rng = np.random.default_rng(4)
         for _ in range(5):
             y = rng.normal(size=3) * 0.3
@@ -450,7 +448,7 @@ class TestTwoThreadPass:
                 raise error  # the worker walks the odd blocks
             return np.sqrt(np.sum(np.asarray(p) ** 2, axis=-1)) - 1.0
 
-        domain = ConvexDomain.implicit(sdf, (-1, -1, -1), (1, 1, 1))
+        domain = ImplicitDomain(sdf, (-1, -1, -1), (1, 1, 1))
         pts = _ball_points(np.random.default_rng(5), 3 * self.BLOCK)
         nodes, weights = SPHERE.nodes_weights()
         before = threading.active_count()
@@ -600,7 +598,7 @@ def frac_grid_edt_oracle(domain, n):
     return frac_grid, int(orphans.sum())
 
 
-ELLIPSOID = ConvexDomain.implicit(
+ELLIPSOID = ImplicitDomain(
     lambda p: np.sum((np.asarray(p, dtype=float) / (1.0, 0.6, 0.4)) ** 2, axis=-1) - 1.0,
     (-1.0, -0.6, -0.4),
     (1.0, 0.6, 0.4),
@@ -785,7 +783,7 @@ class TestSolveW:
 
     def test_no_interior_cell_centre_raises_not_interior(self):
         # a radius-0.03 sphere in a [-1, 1]^3 box holds none of the 8^3 centres
-        tiny = ConvexDomain.implicit(lambda p: np.sqrt(np.sum(p**2, axis=-1)) - 0.03, (-1, -1, -1), (1, 1, 1))
+        tiny = ImplicitDomain(lambda p: np.sqrt(np.sum(p**2, axis=-1)) - 0.03, (-1, -1, -1), (1, 1, 1))
         with pytest.raises(NotInterior):
             solve_w(tiny, f_iso, LatticeSpec(8), SPHERE)
 

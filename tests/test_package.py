@@ -1,13 +1,21 @@
 """The package namespace re-exports every public name of its layer modules,
-and the package declares numpy as its one runtime dependency."""
+loading a layer only when one of its names is first used; every public name
+is used by a subcommand, demo or benchmark; and the package declares numpy as
+its one runtime dependency."""
 
+import ast
+import glob
 import importlib
+import json
 import os
 import re
 
 import pytest
 
 import radgas
+from test_cli import fresh_python
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 LAYERS = ["physics", "collision_reduction", "levelscan", "picard", "slab", "domain3d", "three_level", "kinetic"]
 
@@ -19,19 +27,67 @@ def test_layer_all_is_reexported(layer):
     assert [name for name in module.__all__ if getattr(radgas, name, None) is not getattr(module, name)] == []
 
 
-def test_test_oracles_are_not_in_the_library():
-    # the plain kernel K and the gathered matrix live in tests/oracles.py
-    import radgas.slab
+def fresh(code: str):
+    """The JSON value that `code` prints from a new interpreter after `import radgas`."""
+    return json.loads(fresh_python(f"import json, sys\nimport radgas\nLAYERS = {LAYERS!r}\n{code}"))
 
-    assert not hasattr(radgas, "fredholm_kernel_K") and not hasattr(radgas.slab, "fredholm_kernel_K")
-    assert not hasattr(radgas.slab._CellToeplitz, "dense")
+
+LOADED = "print(json.dumps([layer for layer in LAYERS if 'radgas.' + layer in sys.modules]))"
+
+
+def test_import_loads_no_layer():
+    assert fresh(LOADED) == []
+
+
+def test_a_name_loads_its_layer_only_when_used():
+    loaded = fresh(f"radgas.L_func\n{LOADED}")
+    assert "collision_reduction" in loaded
+    assert not {"slab", "domain3d", "kinetic"} & set(loaded)
+
+
+def test_dir_lists_every_layer_all():
+    names = set(fresh("print(json.dumps(dir(radgas)))"))
+    for layer in LAYERS:
+        assert set(importlib.import_module(f"radgas.{layer}").__all__) <= names
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    message = fresh(
+        "try:\n    radgas.no_such_name\nexcept AttributeError as exc:\n    print(json.dumps(str(exc)))"
+    )
+    assert "no_such_name" in message
+
+
+def _used_names(path) -> set:
+    """Every Name id, Attribute attr and import alias name in a Python file."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_test_oracles_are_not_in_the_library():
+    # every public name is reached by a subcommand, a demo or the benchmark;
+    # names only the tests call live in tests/oracles.py.  The AST, not the
+    # text, decides: docstrings still name some of the moved functions.
+    files = [f for f in glob.glob(os.path.join(ROOT, "src", "radgas", "*.py")) if not f.endswith("__init__.py")]
+    files += glob.glob(os.path.join(ROOT, "demos", "*.py")) + glob.glob(os.path.join(ROOT, "bench", "*.py"))
+    used = set().union(*map(_used_names, files))
+    unused = [(layer, name) for layer in LAYERS for name in importlib.import_module(f"radgas.{layer}").__all__ if name not in used]
+    assert unused == []
 
 
 def test_numpy_is_the_only_runtime_dependency():
     # scipy is a test dependency: the tests hold numpy routines against it
     tomllib = pytest.importorskip("tomllib")
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
         project = tomllib.load(fh)["project"]
     name = lambda dep: re.match(r"[A-Za-z0-9._-]+", dep).group()  # noqa: E731
     assert [name(dep) for dep in project["dependencies"]] == ["numpy"]

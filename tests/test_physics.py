@@ -15,11 +15,16 @@ from radgas import (
     pseudo_planck,
     energy_density,
     entropy_lambda,
-    entropy_density,
-    elastic_post_velocities,
     nonelastic_post_velocities,
-    w_plus,
+)
+from oracles import (
+    elastic_post_velocities,
+    elastic_tuple,
+    energy_residual,
+    entropy_density,
+    momentum_residual,
     w_minus,
+    w_plus,
 )
 
 CONSTS = PhysConsts(epsilon0=1.0)
@@ -260,7 +265,7 @@ class TestCollisionTuple:
     def test_constructors_and_residuals(self):
         t = CollisionTuple.nonelastic((2, 0, 0), (-2, 0, 0), (0, 0, 1), CONSTS)
         assert t.kind == "nonelastic"
-        np.testing.assert_allclose(t.momentum_residual(), 0.0, atol=1e-14)
-        assert abs(t.energy_residual(CONSTS)) < 1e-14
-        t2 = CollisionTuple.elastic((1, 2, 3), (0, 1, 0), (1, 0, 0))
-        assert abs(t2.energy_residual(CONSTS)) < 1e-13
+        np.testing.assert_allclose(momentum_residual(t), 0.0, atol=1e-14)
+        assert abs(energy_residual(t, CONSTS)) < 1e-14
+        t2 = elastic_tuple((1, 2, 3), (0, 1, 0), (1, 0, 0))
+        assert abs(energy_residual(t2, CONSTS)) < 1e-13
