@@ -12,33 +12,19 @@ Subsystems:
 - kinetic:              Monte Carlo verification of kinetic-level identities
 - cli:                  batch command line driver
 
-The package namespace holds every name in a layer's ``__all__``: the
-constants and errors, which every layer imports, are bound here; any other
-name loads its layer on first use (PEP 562), so ``import radgas`` loads no
-solver module.
+The package namespace holds every name in a layer's ``__all__``, with the
+constants and the errors that every layer imports.
 """
-
-import importlib
 
 from .constants import PhysConsts, K_BOLTZMANN, C0_MAXWELLIAN
 from .errors import *  # noqa: F403 (the module defines the error classes and nothing else)
+from .physics import *  # noqa: F403
+from .collision_reduction import *  # noqa: F403
+from .levelscan import *  # noqa: F403
+from .picard import *  # noqa: F403
+from .slab import *  # noqa: F403
+from .domain3d import *  # noqa: F403
+from .three_level import *  # noqa: F403
+from .kinetic import *  # noqa: F403
 
 __version__ = "0.1.0"
-
-_LAYERS = ("physics", "collision_reduction", "levelscan", "picard", "slab", "domain3d", "three_level", "kinetic")
-
-
-def _layer(layer):
-    return importlib.import_module(f"{__name__}.{layer}")
-
-
-def __getattr__(name):
-    for layer in _LAYERS:
-        module = _layer(layer)
-        if name in module.__all__:
-            return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted({*globals(), *(name for layer in _LAYERS for name in _layer(layer).__all__)})

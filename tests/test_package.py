@@ -1,19 +1,16 @@
-"""The package namespace re-exports every public name of its layer modules,
-loading a layer only when one of its names is first used; every public name
-is used by a subcommand, demo or benchmark; and the package declares numpy as
-its one runtime dependency."""
+"""The package namespace re-exports every public name of its layer modules;
+every public name is used by a subcommand, demo or benchmark; and the package
+declares numpy as its one runtime dependency."""
 
 import ast
 import glob
 import importlib
-import json
 import os
 import re
 
 import pytest
 
 import radgas
-from test_cli import fresh_python
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -25,37 +22,6 @@ def test_layer_all_is_reexported(layer):
     module = importlib.import_module(f"radgas.{layer}")
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
     assert [name for name in module.__all__ if getattr(radgas, name, None) is not getattr(module, name)] == []
-
-
-def fresh(code: str):
-    """The JSON value that `code` prints from a new interpreter after `import radgas`."""
-    return json.loads(fresh_python(f"import json, sys\nimport radgas\nLAYERS = {LAYERS!r}\n{code}"))
-
-
-LOADED = "print(json.dumps([layer for layer in LAYERS if 'radgas.' + layer in sys.modules]))"
-
-
-def test_import_loads_no_layer():
-    assert fresh(LOADED) == []
-
-
-def test_a_name_loads_its_layer_only_when_used():
-    loaded = fresh(f"radgas.L_func\n{LOADED}")
-    assert "collision_reduction" in loaded
-    assert not {"slab", "domain3d", "kinetic"} & set(loaded)
-
-
-def test_dir_lists_every_layer_all():
-    names = set(fresh("print(json.dumps(dir(radgas)))"))
-    for layer in LAYERS:
-        assert set(importlib.import_module(f"radgas.{layer}").__all__) <= names
-
-
-def test_unknown_name_raises_attribute_error_naming_it():
-    message = fresh(
-        "try:\n    radgas.no_such_name\nexcept AttributeError as exc:\n    print(json.dumps(str(exc)))"
-    )
-    assert "no_such_name" in message
 
 
 def _used_names(path) -> set:

@@ -17,15 +17,7 @@ from radgas import (
     entropy_lambda,
     nonelastic_post_velocities,
 )
-from oracles import (
-    elastic_post_velocities,
-    elastic_tuple,
-    energy_residual,
-    entropy_density,
-    momentum_residual,
-    w_minus,
-    w_plus,
-)
+from oracles import energy_residual, momentum_residual, w_minus, w_plus
 
 CONSTS = PhysConsts(epsilon0=1.0)
 
@@ -138,41 +130,6 @@ class TestEntropyLambda:
         assert np.all(np.isfinite(vals))
         assert np.all(np.isreal(vals))
 
-    def test_entropy_density_log_in_rho(self):
-        s1 = entropy_density(1.3, 7.0, CONSTS)
-        s2 = entropy_density(2.6, 7.0, CONSTS)
-        assert s2 - s1 == pytest.approx(-math.log(2.0), rel=1e-13)
-
-
-class TestElasticKinematics:
-    def test_symmetric_head_on(self):
-        v3, v4 = elastic_post_velocities((1, 0, 0), (-1, 0, 0), (0, 1, 0))
-        np.testing.assert_allclose(v3, [0, 1, 0], atol=1e-15)
-        np.testing.assert_allclose(v4, [0, -1, 0], atol=1e-15)
-
-    def test_identity_collision(self):
-        rng = np.random.default_rng(3)
-        v1 = rng.normal(size=3)
-        v2 = rng.normal(size=3)
-        omega = (v1 - v2) / np.linalg.norm(v1 - v2)
-        v3, v4 = elastic_post_velocities(v1, v2, omega)
-        np.testing.assert_allclose(v3, v1, rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(v4, v2, rtol=1e-13, atol=1e-13)
-
-    def test_conservation_random_sweep(self):
-        rng = np.random.default_rng(5)
-        n = 10**4
-        v1 = rng.normal(size=(n, 3)) * 2
-        v2 = rng.normal(size=(n, 3)) * 2
-        om = rng.normal(size=(n, 3))
-        om /= np.linalg.norm(om, axis=1, keepdims=True)
-        v3, v4 = elastic_post_velocities(v1, v2, om)
-        scale = np.max(np.abs(v1) + np.abs(v2))
-        assert np.max(np.abs(v1 + v2 - v3 - v4)) < 1e-12 * scale
-        e_in = np.sum(v1**2 + v2**2, axis=1)
-        e_out = np.sum(v3**2 + v4**2, axis=1)
-        assert np.max(np.abs(e_in - e_out) / e_in) < 1e-12
-
 
 class TestNonelasticKinematics:
     def test_hand_checkable(self):
@@ -267,5 +224,3 @@ class TestCollisionTuple:
         assert t.kind == "nonelastic"
         np.testing.assert_allclose(momentum_residual(t), 0.0, atol=1e-14)
         assert abs(energy_residual(t, CONSTS)) < 1e-14
-        t2 = elastic_tuple((1, 2, 3), (0, 1, 0), (1, 0, 0))
-        assert abs(energy_residual(t2, CONSTS)) < 1e-13
