@@ -32,7 +32,7 @@ print(f"background densities: {bg['rho1']:.4f}, {bg['rho2']:.4f}, {bg['rho3']:.4
 sol = solve_three_level(0.0, boundary, params, grid, angles, mass_C0=0.0)
 dev, where = lte_deviation(sol)
 print(f"\ndriven run (one-sided h boundary 0.1):")
-print(f"  direct vs Picard gap: {sol.path_gap:.2e} ({sol.picard_iterations} GMRES step calls)")
+print(f"  direct vs Picard gap: {sol.path_gap:.2e} ({sol.picard_iterations} GMRES residuals)")
 print(f"  equation residuals: {sol.eq1_residual:.1e} / {sol.eq2_residual:.1e} / {sol.eq3_residual:.1e}")
 print(f"  non-LTE deviation max |sigma_i - sigma_j| = {dev:.4f} "
       f"(pair {where['pair']} at y = {where['y']:.3f})")

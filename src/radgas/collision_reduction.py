@@ -126,15 +126,12 @@ def triple_integral(kind: str, params: ReducedKernelParams, spec: TripleQuadSpec
     """pi^2 * triple integral of r^2 rho^2 sin(theta) * kernel * exp(-(r^2+rho^2)/2).
 
     The theta integral is exact; (r, rho) use spec's Gauss-Legendre grid.
-    `kind` is one of the kernels of T1 alone, "A_kern" or "B1", or "one"
-    (kernel identically 1, test hook: the exact value is pi^3).  The kernels
+    `kind` is one of the kernels of T1 alone, "A_kern" or "B1".  The kernels
     of a (T1, T2) pair come from `_pair_integrals`.
     """
     a, m, c, w = _quad_grid(spec)
     T1, eps0 = params.T1, params.epsilon0
-    if kind == "one":
-        vals = np.full_like(a, 2.0)
-    elif kind == "A_kern":  # the odd term in b integrates to zero
+    if kind == "A_kern":  # the odd term in b integrates to zero
         vals = 8.0 * math.pi * (T1 / 8.0 * (a + c) + eps0) * np.sqrt(T1 * a + 4.0 * eps0)
     elif kind == "B1":
         vals = math.pi * (a + c) * np.sqrt(a + 4.0 * eps0 / T1)

@@ -293,7 +293,7 @@ class VolumeField:
     picard_ratio: float | None = None  # max-norm contraction bound: max(kernel_mass)
     iterations: int | None = None
     converged: bool = False
-    picard_diffs: list | None = None  # max-norm residual after each step call
+    picard_diffs: list | None = None  # max-norm residual at the zero start and after each product
 
 
 def _build_lattice(domain: ConvexDomain, spec: LatticeSpec):
@@ -385,15 +385,15 @@ def _next_fast_len(m: int) -> int:
     return best
 
 
-def _kernel_table(n: int, spacing, near_range: int = 6):
+def _kernel_table(n: int, spacing):
     """Per-cell integrals of e^(-r)/(4*pi*r^2) over lattice offset cells, on a
     circular table of period L = _next_fast_len(2n - 1) per axis: offset k sits
     at index k mod L, so the first n^3 block of a circular product with a
     zero-padded n^3 input is the linear convolution (Hockney and Eastwood
     1988).  Offsets |k| >= n fill the wrap gap and are never read.  Self cell:
-    analytic over the equal-volume ball; cells within `near_range` of the
-    origin: 4^3 Gauss-Legendre; beyond: 2^3.  The table is even in every
-    axis, so the integrals are taken on the distinct |k| and gathered.
+    analytic over the equal-volume ball; cells within 6 offsets of the origin
+    in every axis: 4^3 Gauss-Legendre; beyond: 2^3.  The table is even in
+    every axis, so the integrals are taken on the distinct |k| and gathered.
     """
     L = _next_fast_len(2 * n - 1)
     k = np.arange(L)
@@ -415,7 +415,7 @@ def _kernel_table(n: int, spacing, near_range: int = 6):
         return out
 
     half = cell_integrals(offs, 2)
-    near = slice(near_range + 1)
+    near = slice(7)
     half[near, near, near] = cell_integrals([o[near] for o in offs], 4)
     r_eq = (3.0 * vol / (4.0 * math.pi)) ** (1.0 / 3.0)
     half[0, 0, 0] = 1.0 - math.exp(-r_eq)
@@ -447,8 +447,6 @@ def solve_w(
     f,
     lattice: LatticeSpec = LatticeSpec(),
     sphere: SphereGrid = SphereGrid(),
-    tol: float = 1e-10,
-    max_iter: int = 500,
 ) -> VolumeField:
     """Solve the nonlocal fixed-point equation for w = e^theta.
 
@@ -463,7 +461,8 @@ def solve_w(
     operator; `picard_ratio` is the max-norm bound max(kernel_mass), which
     holds because each row is renormalised to its local kernel mass and the
     weights are non-negative.
-    `converged` records whether the residual fell below tol before max_iter.
+    `converged` records whether the residual fell below 1e-10 (relative to
+    max(1, max|w|)) within 500 recorded residuals.
     Raises NotInterior if no lattice cell centre lies inside the domain, and
     NonPositiveW if the final iterate dips <= 0 while not identically zero
     (inadmissible profile f).
@@ -494,15 +493,11 @@ def solve_w(
     frac = frac_grid[inside]
     w_grid = np.zeros(inside.shape)
 
-    def sweep(w):
-        if not np.any(w):
-            # GMRES's first step: the convolution of a zero grid is +0.0
-            # throughout, so this is the sum's value bit for bit
-            return forcing + 0.0
+    def convolve(w):
         w_grid[inside] = w * frac
-        return scale * fftconvolve(w_grid, table_hat, period)[inside] + forcing
+        return scale * fftconvolve(w_grid, table_hat, period)[inside]
 
-    picard = fixed_point(sweep, np.zeros(len(pts)), tol, max_iter)
+    picard = fixed_point(convolve, forcing, tol=1e-10, max_iter=500)
     w = picard.x
     if float(np.max(np.abs(w))) > 0 and float(np.min(w)) <= 0:
         at = int(np.argmin(w))

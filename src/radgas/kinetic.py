@@ -77,10 +77,6 @@ class Estimate:
     value: float
     std_error: float
 
-    @property
-    def sigmas(self) -> float:
-        return abs(self.value) / self.std_error if self.std_error > 0 else math.inf
-
     def consistent_with_zero(self, n_sigma: float = 3.0, floor: float = 1e-10) -> bool:
         return abs(self.value) <= n_sigma * self.std_error + floor
 
@@ -117,8 +113,6 @@ def detailed_balance_residual(
     pointwise exactly when the densities sit in the Boltzmann ratio with a
     common velocity and temperature.
     """
-    if tup.kind != "nonelastic":
-        raise ValueError("detailed balance is a property of nonelastic tuples")
     lhs = maxwellian(state1, False, consts, tup.v1) * maxwellian(state1, False, consts, tup.v2)
     rhs = maxwellian(state2, False, consts, tup.v3) * maxwellian(state1, False, consts, tup.v4)
     res = (lhs - rhs) / lhs

@@ -123,15 +123,12 @@ class CollisionTuple:
     v2: np.ndarray
     v3: np.ndarray
     v4: np.ndarray
-    kind: str  # "elastic" | "nonelastic"
 
     def __post_init__(self):
         for name in ("v1", "v2", "v3", "v4"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.kind not in ("elastic", "nonelastic"):
-            raise ValueError(f"kind must be elastic|nonelastic, got {self.kind!r}")
 
     @classmethod
     def nonelastic(cls, v1, v2, omega, consts: PhysConsts) -> "CollisionTuple":
         v3, v4 = nonelastic_post_velocities(v1, v2, omega, consts)
-        return cls(v1, v2, v3, v4, "nonelastic")
+        return cls(v1, v2, v3, v4)

@@ -1,11 +1,12 @@
 """The fixed-point solve of every stationary solver: the slab Fredholm
 equations, the scalar source of the linearized three-level system and the 3-D
-equation for w are all affine maps x = step(x) = K x + b on one flat vector.
+equation for w are all affine maps x = K x + b on one flat vector.
 
 The solve is GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) on
-(I - K) x = b, with b = step(0) and K v = step(v) - b.  It has no window to
-truncate, so the thick three-level corners, whose contraction factor rounds to
-1, converge in tens to a few hundred products.  Its residuals do not measure
+(I - K) x = b from a zero start.  It has no window to truncate, so the thick
+three-level corners, whose contraction factor rounds to 1, converge in tens to
+a few hundred products.  `iterations` counts the residuals recorded: max|b| at
+the zero start, plus one per application of K.  Its residuals do not measure
 the operator, so the slab and 3-D solvers report their analytic max-norm
 contraction bound as `picard_ratio`.
 """
@@ -27,8 +28,9 @@ _BASIS_BYTES = 2**24
 
 @dataclass
 class FixedPoint:
-    """The solution, the number of step calls, whether the stopping test held,
-    and the max-norm residual after each call."""
+    """The solution, the number of residuals recorded (one at the zero start,
+    one per application of K), whether the stopping test held, and those
+    max-norm residuals."""
 
     x: np.ndarray
     iterations: int
@@ -36,23 +38,25 @@ class FixedPoint:
     diffs: list
 
 
-def fixed_point(step, x0, tol: float, max_iter: int) -> FixedPoint:
-    """Solve x = step(x) for an affine step from x0 with at most max_iter
-    calls of step; x0 and every step(x) are 1-D vectors of one length.
+def fixed_point(apply, b, tol: float, max_iter: int) -> FixedPoint:
+    """Solve x = K x + b from x = 0, where apply(v) = K v, recording at most
+    max_iter residuals; b and every K v are 1-D vectors of one length.
 
-    An iterate x is accepted, and step(x) returned, when its true residual
-    passes max|step(x) - x| <= tol * max(1, max|step(x)|); a non-finite
-    residual ends the solve unconverged.  Between true residuals every call is
-    one Arnoldi product (I - K) v, orthogonalised by modified Gram-Schmidt.
-    Givens rotations then update the least-squares residual, as the vector
+    With step(x) = K x + b, an iterate x is accepted, and step(x) returned,
+    when its true residual passes max|step(x) - x| <= tol * max(1, max|step(x)|);
+    a non-finite residual ends the solve unconverged.  The zero start costs no
+    application: its step is b + 0.0, its residual max|b|.  Between true
+    residuals every application is one Arnoldi product (I - K) v,
+    orthogonalised by modified Gram-Schmidt.  Givens rotations then update
+    the least-squares residual, as the vector
     r_k = s_k^2 r_(k-1) + c_k tau_(k+1) v_(k+1) whose max norm `diffs`
     records.  Once that passes the test, or the basis fills `_BASIS_BYTES`,
     the iterate is formed and its true residual taken; a failed test restarts
-    from it.  Unconverged at max_iter, the last iterate is returned.  A start
-    other than 0 costs one more call, step(0) = b, recorded as max|b|.
+    from it.  Unconverged at max_iter, the last iterate is returned.  So
+    `iterations` is one more than the number of applications of K.
     """
-    x, g = x0, step(x0)
-    b = g if not np.any(x0) else None
+    b0 = b + 0.0
+    x, g = np.zeros_like(b0), b0
     diffs = []
     while True:
         r = g - x
@@ -62,10 +66,7 @@ def fixed_point(step, x0, tol: float, max_iter: int) -> FixedPoint:
         target = tol * max(1.0, float(np.max(np.abs(g))))
         if diffs[-1] <= target:
             return FixedPoint(g, len(diffs), True, diffs)
-        if len(diffs) < max_iter and b is None:
-            b = step(np.zeros_like(x))
-            diffs.append(float(np.max(np.abs(b))))
-        if len(diffs) >= max_iter or not np.isfinite(diffs[-1]):
+        if len(diffs) >= max_iter:
             return FixedPoint(g, len(diffs), False, diffs)
 
         # v_1 = r / |r|_2, scaled by max|r| first so that |r|_2 cannot overflow
@@ -75,7 +76,7 @@ def fixed_point(step, x0, tol: float, max_iter: int) -> FixedPoint:
         tau *= diffs[-1]
         basis, columns, rotations, rhs = [v], [], [], []
         while True:
-            w = v + b - step(v)
+            w = v + b0 - (apply(v) + b)  # v - K v, formed as v + step(0) - step(v)
             h = []
             for u in basis:
                 h.append(float(u @ w))
@@ -107,4 +108,4 @@ def fixed_point(step, x0, tol: float, max_iter: int) -> FixedPoint:
         x = x + sum(coef * u for coef, u in zip(np.linalg.solve(R, rhs), basis))
         if len(diffs) == max_iter:
             return FixedPoint(x, max_iter, False, diffs)
-        g = step(x)
+        g = apply(x) + b

@@ -479,22 +479,19 @@ class _CellToeplitz:
         a = self.apply(np.ones(self.n))
         return a, a + self.c0 + self.c1
 
-    def _direct(self, g: np.ndarray) -> np.ndarray:
+    def solve_shifted(self, g: np.ndarray) -> np.ndarray:
         """(I - A)^-1 g on the cached factor: (I - A) = (I - T) + U V^T with U = [c0, c1]
         and V = [e_0, e_n-1], so one Gohberg-Semencul product on g and a 2 x 2
-        Woodbury solve; no recursion runs after the first solve."""
-        inverse, zu, woodbury = self._factor
-        zg = inverse(g)
-        return zg - zu @ np.linalg.solve(woodbury, zg[[0, self.n - 1]])
-
-    def solve_shifted(self, g: np.ndarray) -> np.ndarray:
-        """The direct solve of (I - A) u = g; `refine` takes one step on it.
+        Woodbury solve; no recursion runs after the first solve.  `refine`
+        takes one step on it.
 
         Needs I - T symmetric positive definite: T symmetric and >= 0 with row
         sums < 1, which `_check_contraction` enforces for the Nystroem operator
         and the `three_level` module docstring argues for alpha * M_src.
         """
-        return self._direct(g)
+        inverse, zu, woodbury = self._factor
+        zg = inverse(g)
+        return zg - zu @ np.linalg.solve(woodbury, zg[[0, self.n - 1]])
 
     def refine(self, g: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
         """s after one step of iterative refinement, and max|(I - A) s - g| before it.
@@ -506,7 +503,7 @@ class _CellToeplitz:
         Levinson solve's own rounding where I - A is nearly singular.
         """
         r = g - (s - self.apply(s))
-        return s + self._direct(r), float(np.max(np.abs(r)))
+        return s + self.solve_shifted(r), float(np.max(np.abs(r)))
 
 
 def _nystrom_operator(y: np.ndarray) -> _CellToeplitz:
@@ -643,7 +640,7 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
 
     A, sup, _ = _slab_operators(grid)
     u, direct_residual = A.refine(g, A.solve_shifted(g))
-    picard = fixed_point(lambda x: A.apply(x) + g, np.zeros_like(g), tol=1e-13, max_iter=200)
+    picard = fixed_point(A.apply, g, tol=1e-13, max_iter=200)
     diagnostics = {
         "picard_ratio": sup,
         "direct_residual": direct_residual,

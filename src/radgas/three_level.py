@@ -144,7 +144,7 @@ class ThreeLevelSolution:
     path_gap: float  # max |sigma(direct source) - sigma(Picard source)|
     direct_residual: float  # max |(I - A) s - g| of the Levinson source s, before refinement
     picard_iterations: int
-    converged: bool  # the Picard check met its tolerance before max_iter
+    converged: bool  # the Picard check met its tolerance before its iteration cap
 
 
 def _node_matrix(params: ThreeLevelParams, G_p: float):
@@ -165,8 +165,6 @@ def solve_three_level(
     angles: AngleGrid,
     mass_C0: float | str = 0.0,
     m0: float | None = None,
-    tol: float = 1e-14,
-    max_iter: int = 2000,
 ) -> ThreeLevelSolution:
     """Solve the coupled linear stationary system for (sigma1, sigma2, sigma3).
 
@@ -232,7 +230,7 @@ def solve_three_level(
 
     src, direct_residual = A.refine(g, A.solve_shifted(g))
     sigma = sigma_of(src)
-    picard = fixed_point(lambda src: A.apply(src) + g, np.zeros(n), tol, max_iter)
+    picard = fixed_point(A.apply, g, tol=1e-14, max_iter=2000)
     h = radiation_solve_3p(*sigma, params, boundary, grid, angles)
     residuals = np.max(np.abs(local @ sigma - node_rhs(angular_mean(h))), axis=1)
     return ThreeLevelSolution(

@@ -25,11 +25,10 @@ def momentum_residual(tup: CollisionTuple) -> np.ndarray:
 
 
 def energy_residual(tup: CollisionTuple, consts) -> np.ndarray:
-    """Total-energy defect; includes the quantum eps0 for nonelastic tuples."""
+    """Total-energy defect of a nonelastic tuple, the quantum eps0 included."""
     kin_in = 0.5 * (np.sum(tup.v1**2, axis=-1) + np.sum(tup.v2**2, axis=-1))
     kin_out = 0.5 * (np.sum(tup.v3**2, axis=-1) + np.sum(tup.v4**2, axis=-1))
-    shift = consts.epsilon0 if tup.kind == "nonelastic" else 0.0
-    return kin_in - (kin_out + shift)
+    return kin_in - (kin_out + consts.epsilon0)
 
 
 def w_plus(v3, v4, consts):

@@ -1,7 +1,6 @@
 """Configuration parsing, artifact layout, exit codes, determinism."""
 
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -523,8 +522,10 @@ class TestRun:
         assert first["picard_diffs"] == second["picard_diffs"]
 
     def test_domain3d_unconverged_exits_one(self, tmp_path, monkeypatch):
-        capped = functools.partial(radgas.domain3d.solve_w, max_iter=2)
-        monkeypatch.setattr(radgas.domain3d, "solve_w", capped)
+        def capped(apply, b, tol, max_iter):
+            return radgas.picard.fixed_point(apply, b, tol, max_iter=2)
+
+        monkeypatch.setattr(radgas.domain3d, "fixed_point", capped)
         out = tmp_path / "d3"
         assert main(["domain3d", "--lattice-n", "12", "--out", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())
@@ -543,8 +544,8 @@ class TestRun:
         [("slab-lte", radgas.slab), ("slab-exp", radgas.slab), ("three-level", radgas.three_level)],
     )
     def test_picard_unconverged_exits_one(self, tmp_path, monkeypatch, subcommand, module):
-        def capped(step, x0, tol, max_iter):
-            return radgas.picard.fixed_point(step, x0, tol, max_iter=2)
+        def capped(apply, b, tol, max_iter):
+            return radgas.picard.fixed_point(apply, b, tol, max_iter=2)
 
         monkeypatch.setattr(module, "fixed_point", capped)
         out = tmp_path / "run"

@@ -664,8 +664,8 @@ class TestNearestInterior:
 
 
 def solve_w_oracle(domain, f, lattice, sphere):
-    """solve_w with every step a convolution, step(0) included, as before
-    the zero iterate took the forcing: (values, picard_diffs, iterations)."""
+    """solve_w with the convolution of the zero grid added to the forcing, as
+    when the zero start took one product: (values, picard_diffs, iterations)."""
     d = radgas.domain3d
     pts, inside, frac_grid, spacing = d._build_lattice(domain, lattice)
     nodes, weights = sphere.nodes_weights()
@@ -676,11 +676,11 @@ def solve_w_oracle(domain, f, lattice, sphere):
     scale = kernel_mass / fftconvolve(frac_grid, table_hat, table.shape)[inside]
     frac, w_grid = frac_grid[inside], np.zeros(inside.shape)
 
-    def sweep(w):
+    def convolve(w):
         w_grid[inside] = w * frac
-        return scale * fftconvolve(w_grid, table_hat, table.shape)[inside] + forcing
+        return scale * fftconvolve(w_grid, table_hat, table.shape)[inside]
 
-    picard = radgas.picard.fixed_point(sweep, np.zeros(len(pts)), 1e-10, 500)
+    picard = radgas.picard.fixed_point(convolve, convolve(np.zeros(len(pts))) + forcing, 1e-10, 500)
     return picard.x, picard.diffs, picard.iterations
 
 
@@ -727,8 +727,8 @@ class TestSolveW:
         row = {tuple(p): i for i, p in enumerate(field.points)}
         blocks = sorted((points for points, _ in rays), key=lambda points: row[tuple(points[0])])
         assert np.array_equal(np.concatenate(blocks), field.points)
-        # one for the row scale, then one per step but the first: step(0)
-        # is the forcing, with no convolution
+        # one for the row scale, then one per residual but the first: the
+        # zero start's residual is the forcing's, with no convolution
         assert calls == {"conv": field.iterations}
 
     def test_geometry_memory_bounded_by_blocks(self):
@@ -763,9 +763,8 @@ class TestSolveW:
 
     def test_gmres_matches_the_plain_solve(self, monkeypatch):
         field = solve_w(BALL, f_up, LatticeSpec(16), SPHERE)
-        monkeypatch.setattr(
-            radgas.domain3d, "fixed_point", lambda step, x0, tol, max_iter: FixedPoint(*_plain_loop(step, x0, tol, max_iter))
-        )
+        plain_loop = lambda *args, **kwargs: FixedPoint(*_plain_loop(*args, **kwargs))  # noqa: E731
+        monkeypatch.setattr(radgas.domain3d, "fixed_point", plain_loop)
         plain = solve_w(BALL, f_up, LatticeSpec(16), SPHERE)
         assert field.converged and plain.converged
         assert field.iterations <= 16 < plain.iterations
@@ -791,8 +790,12 @@ class TestSolveW:
         field = solve_w(BALL, f_iso, LatticeSpec(12), SPHERE)
         assert np.all(BALL.contains(field.points))
 
-    def test_max_iter_reported_as_not_converged(self):
-        field = solve_w(BALL, f_iso, LatticeSpec(12), SPHERE, max_iter=2)
+    def test_max_iter_reported_as_not_converged(self, monkeypatch):
+        def capped(apply, b, tol, max_iter):
+            return radgas.picard.fixed_point(apply, b, tol, max_iter=2)
+
+        monkeypatch.setattr(radgas.domain3d, "fixed_point", capped)
+        field = solve_w(BALL, f_iso, LatticeSpec(12), SPHERE)
         assert field.iterations == 2
         assert not field.converged
 

@@ -221,6 +221,5 @@ class TestDetailedBalancePointwise:
 class TestCollisionTuple:
     def test_constructors_and_residuals(self):
         t = CollisionTuple.nonelastic((2, 0, 0), (-2, 0, 0), (0, 0, 1), CONSTS)
-        assert t.kind == "nonelastic"
         np.testing.assert_allclose(momentum_residual(t), 0.0, atol=1e-14)
         assert abs(energy_residual(t, CONSTS)) < 1e-14

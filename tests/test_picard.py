@@ -29,27 +29,29 @@ def _affine_contraction(n=12, seed=3):
     return A, rng.normal(size=n)
 
 
-def _plain_loop(step, x0, tol, max_iter):
-    """The plain Picard loop x_(k+1) = step(x_k), with fixed_point's stopping test."""
-    x, diffs = x0, []
+def _plain_loop(apply, b, tol, max_iter):
+    """The plain Picard loop x_(k+1) = K x_k + b from x_0 = 0, with
+    fixed_point's stopping test; the count is of steps, K 0 + b included."""
+    x, diffs = np.zeros_like(b), []
     for iterations in range(1, max_iter + 1):
-        x, prev = step(x), x
+        x, prev = apply(x) + b, x
         diffs.append(float(np.max(np.abs(x - prev))))
         if diffs[-1] <= tol * max(1.0, float(np.max(np.abs(x)))):
             return x, iterations, True, diffs
     return x, max_iter, False, diffs
 
 
-def _anderson_loop(step, x0, tol, max_iter):
+def _anderson_loop(apply, b, tol, max_iter):
     """The former loop of every solver, kept as the oracle: type-II Anderson
     mixing with a window of 5 (Walker and Ni, SIAM J. Numer. Anal. 49, 2011).
-    With g_k = step(x_k), f_k = g_k - x_k and dF, dG the last 5 differences of
-    f and g, gamma minimises |f_k - dF gamma|_2 and x_(k+1) = g_k - dG gamma;
-    the first sweep is plain.  Same stopping test as fixed_point."""
-    x = x0
+    From x_0 = 0, with g_k = K x_k + b, f_k = g_k - x_k and dF, dG the last 5
+    differences of f and g, gamma minimises |f_k - dF gamma|_2 and
+    x_(k+1) = g_k - dG gamma; the first sweep is plain.  Same stopping test
+    as fixed_point; the count is of sweeps, K 0 + b included."""
+    x = np.zeros_like(b)
     diffs, dF, dG = [], [], []
     for iterations in range(1, max_iter + 1):
-        g = step(x)
+        g = apply(x) + b
         f = g - x
         diffs.append(float(np.max(np.abs(f))))
         if not np.isfinite(diffs[-1]):
@@ -68,8 +70,8 @@ def _anderson_loop(step, x0, tol, max_iter):
 
 def test_matches_plain_loop_and_direct_solve_in_fewer_sweeps():
     A, g = _affine_contraction()
-    fp = fixed_point(lambda x: A @ x + g, np.zeros_like(g), tol=1e-13, max_iter=1000)
-    x, iterations, converged, _ = _plain_loop(lambda x: A @ x + g, np.zeros_like(g), 1e-13, 1000)
+    fp = fixed_point(lambda x: A @ x, g, tol=1e-13, max_iter=1000)
+    x, iterations, converged, _ = _plain_loop(lambda x: A @ x, g, 1e-13, 1000)
     assert fp.converged and converged
     assert fp.iterations == len(fp.diffs) < iterations
     np.testing.assert_allclose(fp.x, np.linalg.solve(np.eye(len(g)) - A, g), rtol=0, atol=1e-12)
@@ -84,7 +86,7 @@ def test_random_nonsymmetric_contractions_match_direct_solve(n, seed):
     A = rng.normal(size=(n, n))
     A *= 0.9 / np.abs(A).sum(axis=1, keepdims=True)  # signed, nonsymmetric, max norm 0.9
     b = 10.0 * rng.normal(size=n)
-    fp = fixed_point(lambda x: A @ x + b, np.zeros(n), tol=1e-13, max_iter=200)
+    fp = fixed_point(lambda x: A @ x, b, tol=1e-13, max_iter=200)
     want = np.linalg.solve(np.eye(n) - A, b)
     scale = max(1.0, float(np.max(np.abs(want))))
     assert fp.converged
@@ -93,31 +95,13 @@ def test_random_nonsymmetric_contractions_match_direct_solve(n, seed):
     assert np.max(np.abs(fp.x - want)) <= 9.0 * 1e-13 * scale * (1.0 + 1e-9)
 
 
-def test_nonzero_start_costs_one_call_for_b():
-    A, g = _affine_contraction(n=40, seed=5)
-    from_zero = fixed_point(lambda x: A @ x + g, np.zeros_like(g), tol=1e-13, max_iter=100)
-    calls = []
-
-    def step(x):
-        calls.append(x.copy())
-        return A @ x + g
-
-    fp = fixed_point(step, np.full_like(g, 0.25), tol=1e-13, max_iter=100)
-    assert fp.converged
-    assert fp.iterations == len(fp.diffs) == len(calls)
-    np.testing.assert_array_equal(calls[1], 0.0)  # b = step(0), after the start's own residual
-    assert fp.diffs[1] == np.max(np.abs(g))
-    np.testing.assert_allclose(fp.x, from_zero.x, rtol=0, atol=1e-12)
-
-
 def test_restarts_when_the_basis_fills(monkeypatch):
     A, g = _affine_contraction(n=40, seed=7)
     A *= 0.95 / 0.6
-    step = lambda x: A @ x + g  # noqa: E731
-    full = fixed_point(step, np.zeros_like(g), tol=1e-13, max_iter=500)
+    full = fixed_point(lambda x: A @ x, g, tol=1e-13, max_iter=500)
     # three columns of 40 values: every Arnoldi cycle stops after three products
     monkeypatch.setattr(radgas.picard, "_BASIS_BYTES", 3 * g.nbytes)
-    restarted = fixed_point(step, np.zeros_like(g), tol=1e-13, max_iter=500)
+    restarted = fixed_point(lambda x: A @ x, g, tol=1e-13, max_iter=500)
     assert full.converged and restarted.converged
     assert restarted.iterations == len(restarted.diffs) > full.iterations
     want = np.linalg.solve(np.eye(len(g)) - A, g)
@@ -127,7 +111,7 @@ def test_restarts_when_the_basis_fills(monkeypatch):
 def test_constant_step_is_exact_after_one_product():
     # K = 0: the first Arnoldi vector e_1 spans an invariant Krylov space
     b = np.array([2.0, 0.0, 0.0])
-    fp = fixed_point(lambda x: b, np.zeros(3), tol=1e-13, max_iter=10)
+    fp = fixed_point(np.zeros_like, b, tol=1e-13, max_iter=10)
     assert fp.converged
     assert fp.iterations == 3
     assert fp.diffs == [2.0, 0.0, 0.0]
@@ -141,22 +125,22 @@ def test_tracked_residual_is_the_true_residual():
     A = rng.normal(size=(40, 40))
     A *= 0.9 / np.abs(A).sum(axis=1, keepdims=True)
     b = rng.normal(size=40)
-    step = lambda x: A @ x + b  # noqa: E731
-    for k in range(2, fixed_point(step, np.zeros(40), tol=1e-13, max_iter=100).iterations):
-        fp = fixed_point(step, np.zeros(40), tol=1e-13, max_iter=k)
+    apply = lambda x: A @ x  # noqa: E731
+    for k in range(2, fixed_point(apply, b, tol=1e-13, max_iter=100).iterations):
+        fp = fixed_point(apply, b, tol=1e-13, max_iter=k)
         assert not fp.converged
-        true = float(np.max(np.abs(step(fp.x) - fp.x)))
+        true = float(np.max(np.abs(apply(fp.x) + b - fp.x)))
         assert abs(fp.diffs[-1] - true) <= 1e-12 * max(1.0, true)
 
 
 @pytest.mark.parametrize(
-    "step",
-    [lambda x: x + 1.0, lambda x: np.where(x == 0.0, 1.0, np.inf)],
+    "apply",
+    [lambda x: x, lambda x: np.where(x == 0.0, 0.0, np.inf)],
     ids=["(I - K) v rounds to 0", "K v overflows"],
 )
-def test_singular_or_overflowing_product_stops_unconverged(step):
+def test_singular_or_overflowing_product_stops_unconverged(apply):
     with np.errstate(all="ignore"):
-        fp = fixed_point(step, np.zeros(4), tol=1e-12, max_iter=10)
+        fp = fixed_point(apply, np.ones(4), tol=1e-12, max_iter=10)
     assert fp.converged is False
     assert fp.iterations == len(fp.diffs) == 2
     assert np.isnan(fp.diffs[-1])
@@ -164,40 +148,28 @@ def test_singular_or_overflowing_product_stops_unconverged(step):
 
 def test_capped_loop_reports_not_converged():
     A, g = _affine_contraction()
-    fp = fixed_point(lambda x: A @ x + g, np.zeros_like(g), tol=1e-13, max_iter=2)
+    fp = fixed_point(lambda x: A @ x, g, tol=1e-13, max_iter=2)
     assert fp.converged is False
     assert fp.iterations == len(fp.diffs) == 2
-
-
-def test_fixed_point_start_stops_at_once():
-    fp = fixed_point(lambda x: x, np.ones(4), tol=1e-12, max_iter=10)
-    assert fp.converged
-    assert fp.iterations == 1
-    assert fp.diffs == [0.0]
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_residual_stops_unconverged(bad):
     # inf <= tol * max(1, inf) would pass the stopping test, and NaN would poison the basis
-    steps = []
-
-    def step(x):
-        steps.append(x)
-        return np.full_like(x, bad)
-
-    fp = fixed_point(step, np.zeros(4), tol=1e-12, max_iter=10)
+    applied = []
+    fp = fixed_point(applied.append, np.full(4, bad), tol=1e-12, max_iter=10)
     assert fp.converged is False
-    assert fp.iterations == len(steps) == 1
+    assert fp.iterations == 1 and applied == []
     assert not np.isfinite(fp.diffs[0])
 
 
 def _run_recorded(tmp_path, monkeypatch, module, argv, solve):
     """Run argv with `solve` in place of module.fixed_point; returns the exit
-    code and (step, tol, result) of the one solve."""
+    code and (apply, tol, result) of the one solve."""
     runs = []
 
-    def recorded(step, x0, tol, max_iter):
-        runs.append((step, tol, solve(step, x0, tol, max_iter)))
+    def recorded(apply, b, tol, max_iter):
+        runs.append((apply, tol, solve(apply, b, tol, max_iter)))
         return runs[-1][2]
 
     monkeypatch.setattr(module, "fixed_point", recorded)
@@ -206,7 +178,8 @@ def _run_recorded(tmp_path, monkeypatch, module, argv, solve):
     return code, runs[0]
 
 
-@pytest.mark.parametrize(
+#: one run of each subcommand that solves a fixed point, with the module it calls fixed_point from
+SOLVES = pytest.mark.parametrize(
     "module, argv",
     [
         (radgas.slab, ["slab-lte", "--n-y", "257"]),
@@ -216,8 +189,29 @@ def _run_recorded(tmp_path, monkeypatch, module, argv, solve):
     ],
     ids=["slab-lte", "slab-exp", "three-level", "domain3d"],
 )
+
+
+@SOLVES
+def test_applies_the_operator_once_per_residual_but_the_first(tmp_path, monkeypatch, module, argv):
+    # the zero start's residual is max|b|, which takes no product
+    applied = []
+
+    def counting(apply, b, tol, max_iter):
+        def counted(v):
+            applied.append(v)
+            return apply(v)
+
+        return fixed_point(counted, b, tol, max_iter)
+
+    code, (_, _, result) = _run_recorded(tmp_path, monkeypatch, module, argv, counting)
+    assert code == 0 and result.converged
+    assert len(applied) == result.iterations - 1 == len(result.diffs) - 1
+    assert all(np.any(v) for v in applied)
+
+
+@SOLVES
 def test_no_more_products_than_anderson_and_agrees(tmp_path, monkeypatch, module, argv):
-    code, (step, tol, gmres) = _run_recorded(tmp_path, monkeypatch, module, argv, fixed_point)
+    code, (apply, tol, gmres) = _run_recorded(tmp_path, monkeypatch, module, argv, fixed_point)
     old_code, (_, _, anderson) = _run_recorded(tmp_path, monkeypatch, module, argv, _anderson_loop)
     assert code == old_code == 0
     assert gmres.converged and anderson.converged
@@ -225,7 +219,7 @@ def test_no_more_products_than_anderson_and_agrees(tmp_path, monkeypatch, module
     # K is non-negative, so its max norm is max(K 1); each result is within
     # tol * max(1, max|x|) / (1 - |K|) of the fixed point
     n = len(gmres.x)
-    norm_K = float(np.max(step(np.ones(n)) - step(np.zeros(n))))
+    norm_K = float(np.max(apply(np.ones(n))))
     within = tol * max(1.0, float(np.max(np.abs(anderson.x)))) / (1.0 - norm_K)
     assert np.max(np.abs(gmres.x - anderson.x)) <= 2.0 * within
 
@@ -246,7 +240,7 @@ def test_thick_corners_match_the_levinson_source(tmp_path, monkeypatch, corner, 
     _, (_, _, anderson) = _run_recorded(tmp_path, monkeypatch, radgas.three_level, argv, _anderson_loop)
     assert code == 0 and gmres.converged
     assert gmres.iterations <= anderson.iterations
-    assert len(direct) == 2  # one Levinson solve per run
+    assert len(direct) == 4  # per run, the Levinson solve and the refinement's correction
     source = direct[0]
     assert np.max(np.abs(gmres.x - source)) <= rtol * np.max(np.abs(source))
 
