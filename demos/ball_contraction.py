@@ -23,7 +23,7 @@ print(f"kernel mass at the center: {mass0:.10f}  (exact 1 - 1/e = {1 - math.exp(
 
 print("solving on a 32^3 lattice ...")
 field = solve_w(ball, lambda n: np.ones(len(n)), LatticeSpec(32), sphere)
-print(f"{len(field.points)} interior cells, {field.iterations} GMRES residuals "
+print(f"{len(field.points)} interior cells, {len(field.picard_diffs)} GMRES residuals "
       f"(converged: {field.converged}), "
       f"ratio {field.picard_ratio:.3f} (kernel-mass bound)")
 print(f"w range: [{field.values.min():.12f}, {field.values.max():.12f}]  (exact: 1)")

@@ -2,7 +2,7 @@
 
 Subsystems:
 
-- physics:              closed-form Maxwellians, equilibria, collision kinematics
+- physics:              closed-form Maxwellian states, equilibria, densities
 - collision_reduction:  reduced nonelastic collision integrals + MC oracle
 - levelscan:            level curves of the nonexistence quantity L(T1, T2)
 - picard:               the GMRES fixed-point solve the slab, 3-D and three-level solvers share

@@ -611,7 +611,7 @@ def _run_domain3d(config: RunConfig, art: _Artifacts) -> int:
             "lattice_points": int(len(field.points)),
             "picard_ratio": field.picard_ratio,
             "picard_diffs": field.picard_diffs,
-            "iterations": field.iterations,
+            "iterations": len(field.picard_diffs),
             "w_min": float(field.values.min()),
             "w_max": float(field.values.max()),
             "converged": field.converged,

@@ -291,7 +291,6 @@ class VolumeField:
     values: np.ndarray  # (P,)
     kernel_mass: np.ndarray | None = None
     picard_ratio: float | None = None  # max-norm contraction bound: max(kernel_mass)
-    iterations: int | None = None
     converged: bool = False
     picard_diffs: list | None = None  # max-norm residual at the zero start and after each product
 
@@ -508,7 +507,6 @@ def solve_w(
         values=w,
         kernel_mass=kernel_mass,
         picard_ratio=float(np.max(kernel_mass)),
-        iterations=picard.iterations,
         converged=picard.converged,
         picard_diffs=picard.diffs,
     )

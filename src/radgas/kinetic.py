@@ -20,16 +20,20 @@ row chunks of the batch, and feeds its whole vector of test functions, so
 memory stays bounded by the batch and the chunk whatever the sample count.
 
 The loss and gain sides share no running total, so they run at once: the
-loss side on one worker thread, the gain side on the calling thread, which
-for `radgas verify` (`verify_checks`) then runs the detailed-balance
-sweep.  Each side adds its batches to its own sums in batch order, so the
-estimates do not depend on the threads' timing.  Each side draws a batch's `za`/`zb` normals into one
-reused buffer, which the sweep reuses for its molecule velocities, and its
-`omega` normals, which come last in the batch's stream, one chunk at a time.
-A chunk's tuples and test functions live in contiguous (3, c) coordinate
-rows and (k, c) test-function rows that each thread allocates once; every
-step writes them with `out=` in the order of the (c, 3) expressions it
-replaced, so every sum keeps its bits.
+loss side on one worker thread, the gain side on the calling thread.  Each
+side adds its batches to its own sums in batch order, so the estimates do
+not depend on the threads' timing.  Each side draws a batch's `za`/`zb`
+normals into one reused buffer, and its `omega` normals, which come last in
+the batch's stream, one chunk at a time.  A chunk's tuples and test
+functions live in contiguous (3, c) coordinate rows and (k, c)
+test-function rows that each thread allocates once; every step writes them
+with `out=` in the order of the (c, 3) expressions it replaced, so every sum
+keeps its bits.
+
+The detailed-balance sweep of `radgas verify` (`_balance_sweep`) runs on
+the same rows after both sides: the loss-side tuples of `_tuple_chunk` and
+the squared speeds of `_moment_change` give F1(v1) F1(v2) - F2(v3) F1(v4)
+tuple by tuple.
 """
 
 from __future__ import annotations
@@ -41,21 +45,21 @@ import numpy as np
 
 from .collision_reduction import functionals
 from .constants import PhysConsts
-from .physics import CollisionTuple, MaxwellianState, energy_density, entropy_lambda, maxwellian
+from .physics import MaxwellianState, energy_density, entropy_lambda
 from .twothreads import on_two_threads
 
 __all__ = [
     "McPlan",
     "MomentReport",
-    "detailed_balance_residual",
     "entropy_identity_check",
 ]
 
 _BATCH = 1 << 17
 _CHUNK = 1 << 13
-#: Tuples per step of the detailed-balance sweep: its temporaries stay near
-#: 1 MiB, so the sweep fits beside the loss side's buffers.
-_SWEEP_CHUNK = 1 << 12
+#: An estimate is consistent with zero within _N_SIGMA standard errors plus
+#: _FLOOR, which absorbs the rounding of a per-sample-exact cancellation.
+_N_SIGMA = 3.0
+_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,8 @@ class Estimate:
     value: float
     std_error: float
 
-    def consistent_with_zero(self, n_sigma: float = 3.0, floor: float = 1e-10) -> bool:
-        return abs(self.value) <= n_sigma * self.std_error + floor
+    def consistent_with_zero(self) -> bool:
+        return abs(self.value) <= _N_SIGMA * self.std_error + _FLOOR
 
 
 @dataclass
@@ -89,9 +93,8 @@ class MomentReport:
     momentum: tuple
     energy: Estimate
 
-    def all_pass(self, n_sigma: float = 3.0, floor: float = 1e-10) -> bool:
-        checks = [self.mass, *self.momentum, self.energy]
-        return all(e.consistent_with_zero(n_sigma, floor) for e in checks)
+    def all_pass(self) -> bool:
+        return all(e.consistent_with_zero() for e in [self.mass, *self.momentum, self.energy])
 
     def rows(self):
         out = [("mass", self.mass)]
@@ -102,55 +105,6 @@ class MomentReport:
     def __str__(self):
         lines = [f"{name:12s} {e.value:+.6e} +- {e.std_error:.2e}" for name, e in self.rows()]
         return "\n".join(lines)
-
-
-def detailed_balance_residual(
-    state1: MaxwellianState, state2: MaxwellianState, tup, consts: PhysConsts
-) -> float:
-    """(F1(v1) F1(v2) - F2(v3) F1(v4)) / (F1(v1) F1(v2)) for a nonelastic tuple.
-
-    F1/F2 are the plain Maxwellians of the two states; the residual vanishes
-    pointwise exactly when the densities sit in the Boltzmann ratio with a
-    common velocity and temperature.
-    """
-    lhs = maxwellian(state1, False, consts, tup.v1) * maxwellian(state1, False, consts, tup.v2)
-    rhs = maxwellian(state2, False, consts, tup.v3) * maxwellian(state1, False, consts, tup.v4)
-    res = (lhs - rhs) / lhs
-    return float(res) if np.ndim(res) == 0 else res
-
-
-def _balance_sweep(lte_pair, n_tuples, seed, consts, pair=None):
-    """Largest |detailed_balance_residual| of `lte_pair` over the nonelastic
-    tuples among `n_tuples` sampled ground-state pairs, or None when no pair
-    is above threshold (nothing was checked).
-
-    Both molecules come from the ground Maxwellian of `lte_pair`, drawn into
-    the buffer `pair` (a fresh one when it is None or holds fewer than
-    6 * n_tuples floats), the scattering direction is uniform, and the RNG
-    is keyed by (seed, 1).
-    """
-    from numpy.random import default_rng
-
-    s1, s2 = lte_pair
-    if pair is None or pair.size < 6 * n_tuples:
-        pair = np.empty(6 * n_tuples)
-    rng = default_rng([seed, 1])
-    v = rng.standard_normal(out=pair[: 6 * n_tuples].reshape(2, n_tuples, 3))
-    v *= math.sqrt(s1.T / 2)
-    v += s1.u
-    v1, v2 = v
-    # the directions of the kept tuples come last in the stream, so drawing
-    # them chunk by chunk keeps their bits; a max is exact in any grouping
-    chunk_max = []
-    for lo in range(0, n_tuples, _SWEEP_CHUNK):
-        a, b = v1[lo : lo + _SWEEP_CHUNK], v2[lo : lo + _SWEEP_CHUNK]
-        rows = np.flatnonzero(np.sum((a - b) ** 2, axis=1) > 4 * consts.epsilon0 + 1e-9)
-        if len(rows):
-            om = rng.normal(size=(len(rows), 3))
-            om /= np.linalg.norm(om, axis=1, keepdims=True)
-            tup = CollisionTuple.nonelastic(a[rows], b[rows], om, consts)
-            chunk_max.append(np.max(np.abs(detailed_balance_residual(s1, s2, tup, consts))))
-    return float(np.max(chunk_max)) if chunk_max else None
 
 
 class _Rows:
@@ -169,6 +123,37 @@ class _Rows:
         self.kw = np.empty((3, _CHUNK))
         self.open = np.empty(_CHUNK, dtype=bool)
         self.samples = np.empty((max(3, n_cols), _CHUNK))
+
+
+def _squared_speeds(v, out=None):
+    """|v|^2 of the (..., 3, c) coordinate rows `v`, summed as ((x + y) + z)
+    into `out` (by default the x rows of v); squares v in place."""
+    v *= v
+    if out is None:
+        out = v[..., 0, :]
+    np.add(v[..., 0, :], v[..., 1, :], out=out)
+    out += v[..., 2, :]
+    return out
+
+
+def _pair_rows(first, second, zab, ab, scratch, rel2):
+    """Writes a = u + sqrt(T / 2) za for the state `first` and b the same
+    from zb for `second` into the (2, 3, c) rows `ab`, from the (2, c, 3)
+    normals `zab`, and |a - b|^2 into `rel2`; `scratch` is (3, c)."""
+    np.multiply(zab.transpose(0, 2, 1), [[[math.sqrt(first.T / 2.0)]], [[math.sqrt(second.T / 2.0)]]], out=ab)
+    ab += np.stack([first.u, second.u])[:, :, None]
+    np.subtract(ab[0], ab[1], out=scratch)
+    _squared_speeds(scratch, rel2)
+
+
+def _normalize(omega, rows):
+    """omega /= |omega| for the (c, 3) directions `omega`, the norm summed as
+    ((x^2 + y^2) + z^2) in the scratch of `rows`."""
+    c = len(omega)
+    squares, norm = rows.samples[:3, :c], rows.kw[0, :c]
+    np.copyto(squares, omega.T)
+    np.sqrt(_squared_speeds(squares, norm), out=norm)
+    np.divide(omega.T, norm, out=omega.T)
 
 
 def _tuple_chunk(state1, state2, consts, side, normals, rows):
@@ -190,15 +175,7 @@ def _tuple_chunk(state1, state2, consts, side, normals, rows):
     m1 = state1.rho * consts.maxwellian_mass
     pref = 2.0 * math.pi * consts.C0_kernel
     eps0 = consts.epsilon0
-    first = state1 if side == 0 else state2
-    # a = u + sqrt(T / 2) za for `first`, b the same for state1
-    np.multiply(zab.transpose(0, 2, 1), [[[math.sqrt(first.T / 2.0)]], [[math.sqrt(state1.T / 2.0)]]], out=ab)
-    ab += np.stack([first.u, state1.u])[:, :, None]
-    # |a - b|^2 summed as ((x + y) + z)
-    np.subtract(a, b, out=scratch)
-    scratch *= scratch
-    np.add(scratch[0], scratch[1], out=rel2)
-    rel2 += scratch[2]
+    _pair_rows(state1 if side == 0 else state2, state1, zab, ab, scratch, rel2)
     np.add(a, b, out=centre)
     centre *= 0.5
     # k from 0.25 rel2 -+ eps0 and the weight's root from rel2 -+ 4 eps0, as two rows
@@ -220,6 +197,62 @@ def _tuple_chunk(state1, state2, consts, side, normals, rows):
     np.subtract(centre, scratch, out=minus)
     centre += scratch
     return weight, v
+
+
+def _balance_residual(state1, state2, consts, v):
+    """(F1(v1) F1(v2) - F2(v3) F1(v4)) / (F1(v1) F1(v2)) of the (4, 3, c)
+    rows `v` of (v3, v4, v1, v2), which it overwrites, as a (c,) view of v.
+
+    F is the plain Maxwellian c0 rho T^(-3/2) exp(-|v - u|^2 / T) of a
+    state; the residual vanishes pointwise exactly when the densities sit in
+    the Boltzmann ratio with a common velocity and temperature."""
+    states = (state2, state1, state1, state1)
+    v -= np.array([s.u for s in states])[:, :, None]
+    f = _squared_speeds(v)
+    np.negative(f, out=f)
+    f /= np.array([[s.T] for s in states])
+    np.exp(f, out=f)
+    f *= np.array([[consts.c0 * s.rho * s.T**-1.5] for s in states])
+    # F2(v3) F1(v4) into row 0, then F1(v1) F1(v2) into row 1
+    rhs, lhs = f[0], f[1]
+    rhs *= f[1]
+    np.multiply(f[2], f[3], out=lhs)
+    np.subtract(lhs, rhs, out=rhs)
+    rhs /= lhs
+    return rhs
+
+
+def _balance_sweep(lte_pair, n_tuples, seed, consts):
+    """Largest |`_balance_residual`| of `lte_pair` over the nonelastic tuples
+    among `n_tuples` sampled ground-state pairs, or None when no pair is
+    above threshold (nothing was checked).
+
+    Both molecules come from the ground Maxwellian of `lte_pair` and the
+    scattering direction is uniform; the RNG, keyed by (seed, 1), draws every
+    pair first and then the directions of the kept tuples, one `_CHUNK` of
+    pairs at a time.  The kept tuples are the loss-side tuples of
+    `_tuple_chunk`.
+    """
+    from numpy.random import default_rng
+
+    s1, s2 = lte_pair
+    rng = default_rng([seed, 1])
+    zab = rng.standard_normal((2, n_tuples, 3))
+    rows, omega = _Rows(3), np.empty((_CHUNK, 3))
+    # a max is exact in any grouping
+    chunk_max = []
+    for lo in range(0, n_tuples, _CHUNK):
+        z = zab[:, lo : lo + _CHUNK]
+        c = z.shape[1]
+        rel2 = rows.kw[2, :c]
+        _pair_rows(s1, s1, z, rows.v[2:, :, :c], rows.samples[:3, :c], rel2)
+        kept = np.flatnonzero(rel2 > 4 * consts.epsilon0 + 1e-9)
+        if len(kept):
+            om = rng.standard_normal(out=omega[: len(kept)])
+            _normalize(om, rows)
+            _, v = _tuple_chunk(s1, s2, consts, 0, (z[:, kept], om), rows)
+            chunk_max.append(np.max(np.abs(_balance_residual(s1, s2, consts, v))))
+    return float(np.max(chunk_max)) if chunk_max else None
 
 
 def _batch_normals(rng, size, pair, omega):
@@ -250,29 +283,22 @@ def _add_chunk(acc, problem, consts, side, normals, rows):
     acc[2] += float(weight.sum())
 
 
-def _add_side(side_sums, problems, consts, plan, side, pair, default_rng):
+def _add_side(side_sums, problems, consts, plan, side, default_rng):
     """Adds every batch of `side` to the running totals of each problem,
-    drawing the batches' za/zb normals into `pair` from the generators
-    `default_rng` makes."""
+    drawing the batches' normals from the generators `default_rng` makes
+    into buffers of this side's own."""
     n = plan.n_samples
-    omega = np.empty((_CHUNK, 3))
+    pair, omega = np.empty(6 * _BATCH), np.empty((_CHUNK, 3))
     rows = _Rows(max(problem[3] for problem in problems))
     for b, start in enumerate(range(0, n, _BATCH)):
         rng = default_rng([plan.seed, side, b])
         for zab, om in _batch_normals(rng, min(_BATCH, n - start), pair, omega):
-            c = len(om)
-            # om /= |om|, the norm summed as ((x^2 + y^2) + z^2)
-            squares, norm = rows.samples[:3, :c], rows.kw[0, :c]
-            np.multiply(om.T, om.T, out=squares)
-            np.add(squares[0], squares[1], out=norm)
-            norm += squares[2]
-            np.sqrt(norm, out=norm)
-            np.divide(om.T, norm, out=om.T)
+            _normalize(om, rows)
             for acc, problem in zip(side_sums, problems):
                 _add_chunk(acc, problem, consts, side, (zab, om), rows)
 
 
-def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan, then=None) -> list:
+def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
     """Loss-side minus gain-side Monte Carlo estimates of <phi, K_non.el[F]>,
     one list of Estimates per problem (state1, state2, change, n_cols).
 
@@ -292,10 +318,9 @@ def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan, then=None) ->
     `out=`, in the order of the (c, 3) expressions they replace, so every
     sum keeps its bits.  The drawn za/zb are read in place, as strided
     (3, c) views, and not copied into rows of their own.  The loss side
-    runs on one worker thread; the gain side runs on the calling thread,
-    which then calls ``then(pair)`` with the gain side's spent normals
-    buffer (`twothreads.on_two_threads`): the worker is always joined, and
-    its exception re-raised here.  A default `verify` pass peaks at 15.2 MiB
+    runs on one worker thread and the gain side on the calling thread
+    (`twothreads.on_two_threads`): the worker is always joined, and its
+    exception re-raised here.  A default `verify` pass peaks at 15.8 MiB
     of traced memory.
     """
     # numpy.random is imported here, on the calling thread, before the worker
@@ -307,10 +332,7 @@ def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan, then=None) ->
     sums = [[[0.0, 0.0, 0.0] for _ in problems] for _ in (0, 1)]
 
     def add_side(side):
-        pair = np.empty(6 * _BATCH)
-        _add_side(sums[side], problems, consts, plan, side, pair, default_rng)
-        if side == 1 and then is not None:
-            then(pair)
+        _add_side(sums[side], problems, consts, plan, side, default_rng)
 
     on_two_threads(add_side, (1, 0))  # the gain side here, the loss side on the worker
 
@@ -352,11 +374,8 @@ def _moment_change(v, out, excited, ground=None):
         np.add(v[0], v[1], out=momentum)
         momentum -= v[2]
         momentum -= v[3]
-    # |v - u|^2/2 + excitation per velocity, the squares summed as ((x + y) + z)
-    v *= v
-    sums = v[:, 0]
-    sums += v[:, 1]
-    sums += v[:, 2]
+    # |v - u|^2/2 + excitation per velocity
+    sums = _squared_speeds(v)
     sums *= 0.5
     sums += np.array([e for _, e, _ in species])[:, None]
     if ground is None:
@@ -409,11 +428,11 @@ def mass_exchange_reduced(state1: MaxwellianState, state2: MaxwellianState, cons
     return state1.rho**2 * q * f.P11 - state1.rho * state2.rho * f.P21
 
 
-def _weak_form_checks(generic_pair, lte_state, plan, consts, then=None):
+def _weak_form_checks(generic_pair, lte_state, plan, consts):
     """(MomentReport, Estimate, kernel dict) of `verify_checks` from one draw
-    per side; the calling thread calls ``then(pair)`` after the gain side."""
+    per side."""
     exchange, kernel = _weak_form_moments(
-        [_exchange_problem(*generic_pair, consts), _kernel_problem(lte_state, consts)], consts, plan, then
+        [_exchange_problem(*generic_pair, consts), _kernel_problem(lte_state, consts)], consts, plan
     )
     return (*_exchange_result(exchange), _kernel_result(kernel))
 
@@ -440,17 +459,12 @@ def verify_checks(lte_pair, n_tuples, generic_pair, lte_state, plan, consts) -> 
 
     Every problem keys its batches by (seed, side, batch), so the results
     equal those of each problem estimated alone, bit for bit.  One
-    two-thread pass serves all: the calling thread runs the gain side and
-    then the detailed-balance sweep, in the gain side's spent normals
-    buffer, while the worker runs the loss side.
+    two-thread pass serves all: the calling thread runs the gain side while
+    the worker runs the loss side.  The detailed-balance sweep runs after
+    that pass, on the calling thread, once both sides' buffers are freed.
     """
-    balance = []
-
-    def sweep(pair):
-        balance.append(_balance_sweep(lte_pair, n_tuples, plan.seed, consts, pair))
-
-    checks = _weak_form_checks(generic_pair, lte_state, plan, consts, sweep)
-    return balance[0], checks
+    checks = _weak_form_checks(generic_pair, lte_state, plan, consts)
+    return _balance_sweep(lte_pair, n_tuples, plan.seed, consts), checks
 
 
 #: Central-difference step of `entropy_identity_check`, relative to T.

@@ -1,5 +1,5 @@
-"""Closed-form physics of the two-state gas: Maxwellians, equilibrium ratios,
-thermodynamic densities, and binary collision kinematics.
+"""Closed-form physics of the two-state gas: Maxwellian states, equilibrium
+ratios and thermodynamic densities.
 
 Everything here is an exact formula evaluated in double precision; the
 quadrature and solver modules build on these primitives.
@@ -13,17 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysConsts
-from .errors import BelowThreshold
 
 __all__ = [
     "MaxwellianState",
-    "CollisionTuple",
-    "maxwellian",
     "boltzmann_ratio",
     "pseudo_planck",
     "energy_density",
     "entropy_lambda",
-    "nonelastic_post_velocities",
 ]
 
 
@@ -41,17 +37,6 @@ class MaxwellianState:
             raise ValueError(f"rho must be > 0, got {self.rho}")
         if not self.T > 0:
             raise ValueError(f"T must be > 0, got {self.T}")
-
-
-def maxwellian(state: MaxwellianState, excited: bool, consts: PhysConsts, v) -> np.ndarray:
-    """Evaluate c0*rho*T^(-3/2) * exp(-(|v-u|^2 + 2*eps0*[excited]) / T).
-
-    `v` may be a single 3-vector or an (..., 3) array; the result broadcasts.
-    """
-    v = np.asarray(v, dtype=float)
-    dv2 = np.sum((v - state.u) ** 2, axis=-1)
-    shift = 2.0 * consts.epsilon0 if excited else 0.0
-    return consts.c0 * state.rho * state.T ** -1.5 * np.exp(-(dv2 + shift) / state.T)
 
 
 def boltzmann_ratio(T, consts: PhysConsts):
@@ -84,51 +69,3 @@ def entropy_lambda(T, consts: PhysConsts):
     x = 2.0 * consts.epsilon0 / T
     q = np.exp(-x)
     return 1.5 * np.log(T) + np.log1p(q) + x * q / (1.0 + q) - math.log(consts.c0) + 1.5
-
-
-def _check_unit(omega) -> np.ndarray:
-    omega = np.asarray(omega, dtype=float)
-    norms = np.sqrt(np.sum(omega**2, axis=-1))
-    if not np.allclose(norms, 1.0, rtol=0, atol=1e-10):
-        raise ValueError("omega must be a unit vector")
-    return omega
-
-
-def nonelastic_post_velocities(v1, v2, omega, consts: PhysConsts):
-    """Post-collision velocities of the excitation channel A+A -> A+A*.
-
-    v3,4 = (v1+v2)/2 +- omega*sqrt(|v1-v2|^2/4 - eps0); v3 carries the
-    excitation.  Raises BelowThreshold when the relative kinetic energy cannot
-    pay the quantum, i.e. |v1-v2|^2 < 4*eps0.
-    """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    omega = _check_unit(omega)
-    rel2 = np.sum((v1 - v2) ** 2, axis=-1)
-    arg = 0.25 * rel2 - consts.epsilon0
-    if np.any(arg < 0):
-        raise BelowThreshold(
-            f"|v1-v2|^2 = {np.min(rel2):.6g} < 4*epsilon0 = {4 * consts.epsilon0:.6g}"
-        )
-    center = 0.5 * (v1 + v2)
-    k = np.sqrt(arg)[..., None]
-    return center + k * omega, center - k * omega
-
-
-@dataclass(frozen=True)
-class CollisionTuple:
-    """A kinematically valid binary collision (v1, v2) -> (v3, v4)."""
-
-    v1: np.ndarray
-    v2: np.ndarray
-    v3: np.ndarray
-    v4: np.ndarray
-
-    def __post_init__(self):
-        for name in ("v1", "v2", "v3", "v4"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-
-    @classmethod
-    def nonelastic(cls, v1, v2, omega, consts: PhysConsts) -> "CollisionTuple":
-        v3, v4 = nonelastic_post_velocities(v1, v2, omega, consts)
-        return cls(v1, v2, v3, v4)

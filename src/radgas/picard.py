@@ -5,8 +5,8 @@ equation for w are all affine maps x = K x + b on one flat vector.
 The solve is GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) on
 (I - K) x = b from a zero start.  It has no window to truncate, so the thick
 three-level corners, whose contraction factor rounds to 1, converge in tens to
-a few hundred products.  `iterations` counts the residuals recorded: max|b| at
-the zero start, plus one per application of K.  Its residuals do not measure
+a few hundred products.  `diffs` records one residual at the zero start,
+max|b|, plus one per application of K.  Its residuals do not measure
 the operator, so the slab and 3-D solvers report their analytic max-norm
 contraction bound as `picard_ratio`.
 """
@@ -28,12 +28,10 @@ _BASIS_BYTES = 2**24
 
 @dataclass
 class FixedPoint:
-    """The solution, the number of residuals recorded (one at the zero start,
-    one per application of K), whether the stopping test held, and those
-    max-norm residuals."""
+    """The solution, whether the stopping test held, and the max-norm
+    residuals recorded: one at the zero start, one per application of K."""
 
     x: np.ndarray
-    iterations: int
     converged: bool
     diffs: list
 
@@ -53,7 +51,7 @@ def fixed_point(apply, b, tol: float, max_iter: int) -> FixedPoint:
     records.  Once that passes the test, or the basis fills `_BASIS_BYTES`,
     the iterate is formed and its true residual taken; a failed test restarts
     from it.  Unconverged at max_iter, the last iterate is returned.  So
-    `iterations` is one more than the number of applications of K.
+    `diffs` is one longer than the number of applications of K.
     """
     b0 = b + 0.0
     x, g = np.zeros_like(b0), b0
@@ -62,12 +60,12 @@ def fixed_point(apply, b, tol: float, max_iter: int) -> FixedPoint:
         r = g - x
         diffs.append(float(np.max(np.abs(r))))
         if not np.isfinite(diffs[-1]):
-            return FixedPoint(g, len(diffs), False, diffs)
+            return FixedPoint(g, False, diffs)
         target = tol * max(1.0, float(np.max(np.abs(g))))
         if diffs[-1] <= target:
-            return FixedPoint(g, len(diffs), True, diffs)
+            return FixedPoint(g, True, diffs)
         if len(diffs) >= max_iter:
-            return FixedPoint(g, len(diffs), False, diffs)
+            return FixedPoint(g, False, diffs)
 
         # v_1 = r / |r|_2, scaled by max|r| first so that |r|_2 cannot overflow
         v = r / diffs[-1]
@@ -87,7 +85,7 @@ def fixed_point(apply, b, tol: float, max_iter: int) -> FixedPoint:
             rho = math.hypot(h[-1], h_next)
             if not 0.0 < rho < math.inf:  # (I - K) v rounded to 0 or overflowed
                 diffs.append(math.nan)
-                return FixedPoint(g, len(diffs), False, diffs)
+                return FixedPoint(g, False, diffs)
             c, s = h[-1] / rho, h_next / rho
             h[-1] = rho
             columns.append(h)
@@ -107,5 +105,5 @@ def fixed_point(apply, b, tol: float, max_iter: int) -> FixedPoint:
             R[: j + 1, j] = col
         x = x + sum(coef * u for coef, u in zip(np.linalg.solve(R, rhs), basis))
         if len(diffs) == max_iter:
-            return FixedPoint(x, max_iter, False, diffs)
+            return FixedPoint(x, False, diffs)
         g = apply(x) + b

@@ -246,7 +246,7 @@ def solve_three_level(
         eq3_residual=float(residuals[2]),
         path_gap=float(np.max(np.abs(sigma - sigma_of(picard.x)))),
         direct_residual=direct_residual,
-        picard_iterations=picard.iterations,
+        picard_iterations=len(picard.diffs),
         converged=picard.converged,
     )
 

@@ -6,18 +6,78 @@ subcommand builds; the tests hold the library to them.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from radgas import BelowThreshold, DomainError, NotInterior
 from radgas.collision_reduction import ReducedKernelParams
 from radgas.domain3d import ConvexDomain, SphereGrid, _div_R_batch, _profile_values
-from radgas.physics import CollisionTuple
 from radgas.slab import _expn
 
 # ---------------------------------------------------------------------------
 # physics
 # ---------------------------------------------------------------------------
+
+
+def maxwellian(state, excited: bool, consts, v) -> np.ndarray:
+    """Evaluate c0*rho*T^(-3/2) * exp(-(|v-u|^2 + 2*eps0*[excited]) / T).
+
+    `v` may be a single 3-vector or an (..., 3) array; the result broadcasts.
+    """
+    v = np.asarray(v, dtype=float)
+    dv2 = np.sum((v - state.u) ** 2, axis=-1)
+    shift = 2.0 * consts.epsilon0 if excited else 0.0
+    return consts.c0 * state.rho * state.T ** -1.5 * np.exp(-(dv2 + shift) / state.T)
+
+
+def _check_unit(omega) -> np.ndarray:
+    omega = np.asarray(omega, dtype=float)
+    norms = np.sqrt(np.sum(omega**2, axis=-1))
+    if not np.allclose(norms, 1.0, rtol=0, atol=1e-10):
+        raise ValueError("omega must be a unit vector")
+    return omega
+
+
+def nonelastic_post_velocities(v1, v2, omega, consts):
+    """Post-collision velocities of the excitation channel A+A -> A+A*.
+
+    v3,4 = (v1+v2)/2 +- omega*sqrt(|v1-v2|^2/4 - eps0); v3 carries the
+    excitation.  Raises BelowThreshold when the relative kinetic energy cannot
+    pay the quantum, i.e. |v1-v2|^2 < 4*eps0.  The loss-side tuples of
+    `kinetic._tuple_chunk` are these, bit for bit.
+    """
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    omega = _check_unit(omega)
+    rel2 = np.sum((v1 - v2) ** 2, axis=-1)
+    arg = 0.25 * rel2 - consts.epsilon0
+    if np.any(arg < 0):
+        raise BelowThreshold(
+            f"|v1-v2|^2 = {np.min(rel2):.6g} < 4*epsilon0 = {4 * consts.epsilon0:.6g}"
+        )
+    center = 0.5 * (v1 + v2)
+    k = np.sqrt(arg)[..., None]
+    return center + k * omega, center - k * omega
+
+
+@dataclass(frozen=True)
+class CollisionTuple:
+    """A kinematically valid binary collision (v1, v2) -> (v3, v4)."""
+
+    v1: np.ndarray
+    v2: np.ndarray
+    v3: np.ndarray
+    v4: np.ndarray
+
+    def __post_init__(self):
+        for name in ("v1", "v2", "v3", "v4"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+
+    @classmethod
+    def nonelastic(cls, v1, v2, omega, consts) -> "CollisionTuple":
+        v3, v4 = nonelastic_post_velocities(v1, v2, omega, consts)
+        return cls(v1, v2, v3, v4)
 
 
 def momentum_residual(tup: CollisionTuple) -> np.ndarray:
@@ -60,6 +120,21 @@ def w_minus(v1, v2, consts):
         )
     rel = np.sqrt(rel2)
     return np.sqrt(rel2 - 4.0 * consts.epsilon0) / (2.0 * rel) * (consts.C0_kernel * rel)
+
+
+# ---------------------------------------------------------------------------
+# kinetic
+# ---------------------------------------------------------------------------
+
+
+def detailed_balance_residual(state1, state2, tup: CollisionTuple, consts):
+    """(F1(v1) F1(v2) - F2(v3) F1(v4)) / (F1(v1) F1(v2)) for a nonelastic tuple,
+    with F1/F2 the plain Maxwellians of the two states: the residuals that
+    `kinetic._balance_sweep` takes its max over, tuple by tuple."""
+    lhs = maxwellian(state1, False, consts, tup.v1) * maxwellian(state1, False, consts, tup.v2)
+    rhs = maxwellian(state2, False, consts, tup.v3) * maxwellian(state1, False, consts, tup.v4)
+    res = (lhs - rhs) / lhs
+    return float(res) if np.ndim(res) == 0 else res
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from scipy.special import exp1, expn
 import radgas.domain3d
 import radgas.slab
 import radgas.three_level
-from radgas import PhysConsts, MaxwellianState, CollisionTuple
+from radgas import PhysConsts, MaxwellianState
 from radgas.cli import main as cli_main
 from radgas.collision_reduction import TripleQuadSpec, fit_calibration
 from radgas.domain3d import (
@@ -30,7 +30,6 @@ from radgas.domain3d import (
 from radgas.kinetic import (
     McPlan,
     _weak_form_checks,
-    detailed_balance_residual,
     entropy_identity_check,
     mass_exchange_reduced,
 )
@@ -46,7 +45,7 @@ from radgas.slab import (
 )
 from radgas.three_level import ThreeLevelParams, lte_deviation, solve_three_level
 from radgas.physics import pseudo_planck
-from oracles import fredholm_kernel_K
+from oracles import CollisionTuple, detailed_balance_residual, fredholm_kernel_K
 
 FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
 PHYS = PhysConsts(epsilon0=1.0, sigma=1.0)
@@ -259,7 +258,7 @@ class TestAcceptance:
         g1 = MaxwellianState(1.3, np.zeros(3), 4.0)
         g2 = MaxwellianState(0.4, np.zeros(3), 7.0)
         rep, est, chk = _weak_form_checks((g1, g2), s1, plan, consts)
-        ok &= rep.all_pass(n_sigma=3.0, floor=1e-10)
+        ok &= rep.all_pass()
         ok &= chk["all_within_3_sigma"]
         red = mass_exchange_reduced(g1, g2, consts)
         ok &= abs(est.value - red) <= 3.0 * est.std_error

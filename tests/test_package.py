@@ -1,5 +1,6 @@
 """The package namespace re-exports every public name of its layer modules;
-every public name is used by a subcommand, demo or benchmark; and the package
+every public name is used by a subcommand, demo or benchmark; every public
+test oracle is used by a test and has no twin in the library; and the package
 declares numpy as its one runtime dependency."""
 
 import ast
@@ -48,6 +49,35 @@ def test_test_oracles_are_not_in_the_library():
     used = set().union(*map(_used_names, files))
     unused = [(layer, name) for layer in LAYERS for name in importlib.import_module(f"radgas.{layer}").__all__ if name not in used]
     assert unused == []
+
+
+ORACLES = os.path.join(ROOT, "tests", "oracles.py")
+
+
+def _defined_names(path) -> set:
+    """The names a Python file binds at its top level: functions, classes
+    and assignment targets."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_public_test_oracle_is_used_by_a_test():
+    used = set().union(*map(_used_names, glob.glob(os.path.join(ROOT, "tests", "test_*.py"))))
+    assert sorted(n for n in _defined_names(ORACLES) if not n.startswith("_") and n not in used) == []
+
+
+def test_no_test_oracle_is_also_defined_in_the_library():
+    # a reference moved out of the library must not come back as a second path
+    library = set().union(*map(_defined_names, glob.glob(os.path.join(ROOT, "src", "radgas", "*.py"))))
+    assert sorted(_defined_names(ORACLES) & library) == []
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -8,16 +8,21 @@ import pytest
 from radgas import (
     PhysConsts,
     MaxwellianState,
-    CollisionTuple,
     BelowThreshold,
-    maxwellian,
     boltzmann_ratio,
     pseudo_planck,
     energy_density,
     entropy_lambda,
-    nonelastic_post_velocities,
 )
-from oracles import energy_residual, momentum_residual, w_minus, w_plus
+from oracles import (
+    CollisionTuple,
+    energy_residual,
+    maxwellian,
+    momentum_residual,
+    nonelastic_post_velocities,
+    w_minus,
+    w_plus,
+)
 
 CONSTS = PhysConsts(epsilon0=1.0)
 

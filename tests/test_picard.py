@@ -31,14 +31,14 @@ def _affine_contraction(n=12, seed=3):
 
 def _plain_loop(apply, b, tol, max_iter):
     """The plain Picard loop x_(k+1) = K x_k + b from x_0 = 0, with
-    fixed_point's stopping test; the count is of steps, K 0 + b included."""
+    fixed_point's stopping test; one residual per step, K 0 + b included."""
     x, diffs = np.zeros_like(b), []
-    for iterations in range(1, max_iter + 1):
+    for _ in range(max_iter):
         x, prev = apply(x) + b, x
         diffs.append(float(np.max(np.abs(x - prev))))
         if diffs[-1] <= tol * max(1.0, float(np.max(np.abs(x)))):
-            return x, iterations, True, diffs
-    return x, max_iter, False, diffs
+            return x, True, diffs
+    return x, False, diffs
 
 
 def _anderson_loop(apply, b, tol, max_iter):
@@ -47,33 +47,33 @@ def _anderson_loop(apply, b, tol, max_iter):
     From x_0 = 0, with g_k = K x_k + b, f_k = g_k - x_k and dF, dG the last 5
     differences of f and g, gamma minimises |f_k - dF gamma|_2 and
     x_(k+1) = g_k - dG gamma; the first sweep is plain.  Same stopping test
-    as fixed_point; the count is of sweeps, K 0 + b included."""
+    as fixed_point; one residual per sweep, K 0 + b included."""
     x = np.zeros_like(b)
     diffs, dF, dG = [], [], []
-    for iterations in range(1, max_iter + 1):
+    for _ in range(max_iter):
         g = apply(x) + b
         f = g - x
         diffs.append(float(np.max(np.abs(f))))
         if not np.isfinite(diffs[-1]):
-            return FixedPoint(g, iterations, False, diffs)
+            return FixedPoint(g, False, diffs)
         if diffs[-1] <= tol * max(1.0, float(np.max(np.abs(g)))):
-            return FixedPoint(g, iterations, True, diffs)
+            return FixedPoint(g, True, diffs)
         x = g
-        if iterations > 1:
+        if len(diffs) > 1:
             dF = (dF + [f - f_prev])[-5:]
             dG = (dG + [g - g_prev])[-5:]
             gamma = np.linalg.lstsq(np.stack(dF, axis=1), f, rcond=None)[0]
             x = g - np.stack(dG, axis=1) @ gamma
         f_prev, g_prev = f, g
-    return FixedPoint(g, max_iter, False, diffs)
+    return FixedPoint(g, False, diffs)
 
 
 def test_matches_plain_loop_and_direct_solve_in_fewer_sweeps():
     A, g = _affine_contraction()
     fp = fixed_point(lambda x: A @ x, g, tol=1e-13, max_iter=1000)
-    x, iterations, converged, _ = _plain_loop(lambda x: A @ x, g, 1e-13, 1000)
+    x, converged, plain_diffs = _plain_loop(lambda x: A @ x, g, 1e-13, 1000)
     assert fp.converged and converged
-    assert fp.iterations == len(fp.diffs) < iterations
+    assert len(fp.diffs) < len(plain_diffs)
     np.testing.assert_allclose(fp.x, np.linalg.solve(np.eye(len(g)) - A, g), rtol=0, atol=1e-12)
     np.testing.assert_allclose(fp.x, x, rtol=0, atol=1e-12)
     assert fp.diffs[-1] <= 1e-13 * max(1.0, np.max(np.abs(fp.x)))
@@ -90,7 +90,7 @@ def test_random_nonsymmetric_contractions_match_direct_solve(n, seed):
     want = np.linalg.solve(np.eye(n) - A, b)
     scale = max(1.0, float(np.max(np.abs(want))))
     assert fp.converged
-    assert fp.iterations == len(fp.diffs) <= n + 2
+    assert len(fp.diffs) <= n + 2
     # |step(x) - x*| <= 0.9 |x - x*| <= 0.9 |step(x) - x| / (1 - 0.9), the residual within tol
     assert np.max(np.abs(fp.x - want)) <= 9.0 * 1e-13 * scale * (1.0 + 1e-9)
 
@@ -103,7 +103,7 @@ def test_restarts_when_the_basis_fills(monkeypatch):
     monkeypatch.setattr(radgas.picard, "_BASIS_BYTES", 3 * g.nbytes)
     restarted = fixed_point(lambda x: A @ x, g, tol=1e-13, max_iter=500)
     assert full.converged and restarted.converged
-    assert restarted.iterations == len(restarted.diffs) > full.iterations
+    assert len(restarted.diffs) > len(full.diffs)
     want = np.linalg.solve(np.eye(len(g)) - A, g)
     np.testing.assert_allclose(restarted.x, want, rtol=0, atol=1e-11)
 
@@ -113,7 +113,6 @@ def test_constant_step_is_exact_after_one_product():
     b = np.array([2.0, 0.0, 0.0])
     fp = fixed_point(np.zeros_like, b, tol=1e-13, max_iter=10)
     assert fp.converged
-    assert fp.iterations == 3
     assert fp.diffs == [2.0, 0.0, 0.0]
     np.testing.assert_array_equal(fp.x, b)
 
@@ -126,7 +125,7 @@ def test_tracked_residual_is_the_true_residual():
     A *= 0.9 / np.abs(A).sum(axis=1, keepdims=True)
     b = rng.normal(size=40)
     apply = lambda x: A @ x  # noqa: E731
-    for k in range(2, fixed_point(apply, b, tol=1e-13, max_iter=100).iterations):
+    for k in range(2, len(fixed_point(apply, b, tol=1e-13, max_iter=100).diffs)):
         fp = fixed_point(apply, b, tol=1e-13, max_iter=k)
         assert not fp.converged
         true = float(np.max(np.abs(apply(fp.x) + b - fp.x)))
@@ -142,7 +141,7 @@ def test_singular_or_overflowing_product_stops_unconverged(apply):
     with np.errstate(all="ignore"):
         fp = fixed_point(apply, np.ones(4), tol=1e-12, max_iter=10)
     assert fp.converged is False
-    assert fp.iterations == len(fp.diffs) == 2
+    assert len(fp.diffs) == 2
     assert np.isnan(fp.diffs[-1])
 
 
@@ -150,7 +149,7 @@ def test_capped_loop_reports_not_converged():
     A, g = _affine_contraction()
     fp = fixed_point(lambda x: A @ x, g, tol=1e-13, max_iter=2)
     assert fp.converged is False
-    assert fp.iterations == len(fp.diffs) == 2
+    assert len(fp.diffs) == 2
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -159,7 +158,7 @@ def test_non_finite_residual_stops_unconverged(bad):
     applied = []
     fp = fixed_point(applied.append, np.full(4, bad), tol=1e-12, max_iter=10)
     assert fp.converged is False
-    assert fp.iterations == 1 and applied == []
+    assert len(fp.diffs) == 1 and applied == []
     assert not np.isfinite(fp.diffs[0])
 
 
@@ -205,7 +204,7 @@ def test_applies_the_operator_once_per_residual_but_the_first(tmp_path, monkeypa
 
     code, (_, _, result) = _run_recorded(tmp_path, monkeypatch, module, argv, counting)
     assert code == 0 and result.converged
-    assert len(applied) == result.iterations - 1 == len(result.diffs) - 1
+    assert len(applied) == len(result.diffs) - 1
     assert all(np.any(v) for v in applied)
 
 
@@ -215,7 +214,7 @@ def test_no_more_products_than_anderson_and_agrees(tmp_path, monkeypatch, module
     old_code, (_, _, anderson) = _run_recorded(tmp_path, monkeypatch, module, argv, _anderson_loop)
     assert code == old_code == 0
     assert gmres.converged and anderson.converged
-    assert gmres.iterations <= anderson.iterations
+    assert len(gmres.diffs) <= len(anderson.diffs)
     # K is non-negative, so its max norm is max(K 1); each result is within
     # tol * max(1, max|x|) / (1 - |K|) of the fixed point
     n = len(gmres.x)
@@ -239,7 +238,7 @@ def test_thick_corners_match_the_levinson_source(tmp_path, monkeypatch, corner, 
     code, (_, _, gmres) = _run_recorded(tmp_path, monkeypatch, radgas.three_level, argv, fixed_point)
     _, (_, _, anderson) = _run_recorded(tmp_path, monkeypatch, radgas.three_level, argv, _anderson_loop)
     assert code == 0 and gmres.converged
-    assert gmres.iterations <= anderson.iterations
+    assert len(gmres.diffs) <= len(anderson.diffs)
     assert len(direct) == 4  # per run, the Levinson solve and the refinement's correction
     source = direct[0]
     assert np.max(np.abs(gmres.x - source)) <= rtol * np.max(np.abs(source))

@@ -249,7 +249,7 @@ class TestSourceLoop:
         if corner == "default":
             want = old.x.reshape(3, n_y)
             assert np.max(np.abs(sigma_of(loops[0].x) - want)) <= 1e-10 * np.max(np.abs(want))
-            assert sol.picard_iterations <= old.iterations
+            assert sol.picard_iterations <= len(old.diffs)
 
 
 class TestDirectPath:
