@@ -3,7 +3,7 @@
 Subsystems:
 
 - physics:              closed-form Maxwellian states, equilibria, densities
-- collision_reduction:  reduced nonelastic collision integrals + MC oracle
+- collision_reduction:  reduced nonelastic collision integrals and H, S, L
 - levelscan:            level curves of the nonexistence quantity L(T1, T2)
 - picard:               the GMRES fixed-point solve the slab, 3-D and three-level solvers share
 - slab:                 slab-geometry transport, Fredholm and exponential-limit solvers

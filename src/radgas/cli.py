@@ -661,14 +661,14 @@ def _run_three_level(config: RunConfig, art: _Artifacts) -> int:
 
 
 def _run_verify(config: RunConfig, art: _Artifacts) -> int:
-    from .kinetic import entropy_identity_check, mass_exchange_reduced, verify_checks
+    from .kinetic import entropy_identity_check, exchange_reduced, verify_checks
 
     p = config.inputs
     consts = p.consts
     # detailed balance on a Boltzmann-ratio pair; weak-form conservation and
-    # mass exchange on the generic pair and the kernel of the linearized
-    # operator at LTE, from one draw per side
-    res, (rep, est, chk) = verify_checks(
+    # mass and energy exchange on the generic pair and the kernel of the
+    # linearized operator at LTE, from one draw per side
+    res, (rep, exchange, chk) = verify_checks(
         p.lte_pair, config.values["n_tuples"], p.generic_pair, p.lte_at_rest, p.plan, consts
     )
     # None: no tuple above threshold, nothing was checked, so the check cannot pass
@@ -681,18 +681,18 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
         }
     )
 
-    # mass exchange vs the calibrated reduced formula
-    red = mass_exchange_reduced(*p.generic_pair, consts)
-    ok = abs(est.value - red) <= 3.0 * est.std_error
-    checks.append(
-        {
-            "name": "mass_exchange_vs_reduced",
-            "mc": est.value,
-            "std_error": est.std_error,
-            "reduced": red,
-            "pass": bool(ok),
-        }
-    )
+    # mass and energy exchange vs the calibrated reduced formulas
+    reduced = exchange_reduced(*p.generic_pair, consts)
+    for name, est, red in zip(("mass", "energy"), exchange, reduced):
+        checks.append(
+            {
+                "name": f"{name}_exchange_vs_reduced",
+                "mc": est.value,
+                "std_error": est.std_error,
+                "reduced": red,
+                "pass": bool(abs(est.value - red) <= 3.0 * est.std_error),
+            }
+        )
 
     # kernel of the linearized operator at LTE
     checks.append(

@@ -19,16 +19,16 @@ per (T1, T2) pair (`_pair_integrals`); A_kern and B1 depend on T1 alone.
 Two evaluation modes exist.  "printed" evaluates the reduced formulas exactly
 as stated (this is what the level-curve scan consumes; every constant cancels
 from the ratios there).  "calibrated" restores the change-of-variables factors
-the printed forms drop -- a factor sqrt(T1) inside G_delta/B1 and one global
-constant per quantity (c0^2 analytically) -- so the values match the defining
-6-fold integrals.  `mc_oracle` samples those 6-fold integrals directly and
-`fit_calibration` pins the constants against it.
+the printed forms drop -- a factor sqrt(T1) inside G_delta/B1 and the
+constant c0^2 of the two Maxwellian normalizations -- so the values match the
+defining 6-fold integrals.  `radgas verify` checks them against those
+integrals on its own Monte Carlo draws (`kinetic.exchange_reduced`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,8 +46,6 @@ __all__ = [
     "H_func",
     "S_func",
     "L_func",
-    "mc_oracle",
-    "fit_calibration",
 ]
 
 #: Relative tolerance below which H/S/L denominators count as singular.
@@ -209,10 +207,6 @@ class CollisionFunctionals:
             raise ValueError("P11, P21, A must be positive")
 
 
-#: The quantities `mc_oracle` samples, one calibration constant each.
-_QUANTITIES = ("P", "P21", "A", "B")
-
-
 @lru_cache(maxsize=512)
 def _t1_integrals(T1: float, epsilon0: float, spec: TripleQuadSpec) -> tuple:
     """The integrals that depend on T1 only: G_delta at T2 = T1, A_kern and B1.
@@ -328,109 +322,3 @@ def L_func(
     H = H_func(T1, T2, consts, spec, funcs=f)
     S = S_func(T1, T2, consts, spec, funcs=f)
     return S * (1.0 / T1 + H / T2)
-
-
-def mc_oracle(
-    quantity: str,
-    T1: float,
-    T2: float,
-    consts: PhysConsts,
-    n_samples: int = 10**6,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of a defining 6-fold integral; returns (mean, std_error).
-
-    Samples (v3, v4) from the zero-mean Maxwellians (variance T/2 per axis --
-    importance sampling with unit weights) and averages the hard-sphere gain
-    factor integrated over the scattering sphere, 2*pi*C0*sqrt(|v3-v4|^2+4*eps0).
-    For quantity "B", the two temperatures share the same normal draws so the
-    difference estimator vanishes exactly at T2 = T1.
-    """
-    if n_samples < 10**4:
-        raise ValueError(f"n_samples must be >= 1e4, got {n_samples}")
-    if quantity not in ("P", "P21", "A", "B"):
-        raise ValueError(f"unknown quantity {quantity!r}")
-    from numpy.random import default_rng
-
-    rng = default_rng(seed)
-    z3 = rng.standard_normal((n_samples, 3))
-    z4 = rng.standard_normal((n_samples, 3))
-    pref = 2.0 * math.pi * consts.C0_kernel * consts.maxwellian_mass**2
-    eps0 = consts.epsilon0
-
-    def wgain(v3, v4):
-        return np.sqrt(np.sum((v3 - v4) ** 2, axis=-1) + 4.0 * eps0)
-
-    v4 = math.sqrt(T1 / 2.0) * z4
-    if quantity == "P":
-        samples = wgain(math.sqrt(T1 / 2.0) * z3, v4)
-    elif quantity == "P21":
-        samples = wgain(math.sqrt(T2 / 2.0) * z3, v4)
-    elif quantity == "A":
-        v3 = math.sqrt(T1 / 2.0) * z3
-        samples = (0.5 * np.sum(v3**2, axis=-1) + eps0) * wgain(v3, v4)
-    else:  # "B": common random numbers across the two temperatures
-        v3a = math.sqrt(T1 / 2.0) * z3
-        v3b = math.sqrt(T2 / 2.0) * z3
-        samples = 0.5 * np.sum(v3a**2, axis=-1) * wgain(v3a, v4) - 0.5 * np.sum(
-            v3b**2, axis=-1
-        ) * wgain(v3b, v4)
-
-    mean = pref * float(np.mean(samples))
-    std_error = pref * float(np.std(samples, ddof=1)) / math.sqrt(n_samples)
-    return mean, std_error
-
-
-def structural_value(
-    quantity: str, T1: float, T2: float, consts: PhysConsts, spec: TripleQuadSpec
-) -> float:
-    """Reduced-integral value carrying the sqrt(T1) structure but no constant.
-
-    The oracle satisfies  mc == constant * structural_value  with one constant
-    per quantity (c0^2 analytically); `fit_calibration` estimates it.  This is
-    the calibrated functional at c0 = 1.
-    """
-    if quantity not in _QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    f = functionals(T1, T2, replace(consts, c0=1.0), spec, "calibrated")
-    if quantity == "P":
-        return f.P11
-    if quantity == "P21":
-        return f.P21
-    if quantity == "A":
-        return f.A
-    return (T2 - T1) * f.B_diff
-
-
-def fit_calibration(
-    pairs: list[tuple[float, float]],
-    consts: PhysConsts,
-    spec: TripleQuadSpec = TripleQuadSpec(),
-    n_samples: int = 10**6,
-    seed: int = 0,
-) -> dict:
-    """Fit one constant per quantity against the Monte Carlo oracle.
-
-    Least squares through the origin over the supplied (T1, T2) pairs.
-    Returns {"constants": {...}, "analytic": {...}, "detail": [...]} where
-    detail rows carry (quantity, T1, T2, mc, std_error, structural).
-    """
-    constants: dict[str, float] = {}
-    detail = []
-    for iq, quantity in enumerate(_QUANTITIES):
-        num = 0.0
-        den = 0.0
-        for ip, (T1, T2) in enumerate(pairs):
-            mc, se = mc_oracle(quantity, T1, T2, consts, n_samples, seed + 1000 * iq + ip)
-            sv = structural_value(quantity, T1, T2, consts, spec)
-            detail.append(
-                {"quantity": quantity, "T1": T1, "T2": T2, "mc": mc, "se": se, "structural": sv}
-            )
-            num += mc * sv
-            den += sv * sv
-        constants[quantity] = num / den if den > 0 else float(consts.c0**2)
-    return {
-        "constants": constants,
-        "analytic": dict.fromkeys(_QUANTITIES, consts.c0**2),
-        "detail": detail,
-    }

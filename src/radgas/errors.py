@@ -1,20 +1,12 @@
 """Exception types shared across the solvers.
 
 Every failure mode a caller is expected to handle gets its own class, so that
-`except radgas.BelowThreshold:` style handling never has to string-match.
+`except radgas.SingularDenominator:` style handling never has to string-match.
 """
 
 
 class RadgasError(Exception):
     """Base class for all library-specific errors."""
-
-
-class BelowThreshold(RadgasError):
-    """Endothermic collision channel is closed: |v1 - v2|^2 < 4*epsilon0."""
-
-
-class DomainError(RadgasError):
-    """Arguments outside the mathematically valid region of a kernel."""
 
 
 class SingularDenominator(RadgasError):

@@ -14,10 +14,11 @@ Sampling uses the Maxwellians themselves as proposals (unit weights).  Each
 batch draws its standard normals from an RNG keyed by (seed, side, batch), so
 reports are reproducible bit for bit for a fixed plan and every estimator
 sees the same random numbers.  One draw per side therefore serves several
-estimators at once (`verify_checks`: conservation, mass exchange and the
-kernel of L): each forms its collision tuples from its own Maxwellians, in
-row chunks of the batch, and feeds its whole vector of test functions, so
-memory stays bounded by the batch and the chunk whatever the sample count.
+estimators at once (`verify_checks`: conservation, mass and energy
+exchange, and the kernel of L): each forms its collision tuples from its own
+Maxwellians, in row chunks of the batch, and feeds its whole vector of test
+functions, so memory stays bounded by the batch and the chunk whatever the
+sample count.
 
 The loss and gain sides share no running total, so they run at once: the
 loss side on one worker thread, the gain side on the calling thread.  Each
@@ -313,14 +314,14 @@ def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
     totals.
 
     Each thread owns one normals buffer (6 * _BATCH floats, 6 MiB) and one
-    `_Rows` set (24 rows of _CHUNK floats with the omega buffer, 1.5 MiB): a
+    `_Rows` set (25 rows of _CHUNK floats with the omega buffer, 1.6 MiB): a
     chunk's tuples and test functions are written into those rows with
     `out=`, in the order of the (c, 3) expressions they replace, so every
     sum keeps its bits.  The drawn za/zb are read in place, as strided
     (3, c) views, and not copied into rows of their own.  The loss side
     runs on one worker thread and the gain side on the calling thread
     (`twothreads.on_two_threads`): the worker is always joined, and its
-    exception re-raised here.  A default `verify` pass peaks at 15.8 MiB
+    exception re-raised here.  A default `verify` pass peaks at 15.3 MiB
     of traced memory.
     """
     # numpy.random is imported here, on the calling thread, before the worker
@@ -393,16 +394,21 @@ def _moment_change(v, out, excited, ground=None):
 
 
 def _exchange_problem(state1, state2, consts):
-    """Five conservation columns and the mass-exchange column (see
-    `verify_checks`)."""
+    """Five conservation columns and the mass- and energy-exchange columns
+    (see `verify_checks`)."""
     ground, excited = (None, 0.0, (0.0,)), (None, consts.epsilon0, (1.0,))
-    return state1, state2, lambda v, out: _moment_change(v, out, excited, ground), 6
+
+    def change(v, out):
+        _moment_change(v, out[:6], excited, ground)
+        # |v3|^2/2 + eps0, which `_moment_change` leaves in v3's x row
+        np.copyto(out[6], v[0, 0])
+
+    return state1, state2, change, 7
 
 
 def _exchange_result(estimates) -> tuple:
-    *conserved, exchange = estimates
-    mass, *momentum, energy = conserved
-    return MomentReport(mass=mass, momentum=tuple(momentum), energy=energy), exchange
+    mass, *momentum, energy = estimates[:5]
+    return MomentReport(mass=mass, momentum=tuple(momentum), energy=energy), tuple(estimates[5:])
 
 
 def _kernel_problem(state, consts):
@@ -420,17 +426,21 @@ def _kernel_result(estimates) -> dict:
     }
 
 
-def mass_exchange_reduced(state1: MaxwellianState, state2: MaxwellianState, consts: PhysConsts) -> float:
-    """The mass-exchange rate of `verify_checks` from the calibrated reduced
-    integrals (cross-module oracle)."""
+def exchange_reduced(state1: MaxwellianState, state2: MaxwellianState, consts: PhysConsts) -> tuple:
+    """The (mass, energy) exchange rates of `verify_checks` from the
+    calibrated reduced integrals (cross-module oracle)."""
     f = functionals(state1.T, state2.T, consts, mode="calibrated")
-    q = math.exp(-2.0 * consts.epsilon0 / state1.T)
-    return state1.rho**2 * q * f.P11 - state1.rho * state2.rho * f.P21
+    eps0 = consts.epsilon0
+    q = math.exp(-2.0 * eps0 / state1.T)
+    loss, gain = state1.rho**2 * q, state1.rho * state2.rho
+    mass = loss * f.P11 - gain * f.P21
+    gain_energy = (f.A - eps0 * f.P11) - (state2.T - state1.T) * f.B_diff + eps0 * f.P21
+    return mass, loss * f.A - gain * gain_energy
 
 
 def _weak_form_checks(generic_pair, lte_state, plan, consts):
-    """(MomentReport, Estimate, kernel dict) of `verify_checks` from one draw
-    per side."""
+    """(MomentReport, (mass, energy) exchange Estimates, kernel dict) of
+    `verify_checks` from one draw per side."""
     exchange, kernel = _weak_form_moments(
         [_exchange_problem(*generic_pair, consts), _kernel_problem(lte_state, consts)], consts, plan
     )
@@ -438,21 +448,25 @@ def _weak_form_checks(generic_pair, lte_state, plan, consts):
 
 
 def verify_checks(lte_pair, n_tuples, generic_pair, lte_state, plan, consts) -> tuple:
-    """The checks of `radgas verify`: (balance, (MomentReport, Estimate,
-    kernel dict)).
+    """The checks of `radgas verify`: (balance, (MomentReport, (mass,
+    energy) exchange Estimates, kernel dict)).
 
     `balance` is the largest detailed-balance residual of `lte_pair` over
     `n_tuples` sampled ground-state pairs (`_balance_sweep`, keyed by
     (plan.seed, 1)), or None when no pair is above threshold.
 
     The rest comes from one draw per side.  The conservation report and the
-    mass-exchange estimate are those of `generic_pair`.  Five conservation
+    exchange estimates are those of `generic_pair`.  Five conservation
     columns: test functions (1, 1) for molecule number, (v, v) for momentum
     and (|v|^2/2, |v|^2/2 + eps0) for total energy.  All three vanish per
     sampled tuple by the collision kinematics, so their estimates sit at the
     rounding floor unless the kinematics are broken.  The sixth column is
     the excited-molecule production rate, test functions (0, 1); its reduced
-    closed form is rho1^2 e^(-2 eps0/T1) P(T1) - rho1 rho2 P(T2, T1).  The
+    closed form is rho1^2 q P(T1) - rho1 rho2 P(T2, T1), q = e^(-2 eps0/T1).
+    The seventh is the excited molecules' energy gain, test functions
+    (0, |v|^2/2 + eps0), with the reduced closed form rho1^2 q A(T1) -
+    rho1 rho2 [(A - eps0 P11) - (T2 - T1) B_diff + eps0 P21]
+    (`exchange_reduced`).  The
     kernel check projects K[F_eq] of the LTE pair on `lte_state` on the
     excited-species moments 1, v - u and |v - u|^2/2; at LTE every
     projection is consistent with zero.

@@ -43,6 +43,8 @@ class ScanWindow:
     step: float
 
     def __post_init__(self):
+        if not (self.t1_min > 0 and self.t2_min > 0):
+            raise ValueError(f"temperatures must be > 0, got t1_min {self.t1_min}, t2_min {self.t2_min}")
         if not (self.t1_min < self.t1_max and self.t2_min < self.t2_max):
             raise ValueError("window must satisfy min < max on both axes")
         if not self.step > 0:

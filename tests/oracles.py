@@ -10,10 +10,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from radgas import BelowThreshold, DomainError, NotInterior
+from radgas import NotInterior, RadgasError
 from radgas.collision_reduction import ReducedKernelParams
 from radgas.domain3d import ConvexDomain, SphereGrid, _div_R_batch, _profile_values
 from radgas.slab import _expn
+
+
+class BelowThreshold(RadgasError):
+    """Endothermic collision channel is closed: |v1 - v2|^2 < 4*epsilon0."""
+
+
+class DomainError(RadgasError):
+    """Arguments outside the mathematically valid region of a kernel."""
+
 
 # ---------------------------------------------------------------------------
 # physics

@@ -18,7 +18,7 @@ import radgas.slab
 import radgas.three_level
 from radgas import PhysConsts, MaxwellianState
 from radgas.cli import main as cli_main
-from radgas.collision_reduction import TripleQuadSpec, fit_calibration
+from radgas.collision_reduction import functionals
 from radgas.domain3d import (
     ConvexDomain,
     LatticeSpec,
@@ -29,9 +29,11 @@ from radgas.domain3d import (
 )
 from radgas.kinetic import (
     McPlan,
+    _exchange_problem,
     _weak_form_checks,
+    _weak_form_moments,
     entropy_identity_check,
-    mass_exchange_reduced,
+    exchange_reduced,
 )
 from radgas.slab import (
     AngleGrid,
@@ -113,18 +115,40 @@ class TestAcceptance:
         report(1, "Figure-1 level curves: 21x21 grid, 8 clean contours", ok, time.time() - t0)
 
     def test_02_reduction_vs_oracle(self):
+        # Each calibrated functional against its defining 6-fold integral, on
+        # the mass and energy exchange columns of the `verify` Monte Carlo.
+        # With rho2 = 1e-9 rho1 only the loss side is left: the columns are
+        # rho1^2 q P11 and rho1^2 q A.  With rho1 = 1e-9 rho2 only the gain
+        # side: -rho1 rho2 P21 and -rho1 rho2 [(A - eps0 P11) - (T2 - T1)
+        # B_diff + eps0 P21], from which the quadrature's other three terms
+        # leave (T2 - T1) B_diff.
         t0 = time.time()
         pairs = [(10.0, 10.0), (10.0, 12.0), (12.0, 10.0), (11.0, 11.5), (10.5, 11.0)]
-        fit = fit_calibration(pairs, PHYS, TripleQuadSpec(), n_samples=10**6, seed=2024)
+        densities = [(1.0, 1e-9), (1e-9, 1.0)]
+        problems = [
+            _exchange_problem(MaxwellianState(rho1, np.zeros(3), T1), MaxwellianState(rho2, np.zeros(3), T2), PHYS)
+            for T1, T2 in pairs
+            for rho1, rho2 in densities
+        ]
+        columns = iter(_weak_form_moments(problems, PHYS, McPlan(n_samples=10**6, seed=2024)))
+        eps0 = PHYS.epsilon0
         ok = True
-        for row in fit["detail"]:
-            pred = fit["constants"][row["quantity"]] * row["structural"]
-            tol = max(0.01 * abs(row["mc"]), 3.0 * row["se"])
-            ok &= abs(pred - row["mc"]) <= tol
-        # the fitted constants should sit at the analytic value c0^2
-        for q, k in fit["constants"].items():
-            ok &= abs(k - PHYS.c0**2) < 0.01 * PHYS.c0**2
-        report(2, "reduced P/A/B match 6-D Monte Carlo after calibration", ok, time.time() - t0)
+        for T1, T2 in pairs:
+            f = functionals(T1, T2, PHYS, mode="calibrated")
+            (*_, loss_mass, loss_energy), (*_, gain_mass, gain_energy) = next(columns), next(columns)
+            loss, gain = math.exp(-2.0 * eps0 / T1), 1e-9  # rho1^2 q and rho1 rho2
+            # (estimate, its scale, the quadrature's other terms, the quantity):
+            # gain_energy / gain = (T2 - T1) B_diff - (A - eps0 P11) - eps0 P21
+            rows = [
+                (loss_mass, loss, 0.0, f.P11),
+                (loss_energy, loss, 0.0, f.A),
+                (gain_mass, -gain, 0.0, f.P21),
+                (gain_energy, gain, -(f.A - eps0 * f.P11) - eps0 * f.P21, (T2 - T1) * f.B_diff),
+            ]
+            for est, scale, other, quantity in rows:
+                mc, se = est.value / scale - other, est.std_error / abs(scale)
+                ok &= abs(mc - quantity) <= max(0.01 * abs(mc), 3.0 * se)
+        report(2, "reduced P/A/B match the 6-D Monte Carlo of verify", ok, time.time() - t0)
 
     def test_03_planck_fixed_point(self):
         t0 = time.time()
@@ -257,11 +281,11 @@ class TestAcceptance:
         plan = McPlan(n_samples=10**6, seed=7)
         g1 = MaxwellianState(1.3, np.zeros(3), 4.0)
         g2 = MaxwellianState(0.4, np.zeros(3), 7.0)
-        rep, est, chk = _weak_form_checks((g1, g2), s1, plan, consts)
+        rep, exchange, chk = _weak_form_checks((g1, g2), s1, plan, consts)
         ok &= rep.all_pass()
         ok &= chk["all_within_3_sigma"]
-        red = mass_exchange_reduced(g1, g2, consts)
-        ok &= abs(est.value - red) <= 3.0 * est.std_error
+        for est, red in zip(exchange, exchange_reduced(g1, g2, consts)):
+            ok &= abs(est.value - red) <= 3.0 * est.std_error
         ok &= entropy_identity_check([0.5, 2.0, 10.0, 50.0], consts)["max_rel_error"] < 1e-6
         report(9, "kinetic identities: balance, conservation, exchange", ok, time.time() - t0)
 

@@ -274,6 +274,7 @@ class TestRun:
             ("detailed_balance", {"name", "value", "pass"}),
             ("weak_form_conservation", {"name", "rows", "pass"}),
             ("mass_exchange_vs_reduced", {"name", "mc", "std_error", "reduced", "pass"}),
+            ("energy_exchange_vs_reduced", {"name", "mc", "std_error", "reduced", "pass"}),
             ("kernel_of_L", {"name", "rows", "pass"}),
             ("entropy_identity", {"name", "max_rel_error", "pass"}),
         ]
@@ -287,12 +288,13 @@ class TestRun:
     # sha256 of report.json and report.txt of the default `verify`, pinned to
     # the bytes of the single-threaded pass: the loss side on its own thread,
     # the streamed draws, the row layout and the detailed-balance sweep beside
-    # the loss side keep every bit
+    # the loss side keep every bit.  Re-pinned when the energy-exchange check
+    # joined: the other checks' entries kept every byte
     VERIFY_REPORT_JSON = [
-        ("1", "35a13d6d3eec74044483cee474cb9ef4ad97ddb7226e6b00a01d56ce2ea4ae04"),
-        ("47", "ff91e506a2236175b7f158f860fb98fbf02d14ba9a13a5a2c7be419f3c7eb5b1"),
+        ("1", "45aea90869e00d5edbf79fd9948a310cc538864efe7324407212933454b8ce62"),
+        ("47", "17a451b57a169b32381406627d9dffc230b8178fe9755ae458363792671bb30f"),
     ]
-    VERIFY_REPORT_TXT = "db17ea184c2cd032f7cb23d296746b3ad7f04f17588ffb9122c5f4f3f7a08591"
+    VERIFY_REPORT_TXT = "a38f6b99f6e33f873d2f3d3866ff5d55d85af1964a0090292d1a6a8145d8e823"
 
     def _verify_shas(self, out, seed):
         assert main(["verify", "--seed", seed, "--out", str(out)]) == 0
@@ -418,6 +420,8 @@ class TestRun:
             pytest.param(["nonexist", "--sphere-n-phi", "2"], id="nonexist-sphere-phi-below-grid"),
             pytest.param(["levelscan", "--t1-max", "inf", "--print-config"], id="t1-max-infinite"),
             pytest.param(["levelscan", "--step", "1e-320"], id="step-overflows-window"),
+            pytest.param(["levelscan", "--t1-min=-1"], id="levelscan-t1-min-negative"),
+            pytest.param(["levelscan", "--t2-min", "0"], id="levelscan-t2-min-zero"),
             pytest.param(["three-level", "--xi-const", "nan"], id="xi-const-nan"),
             pytest.param(["slab-lte", "--t0", "inf"], id="t0-infinite"),
             pytest.param(["slab-lte", "--out", "{tmp}/file"], id="out-is-a-file"),
@@ -465,6 +469,8 @@ class TestRun:
             (["levelscan", "--step", "1e-320"], "ScanWindow: "),
             (["levelscan", "--step", "1e-300"], "ScanWindow: "),
             (["levelscan", "--step", "1e-12"], "ScanWindow: "),
+            (["levelscan", "--t1-min=-1"], "ScanWindow: temperatures must be > 0"),
+            (["levelscan", "--t2-min", "0"], "ScanWindow: temperatures must be > 0"),
             (["verify", "--t2", "-1"], "MaxwellianState: T must be > 0"),
             (["domain3d", "--lattice-n", "4"], "LatticeSpec: "),
             (["nonexist", "--radius", "0"], "ConvexDomain: radius must be > 0"),

@@ -42,3 +42,12 @@ def test_three_level_nonlte(capsys):
     out = _run_demo("three_level_nonlte.py", capsys)
     assert "direct vs Picard gap" in out
     assert "(LTE)" in out
+
+
+def test_collision_functionals(capsys):
+    out = _run_demo("collision_functionals.py", capsys)
+    rows = [line.split() for line in out.splitlines() if line.split()[:1] in (["mass"], ["energy"])]
+    assert [row[0] for row in rows] == ["mass", "energy"] * 3
+    # each Monte Carlo row within 3 sigmas of its reduced closed form
+    assert all(float(row[-1]) <= 3.0 for row in rows)
+    assert "H = 0.818731" in out

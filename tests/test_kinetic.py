@@ -32,7 +32,7 @@ from radgas.kinetic import (
     verify_checks,
     _weak_form_moments,
     entropy_identity_check,
-    mass_exchange_reduced,
+    exchange_reduced,
 )
 from oracles import CollisionTuple, detailed_balance_residual, energy_residual, momentum_residual, w_minus, w_plus
 
@@ -206,19 +206,21 @@ class TestConservation:
         assert r1.mass.value == r2.mass.value
         assert r1.energy.value == r2.energy.value
         assert [e.value for e in r1.momentum] == [e.value for e in r2.momentum]
-        assert e1.value == e2.value
+        assert [e.value for e in e1] == [e.value for e in e2]
 
-    def test_mass_exchange_matches_reduced_formula(self):
-        s1 = MaxwellianState(1.3, np.zeros(3), 4.0)
-        s2 = MaxwellianState(0.4, np.zeros(3), 7.0)
-        _, est, _ = _weak_form_checks((s1, s2), s1, PLAN, CONSTS)
-        red = mass_exchange_reduced(s1, s2, CONSTS)
-        assert abs(est.value - red) <= 3.0 * est.std_error
+    # the default verify pair, equal temperatures, and T2 above and below T1
+    @pytest.mark.parametrize("T1, T2", [(4.0, 7.0), (5.0, 5.0), (10.0, 12.0), (2.0, 1.5)])
+    def test_exchange_matches_reduced_formulas(self, T1, T2):
+        s1 = MaxwellianState(1.3, np.zeros(3), T1)
+        s2 = MaxwellianState(0.4, np.zeros(3), T2)
+        _, exchange, _ = _weak_form_checks((s1, s2), s1, PLAN, CONSTS)
+        for est, red in zip(exchange, exchange_reduced(s1, s2, CONSTS)):
+            assert abs(est.value - red) <= 3.0 * est.std_error
 
     def test_shared_pass_matches_separate_estimators(self):
         s1 = MaxwellianState(1.3, (0.2, 0.0, 0.0), 4.0)
         s2 = MaxwellianState(0.4, (0.2, 0.0, 0.0), 7.0)
-        rep, est, _ = _weak_form_checks((s1, s2), s1, PLAN, CONSTS)
+        rep, (est, _), _ = _weak_form_checks((s1, s2), s1, PLAN, CONSTS)
         # the five conservation columns alone, and the mass-exchange column alone
         ground, excited = (None, 0.0, ()), (None, CONSTS.epsilon0, ())
         (alone,) = _weak_form_moments(
@@ -238,8 +240,8 @@ class TestConservation:
         U = np.array([0.7, -0.4, 1.1])
         s1b = MaxwellianState(1.3, U, 4.0)
         s2b = MaxwellianState(0.4, U, 7.0)
-        _, a, _ = _weak_form_checks((s1, s2), s1, PLAN, CONSTS)
-        _, b, _ = _weak_form_checks((s1b, s2b), s1b, PLAN, CONSTS)
+        _, (a, _), _ = _weak_form_checks((s1, s2), s1, PLAN, CONSTS)
+        _, (b, _), _ = _weak_form_checks((s1b, s2b), s1b, PLAN, CONSTS)
         # common random numbers: the shifted estimate matches almost exactly,
         # certainly within the 3-sigma criterion
         assert abs(a.value - b.value) <= 3.0 * math.hypot(a.std_error, b.std_error)
@@ -331,14 +333,14 @@ class TestFusedPass:
     @pytest.mark.parametrize("n_samples", [200_000, 150_001])
     def test_matches_separate_pass_oracle(self, n_samples):
         plan = McPlan(n_samples=n_samples, seed=42)
-        rep, est, chk = _weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS)
+        rep, exchange, chk = _weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS)
         eps0 = CONSTS.epsilon0
-        *_, exchange = separate_pass_oracle(
+        *_, mass, energy = separate_pass_oracle(
             *self.GENERIC,
             CONSTS,
             plan,
-            lambda v: conserved_columns(v, 0.0, 0.0),
-            lambda v: conserved_columns(v, eps0, 1.0),
+            lambda v: np.column_stack([conserved_columns(v, 0.0, 0.0), np.zeros(len(v))]),
+            lambda v: np.column_stack([conserved_columns(v, eps0, 1.0), 0.5 * np.sum(v * v, axis=1) + eps0]),
         )
         q = math.exp(-2.0 * eps0 / self.LTE.T)
         lte2 = MaxwellianState(self.LTE.rho * q, self.LTE.u, self.LTE.T)
@@ -350,27 +352,31 @@ class TestFusedPass:
             lambda v: np.zeros((len(v), 5)),
             lambda v: conserved_columns(v - self.LTE.u),
         )
-        for got, (value, std_error) in zip([est, *chk["projections"].values()], [exchange, *kernel]):
+        for got, (value, std_error) in zip([*exchange, *chk["projections"].values()], [mass, energy, *kernel]):
             assert abs(got.value - value) <= 1e-9 * std_error
             assert got.std_error == pytest.approx(std_error, rel=1e-9, abs=0)
         assert all(abs(e.value) < 1e-12 for _, e in rep.rows())
         assert rep.all_pass()
 
     def test_equals_separate_estimator_calls(self):
-        rep, est, chk = _weak_form_checks(self.GENERIC, self.LTE, PLAN, CONSTS)
+        checks = _weak_form_checks(self.GENERIC, self.LTE, PLAN, CONSTS)
         # each problem estimated alone, from its own draw
         (exchange,) = _weak_form_moments([_exchange_problem(*self.GENERIC, CONSTS)], CONSTS, PLAN)
         (kernel,) = _weak_form_moments([_kernel_problem(self.LTE, CONSTS)], CONSTS, PLAN)
-        assert (rep, est, chk) == (*_exchange_result(exchange), _kernel_result(kernel))
+        assert checks == (*_exchange_result(exchange), _kernel_result(kernel))
 
     @pytest.mark.parametrize("with_balance", [False, True], ids=["weak_form", "verify_checks"])
     def test_peak_memory_bounded(self, with_balance):
         # one reused buffer of normals per side (2 x 2^17 x 3 floats, 6.0 MiB
         # each, 12.0 MiB together) plus one chunk's rows per side peaks at
-        # 15.8 MiB traced, with or without the detailed-balance sweep of 10^5
+        # 15.3 MiB traced, with or without the detailed-balance sweep of 10^5
         # tuples, which runs once both buffers are freed: a second live batch
         # or an unchunked pass exceeds the bound
         plan = McPlan(n_samples=10**6, seed=1)
+        # the first import of numpy.random allocates about 0.7 MiB; it is
+        # loaded here so the traced peak does not depend on the test order
+        import numpy.random  # noqa: F401
+
         tracemalloc.start()
         try:
             if with_balance:
@@ -566,7 +572,7 @@ class TestKernelOfL:
     def test_off_ratio_number_projection_large(self):
         s1 = MaxwellianState(1.0, np.zeros(3), 5.0)
         s2 = MaxwellianState(2.0 * math.exp(-2.0 / 5.0), np.zeros(3), 5.0)
-        _, est, _ = _weak_form_checks((s1, s2), s1, PLAN, CONSTS)
+        _, (est, _), _ = _weak_form_checks((s1, s2), s1, PLAN, CONSTS)
         assert abs(est.value) / est.std_error > 5.0
 
 

@@ -17,22 +17,32 @@ FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
 FAST = TripleQuadSpec(n_r=48, n_rho=48)
 
 
+#: A window holds temperatures, which are positive, so a synthetic field on
+#: [x0, x1] x [y0, y1] is laid on the window shifted by OFFSET on both axes.
+OFFSET = 2.0
+
+
 def synthetic_result(field, t1=(0.0, 1.0), t2=(0.0, 1.0), n=10):
     step = (t1[1] - t1[0]) / n
-    window = ScanWindow(t1[0], t1[1], t2[0], t2[1], step)
+    window = ScanWindow(t1[0] + OFFSET, t1[1] + OFFSET, t2[0] + OFFSET, t2[1] + OFFSET, step)
     T1, T2 = np.meshgrid(window.t1_values(), window.t2_values(), indexing="ij")
-    return ScanResult(grid=field(T1, T2), window=window, failures=[])
+    return ScanResult(grid=field(T1 - OFFSET, T2 - OFFSET), window=window, failures=[])
 
 
 class TestScanWindow:
     def test_rejects_bad_windows(self):
-        with pytest.raises(ValueError):
-            ScanWindow(1.0, 0.0, 0.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            ScanWindow(0.0, 1.0, 0.0, 1.0, 0.3)  # does not divide
+        with pytest.raises(ValueError, match="min < max"):
+            ScanWindow(2.0, 1.0, 1.0, 2.0, 0.1)
+        with pytest.raises(ValueError, match="does not divide"):
+            ScanWindow(1.0, 2.0, 1.0, 2.0, 0.3)
+
+    @pytest.mark.parametrize("t1_min, t2_min", [(-1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (1.0, -0.0)])
+    def test_rejects_non_positive_temperatures(self, t1_min, t2_min):
+        with pytest.raises(ValueError, match="temperatures must be > 0"):
+            ScanWindow(t1_min, 2.0, t2_min, 2.0, 0.5)
 
     def test_degenerate_two_by_two(self):
-        w = ScanWindow(0.0, 1.0, 0.0, 1.0, 1.0)
+        w = ScanWindow(1.0, 2.0, 1.0, 2.0, 1.0)
         assert w.n1 == w.n2 == 1
         assert len(w.t1_values()) == 2
 
@@ -90,10 +100,10 @@ class TestExtractContours:
         cs = extract_contours(res, [0.4375])
         assert len(cs.polylines[0]) == 1
         chain = cs.polylines[0][0]
-        assert np.max(np.abs(chain[:, 0] - 0.4375)) < 1e-12
+        assert np.max(np.abs(chain[:, 0] - OFFSET - 0.4375)) < 1e-12
         # spans the full window in T2
-        assert chain[:, 1].min() == pytest.approx(0.0, abs=1e-12)
-        assert chain[:, 1].max() == pytest.approx(1.0, abs=1e-12)
+        assert chain[:, 1].min() == pytest.approx(OFFSET, abs=1e-12)
+        assert chain[:, 1].max() == pytest.approx(OFFSET + 1.0, abs=1e-12)
 
     def test_vertex_interpolation_is_exact_on_edges(self):
         res = synthetic_result(lambda x, y: x**2 + y, n=16)

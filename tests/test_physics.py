@@ -8,13 +8,13 @@ import pytest
 from radgas import (
     PhysConsts,
     MaxwellianState,
-    BelowThreshold,
     boltzmann_ratio,
     pseudo_planck,
     energy_density,
     entropy_lambda,
 )
 from oracles import (
+    BelowThreshold,
     CollisionTuple,
     energy_residual,
     maxwellian,

@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.special
 
 import radgas.slab
-from radgas import PhysConsts, DomainError, NonContraction, NonPositiveW, pseudo_planck
+from radgas import PhysConsts, NonContraction, NonPositiveW, pseudo_planck
 from radgas.slab import (
     AngleGrid,
     BoundaryProfile,
@@ -44,7 +44,7 @@ from radgas.slab import (
 from radgas.cli import main as cli_main
 from radgas.picard import fixed_point
 import oracles
-from oracles import fredholm_kernel_K
+from oracles import DomainError, fredholm_kernel_K
 from radgas.three_level import ThreeLevelParams
 
 CONSTS = PhysConsts(epsilon0=1.0)
