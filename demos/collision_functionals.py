@@ -2,7 +2,7 @@
 
 The number/energy exchange between ground and excited molecules reduces, for
 the simplified hard-sphere kernel, from 6-fold velocity integrals to 3-fold
-quadratures in (r, rho, theta).  The Monte Carlo of `radgas verify` is the
+integrals in (r, rho, theta), summed over one radial axis.  The Monte Carlo of `radgas verify` is the
 independent referee: it samples the defining integrals through the weak form
 of the collision operator, and its mass- and energy-exchange columns must
 match the calibrated reduced closed forms (one sqrt(T1) and the constant

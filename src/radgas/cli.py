@@ -44,7 +44,7 @@ except ImportError:
 from .collision_reduction import TripleQuadSpec
 from .constants import C0_MAXWELLIAN, PhysConsts
 from .domain3d import ConvexDomain, LatticeSpec, SphereGrid
-from .errors import ConfigError, RadgasError
+from .errors import ConfigError, RadgasError, SingularDenominator
 from .kinetic import McPlan
 from .levelscan import ScanWindow
 from .physics import MaxwellianState
@@ -76,8 +76,7 @@ _SCHEMAS = {
         "step": (float, 0.1, "grid step on both axes"),
         "n_levels": (int, 8, "number of evenly spaced contour levels"),
         "r_max": (float, 12.0, "radial truncation of the triple quadrature"),
-        "n_r": (int, 96, "radial nodes (r)"),
-        "n_rho": (int, 96, "radial nodes (rho)"),
+        "n_r": (int, 96, "radial nodes"),
     },
     "slab-lte": {
         "epsilon0": _COMMON_SCHEMA["epsilon0"],
@@ -358,7 +357,7 @@ def _levelscan_inputs(v, seed):
     return SimpleNamespace(
         window=ScanWindow(v["t1_min"], v["t1_max"], v["t2_min"], v["t2_max"], v["step"]),
         consts=_consts(v),
-        spec=TripleQuadSpec(r_max=v["r_max"], n_r=v["n_r"], n_rho=v["n_rho"]),
+        spec=TripleQuadSpec(r_max=v["r_max"], n_r=v["n_r"]),
     )
 
 
@@ -552,6 +551,8 @@ def _run_levelscan(config: RunConfig, art: _Artifacts) -> int:
         [np.repeat(t1s, len(t2s)), np.tile(t2s, len(t1s)), result.grid.ravel()],
     )
     finite = result.grid[np.isfinite(result.grid)]
+    if not finite.size:
+        raise SingularDenominator(f"L is singular at all {result.grid.size} grid nodes")
     levels = np.linspace(finite.min(), finite.max(), config.values["n_levels"] + 2)[1:-1]
     contours = extract_contours(result, levels)
     rows = [

@@ -11,10 +11,13 @@ collapse to 3-fold integrals over (r, rho, theta) with five printed kernels:
 F_delta and B2delta are the divided-difference forms with the removable
 T2 = T1 singularity eliminated via delta = sqrt(T2/T1) - 1.
 
-Every printed kernel is elementary in u = cos(theta), so the theta integral is
-taken in closed form and only the (r, rho) plane is summed by Gauss-Legendre.
-G_delta, F_delta and B2delta share their radicand and are summed in one pass
-per (T1, T2) pair (`_pair_integrals`); A_kern and B1 depend on T1 alone.
+Each triple integral is pi^3 times the mean of its kernel over two
+independent standard 3-D normal vectors rho and r (a = |rho|^2, c = |r|^2).
+An orthogonal rotation of the pair puts the G_delta radicand on one normal
+vector alone; the other enters only through its exact moments, so every
+kernel is a Gauss-Legendre sum over one radial axis.  G_delta, F_delta and
+B2delta are summed in one pass per (T1, T2) pair (`_pair_integrals`);
+A_kern and B1 depend on T1 alone.
 
 Two evaluation modes exist.  "printed" evaluates the reduced formulas exactly
 as stated (this is what the level-curve scan consumes; every constant cancels
@@ -54,28 +57,34 @@ _SINGULAR_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class TripleQuadSpec:
-    """Node counts and truncation for the (r, rho) quadrature of the triple integrals.
+    """Node count and truncation of the radial quadrature of the triple integrals.
 
-    The theta direction is integrated exactly, so only the two radial axes
-    carry nodes.  r_max = 12 puts the discarded Gaussian tail below 1e-30 of
-    the integrand mass; Gauss-Legendre on the mapped intervals handles the
-    square-root kernels, which are smooth but not polynomial.
+    The angle is integrated exactly and the second radial axis through exact
+    moments, so only one radial axis carries nodes.  r_max = 12 puts the
+    discarded Gaussian tail below 1e-30 of the integrand mass; Gauss-Legendre
+    on the mapped interval handles the square-root kernels, which are smooth
+    but not polynomial.
     """
 
     r_max: float = 12.0
     n_r: int = 96
-    n_rho: int = 96
 
     def __post_init__(self):
         if not self.r_max > 0:
             raise ValueError(f"r_max must be > 0, got {self.r_max}")
-        if self.n_r < 16 or self.n_rho < 16:
-            raise ValueError(f"n_r and n_rho must be >= 16, got ({self.n_r}, {self.n_rho})")
+        if self.n_r < 16:
+            raise ValueError(f"n_r must be >= 16, got {self.n_r}")
+
+    @property
+    def n_rho(self) -> int:
+        # One radial axis carries nodes, so one triple integral evaluates
+        # n_r nodes; node counters that multiply by n_rho stay right.
+        return 1
 
     @property
     def n_theta(self) -> int:
         # The theta integral is exact, so one triple integral evaluates
-        # n_r * n_rho nodes; node counters that multiply by n_theta stay right.
+        # n_r nodes; node counters that multiply by n_theta stay right.
         return 1
 
 
@@ -101,38 +110,33 @@ class ReducedKernelParams:
 
 @lru_cache(maxsize=8)
 def _quad_grid(spec: TripleQuadSpec):
-    """Flattened (a, m, c) nodes and combined weights on the (r, rho) plane.
+    """Nodes a = x^2 and weights W of the radial Gauss-Legendre rule on [0, r_max].
 
-    a = rho^2, m = rho*r and c = r^2, so the cone coordinate b is m*u with
-    u = cos(theta).  The weight is pi^2 * r^2 rho^2 * exp(-(r^2+rho^2)/2)
-    times the Gauss-Legendre weights on [0, r_max] x [0, r_max].
+    W = pi^2 * C * x^2 * exp(-x^2/2) times the Gauss-Legendre weights, with
+    C the same rule's value of the integral of r^2 * exp(-r^2/2) over the
+    second radial axis, so 2 * sum(W) is the pi^3 of a unit kernel.  Each
+    kernel enters through its mean over u = cos(theta) and the second normal
+    vector, written in a and that vector's moments (E|y|^2 = 3, E[y] = 0).
     """
-    xr, wr = leggauss(spec.n_r)
-    # one rule serves both axes when they have as many nodes
-    xq, wq = (xr, wr) if spec.n_rho == spec.n_r else leggauss(spec.n_rho)
-    r = 0.5 * spec.r_max * (xr + 1.0)
-    wr = 0.5 * spec.r_max * wr
-    rho = 0.5 * spec.r_max * (xq + 1.0)
-    wq = 0.5 * spec.r_max * wq
-
-    R, RHO = np.meshgrid(r, rho, indexing="ij")
-    WEIGHT = math.pi**2 * R**2 * RHO**2 * np.exp(-0.5 * (R**2 + RHO**2)) * np.outer(wr, wq)
-    return (RHO**2).ravel(), (RHO * R).ravel(), (R**2).ravel(), WEIGHT.ravel()
+    x, w = leggauss(spec.n_r)
+    x = 0.5 * spec.r_max * (x + 1.0)
+    g = x**2 * np.exp(-0.5 * x**2) * (0.5 * spec.r_max * w)
+    return x**2, math.pi**2 * float(np.add.reduce(g)) * g
 
 
 def triple_integral(kind: str, params: ReducedKernelParams, spec: TripleQuadSpec) -> float:
     """pi^2 * triple integral of r^2 rho^2 sin(theta) * kernel * exp(-(r^2+rho^2)/2).
 
-    The theta integral is exact; (r, rho) use spec's Gauss-Legendre grid.
+    The theta and r integrals are exact; rho uses spec's Gauss-Legendre axis.
     `kind` is one of the kernels of T1 alone, "A_kern" or "B1".  The kernels
     of a (T1, T2) pair come from `_pair_integrals`.
     """
-    a, m, c, w = _quad_grid(spec)
+    a, w = _quad_grid(spec)
     T1, eps0 = params.T1, params.epsilon0
     if kind == "A_kern":  # the odd term in b integrates to zero
-        vals = 8.0 * math.pi * (T1 / 8.0 * (a + c) + eps0) * np.sqrt(T1 * a + 4.0 * eps0)
+        vals = 8.0 * math.pi * (T1 / 8.0 * (a + 3.0) + eps0) * np.sqrt(T1 * a + 4.0 * eps0)
     elif kind == "B1":
-        vals = math.pi * (a + c) * np.sqrt(a + 4.0 * eps0 / T1)
+        vals = math.pi * (a + 3.0) * np.sqrt(a + 4.0 * eps0 / T1)
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
     # Fixed summation order for cross-run determinism.
@@ -142,45 +146,30 @@ def triple_integral(kind: str, params: ReducedKernelParams, spec: TripleQuadSpec
 def _pair_integrals(params: ReducedKernelParams, spec: TripleQuadSpec) -> tuple:
     """The triple integrals of G_delta, F_delta and B2delta, in that order.
 
-    One pass over spec's (r, rho) nodes with the theta integral in closed form.
     With kappa = 4*eps0/T1 and h = 1 + delta/2 the G_delta radicand is
-    r1^2 = P - Q*u, P = a*h^2 + delta^2*c/4 + kappa, Q = delta*h*m, and
-    P > |Q| on the whole cone.  The integrals of r1 and u*r1 are written in
-    t = Q/P through p = sqrt(1+t), q = sqrt(1-t), which stays accurate as
-    Q -> 0.  F_delta is 4*pi*(r1 - r2)/(delta*s) with r2 = sqrt(a + kappa) and
-    s = sqrt(T1) + sqrt(T2); its divided difference D is written with delta
-    cancelled by hand, so no formula divides by delta and the diagonal
-    T2 = T1 needs no special case.
+    r1^2 = |h*rho - (delta/2)*r|^2 + kappa.  The rotation z = (h*rho -
+    (delta/2)*r)/s, y = ((delta/2)*rho + h*r)/s with s^2 = h^2 + delta^2/4
+    makes z and y independent standard normal vectors, r1^2 = s^2*|z|^2 +
+    kappa and |rho|^2 + |r|^2 = |z|^2 + |y|^2, and given z the mean of rho.r
+    is (h*delta/2)*(3 - |z|^2)/s^2.  So one pass over spec's axis, a = |z|^2,
+    sums all three.  F_delta is 4*pi*(r1 - r2)/(delta*s_T) with r2 =
+    sqrt(a + kappa) and s_T = sqrt(T1) + sqrt(T2); its divided difference is
+    h*a/(r1 + r2), since s^2 - 1 = delta*h, so no formula divides by delta and
+    the diagonal T2 = T1 needs no special case.
     """
-    a, m, c, w = _quad_grid(spec)
+    a, w = _quad_grid(spec)
     T1, T2, eps0 = params.T1, params.T2, params.epsilon0
     kappa = 4.0 * eps0 / T1
-    r2 = np.sqrt(a + kappa)
     delta = params.delta
     h = 1.0 + 0.5 * delta
-    P = a * h * h + 0.25 * delta * delta * c + kappa
-    Q_over_delta = h * m
-    t = delta * Q_over_delta / P
-    p = np.sqrt(1.0 + t)
-    q = np.sqrt(1.0 - t)
-    sigma = p + q
-    pq = p * q
-    sqrt_P = np.sqrt(P)
-    G = 4.0 * math.pi * (4.0 / 3.0) * sqrt_P * (2.0 + pq) / sigma  # 4*pi * int r1 du
-
-    # D = (int r1 du - 2*r2)/delta, split as 2*(sqrt(P) - r2)/delta plus
-    # (int r1 du - 2*sqrt(P))/delta, each with the factor delta taken out.
-    D = 2.0 * (a * (1.0 + 0.25 * delta) + 0.25 * delta * c) / (sqrt_P + r2) - (
-        (4.0 / 3.0) * sqrt_P * Q_over_delta * (t / P) * (sigma - 1.0)
-        / (sigma * sigma * (1.0 + p) * (1.0 + q))
-    )
-    s = math.sqrt(T1) + math.sqrt(T2)
-    F = 4.0 * math.pi / s * D
-    # K = int u*r1 du; u*r2 integrates to zero
-    K_over_delta = -(4.0 / 15.0) * sqrt_P * Q_over_delta / P * (3.0 * pq + 2.0) / (
-        sigma * (1.0 + pq)
-    )
-    B2 = 2.0 * math.pi * T2 / s * (0.25 * (a + c) * D - 0.5 * m * K_over_delta)
+    s2 = h * h + 0.25 * delta * delta
+    r1 = np.sqrt(s2 * a + kappa)
+    dd = h * a / (r1 + np.sqrt(a + kappa))  # (r1 - r2)/delta
+    s_T = math.sqrt(T1) + math.sqrt(T2)
+    G = 8.0 * math.pi * r1
+    F = 8.0 * math.pi / s_T * dd
+    # the rho.r term: u*r2 integrates to zero, u*r1 to its mean given z
+    B2 = 4.0 * math.pi * T2 / s_T * (0.25 * (a + 3.0) * dd - 0.25 * (h / s2) * (3.0 - a) * r1)
     # Fixed summation order for cross-run determinism.
     return tuple(float(np.add.reduce(vals * w)) for vals in (G, F, B2))
 
@@ -213,12 +202,10 @@ def _t1_integrals(T1: float, epsilon0: float, spec: TripleQuadSpec) -> tuple:
 
     Cached as floats, so a scan pays for them once per T1 row.
     """
-    a, _, _, w = _quad_grid(spec)
-    r2 = np.sqrt(a + 4.0 * epsilon0 / T1)
-    # delta = 0 identity of `_pair_integrals`' G: P = a + kappa exactly, so
-    # sqrt(P) is r2, and t = 0, p = q = pq = 1, sigma = 2; the integrand
-    # 4*pi*(4/3)*sqrt(P)*(2 + pq)/sigma is then this one, bit for bit.
-    g0 = 4.0 * math.pi * (4.0 / 3.0) * r2 * 3.0 / 2.0
+    a, w = _quad_grid(spec)
+    # delta = 0 identity of `_pair_integrals`' G: s^2 = 1 exactly, so r1 is
+    # this r2 and the integrand 8*pi*r1 is this one, bit for bit.
+    g0 = 8.0 * math.pi * np.sqrt(a + 4.0 * epsilon0 / T1)
     p = ReducedKernelParams(T1, T1, epsilon0)
     return (
         float(np.add.reduce(g0 * w)),

@@ -5,6 +5,7 @@ structured way, or a domain that runs a library path on a shape no
 subcommand builds; the tests hold the library to them.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -186,6 +187,76 @@ def eval_reduced_kernel(kind: str, a, b, c, params: ReducedKernelParams):
     if kind == "B2delta":
         return 2.0 * math.pi * T2 * w4sq * lin / (r1 + r2)
     raise ValueError(f"unknown kernel kind {kind!r}")
+
+
+@functools.lru_cache(maxsize=8)
+def plane_quad_grid(r_max=12.0, n_r=96, n_rho=96):
+    """Flattened (a, m, c) nodes and combined weights on the (r, rho) plane.
+
+    a = rho^2, m = rho*r and c = r^2, so the cone coordinate b is m*u with
+    u = cos(theta).  The weight is pi^2 * r^2 rho^2 * exp(-(r^2+rho^2)/2)
+    times the Gauss-Legendre weights on [0, r_max] x [0, r_max].
+    """
+    xr, wr = np.polynomial.legendre.leggauss(n_r)
+    # one rule serves both axes when they have as many nodes
+    xq, wq = (xr, wr) if n_rho == n_r else np.polynomial.legendre.leggauss(n_rho)
+    r = 0.5 * r_max * (xr + 1.0)
+    wr = 0.5 * r_max * wr
+    rho = 0.5 * r_max * (xq + 1.0)
+    wq = 0.5 * r_max * wq
+
+    R, RHO = np.meshgrid(r, rho, indexing="ij")
+    WEIGHT = math.pi**2 * R**2 * RHO**2 * np.exp(-0.5 * (R**2 + RHO**2)) * np.outer(wr, wq)
+    return (RHO**2).ravel(), (RHO * R).ravel(), (R**2).ravel(), WEIGHT.ravel()
+
+
+def plane_integrals(params: ReducedKernelParams, r_max=12.0, n_r=96, n_rho=96) -> tuple:
+    """G_delta, F_delta, B2delta, G_delta at T2 = T1, A_kern and B1, in that order.
+
+    Each triple integral is a Gauss-Legendre sum over the (r, rho) plane with
+    the theta integral in closed form: the quadrature `collision_reduction`
+    used before it rotated the two velocities onto one radial axis.  With
+    kappa = 4*eps0/T1 and h = 1 + delta/2 the G_delta radicand is
+    r1^2 = P - Q*u, P = a*h^2 + delta^2*c/4 + kappa, Q = delta*h*m, and
+    P > |Q| on the whole cone.  The integrals of r1 and u*r1 are written in
+    t = Q/P through p = sqrt(1+t), q = sqrt(1-t), which stays accurate as
+    Q -> 0.  F_delta is 4*pi*(r1 - r2)/(delta*s) with r2 = sqrt(a + kappa) and
+    s = sqrt(T1) + sqrt(T2); its divided difference D is written with delta
+    cancelled by hand, so no formula divides by delta.
+    """
+    a, m, c, w = plane_quad_grid(r_max, n_r, n_rho)
+    T1, T2, eps0 = params.T1, params.T2, params.epsilon0
+    kappa = 4.0 * eps0 / T1
+    r2 = np.sqrt(a + kappa)
+    delta = params.delta
+    h = 1.0 + 0.5 * delta
+    P = a * h * h + 0.25 * delta * delta * c + kappa
+    Q_over_delta = h * m
+    t = delta * Q_over_delta / P
+    p = np.sqrt(1.0 + t)
+    q = np.sqrt(1.0 - t)
+    sigma = p + q
+    pq = p * q
+    sqrt_P = np.sqrt(P)
+    G = 4.0 * math.pi * (4.0 / 3.0) * sqrt_P * (2.0 + pq) / sigma  # 4*pi * int r1 du
+
+    # D = (int r1 du - 2*r2)/delta, split as 2*(sqrt(P) - r2)/delta plus
+    # (int r1 du - 2*sqrt(P))/delta, each with the factor delta taken out.
+    D = 2.0 * (a * (1.0 + 0.25 * delta) + 0.25 * delta * c) / (sqrt_P + r2) - (
+        (4.0 / 3.0) * sqrt_P * Q_over_delta * (t / P) * (sigma - 1.0)
+        / (sigma * sigma * (1.0 + p) * (1.0 + q))
+    )
+    s = math.sqrt(T1) + math.sqrt(T2)
+    F = 4.0 * math.pi / s * D
+    # K = int u*r1 du; u*r2 integrates to zero
+    K_over_delta = -(4.0 / 15.0) * sqrt_P * Q_over_delta / P * (3.0 * pq + 2.0) / (
+        sigma * (1.0 + pq)
+    )
+    B2 = 2.0 * math.pi * T2 / s * (0.25 * (a + c) * D - 0.5 * m * K_over_delta)
+    G0 = 4.0 * math.pi * (4.0 / 3.0) * r2 * 3.0 / 2.0
+    A = 8.0 * math.pi * (T1 / 8.0 * (a + c) + eps0) * np.sqrt(T1 * a + 4.0 * eps0)
+    B1 = math.pi * (a + c) * np.sqrt(a + kappa)
+    return tuple(float(np.add.reduce(vals * w)) for vals in (G, F, B2, G0, A, B1))
 
 
 # ---------------------------------------------------------------------------

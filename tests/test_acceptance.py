@@ -52,10 +52,11 @@ from oracles import CollisionTuple, detailed_balance_residual, fredholm_kernel_K
 FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
 PHYS = PhysConsts(epsilon0=1.0, sigma=1.0)
 #: Bits of the Figure-1 scan, stricter than the 1e-9 `bench/fig1_L.csv` oracle:
-#: a change to the quadrature's arithmetic order shows here first.
+#: a change to the quadrature's arithmetic order shows here first.  Re-pinned
+#: when the (r, rho) plane sums became one radial axis: L moved by <= 6.5e-15.
 FIG1_SHA256 = {
-    "grid.csv": "d0019eff50248880efbc158cac322114c7a391026b55d2b91b19048c4f8ecbfa",
-    "contours.csv": "30b846258b610bddabea62a23eb7cbda09dede982d680848159862867c589a24",
+    "grid.csv": "21e1c3e7f51b4bf47f0904f18aa8f0df7dc0a79d7a7fcc989c238df4fd776ffb",
+    "contours.csv": "b43fdb67b513cfdc246e31c19e09662fadcff1f8c3b621b2ffb492a4400d3ce5",
 }
 #: Bits of the transport and volume artifacts at their default configs (domain3d
 #: at lattice 24): the writers and the solves under these files must keep every

@@ -19,7 +19,7 @@ from spans import WORK  # noqa: E402
 
 # one small job per subcommand
 JOBS = [
-    {"id": "levelscan", "argv": ["levelscan", "--t1-max=10.2", "--t2-max=10.2", "--n-r=16", "--n-rho=16"]},
+    {"id": "levelscan", "argv": ["levelscan", "--t1-max=10.2", "--t2-max=10.2", "--n-r=16"]},
     {"id": "slab-lte", "argv": ["slab-lte", "--n-y=33", "--n-mu=16"]},
     {"id": "slab-exp", "argv": ["slab-exp", "--n-y=33", "--n-mu=16"]},
     {"id": "domain3d", "argv": ["domain3d", "--domain=ball", "--lattice-n=12", "--f-profile=isotropic"]},

@@ -38,9 +38,9 @@ from radgas.slab import AngleGrid, RadiationField, SlabGrid
 
 
 # One small run per subcommand: n_y <= 65, lattice_n <= 12, n_samples and
-# n_tuples <= 2e4, levelscan windows of at most 3 x 3 points at n_r = n_rho = 16.
+# n_tuples <= 2e4, levelscan windows of at most 3 x 3 points at n_r = 16.
 SMALL_RUNS = {
-    "levelscan": ["levelscan", "--t1-max=10.2", "--t2-max=10.2", "--n-r=16", "--n-rho=16"],
+    "levelscan": ["levelscan", "--t1-max=10.2", "--t2-max=10.2", "--n-r=16"],
     "slab-lte": ["slab-lte", "--n-y=33", "--n-mu=16"],
     "slab-exp": ["slab-exp", "--n-y=33", "--n-mu=16"],
     "domain3d": ["domain3d", "--lattice-n=8", "--sphere-n-theta=8", "--sphere-n-phi=16"],
@@ -247,7 +247,6 @@ class TestRun:
                 "levelscan",
                 "--step", "0.5",
                 "--n-r", "48",
-                "--n-rho", "48",
                 "--c0", "1.0",
                 "--out", str(out),
             ]
@@ -289,10 +288,12 @@ class TestRun:
     # the bytes of the single-threaded pass: the loss side on its own thread,
     # the streamed draws, the row layout and the detailed-balance sweep beside
     # the loss side keep every bit.  Re-pinned when the energy-exchange check
-    # joined: the other checks' entries kept every byte
+    # joined: the other checks' entries kept every byte, and when the reduced
+    # integrals became one radial axis: only the two `reduced` values moved,
+    # by <= 1.9e-15 relative
     VERIFY_REPORT_JSON = [
-        ("1", "45aea90869e00d5edbf79fd9948a310cc538864efe7324407212933454b8ce62"),
-        ("47", "17a451b57a169b32381406627d9dffc230b8178fe9755ae458363792671bb30f"),
+        ("1", "41e7316117529a73c07c838c0ff25a227893d577131ddee10af930fb8792ff72"),
+        ("47", "256f7fcc6d5688612474ba83bb9f779cb6cef3b35e8c17e6fb33a6afedabed4d"),
     ]
     VERIFY_REPORT_TXT = "a38f6b99f6e33f873d2f3d3866ff5d55d85af1964a0090292d1a6a8145d8e823"
 
@@ -383,7 +384,7 @@ class TestRun:
         "argv",
         [
             pytest.param(["levelscan", "--n-r", "8"], id="n-r-below-16"),
-            pytest.param(["levelscan", "--n-rho", "8"], id="n-rho-below-16"),
+            pytest.param(["levelscan", "--n-rho", "16"], id="n-rho-removed"),
             pytest.param(["levelscan", "--step", "0.3"], id="step-not-dividing"),
             pytest.param(["levelscan", "--n-theta", "4"], id="n-theta-removed"),
             pytest.param(["domain3d", "--sigma", "7"], id="domain3d-sigma-removed"),
@@ -629,6 +630,12 @@ class TestRun:
         assert float(printed) >= 1.0 and printed == repr(float(printed))  # not rounded to 1.000000
         assert "escape from a slab this thick is below the rounding of the FFT row sums" in err
 
+    def test_all_singular_window_is_a_solver_error(self, tmp_path, capsys):
+        # exp(-2*eps0/T1) underflows, so the S bracket vanishes at every node
+        argv = ["levelscan", "--epsilon0=1e12", "--t1-max=10.2", "--t2-max=10.2", "--n-r=16"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "solver error: L is singular at all 9 grid nodes\n"
+
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["levelscan", "--threads", "2", "--print-config"])
@@ -812,7 +819,7 @@ E2E_VALUES = {
         "t1_min": ["10", "10.1", "10.2", "11", "nan"], "t1_max": ["10.2", "10.1", "9", "inf"],
         "t2_min": ["10", "10.1", "10.3", "x"], "step": ["0.1", "0.2", "0.3", "0", "-0.1", "1e-320"],
         "n_levels": ["1", "8", "0", "-3"], "r_max": ["12", "6", "0"], "n_r": ["16", "8", "x"],
-        "n_rho": ["16", "0"], "epsilon0": _POS, "sigma": _POS, "c0": _POS,
+        "epsilon0": _POS, "sigma": _POS, "c0": _POS,
     },
     "slab-lte": {
         **_SLAB, "t0": _POS, "epsilon0": _POS, "j0_profile": _PROFILE,

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radgas import (
     PhysConsts,
@@ -20,11 +21,11 @@ from radgas import (
     L_func,
 )
 from radgas.collision_reduction import _pair_integrals, _quad_grid, _t1_integrals
-from oracles import DomainError, eval_reduced_kernel
+from oracles import DomainError, eval_reduced_kernel, plane_integrals, plane_quad_grid
 
 FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
 SPEC = TripleQuadSpec()
-FAST = TripleQuadSpec(n_r=48, n_rho=48)
+FAST = TripleQuadSpec(n_r=48)
 PAIR_KINDS = ("G_delta", "F_delta", "B2delta")  # the order _pair_integrals returns
 
 
@@ -97,8 +98,8 @@ class TestReducedKernels:
 
 class TestTripleIntegral:
     def test_unit_kernel_gives_pi_cubed(self):
-        # the theta integral of a unit kernel is 2, so the grid's weights sum to pi^3 / 2
-        _, _, _, w = _quad_grid(SPEC)
+        # the theta integral of a unit kernel is 2, so the axis' weights sum to pi^3 / 2
+        _, w = _quad_grid(SPEC)
         assert float(np.add.reduce(2.0 * w)) == pytest.approx(math.pi**3, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["F_delta", "G_delta", "A_kern", "B1", "B2delta"])
@@ -120,30 +121,68 @@ class TestTripleIntegral:
         p = ReducedKernelParams(T1, T2, 1.0)
         assert integral(kind, p, SPEC) == pytest.approx(triple_oracle(kind, p), rel=1e-13)
 
-    @pytest.mark.parametrize("n_r, n_rho", [(96, 96), (16, 24), (24, 16)])
-    def test_grid_takes_each_axis_rule_bit_for_bit(self, n_r, n_rho):
-        # one Gauss-Legendre rule serves both axes when the counts are equal
-        spec = TripleQuadSpec(n_r=n_r, n_rho=n_rho)
-        (xr, wr), (xq, wq) = np.polynomial.legendre.leggauss(n_r), np.polynomial.legendre.leggauss(n_rho)
-        r, rho = 0.5 * spec.r_max * (xr + 1.0), 0.5 * spec.r_max * (xq + 1.0)
-        R, RHO = np.meshgrid(r, rho, indexing="ij")
-        weight = math.pi**2 * R**2 * RHO**2 * np.exp(-0.5 * (R**2 + RHO**2))
-        weight = weight * np.outer(0.5 * spec.r_max * wr, 0.5 * spec.r_max * wq)
-        want = [(RHO**2).ravel(), (RHO * R).ravel(), (R**2).ravel(), weight.ravel()]
+    @pytest.mark.parametrize("n_r", [96, 16, 24])
+    def test_grid_is_the_gauss_legendre_rule_bit_for_bit(self, n_r):
+        spec = TripleQuadSpec(n_r=n_r)
+        x, w = np.polynomial.legendre.leggauss(n_r)
+        x = 0.5 * spec.r_max * (x + 1.0)
+        g = x**2 * np.exp(-0.5 * x**2) * (0.5 * spec.r_max * w)
+        want = [x**2, math.pi**2 * float(np.add.reduce(g)) * g]
         assert [a.tobytes() for a in _quad_grid(spec)] == [a.tobytes() for a in want]
 
-    def test_spec_has_no_theta_nodes(self):
-        with pytest.raises(TypeError):
-            TripleQuadSpec(n_theta=48)
-        assert SPEC.n_theta == 1  # node counters read n_r * n_rho * n_theta
+    def test_spec_has_one_radial_axis(self):
+        for key in ("n_theta", "n_rho"):
+            with pytest.raises(TypeError):
+                TripleQuadSpec(**{key: 48})
+        assert SPEC.n_rho == SPEC.n_theta == 1  # node counters read n_r * n_rho * n_theta
 
     def test_quadrature_convergence_on_doubling(self):
         p = ReducedKernelParams(10.0, 11.5, 1.0)
-        dense = TripleQuadSpec(n_r=192, n_rho=192)
+        dense = TripleQuadSpec(n_r=192)
         for kind in ("F_delta", "G_delta", "A_kern", "B1", "B2delta"):
             coarse = integral(kind, p, SPEC)
             fine = integral(kind, p, dense)
             assert abs(fine - coarse) <= 1e-12 * max(abs(fine), 1e-30)
+
+    @staticmethod
+    def _assert_axis_matches_plane(T1, T2, eps0, n_plane=96):
+        # the rotated one-axis sums against the closed-theta (r, rho) plane
+        # pass they replaced, each divided by its rule's value for a unit
+        # kernel (pi^3), which differs between node counts in the 14th digit
+        p = ReducedKernelParams(T1, T2, eps0)
+        got = np.array([*_pair_integrals(p, SPEC), *_t1_integrals.__wrapped__(T1, eps0, SPEC)])
+        got /= float(np.add.reduce(2.0 * _quad_grid(SPEC)[1]))
+        want = np.array(plane_integrals(p, n_r=n_plane, n_rho=n_plane))
+        want /= float(np.add.reduce(2.0 * plane_quad_grid(12.0, n_plane, n_plane)[3]))
+        for kind, g, w in zip(PAIR_KINDS + ("G0", "A_kern", "B1"), got, want):
+            assert g == pytest.approx(w, rel=1e-14), kind
+
+    @pytest.mark.parametrize("T1", [0.3, 1.0, 10.0, 10.7, 12.0, 50.0])
+    @pytest.mark.parametrize(
+        "T2",
+        [
+            lambda t: t,
+            lambda t: t * (1 + 1e-8) ** 2,  # delta = 1e-8
+            lambda t: t * (1 - 1e-8) ** 2,  # delta = -1e-8
+            lambda t: t * (1 + 1e-7),
+            0.5, 10.0, 11.3, 12.0, 40.0,
+        ],
+        ids=["T1", "d+1e-8", "d-1e-8", "T1+1e-7rel", "0.5", "10", "11.3", "12", "40"],
+    )
+    def test_one_axis_matches_the_plane_pass(self, T1, T2):
+        self._assert_axis_matches_plane(T1, T2(T1) if callable(T2) else T2, 1.0)
+
+    # Where T2/T1 or T1/T2 is large and eps0/T1 small, the plane pass's
+    # radicand has a near-kink inside the plane and 96 nodes per axis miss
+    # by up to 5e-10 (T1 = 60, T2 = 0.2, eps0 = 0.1); 192 per axis converge.
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        T1=st.floats(0.2, 60.0),
+        T2=st.floats(0.2, 60.0),
+        eps0=st.floats(0.1, 5.0),
+    )
+    def test_one_axis_matches_the_plane_pass_on_random_draws(self, T1, T2, eps0):
+        self._assert_axis_matches_plane(T1, T2, eps0, n_plane=192)
 
     @pytest.mark.parametrize("spec", [SPEC, FAST], ids=["n96", "n48"])
     @pytest.mark.parametrize("T1", [0.3, 1.0, 10.0, 12.0])

@@ -14,7 +14,7 @@ from radgas.levelscan import (
 )
 
 FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
-FAST = TripleQuadSpec(n_r=48, n_rho=48)
+FAST = TripleQuadSpec(n_r=48)
 
 
 #: A window holds temperatures, which are positive, so a synthetic field on
