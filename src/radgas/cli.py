@@ -756,21 +756,29 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+    """The command-line parser, built once per process, with every subcommand
+    registered; `_subcommand_parser` adds a subcommand's options."""
     parser = _Parser(
         prog="radgas",
         description="Stationary gas-radiation solvers: batch runs with CSV/JSON artifacts.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, schema in _SCHEMAS.items():
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat key = value config file")
-        p.add_argument("--out", default=None, help="output directory (default $RADGAS_OUT)")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--print-config", action="store_true", help="echo the resolved config")
-        for key, (typ, default, help_text) in schema.items():
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, help=help_text)
+    parser.subcommands = {name: sub.add_parser(name) for name in _SCHEMAS}
     return parser
+
+
+@functools.cache
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """`name`'s parser, its options added on the first call: a process pays
+    only for the subcommands it runs."""
+    p = _build_parser().subcommands[name]
+    p.add_argument("--config", default=None, help="flat key = value config file")
+    p.add_argument("--out", default=None, help="output directory (default $RADGAS_OUT)")
+    p.add_argument("--seed", type=int, default=None, help="random seed")
+    p.add_argument("--print-config", action="store_true", help="echo the resolved config")
+    for key, (typ, default, help_text) in _SCHEMAS[name].items():
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, help=help_text)
+    return p
 
 
 #: mallopt parameter numbers of glibc's malloc.h
@@ -816,6 +824,9 @@ def _retain_freed_memory() -> None:
 
 def main(argv=None) -> int:
     _retain_freed_memory()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _SCHEMAS:
+        _subcommand_parser(argv[0])
     args = _build_parser().parse_args(argv)
     overrides = {
         key: getattr(args, key)

@@ -190,10 +190,10 @@ class CollisionFunctionals:
 
     def __post_init__(self):
         values = (self.P11, self.P21, self.P_diff, self.A, self.B_diff)
-        if not all(np.isfinite(v) for v in values):
-            raise ValueError(f"non-finite functional: {values}")
+        if not all(map(math.isfinite, values)):
+            raise SingularDenominator(f"non-finite functional: {values}")
         if not (self.P11 > 0 and self.P21 > 0 and self.A > 0):
-            raise ValueError("P11, P21, A must be positive")
+            raise SingularDenominator("P11, P21, A must be positive")
 
 
 @lru_cache(maxsize=512)

@@ -10,7 +10,8 @@ class RadgasError(Exception):
 
 
 class SingularDenominator(RadgasError):
-    """A denominator in H/S/L vanished within tolerance at this (T1, T2)."""
+    """H/S/L cannot be evaluated at this (T1, T2): a denominator vanished within
+    tolerance, or a reduced functional is non-finite or not positive."""
 
 
 class EmptyLevel(RadgasError):

@@ -5,6 +5,12 @@ scan evaluates L on an evenly stepped grid (singular points are recorded, not
 fatal), marching squares with linear interpolation pulls out the level
 curves, and a report summarizes connectivity and saddle ambiguities, which is
 what the smoothness hypothesis of the nonexistence result asks for.
+
+A grid value exactly on a level counts as below it (v > level is above), so
+a cell crosses a level exactly when min(corners) <= level < max(corners).
+Marching squares and the report each run as one array pass over the
+crossing (level, cell) pairs and the chain vertices; only `_stitch`, which
+joins a level's segments into chains, loops in Python, once per segment.
 """
 
 from __future__ import annotations
@@ -26,9 +32,10 @@ __all__ = [
     "smoothness_report",
 ]
 
-#: Most grid nodes a window may have: 10^6 nodes is about half a minute of
-#: quadrature at the default TripleQuadSpec, at 0.022-0.030 ms per node on a
-#: 2-core Xeon VM (the Figure-1 window has 441).
+#: Most grid nodes a window may have (the Figure-1 window has 441).  At
+#: 10^6 nodes the quadrature takes about 20 s at the default TripleQuadSpec,
+#: at 0.017-0.018 ms per node on a 2-core Xeon VM, and `extract_contours`
+#: with `smoothness_report` about 0.1 s for 8 levels.
 _MAX_NODES = 10**6
 
 
@@ -99,9 +106,10 @@ def scan(
 ) -> ScanResult:
     """Evaluate L on the window grid.
 
-    Per-cell SingularDenominator is recorded in `failures` (the grid entry
-    becomes NaN) without aborting the scan.  The evaluation is pure, so the
-    result is independent of traversal order.  Each grid node costs one
+    A node where L or its functionals raise SingularDenominator is recorded
+    in `failures` (the grid entry becomes NaN) without aborting the scan.
+    The evaluation is pure, so the result is independent of traversal order.
+    Each grid node costs one
     fused quadrature pass for its (T1, T2) pair; `functionals` caches the
     three T1-only integrals of a row as floats, so each row pays for them once.
     """
@@ -111,46 +119,13 @@ def scan(
     failures = []
     for i, T1 in enumerate(t1s):
         for j, T2 in enumerate(t2s):
-            funcs = functionals(float(T1), float(T2), consts, spec)
             try:
+                funcs = functionals(float(T1), float(T2), consts, spec)
                 grid[i, j] = L_func(float(T1), float(T2), consts, spec, funcs=funcs)
             except SingularDenominator:
                 grid[i, j] = np.nan
                 failures.append((i, j))
     return ScanResult(grid=grid, window=window, failures=failures)
-
-
-def _cell_segments(v00, v10, v11, v01, level):
-    """Marching-squares segments for one cell in local [0,1]^2 coordinates.
-
-    Returns (segments, is_saddle); each segment is ((x0, y0), (x1, y1)) with
-    x along axis 0 and y along axis 1.  Saddle cells are resolved by
-    comparing the corner average with the level.
-    """
-
-    def interp(va, vb):
-        return (level - va) / (vb - va)
-
-    above = (v00 > level, v10 > level, v11 > level, v01 > level)
-    code = above[0] * 1 + above[1] * 2 + above[2] * 4 + above[3] * 8
-    if code in (0, 15):
-        return [], False
-
-    bottom = (interp(v00, v10), 0.0) if above[0] != above[1] else None
-    right = (1.0, interp(v10, v11)) if above[1] != above[2] else None
-    top = (interp(v01, v11), 1.0) if above[3] != above[2] else None
-    left = (0.0, interp(v00, v01)) if above[0] != above[3] else None
-
-    if code in (5, 10):  # opposite corners above: two segments, ambiguous
-        center_above = 0.25 * (v00 + v10 + v11 + v01) > level
-        if (code == 5) == center_above:
-            return [(bottom, right), (top, left)], True
-        return [(bottom, left), (right, top)], True
-
-    crossings = [e for e in (bottom, right, top, left) if e is not None]
-    if len(crossings) != 2:  # degenerate (a corner exactly on the level)
-        return [], False
-    return [(crossings[0], crossings[1])], False
 
 
 def _stitch(segments, tol):
@@ -193,43 +168,103 @@ def _stitch(segments, tol):
     return chains
 
 
+#: Cell edges in local [0, 1]^2 coordinates, x along axis 0: 0 bottom (v00 to
+#: v10), 1 right (v10 to v11), 2 top (v01 to v11), 3 left (v00 to v01).
+#: _EDGE_PAIRS[code] is the segment of a cell that is no saddle: its two
+#: crossed edges in that order.  A corner is above the level when v > level
+#: and code = above(v00) + 2 above(v10) + 4 above(v11) + 8 above(v01); codes
+#: 0 and 15 cross nothing, and a saddle (5 or 10) takes two rows of the table.
+_EDGE_PAIRS = np.array(
+    [[0, 0], [0, 3], [0, 1], [1, 3], [1, 2], [0, 0], [0, 2], [2, 3],
+     [2, 3], [0, 2], [0, 0], [1, 2], [1, 3], [0, 1], [0, 3], [0, 0]]
+)
+
+
 def extract_contours(result: ScanResult, levels) -> ContourSet:
     """Marching squares with linear interpolation on the scanned grid.
 
-    Raises EmptyLevel if any requested level crosses no cell.  Cells touching
-    a failed (NaN) grid node are skipped.
+    A corner exactly on a level counts as below it (v > level is above), so
+    a cell crosses a level exactly when min(corners) <= level < max(corners),
+    and a crossed cell that is no saddle has exactly two crossed edges.  A
+    crossing sits at (level - va)/(vb - va) along its edge, with the corners
+    of a shared edge in the same order for both cells.  A saddle cell (two
+    opposite corners above) is resolved by comparing the corner average with
+    the level.  Cells touching a failed (NaN) or infinite grid node are
+    skipped.  The (level, cell) pairs that cross are found per cell from the
+    sorted levels and processed in one array pass; the segments of a level
+    are in row-major cell order and are joined into chains by `_stitch`.
+
+    Raises EmptyLevel naming the first level, in input order, that crosses
+    no cell.
     """
     window = result.window
     grid = result.grid
+    levels = list(levels)
+    values = np.array([float(level) for level in levels])
+    n2 = grid.shape[1] - 1
+    # per-cell corner range, on views of the grid; NaN propagates
+    v00, v10, v11, v01 = grid[:-1, :-1], grid[1:, :-1], grid[1:, 1:], grid[:-1, 1:]
+    lo = np.minimum(v00, v10)
+    np.minimum(lo, v11, out=lo)
+    np.minimum(lo, v01, out=lo)
+    hi = np.maximum(v00, v10)
+    np.maximum(hi, v11, out=hi)
+    np.maximum(hi, v01, out=hi)
+    cells = np.flatnonzero(np.isfinite(lo) & np.isfinite(hi))
+    # a cell crosses the levels of sorted rank r with lo <= level < hi, that
+    # is first <= r < first + count; equal levels may take either rank
+    order = np.argsort(values)
+    ordered = values[order]
+    first = np.searchsorted(ordered, lo.ravel()[cells])
+    counts = np.searchsorted(ordered, hi.ravel()[cells]) - first
+    del lo, hi  # the rest of the pass is per crossing, not per cell
+    # the crossing (level, cell) pairs in row-major cell order
+    cell = np.repeat(cells, counts)
+    rank = np.arange(len(cell)) - np.repeat(np.cumsum(counts) - counts - first, counts)
+    level_of = order[rank]
+
+    i, j = np.divmod(cell, n2)
+    node = cell + i  # the cell's v00 in the flat grid
+    flat = grid.ravel()
+    a, b, c, d = flat[node], flat[node + n2 + 1], flat[node + n2 + 2], flat[node + 1]
+    lev = values[level_of]
+    code = 1 * (a > lev) + 2 * (b > lev) + 4 * (c > lev) + 8 * (d > lev)
+    with np.errstate(all="ignore"):  # the quotients of edges that do not cross are never read
+        x = np.column_stack((i + (lev - a) / (b - a), i + 1.0, i + (lev - d) / (c - d), i + 0.0))
+        y = np.column_stack((j + 0.0, j + (lev - b) / (c - b), j + 1.0, j + (lev - a) / (d - a)))
+
+    # a saddle cuts off the two corners on the other side of its centre:
+    # v10 and v01 (codes 2 and 8) when the centre is on v00's side, else v00
+    # and v11 (codes 1 and 4); its segments are those of the two corners
+    saddle = (code == 5) | (code == 10)
+    pair = np.repeat(np.arange(len(code)), 1 + saddle)
+    seg_code = code[pair]
+    if saddle.any():
+        at = np.flatnonzero(saddle)
+        center_above = 0.25 * (a[at] + b[at] + c[at] + d[at]) > lev[at]
+        cut_10_01 = center_above == (a[at] > lev[at])
+        start = at + np.arange(len(at))  # a saddle's first segment, after the earlier saddles' second
+        seg_code[start] = np.where(cut_10_01, 2, 1)
+        seg_code[start + 1] = np.where(cut_10_01, 8, 4)
+    edges = _EDGE_PAIRS[seg_code]
+    ends = np.column_stack(
+        (x[pair, edges[:, 0]], y[pair, edges[:, 0]], x[pair, edges[:, 1]], y[pair, edges[:, 1]])
+    ).tolist()
+    segments = [[] for _ in levels]
+    for k, (x0, y0, x1, y1) in zip(level_of[pair].tolist(), ends):
+        segments[k].append(((x0, y0), (x1, y1)))
+    saddle_counts = [0] * len(levels)
+    for k in level_of[saddle].tolist():
+        saddle_counts[k] += 1
+
+    origin = np.array([window.t1_min, window.t2_min])
     all_polylines = []
-    saddle_counts = []
-    for level in levels:
-        segments = []
-        saddles = 0
-        for i in range(grid.shape[0] - 1):
-            for j in range(grid.shape[1] - 1):
-                corners = (grid[i, j], grid[i + 1, j], grid[i + 1, j + 1], grid[i, j + 1])
-                if not all(np.isfinite(corners)):
-                    continue
-                segs, is_saddle = _cell_segments(*corners, float(level))
-                saddles += is_saddle
-                for (x0, y0), (x1, y1) in segs:
-                    segments.append(((i + x0, j + y0), (i + x1, j + y1)))
-        if not segments:
+    for level, level_segments in zip(levels, segments):
+        if not level_segments:
             raise EmptyLevel(f"level {level} intersects no grid cell")
-        chains = _stitch(segments, tol=1e-9)
-        polylines = [
-            np.column_stack(
-                (
-                    window.t1_min + window.step * chain[:, 0],
-                    window.t2_min + window.step * chain[:, 1],
-                )
-            )
-            for chain in chains
-        ]
-        all_polylines.append(polylines)
-        saddle_counts.append(saddles)
-    return ContourSet(levels=list(levels), polylines=all_polylines, saddle_counts=saddle_counts)
+        chains = _stitch(level_segments, tol=1e-9)
+        all_polylines.append([origin + window.step * chain for chain in chains])
+    return ContourSet(levels=levels, polylines=all_polylines, saddle_counts=saddle_counts)
 
 
 def smoothness_report(result: ScanResult, contours: ContourSet) -> dict:
@@ -237,34 +272,42 @@ def smoothness_report(result: ScanResult, contours: ContourSet) -> dict:
 
     Levels with more than one connected component or any saddle ambiguity are
     flagged: those are exactly the failure modes of the smooth-curve
-    hypothesis the scan is probing.
+    hypothesis the scan is probing.  A level's max_turning_angle is the
+    largest angle between consecutive steps of one chain, after steps of
+    length 1e-14 or less are dropped; a chain with a NaN angle adds nothing.
+    The steps of all chains are taken in one pass.
     """
-    rows = []
-    for level, polylines, saddles in zip(
-        contours.levels, contours.polylines, contours.saddle_counts
-    ):
-        max_turn = 0.0
-        for chain in polylines:
-            if len(chain) < 3:
-                continue
-            d = np.diff(chain, axis=0)
-            norms = np.linalg.norm(d, axis=1)
-            keep = norms > 1e-14
-            d = d[keep]
-            norms = norms[keep]
-            if len(d) < 2:
-                continue
-            cosang = np.sum(d[1:] * d[:-1], axis=1) / (norms[1:] * norms[:-1])
-            max_turn = max(max_turn, float(np.max(np.arccos(np.clip(cosang, -1.0, 1.0)))))
-        rows.append(
-            {
-                "level": float(level),
-                "components": len(polylines),
-                "saddles": int(saddles),
-                "max_turning_angle": max_turn,
-                "flagged": len(polylines) > 1 or saddles > 0,
-            }
+    chains = [chain for polylines in contours.polylines for chain in polylines]
+    max_turn = [0.0] * len(contours.levels)
+    if chains:
+        owner = np.repeat(np.arange(len(chains)), [len(chain) for chain in chains])
+        d = np.diff(np.concatenate(chains), axis=0)
+        norms = np.linalg.norm(d, axis=1)
+        keep = (norms > 1e-14) & (owner[1:] == owner[:-1])
+        d, norms, owner = d[keep], norms[keep], owner[1:][keep]
+        cosang = np.sum(d[1:] * d[:-1], axis=1) / (norms[1:] * norms[:-1])
+        turn = np.arccos(np.clip(cosang, -1.0, 1.0))
+        within = owner[1:] == owner[:-1]
+        turn, owner = turn[within], owner[1:][within]
+        if len(turn):
+            starts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+            level_of = np.repeat(np.arange(len(contours.levels)), [len(p) for p in contours.polylines])
+            chain_max = np.maximum.reduceat(turn, starts)
+            # max() keeps the running value against a NaN chain maximum
+            for k, turn_max in zip(level_of[owner[starts]].tolist(), chain_max.tolist()):
+                max_turn[k] = max(max_turn[k], turn_max)
+    rows = [
+        {
+            "level": float(level),
+            "components": len(polylines),
+            "saddles": int(saddles),
+            "max_turning_angle": turn_k,
+            "flagged": len(polylines) > 1 or saddles > 0,
+        }
+        for level, polylines, saddles, turn_k in zip(
+            contours.levels, contours.polylines, contours.saddle_counts, max_turn
         )
+    ]
     return {
         "levels": rows,
         "n_failures": len(result.failures),

@@ -5,15 +5,18 @@ structured way, or a domain that runs a library path on a shape no
 subcommand builds; the tests hold the library to them.
 """
 
+import argparse
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from radgas import NotInterior, RadgasError
+from radgas import EmptyLevel, NotInterior, RadgasError
+from radgas.cli import _SCHEMAS, _Parser
 from radgas.collision_reduction import ReducedKernelParams
 from radgas.domain3d import ConvexDomain, SphereGrid, _div_R_batch, _profile_values
+from radgas.levelscan import ContourSet, ScanResult, _stitch
 from radgas.slab import _expn
 
 
@@ -260,6 +263,127 @@ def plane_integrals(params: ReducedKernelParams, r_max=12.0, n_r=96, n_rho=96) -
 
 
 # ---------------------------------------------------------------------------
+# levelscan
+# ---------------------------------------------------------------------------
+# `levelscan.extract_contours` and `smoothness_report` as they were before
+# each became one array pass: a loop over levels and cells and a loop over
+# chains, verbatim apart from the two names.
+
+
+def _cell_segments(v00, v10, v11, v01, level):
+    """Marching-squares segments for one cell in local [0,1]^2 coordinates.
+
+    Returns (segments, is_saddle); each segment is ((x0, y0), (x1, y1)) with
+    x along axis 0 and y along axis 1.  Saddle cells are resolved by
+    comparing the corner average with the level.
+    """
+
+    def interp(va, vb):
+        return (level - va) / (vb - va)
+
+    above = (v00 > level, v10 > level, v11 > level, v01 > level)
+    code = above[0] * 1 + above[1] * 2 + above[2] * 4 + above[3] * 8
+    if code in (0, 15):
+        return [], False
+
+    bottom = (interp(v00, v10), 0.0) if above[0] != above[1] else None
+    right = (1.0, interp(v10, v11)) if above[1] != above[2] else None
+    top = (interp(v01, v11), 1.0) if above[3] != above[2] else None
+    left = (0.0, interp(v00, v01)) if above[0] != above[3] else None
+
+    if code in (5, 10):  # opposite corners above: two segments, ambiguous
+        center_above = 0.25 * (v00 + v10 + v11 + v01) > level
+        if (code == 5) == center_above:
+            return [(bottom, right), (top, left)], True
+        return [(bottom, left), (right, top)], True
+
+    crossings = [e for e in (bottom, right, top, left) if e is not None]
+    if len(crossings) != 2:  # degenerate (a corner exactly on the level)
+        return [], False
+    return [(crossings[0], crossings[1])], False
+
+
+
+def extract_contours_per_cell(result: ScanResult, levels) -> ContourSet:
+    """Marching squares with linear interpolation on the scanned grid.
+
+    Raises EmptyLevel if any requested level crosses no cell.  Cells touching
+    a failed (NaN) grid node are skipped.
+    """
+    window = result.window
+    grid = result.grid
+    all_polylines = []
+    saddle_counts = []
+    for level in levels:
+        segments = []
+        saddles = 0
+        for i in range(grid.shape[0] - 1):
+            for j in range(grid.shape[1] - 1):
+                corners = (grid[i, j], grid[i + 1, j], grid[i + 1, j + 1], grid[i, j + 1])
+                if not all(np.isfinite(corners)):
+                    continue
+                segs, is_saddle = _cell_segments(*corners, float(level))
+                saddles += is_saddle
+                for (x0, y0), (x1, y1) in segs:
+                    segments.append(((i + x0, j + y0), (i + x1, j + y1)))
+        if not segments:
+            raise EmptyLevel(f"level {level} intersects no grid cell")
+        chains = _stitch(segments, tol=1e-9)
+        polylines = [
+            np.column_stack(
+                (
+                    window.t1_min + window.step * chain[:, 0],
+                    window.t2_min + window.step * chain[:, 1],
+                )
+            )
+            for chain in chains
+        ]
+        all_polylines.append(polylines)
+        saddle_counts.append(saddles)
+    return ContourSet(levels=list(levels), polylines=all_polylines, saddle_counts=saddle_counts)
+
+
+def smoothness_report_per_chain(result: ScanResult, contours: ContourSet) -> dict:
+    """Connectivity/saddle/turning-angle summary per level.
+
+    Levels with more than one connected component or any saddle ambiguity are
+    flagged: those are exactly the failure modes of the smooth-curve
+    hypothesis the scan is probing.
+    """
+    rows = []
+    for level, polylines, saddles in zip(
+        contours.levels, contours.polylines, contours.saddle_counts
+    ):
+        max_turn = 0.0
+        for chain in polylines:
+            if len(chain) < 3:
+                continue
+            d = np.diff(chain, axis=0)
+            norms = np.linalg.norm(d, axis=1)
+            keep = norms > 1e-14
+            d = d[keep]
+            norms = norms[keep]
+            if len(d) < 2:
+                continue
+            cosang = np.sum(d[1:] * d[:-1], axis=1) / (norms[1:] * norms[:-1])
+            max_turn = max(max_turn, float(np.max(np.arccos(np.clip(cosang, -1.0, 1.0)))))
+        rows.append(
+            {
+                "level": float(level),
+                "components": len(polylines),
+                "saddles": int(saddles),
+                "max_turning_angle": max_turn,
+                "flagged": len(polylines) > 1 or saddles > 0,
+            }
+        )
+    return {
+        "levels": rows,
+        "n_failures": len(result.failures),
+        "any_flagged": any(r["flagged"] for r in rows),
+    }
+
+
+# ---------------------------------------------------------------------------
 # slab
 # ---------------------------------------------------------------------------
 
@@ -362,3 +486,27 @@ def div_R(domain: ConvexDomain, f, A2: float, y, sphere: SphereGrid) -> float:
     nodes, weights = sphere.nodes_weights()
     fvals = _profile_values(f, nodes)
     return float(_div_R_batch(domain, fvals, A2, y[None, :], nodes, weights)[0])
+
+
+# ---------------------------------------------------------------------------
+# cli
+# ---------------------------------------------------------------------------
+
+
+def build_parser_all_at_once() -> argparse.ArgumentParser:
+    """The command-line parser with every subcommand's options added up front,
+    as `cli._build_parser` built it before options were added on first use."""
+    parser = _Parser(
+        prog="radgas",
+        description="Stationary gas-radiation solvers: batch runs with CSV/JSON artifacts.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, schema in _SCHEMAS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--config", default=None, help="flat key = value config file")
+        p.add_argument("--out", default=None, help="output directory (default $RADGAS_OUT)")
+        p.add_argument("--seed", type=int, default=None, help="random seed")
+        p.add_argument("--print-config", action="store_true", help="echo the resolved config")
+        for key, (typ, default, help_text) in schema.items():
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, help=help_text)
+    return parser

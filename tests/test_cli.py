@@ -35,6 +35,7 @@ from radgas.cli import (
     parse_config,
 )
 from radgas.slab import AngleGrid, RadiationField, SlabGrid
+import oracles
 
 
 # One small run per subcommand: n_y <= 65, lattice_n <= 12, n_samples and
@@ -636,6 +637,24 @@ class TestRun:
         assert main(argv + ["--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == "solver error: L is singular at all 9 grid nodes\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["levelscan", "--r-max=1e-300"], "L is singular at all 9 grid nodes"),
+            (["levelscan", "--r-max=1e300"], "L is singular at all 9 grid nodes"),
+            (["levelscan", "--epsilon0=1e300"], "L is singular at all 9 grid nodes"),
+            (["verify", "--t1=1e300"], "non-finite functional: "),
+        ],
+        ids=["r-max-tiny", "r-max-huge", "epsilon0-huge", "verify-t1-huge"],
+    )
+    def test_unusable_functionals_are_a_solver_error(self, tmp_path, capsys, argv, message):
+        # the reduced functionals are non-finite or not positive at every node
+        name = argv[0]
+        with np.errstate(all="ignore"):
+            assert main(SMALL_RUNS[name] + argv[1:] + ["--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"solver error: {message}") and err.count("\n") == 1
+
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["levelscan", "--threads", "2", "--print-config"])
@@ -790,7 +809,12 @@ def test_repeated_jobs_reuse_freed_memory(tmp_path):
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):
-    assert radgas.cli._build_parser() is radgas.cli._build_parser()
+    parser = radgas.cli._build_parser()
+    assert parser is radgas.cli._build_parser()
+    # a subcommand's options are added once, to the top-level parser's own subparser
+    sub = radgas.cli._subcommand_parser("slab-exp")
+    assert sub is radgas.cli._subcommand_parser("slab-exp") is parser.subcommands["slab-exp"]
+    n_actions = len(sub._actions)
     assert main(SMALL_RUNS["slab-exp"] + ["--out", str(tmp_path / "exp")]) == 0
     assert main(SMALL_RUNS["three-level"] + ["--out", str(tmp_path / "tl")]) == 0
     assert (tmp_path / "exp" / "w.csv").exists() and (tmp_path / "tl" / "solution.csv").exists()
@@ -801,6 +825,31 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
         main(["slab-exp", "--no-such-option=1"])
     assert exc.value.code == 2
     assert "config error" in capsys.readouterr().err
+    assert len(sub._actions) == n_actions
+
+
+def _exit(parse, argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [[name, "--help"] for name in SUBCOMMANDS] + [["--help"]], ids="-".join)
+def test_help_is_the_all_at_once_parsers(capsys, argv):
+    # options added on a subcommand's first use print the help they printed
+    # when every subcommand's options were added up front
+    want = _exit(oracles.build_parser_all_at_once().parse_args, argv, capsys)
+    assert _exit(main, argv, capsys) == want
+    assert want[0] == 0 and want[1].startswith("usage: radgas ")
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_unknown_option_is_a_config_error(capsys, subcommand):
+    argv = [subcommand, "--no-such-option=1"]
+    want = _exit(oracles.build_parser_all_at_once().parse_args, argv, capsys)
+    assert _exit(main, argv, capsys) == want
+    assert want[0] == 2 and want[2].endswith("config error: unrecognized arguments: --no-such-option=1\n")
 
 
 # Candidate values per key for the random small runs, valid and invalid; every

@@ -252,6 +252,33 @@ class TestSingularGuard:
         with pytest.raises(SingularDenominator):
             _check_denominator("x", 0.0, 5.0, 10.0, 11.0)
 
+    @pytest.mark.parametrize(
+        "values",
+        [(1.0, 1.0, 0.5, math.inf, -1.0), (1.0, math.nan, 0.5, 1.0, -1.0), (0.0, 1.0, 0.5, 1.0, -1.0)],
+        ids=["A-infinite", "P21-nan", "P11-zero"],
+    )
+    def test_unusable_functionals_are_singular(self, values):
+        from radgas import SingularDenominator
+        from radgas.collision_reduction import CollisionFunctionals
+
+        with pytest.raises(SingularDenominator):
+            CollisionFunctionals(*values)
+
+    @pytest.mark.parametrize(
+        "spec, consts",
+        [
+            (TripleQuadSpec(r_max=1e-300, n_r=16), FIG1),  # every weight underflows to 0
+            (TripleQuadSpec(r_max=1e300, n_r=16), FIG1),  # NaN sums
+            (TripleQuadSpec(n_r=16), PhysConsts(epsilon0=1e300, c0=1.0)),  # A overflows
+        ],
+        ids=["r-max-tiny", "r-max-huge", "epsilon0-huge"],
+    )
+    def test_l_at_extreme_inputs_is_singular(self, spec, consts):
+        from radgas import SingularDenominator
+
+        with np.errstate(all="ignore"), pytest.raises(SingularDenominator):
+            L_func(10.0, 11.0, consts, spec)
+
 
 class TestSmoothness:
     def test_functionals_smooth_on_window_second_differences(self):

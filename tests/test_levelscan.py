@@ -1,9 +1,13 @@
 """Level scan, marching squares, and the smoothness report."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from radgas import PhysConsts, TripleQuadSpec, EmptyLevel
+import oracles
+from radgas import PhysConsts, TripleQuadSpec, EmptyLevel, SingularDenominator
 from radgas.levelscan import (
     ContourSet,
     ScanResult,
@@ -70,9 +74,15 @@ class TestScan:
         b = scan(window, FIG1, FAST).grid
         np.testing.assert_array_equal(a, b)
 
+    def test_unusable_functionals_recorded_not_fatal(self):
+        # every quadrature weight underflows, so no functional is positive
+        spec = TripleQuadSpec(r_max=1e-300, n_r=16)
+        result = scan(ScanWindow(10.0, 10.2, 10.0, 10.1, 0.1), FIG1, spec)
+        assert result.failures == [(i, j) for i in range(3) for j in range(2)]
+        assert np.isnan(result.grid).all()
+
     def test_singular_cells_recorded_not_fatal(self, monkeypatch):
         import radgas.levelscan as mod
-        from radgas import SingularDenominator
 
         real = mod.L_func
 
@@ -145,6 +155,113 @@ class TestExtractContours:
             assert np.all(chain[:, 0] <= w.t1_max + 1e-12)
             assert np.all(chain[:, 1] >= w.t2_min - 1e-12)
             assert np.all(chain[:, 1] <= w.t2_max + 1e-12)
+
+
+#: Grid values of the drawn windows: few, so that corners tie with each other
+#: and with the levels, and saddles are common.
+_VALUES = [-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 0.1 * np.pi]
+
+
+def _window(grid):
+    n1, n2 = grid.shape[0] - 1, grid.shape[1] - 1
+    window = ScanWindow(1.0, 1.0 + 0.5 * n1, 2.0, 2.0 + 0.5 * n2, 0.5)
+    return ScanResult(grid=grid, window=window, failures=[])
+
+
+@st.composite
+def _windows_and_levels(draw):
+    """A window of up to 12 x 12 nodes, some of them NaN, and 1 to 6 levels,
+    unsorted and possibly repeated, most of them equal to a grid value."""
+    shape = (draw(st.integers(2, 12)), draw(st.integers(2, 12)))
+    cells = st.sampled_from(_VALUES + [np.nan]) | st.floats(-2.0, 2.0)
+    grid = np.array(draw(st.lists(cells, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])))
+    level = st.sampled_from(_VALUES) | st.floats(-1.5, 1.5)
+    return grid.reshape(shape), draw(st.lists(level, min_size=1, max_size=6))
+
+
+def _saddle_window():
+    # cells (0, 0) and (1, 1) have code 5 (v00 and v11 above) at every level
+    # in [0, 1) and a corner average of 0.5; cells (1, 0) and (0, 1) have
+    # code 10 at every level in [0, 0.5) and an average of 0.375
+    return np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]])
+
+
+class TestArrayPassMatchesPerCellLoop:
+    """`extract_contours` and `smoothness_report` against the per-cell and
+    per-chain loops they replaced, bit for bit."""
+
+    @staticmethod
+    def assert_same(grid, levels):
+        result = _window(grid)
+        try:
+            want = oracles.extract_contours_per_cell(result, levels)
+        except EmptyLevel as exc:
+            with pytest.raises(EmptyLevel) as got:
+                extract_contours(result, levels)
+            assert str(got.value) == str(exc)
+            return None
+        got = extract_contours(result, levels)
+        assert got.levels == want.levels
+        assert got.saddle_counts == want.saddle_counts
+        assert [len(p) for p in got.polylines] == [len(p) for p in want.polylines]
+        for got_chains, want_chains in zip(got.polylines, want.polylines):
+            for a, b in zip(got_chains, want_chains):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert smoothness_report(result, got) == oracles.smoothness_report_per_chain(result, want)
+        return got
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(case=_windows_and_levels())
+    @example(case=(_saddle_window(), [0.6, 0.4, 0.5, 0.4]))  # both resolutions, duplicates
+    @example(case=(_saddle_window()[::-1].copy(), [0.3, 0.8]))  # codes 10 and 5 swapped
+    @example(case=(np.array([[0.0, 1.0, np.nan, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0, 1.0]]), [0.5, 0.0, 1.0]))
+    @example(case=(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [np.nan, 1.0]]), [0.5, 0.25, 0.75]))
+    def test_random_windows(self, case):
+        self.assert_same(*case)
+
+    @pytest.mark.parametrize("levels, code", [([0.4], 5), ([0.6], 5), ([0.4], 10), ([0.6], 10)])
+    def test_both_saddle_resolutions(self, levels, code):
+        grid = _saddle_window()[:2, :2].copy()
+        if code == 10:
+            grid = 1.0 - grid
+        got = self.assert_same(grid, levels)
+        assert got.saddle_counts == [1]
+        assert len(got.polylines[0]) == 2
+
+    def test_level_on_a_corner_counts_it_below(self):
+        # v > level is above: the level 0.5 crosses only the cells with a corner above it
+        grid = np.array([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
+        got = self.assert_same(grid, [0.5])
+        np.testing.assert_array_equal(got.polylines[0][0][:, 1], [2.5, 2.5])
+
+    def test_empty_level_named_in_input_order(self):
+        grid = np.array([[0.0, 1.0], [1.0, 2.0]])
+        for levels, empty in (([0.5, 3.0, -1.0], 3.0), ([0.5, -1.0, 3.0], -1.0), ([2.0, 0.5], 2.0)):
+            with pytest.raises(EmptyLevel, match=f"^level {empty} intersects no grid cell$"):
+                extract_contours(_window(grid), levels)
+            self.assert_same(grid, levels)
+
+    def test_no_levels(self):
+        got = self.assert_same(np.array([[0.0, 1.0], [1.0, 2.0]]), [])
+        assert got.polylines == [] and got.saddle_counts == []
+
+
+def test_large_window_memory():
+    # 500 x 500 cells with 20 levels: the pass reads the corners as views of
+    # the grid and holds a few arrays per cell, not a copy per corner
+    field = lambda x, y: np.sin(7.0 * x) * np.cos(5.0 * y) + 0.3 * x  # noqa: E731
+    small, large = synthetic_result(field, n=100), synthetic_result(field, n=500)
+    levels = np.linspace(small.grid.min(), small.grid.max(), 22)[1:-1]
+    tracemalloc.start()
+    try:
+        report = smoothness_report(large, extract_contours(large, levels))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    want = oracles.smoothness_report_per_chain(small, oracles.extract_contours_per_cell(small, levels))
+    assert [r["components"] for r in report["levels"]] == [r["components"] for r in want["levels"]]
+    assert max(r["components"] for r in report["levels"]) > 1
 
 
 class TestSmoothnessReport:
