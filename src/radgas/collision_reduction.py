@@ -16,16 +16,23 @@ independent standard 3-D normal vectors rho and r (a = |rho|^2, c = |r|^2).
 An orthogonal rotation of the pair puts the G_delta radicand on one normal
 vector alone; the other enters only through its exact moments, so every
 kernel is a Gauss-Legendre sum over one radial axis.  G_delta, F_delta and
-B2delta are summed in one pass per (T1, T2) pair (`_pair_integrals`);
-A_kern and B1 depend on T1 alone.
+B2delta are summed in one pass for one T1 and a vector of T2
+(`_pair_integrals`); A_kern and B1 depend on T1 alone.
+
+The functionals and H, S, L have one implementation, `_row`, for one T1 and
+a vector of T2.  `levelscan.scan` runs it on blocks of each row;
+`functionals`, `H_func`, `S_func` and `L_func` run it on a row of one node.
 
 Two evaluation modes exist.  "printed" evaluates the reduced formulas exactly
-as stated (this is what the level-curve scan consumes; every constant cancels
-from the ratios there).  "calibrated" restores the change-of-variables factors
-the printed forms drop -- a factor sqrt(T1) inside G_delta/B1 and the
-constant c0^2 of the two Maxwellian normalizations -- so the values match the
-defining 6-fold integrals.  `radgas verify` checks them against those
-integrals on its own Monte Carlo draws (`kinetic.exchange_reduced`).
+as stated; the level-curve scan draws its L.  "calibrated" restores the
+factors the printed forms drop -- a sqrt(T1) inside G_delta/B1 and the
+constant c0^2 of the two Maxwellian normalizations -- so the values match
+the defining 6-fold integrals, which `radgas verify` checks on its own Monte
+Carlo draws (`kinetic.exchange_reduced`).  Only H is the same in both modes:
+the calibrated L is proportional to 1/c0^2, the printed one free of c0.
+Scaling (T1, T2, eps0) by lambda scales the calibrated P11, P21, P_diff, A
+and B_diff by lambda to the 1/2, 1/2, -1/2, 3/2 and 1/2 and the calibrated L
+by lambda^(-1/2); the printed L follows no such law.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -102,11 +110,6 @@ class ReducedKernelParams:
         if not self.epsilon0 > 0:
             raise ValueError(f"epsilon0 must be > 0, got {self.epsilon0}")
 
-    @property
-    def delta(self) -> float:
-        # Recomputed on demand so it can never go stale.
-        return math.sqrt(self.T2 / self.T1) - 1.0
-
 
 @lru_cache(maxsize=8)
 def _quad_grid(spec: TripleQuadSpec):
@@ -143,8 +146,9 @@ def triple_integral(kind: str, params: ReducedKernelParams, spec: TripleQuadSpec
     return float(np.add.reduce(vals * w))
 
 
-def _pair_integrals(params: ReducedKernelParams, spec: TripleQuadSpec) -> tuple:
-    """The triple integrals of G_delta, F_delta and B2delta, in that order.
+def _pair_integrals(T1: float, T2: np.ndarray, epsilon0: float, spec: TripleQuadSpec) -> tuple:
+    """The triple integral of G_delta at T2 = T1 (a float), then those of
+    G_delta, F_delta and B2delta at each entry of the vector T2 (arrays).
 
     With kappa = 4*eps0/T1 and h = 1 + delta/2 the G_delta radicand is
     r1^2 = |h*rho - (delta/2)*r|^2 + kappa.  The rotation z = (h*rho -
@@ -155,23 +159,29 @@ def _pair_integrals(params: ReducedKernelParams, spec: TripleQuadSpec) -> tuple:
     sums all three.  F_delta is 4*pi*(r1 - r2)/(delta*s_T) with r2 =
     sqrt(a + kappa) and s_T = sqrt(T1) + sqrt(T2); its divided difference is
     h*a/(r1 + r2), since s^2 - 1 = delta*h, so no formula divides by delta and
-    the diagonal T2 = T1 needs no special case.
+    the diagonal T2 = T1 needs no special case.  At T2 = T1, s^2 = 1 exactly
+    and r1 is r2, so the first sum is the G_delta sum at delta = 0, bit for bit.
+    Each row of the (len(T2), n_r) kernels sums in the order of a sum over
+    one vector, so no entry depends on the others.
     """
     a, w = _quad_grid(spec)
-    T1, T2, eps0 = params.T1, params.T2, params.epsilon0
-    kappa = 4.0 * eps0 / T1
-    delta = params.delta
+    kappa = 4.0 * epsilon0 / T1
+    r2 = np.sqrt(a + kappa)
+    T2 = T2[:, None]
+    delta = np.sqrt(T2 / T1) - 1.0
     h = 1.0 + 0.5 * delta
     s2 = h * h + 0.25 * delta * delta
+    s_T = math.sqrt(T1) + np.sqrt(T2)
     r1 = np.sqrt(s2 * a + kappa)
-    dd = h * a / (r1 + np.sqrt(a + kappa))  # (r1 - r2)/delta
-    s_T = math.sqrt(T1) + math.sqrt(T2)
-    G = 8.0 * math.pi * r1
-    F = 8.0 * math.pi / s_T * dd
-    # the rho.r term: u*r2 integrates to zero, u*r1 to its mean given z
-    B2 = 4.0 * math.pi * T2 / s_T * (0.25 * (a + 3.0) * dd - 0.25 * (h / s2) * (3.0 - a) * r1)
-    # Fixed summation order for cross-run determinism.
-    return tuple(float(np.add.reduce(vals * w)) for vals in (G, F, B2))
+    dd = h * a / (r1 + r2)  # (r1 - r2)/delta
+
+    def integral(vals):  # fixed summation order for cross-run determinism
+        return np.add.reduce(vals * w, axis=-1)
+
+    # the rho.r term of B2delta: u*r2 integrates to zero, u*r1 to its mean given z
+    B2 = integral(4.0 * math.pi * T2 / s_T * (0.25 * (a + 3.0) * dd - 0.25 * (h / s2) * (3.0 - a) * r1))
+    G, F = integral(8.0 * math.pi * r1), integral(8.0 * math.pi / s_T * dd)
+    return float(integral(8.0 * math.pi * r2)), G, F, B2
 
 
 @dataclass(frozen=True)
@@ -179,7 +189,8 @@ class CollisionFunctionals:
     """The five reduced functionals at one (T1, T2) pair.
 
     P_diff and B_diff are the divided differences (P(T2,T1)-P(T1))/(T2-T1)
-    and B(T1,T2)/(T2-T1); both are regular at T2 = T1.
+    and B(T1,T2)/(T2-T1); both are regular at T2 = T1.  In a `_Row`, P11
+    and A, which depend on T1 alone, are floats and the rest arrays over T2.
     """
 
     P11: float
@@ -188,124 +199,105 @@ class CollisionFunctionals:
     A: float
     B_diff: float
 
-    def __post_init__(self):
-        values = (self.P11, self.P21, self.P_diff, self.A, self.B_diff)
-        if not all(map(math.isfinite, values)):
-            raise SingularDenominator(f"non-finite functional: {values}")
-        if not (self.P11 > 0 and self.P21 > 0 and self.A > 0):
-            raise SingularDenominator("P11, P21, A must be positive")
+
+#: The checks of a node, in order: the functionals are finite; P11, P21 and A
+#: are positive; neither denominator of S (the gap T2 - T1*H, the bracket) vanishes.
+_NON_FINITE, _NOT_POSITIVE, _GAP, _BRACKET = 1, 2, 3, 4
 
 
-@lru_cache(maxsize=512)
-def _t1_integrals(T1: float, epsilon0: float, spec: TripleQuadSpec) -> tuple:
-    """The integrals that depend on T1 only: G_delta at T2 = T1, A_kern and B1.
+class _Row(NamedTuple):
+    """The functionals and H, S, L at (T1, T2[j]), one entry per T2."""
 
-    Cached as floats, so a scan pays for them once per T1 row.
-    """
-    a, w = _quad_grid(spec)
-    # delta = 0 identity of `_pair_integrals`' G: s^2 = 1 exactly, so r1 is
-    # this r2 and the integrand 8*pi*r1 is this one, bit for bit.
-    g0 = 8.0 * math.pi * np.sqrt(a + 4.0 * epsilon0 / T1)
-    p = ReducedKernelParams(T1, T1, epsilon0)
-    return (
-        float(np.add.reduce(g0 * w)),
-        triple_integral("A_kern", p, spec),
-        triple_integral("B1", p, spec),
-    )
+    funcs: CollisionFunctionals
+    H: np.ndarray
+    gap: np.ndarray
+    bracket: np.ndarray
+    S: np.ndarray
+    L: np.ndarray  # NaN where a check fails
+    fail: np.ndarray  # 0, or the first check that fails
 
 
-def functionals(
-    T1: float,
-    T2: float,
-    consts: PhysConsts,
-    spec: TripleQuadSpec = TripleQuadSpec(),
-    mode: str = "printed",
-) -> CollisionFunctionals:
-    """Evaluate all five functionals at (T1, T2).
+def _vanishes(value, x, y):
+    """|value| within _SINGULAR_RTOL of the larger of |x| and |y| (at least 1e-300)."""
+    return np.abs(value) <= _SINGULAR_RTOL * np.maximum(np.maximum(np.abs(x), np.abs(y)), 1e-300)
 
-    mode="printed" reproduces the stated reduced formulas verbatim.
-    mode="calibrated" restores sqrt(T1) inside G_delta/G_0/B1 (A and the
-    divided-difference kernels already carry consistent factors) and applies
-    the constant c0^2 that the printed triples drop from the two Maxwellian
-    normalizations, so the results equal the defining 6-fold integrals.
+
+def _row(T1: float, T2: np.ndarray, consts: PhysConsts, spec: TripleQuadSpec, mode: str = "printed") -> _Row:
+    """The five functionals and H, S, L at T1 and each entry of the vector T2.
+
+    mode="calibrated" multiplies G_delta, G_0 and B1 by sqrt(T1) and every
+    functional by c0^2 (see above); "printed" multiplies by 1, which changes
+    no bit.  A node that fails a check warns nothing; its L is NaN.
     """
     if mode not in ("printed", "calibrated"):
         raise ValueError(f"unknown mode {mode!r}")
-    t_g0, t_a, t_b1 = _t1_integrals(T1, consts.epsilon0, spec)
-    p = ReducedKernelParams(T1, T2, consts.epsilon0)
-    t_gd, t_fd, t_b2 = _pair_integrals(p, spec)
+    eps0 = consts.epsilon0
+    p = ReducedKernelParams(T1, T1, eps0)
+    t_a, t_b1 = triple_integral("A_kern", p, spec), triple_integral("B1", p, spec)
+    with np.errstate(all="ignore"):
+        t_g0, t_gd, t_fd, t_b2 = _pair_integrals(T1, T2, eps0, spec)
+        k, s1 = (consts.c0**2, math.sqrt(T1)) if mode == "calibrated" else (1.0, 1.0)
+        P11, P21, P_diff, A = k * s1 * t_g0, k * s1 * t_gd, k * t_fd, k * t_a
+        B_diff = -k * (s1 * t_b1 + t_b2)
+        e = math.exp(-2.0 * eps0 / T1)
+        H = (T2 / T1) * e * P11 / P21  # the constants of the P's cancel
+        T1H = T1 * H
+        gap = T2 - T1H
+        term_a = P_diff * e / (T1 * P21) * A
+        term_b = (H / T2) * B_diff
+        bracket = term_a + term_b
+        S = 4.0 * math.pi * H / gap / ((4.0 * consts.sigma / 3.0) / T1 * bracket)
+        L = S * (1.0 / T1 + H / T2)
+        # the last check first, so that each node keeps the first it fails
+        fail = np.zeros(len(T2), dtype=np.int8)
+        fail[_vanishes(bracket, term_a, term_b)] = _BRACKET
+        fail[_vanishes(gap, T2, T1H)] = _GAP
+        fail[~((P21 > 0) & (P11 > 0 and A > 0))] = _NOT_POSITIVE
+        finite = np.isfinite(P21) & np.isfinite(P_diff) & np.isfinite(B_diff)
+        fail[~(finite & (math.isfinite(P11) and math.isfinite(A)))] = _NON_FINITE
+    L[fail != 0] = np.nan
+    return _Row(CollisionFunctionals(P11, P21, P_diff, A, B_diff), H, gap, bracket, S, L, fail)
 
-    if mode == "printed":
-        return CollisionFunctionals(
-            P11=t_g0, P21=t_gd, P_diff=t_fd, A=t_a, B_diff=-(t_b1 + t_b2)
-        )
-    k = consts.c0**2
-    s1 = math.sqrt(T1)
-    return CollisionFunctionals(
-        P11=k * s1 * t_g0,
-        P21=k * s1 * t_gd,
-        P_diff=k * t_fd,
-        A=k * t_a,
-        B_diff=-k * (s1 * t_b1 + t_b2),
-    )
 
-
-def _check_denominator(name: str, value: float, scale: float, T1: float, T2: float):
-    if abs(value) <= _SINGULAR_RTOL * max(scale, 1e-300):
+def _node(T1, T2, consts, spec, mode="printed", last_check=_BRACKET) -> _Row:
+    """The row of the one node (T1, T2); raises SingularDenominator, naming
+    the first check that fails, where one up to `last_check` fails."""
+    ReducedKernelParams(T1, T2, consts.epsilon0)  # rejects a temperature <= 0
+    row = _row(float(T1), np.array([T2], dtype=float), consts, spec, mode)
+    fail = int(row.fail[0])
+    if fail == _NON_FINITE:
+        raise SingularDenominator(f"non-finite functional: {_values(row.funcs)}")
+    if fail == _NOT_POSITIVE:
+        raise SingularDenominator("P11, P21, A must be positive")
+    if 0 < fail <= last_check:
+        name, value = ("T2 - T1*H", row.gap[0]) if fail == _GAP else ("S bracket", row.bracket[0])
         raise SingularDenominator(
             f"{name} = {value:.3e} vanishes within tolerance at (T1, T2) = ({T1}, {T2})"
         )
+    return row
 
 
-def H_func(
-    T1: float,
-    T2: float,
-    consts: PhysConsts,
-    spec: TripleQuadSpec = TripleQuadSpec(),
-    funcs: CollisionFunctionals | None = None,
-) -> float:
-    """H = (T2/T1) * exp(-2*eps0/T1) * P(T1) / P(T2,T1).
-
-    The overall constants of the P's cancel, so H is mode-independent.
-    """
-    f = funcs if funcs is not None else functionals(T1, T2, consts, spec)
-    return (T2 / T1) * math.exp(-2.0 * consts.epsilon0 / T1) * f.P11 / f.P21
+def _values(f: CollisionFunctionals) -> tuple:
+    return float(f.P11), float(f.P21[0]), float(f.P_diff[0]), float(f.A), float(f.B_diff[0])
 
 
-def S_func(
-    T1: float,
-    T2: float,
-    consts: PhysConsts,
-    spec: TripleQuadSpec = TripleQuadSpec(),
-    funcs: CollisionFunctionals | None = None,
-) -> float:
+def functionals(T1, T2, consts: PhysConsts, spec=TripleQuadSpec(), mode="printed") -> CollisionFunctionals:
+    """All five functionals at (T1, T2) in `mode`, "printed" or "calibrated".
+    Raises SingularDenominator where one is not finite or P11, P21 or A not positive."""
+    return CollisionFunctionals(*_values(_node(T1, T2, consts, spec, mode, _NOT_POSITIVE).funcs))
+
+
+def H_func(T1, T2, consts: PhysConsts, spec=TripleQuadSpec()) -> float:
+    """H = (T2/T1) * exp(-2*eps0/T1) * P(T1) / P(T2,T1), the same in both modes."""
+    return float(_node(T1, T2, consts, spec, last_check=_NOT_POSITIVE).H[0])
+
+
+def S_func(T1, T2, consts: PhysConsts, spec=TripleQuadSpec()) -> float:
     """Singularity-removed S: 4*pi*H/(T2 - T1*H) over the collisional bracket.
-
-    Raises SingularDenominator when T2 - T1*H or the bracket vanishes within
-    tolerance rather than returning NaN/inf.
-    """
-    f = funcs if funcs is not None else functionals(T1, T2, consts, spec)
-    H = H_func(T1, T2, consts, spec, funcs=f)
-    gap = T2 - T1 * H
-    _check_denominator("T2 - T1*H", gap, max(abs(T2), abs(T1 * H)), T1, T2)
-    numer = 4.0 * math.pi * H / gap
-    term_a = f.P_diff * math.exp(-2.0 * consts.epsilon0 / T1) / (T1 * f.P21) * f.A
-    term_b = (H / T2) * f.B_diff
-    bracket = term_a + term_b
-    _check_denominator("S bracket", bracket, max(abs(term_a), abs(term_b)), T1, T2)
-    denom = (4.0 * consts.sigma / 3.0) / T1 * bracket
-    return numer / denom
+    Raises SingularDenominator where either vanishes within tolerance."""
+    return float(_node(T1, T2, consts, spec).S[0])
 
 
-def L_func(
-    T1: float,
-    T2: float,
-    consts: PhysConsts,
-    spec: TripleQuadSpec = TripleQuadSpec(),
-    funcs: CollisionFunctionals | None = None,
-) -> float:
+def L_func(T1, T2, consts: PhysConsts, spec=TripleQuadSpec()) -> float:
     """L = S * (1/T1 + H/T2): the level-curve quantity of the nonexistence result."""
-    f = funcs if funcs is not None else functionals(T1, T2, consts, spec)
-    H = H_func(T1, T2, consts, spec, funcs=f)
-    S = S_func(T1, T2, consts, spec, funcs=f)
-    return S * (1.0 / T1 + H / T2)
+    return float(_node(T1, T2, consts, spec).L[0])

@@ -3,8 +3,8 @@
 Units follow the model's nondimensionalization: molecule mass 1, Boltzmann
 constant 1/2, photon energy epsilon0.  The Maxwellian normalization c0 is
 pi**(-3/2) so that number densities integrate exactly; the level-curve
-computations conventionally reset it to 1 (it cancels from every ratio that
-enters there).
+computations conventionally reset it to 1.  The printed L they draw does not
+contain c0; the calibrated L scales as 1/c0^2 (see `collision_reduction`).
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ class PhysConsts:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if not self.c0 > 0:
             raise ValueError(f"c0 must be > 0, got {self.c0}")
+        if not math.isfinite(self.c0 * self.c0):  # the collision rates carry c0^2
+            raise ValueError(f"c0 must have a finite square, got {self.c0}")
         if not self.C0_kernel > 0:
             raise ValueError(f"C0_kernel must be > 0, got {self.C0_kernel}")
 

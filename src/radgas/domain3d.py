@@ -59,6 +59,8 @@ class ConvexDomain:
     def ball(cls, center, radius: float) -> "ConvexDomain":
         if not radius > 0:
             raise ValueError(f"radius must be > 0, got {radius}")
+        if not math.isfinite(radius * radius):  # `contains` compares squared distances
+            raise ValueError(f"radius must have a finite square, got {radius}")
         return cls("ball", center=np.asarray(center, dtype=float).reshape(3), radius=float(radius))
 
     @classmethod

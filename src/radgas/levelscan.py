@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysConsts
-from .collision_reduction import TripleQuadSpec, L_func, functionals
-from .errors import EmptyLevel, SingularDenominator
+from .collision_reduction import TripleQuadSpec, _row
+from .errors import EmptyLevel
 
 __all__ = [
     "ScanWindow",
@@ -32,11 +32,15 @@ __all__ = [
     "smoothness_report",
 ]
 
-#: Most grid nodes a window may have (the Figure-1 window has 441).  At
-#: 10^6 nodes the quadrature takes about 20 s at the default TripleQuadSpec,
-#: at 0.017-0.018 ms per node on a 2-core Xeon VM, and `extract_contours`
-#: with `smoothness_report` about 0.1 s for 8 levels.
+#: Most grid nodes a window may have (the Figure-1 window has 441).  At the
+#: cap `scan` took 5-6 s at the default TripleQuadSpec on a 2-core Xeon VM
+#: (5-6 us per node; the per-node loop it replaced took 30-47 us), and
+#: `extract_contours` with `smoothness_report` about 0.1 s for 8 levels.
 _MAX_NODES = 10**6
+
+#: T2 nodes per block of a scanned row.  A row may hold 5*10^5 nodes; each
+#: (block, n_r) array of the quadrature is 3 MB at the default TripleQuadSpec.
+_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
@@ -104,27 +108,21 @@ class ContourSet:
 def scan(
     window: ScanWindow, consts: PhysConsts, spec: TripleQuadSpec = TripleQuadSpec()
 ) -> ScanResult:
-    """Evaluate L on the window grid.
+    """Evaluate L on the window grid, a T1 row at a time, `_BLOCK` T2 nodes
+    per call of `collision_reduction._row`.
 
-    A node where L or its functionals raise SingularDenominator is recorded
-    in `failures` (the grid entry becomes NaN) without aborting the scan.
-    The evaluation is pure, so the result is independent of traversal order.
-    Each grid node costs one
-    fused quadrature pass for its (T1, T2) pair; `functionals` caches the
-    three T1-only integrals of a row as floats, so each row pays for them once.
+    A node that fails one of `_row`'s checks is NaN and is recorded in
+    `failures`, in row-major order; the scan goes on.  No node's value
+    depends on the others in its block.
     """
-    t1s = window.t1_values()
     t2s = window.t2_values()
-    grid = np.empty((len(t1s), len(t2s)))
+    grid = np.empty((window.n1 + 1, len(t2s)))
     failures = []
-    for i, T1 in enumerate(t1s):
-        for j, T2 in enumerate(t2s):
-            try:
-                funcs = functionals(float(T1), float(T2), consts, spec)
-                grid[i, j] = L_func(float(T1), float(T2), consts, spec, funcs=funcs)
-            except SingularDenominator:
-                grid[i, j] = np.nan
-                failures.append((i, j))
+    for i, T1 in enumerate(window.t1_values().tolist()):
+        for j in range(0, len(t2s), _BLOCK):
+            row = _row(T1, t2s[j : j + _BLOCK], consts, spec)
+            grid[i, j : j + _BLOCK] = row.L
+            failures += [(i, j + k) for k in np.flatnonzero(row.fail).tolist()]
     return ScanResult(grid=grid, window=window, failures=failures)
 
 

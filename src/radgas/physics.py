@@ -35,6 +35,8 @@ class MaxwellianState:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float).reshape(3))
         if not self.rho > 0:
             raise ValueError(f"rho must be > 0, got {self.rho}")
+        if not math.isfinite(self.rho * self.rho):  # collision rates are quadratic in rho
+            raise ValueError(f"rho must have a finite square, got {self.rho}")
         if not self.T > 0:
             raise ValueError(f"T must be > 0, got {self.T}")
 

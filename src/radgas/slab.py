@@ -68,6 +68,8 @@ class SlabGrid:
     def __post_init__(self):
         if not self.L > 0:
             raise ValueError(f"L must be > 0, got {self.L}")
+        if not math.isfinite(self.L * self.L):  # the ray sweep squares the cell width
+            raise ValueError(f"L must have a finite square, got {self.L}")
         if self.n_y < 16:
             raise ValueError(f"n_y must be >= 16, got {self.n_y}")
 

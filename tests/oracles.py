@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from radgas import EmptyLevel, NotInterior, RadgasError
+from radgas import EmptyLevel, NotInterior, RadgasError, SingularDenominator
 from radgas.cli import _SCHEMAS, _Parser
-from radgas.collision_reduction import ReducedKernelParams
+from radgas.collision_reduction import _SINGULAR_RTOL, ReducedKernelParams, _quad_grid, triple_integral
 from radgas.domain3d import ConvexDomain, SphereGrid, _div_R_batch, _profile_values
 from radgas.levelscan import ContourSet, ScanResult, _stitch
 from radgas.slab import _expn
@@ -170,7 +170,7 @@ def eval_reduced_kernel(kind: str, a, b, c, params: ReducedKernelParams):
     """Pointwise value of a printed reduced kernel; validates the cone."""
     a, b, c = _check_cone(a, b, c)
     T1, T2, eps0 = params.T1, params.T2, params.epsilon0
-    delta = params.delta
+    delta = math.sqrt(T2 / T1) - 1.0
     four_eps = 4.0 * eps0 / T1
     w4sq = 0.25 * a + 0.25 * c - 0.5 * b  # |w4|^2 in the (xi, eta) variables
 
@@ -231,7 +231,7 @@ def plane_integrals(params: ReducedKernelParams, r_max=12.0, n_r=96, n_rho=96) -
     T1, T2, eps0 = params.T1, params.T2, params.epsilon0
     kappa = 4.0 * eps0 / T1
     r2 = np.sqrt(a + kappa)
-    delta = params.delta
+    delta = math.sqrt(T2 / T1) - 1.0
     h = 1.0 + 0.5 * delta
     P = a * h * h + 0.25 * delta * delta * c + kappa
     Q_over_delta = h * m
@@ -260,6 +260,133 @@ def plane_integrals(params: ReducedKernelParams, r_max=12.0, n_r=96, n_rho=96) -
     A = 8.0 * math.pi * (T1 / 8.0 * (a + c) + eps0) * np.sqrt(T1 * a + 4.0 * eps0)
     B1 = math.pi * (a + c) * np.sqrt(a + kappa)
     return tuple(float(np.add.reduce(vals * w)) for vals in (G, F, B2, G0, A, B1))
+
+
+# `levelscan.scan` and the functionals and H, S, L under it as they were
+# before the scan ran a T1 row at a time as arrays: one (T1, T2) node per
+# call, the T1-only integrals cached per row, and the checks of each node
+# raised and caught.  Verbatim apart from the names and H, S and L taking
+# the node's functionals in place of an optional `funcs=`.
+
+
+def _pair_integrals_per_node(params: ReducedKernelParams, spec) -> tuple:
+    """The triple integrals of G_delta, F_delta and B2delta, in that order."""
+    a, w = _quad_grid(spec)
+    T1, T2, eps0 = params.T1, params.T2, params.epsilon0
+    kappa = 4.0 * eps0 / T1
+    delta = math.sqrt(T2 / T1) - 1.0
+    h = 1.0 + 0.5 * delta
+    s2 = h * h + 0.25 * delta * delta
+    r1 = np.sqrt(s2 * a + kappa)
+    dd = h * a / (r1 + np.sqrt(a + kappa))  # (r1 - r2)/delta
+    s_T = math.sqrt(T1) + math.sqrt(T2)
+    G = 8.0 * math.pi * r1
+    F = 8.0 * math.pi / s_T * dd
+    # the rho.r term: u*r2 integrates to zero, u*r1 to its mean given z
+    B2 = 4.0 * math.pi * T2 / s_T * (0.25 * (a + 3.0) * dd - 0.25 * (h / s2) * (3.0 - a) * r1)
+    # Fixed summation order for cross-run determinism.
+    return tuple(float(np.add.reduce(vals * w)) for vals in (G, F, B2))
+
+
+@dataclass(frozen=True)
+class _CheckedFunctionals:
+    """The five reduced functionals at one (T1, T2) pair, checked when built."""
+
+    P11: float
+    P21: float
+    P_diff: float
+    A: float
+    B_diff: float
+
+    def __post_init__(self):
+        values = (self.P11, self.P21, self.P_diff, self.A, self.B_diff)
+        if not all(map(math.isfinite, values)):
+            raise SingularDenominator(f"non-finite functional: {values}")
+        if not (self.P11 > 0 and self.P21 > 0 and self.A > 0):
+            raise SingularDenominator("P11, P21, A must be positive")
+
+
+@functools.lru_cache(maxsize=512)
+def _t1_integrals(T1: float, epsilon0: float, spec) -> tuple:
+    """The integrals that depend on T1 only: G_delta at T2 = T1, A_kern and B1."""
+    a, w = _quad_grid(spec)
+    g0 = 8.0 * math.pi * np.sqrt(a + 4.0 * epsilon0 / T1)
+    p = ReducedKernelParams(T1, T1, epsilon0)
+    return (
+        float(np.add.reduce(g0 * w)),
+        triple_integral("A_kern", p, spec),
+        triple_integral("B1", p, spec),
+    )
+
+
+def functionals_per_node(T1, T2, consts, spec, mode="printed") -> _CheckedFunctionals:
+    """All five functionals at (T1, T2)."""
+    if mode not in ("printed", "calibrated"):
+        raise ValueError(f"unknown mode {mode!r}")
+    t_g0, t_a, t_b1 = _t1_integrals(T1, consts.epsilon0, spec)
+    p = ReducedKernelParams(T1, T2, consts.epsilon0)
+    t_gd, t_fd, t_b2 = _pair_integrals_per_node(p, spec)
+    if mode == "printed":
+        return _CheckedFunctionals(P11=t_g0, P21=t_gd, P_diff=t_fd, A=t_a, B_diff=-(t_b1 + t_b2))
+    k = consts.c0**2
+    s1 = math.sqrt(T1)
+    return _CheckedFunctionals(
+        P11=k * s1 * t_g0,
+        P21=k * s1 * t_gd,
+        P_diff=k * t_fd,
+        A=k * t_a,
+        B_diff=-k * (s1 * t_b1 + t_b2),
+    )
+
+
+def _check_denominator(name: str, value: float, scale: float, T1: float, T2: float):
+    if abs(value) <= _SINGULAR_RTOL * max(scale, 1e-300):
+        raise SingularDenominator(
+            f"{name} = {value:.3e} vanishes within tolerance at (T1, T2) = ({T1}, {T2})"
+        )
+
+
+def H_per_node(T1, T2, consts, f) -> float:
+    """H = (T2/T1) * exp(-2*eps0/T1) * P(T1) / P(T2,T1)."""
+    return (T2 / T1) * math.exp(-2.0 * consts.epsilon0 / T1) * f.P11 / f.P21
+
+
+def S_per_node(T1, T2, consts, f) -> float:
+    """4*pi*H/(T2 - T1*H) over the collisional bracket; raises where either vanishes."""
+    H = H_per_node(T1, T2, consts, f)
+    gap = T2 - T1 * H
+    _check_denominator("T2 - T1*H", gap, max(abs(T2), abs(T1 * H)), T1, T2)
+    numer = 4.0 * math.pi * H / gap
+    term_a = f.P_diff * math.exp(-2.0 * consts.epsilon0 / T1) / (T1 * f.P21) * f.A
+    term_b = (H / T2) * f.B_diff
+    bracket = term_a + term_b
+    _check_denominator("S bracket", bracket, max(abs(term_a), abs(term_b)), T1, T2)
+    denom = (4.0 * consts.sigma / 3.0) / T1 * bracket
+    return numer / denom
+
+
+def L_per_node(T1, T2, consts, f) -> float:
+    """L = S * (1/T1 + H/T2)."""
+    H = H_per_node(T1, T2, consts, f)
+    S = S_per_node(T1, T2, consts, f)
+    return S * (1.0 / T1 + H / T2)
+
+
+def scan_per_node(window, consts, spec) -> ScanResult:
+    """L on the window grid, one node at a time; a node that raises is NaN."""
+    t1s = window.t1_values()
+    t2s = window.t2_values()
+    grid = np.empty((len(t1s), len(t2s)))
+    failures = []
+    for i, T1 in enumerate(t1s):
+        for j, T2 in enumerate(t2s):
+            try:
+                funcs = functionals_per_node(float(T1), float(T2), consts, spec)
+                grid[i, j] = L_per_node(float(T1), float(T2), consts, funcs)
+            except SingularDenominator:
+                grid[i, j] = np.nan
+                failures.append((i, j))
+    return ScanResult(grid=grid, window=window, failures=failures)
 
 
 # ---------------------------------------------------------------------------

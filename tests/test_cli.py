@@ -476,6 +476,11 @@ class TestRun:
             (["verify", "--t2", "-1"], "MaxwellianState: T must be > 0"),
             (["domain3d", "--lattice-n", "4"], "LatticeSpec: "),
             (["nonexist", "--radius", "0"], "ConvexDomain: radius must be > 0"),
+            # a value whose square overflows
+            (["verify", "--c0=1e300"], "PhysConsts: c0 must have a finite square"),
+            (["verify", "--rho1=1e300"], "MaxwellianState: rho must have a finite square"),
+            (["three-level", "--slab-l=1e300"], "SlabGrid: L must have a finite square"),
+            (["domain3d", "--radius=1e300"], "ConvexDomain: radius must have a finite square"),
         ],
     )
     def test_rejecting_object_named(self, tmp_path, capsys, argv, rejected_by):

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from radgas import (
     PhysConsts,
+    SingularDenominator,
     TripleQuadSpec,
     ReducedKernelParams,
     triple_integral,
@@ -20,19 +22,31 @@ from radgas import (
     S_func,
     L_func,
 )
-from radgas.collision_reduction import _pair_integrals, _quad_grid, _t1_integrals
+from radgas.collision_reduction import _pair_integrals, _quad_grid, _row, _vanishes
 from oracles import DomainError, eval_reduced_kernel, plane_integrals, plane_quad_grid
 
 FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
 SPEC = TripleQuadSpec()
 FAST = TripleQuadSpec(n_r=48)
-PAIR_KINDS = ("G_delta", "F_delta", "B2delta")  # the order _pair_integrals returns
+PAIR_KINDS = ("G_delta", "F_delta", "B2delta")  # the order _pair_integrals returns, after G0
+
+
+def all_integrals(T1, T2, eps0, spec) -> tuple:
+    """G_delta, F_delta, B2delta, G0, A_kern and B1 at one (T1, T2): the order
+    of `plane_integrals`."""
+    g0, *pair = _pair_integrals(T1, np.array([T2]), eps0, spec)
+    p = ReducedKernelParams(T1, T1, eps0)
+    return (*(float(v[0]) for v in pair), g0, triple_integral("A_kern", p, spec), triple_integral("B1", p, spec))
+
+
+def values(f) -> tuple:
+    return (f.P11, f.P21, f.P_diff, f.A, f.B_diff)
 
 
 def integral(kind, params, spec):
     """The quadrature of one printed kernel: the fused pass for the pair kernels."""
     if kind in PAIR_KINDS:
-        return _pair_integrals(params, spec)[PAIR_KINDS.index(kind)]
+        return all_integrals(params.T1, params.T2, params.epsilon0, spec)[PAIR_KINDS.index(kind)]
     return triple_integral(kind, params, spec)
 
 
@@ -150,7 +164,7 @@ class TestTripleIntegral:
         # pass they replaced, each divided by its rule's value for a unit
         # kernel (pi^3), which differs between node counts in the 14th digit
         p = ReducedKernelParams(T1, T2, eps0)
-        got = np.array([*_pair_integrals(p, SPEC), *_t1_integrals.__wrapped__(T1, eps0, SPEC)])
+        got = np.array(all_integrals(T1, T2, eps0, SPEC))
         got /= float(np.add.reduce(2.0 * _quad_grid(SPEC)[1]))
         want = np.array(plane_integrals(p, n_r=n_plane, n_rho=n_plane))
         want /= float(np.add.reduce(2.0 * plane_quad_grid(12.0, n_plane, n_plane)[3]))
@@ -187,10 +201,21 @@ class TestTripleIntegral:
     @pytest.mark.parametrize("spec", [SPEC, FAST], ids=["n96", "n48"])
     @pytest.mark.parametrize("T1", [0.3, 1.0, 10.0, 12.0])
     def test_diagonal_g_is_the_pair_pass_at_delta_zero(self, T1, spec):
-        # _t1_integrals takes G_delta at T2 = T1 from the delta = 0 identity in
-        # place of a full pair pass; the shortcut must keep every bit
-        pair = _pair_integrals(ReducedKernelParams(T1, T1, 1.0), spec)
-        assert _t1_integrals.__wrapped__(T1, 1.0, spec)[0] == pair[0]
+        # _pair_integrals takes G_delta at T2 = T1 from the delta = 0 identity
+        # in place of a pair pass at T2 = T1; the shortcut must keep every bit
+        g0, g, _, _ = _pair_integrals(T1, np.array([T1, 2.0 * T1]), 1.0, spec)
+        assert g0 == g[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 96, 300])
+    def test_a_row_sums_each_pair_as_a_row_of_one(self, n):
+        # np.add.reduce along each row of the (n, n_r) kernels sums in the
+        # order of the one-dimensional sum, so no entry depends on its row
+        T2 = np.linspace(0.3, 40.0, n)
+        whole = _pair_integrals(10.7, T2, 1.3, FAST)
+        assert whole[0] == _pair_integrals(10.7, T2[:1], 1.3, FAST)[0]
+        for j in range(0, n, max(1, n // 9)):
+            one = _pair_integrals(10.7, T2[j : j + 1], 1.3, FAST)
+            assert [v[j] for v in whole[1:]] == [v[0] for v in one[1:]]
 
 
 class TestFunctionals:
@@ -234,35 +259,81 @@ class TestAuxiliaryFunctions:
     def test_h_positive_s_finite_on_window(self):
         for T1 in (10.0, 11.0, 12.0):
             for T2 in (10.0, 11.0, 12.0):
-                f = functionals(T1, T2, FIG1, FAST)
-                H = H_func(T1, T2, FIG1, FAST, funcs=f)
-                S = S_func(T1, T2, FIG1, FAST, funcs=f)
-                assert H > 0
-                assert np.isfinite(S)
+                assert H_func(T1, T2, FIG1, FAST) > 0
+                assert np.isfinite(S_func(T1, T2, FIG1, FAST))
 
 
 class TestSingularGuard:
-    def test_denominator_guard_raises(self):
-        from radgas.collision_reduction import _check_denominator
-        from radgas import SingularDenominator
+    # |value| <= 1e-10 * max(|x|, |y|, 1e-300), with value = x + y as in the
+    # gap T2 - T1*H and the bracket term_a + term_b: a NaN x or y makes value
+    # NaN, which never vanishes, so the NaN order of max() cannot matter
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        x=st.floats(allow_nan=True, allow_infinity=True),
+        y=st.floats(allow_nan=True, allow_infinity=True) | st.just(None),
+        rel=st.sampled_from([0.0, 1e-16, 1e-11, 1e-10, 1.1e-10, 1e-9]),
+    )
+    def test_vanishes_is_the_scalar_check(self, x, y, rel):
+        if y is None:  # cancels to a relative rel
+            y = -x * (1.0 + rel)
+        value = x + y
+        try:
+            oracles._check_denominator("x", value, max(abs(x), abs(y)), 10.0, 11.0)
+            want = False
+        except SingularDenominator:
+            want = True
+        with np.errstate(all="ignore"):
+            got = _vanishes(np.array([value]), np.array([x]), y)
+        assert got.tolist() == [want]
 
-        _check_denominator("x", 1.0, 1.0, 10.0, 11.0)  # fine
-        with pytest.raises(SingularDenominator):
-            _check_denominator("x", 1e-14, 1.0, 10.0, 11.0)
-        with pytest.raises(SingularDenominator):
-            _check_denominator("x", 0.0, 5.0, 10.0, 11.0)
+    def test_vanishes_at_the_floor(self):
+        value, scale = np.array([1e-14, 1e-9, 0.0, 1e-311, 1e-309]), np.array([1.0, 1.0, 5.0, 0.0, 0.0])
+        assert _vanishes(value, scale, 0.0).tolist() == [True, False, True, True, False]
 
     @pytest.mark.parametrize(
-        "values",
-        [(1.0, 1.0, 0.5, math.inf, -1.0), (1.0, math.nan, 0.5, 1.0, -1.0), (0.0, 1.0, 0.5, 1.0, -1.0)],
-        ids=["A-infinite", "P21-nan", "P11-zero"],
+        "T1, T2, spec, consts, mode, message",
+        [
+            (10.0, 11.0, TripleQuadSpec(r_max=1e300, n_r=16), FIG1, "printed", "non-finite functional: "),
+            (10.0, 11.0, TripleQuadSpec(n_r=16), PhysConsts(epsilon0=1e300, c0=1.0), "printed", "non-finite"),
+            (10.0, 11.0, TripleQuadSpec(r_max=1e-300, n_r=16), FIG1, "printed", "P11, P21, A must be positive"),
+            (10.0, 11.0, TripleQuadSpec(n_r=16), PhysConsts(c0=1e-300), "calibrated", "P11, P21, A must be"),
+        ],
+        ids=["r-max-huge", "epsilon0-huge", "r-max-tiny", "c0-tiny"],
     )
-    def test_unusable_functionals_are_singular(self, values):
-        from radgas import SingularDenominator
-        from radgas.collision_reduction import CollisionFunctionals
+    def test_unusable_functionals_are_singular(self, T1, T2, spec, consts, mode, message):
+        # the checks of the per-node functionals, with their messages
+        with np.errstate(all="ignore"):
+            with pytest.raises(SingularDenominator, match=f"^{message}") as got:
+                functionals(T1, T2, consts, spec, mode)
+            with pytest.raises(SingularDenominator) as want:
+                oracles.functionals_per_node(T1, T2, consts, spec, mode)
+            assert str(got.value) == str(want.value)
+            for fn in (H_func, S_func, L_func):
+                if mode == "printed":
+                    with pytest.raises(SingularDenominator, match=f"^{message}"):
+                        fn(T1, T2, consts, spec)
 
-        with pytest.raises(SingularDenominator):
-            CollisionFunctionals(*values)
+    @pytest.mark.parametrize(
+        "T1, T2, consts, message",
+        [
+            # eps0 = 1e-300: exp(-2*eps0/T) is 1 and P11 = P21 on the diagonal, so the gap is 0
+            (10.0, 10.0, PhysConsts(epsilon0=1e-300, c0=1.0), "T2 - T1*H = 0.000e+00 vanishes within tolerance"),
+            # exp(-2*eps0/T1) underflows, so both terms of the bracket are 0
+            (10.0, 11.0, PhysConsts(epsilon0=1e12, c0=1.0), "S bracket = 0.000e+00 vanishes within tolerance"),
+        ],
+        ids=["gap", "bracket"],
+    )
+    def test_vanishing_denominator_raises_from_s_and_l_only(self, T1, T2, consts, message):
+        f = oracles.functionals_per_node(T1, T2, consts, FAST)
+        for fn, oracle in ((S_func, oracles.S_per_node), (L_func, oracles.L_per_node)):
+            with pytest.raises(SingularDenominator) as got:
+                fn(T1, T2, consts, FAST)
+            with pytest.raises(SingularDenominator) as want:
+                oracle(T1, T2, consts, f)
+            assert str(got.value) == str(want.value)
+            assert str(got.value) == f"{message} at (T1, T2) = ({T1}, {T2})"
+        assert H_func(T1, T2, consts, FAST) == oracles.H_per_node(T1, T2, consts, f)
+        assert values(functionals(T1, T2, consts, FAST)) == values(f)
 
     @pytest.mark.parametrize(
         "spec, consts",
@@ -278,6 +349,78 @@ class TestSingularGuard:
 
         with np.errstate(all="ignore"), pytest.raises(SingularDenominator):
             L_func(10.0, 11.0, consts, spec)
+
+
+class TestRowOfOne:
+    """`functionals`, `H_func`, `S_func` and `L_func` against the per-node
+    path they replaced, bit for bit, errors and messages included."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        T1=st.floats(0.2, 60.0),
+        T2=st.floats(0.2, 60.0) | st.sampled_from([10.0, 12.0, 14.9]),
+        eps0=st.sampled_from([1.0, 0.1, 3.7, 1e-300, 1e12]),
+        sigma=st.sampled_from([1.0, 0.01, 50.0]),
+        c0=st.sampled_from([1.0, math.pi**-1.5, 1e150, 1e-300]),
+        n_r=st.sampled_from([16, 33]),
+    )
+    def test_random_nodes(self, T1, T2, eps0, sigma, c0, n_r):
+        consts, spec = PhysConsts(epsilon0=eps0, sigma=sigma, c0=c0), TripleQuadSpec(n_r=n_r)
+
+        def outcome(fn, *args):
+            try:
+                value = fn(*args)
+            except SingularDenominator as exc:
+                return str(exc)
+            return values(value) if hasattr(value, "P11") else value
+
+        with np.errstate(all="ignore"):
+            for mode in ("calibrated", "printed"):
+                want = outcome(oracles.functionals_per_node, T1, T2, consts, spec, mode)
+                assert outcome(functionals, T1, T2, consts, spec, mode) == want
+            # H, S and L take the printed functionals and raise where those are unusable
+            f = None if isinstance(want, str) else oracles.functionals_per_node(T1, T2, consts, spec)
+            for fn, oracle in ((H_func, oracles.H_per_node), (S_func, oracles.S_per_node), (L_func, oracles.L_per_node)):
+                assert outcome(fn, T1, T2, consts, spec) == (want if f is None else outcome(oracle, T1, T2, consts, f))
+
+    def test_non_positive_temperature_rejected(self):
+        for T1, T2 in ((0.0, 10.0), (10.0, -1.0)):
+            with pytest.raises(ValueError, match="temperatures must be > 0"):
+                L_func(T1, T2, FIG1, FAST)
+
+
+class TestScalingLaw:
+    """Scaling (T1, T2, eps0) by lambda multiplies each calibrated functional
+    by lambda^degree, and the calibrated L by lambda^(-1/2); the printed L
+    follows no such law."""
+
+    DEGREES = (0.5, 0.5, -0.5, 1.5, 0.5)  # P11, P21, P_diff, A, B_diff
+
+    @staticmethod
+    def calibrated(T1, T2, eps0):
+        row = _row(T1, np.array([T2]), PhysConsts(epsilon0=eps0, c0=1.0), SPEC, "calibrated")
+        return [float(np.ravel(v)[0]) for v in values(row.funcs)], float(row.L[0])
+
+    @pytest.mark.parametrize("lam", [2.0, 4.0])
+    @pytest.mark.parametrize("T1, T2", [(10.0, 11.0), (3.0, 30.0)])
+    def test_calibrated_degrees(self, T1, T2, lam):
+        base, L = self.calibrated(T1, T2, 1.0)
+        scaled, L_scaled = self.calibrated(lam * T1, lam * T2, lam)
+        for name, a, b, degree in zip(("P11", "P21", "P_diff", "A", "B_diff"), base, scaled, self.DEGREES):
+            assert abs(math.log(b / a) / math.log(lam) - degree) <= 1e-14, name
+        assert abs(math.log(L_scaled / L) / math.log(lam) + 0.5) <= 1e-14
+
+    def test_calibrated_l_scales_as_one_over_c0_squared(self):
+        # c0 = 2 scales every functional by exactly 4, so L by exactly 1/4
+        rows = [_row(10.0, np.array([11.0]), PhysConsts(c0=c0), SPEC, "calibrated").L[0] for c0 in (1.0, 2.0)]
+        assert rows[1] == rows[0] / 4.0
+
+    def test_printed_l_fails_the_law(self):
+        # lambda = 2 at (10, 11): the law would give 0.395/sqrt(2) = 0.279
+        L = L_func(10.0, 11.0, PhysConsts(epsilon0=1.0, c0=1.0), SPEC)
+        L_scaled = L_func(20.0, 22.0, PhysConsts(epsilon0=2.0, c0=1.0), SPEC)
+        assert (round(L, 3), round(L_scaled, 3)) == (0.395, 0.064)
+        assert abs(L_scaled - L / math.sqrt(2.0)) > 0.2
 
 
 class TestSmoothness:

@@ -1,13 +1,15 @@
 """Level scan, marching squares, and the smoothness report."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from radgas import PhysConsts, TripleQuadSpec, EmptyLevel, SingularDenominator
+from radgas import levelscan
+from radgas import PhysConsts, TripleQuadSpec, EmptyLevel
 from radgas.levelscan import (
     ContourSet,
     ScanResult,
@@ -82,21 +84,98 @@ class TestScan:
         assert np.isnan(result.grid).all()
 
     def test_singular_cells_recorded_not_fatal(self, monkeypatch):
-        import radgas.levelscan as mod
+        import radgas.collision_reduction as mod
 
-        real = mod.L_func
+        real = mod._pair_integrals
 
-        def patched(T1, T2, consts, spec, funcs=None):
-            if T1 == 10.0 and T2 == 10.3:
-                raise SingularDenominator("synthetic singular cell")
-            return real(T1, T2, consts, spec, funcs=funcs)
+        def patched(T1, T2, epsilon0, spec):
+            # P21 = 0 at (10.0, 10.3) only: that node's functionals are unusable
+            g0, gd, fd, b2 = real(T1, T2, epsilon0, spec)
+            return g0, np.where((T1 == 10.0) & (T2 == 10.3), 0.0, gd), fd, b2
 
-        monkeypatch.setattr(mod, "L_func", patched)
+        monkeypatch.setattr(mod, "_pair_integrals", patched)
         result = scan(ScanWindow(10.0, 10.6, 10.0, 10.6, 0.3), FIG1, FAST)
         assert result.failures == [(0, 1)]
         assert np.isnan(result.grid[0, 1])
         finite = np.delete(result.grid.ravel(), 1)
         assert np.all(np.isfinite(finite))
+
+
+def assert_scan_matches_per_node(window, consts, spec):
+    with np.errstate(all="ignore"):
+        got, want = scan(window, consts, spec), oracles.scan_per_node(window, consts, spec)
+    assert got.grid.tobytes() == want.grid.tobytes()
+    assert got.failures == want.failures
+    return got
+
+
+class TestScanMatchesPerNodeOracle:
+    """`scan`, a T1 row at a time as arrays, against the per-node loop it
+    replaced, bit for bit: grid, NaNs and failures alike."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        t1=st.floats(0.3, 40.0),
+        t2=st.floats(0.3, 40.0),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        step=st.sampled_from([0.05, 0.1, 0.5, 1.0]),
+        eps0=st.sampled_from([1.0, 0.3, 2.5, 1e-300, 1e12]),
+        sigma=st.sampled_from([1.0, 0.1]),
+        block=st.sampled_from([1, 3, 5, 2**12]),
+    )
+    def test_random_windows(self, t1, t2, shape, step, eps0, sigma, block):
+        window = ScanWindow(t1, t1 + shape[0] * step, t2, t2 + shape[1] * step, step)
+        with mock.patch.object(levelscan, "_BLOCK", block):
+            assert_scan_matches_per_node(window, PhysConsts(epsilon0=eps0, sigma=sigma, c0=1.0), FAST)
+
+    @pytest.mark.parametrize(
+        "spec, consts",
+        [
+            (TripleQuadSpec(r_max=1e300, n_r=16), FIG1),
+            (TripleQuadSpec(r_max=1e-300, n_r=16), FIG1),
+            (TripleQuadSpec(n_r=16), PhysConsts(epsilon0=1e12, c0=1.0)),
+            (TripleQuadSpec(n_r=16), PhysConsts(epsilon0=1e300, c0=1.0)),
+        ],
+        ids=["r-max-huge", "r-max-tiny", "epsilon0-1e12", "epsilon0-huge"],
+    )
+    def test_all_singular_windows(self, spec, consts):
+        result = assert_scan_matches_per_node(ScanWindow(10.0, 10.2, 10.0, 10.2, 0.1), consts, spec)
+        assert len(result.failures) == 9
+
+    def test_bracket_pole_window(self):
+        # the printed bracket changes sign in this window: L jumps from
+        # about +112 to -744 between neighbouring nodes
+        result = assert_scan_matches_per_node(ScanWindow(9.0, 12.0, 14.0, 20.0, 0.1), FIG1, TripleQuadSpec())
+        assert result.grid.min() < -500 and result.grid.max() > 100
+
+    def test_diagonal_gap_failures(self):
+        # eps0 = 1e-300: exp(-2*eps0/T) is 1 and P11 = P21 at T2 = T1, so the
+        # gap T2 - T1*H vanishes on the diagonal and nowhere else
+        result = assert_scan_matches_per_node(
+            ScanWindow(10.0, 10.4, 10.0, 10.4, 0.1), PhysConsts(epsilon0=1e-300, c0=1.0), FAST
+        )
+        assert result.failures == [(i, i) for i in range(5)]
+
+    def test_row_longer_than_a_block(self):
+        n2 = levelscan._BLOCK + 1
+        window = ScanWindow(3.0, 3.01, 1.0, 1.0 + 0.01 * n2, 0.01)
+        assert window.n2 + 1 > levelscan._BLOCK + 1
+        assert_scan_matches_per_node(window, FIG1, TripleQuadSpec(n_r=16))
+
+
+def test_multi_block_row_memory():
+    # two rows of ten blocks each: the quadrature holds a few (block, n_r)
+    # arrays at a time, 3 MB each (a peak of about 14 MB), where a whole row
+    # at once would hold 31 MB arrays (a peak of about 126 MB)
+    window = ScanWindow(10.0, 10.001, 1.0, 1.0 + 0.001 * 10 * levelscan._BLOCK, 0.001)
+    tracemalloc.start()
+    try:
+        result = scan(window, FIG1, TripleQuadSpec())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.grid.shape == (2, 10 * levelscan._BLOCK + 1)
+    assert peak <= 24 * 2**20
 
 
 class TestExtractContours:
