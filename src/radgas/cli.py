@@ -713,7 +713,7 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
         {
             "name": "entropy_identity",
             "max_rel_error": ent["max_rel_error"],
-            "pass": bool(ent["max_rel_error"] < 1e-6),
+            "pass": bool(ent["max_rel_error"] < 1e-14),
         }
     )
 

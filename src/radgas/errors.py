@@ -10,8 +10,10 @@ class RadgasError(Exception):
 
 
 class SingularDenominator(RadgasError):
-    """H/S/L cannot be evaluated at this (T1, T2): a denominator vanished within
-    tolerance, or a reduced functional is non-finite or not positive."""
+    """A denominator vanished within tolerance, or what it divides is not finite:
+    H/S/L at this (T1, T2), where a reduced functional may also be non-finite
+    or not positive, or the slab coupling alpha0, whose G0 = q/(1 - q)
+    divides by 0 when q = exp(-2*eps0/T0) rounds to 1."""
 
 
 class EmptyLevel(RadgasError):

@@ -157,13 +157,22 @@ def _normalize(omega, rows):
     np.divide(omega.T, norm, out=omega.T)
 
 
-def _tuple_chunk(state1, state2, consts, side, normals, rows):
+def _side_prefactors(state1, state2, consts) -> tuple:
+    """The constant factors of the loss-side and gain-side weights of
+    `_tuple_chunk`."""
+    m1 = state1.rho * consts.maxwellian_mass
+    pref = 2.0 * math.pi * consts.C0_kernel
+    return m1 * m1 * pref, state2.rho * consts.maxwellian_mass * m1 * pref
+
+
+def _tuple_chunk(state1, state2, consts, side, normals, rows, exponent=0):
     """(weight, v) of one chunk, v the (4, 3, c) rows of (v3, v4, v1, v2),
     written into the buffers of `rows` from the chunk's standard normals:
     (za, zb) as one (2, c, 3) array and unit omega (c, 3).  Side 0 forms the
     loss product (v1, v2 ground; open above threshold), side 1 the gain
-    product (v3 excited, v4 ground; always open).  Each step is the old
-    (c, 3) expression on the rows."""
+    product (v3 excited, v4 ground; always open).  The weights are scaled by
+    2^-exponent, which is exact.  Each step is the old (c, 3) expression on
+    the rows."""
     zab, omega = normals
     c = len(omega)
     v = rows.v[:, :, :c]
@@ -173,8 +182,7 @@ def _tuple_chunk(state1, state2, consts, side, normals, rows):
     a, b = ab
     k, weight, rel2 = rows.kw[:, :c]
     kw, scratch = rows.kw[:2, :c], rows.samples[:3, :c]
-    m1 = state1.rho * consts.maxwellian_mass
-    pref = 2.0 * math.pi * consts.C0_kernel
+    prefactor = math.ldexp(_side_prefactors(state1, state2, consts)[side], -exponent)
     eps0 = consts.epsilon0
     _pair_rows(state1 if side == 0 else state2, state1, zab, ab, scratch, rel2)
     np.add(a, b, out=centre)
@@ -185,7 +193,7 @@ def _tuple_chunk(state1, state2, consts, side, normals, rows):
         kw -= [[eps0], [4.0 * eps0]]
         np.maximum(kw, 0.0, out=kw)
         np.sqrt(kw, out=kw)
-        weight *= m1 * m1 * pref
+        weight *= prefactor
         # below threshold the channel is closed
         closed = np.greater(rel2, 4.0 * eps0, out=rows.open[:c])
         np.logical_not(closed, out=closed)
@@ -193,7 +201,7 @@ def _tuple_chunk(state1, state2, consts, side, normals, rows):
     else:
         kw += [[eps0], [4.0 * eps0]]
         np.sqrt(kw, out=kw)
-        weight *= state2.rho * consts.maxwellian_mass * m1 * pref
+        weight *= prefactor
     np.multiply(k, omega.T, out=scratch)
     np.subtract(centre, scratch, out=minus)
     centre += scratch
@@ -270,9 +278,10 @@ def _batch_normals(rng, size, pair, omega):
 
 def _add_chunk(acc, problem, consts, side, normals, rows):
     """Adds one chunk's row sums of w*D and (w*D)^2 and its weight sum to
-    the problem's running totals `acc`."""
-    state1, state2, change, n_cols = problem
-    weight, v = _tuple_chunk(state1, state2, consts, side, normals, rows)
+    the problem's running totals `acc`, the weights w scaled by 2^-e for the
+    problem's (state1, state2, change, n_cols, e)."""
+    state1, state2, change, n_cols, exponent = problem
+    weight, v = _tuple_chunk(state1, state2, consts, side, normals, rows, exponent)
     samples = rows.samples[:n_cols, : len(weight)]
     change(v, samples)
     samples *= weight
@@ -329,11 +338,16 @@ def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
     from numpy.random import default_rng
 
     n = plan.n_samples
+    # a problem's weights on both sides are scaled by 2^-e, e the binary
+    # exponent of its larger side prefactor, and its estimates by 2^e: exact,
+    # and no square of a weight or of a mean overflows at a large c0 or rho
+    exponents = [math.frexp(max(_side_prefactors(s1, s2, consts)))[1] for s1, s2, _, _ in problems]
+    scaled = [(*problem, e) for problem, e in zip(problems, exponents)]
     # per side and problem: [sum of w*D, sum of (w*D)^2, sum of w]; weights are >= 0
     sums = [[[0.0, 0.0, 0.0] for _ in problems] for _ in (0, 1)]
 
     def add_side(side):
-        _add_side(sums[side], problems, consts, plan, side, default_rng)
+        _add_side(sums[side], scaled, consts, plan, side, default_rng)
 
     on_two_threads(add_side, (1, 0))  # the gain side here, the loss side on the worker
 
@@ -345,10 +359,10 @@ def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
         return mean, np.maximum(se, 1e-16 * (weight_sum / n) / math.sqrt(n))
 
     out = []
-    for loss, gain in zip(*sums):
+    for loss, gain, e in zip(*sums, exponents):
         (loss_mean, loss_se), (gain_mean, gain_se) = side_estimate(*loss), side_estimate(*gain)
         se = np.sqrt(loss_se**2 + gain_se**2)
-        out.append([Estimate(float(m), float(e)) for m, e in zip(loss_mean - gain_mean, se)])
+        out.append([Estimate(float(m), float(s)) for m, s in zip(np.ldexp(loss_mean - gain_mean, e), np.ldexp(se, e))])
     return out
 
 
@@ -481,17 +495,19 @@ def verify_checks(lte_pair, n_tuples, generic_pair, lte_state, plan, consts) -> 
     return _balance_sweep(lte_pair, n_tuples, plan.seed, consts), checks
 
 
-#: Central-difference step of `entropy_identity_check`, relative to T.
-_REL_STEP = 1e-5
-
-
 def entropy_identity_check(T_list, consts: PhysConsts) -> dict:
-    """Finite-difference check of T * lambda'(T) = 2 * e'(T) at each temperature."""
+    """Complex-step check of T * lambda'(T) = 2 * e'(T) at each temperature.
+
+    Each derivative is f'(T) = Im f(T + ih)/h (Squire and Trapp 1998): no
+    difference of nearby values is taken, so it holds to rounding.  The step
+    h = T * 2^-60 scales with T: its O((h/T)^2) error is far below rounding
+    from T = 1e-300 to 1e300, where a fixed h = 1e-30 fails at both ends.
+    """
     rows = []
     for T in T_list:
-        h = _REL_STEP * T
-        lam_p = float(entropy_lambda(T + h, consts) - entropy_lambda(T - h, consts)) / (2 * h)
-        e_p = float(energy_density(T + h, consts) - energy_density(T - h, consts)) / (2 * h)
+        h = math.ldexp(T, -60)
+        lam_p = float(entropy_lambda(complex(T, h), consts).imag) / h
+        e_p = float(energy_density(complex(T, h), consts).imag) / h
         rel = abs(T * lam_p - 2.0 * e_p) / abs(2.0 * e_p)
         rows.append({"T": float(T), "T_lambda_prime": T * lam_p, "two_e_prime": 2 * e_p, "rel_error": rel})
     return {"rows": rows, "max_rel_error": max(r["rel_error"] for r in rows)}

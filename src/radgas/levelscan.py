@@ -9,8 +9,10 @@ what the smoothness hypothesis of the nonexistence result asks for.
 A grid value exactly on a level counts as below it (v > level is above), so
 a cell crosses a level exactly when min(corners) <= level < max(corners).
 Marching squares and the report each run as one array pass over the
-crossing (level, cell) pairs and the chain vertices; only `_stitch`, which
-joins a level's segments into chains, loops in Python, once per segment.
+crossing (level, cell) pairs and the chain vertices.  Segments join into
+chains at vertices whose coordinates are bit-equal, with no tolerance: each
+vertex has an exact id (its grid node, or the cell edge it crosses), and one
+Python walk over the segments follows those ids.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ __all__ = [
 ]
 
 #: Most grid nodes a window may have (the Figure-1 window has 441).  At the
-#: cap `scan` took 5-6 s at the default TripleQuadSpec on a 2-core Xeon VM
-#: (5-6 us per node; the per-node loop it replaced took 30-47 us), and
-#: `extract_contours` with `smoothness_report` about 0.1 s for 8 levels.
+#: cap `scan` took 4.5-6 s at the default TripleQuadSpec on a 2-core Xeon VM
+#: (4.5-6 us per node; the per-node loop it replaced took 30-47 us), and
+#: `extract_contours` with `smoothness_report` 0.04-0.06 s for 8 or 20
+#: levels.
 _MAX_NODES = 10**6
 
 #: T2 nodes per block of a scanned row.  A row may hold 5*10^5 nodes; each
@@ -126,46 +129,6 @@ def scan(
     return ScanResult(grid=grid, window=window, failures=failures)
 
 
-def _stitch(segments, tol):
-    """Join segments sharing endpoints into maximal chains, deterministically."""
-
-    def key(p):
-        return (round(p[0] / tol), round(p[1] / tol))
-
-    endpoint_map: dict = {}
-    for idx, (p, q) in enumerate(segments):
-        endpoint_map.setdefault(key(p), []).append((idx, 0))
-        endpoint_map.setdefault(key(q), []).append((idx, 1))
-
-    used = [False] * len(segments)
-    chains = []
-    for start in range(len(segments)):
-        if used[start]:
-            continue
-        used[start] = True
-        p, q = segments[start]
-        chain = [p, q]
-        for grow_end in (True, False):
-            while True:
-                tip = chain[-1] if grow_end else chain[0]
-                candidates = [
-                    (idx, end)
-                    for idx, end in endpoint_map.get(key(tip), [])
-                    if not used[idx]
-                ]
-                if not candidates:
-                    break
-                idx, end = candidates[0]
-                used[idx] = True
-                nxt = segments[idx][1 - end]
-                if grow_end:
-                    chain.append(nxt)
-                else:
-                    chain.insert(0, nxt)
-        chains.append(np.asarray(chain, dtype=float))
-    return chains
-
-
 #: Cell edges in local [0, 1]^2 coordinates, x along axis 0: 0 bottom (v00 to
 #: v10), 1 right (v10 to v11), 2 top (v01 to v11), 3 left (v00 to v01).
 #: _EDGE_PAIRS[code] is the segment of a cell that is no saddle: its two
@@ -189,8 +152,15 @@ def extract_contours(result: ScanResult, levels) -> ContourSet:
     opposite corners above) is resolved by comparing the corner average with
     the level.  Cells touching a failed (NaN) or infinite grid node are
     skipped.  The (level, cell) pairs that cross are found per cell from the
-    sorted levels and processed in one array pass; the segments of a level
-    are in row-major cell order and are joined into chains by `_stitch`.
+    sorted levels and processed in one array pass.
+
+    Chains join segments of one level at vertices with bit-equal
+    coordinates, with no tolerance.  A vertex's id is its grid node when
+    both coordinates are integers, else the edge it crosses; one stable sort
+    of the ids and one Python walk over the segments build every chain.  A
+    chain starts at the first unused segment in row-major cell order, grows
+    at that segment's second end and then at its first, and at each tip
+    takes the first unused (segment, end) with the tip's id.
 
     Raises EmptyLevel naming the first level, in input order, that crosses
     no cell.
@@ -245,24 +215,65 @@ def extract_contours(result: ScanResult, levels) -> ContourSet:
         seg_code[start] = np.where(cut_10_01, 2, 1)
         seg_code[start + 1] = np.where(cut_10_01, 8, 4)
     edges = _EDGE_PAIRS[seg_code]
-    ends = np.column_stack(
-        (x[pair, edges[:, 0]], y[pair, edges[:, 0]], x[pair, edges[:, 1]], y[pair, edges[:, 1]])
-    ).tolist()
-    segments = [[] for _ in levels]
-    for k, (x0, y0, x1, y1) in zip(level_of[pair].tolist(), ends):
-        segments[k].append(((x0, y0), (x1, y1)))
-    saddle_counts = [0] * len(levels)
-    for k in level_of[saddle].tolist():
-        saddle_counts[k] += 1
+    # segment s has the endpoints 2s and 2s + 1, in grid units
+    ex = x[pair[:, None], edges].ravel()
+    ey = y[pair[:, None], edges].ravel()
+    crossed = np.bincount(level_of, minlength=len(levels))
+    if not crossed.all():
+        raise EmptyLevel(f"level {levels[np.flatnonzero(crossed == 0)[0]]} intersects no grid cell")
+
+    # An endpoint's id is its grid node when both coordinates are integers,
+    # else the horizontal (integer y) or vertical (integer x) edge it
+    # crosses, named by the edge's lower node, in a range of its own per
+    # level.  A crossing of a shared edge has the same bits from both cells,
+    # and two crossings can meet only at a node, so two endpoints of a level
+    # share an id exactly when their coordinates are equal floats; a NaN
+    # coordinate (an overflowed quotient) gives a NaN id, equal to none.
+    fx, fy = np.floor(ex), np.floor(ey)
+    kind = (fx != ex) + 2 * (fy != ey)
+    ids = (np.repeat(level_of[pair], 2) * 3 + kind) * grid.size + (fx * (n2 + 1) + fy)
+    # head[e]: the first endpoint with e's id in (segment, end) order, and
+    # after[e] the next one, or -1
+    order = np.argsort(ids, kind="stable")
+    new = np.diff(ids[order], prepend=np.nan) != 0
+    head = np.empty_like(order)
+    head[order] = order[np.maximum.accumulate(np.where(new, np.arange(len(order)), 0))]
+    after = np.full_like(order, -1)
+    after[order[:-1]] = np.where(new[1:], -1, order[1:])
+
+    # a chain starts at the first unused segment and grows at its second
+    # end, then at its first, by the first unused (segment, end) of the tip's id
+    head, after = head.tolist(), after.tolist()
+    used = [False] * len(pair)
+    starts, path, bounds = [], [], [0]
+    for start in range(len(pair)):
+        if used[start]:
+            continue
+        used[start] = True
+        back, forth = [2 * start], [2 * start + 1]
+        for tip, grown in ((2 * start + 1, forth), (2 * start, back)):
+            e = head[tip]
+            while e >= 0:
+                if used[e >> 1]:
+                    e = after[e]
+                    continue
+                used[e >> 1] = True
+                tip = e ^ 1
+                grown.append(tip)
+                e = head[tip]
+        back.reverse()
+        path += back
+        path += forth
+        starts.append(start)
+        bounds.append(len(path))
 
     origin = np.array([window.t1_min, window.t2_min])
-    all_polylines = []
-    for level, level_segments in zip(levels, segments):
-        if not level_segments:
-            raise EmptyLevel(f"level {level} intersects no grid cell")
-        chains = _stitch(level_segments, tol=1e-9)
-        all_polylines.append([origin + window.step * chain for chain in chains])
-    return ContourSet(levels=levels, polylines=all_polylines, saddle_counts=saddle_counts)
+    points = origin + window.step * np.column_stack((ex, ey))[path]
+    polylines = [[] for _ in levels]
+    for k, begin, end in zip(level_of[pair[starts]].tolist(), bounds, bounds[1:]):
+        polylines[k].append(points[begin:end])
+    saddle_counts = np.bincount(level_of[saddle], minlength=len(levels)).tolist()
+    return ContourSet(levels=levels, polylines=polylines, saddle_counts=saddle_counts)
 
 
 def smoothness_report(result: ScanResult, contours: ContourSet) -> dict:

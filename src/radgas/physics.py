@@ -54,8 +54,10 @@ def pseudo_planck(T, consts: PhysConsts):
 
 
 def energy_density(T, consts: PhysConsts):
-    """Energy per molecule: (3/4)T + eps0*q/(1+q) with q = exp(-2*eps0/T)."""
-    T = np.asarray(T, dtype=float)
+    """Energy per molecule: (3/4)T + eps0*q/(1+q) with q = exp(-2*eps0/T).
+
+    T may be complex (the complex-step derivative of `kinetic`)."""
+    T = np.asarray(T)
     q = np.exp(-2.0 * consts.epsilon0 / T)
     return 0.75 * T + consts.epsilon0 * q / (1.0 + q)
 
@@ -65,9 +67,10 @@ def entropy_lambda(T, consts: PhysConsts):
 
     lambda(T) = log(T^(3/2)*(1+q)) + (2*eps0/T)*q/(1+q) - log(c0) + 3/2,
     with q = exp(-2*eps0/T).  This is the variant satisfying the identity
-    T*lambda'(T) = 2*e'(T), which the finite-difference tests enforce.
+    T*lambda'(T) = 2*e'(T), which `kinetic.entropy_identity_check` checks
+    by complex step, so T may be complex.
     """
-    T = np.asarray(T, dtype=float)
+    T = np.asarray(T)
     x = 2.0 * consts.epsilon0 / T
     q = np.exp(-x)
     return 1.5 * np.log(T) + np.log1p(q) + x * q / (1.0 + q) - math.log(consts.c0) + 1.5

@@ -38,7 +38,7 @@ from numpy.fft import irfft, rfft
 
 from .constants import PhysConsts
 from .domain3d import _leggauss, _next_fast_len
-from .errors import NonContraction, NonPositiveW
+from .errors import NonContraction, NonPositiveW, SingularDenominator
 from .physics import pseudo_planck
 from .picard import fixed_point
 
@@ -694,10 +694,17 @@ def solve_lte_fredholm(
 
     Uses rescaled units with unit absorption depth; T0 sets the coupling
     alpha0 = (2*eps0/T0)*(1 + G0(T0)) which linearly scales theta and zeta
-    but none of the flux quantities.
+    but none of the flux quantities.  Raises SingularDenominator when alpha0
+    is not finite: G0 = q/(1 - q) with q = exp(-2*eps0/T0) rounding to 1.
     """
-    g0 = float(pseudo_planck(T0, consts))
+    with np.errstate(divide="ignore", invalid="ignore"):  # reported below
+        g0 = float(pseudo_planck(T0, consts))
     alpha0 = 2.0 * consts.epsilon0 / T0 * (1.0 + g0)
+    if not math.isfinite(alpha0):
+        raise SingularDenominator(
+            f"coupling alpha0 = {alpha0} at T0 {T0}, epsilon0 {consts.epsilon0}: "
+            "1 - exp(-2*epsilon0/T0) rounds to 0 in G0(T0)"
+        )
     theta, h_field, flux_j, diagnostics = _slab_fredholm(j0, alpha0, grid, angles)
 
     if zeta_mass is None:

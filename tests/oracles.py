@@ -16,7 +16,7 @@ from radgas import EmptyLevel, NotInterior, RadgasError, SingularDenominator
 from radgas.cli import _SCHEMAS, _Parser
 from radgas.collision_reduction import _SINGULAR_RTOL, ReducedKernelParams, _quad_grid, triple_integral
 from radgas.domain3d import ConvexDomain, SphereGrid, _div_R_batch, _profile_values
-from radgas.levelscan import ContourSet, ScanResult, _stitch
+from radgas.levelscan import ContourSet, ScanResult
 from radgas.slab import _expn
 
 
@@ -394,7 +394,9 @@ def scan_per_node(window, consts, spec) -> ScanResult:
 # ---------------------------------------------------------------------------
 # `levelscan.extract_contours` and `smoothness_report` as they were before
 # each became one array pass: a loop over levels and cells and a loop over
-# chains, verbatim apart from the two names.
+# chains, verbatim apart from the two names.  `_stitch` joins a level's
+# segments at endpoints with equal coordinates; it once keyed them on
+# coordinates rounded to 1e-9 grid units, which merged separate level curves.
 
 
 def _cell_segments(v00, v10, v11, v01, level):
@@ -431,6 +433,42 @@ def _cell_segments(v00, v10, v11, v01, level):
 
 
 
+def _stitch(segments):
+    """Join segments sharing endpoints into maximal chains, deterministically."""
+    endpoint_map: dict = {}
+    for idx, (p, q) in enumerate(segments):
+        endpoint_map.setdefault(p, []).append((idx, 0))
+        endpoint_map.setdefault(q, []).append((idx, 1))
+
+    used = [False] * len(segments)
+    chains = []
+    for start in range(len(segments)):
+        if used[start]:
+            continue
+        used[start] = True
+        p, q = segments[start]
+        chain = [p, q]
+        for grow_end in (True, False):
+            while True:
+                tip = chain[-1] if grow_end else chain[0]
+                candidates = [
+                    (idx, end)
+                    for idx, end in endpoint_map.get(tip, [])
+                    if not used[idx]
+                ]
+                if not candidates:
+                    break
+                idx, end = candidates[0]
+                used[idx] = True
+                nxt = segments[idx][1 - end]
+                if grow_end:
+                    chain.append(nxt)
+                else:
+                    chain.insert(0, nxt)
+        chains.append(np.asarray(chain, dtype=float))
+    return chains
+
+
 def extract_contours_per_cell(result: ScanResult, levels) -> ContourSet:
     """Marching squares with linear interpolation on the scanned grid.
 
@@ -455,7 +493,7 @@ def extract_contours_per_cell(result: ScanResult, levels) -> ContourSet:
                     segments.append(((i + x0, j + y0), (i + x1, j + y1)))
         if not segments:
             raise EmptyLevel(f"level {level} intersects no grid cell")
-        chains = _stitch(segments, tol=1e-9)
+        chains = _stitch(segments)
         polylines = [
             np.column_stack(
                 (

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -12,6 +13,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -291,10 +293,12 @@ class TestRun:
     # the loss side keep every bit.  Re-pinned when the energy-exchange check
     # joined: the other checks' entries kept every byte, and when the reduced
     # integrals became one radial axis: only the two `reduced` values moved,
-    # by <= 1.9e-15 relative
+    # by <= 1.9e-15 relative, and when the entropy identity took its
+    # derivatives by complex step: only its max_rel_error moved, from
+    # 3.3e-11 to 1.5e-16
     VERIFY_REPORT_JSON = [
-        ("1", "41e7316117529a73c07c838c0ff25a227893d577131ddee10af930fb8792ff72"),
-        ("47", "256f7fcc6d5688612474ba83bb9f779cb6cef3b35e8c17e6fb33a6afedabed4d"),
+        ("1", "805d63c0a71c845e405504ad4c2fcea1b7e23571537363c2658b8907890a8862"),
+        ("47", "7ae1f804570b1f0734fac9f4893ab4130802126146e51ed8d8894d21a4c41949"),
     ]
     VERIFY_REPORT_TXT = "a38f6b99f6e33f873d2f3d3866ff5d55d85af1964a0090292d1a6a8145d8e823"
 
@@ -333,6 +337,31 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["checks"][0] == {"name": "detailed_balance", "value": None, "pass": False}
         assert report["all_pass"] is False
+
+    def test_verify_estimates_scale_exactly_at_a_huge_c0(self, tmp_path):
+        # every Monte Carlo estimate carries c0^2, so c0 = 2^300 multiplies
+        # each value and standard error by exactly 2^600: no square of a
+        # weight or of a mean overflows on the way
+        def run(c0):
+            out = tmp_path / c0
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(SMALL_RUNS["verify"] + [f"--c0={c0}", "--out", str(out)]) == 0
+            assert caught == []
+            return json.loads((out / "report.json").read_text())
+
+        def estimates(report):
+            out = []
+            for check in report["checks"]:
+                out += [(row["value"], row["std_error"]) for row in check.get("rows", {}).values()]
+                if "mc" in check:
+                    out.append((check["mc"], check["std_error"]))
+            return out
+
+        base, huge = run("1"), run(repr(2.0**300))
+        assert huge["all_pass"]
+        assert len(estimates(base)) == 12
+        assert estimates(huge) == [(math.ldexp(v, 600), math.ldexp(e, 600)) for v, e in estimates(base)]
 
     def test_nonexist_exit_code_and_artifact(self, tmp_path):
         out = tmp_path / "nx"
@@ -660,6 +689,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"solver error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("option", ["--epsilon0=1e-300", "--t0=1e300"])
+    def test_infinite_slab_coupling_is_a_solver_error(self, tmp_path, capsys, option):
+        # q = exp(-2*eps0/T0) rounds to 1, so G0(T0) = q/(1 - q) divides by 0
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(SMALL_RUNS["slab-lte"] + [option, "--out", str(out)]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: coupling alpha0 = inf at T0 ") and err.count("\n") == 1
+        assert not (out / "report.json").exists()
+
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["levelscan", "--threads", "2", "--print-config"])
@@ -902,6 +943,13 @@ E2E_VALUES = {
         "c0": _POS, "c0_kernel": _POS, "seed": ["0", "3", "-1"],
     },
 }
+
+#: Extreme values every float key also draws: each run still ends 0, 1 or 2.
+_EXTREMES = ["-0", "1e-300", "1e12", "1e300", "-1e300", "700", "-700"]
+for _sub, _candidates in E2E_VALUES.items():
+    for _key, (_type, _, _) in _SCHEMAS[_sub].items():
+        if _type is float and _key in _candidates:
+            _candidates[_key] = _candidates[_key] + _EXTREMES
 
 
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)

@@ -415,6 +415,13 @@ class TestScalingLaw:
         rows = [_row(10.0, np.array([11.0]), PhysConsts(c0=c0), SPEC, "calibrated").L[0] for c0 in (1.0, 2.0)]
         assert rows[1] == rows[0] / 4.0
 
+    @pytest.mark.parametrize("mode", ["printed", "calibrated"])
+    def test_l_scales_as_one_over_sigma(self, mode):
+        # sigma enters L only through 4*sigma/3, so sigma = 2 halves L exactly
+        T2 = np.array([3.0, 11.0, 30.0])
+        rows = [_row(10.0, T2, PhysConsts(sigma=sigma, c0=1.0), SPEC, mode).L for sigma in (1.0, 2.0)]
+        assert rows[1].tobytes() == (rows[0] / 2.0).tobytes()
+
     def test_printed_l_fails_the_law(self):
         # lambda = 2 at (10, 11): the law would give 0.395/sqrt(2) = 0.279
         L = L_func(10.0, 11.0, PhysConsts(epsilon0=1.0, c0=1.0), SPEC)

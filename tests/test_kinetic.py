@@ -13,7 +13,7 @@ import pytest
 
 import radgas
 import radgas.kinetic
-from radgas import PhysConsts, MaxwellianState
+from radgas import PhysConsts, MaxwellianState, energy_density, entropy_lambda
 from radgas.cli import main
 from radgas.kinetic import (
     _BATCH,
@@ -490,10 +490,10 @@ class TestWorkerThread:
         def arm(side):
             error = MemoryError(f"Unable to allocate on side {side}")
 
-            def failing(state1, state2, consts, chunk_side, normals, rows):
+            def failing(state1, state2, consts, chunk_side, *rest):
                 if chunk_side == side:
                     raise error
-                return tuple_chunk(state1, state2, consts, chunk_side, normals, rows)
+                return tuple_chunk(state1, state2, consts, chunk_side, *rest)
 
             monkeypatch.setattr(radgas.kinetic, "_tuple_chunk", failing)
             return error
@@ -579,7 +579,20 @@ class TestKernelOfL:
 class TestEntropyIdentity:
     def test_identity_at_spec_temperatures(self):
         rep = entropy_identity_check([0.5, 2.0, 10.0, 50.0], CONSTS)
-        assert rep["max_rel_error"] < 1e-6
+        assert rep["max_rel_error"] < 1e-14
+
+    @pytest.mark.parametrize("T", [1e-300, 1e-3, 0.05, 1000.0, 1e300])
+    def test_identity_to_rounding_at_extreme_temperatures(self, T):
+        assert entropy_identity_check([T], CONSTS)["max_rel_error"] < 1e-14
+
+    def test_complex_step_agrees_with_central_differences(self):
+        # the central differences the check used before, h = 1e-5*T
+        for row in entropy_identity_check([0.5, 2.0, 10.0, 50.0], CONSTS)["rows"]:
+            T, h = row["T"], 1e-5 * row["T"]
+            lam_p = (entropy_lambda(T + h, CONSTS) - entropy_lambda(T - h, CONSTS)) / (2 * h)
+            e_p = (energy_density(T + h, CONSTS) - energy_density(T - h, CONSTS)) / (2 * h)
+            assert row["T_lambda_prime"] == pytest.approx(T * lam_p, rel=1e-9)
+            assert row["two_e_prime"] == pytest.approx(2.0 * e_p, rel=1e-9)
 
     def test_energy_density_monotone_side_check(self):
         rows = entropy_identity_check([1.0, 5.0, 25.0], CONSTS)["rows"]

@@ -265,6 +265,15 @@ def _saddle_window():
     return np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]])
 
 
+def _two_contour_window():
+    # at the level 2.1e-15 the nodes (2, 2) and (2, 4) are above it and the
+    # node (2, 3) = 0 between them is below it: two level curves, whose
+    # crossings of the edges beside (2, 3) are 1e-14 grid units apart
+    grid = np.full((5, 5), -1.0)
+    grid[2] = [-1.0, -1.0, 1.0, 0.0, 0.25]
+    return grid, [2.1060356181620714e-15]
+
+
 class TestArrayPassMatchesPerCellLoop:
     """`extract_contours` and `smoothness_report` against the per-cell and
     per-chain loops they replaced, bit for bit."""
@@ -295,8 +304,12 @@ class TestArrayPassMatchesPerCellLoop:
     @example(case=(_saddle_window()[::-1].copy(), [0.3, 0.8]))  # codes 10 and 5 swapped
     @example(case=(np.array([[0.0, 1.0, np.nan, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0, 1.0]]), [0.5, 0.0, 1.0]))
     @example(case=(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [np.nan, 1.0]]), [0.5, 0.25, 0.75]))
+    @example(case=_two_contour_window())
+    @example(case=(np.array([[-1e308, 1e308, -1e308], [1e308, -1e308, 1e308], [-1e308, 1e308, 0.0]]), [9e307, 0.0]))
     def test_random_windows(self, case):
-        self.assert_same(*case)
+        # corner differences of +-1e308 overflow: such crossings are NaN or sit on a node
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_same(*case)
 
     @pytest.mark.parametrize("levels, code", [([0.4], 5), ([0.6], 5), ([0.4], 10), ([0.6], 10)])
     def test_both_saddle_resolutions(self, levels, code):
@@ -306,6 +319,12 @@ class TestArrayPassMatchesPerCellLoop:
         got = self.assert_same(grid, levels)
         assert got.saddle_counts == [1]
         assert len(got.polylines[0]) == 2
+
+    def test_nearby_crossings_of_two_curves_stay_apart(self):
+        got = self.assert_same(*_two_contour_window())
+        assert [len(chain) for chain in got.polylines[0]] == [5, 3]
+        row = smoothness_report(_window(_two_contour_window()[0]), got)["levels"][0]
+        assert row["components"] == 2 and row["flagged"]
 
     def test_level_on_a_corner_counts_it_below(self):
         # v > level is above: the level 0.5 crosses only the cells with a corner above it
