@@ -421,8 +421,9 @@ def _three_level_inputs(v, seed):
 def _verify_inputs(v, seed):
     consts = _consts(v)
     temps = _finite_floats("t_entropy", v["t_entropy"])
-    if not all(t > 0 for t in temps):
-        raise ConfigError(f"key 't_entropy' needs temperatures > 0, got {v['t_entropy']!r}")
+    # entropy_identity_check's complex step T*2^-60 must be a normal float
+    if not all(t >= 2.0**-962 for t in temps):
+        raise ConfigError(f"key 't_entropy' needs temperatures >= 2^-962 (about 2.1e-290), got {v['t_entropy']!r}")
     u, T = np.array([0.3, 0.0, 0.0]), v["t_lte"]
     return SimpleNamespace(
         consts=consts,

@@ -501,10 +501,14 @@ def entropy_identity_check(T_list, consts: PhysConsts) -> dict:
     Each derivative is f'(T) = Im f(T + ih)/h (Squire and Trapp 1998): no
     difference of nearby values is taken, so it holds to rounding.  The step
     h = T * 2^-60 scales with T: its O((h/T)^2) error is far below rounding
-    from T = 1e-300 to 1e300, where a fixed h = 1e-30 fails at both ends.
+    from T = 2^-962 (about 2.1e-290) up, where a fixed h = 1e-30 fails at
+    both ends.  Below 2^-962, h is subnormal and loses bits (or is 0), so
+    such a T raises ValueError, as does T <= 0.
     """
     rows = []
     for T in T_list:
+        if not T >= 2.0**-962:
+            raise ValueError(f"temperature {T!r} is below 2^-962, where the complex step T*2^-60 is subnormal")
         h = math.ldexp(T, -60)
         lam_p = float(entropy_lambda(complex(T, h), consts).imag) / h
         e_p = float(energy_density(complex(T, h), consts).imag) / h

@@ -10,9 +10,9 @@ A grid value exactly on a level counts as below it (v > level is above), so
 a cell crosses a level exactly when min(corners) <= level < max(corners).
 Marching squares and the report each run as one array pass over the
 crossing (level, cell) pairs and the chain vertices.  Segments join into
-chains at vertices whose coordinates are bit-equal, with no tolerance: each
-vertex has an exact id (its grid node, or the cell edge it crosses), and one
-Python walk over the segments follows those ids.
+chains at vertices whose coordinates are bit-equal, with no tolerance: one
+stable sort groups the endpoints by (level, x, y), and one Python walk over
+the segments follows those groups.
 """
 
 from __future__ import annotations
@@ -155,12 +155,11 @@ def extract_contours(result: ScanResult, levels) -> ContourSet:
     sorted levels and processed in one array pass.
 
     Chains join segments of one level at vertices with bit-equal
-    coordinates, with no tolerance.  A vertex's id is its grid node when
-    both coordinates are integers, else the edge it crosses; one stable sort
-    of the ids and one Python walk over the segments build every chain.  A
-    chain starts at the first unused segment in row-major cell order, grows
-    at that segment's second end and then at its first, and at each tip
-    takes the first unused (segment, end) with the tip's id.
+    coordinates, with no tolerance; one stable sort of the endpoints by
+    (level, x, y) and one Python walk over the segments build every chain.
+    A chain starts at the first unused segment in row-major cell order,
+    grows at that segment's second end and then at its first, and at each
+    tip takes the first unused (segment, end) at the tip's point.
 
     Raises EmptyLevel naming the first level, in input order, that crosses
     no cell.
@@ -222,27 +221,24 @@ def extract_contours(result: ScanResult, levels) -> ContourSet:
     if not crossed.all():
         raise EmptyLevel(f"level {levels[np.flatnonzero(crossed == 0)[0]]} intersects no grid cell")
 
-    # An endpoint's id is its grid node when both coordinates are integers,
-    # else the horizontal (integer y) or vertical (integer x) edge it
-    # crosses, named by the edge's lower node, in a range of its own per
-    # level.  A crossing of a shared edge has the same bits from both cells,
-    # and two crossings can meet only at a node, so two endpoints of a level
-    # share an id exactly when their coordinates are equal floats; a NaN
-    # coordinate (an overflowed quotient) gives a NaN id, equal to none.
-    fx, fy = np.floor(ex), np.floor(ey)
-    kind = (fx != ex) + 2 * (fy != ey)
-    ids = (np.repeat(level_of[pair], 2) * 3 + kind) * grid.size + (fx * (n2 + 1) + fy)
-    # head[e]: the first endpoint with e's id in (segment, end) order, and
-    # after[e] the next one, or -1
-    order = np.argsort(ids, kind="stable")
-    new = np.diff(ids[order], prepend=np.nan) != 0
+    # Two endpoints of a level join exactly when their coordinates are equal
+    # floats (a crossing of a shared edge has the same bits from both
+    # cells); a NaN coordinate, from an overflowed quotient, equals none.
+    # One stable sort by (level, x, y) puts the endpoints at one point next
+    # to each other, in (segment, end) order.
+    key = np.column_stack((ex, ey, np.repeat(level_of[pair], 2)))
+    order = np.lexsort(key.T)
+    key = key[order]
+    new = np.concatenate(([True], (key[1:] != key[:-1]).any(axis=1)))
+    # head[e]: the first endpoint at e's point in (segment, end) order, and
+    # after[e] the next one there, or -1
     head = np.empty_like(order)
     head[order] = order[np.maximum.accumulate(np.where(new, np.arange(len(order)), 0))]
     after = np.full_like(order, -1)
     after[order[:-1]] = np.where(new[1:], -1, order[1:])
 
     # a chain starts at the first unused segment and grows at its second
-    # end, then at its first, by the first unused (segment, end) of the tip's id
+    # end, then at its first, by the first unused (segment, end) at the tip
     head, after = head.tolist(), after.tolist()
     used = [False] * len(pair)
     starts, path, bounds = [], [], [0]

@@ -510,6 +510,9 @@ class TestRun:
             (["verify", "--rho1=1e300"], "MaxwellianState: rho must have a finite square"),
             (["three-level", "--slab-l=1e300"], "SlabGrid: L must have a finite square"),
             (["domain3d", "--radius=1e300"], "ConvexDomain: radius must have a finite square"),
+            # a temperature whose complex step T*2^-60 is subnormal or 0
+            (["verify", "--t-entropy=1e-305"], "key 't_entropy' needs temperatures >= 2^-962"),
+            (["verify", "--t-entropy=1,1e-307"], "key 't_entropy' needs temperatures >= 2^-962"),
         ],
     )
     def test_rejecting_object_named(self, tmp_path, capsys, argv, rejected_by):

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import sys
 import threading
 import tracemalloc
 
@@ -581,9 +582,14 @@ class TestEntropyIdentity:
         rep = entropy_identity_check([0.5, 2.0, 10.0, 50.0], CONSTS)
         assert rep["max_rel_error"] < 1e-14
 
-    @pytest.mark.parametrize("T", [1e-300, 1e-3, 0.05, 1000.0, 1e300])
+    @pytest.mark.parametrize("T", [2.0**-962, 1e-289, 1e-3, 0.05, 1000.0, 1e300, sys.float_info.max])
     def test_identity_to_rounding_at_extreme_temperatures(self, T):
         assert entropy_identity_check([T], CONSTS)["max_rel_error"] < 1e-14
+
+    @pytest.mark.parametrize("T", [math.nextafter(2.0**-962, 0.0), 1e-305, 1e-307, 0.0, -1.0, math.nan])
+    def test_subnormal_step_raises(self, T):
+        with pytest.raises(ValueError, match="below 2\\^-962"):
+            entropy_identity_check([1.0, T], CONSTS)
 
     def test_complex_step_agrees_with_central_differences(self):
         # the central differences the check used before, h = 1e-5*T
