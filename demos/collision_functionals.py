@@ -29,7 +29,7 @@ for (rho1, T1), (rho2, T2) in [((1.3, 4.0), (0.4, 7.0)), ((1.0, 10.0), (0.5, 12.
     # detailed balance is checked on a Boltzmann-ratio pair at T1
     lte = (pair[0], MaxwellianState(rho1 * math.exp(-2.0 * consts.epsilon0 / T1), rest, T1))
     balance, (_, exchange, _) = verify_checks(lte, 10_000, pair, pair[0], plan, consts)
-    for name, est, red in zip(("mass", "energy"), exchange, exchange_reduced(*pair, consts)):
+    for (name, est), red in zip(exchange.items(), exchange_reduced(*pair, consts)):
         sig = abs(est.value - red) / est.std_error
         print(f"  {name:6s}  ({T1:4.1f}, {T2:4.1f})  {est.value:+.6e} +- {est.std_error:.1e}  {red:+.6e}  {sig:5.2f}")
     print(f"  detailed-balance residual at T1: {balance:.1e}")

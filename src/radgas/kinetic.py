@@ -18,7 +18,10 @@ estimators at once (`verify_checks`: conservation, mass and energy
 exchange, and the kernel of L): each forms its collision tuples from its own
 Maxwellians, in row chunks of the batch, and feeds its whole vector of test
 functions, so memory stays bounded by the batch and the chunk whatever the
-sample count.
+sample count.  Only test functions whose change varies across tuples take a
+row: the one whose change is 1 on every tuple (an excited molecule made) is
+estimated from the weight sums, and molecule number, whose change is 0.0
+exactly, is not estimated.
 
 The loss and gain sides share no running total, so they run at once: the
 loss side on one worker thread, the gain side on the calling thread.  Each
@@ -51,7 +54,6 @@ from .twothreads import on_two_threads
 
 __all__ = [
     "McPlan",
-    "MomentReport",
     "entropy_identity_check",
 ]
 
@@ -86,28 +88,6 @@ class Estimate:
         return abs(self.value) <= _N_SIGMA * self.std_error + _FLOOR
 
 
-@dataclass
-class MomentReport:
-    """Weak-form conservation residuals with their standard errors."""
-
-    mass: Estimate
-    momentum: tuple
-    energy: Estimate
-
-    def all_pass(self) -> bool:
-        return all(e.consistent_with_zero() for e in [self.mass, *self.momentum, self.energy])
-
-    def rows(self):
-        out = [("mass", self.mass)]
-        out += [(f"momentum_{ax}", e) for ax, e in zip("xyz", self.momentum)]
-        out.append(("energy", self.energy))
-        return out
-
-    def __str__(self):
-        lines = [f"{name:12s} {e.value:+.6e} +- {e.std_error:.2e}" for name, e in self.rows()]
-        return "\n".join(lines)
-
-
 class _Rows:
     """One thread's reused (rows, _CHUNK) buffers, one row per coordinate or
     test function, so each step of a chunk is one numpy call over contiguous
@@ -115,7 +95,7 @@ class _Rows:
     of calls costs as much CPU as their length.
 
     `v` holds the chunk's (v3, v4, v1, v2), each as (3, c) coordinate rows;
-    `kw` holds k, the weight and |v1 - v2|^2.  `samples` is the scratch of
+    `kw` holds k (then the squared weight), the weight and |v1 - v2|^2.  `samples` is the scratch of
     the tuple steps until it takes the test functions.
     """
 
@@ -277,12 +257,17 @@ def _batch_normals(rng, size, pair, omega):
 
 
 def _add_chunk(acc, problem, consts, side, normals, rows):
-    """Adds one chunk's row sums of w*D and (w*D)^2 and its weight sum to
-    the problem's running totals `acc`, the weights w scaled by 2^-e for the
-    problem's (state1, state2, change, n_cols, e)."""
+    """Adds one chunk's row sums of w*D and (w*D)^2 and its sums of w and
+    w*w to the problem's running totals `acc`, the weights w scaled by 2^-e
+    for the problem's (state1, state2, change, n_cols, e)."""
     state1, state2, change, n_cols, exponent = problem
     weight, v = _tuple_chunk(state1, state2, consts, side, normals, rows, exponent)
-    samples = rows.samples[:n_cols, : len(weight)]
+    c = len(weight)
+    # the D = 1 column: w and w*w are its w*D and (w*D)^2 bit for bit, and
+    # a row sum is the same pairwise sum of the same contiguous values
+    acc[2] += float(weight.sum())
+    acc[3] += float(np.multiply(weight, weight, out=rows.kw[0, :c]).sum())
+    samples = rows.samples[:n_cols, :c]
     change(v, samples)
     samples *= weight
     # a row sum reads that row alone, so a problem's estimates do not
@@ -290,7 +275,6 @@ def _add_chunk(acc, problem, consts, side, normals, rows):
     acc[0] = acc[0] + samples.sum(axis=1)
     samples *= samples
     acc[1] = acc[1] + samples.sum(axis=1)
-    acc[2] += float(weight.sum())
 
 
 def _add_side(side_sums, problems, consts, plan, side, default_rng):
@@ -310,7 +294,9 @@ def _add_side(side_sums, problems, consts, plan, side, default_rng):
 
 def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
     """Loss-side minus gain-side Monte Carlo estimates of <phi, K_non.el[F]>,
-    one list of Estimates per problem (state1, state2, change, n_cols).
+    one list of n_cols + 1 Estimates per problem (state1, state2, change,
+    n_cols): first the test functions (0, 1), whose change D = 1 on every
+    tuple, from the weight sums, then one per column of `change`.
 
     ``change(v, out)`` writes each tuple's change of the n_cols test
     functions, D = phi2(v3) + phi1(v4) - phi1(v1) - phi1(v2) with phi1
@@ -323,14 +309,14 @@ def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
     totals.
 
     Each thread owns one normals buffer (6 * _BATCH floats, 6 MiB) and one
-    `_Rows` set (25 rows of _CHUNK floats with the omega buffer, 1.6 MiB): a
+    `_Rows` set (23 rows of _CHUNK floats with the omega buffer, 1.4 MiB): a
     chunk's tuples and test functions are written into those rows with
     `out=`, in the order of the (c, 3) expressions they replace, so every
     sum keeps its bits.  The drawn za/zb are read in place, as strided
     (3, c) views, and not copied into rows of their own.  The loss side
     runs on one worker thread and the gain side on the calling thread
     (`twothreads.on_two_threads`): the worker is always joined, and its
-    exception re-raised here.  A default `verify` pass peaks at 15.3 MiB
+    exception re-raised here.  A default `verify` pass peaks at 15.1 MiB
     of traced memory.
     """
     # numpy.random is imported here, on the calling thread, before the worker
@@ -343,15 +329,18 @@ def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
     # and no square of a weight or of a mean overflows at a large c0 or rho
     exponents = [math.frexp(max(_side_prefactors(s1, s2, consts)))[1] for s1, s2, _, _ in problems]
     scaled = [(*problem, e) for problem, e in zip(problems, exponents)]
-    # per side and problem: [sum of w*D, sum of (w*D)^2, sum of w]; weights are >= 0
-    sums = [[[0.0, 0.0, 0.0] for _ in problems] for _ in (0, 1)]
+    # per side and problem: [sum of w*D, sum of (w*D)^2, sum of w, sum of w*w];
+    # weights are >= 0
+    sums = [[[0.0, 0.0, 0.0, 0.0] for _ in problems] for _ in (0, 1)]
 
     def add_side(side):
         _add_side(sums[side], scaled, consts, plan, side, default_rng)
 
     on_two_threads(add_side, (1, 0))  # the gain side here, the loss side on the worker
 
-    def side_estimate(total, total_sq, weight_sum):
+    def side_estimate(total, total_sq, weight_sum, weight_sq):
+        # the D = 1 column first
+        total, total_sq = np.append(weight_sum, total), np.append(weight_sq, total_sq)
         mean = total / n
         se = np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
         # rounding floor: the weak-form weights carry ~1e-16 relative noise,
@@ -368,21 +357,21 @@ def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
 
 def _moment_change(v, out, excited, ground=None):
     """Writes D = phi2(v3) + phi1(v4) - phi1(v1) - phi1(v2), in that order,
-    into the rows of `out`, for the moments phi = (1, v - u,
-    |v - u|^2/2 + excitation, *extra) of each species.
+    into the four rows of `out`, for the moments phi = (v - u, |v - u|^2/2 +
+    excitation) of each species.
 
     `v` holds the (4, 3, c) rows of (v3, v4, v1, v2) and is overwritten.
-    `excited` and `ground` are (u, excitation, extra) with u a 3-vector or
-    None for no shift; `ground` None stands for all-zero ground-state test
+    `excited` and `ground` are (u, excitation) with u a 3-vector or None
+    for no shift; `ground` None stands for all-zero ground-state test
     functions.  Each step runs over all four velocities at once, in the old
     per-column expression order, so D keeps its bits.
     """
     species = [excited] if ground is None else [excited, ground, ground, ground]
     v = v[: len(species)]
-    if any(u is not None for u, _, _ in species):
+    if any(u is not None for u, _ in species):
         # a zero shift is exact: x - 0.0 == x for every float
-        v -= np.array([np.zeros(3) if u is None else u for u, _, _ in species])[:, :, None]
-    momentum, energy = out[1:4], out[4]
+        v -= np.array([np.zeros(3) if u is None else u for u, _ in species])[:, :, None]
+    momentum, energy = out[:3], out[3]
     if ground is None:
         np.copyto(momentum, v[0])
     else:
@@ -392,98 +381,86 @@ def _moment_change(v, out, excited, ground=None):
     # |v - u|^2/2 + excitation per velocity
     sums = _squared_speeds(v)
     sums *= 0.5
-    sums += np.array([e for _, e, _ in species])[:, None]
+    sums += np.array([e for _, e in species])[:, None]
     if ground is None:
         np.copyto(energy, sums[0])
     else:
         np.add(sums[0], sums[1], out=energy)
         energy -= sums[2]
         energy -= sums[3]
-    # the constant rows, 1 and the extras, in the same order
-    values = (1.0, *excited[2])
-    if ground is not None:
-        values = [((c2 + c1) - c1) - c1 for c2, c1 in zip(values, (1.0, *ground[2]))]
-    for row, value in zip((out[0], *out[5:]), values):
-        row.fill(value)
 
 
 def _exchange_problem(state1, state2, consts):
-    """Five conservation columns and the mass- and energy-exchange columns
-    (see `verify_checks`)."""
-    ground, excited = (None, 0.0, (0.0,)), (None, consts.epsilon0, (1.0,))
+    """The momentum and energy conservation columns and the energy-exchange
+    column (see `verify_checks`)."""
+    ground, excited = (None, 0.0), (None, consts.epsilon0)
 
     def change(v, out):
-        _moment_change(v, out[:6], excited, ground)
+        _moment_change(v, out[:4], excited, ground)
         # |v3|^2/2 + eps0, which `_moment_change` leaves in v3's x row
-        np.copyto(out[6], v[0, 0])
+        np.copyto(out[4], v[0, 0])
 
-    return state1, state2, change, 7
-
-
-def _exchange_result(estimates) -> tuple:
-    mass, *momentum, energy = estimates[:5]
-    return MomentReport(mass=mass, momentum=tuple(momentum), energy=energy), tuple(estimates[5:])
+    return state1, state2, change, 5
 
 
 def _kernel_problem(state, consts):
     """The LTE pair on `state`, projected on the excited-species moments."""
     q = math.exp(-2.0 * consts.epsilon0 / state.T)
     state2 = MaxwellianState(state.rho * q, state.u, state.T)
-    return state, state2, lambda v, out: _moment_change(v, out, (state.u, 0.0, ())), 5
-
-
-def _kernel_result(estimates) -> dict:
-    rows = dict(zip(["number", "momentum_x", "momentum_y", "momentum_z", "energy"], estimates))
-    return {
-        "projections": rows,
-        "all_within_3_sigma": all(e.consistent_with_zero() for e in rows.values()),
-    }
+    return state, state2, lambda v, out: _moment_change(v, out, (state.u, 0.0)), 4
 
 
 def exchange_reduced(state1: MaxwellianState, state2: MaxwellianState, consts: PhysConsts) -> tuple:
     """The (mass, energy) exchange rates of `verify_checks` from the
-    calibrated reduced integrals (cross-module oracle)."""
+    calibrated reduced integrals (cross-module oracle).
+
+    The calibrated integrals hold the kernel constant C0_kernel = 2; the
+    rates, like the Monte Carlo weights, are linear in it, so they are
+    scaled by C0_kernel / 2 (by exactly 1.0 at the default)."""
     f = functionals(state1.T, state2.T, consts, mode="calibrated")
     eps0 = consts.epsilon0
     q = math.exp(-2.0 * eps0 / state1.T)
     loss, gain = state1.rho**2 * q, state1.rho * state2.rho
     mass = loss * f.P11 - gain * f.P21
     gain_energy = (f.A - eps0 * f.P11) - (state2.T - state1.T) * f.B_diff + eps0 * f.P21
-    return mass, loss * f.A - gain * gain_energy
+    kernel = consts.C0_kernel / 2.0
+    return mass * kernel, (loss * f.A - gain * gain_energy) * kernel
 
 
 def _weak_form_checks(generic_pair, lte_state, plan, consts):
-    """(MomentReport, (mass, energy) exchange Estimates, kernel dict) of
-    `verify_checks` from one draw per side."""
-    exchange, kernel = _weak_form_moments(
+    """The conservation, (mass, energy) exchange and kernel-of-L Estimates
+    of `verify_checks`, three dicts by name, from one draw per side."""
+    (mass, *moments, energy), kernel = _weak_form_moments(
         [_exchange_problem(*generic_pair, consts), _kernel_problem(lte_state, consts)], consts, plan
     )
-    return (*_exchange_result(exchange), _kernel_result(kernel))
+    names = ["momentum_x", "momentum_y", "momentum_z", "energy"]
+    return dict(zip(names, moments)), {"mass": mass, "energy": energy}, dict(zip(["number", *names], kernel))
 
 
 def verify_checks(lte_pair, n_tuples, generic_pair, lte_state, plan, consts) -> tuple:
-    """The checks of `radgas verify`: (balance, (MomentReport, (mass,
-    energy) exchange Estimates, kernel dict)).
+    """The checks of `radgas verify`: (balance, (conservation, exchange,
+    kernel)), the last three dicts of name -> Estimate.
 
     `balance` is the largest detailed-balance residual of `lte_pair` over
     `n_tuples` sampled ground-state pairs (`_balance_sweep`, keyed by
     (plan.seed, 1)), or None when no pair is above threshold.
 
-    The rest comes from one draw per side.  The conservation report and the
-    exchange estimates are those of `generic_pair`.  Five conservation
-    columns: test functions (1, 1) for molecule number, (v, v) for momentum
-    and (|v|^2/2, |v|^2/2 + eps0) for total energy.  All three vanish per
-    sampled tuple by the collision kinematics, so their estimates sit at the
-    rounding floor unless the kinematics are broken.  The sixth column is
-    the excited-molecule production rate, test functions (0, 1); its reduced
-    closed form is rho1^2 q P(T1) - rho1 rho2 P(T2, T1), q = e^(-2 eps0/T1).
-    The seventh is the excited molecules' energy gain, test functions
-    (0, |v|^2/2 + eps0), with the reduced closed form rho1^2 q A(T1) -
-    rho1 rho2 [(A - eps0 P11) - (T2 - T1) B_diff + eps0 P21]
-    (`exchange_reduced`).  The
-    kernel check projects K[F_eq] of the LTE pair on `lte_state` on the
-    excited-species moments 1, v - u and |v - u|^2/2; at LTE every
-    projection is consistent with zero.
+    The rest comes from one draw per side.  The conservation and exchange
+    estimates are those of `generic_pair`.  Conservation: test functions
+    (v, v) for momentum and (|v|^2/2, |v|^2/2 + eps0) for total energy.
+    Both vanish per sampled tuple by the collision kinematics, so their
+    estimates sit at the rounding floor unless the kinematics are broken
+    (molecule number, test functions (1, 1), changes by ((1 + 1) - 1) - 1 =
+    0.0 exactly, so it is not estimated).  The mass exchange is the
+    excited-molecule production rate, test functions (0, 1), taken from the
+    weight sums; its reduced closed form is rho1^2 q P(T1) - rho1 rho2
+    P(T2, T1), q = e^(-2 eps0/T1).  The energy exchange is the excited
+    molecules' energy gain, test functions (0, |v|^2/2 + eps0), with the
+    reduced closed form rho1^2 q A(T1) - rho1 rho2 [(A - eps0 P11) - (T2 -
+    T1) B_diff + eps0 P21] (`exchange_reduced`).  The kernel check projects
+    K[F_eq] of the LTE pair on `lte_state` on the excited-species moments 1
+    (from the weight sums), v - u and |v - u|^2/2; at LTE every projection
+    is consistent with zero.
 
     Every problem keys its batches by (seed, side, batch), so the results
     equal those of each problem estimated alone, bit for bit.  One

@@ -37,8 +37,11 @@ class MaxwellianState:
             raise ValueError(f"rho must be > 0, got {self.rho}")
         if not math.isfinite(self.rho * self.rho):  # collision rates are quadratic in rho
             raise ValueError(f"rho must have a finite square, got {self.rho}")
-        if not self.T > 0:
-            raise ValueError(f"T must be > 0, got {self.T}")
+        # the Monte Carlo squares weighted samples w*D with w ~ sqrt(T) and
+        # D ~ T, times the squared norm of a drawn normal: 2^320 keeps
+        # (w*D)^2 ~ T^3 below 2^960, many orders under overflow
+        if not 0 < self.T <= 2.0**320:
+            raise ValueError(f"T must be > 0 and <= 2^320 (about 2.1e96), got {self.T}")
 
 
 def boltzmann_ratio(T, consts: PhysConsts):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PhysConsts
-from .errors import SingularSystem
+from .errors import SingularDenominator, SingularSystem
 from .physics import pseudo_planck
 from .picard import fixed_point
 from .slab import AngleGrid, BoundaryProfile, RadiationField, SlabGrid
@@ -180,6 +180,8 @@ def solve_three_level(
     GMRES needs no contraction, so it converges where kappa*L is so large
     that the escape rounds away: alpha times T's largest row sum is
     1 + 1.6e-15 at kappa 256, where it takes about 270 products at n_y 4097.
+    Raises SingularDenominator when the coupling G_p = q/(1 - q), q =
+    exp(-2*eps/T0) rounding to 1, or the absorption kappa is not finite.
     """
     q = params.q
     g1, g2 = params.gamma1, params.gamma2
@@ -195,7 +197,14 @@ def solve_three_level(
     else:
         C0 = float(mass_C0)
 
-    G_p = constant_state(params)["G_p"]
+    with np.errstate(divide="ignore", invalid="ignore"):  # reported below
+        G_p = constant_state(params)["G_p"]
+    if not math.isfinite(G_p):
+        raise SingularDenominator(
+            f"coupling G_p = {G_p} at T0 {params.T0}, eps {params.eps}: 1 - exp(-2*eps/T0) rounds to 0"
+        )
+    if not math.isfinite(params.kappa):
+        raise SingularDenominator(f"absorption kappa = {params.kappa} at eps {params.eps}, rho0 {params.rho0}")
     local = _node_matrix(params, G_p)
     scale = np.prod([np.linalg.norm(local[i]) for i in range(3)])
     det = float(np.linalg.det(local))
@@ -252,7 +261,11 @@ def solve_three_level(
 
 
 def lte_deviation(solution: ThreeLevelSolution) -> tuple[float, dict]:
-    """Largest pairwise |sigma_i - sigma_j| over all nodes, and where it occurs."""
+    """Largest pairwise |sigma_i - sigma_j| over all nodes, and where it
+    occurs; NaN, at no pair or node, when a sigma is not finite."""
+    sigmas = (solution.sigma1, solution.sigma2, solution.sigma3)
+    if not all(np.isfinite(s).all() for s in sigmas):
+        return math.nan, {"pair": None, "node": None, "y": None}
     stacks = {
         (1, 2): np.abs(solution.sigma1 - solution.sigma2),
         (2, 3): np.abs(solution.sigma2 - solution.sigma3),

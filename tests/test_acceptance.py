@@ -136,7 +136,7 @@ class TestAcceptance:
         ok = True
         for T1, T2 in pairs:
             f = functionals(T1, T2, PHYS, mode="calibrated")
-            (*_, loss_mass, loss_energy), (*_, gain_mass, gain_energy) = next(columns), next(columns)
+            (loss_mass, *_, loss_energy), (gain_mass, *_, gain_energy) = next(columns), next(columns)
             loss, gain = math.exp(-2.0 * eps0 / T1), 1e-9  # rho1^2 q and rho1 rho2
             # (estimate, its scale, the quadrature's other terms, the quantity):
             # gain_energy / gain = (T2 - T1) B_diff - (A - eps0 P11) - eps0 P21
@@ -282,10 +282,9 @@ class TestAcceptance:
         plan = McPlan(n_samples=10**6, seed=7)
         g1 = MaxwellianState(1.3, np.zeros(3), 4.0)
         g2 = MaxwellianState(0.4, np.zeros(3), 7.0)
-        rep, exchange, chk = _weak_form_checks((g1, g2), s1, plan, consts)
-        ok &= rep.all_pass()
-        ok &= chk["all_within_3_sigma"]
-        for est, red in zip(exchange, exchange_reduced(g1, g2, consts)):
+        conservation, exchange, kernel = _weak_form_checks((g1, g2), s1, plan, consts)
+        ok &= all(e.consistent_with_zero() for e in [*conservation.values(), *kernel.values()])
+        for est, red in zip(exchange.values(), exchange_reduced(g1, g2, consts)):
             ok &= abs(est.value - red) <= 3.0 * est.std_error
         ok &= entropy_identity_check([0.5, 2.0, 10.0, 50.0], consts)["max_rel_error"] < 1e-14
         report(9, "kinetic identities: balance, conservation, exchange", ok, time.time() - t0)

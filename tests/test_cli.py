@@ -282,7 +282,7 @@ class TestRun:
         ]
         moments = {"momentum_x", "momentum_y", "momentum_z", "energy"}
         rows = {c["name"]: c["rows"] for c in report["checks"] if "rows" in c}
-        assert set(rows["weak_form_conservation"]) == {"mass", *moments}
+        assert set(rows["weak_form_conservation"]) == moments
         assert set(rows["kernel_of_L"]) == {"number", *moments}
         for check_rows in rows.values():
             assert all(set(row) == {"value", "std_error"} for row in check_rows.values())
@@ -295,10 +295,11 @@ class TestRun:
     # integrals became one radial axis: only the two `reduced` values moved,
     # by <= 1.9e-15 relative, and when the entropy identity took its
     # derivatives by complex step: only its max_rel_error moved, from
-    # 3.3e-11 to 1.5e-16
+    # 3.3e-11 to 1.5e-16, and when the number-conservation row, 0.0 on every
+    # tuple, was deleted: every other entry kept its bytes
     VERIFY_REPORT_JSON = [
-        ("1", "805d63c0a71c845e405504ad4c2fcea1b7e23571537363c2658b8907890a8862"),
-        ("47", "7ae1f804570b1f0734fac9f4893ab4130802126146e51ed8d8894d21a4c41949"),
+        ("1", "e86ff1b01addf3a681bb45572ab4366366ff5dd882531bc4e014bfa9bc999f89"),
+        ("47", "835a5a9c7bc96a7c28a76a6aca8fe1a66c4f84edf5b148d23c499b7fda5cfb98"),
     ]
     VERIFY_REPORT_TXT = "a38f6b99f6e33f873d2f3d3866ff5d55d85af1964a0090292d1a6a8145d8e823"
 
@@ -360,8 +361,32 @@ class TestRun:
 
         base, huge = run("1"), run(repr(2.0**300))
         assert huge["all_pass"]
-        assert len(estimates(base)) == 12
+        assert len(estimates(base)) == 11
         assert estimates(huge) == [(math.ldexp(v, 600), math.ldexp(e, 600)) for v, e in estimates(base)]
+
+    def test_verify_c0_kernel_scales_both_sides(self, tmp_path):
+        # the Monte Carlo weights and the reduced rates are both linear in
+        # C0_kernel, so halving it halves every estimate and every reduced
+        # rate exactly, and every verdict stays
+        def run(c0_kernel):
+            out = tmp_path / c0_kernel
+            argv = ["verify", "--n-samples=100000", "--n-tuples=2000", f"--c0-kernel={c0_kernel}"]
+            assert main(argv + ["--out", str(out)]) == 0
+            return json.loads((out / "report.json").read_text())
+
+        def values(report):
+            out = []
+            for check in report["checks"]:
+                out += [(row["value"], row["std_error"]) for row in check.get("rows", {}).values()]
+                if "mc" in check:
+                    out.append((check["mc"], check["std_error"], check["reduced"]))
+            return out
+
+        full, half = run("2"), run("1")
+        assert half["all_pass"] and full["all_pass"]
+        assert [c["pass"] for c in half["checks"]] == [c["pass"] for c in full["checks"]]
+        assert len(values(full)) == 11
+        assert values(half) == [tuple(x / 2 for x in row) for row in values(full)]
 
     def test_nonexist_exit_code_and_artifact(self, tmp_path):
         out = tmp_path / "nx"
@@ -513,11 +538,27 @@ class TestRun:
             # a temperature whose complex step T*2^-60 is subnormal or 0
             (["verify", "--t-entropy=1e-305"], "key 't_entropy' needs temperatures >= 2^-962"),
             (["verify", "--t-entropy=1,1e-307"], "key 't_entropy' needs temperatures >= 2^-962"),
+            # a temperature whose squared Monte Carlo samples could overflow
+            (["verify", "--t1=1e300"], "MaxwellianState: T must be > 0 and <= 2^320"),
+            (["verify", "--t2=1e300"], "MaxwellianState: T must be > 0 and <= 2^320"),
+            (["verify", "--t-lte=1e300"], "MaxwellianState: T must be > 0 and <= 2^320"),
+            (["verify", f"--t-lte={math.nextafter(2.0**320, math.inf)!r}"], "MaxwellianState: T must be > 0 and <= 2^320"),
         ],
     )
     def test_rejecting_object_named(self, tmp_path, capsys, argv, rejected_by):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
         assert f"config error: {rejected_by}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["t1", "t2", "t-lte"])
+    def test_verify_at_the_largest_temperature_runs_clean(self, tmp_path, key):
+        # T = 2^320, the largest MaxwellianState accepts: no weighted sample,
+        # square or sum overflows, and every check passes
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(SMALL_RUNS["verify"] + [f"--{key}={2.0**320!r}", "--out", str(out)])
+        assert caught == []
+        assert code == 0
 
     @pytest.mark.parametrize(
         "subcommand, name",
@@ -605,7 +646,7 @@ class TestRun:
         [
             ["domain3d", "--f-scale", "1e308", "--lattice-n", "12"],
             ["slab-lte", "--j0-profile", "1e308", "--n-y", "33", "--n-mu", "16"],
-            ["three-level", "--eps", "1e-300", "--n-y", "33", "--n-mu", "16"],
+            ["three-level", "--j0", "1e308", "--n-y", "33", "--n-mu", "16"],
         ],
         ids=["domain3d", "slab-lte", "three-level"],
     )
@@ -680,7 +721,7 @@ class TestRun:
             (["levelscan", "--r-max=1e-300"], "L is singular at all 9 grid nodes"),
             (["levelscan", "--r-max=1e300"], "L is singular at all 9 grid nodes"),
             (["levelscan", "--epsilon0=1e300"], "L is singular at all 9 grid nodes"),
-            (["verify", "--t1=1e300"], "non-finite functional: "),
+            (["verify", "--c0=1e100", "--t1=1e96", "--rho1=1e-100"], "non-finite functional: "),
         ],
         ids=["r-max-tiny", "r-max-huge", "epsilon0-huge", "verify-t1-huge"],
     )
@@ -702,6 +743,18 @@ class TestRun:
         assert caught == []
         err = capsys.readouterr().err
         assert err.startswith("solver error: coupling alpha0 = inf at T0 ") and err.count("\n") == 1
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("option", ["--eps=1e-300", "--t0=1e300"])
+    def test_infinite_three_level_coupling_is_a_solver_error(self, tmp_path, capsys, option):
+        # q = exp(-2*eps/T0) rounds to 1, so G_p(T0) = q/(1 - q) divides by 0
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(SMALL_RUNS["three-level"] + [option, "--out", str(out)]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: coupling G_p = inf at T0 ") and err.count("\n") == 1
         assert not (out / "report.json").exists()
 
     def test_threads_flag_removed(self, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import radgas.three_level
-from radgas import SingularSystem
+from radgas import SingularDenominator, SingularSystem
 from radgas.picard import fixed_point
 from radgas.slab import AngleGrid, BoundaryProfile, SlabGrid, angular_mean, angular_response, ray_integrate
 from radgas.three_level import (
@@ -322,6 +322,21 @@ class TestSolveThreeLevel:
         with pytest.raises(SingularSystem):
             solve_three_level(0.0, DRIVE_BC, p, GRID, ANGLES)
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (dict(T0=1e300), "coupling G_p = inf"),
+            (dict(eps=1e-300), "coupling G_p = inf"),
+            (dict(eps=1e300, rho0=1e300), "absorption kappa = inf"),
+        ],
+        ids=["t0-huge", "eps-tiny", "kappa-overflows"],
+    )
+    def test_non_finite_coupling_is_a_singular_denominator(self, recwarn, params, message):
+        p = ThreeLevelParams(**{**vars(PARAMS), **params})
+        with pytest.raises(SingularDenominator, match=message):
+            solve_three_level(0.0, DRIVE_BC, p, GRID, ANGLES)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_gamma2_zero_recovers_lte_ratio(self):
         # with the second line off, the radiative subsystem fixes D = s2 - s1
         # independently of xi; the LTE-consistent temperature field is then
@@ -337,6 +352,16 @@ class TestSolveThreeLevel:
 
 
 class TestLteDeviation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sigma_is_nan(self, recwarn, bad):
+        sol = solve_three_level(0.0, DRIVE_BC, PARAMS, GRID, ANGLES)
+        sol.sigma2 = sol.sigma2.copy()
+        sol.sigma2[7] = bad
+        dev, where = lte_deviation(sol)
+        assert math.isnan(dev)
+        assert where == {"pair": None, "node": None, "y": None}
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_zero_solution(self):
         sol = solve_three_level(0.0, ZERO_BC, PARAMS, GRID, ANGLES)
         dev, _ = lte_deviation(sol)
