@@ -12,9 +12,8 @@ class RadgasError(Exception):
 class SingularDenominator(RadgasError):
     """A denominator vanished within tolerance, or what it divides is not finite:
     H/S/L at this (T1, T2), where a reduced functional may also be non-finite
-    or not positive, the slab coupling alpha0, whose G0 = q/(1 - q)
-    divides by 0 when q = exp(-2*eps0/T0) rounds to 1, or the three-level
-    coupling G_p = q/(1 - q) and absorption kappa."""
+    or not positive, or the slab coupling alpha0, whose G0 = q/(1 - q)
+    divides by 0 when q = exp(-2*eps0/T0) rounds to 1."""
 
 
 class EmptyLevel(RadgasError):

@@ -37,9 +37,9 @@ class MaxwellianState:
             raise ValueError(f"rho must be > 0, got {self.rho}")
         if not math.isfinite(self.rho * self.rho):  # collision rates are quadratic in rho
             raise ValueError(f"rho must have a finite square, got {self.rho}")
-        # the Monte Carlo squares weighted samples w*D with w ~ sqrt(T) and
-        # D ~ T, times the squared norm of a drawn normal: 2^320 keeps
-        # (w*D)^2 ~ T^3 below 2^960, many orders under overflow
+        # the Monte Carlo squares weighted samples w*D, w ~ sqrt(T) and D ~ T
+        # times powers of the drawn normals: T <= 2^320 keeps T^3 <= 2^960,
+        # which leaves 2^64 for those powers and the sum over the samples
         if not 0 < self.T <= 2.0**320:
             raise ValueError(f"T must be > 0 and <= 2^320 (about 2.1e96), got {self.T}")
 

@@ -573,7 +573,8 @@ class TestKernelOfL:
         assert all(e.consistent_with_zero() for e in kernel.values())
 
     def test_boosted_lte_state_annihilated(self):
-        _, _, kernel = _weak_form_checks(TestFusedPass.GENERIC, MaxwellianState(1.0, (1.0, 0.0, 0.0), 5.0), PLAN, CONSTS)
+        boosted = MaxwellianState(1.0, (1.0, 0.0, 0.0), 5.0)
+        _, _, kernel = _weak_form_checks(TestFusedPass.GENERIC, boosted, PLAN, CONSTS)
         assert all(e.consistent_with_zero() for e in kernel.values())
 
     def test_off_ratio_number_projection_large(self):
