@@ -1,10 +1,11 @@
 """Batch command-line driver: flat key = value configs, per-subcommand numeric
 overrides, CSV, JSON and .npz artifacts with a manifest.
 
-`parse_config` builds each run's solver inputs once (`_INPUTS`) and stores
-them on `RunConfig.inputs` for the runners.  Those objects decide every range
-they receive; a value one of them rejects is a config error naming it.  The CLI
-checks only the keys no object reads, the words of word-valued keys (listed in
+`parse_config` builds each run's solver inputs once, with the builder of the
+subcommand's record in `_COMMANDS`, and stores them on `RunConfig.inputs`, the
+only thing its runner reads.  Those objects decide every range they receive; a
+value one of them rejects is a config error naming it.  The builders check
+only the keys no object reads, the words of word-valued keys (listed in
 `_SCHEMAS`) and the lists `box`, `samples` and `t_entropy`.
 
 Exit codes: 0 success; 1 solver-reported nonconvergence or a NONEXISTENT
@@ -169,18 +170,28 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _finite(key: str, raw: str, accepts: str = "a finite number") -> float:
+    """The finite float `raw` spells, else a ConfigError naming `key` and what it accepts."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r} must be {accepts}, got {raw!r}")
+    return value
+
+
 def _convert(key, raw, typ):
     if isinstance(typ, tuple):
         if raw not in typ:
             raise ConfigError(f"key {key!r} must be one of {'|'.join(typ)}, got {raw!r}")
         return raw
+    if typ is float:
+        return _finite(key, raw)
     try:
-        value = typ(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {typ.__name__}") from exc
-    if typ is float and not math.isfinite(value):
-        raise ConfigError(f"key {key!r} must be finite, got {raw!r}")
-    return value
+        return typ(raw)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {typ.__name__}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -217,56 +228,30 @@ def parse_config(subcommand: str, path: str | None, overrides: dict) -> RunConfi
         raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
     schema = _SCHEMAS[subcommand]
     values = {key: default for key, (_, default, _) in schema.items()}
-    meta = {"out": None, "seed": 0}
-
-    if path is not None:
-        for key, (raw, lineno) in _read_config_file(path).items():
-            if key in ("out",):
-                meta["out"] = raw
-            elif key == "seed":
-                meta[key] = _convert(key, raw, int)
-            elif key == "subcommand":
-                if raw != subcommand:
-                    raise ConfigError(
-                        f"{path}:{lineno}: config is for subcommand {raw!r}, not {subcommand!r}"
-                    )
-            elif key in schema:
-                values[key] = _convert(key, raw, schema[key][0])
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {subcommand}")
-
-    for key, raw in overrides.items():
-        if raw is None:
-            continue
-        if key in ("out", "seed"):
-            meta[key] = raw
+    out, seed = None, 0
+    # the file's entries, then the flags: a later entry wins, and every one is converted
+    file_entries = _read_config_file(path).items() if path is not None else ()
+    entries = [(f"{path}:{lineno}: ", "key", key, raw) for key, (raw, lineno) in file_entries]
+    entries += [("", "override", key, raw) for key, raw in overrides.items() if raw is not None]
+    for where, kind, key, raw in entries:
+        if key == "out":
+            out = raw
+        elif key == "seed":
+            seed = _convert(key, raw, int)
+        elif key == "subcommand" and where:
+            if raw != subcommand:
+                raise ConfigError(f"{where}config is for subcommand {raw!r}, not {subcommand!r}")
         elif key in schema:
             values[key] = _convert(key, raw, schema[key][0])
         else:
-            raise ConfigError(f"unknown override {key!r} for {subcommand}")
+            raise ConfigError(f"{where}unknown {kind} {key!r} for {subcommand}")
 
-    out = meta["out"] or os.environ.get("RADGAS_OUT") or "radgas_out"
-    seed = int(meta["seed"])
-    _validate(subcommand, values)
+    out = out or os.environ.get("RADGAS_OUT") or "radgas_out"
     try:
-        inputs = _INPUTS[subcommand](values, seed)
+        inputs = _COMMANDS[subcommand][0](values, seed)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{_raised_in(exc)}: {exc}") from None
     return RunConfig(subcommand=subcommand, values=values, out=str(out), seed=seed, inputs=inputs)
-
-
-#: Keys that go straight to a solve call or a runner, so no solver object checks them.
-_POSITIVE_KEYS = {
-    "levelscan": ("n_levels",), "slab-lte": ("t0",), "nonexist": ("a2", "tol"), "verify": ("n_tuples",)
-}
-
-
-def _validate(subcommand: str, v: dict):
-    for key in _POSITIVE_KEYS.get(subcommand, ()):
-        if not v[key] > 0:
-            raise ConfigError(f"key {key!r} must be > 0, got {v[key]}")
-    if "f_scale" in v and not v["f_scale"] >= 0:
-        raise ConfigError(f"key 'f_scale' must be >= 0, got {v['f_scale']}")
 
 
 def _raised_in(exc) -> str:
@@ -278,25 +263,18 @@ def _raised_in(exc) -> str:
 
 def _number_or(key: str, raw: str, word: str, word_value=None):
     """`word_value` when `raw` is the keyword `word`, else the finite number `raw` spells."""
-    if raw == word:
-        return word_value
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"key {key!r} must be a number or {word!r}, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"key {key!r} must be finite, got {raw!r}")
-    return value
+    return word_value if raw == word else _finite(key, raw, f"a finite number or {word!r}")
 
 
 def _finite_floats(key: str, raw: str) -> list:
-    try:
-        nums = [float(x) for x in raw.split(",")]
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as comma-separated numbers") from None
-    if not all(math.isfinite(x) for x in nums):
-        raise ConfigError(f"key {key!r}: {raw!r} has a non-finite number")
-    return nums
+    return [_finite(key, x, "comma-separated finite numbers") for x in raw.split(",")]
+
+
+def _positive(v: dict, key: str):
+    """`v[key]`, a value no solver object checks, when it is > 0."""
+    if not v[key] > 0:
+        raise ConfigError(f"key {key!r} must be > 0, got {v[key]}")
+    return v[key]
 
 
 def _box_bounds(raw: str):
@@ -323,12 +301,7 @@ def _slab_profile(key: str, spec: str):
         return BoundaryProfile.from_function(lambda mu: mu, "cos")
     if spec == "uniform":
         return BoundaryProfile.constant(1.0 / (2.0 * math.pi))
-    try:
-        value = float(spec)
-    except ValueError:
-        raise ConfigError(f"key {key!r} must be cos|uniform|zero or a number, got {spec!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"key {key!r}: constant intensity {spec!r} is not finite")
+    value = _finite(key, spec, "cos|uniform|zero or a finite number")
     if value < 0:
         raise ConfigError(f"key {key!r}: constant intensity {spec!r} is negative")
     return BoundaryProfile.constant(value)
@@ -348,13 +321,20 @@ def _domain(v):
     return ball if v["domain"] == "ball" else box
 
 
+def _slab_grids(v) -> dict:
+    """The SlabGrid of `slab_l` and `n_y` and the AngleGrid of `n_mu`."""
+    return {"grid": SlabGrid(L=v["slab_l"], n_y=v["n_y"]), "angles": AngleGrid(n_mu=v["n_mu"])}
+
+
 # ---------------------------------------------------------------------------
 # solver inputs, one builder per subcommand: (values, seed) -> SimpleNamespace
+# holding all its runner reads; a key no object checks is checked first
 # ---------------------------------------------------------------------------
 
 
 def _levelscan_inputs(v, seed):
     return SimpleNamespace(
+        n_levels=_positive(v, "n_levels"),
         window=ScanWindow(v["t1_min"], v["t1_max"], v["t2_min"], v["t2_max"], v["step"]),
         consts=_consts(v),
         spec=TripleQuadSpec(r_max=v["r_max"], n_r=v["n_r"]),
@@ -363,8 +343,8 @@ def _levelscan_inputs(v, seed):
 
 def _slab_lte_inputs(v, seed):
     return SimpleNamespace(
-        grid=SlabGrid(L=v["slab_l"], n_y=v["n_y"]),
-        angles=AngleGrid(n_mu=v["n_mu"]),
+        t0=_positive(v, "t0"),
+        **_slab_grids(v),
         profile=_slab_profile("j0_profile", v["j0_profile"]),
         consts=_consts(v),
         zeta_mass=_number_or("zeta_mass", v["zeta_mass"], "none"),
@@ -373,14 +353,16 @@ def _slab_lte_inputs(v, seed):
 
 def _slab_exp_inputs(v, seed):
     return SimpleNamespace(
-        grid=SlabGrid(L=v["slab_l"], n_y=v["n_y"]),
-        angles=AngleGrid(n_mu=v["n_mu"]),
+        **_slab_grids(v),
         profile=_slab_profile("a_plus_profile", v["a_plus_profile"]),
+        normalize=v["normalize"] == "true",
     )
 
 
 def _domain3d_inputs(v, seed):
     profile, scale = _SPHERE_PROFILES[v["f_profile"]], v["f_scale"]
+    if not scale >= 0:
+        raise ConfigError(f"key 'f_scale' must be >= 0, got {scale}")
     return SimpleNamespace(
         domain=_domain(v),
         f=lambda n: scale * profile(n),
@@ -390,6 +372,7 @@ def _domain3d_inputs(v, seed):
 
 
 def _nonexist_inputs(v, seed):
+    a2, tol = _positive(v, "a2"), _positive(v, "tol")
     domain = _domain(v)
     samples = _sample_points(v["samples"])
     for point in samples:
@@ -399,6 +382,7 @@ def _nonexist_inputs(v, seed):
                 f"inside the {v['domain']} domain"
             )
     return SimpleNamespace(
+        a2=a2, tol=tol,
         domain=domain,
         f=_SPHERE_PROFILES[v["f_profile"]],
         samples=samples,
@@ -410,15 +394,16 @@ def _three_level_inputs(v, seed):
     g1 = v["gamma1"]
     return SimpleNamespace(
         params=ThreeLevelParams(g1, 1.0 - g1, v["eps"], v["t0"], v["rho0"], v["p12"], v["p23"]),
-        grid=SlabGrid(L=v["slab_l"], n_y=v["n_y"]),
-        angles=AngleGrid(n_mu=v["n_mu"]),
+        **_slab_grids(v),
         boundary=(BoundaryProfile.constant(v["j0"]), BoundaryProfile.zero()),
         mass_C0=_number_or("mass_c0", v["mass_c0"], "from-mass", "from-mass"),
         m0=_number_or("m0", v["m0"], "none"),
+        xi_const=v["xi_const"],
     )
 
 
 def _verify_inputs(v, seed):
+    n_tuples = _positive(v, "n_tuples")
     consts = _consts(v)
     temps = _finite_floats("t_entropy", v["t_entropy"])
     # entropy_identity_check's complex step T*2^-60 must be a normal float
@@ -426,6 +411,7 @@ def _verify_inputs(v, seed):
         raise ConfigError(f"key 't_entropy' needs temperatures >= 2^-962 (about 2.1e-290), got {v['t_entropy']!r}")
     u, T = np.array([0.3, 0.0, 0.0]), v["t_lte"]
     return SimpleNamespace(
+        n_tuples=n_tuples,
         consts=consts,
         plan=McPlan(n_samples=v["n_samples"], seed=seed),
         # a Boltzmann-ratio pair drifting at u, for detailed balance
@@ -434,17 +420,6 @@ def _verify_inputs(v, seed):
         generic_pair=[MaxwellianState(v[f"rho{k}"], np.zeros(3), v[f"t{k}"]) for k in (1, 2)],
         temps=temps,
     )
-
-
-_INPUTS = {
-    "levelscan": _levelscan_inputs,
-    "slab-lte": _slab_lte_inputs,
-    "slab-exp": _slab_exp_inputs,
-    "domain3d": _domain3d_inputs,
-    "nonexist": _nonexist_inputs,
-    "three-level": _three_level_inputs,
-    "verify": _verify_inputs,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +529,7 @@ def _run_levelscan(config: RunConfig, art: _Artifacts) -> int:
     finite = result.grid[np.isfinite(result.grid)]
     if not finite.size:
         raise SingularDenominator(f"L is singular at all {result.grid.size} grid nodes")
-    levels = np.linspace(finite.min(), finite.max(), config.values["n_levels"] + 2)[1:-1]
+    levels = np.linspace(finite.min(), finite.max(), p.n_levels + 2)[1:-1]
     contours = extract_contours(result, levels)
     rows = [
         (level, ci, *pt)
@@ -571,14 +546,14 @@ def _run_levelscan(config: RunConfig, art: _Artifacts) -> int:
 def _run_slab(config: RunConfig, art: _Artifacts) -> int:
     from .slab import solve_exp_limit, solve_lte_fredholm
 
-    v, p = config.values, config.inputs
+    p = config.inputs
     if config.subcommand == "slab-lte":
-        res = solve_lte_fredholm(p.profile, p.grid, p.angles, p.consts, T0=v["t0"], zeta_mass=p.zeta_mass)
+        res = solve_lte_fredholm(p.profile, p.grid, p.angles, p.consts, T0=p.t0, zeta_mass=p.zeta_mass)
         art.csv("theta.csv", ["y", "value"], [p.grid.y, res.theta])
         art.csv("zeta.csv", ["y", "value"], [p.grid.y, res.zeta])
         field, report = res.h_field, {"i0": res.i0, "C0": res.C0, "alpha0": res.alpha0}
     else:
-        res = solve_exp_limit(p.profile, p.grid, p.angles, normalize=v["normalize"] == "true")
+        res = solve_exp_limit(p.profile, p.grid, p.angles, normalize=p.normalize)
         art.csv("w.csv", ["y", "value"], [p.grid.y, res.w])
         field = res.H
         report = {
@@ -625,8 +600,8 @@ def _run_domain3d(config: RunConfig, art: _Artifacts) -> int:
 def _run_nonexist(config: RunConfig, art: _Artifacts) -> int:
     from .domain3d import nonexistence_check
 
-    v, p = config.values, config.inputs
-    report = nonexistence_check(p.domain, p.f, v["a2"], p.samples, tol=v["tol"], sphere=p.sphere)
+    p = config.inputs
+    report = nonexistence_check(p.domain, p.f, p.a2, p.samples, tol=p.tol, sphere=p.sphere)
     art.json("report.json", report)
     return 1 if report["verdict"] == "NONEXISTENT" else 0
 
@@ -635,7 +610,7 @@ def _run_three_level(config: RunConfig, art: _Artifacts) -> int:
     from .three_level import lte_deviation, solve_three_level
 
     p = config.inputs
-    xi = np.full(p.grid.n_y, config.values["xi_const"])
+    xi = np.full(p.grid.n_y, p.xi_const)
     sol = solve_three_level(xi, p.boundary, p.params, p.grid, p.angles, mass_C0=p.mass_C0, m0=p.m0)
     art.csv(
         "solution.csv",
@@ -671,7 +646,7 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
     # mass and energy exchange on the generic pair and the kernel of the
     # linearized operator at LTE, from one draw per side
     res, (conservation, exchange, kernel) = verify_checks(
-        p.lte_pair, config.values["n_tuples"], p.generic_pair, p.lte_at_rest, p.plan, consts
+        p.lte_pair, p.n_tuples, p.generic_pair, p.lte_at_rest, p.plan, consts
     )
 
     def rows_check(name, estimates):
@@ -721,21 +696,22 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
     return 0 if all_pass else 1
 
 
-_RUNNERS = {
-    "levelscan": _run_levelscan,
-    "slab-lte": _run_slab,
-    "slab-exp": _run_slab,
-    "domain3d": _run_domain3d,
-    "nonexist": _run_nonexist,
-    "three-level": _run_three_level,
-    "verify": _run_verify,
+#: one record per subcommand: (solver-input builder, runner)
+_COMMANDS = {
+    "levelscan": (_levelscan_inputs, _run_levelscan),
+    "slab-lte": (_slab_lte_inputs, _run_slab),
+    "slab-exp": (_slab_exp_inputs, _run_slab),
+    "domain3d": (_domain3d_inputs, _run_domain3d),
+    "nonexist": (_nonexist_inputs, _run_nonexist),
+    "three-level": (_three_level_inputs, _run_three_level),
+    "verify": (_verify_inputs, _run_verify),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute a resolved configuration; writes artifacts plus manifest.json."""
     art = _Artifacts(config.out)
-    code = _RUNNERS[config.subcommand](config, art)
+    code = _COMMANDS[config.subcommand][1](config, art)
     art.manifest(config)
     return code
 
@@ -822,11 +798,7 @@ def main(argv=None) -> int:
     if argv and argv[0] in _SCHEMAS:
         _subcommand_parser(argv[0])
     args = _build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key)
-        for key in list(_SCHEMAS[args.subcommand]) + ["out", "seed"]
-        if getattr(args, key, None) is not None
-    }
+    overrides = {key: getattr(args, key) for key in [*_SCHEMAS[args.subcommand], "out", "seed"]}
     try:
         config = parse_config(args.subcommand, args.config, overrides)
         if args.print_config:

@@ -512,7 +512,8 @@ class TestRun:
     def test_unusable_path_named_before_any_solve(self, tmp_path, monkeypatch, capsys, option, path, message):
         (tmp_path / "file").write_text("")
         (tmp_path / "latin1.cfg").write_bytes("n_y = 33  # \xe9t\xe9\n".encode("latin-1"))
-        monkeypatch.setitem(radgas.cli._RUNNERS, "slab-lte", lambda config, art: pytest.fail("solved"))
+        build = radgas.cli._COMMANDS["slab-lte"][0]
+        monkeypatch.setitem(radgas.cli._COMMANDS, "slab-lte", (build, lambda config, art: pytest.fail("solved")))
         path = os.path.join(tmp_path, path) if path else str(tmp_path)
         assert main(["slab-lte", option, path]) == 2
         assert capsys.readouterr().err == "config error: " + message.format(path=path) + "\n"
@@ -697,7 +698,7 @@ class TestRun:
         def exhausted(config, art):
             raise MemoryError("Unable to allocate 74.5 GiB")
 
-        monkeypatch.setitem(radgas.cli._RUNNERS, "slab-lte", exhausted)
+        monkeypatch.setitem(radgas.cli._COMMANDS, "slab-lte", (radgas.cli._COMMANDS["slab-lte"][0], exhausted))
         assert main(["slab-lte", "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == "solver error: out of memory: Unable to allocate 74.5 GiB\n"
 
