@@ -382,7 +382,8 @@ def _nonexist_inputs(v, seed):
                 f"inside the {v['domain']} domain"
             )
     return SimpleNamespace(
-        a2=a2, tol=tol,
+        a2=a2,
+        tol=tol,
         domain=domain,
         f=_SPHERE_PROFILES[v["f_profile"]],
         samples=samples,
@@ -642,6 +643,9 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
 
     p = config.inputs
     consts = p.consts
+    # the calibrated reduced exchange rates first: a run where they are not
+    # finite is a solver error before any sampling
+    reduced = exchange_reduced(*p.generic_pair, consts)
     # detailed balance on a Boltzmann-ratio pair; weak-form conservation and
     # mass and energy exchange on the generic pair and the kernel of the
     # linearized operator at LTE, from one draw per side
@@ -661,7 +665,6 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
     checks.append(rows_check("weak_form_conservation", conservation))
 
     # mass and energy exchange vs the calibrated reduced formulas
-    reduced = exchange_reduced(*p.generic_pair, consts)
     for (name, est), red in zip(exchange.items(), reduced):
         checks.append(
             {

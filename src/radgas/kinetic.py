@@ -49,6 +49,7 @@ import numpy as np
 
 from .collision_reduction import functionals
 from .constants import PhysConsts
+from .errors import SingularDenominator
 from .physics import MaxwellianState, energy_density, entropy_lambda
 from .twothreads import on_two_threads
 
@@ -193,15 +194,19 @@ def _balance_residual(state1, state2, consts, v):
     rows `v` of (v3, v4, v1, v2), which it overwrites, as a (c,) view of v.
 
     F is the plain Maxwellian c0 rho T^(-3/2) exp(-|v - u|^2 / T) of a
-    state; the residual vanishes pointwise exactly when the densities sit in
-    the Boltzmann ratio with a common velocity and temperature."""
+    state, with c0 scaled by a power of two into [0.5, 1): c0 cancels from
+    the residual and the scaling is exact, so every residual keeps its bits
+    and no product of two F's underflows at a tiny c0.  The residual
+    vanishes pointwise exactly when the densities sit in the Boltzmann ratio
+    with a common velocity and temperature."""
+    c0 = math.frexp(consts.c0)[0]
     states = (state2, state1, state1, state1)
     v -= np.array([s.u for s in states])[:, :, None]
     f = _squared_speeds(v)
     np.negative(f, out=f)
     f /= np.array([[s.T] for s in states])
     np.exp(f, out=f)
-    f *= np.array([[consts.c0 * s.rho * s.T**-1.5] for s in states])
+    f *= np.array([[c0 * s.rho * s.T**-1.5] for s in states])
     # F2(v3) F1(v4) into row 0, then F1(v1) F1(v2) into row 1
     rhs, lhs = f[0], f[1]
     rhs *= f[1]
@@ -416,7 +421,8 @@ def exchange_reduced(state1: MaxwellianState, state2: MaxwellianState, consts: P
 
     The calibrated integrals hold the kernel constant C0_kernel = 2; the
     rates, like the Monte Carlo weights, are linear in it, so they are
-    scaled by C0_kernel / 2 (by exactly 1.0 at the default)."""
+    scaled by C0_kernel / 2 (by exactly 1.0 at the default).  Raises
+    SingularDenominator when a rate is not finite."""
     f = functionals(state1.T, state2.T, consts, mode="calibrated")
     eps0 = consts.epsilon0
     q = math.exp(-2.0 * eps0 / state1.T)
@@ -424,7 +430,10 @@ def exchange_reduced(state1: MaxwellianState, state2: MaxwellianState, consts: P
     mass = loss * f.P11 - gain * f.P21
     gain_energy = (f.A - eps0 * f.P11) - (state2.T - state1.T) * f.B_diff + eps0 * f.P21
     kernel = consts.C0_kernel / 2.0
-    return mass * kernel, (loss * f.A - gain * gain_energy) * kernel
+    rates = mass * kernel, (loss * f.A - gain * gain_energy) * kernel
+    if not all(map(math.isfinite, rates)):
+        raise SingularDenominator(f"non-finite reduced exchange rates {rates} at T1 {state1.T}, T2 {state2.T}")
+    return rates
 
 
 def _weak_form_checks(generic_pair, lte_state, plan, consts):

@@ -147,15 +147,19 @@ class RadiationField:
 
 
 def _emission_moments(sigma_c, delta, mu):
-    """(i0, i1) = int_0^D (1, x) * (1/mu) * exp(-sigma*x/mu) dx over one cell."""
+    """(i0, i1) = int_0^D (1, x) * (1/mu) * exp(-sigma*x/mu) dx over one cell.
+
+    The small-depth series are taken on xs, x where it is small and 0
+    elsewhere, so no discarded branch forms a power of a large x."""
     x = sigma_c * delta / mu
     small = x < 1e-3
+    xs = np.where(small, x, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         one_minus_e = -np.expm1(-x)
-        i0 = np.where(small, (delta / mu) * (1.0 - x / 2.0 + x**2 / 6.0 - x**3 / 24.0),
+        i0 = np.where(small, (delta / mu) * (1.0 - xs / 2.0 + xs**2 / 6.0 - xs**3 / 24.0),
                       one_minus_e / np.where(sigma_c == 0, 1.0, sigma_c))
         # int x * e^(-sigma x/mu) dx / mu; series for small optical depth
-        series = (delta**2 / mu) * (0.5 - x / 3.0 + x**2 / 8.0 - x**3 / 30.0 + x**4 / 144.0)
+        series = (delta**2 / mu) * (0.5 - xs / 3.0 + xs**2 / 8.0 - xs**3 / 30.0 + xs**4 / 144.0)
         sig = np.where(sigma_c == 0, 1.0, sigma_c)
         exact = (mu / sig**2) * one_minus_e - (delta / sig) * np.exp(-x)
         i1 = np.where(small, series, exact)

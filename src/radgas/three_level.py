@@ -56,7 +56,8 @@ class ThreeLevelParams:
     gamma1/gamma2 are the line weights (gamma1 + gamma2 = 1), eps the level
     spacing, and P12/P23 the nonelastic exchange rates of the two channels at
     the background temperature (computable from the collision reduction or
-    supplied directly).
+    supplied directly).  The absorption kappa must have a finite square, as
+    the ray sweep squares it.
     """
 
     gamma1: float
@@ -75,6 +76,8 @@ class ThreeLevelParams:
         for name in ("eps", "T0", "rho0", "P12", "P23"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not math.isfinite(self.kappa * self.kappa):
+            raise ValueError(f"absorption kappa must have a finite square, got {self.kappa}")
 
     @property
     def q(self) -> float:
@@ -180,8 +183,9 @@ def solve_three_level(
     GMRES needs no contraction, so it converges where kappa*L is so large
     that the escape rounds away: alpha times T's largest row sum is
     1 + 1.6e-15 at kappa 256, where it takes about 270 products at n_y 4097.
-    Raises SingularDenominator when the coupling G_p = q/(1 - q), q =
-    exp(-2*eps/T0) rounding to 1, or the absorption kappa is not finite.
+    Raises SingularDenominator when the coupling G_p = q/(1 - q) is not
+    finite (q = exp(-2*eps/T0) rounds to 1), and SingularSystem when the
+    node matrix is rank deficient.
     """
     q = params.q
     g1, g2 = params.gamma1, params.gamma2
@@ -203,14 +207,14 @@ def solve_three_level(
         raise SingularDenominator(
             f"coupling G_p = {G_p} at T0 {params.T0}, eps {params.eps}: 1 - exp(-2*eps/T0) rounds to 0"
         )
-    if not math.isfinite(params.kappa):
-        raise SingularDenominator(f"absorption kappa = {params.kappa} at eps {params.eps}, rho0 {params.rho0}")
     local = _node_matrix(params, G_p)
-    scale = np.prod([np.linalg.norm(local[i]) for i in range(3)])
-    det = float(np.linalg.det(local))
-    if abs(det) <= 1e-12 * scale:
+    # |det| against prod(|row|), a test no scaling of a row changes; each row
+    # is scaled by a power of two near its largest entry, so no norm overflows
+    rows = np.ldexp(local, -np.frexp(np.max(np.abs(local), axis=1, keepdims=True))[1])
+    det = float(np.linalg.det(rows))
+    if abs(det) <= 1e-12 * np.prod(np.linalg.norm(rows, axis=1)):
         raise SingularSystem(
-            f"node matrix is rank deficient (det = {det:.3e}); rows = {local.tolist()}"
+            f"node matrix is rank deficient (det of the scaled rows = {det:.3e}); rows = {local.tolist()}"
         )
 
     # angular integral of h: M_src @ src + b_I, src = c_src @ sigma

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import radgas.cli
 import radgas.domain3d
+import radgas.kinetic
 import radgas.picard
 import radgas.slab
 import radgas.three_level
@@ -536,6 +537,7 @@ class TestRun:
             (["verify", "--rho1=1e300"], "MaxwellianState: rho must have a finite square"),
             (["three-level", "--slab-l=1e300"], "SlabGrid: L must have a finite square"),
             (["domain3d", "--radius=1e300"], "ConvexDomain: radius must have a finite square"),
+            (["three-level", "--rho0=1e300"], "ThreeLevelParams: absorption kappa must have a finite square"),
             # a temperature whose complex step T*2^-60 is subnormal or 0
             (["verify", "--t-entropy=1e-305"], "key 't_entropy' needs temperatures >= 2^-962"),
             (["verify", "--t-entropy=1,1e-307"], "key 't_entropy' needs temperatures >= 2^-962"),
@@ -756,6 +758,50 @@ class TestRun:
         assert caught == []
         err = capsys.readouterr().err
         assert err.startswith("solver error: coupling G_p = inf at T0 ") and err.count("\n") == 1
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "option, code",
+        [("--rho0=2e154", 1), ("--p12=1e300", 0), ("--p23=1e300", 0)],
+        ids=["kappa-1e154", "p12-huge", "p23-huge"],
+    )
+    def test_extreme_three_level_runs_clean(self, tmp_path, option, code):
+        # kappa 1.0e154 has a finite square: the ray sweep forms no power of a
+        # large optical depth, and the run ends unconverged; a huge rate is no
+        # rank deficiency, and the run converges
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(SMALL_RUNS["three-level"] + [option, "--out", str(out)]) == code
+        assert caught == []
+        assert json.loads((out / "report.json").read_text())["converged"] is (code == 0)
+
+    def test_verify_at_a_tiny_c0_runs_clean(self, tmp_path):
+        # c0 cancels from the detailed-balance residual, so a c0 whose F1 F1
+        # products would underflow passes
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(SMALL_RUNS["verify"] + ["--c0=1e-160", "--out", str(tmp_path / "run")]) == 0
+        assert caught == []
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--c0=1e-300"], "P11, P21, A must be positive"),
+            (["--c0=5e153"], "non-finite functional: "),
+            (["--c0=1e150", "--rho1=1e10"], "non-finite reduced exchange rates "),
+        ],
+        ids=["c0-tiny", "c0-huge", "rates-overflow"],
+    )
+    def test_unusable_reduced_rates_stop_verify_before_sampling(self, tmp_path, monkeypatch, capsys, options, message):
+        monkeypatch.setattr(radgas.kinetic, "verify_checks", lambda *args: pytest.fail("sampled"))
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(SMALL_RUNS["verify"] + options + ["--out", str(out)]) == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"solver error: {message}") and err.count("\n") == 1
         assert not (out / "report.json").exists()
 
     def test_threads_flag_removed(self, capsys):
@@ -1021,7 +1067,9 @@ def test_random_small_runs_end_cleanly(subcommand, data):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "run")
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        # a RuntimeWarning (an overflow or 0/0 on the way) fails the run
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(argv + ["--out", out])
         assert code in (0, 1, 2), argv
         if code == 2:

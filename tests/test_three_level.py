@@ -323,17 +323,19 @@ class TestSolveThreeLevel:
             solve_three_level(0.0, DRIVE_BC, p, GRID, ANGLES)
 
     @pytest.mark.parametrize(
-        "params, message",
+        "params, error, message",
         [
-            (dict(T0=1e300), "coupling G_p = inf"),
-            (dict(eps=1e-300), "coupling G_p = inf"),
-            (dict(eps=1e300, rho0=1e300), "absorption kappa = inf"),
+            (dict(T0=1e300), SingularDenominator, "coupling G_p = inf"),
+            (dict(eps=1e-300), SingularDenominator, "coupling G_p = inf"),
+            # a kappa whose square overflows is refused when the parameters are built
+            (dict(eps=1e300, rho0=1e300), ValueError, "kappa must have a finite square, got inf"),
+            (dict(rho0=1e300), ValueError, "kappa must have a finite square, got 5.1"),
         ],
-        ids=["t0-huge", "eps-tiny", "kappa-overflows"],
+        ids=["t0-huge", "eps-tiny", "kappa-overflows", "kappa-square-overflows"],
     )
-    def test_non_finite_coupling_is_a_singular_denominator(self, recwarn, params, message):
-        p = ThreeLevelParams(**{**vars(PARAMS), **params})
-        with pytest.raises(SingularDenominator, match=message):
+    def test_non_finite_coupling_is_a_singular_denominator(self, recwarn, params, error, message):
+        with pytest.raises(error, match=message):
+            p = ThreeLevelParams(**{**vars(PARAMS), **params})
             solve_three_level(0.0, DRIVE_BC, p, GRID, ANGLES)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
