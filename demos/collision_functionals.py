@@ -2,11 +2,12 @@
 
 The number/energy exchange between ground and excited molecules reduces, for
 the simplified hard-sphere kernel, from 6-fold velocity integrals to 3-fold
-integrals in (r, rho, theta), summed over one radial axis.  The Monte Carlo of `radgas verify` is the
-independent referee: it samples the defining integrals through the weak form
-of the collision operator, and its mass- and energy-exchange columns must
-match the calibrated reduced closed forms (one sqrt(T1) and the constant
-c0^2 restored) to Monte Carlo accuracy.  Also prints the auxiliary functions
+integrals in (r, rho, theta), summed over one radial axis.  The randomly
+shifted lattice rule of `radgas verify` is the independent referee: it
+integrates the defining integrals through the weak form of the collision
+operator, and its mass- and energy-exchange columns must match the
+calibrated reduced closed forms (one sqrt(T1) and the constant c0^2
+restored) to within its standard errors.  Also prints the auxiliary functions
 H, S, L the level-curve scan consumes.
 """
 
@@ -21,8 +22,8 @@ consts = PhysConsts(epsilon0=1.0, sigma=1.0)
 plan = McPlan(n_samples=400_000, seed=1)
 rest = np.zeros(3)
 
-print("weak-form Monte Carlo of verify against the calibrated reduced integrals:")
-print("  row     (T1, T2)      Monte Carlo               reduced          sigmas")
+print("weak-form lattice estimates of verify against the calibrated reduced integrals:")
+print("  row     (T1, T2)      lattice rule              reduced          sigmas")
 # the default verify pair, then T2 above and below T1 on the level-curve window
 for (rho1, T1), (rho2, T2) in [((1.3, 4.0), (0.4, 7.0)), ((1.0, 10.0), (0.5, 12.0)), ((1.0, 12.0), (0.5, 10.0))]:
     pair = [MaxwellianState(rho1, rest, T1), MaxwellianState(rho2, rest, T2)]

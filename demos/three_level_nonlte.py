@@ -18,7 +18,7 @@ linearized Boltzmann ratio -- LTE recovered.
 import numpy as np
 
 from radgas.slab import AngleGrid, BoundaryProfile, SlabGrid
-from radgas.three_level import ThreeLevelParams, constant_state, lte_deviation, solve_three_level
+from radgas.three_level import ThreeLevelParams, constant_state, lte_deviation, non_lte_curvature, solve_three_level
 
 params = ThreeLevelParams(gamma1=0.7, gamma2=0.3, eps=1.0, T0=2.0, rho0=1.0, P12=1.0, P23=1.0)
 grid = SlabGrid(L=1.0, n_y=65)
@@ -34,8 +34,9 @@ dev, where = lte_deviation(sol)
 print(f"\ndriven run (one-sided h boundary 0.1):")
 print(f"  direct vs Picard gap: {sol.path_gap:.2e} ({sol.picard_iterations} GMRES residuals)")
 print(f"  equation residuals: {sol.eq1_residual:.1e} / {sol.eq2_residual:.1e} / {sol.eq3_residual:.1e}")
-print(f"  non-LTE deviation max |sigma_i - sigma_j| = {dev:.4f} "
-      f"(pair {where['pair']} at y = {where['y']:.3f})")
+print(f"  non-LTE deviation max |sigma_j - sigma_i - (j - i) beta| = {dev:.4f} "
+      f"(pair {where['pair']} at y = {where['y']:.3f}), beta = (2eps/T0) xi")
+print(f"  non-LTE curvature max |sigma1 - 2 sigma2 + sigma3| = {non_lte_curvature(sol):.4f}")
 print("\n  y      sigma1     sigma2     sigma3")
 for i in range(0, grid.n_y, 16):
     print(f"  {grid.y[i]:.2f}  {sol.sigma1[i]:+.5f}  {sol.sigma2[i]:+.5f}  {sol.sigma3[i]:+.5f}")
@@ -48,4 +49,5 @@ sol2 = solve_three_level(xi_star, boundary, p2, grid, angles)
 beta = 2 * p2.eps / p2.T0 * xi_star
 print(f"  max |sigma2 - sigma1 - (2eps/T0) xi| = {np.max(np.abs(sol2.sigma2 - sol2.sigma1 - beta)):.2e}")
 print(f"  max |sigma3 - sigma2 - (2eps/T0) xi| = {np.max(np.abs(sol2.sigma3 - sol2.sigma2 - beta)):.2e}")
+print(f"  non-LTE deviation {lte_deviation(sol2)[0]:.2e}, curvature {non_lte_curvature(sol2):.2e}")
 print("  -> densities in the linearized Boltzmann ratio at every node (LTE)")

@@ -133,7 +133,7 @@ _SCHEMAS = {
     },
     "verify": {
         **{key: _COMMON_SCHEMA[key] for key in ("epsilon0", "c0", "c0_kernel")},
-        "n_samples": (int, 10**6, "Monte Carlo samples per estimator"),
+        "n_samples": (int, McPlan.n_samples, "at least this many lattice points per side"),
         "n_tuples": (int, 10**5, "tuples for the detailed-balance sweep"),
         "t_lte": (float, 5.0, "temperature of the LTE annihilation check"),
         "t1": (float, 4.0, "ground temperature of the generic pair"),
@@ -301,10 +301,7 @@ def _slab_profile(key: str, spec: str):
         return BoundaryProfile.from_function(lambda mu: mu, "cos")
     if spec == "uniform":
         return BoundaryProfile.constant(1.0 / (2.0 * math.pi))
-    value = _finite(key, spec, "cos|uniform|zero or a finite number")
-    if value < 0:
-        raise ConfigError(f"key {key!r}: constant intensity {spec!r} is negative")
-    return BoundaryProfile.constant(value)
+    return BoundaryProfile.constant(_finite(key, spec, "cos|uniform|zero or a finite number"))
 
 
 def _consts(values):
@@ -608,7 +605,7 @@ def _run_nonexist(config: RunConfig, art: _Artifacts) -> int:
 
 
 def _run_three_level(config: RunConfig, art: _Artifacts) -> int:
-    from .three_level import lte_deviation, solve_three_level
+    from .three_level import lte_deviation, non_lte_curvature, solve_three_level
 
     p = config.inputs
     xi = np.full(p.grid.n_y, p.xi_const)
@@ -631,6 +628,7 @@ def _run_three_level(config: RunConfig, art: _Artifacts) -> int:
             "eq3_residual": sol.eq3_residual,
             "lte_deviation": dev,
             "lte_deviation_at": where,
+            "non_lte_curvature": non_lte_curvature(sol),
             "picard_iterations": sol.picard_iterations,
             "converged": sol.converged,
         },
@@ -639,7 +637,7 @@ def _run_three_level(config: RunConfig, art: _Artifacts) -> int:
 
 
 def _run_verify(config: RunConfig, art: _Artifacts) -> int:
-    from .kinetic import entropy_identity_check, exchange_reduced, verify_checks
+    from .kinetic import GATE_QUANTILE, LATTICE_POINTS, entropy_identity_check, exchange_reduced, verify_checks
 
     p = config.inputs
     consts = p.consts
@@ -648,7 +646,7 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
     reduced = exchange_reduced(*p.generic_pair, consts)
     # detailed balance on a Boltzmann-ratio pair; weak-form conservation and
     # mass and energy exchange on the generic pair and the kernel of the
-    # linearized operator at LTE, from one draw per side
+    # linearized operator at LTE, from one lattice pass per side
     res, (conservation, exchange, kernel) = verify_checks(
         p.lte_pair, p.n_tuples, p.generic_pair, p.lte_at_rest, p.plan, consts
     )
@@ -672,7 +670,7 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
                 "mc": est.value,
                 "std_error": est.std_error,
                 "reduced": red,
-                "pass": bool(abs(est.value - red) <= 3.0 * est.std_error),
+                "pass": est.consistent_with(red),
             }
         )
 
@@ -690,7 +688,8 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
     )
 
     all_pass = all(c["pass"] for c in checks)
-    art.json("report.json", {"checks": checks, "all_pass": all_pass})
+    plan = {"n_shifts": p.plan.n_shifts, "lattice_points": LATTICE_POINTS, "gate_quantile": GATE_QUANTILE}
+    art.json("report.json", {"checks": checks, "all_pass": all_pass, "plan": plan})
     lines = [f"{c['name']:28s} {'PASS' if c['pass'] else 'FAIL'}" for c in checks]
     with open(os.path.join(art.out_dir, "report.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,43 +1,50 @@
-"""Monte Carlo verification of the kinetic-level identities.
+"""Lattice-rule verification of the kinetic-level identities.
 
 The estimators integrate the symmetrized weak form of the nonelastic
-collision operators over sampled collision tuples.  The loss product is
-sampled in pre-collision coordinates (both molecules from the ground-state
-Maxwellian, channel open only above threshold) and the gain product in
-post-collision coordinates (excited x ground, always open); each tuple is
-completed through the exact kinematics, so conservation of molecule number,
-momentum, and total energy holds per sample up to floating-point rounding.
-A nonzero residual therefore points at a kinematics or kernel bug, not at
-Monte Carlo noise.
+collision operators over collision tuples.  The loss product is formed in
+pre-collision coordinates (both molecules from the ground-state Maxwellian,
+channel open only above threshold) and the gain product in post-collision
+coordinates (excited x ground, always open); each tuple is completed
+through the exact kinematics, so conservation of molecule number, momentum,
+and total energy holds per tuple up to floating-point rounding.  A nonzero
+residual therefore points at a kinematics or kernel bug, not at sampling
+noise.
 
-Sampling uses the Maxwellians themselves as proposals (unit weights).  Each
-batch draws its standard normals from an RNG keyed by (seed, side, batch), so
-reports are reproducible bit for bit for a fixed plan and every estimator
-sees the same random numbers.  One draw per side therefore serves several
-estimators at once (`verify_checks`: conservation, mass and energy
-exchange, and the kernel of L): each forms its collision tuples from its own
-Maxwellians, in row chunks of the batch, and feeds its whole vector of test
-functions, so memory stays bounded by the batch and the chunk whatever the
-sample count.  Only test functions whose change varies across tuples take a
-row: the one whose change is 1 on every tuple (an excited molecule made) is
-estimated from the weight sums, and molecule number, whose change is 0.0
-exactly, is not estimated.
+The tuples sit on a randomly shifted rank-1 lattice (Korobov 1959; Cranley
+and Patterson 1976; Sloan and Joe, *Lattice Methods for Multiple
+Integration*, 1994; L'Ecuyer and Lemieux 2000): LATTICE_POINTS points in 8
+dimensions, mapped to the two molecules' standard normals by three
+Box-Muller pairs and to a uniform scattering direction by (cos theta, phi),
+with the Maxwellians as proposals (unit weights).  Each shifted copy gives
+an unbiased estimate.  Each side takes R >= 16 shifts, shift r keyed by
+(seed, side, r), so reports are reproducible bit for bit for a fixed plan
+and every estimator sees the same points.  Loss shift r is paired with gain
+shift r; the R differences are independent, so their mean and its standard
+error carry R - 1 degrees of freedom, and every gate takes the Student-t
+quantile for 15 of them (GATE_QUANTILE), at the 0.27% rate of 3 sigma.
+
+One pass over the points per side serves several estimators at once
+(`verify_checks`: conservation, mass and energy exchange, and the kernel of
+L): each forms its collision tuples from its own Maxwellians, in row chunks
+of the lattice, and feeds its whole vector of test functions, so memory
+stays bounded by the chunk whatever the number of shifts.  Only test
+functions whose change varies across tuples take a row: the one whose
+change is 1 on every tuple (an excited molecule made) is estimated from the
+weight sums, and molecule number, whose change is 0.0 exactly, is not
+estimated.
 
 The loss and gain sides share no running total, so they run at once: the
 loss side on one worker thread, the gain side on the calling thread.  Each
-side adds its batches to its own sums in batch order, so the estimates do
-not depend on the threads' timing.  Each side draws a batch's `za`/`zb`
-normals into one reused buffer, and its `omega` normals, which come last in
-the batch's stream, one chunk at a time.  A chunk's tuples and test
-functions live in contiguous (3, c) coordinate rows and (k, c)
-test-function rows that each thread allocates once; every step writes them
-with `out=` in the order of the (c, 3) expressions it replaced, so every sum
-keeps its bits.
+side adds its shifts to totals of their own, so the estimates do not depend
+on the threads' timing.  A chunk's points, tuples and test functions live
+in contiguous coordinate rows and (k, c) test-function rows that each
+thread allocates once; every tuple step writes them with `out=` in the order
+of the (c, 3) expressions it replaced.
 
-The detailed-balance sweep of `radgas verify` (`_balance_sweep`) runs on
-the same rows after both sides: the loss-side tuples of `_tuple_chunk` and
-the squared speeds of `_moment_change` give F1(v1) F1(v2) - F2(v3) F1(v4)
-tuple by tuple.
+The detailed-balance sweep of `radgas verify` (`_balance_sweep`) draws its
+own pseudo-random pairs and runs on the same rows after both sides: the
+loss-side tuples of `_tuple_chunk` and the squared speeds of
+`_moment_change` give F1(v1) F1(v2) - F2(v3) F1(v4) tuple by tuple.
 """
 
 from __future__ import annotations
@@ -58,19 +65,31 @@ __all__ = [
     "entropy_identity_check",
 ]
 
-_BATCH = 1 << 17
 _CHUNK = 1 << 13
-#: An estimate is consistent with zero within _N_SIGMA standard errors plus
-#: _FLOOR, which absorbs the rounding of a per-sample-exact cancellation.
-_N_SIGMA = 3.0
+#: The weak-form pass integrates over a rank-1 Korobov lattice of
+#: LATTICE_POINTS points in 8 dimensions, generating vector (1, a, ..., a^7)
+#: mod LATTICE_POINTS with a = _KOROBOV_A, randomised by at least
+#: _MIN_SHIFTS independent shifts per side.
+LATTICE_POINTS = 8191
+_KOROBOV_A = 7475
+_MIN_SHIFTS = 16
+#: The Student-t quantile for 15 degrees of freedom at two-sided 0.27%, the
+#: rate of 3 sigma for a normal: an estimate from R >= 16 paired shifts has
+#: R - 1 >= 15 degrees of freedom, so the gate is exact at R = 16 and
+#: conservative above.
+GATE_QUANTILE = 3.5863863970086136
+#: A consistent-with-zero gate adds _FLOOR, which absorbs the rounding of a
+#: per-tuple-exact cancellation.
 _FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
 class McPlan:
-    """Sample count and seed; proposals are the species Maxwellians."""
+    """At least `n_samples` lattice points per side, as whole shifts of the
+    lattice (`n_shifts`, at least 16), and the seed that keys the shifts;
+    proposals are the species Maxwellians."""
 
-    n_samples: int = 10**6
+    n_samples: int = _MIN_SHIFTS * LATTICE_POINTS
     seed: int = 0
 
     def __post_init__(self):
@@ -79,14 +98,24 @@ class McPlan:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
+    @property
+    def n_shifts(self) -> int:
+        return max(_MIN_SHIFTS, -(-self.n_samples // LATTICE_POINTS))
+
 
 @dataclass
 class Estimate:
+    """A mean over paired random shifts and its standard error."""
+
     value: float
     std_error: float
 
+    def consistent_with(self, reference: float, floor: float = 0.0) -> bool:
+        """|value - reference| within GATE_QUANTILE standard errors plus `floor`."""
+        return abs(self.value - reference) <= GATE_QUANTILE * self.std_error + floor
+
     def consistent_with_zero(self) -> bool:
-        return abs(self.value) <= _N_SIGMA * self.std_error + _FLOOR
+        return self.consistent_with(0.0, _FLOOR)
 
 
 class _Rows:
@@ -95,12 +124,15 @@ class _Rows:
     rows: two threads queue for the GIL between numpy calls, so the number
     of calls costs as much CPU as their length.
 
-    `v` holds the chunk's (v3, v4, v1, v2), each as (3, c) coordinate rows;
-    `kw` holds k (then the squared weight), the weight and |v1 - v2|^2.  `samples` is the scratch of
-    the tuple steps until it takes the test functions.
+    `z` holds a lattice chunk's za, zb and unit omega, 9 coordinate rows
+    (`_lattice_chunk`); `v` holds the chunk's (v3, v4, v1, v2), each as (3, c)
+    coordinate rows; `kw` holds k, the weight and |v1 - v2|^2.  `samples` is
+    the scratch of the point and tuple steps until it takes the test
+    functions.
     """
 
     def __init__(self, n_cols):
+        self.z = np.empty((9, _CHUNK))
         self.v = np.empty((4, 3, _CHUNK))
         self.kw = np.empty((3, _CHUNK))
         self.open = np.empty(_CHUNK, dtype=bool)
@@ -249,57 +281,113 @@ def _balance_sweep(lte_pair, n_tuples, seed, consts):
     return float(np.max(chunk_max)) if chunk_max else None
 
 
-def _batch_normals(rng, size, pair, omega):
-    """The row chunks ((za, zb), omega) of one batch's standard normals, in
-    the stream order of ``rng.standard_normal((3, size, 3))``: za and zb are
-    drawn whole into the reused buffer `pair` (at least 6 * size floats) and
-    yielded as one (2, c, 3) view per chunk, then omega one chunk at a time
-    into the reused (_CHUNK, 3) buffer `omega`."""
-    zab = rng.standard_normal(out=pair[: 6 * size].reshape(2, size, 3))
-    for lo in range(0, size, _CHUNK):
-        om = rng.standard_normal(out=omega[: min(_CHUNK, size - lo)])
-        yield zab[:, lo : lo + len(om)], om
+def _lattice_table():
+    """The (8, LATTICE_POINTS) unshifted lattice: row j holds (k z_j mod n) / n
+    for k = 0 .. n - 1, with n = LATTICE_POINTS and z_j = a^j mod n, the
+    products taken in exact int64 arithmetic."""
+    n = LATTICE_POINTS
+    z = np.array([pow(_KOROBOV_A, j, n) for j in range(8)], dtype=np.int64)
+    return (z[:, None] * np.arange(n, dtype=np.int64) % n) / n
+
+
+def _lattice_chunk(table, delta, rows):
+    """The normals ((za, zb), omega) of one chunk of the lattice shifted by
+    `delta`, in the (2, c, 3) and (c, 3) layout `_tuple_chunk` reads, as views
+    of the 9 rows `rows.z`; `table` holds the chunk's (8, c) columns of
+    `_lattice_table`.
+
+    Coordinate j is u_j = frac(table_j + delta_j), in [0, 1).  Three
+    Box-Muller pairs on (u0, u1), (u2, u3) and (u4, u5) give the six normals
+    of za and zb, r cos(2 pi u_odd) and r sin(2 pi u_odd) with r = sqrt(-2
+    log(1 - u_even)): 1 - u lies in (0, 1], so r is finite, and 0 at u = 0.
+    The scattering direction has cos(theta) = 2 u6 - 1, sin(theta) = 2
+    sqrt(u6 (1 - u6)) and phi = 2 pi u7, uniform on the sphere."""
+    c = table.shape[1]
+    z = rows.z[:, :c]
+    u = z[:8]
+    np.add(table, delta[:, None], out=u)
+    np.subtract(u, 1.0, out=u, where=u >= 1.0)
+    # radii into rows 0, 2 and 4, angles into rows 1, 3 and 5, then the
+    # normals r cos and r sin in their place
+    radius, angle, cosine = u[0:6:2], u[1:6:2], rows.samples[:3, :c]
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * math.pi
+    np.cos(angle, out=cosine)
+    np.sin(angle, out=angle)
+    angle *= radius
+    radius *= cosine
+    # the direction into rows 6 to 8
+    u6, phi, cos_theta, sin_theta = z[6], z[7], z[8], rows.kw[0, :c]
+    np.multiply(u6, 2.0, out=cos_theta)
+    cos_theta -= 1.0
+    np.subtract(1.0, u6, out=sin_theta)
+    sin_theta *= u6
+    np.sqrt(sin_theta, out=sin_theta)
+    sin_theta *= 2.0
+    phi *= 2.0 * math.pi
+    np.cos(phi, out=u6)
+    u6 *= sin_theta
+    np.sin(phi, out=phi)
+    phi *= sin_theta
+    return z[:6].reshape(2, 3, c).transpose(0, 2, 1), z[6:].T
 
 
 def _add_chunk(acc, problem, consts, side, normals, rows):
-    """Adds one chunk's row sums of w*D and (w*D)^2 and its sums of w and
-    w*w to the problem's running totals `acc`, the weights w scaled by 2^-e
-    for the problem's (state1, state2, change, n_cols, e)."""
+    """Adds one chunk's sum of w and its row sums of w*D to the totals `acc`
+    of one shift, the weights w scaled by 2^-e for the problem's (state1,
+    state2, change, n_cols, e)."""
     state1, state2, change, n_cols, exponent = problem
     weight, v = _tuple_chunk(state1, state2, consts, side, normals, rows, exponent)
     c = len(weight)
-    # the D = 1 column: w and w*w are its w*D and (w*D)^2 bit for bit, and
-    # a row sum is the same pairwise sum of the same contiguous values
-    acc[2] += float(weight.sum())
-    acc[3] += float(np.multiply(weight, weight, out=rows.kw[0, :c]).sum())
+    # the D = 1 column: w is its w*D bit for bit, and a row sum is the same
+    # pairwise sum of the same contiguous values
+    acc[0] += float(weight.sum())
     samples = rows.samples[:n_cols, :c]
     change(v, samples)
     samples *= weight
     # a row sum reads that row alone, so a problem's estimates do not
     # depend on which other rows ride along
-    acc[0] = acc[0] + samples.sum(axis=1)
-    samples *= samples
     acc[1] = acc[1] + samples.sum(axis=1)
 
 
-def _add_side(side_sums, problems, consts, plan, side, default_rng):
-    """Adds every batch of `side` to the running totals of each problem,
-    drawing the batches' normals from the generators `default_rng` makes
-    into buffers of this side's own."""
-    n = plan.n_samples
-    pair, omega = np.empty(6 * _BATCH), np.empty((_CHUNK, 3))
+def _add_side(side_sums, problems, consts, plan, side, table, default_rng):
+    """Adds the points of each of `side`'s shifted lattices to that shift's
+    totals of each problem, shift by shift, the shift keyed by (seed, side,
+    shift) in the generators `default_rng` makes."""
     rows = _Rows(max(problem[3] for problem in problems))
-    for b, start in enumerate(range(0, n, _BATCH)):
-        rng = default_rng([plan.seed, side, b])
-        for zab, om in _batch_normals(rng, min(_BATCH, n - start), pair, omega):
-            _normalize(om, rows)
-            for acc, problem in zip(side_sums, problems):
-                _add_chunk(acc, problem, consts, side, (zab, om), rows)
+    for shift, shift_sums in enumerate(side_sums):
+        delta = default_rng([plan.seed, side, shift]).random(8)
+        for lo in range(0, LATTICE_POINTS, _CHUNK):
+            normals = _lattice_chunk(table[:, lo : lo + _CHUNK], delta, rows)
+            for acc, problem in zip(shift_sums, problems):
+                _add_chunk(acc, problem, consts, side, normals, rows)
+
+
+def _paired_estimates(loss, gain, exponent) -> list:
+    """One Estimate per row of the (k, R) per-shift sums `loss` and `gain`,
+    paired by shift: d_r = (L_r - G_r) / n, the mean of d and its standard
+    error sd(d) / sqrt(R), with R - 1 degrees of freedom, both scaled by
+    2^exponent.  Row 0 holds the weight sums; each row is summed as one
+    contiguous row, so a row's estimate does not depend on the others."""
+    n_shifts, points = loss.shape[1], loss.shape[1] * LATTICE_POINTS
+    d = (loss - gain) / LATTICE_POINTS
+    mean = d.sum(axis=1) / n_shifts
+    d -= mean[:, None]
+    d *= d
+    se = np.sqrt(d.sum(axis=1) / (n_shifts - 1) / n_shifts)
+    # rounding floor: the weak-form weights carry ~1e-16 relative noise, so a
+    # per-tuple-exact cancellation still reports a positive error
+    mean_weight = (loss[0].sum() + gain[0].sum()) / points
+    se = np.maximum(se, 1e-16 * mean_weight / math.sqrt(points))
+    return [Estimate(float(m), float(s)) for m, s in zip(np.ldexp(mean, exponent), np.ldexp(se, exponent))]
 
 
 def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
-    """Loss-side minus gain-side Monte Carlo estimates of <phi, K_non.el[F]>,
-    one list of n_cols + 1 Estimates per problem (state1, state2, change,
+    """Loss-side minus gain-side lattice estimates of <phi, K_non.el[F]>, one
+    list of n_cols + 1 Estimates per problem (state1, state2, change,
     n_cols): first the test functions (0, 1), whose change D = 1 on every
     tuple, from the weight sums, then one per column of `change`.
 
@@ -307,57 +395,51 @@ def _weak_form_moments(problems, consts: PhysConsts, plan: McPlan) -> list:
     functions, D = phi2(v3) + phi1(v4) - phi1(v1) - phi1(v2) with phi1
     (ground) and phi2 (excited), into the rows of the (n_cols, c) array
     `out`; `v` holds the (4, 3, c) coordinate rows of (v3, v4, v1, v2), which
-    it may overwrite (`_moment_change`).  Each (seed, side, batch) block of
-    standard normals is drawn once and serves every problem: walking it in
-    row chunks, each problem forms the chunk's collision tuples from its own
-    Maxwellians and adds the row sums of w*D and (w*D)^2 to its running
-    totals.
+    it may overwrite (`_moment_change`).
 
-    Each thread owns one normals buffer (6 * _BATCH floats, 6 MiB) and one
-    `_Rows` set (23 rows of _CHUNK floats with the omega buffer, 1.4 MiB): a
-    chunk's tuples and test functions are written into those rows with
-    `out=`, in the order of the (c, 3) expressions they replace, so every
-    sum keeps its bits.  The drawn za/zb are read in place, as strided
-    (3, c) views, and not copied into rows of their own.  The loss side
-    runs on one worker thread and the gain side on the calling thread
-    (`twothreads.on_two_threads`): the worker is always joined, and its
-    exception re-raised here.  A default `verify` pass peaks at 15.1 MiB
-    of traced memory.
+    Each side integrates over `plan.n_shifts` copies of the rank-1 lattice
+    (`_lattice_table`), shift r moved by a uniform 8-vector keyed by (seed,
+    side, r).  Each chunk of a shifted lattice is mapped to normals once
+    (`_lattice_chunk`) and serves every problem: each forms the chunk's
+    collision tuples from its own Maxwellians and adds its sums of w and of
+    w*D to that shift's totals.  Shift r of the loss side is paired with
+    shift r of the gain side (`_paired_estimates`); the shifts are
+    independent, so the R differences are too, and each estimate has R - 1
+    degrees of freedom.
+
+    Each thread owns one `_Rows` set (29 rows of _CHUNK floats, 1.8 MiB): a
+    chunk's points, tuples and test functions are written into those rows
+    with `out=`, every tuple step in the order of the (c, 3) expressions it
+    replaced.  The loss side runs on one worker thread and the gain side on
+    the calling thread (`twothreads.on_two_threads`), each summing its
+    shifts into totals of their own, so the estimates do not depend on the
+    threads' timing: the worker is always joined, and its exception
+    re-raised here.  A default `verify` pass peaks at 4.3 MiB of traced
+    memory, the 0.5 MiB lattice table included.
     """
     # numpy.random is imported here, on the calling thread, before the worker
     # starts: a run that draws nothing never loads it
     from numpy.random import default_rng
 
-    n = plan.n_samples
     # a problem's weights on both sides are scaled by 2^-e, e the binary
     # exponent of its larger side prefactor, and its estimates by 2^e: exact,
-    # and no square of a weight or of a mean overflows at a large c0 or rho
+    # and no square of a difference overflows at a large c0 or rho
     exponents = [math.frexp(max(_side_prefactors(s1, s2, consts)))[1] for s1, s2, _, _ in problems]
     scaled = [(*problem, e) for problem, e in zip(problems, exponents)]
-    # per side and problem: [sum of w*D, sum of (w*D)^2, sum of w, sum of w*w];
-    # weights are >= 0
-    sums = [[[0.0, 0.0, 0.0, 0.0] for _ in problems] for _ in (0, 1)]
+    table = _lattice_table()
+    # per side, shift and problem: [sum of w, row sums of w*D]; weights are >= 0
+    sums = [[[[0.0, 0.0] for _ in problems] for _ in range(plan.n_shifts)] for _ in (0, 1)]
 
     def add_side(side):
-        _add_side(sums[side], scaled, consts, plan, side, default_rng)
+        _add_side(sums[side], scaled, consts, plan, side, table, default_rng)
 
     on_two_threads(add_side, (1, 0))  # the gain side here, the loss side on the worker
 
-    def side_estimate(total, total_sq, weight_sum, weight_sq):
-        # the D = 1 column first
-        total, total_sq = np.append(weight_sum, total), np.append(weight_sq, total_sq)
-        mean = total / n
-        se = np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
-        # rounding floor: the weak-form weights carry ~1e-16 relative noise,
-        # so a per-sample-exact cancellation still reports a positive error
-        return mean, np.maximum(se, 1e-16 * (weight_sum / n) / math.sqrt(n))
+    def per_shift(side, p):
+        # (n_cols + 1, R): the weight sums, then one row per column
+        return np.array([np.append(*shift[p]) for shift in sums[side]]).T.copy()
 
-    out = []
-    for loss, gain, e in zip(*sums, exponents):
-        (loss_mean, loss_se), (gain_mean, gain_se) = side_estimate(*loss), side_estimate(*gain)
-        se = np.sqrt(loss_se**2 + gain_se**2)
-        out.append([Estimate(float(m), float(s)) for m, s in zip(np.ldexp(loss_mean - gain_mean, e), np.ldexp(se, e))])
-    return out
+    return [_paired_estimates(per_shift(0, p), per_shift(1, p), e) for p, e in enumerate(exponents)]
 
 
 def _moment_change(v, out, excited, ground=None):
@@ -420,7 +502,7 @@ def exchange_reduced(state1: MaxwellianState, state2: MaxwellianState, consts: P
     calibrated reduced integrals (cross-module oracle).
 
     The calibrated integrals hold the kernel constant C0_kernel = 2; the
-    rates, like the Monte Carlo weights, are linear in it, so they are
+    rates, like the lattice weights, are linear in it, so they are
     scaled by C0_kernel / 2 (by exactly 1.0 at the default).  Raises
     SingularDenominator when a rate is not finite."""
     f = functionals(state1.T, state2.T, consts, mode="calibrated")
@@ -438,7 +520,7 @@ def exchange_reduced(state1: MaxwellianState, state2: MaxwellianState, consts: P
 
 def _weak_form_checks(generic_pair, lte_state, plan, consts):
     """The conservation, (mass, energy) exchange and kernel-of-L Estimates
-    of `verify_checks`, three dicts by name, from one draw per side."""
+    of `verify_checks`, three dicts by name, from one pass per side."""
     (mass, *moments, energy), kernel = _weak_form_moments(
         [_exchange_problem(*generic_pair, consts), _kernel_problem(lte_state, consts)], consts, plan
     )
@@ -454,10 +536,10 @@ def verify_checks(lte_pair, n_tuples, generic_pair, lte_state, plan, consts) -> 
     `n_tuples` sampled ground-state pairs (`_balance_sweep`, keyed by
     (plan.seed, 1)), or None when no pair is above threshold.
 
-    The rest comes from one draw per side.  The conservation and exchange
-    estimates are those of `generic_pair`.  Conservation: test functions
-    (v, v) for momentum and (|v|^2/2, |v|^2/2 + eps0) for total energy.
-    Both vanish per sampled tuple by the collision kinematics, so their
+    The rest comes from one lattice pass per side.  The conservation and
+    exchange estimates are those of `generic_pair`.  Conservation: test
+    functions (v, v) for momentum and (|v|^2/2, |v|^2/2 + eps0) for total
+    energy.  Both vanish per tuple by the collision kinematics, so their
     estimates sit at the rounding floor unless the kinematics are broken
     (molecule number, test functions (1, 1), changes by ((1 + 1) - 1) - 1 =
     0.0 exactly, so it is not estimated).  The mass exchange is the
@@ -471,7 +553,7 @@ def verify_checks(lte_pair, n_tuples, generic_pair, lte_state, plan, consts) -> 
     (from the weight sums), v - u and |v - u|^2/2; at LTE every projection
     is consistent with zero.
 
-    Every problem keys its batches by (seed, side, batch), so the results
+    Every problem keys its shifts by (seed, side, shift), so the results
     equal those of each problem estimated alone, bit for bit.  One
     two-thread pass serves all: the calling thread runs the gain side while
     the worker runs the loss side.  The detailed-balance sweep runs after

@@ -46,6 +46,7 @@ __all__ = [
     "radiation_solve_3p",
     "solve_three_level",
     "lte_deviation",
+    "non_lte_curvature",
 ]
 
 
@@ -140,6 +141,7 @@ class ThreeLevelSolution:
     h: RadiationField
     C0: float
     xi: np.ndarray
+    beta: np.ndarray  # (2 eps / T0) xi: sigma2 - sigma1 = sigma3 - sigma2 = beta in LTE
     grid: SlabGrid
     eq1_residual: float
     eq2_residual: float
@@ -253,6 +255,7 @@ def solve_three_level(
         h=h,
         C0=C0,
         xi=xi,
+        beta=(2.0 * params.eps / params.T0) * xi,
         grid=grid,
         eq1_residual=float(residuals[0]),
         eq2_residual=float(residuals[1]),
@@ -264,16 +267,23 @@ def solve_three_level(
     )
 
 
+def _finite_sigmas(solution: ThreeLevelSolution) -> bool:
+    return all(np.isfinite(s).all() for s in (solution.sigma1, solution.sigma2, solution.sigma3))
+
+
 def lte_deviation(solution: ThreeLevelSolution) -> tuple[float, dict]:
-    """Largest pairwise |sigma_i - sigma_j| over all nodes, and where it
-    occurs; NaN, at no pair or node, when a sigma is not finite."""
-    sigmas = (solution.sigma1, solution.sigma2, solution.sigma3)
-    if not all(np.isfinite(s).all() for s in sigmas):
+    """Largest deviation from the linearized Boltzmann ratio at the
+    temperature perturbation xi, over level pairs and nodes, and where it
+    occurs: max |sigma_j - sigma_i - (j - i) beta| with beta = (2 eps / T0)
+    xi, which vanishes in LTE.  NaN, at no pair or node, when a sigma is not
+    finite."""
+    if not _finite_sigmas(solution):
         return math.nan, {"pair": None, "node": None, "y": None}
+    s1, s2, s3, beta = solution.sigma1, solution.sigma2, solution.sigma3, solution.beta
     stacks = {
-        (1, 2): np.abs(solution.sigma1 - solution.sigma2),
-        (2, 3): np.abs(solution.sigma2 - solution.sigma3),
-        (1, 3): np.abs(solution.sigma1 - solution.sigma3),
+        (1, 2): np.abs(s2 - s1 - beta),
+        (2, 3): np.abs(s3 - s2 - beta),
+        (1, 3): np.abs(s3 - s1 - 2.0 * beta),
     }
     best_pair, best_idx, best_val = None, 0, -1.0
     for pair, vals in stacks.items():
@@ -285,3 +295,12 @@ def lte_deviation(solution: ThreeLevelSolution) -> tuple[float, dict]:
         "node": best_idx,
         "y": float(solution.grid.y[best_idx]),
     }
+
+
+def non_lte_curvature(solution: ThreeLevelSolution) -> float:
+    """max |sigma1 - 2 sigma2 + sigma3| over the nodes: the second difference
+    of the levels, which vanishes in LTE at any temperature perturbation, so
+    it needs no xi.  NaN when a sigma is not finite."""
+    if not _finite_sigmas(solution):
+        return math.nan
+    return float(np.max(np.abs(solution.sigma1 - 2.0 * solution.sigma2 + solution.sigma3)))

@@ -150,6 +150,84 @@ def detailed_balance_residual(state1, state2, tup: CollisionTuple, consts):
     return float(res) if np.ndim(res) == 0 else res
 
 
+def _shifted_lattice_normals(seed, side, shift):
+    """(za, zb, omega), each (n, 3), of one shifted copy of the rank-1 Korobov
+    lattice the weak-form pass integrates over: n = 8191 points with
+    generating vector (1, a, ..., a^7) mod n, a = 7475, shifted by the 8
+    uniforms of default_rng([seed, side, shift]).  Three Box-Muller pairs
+    give the six normals of za and zb, and (2 u6 - 1, 2 pi u7) the direction
+    (cos theta, phi)."""
+    n = 8191
+    z = np.array([pow(7475, j, n) for j in range(8)])
+    u = (np.arange(n)[:, None] * z % n) / n + np.random.default_rng([seed, side, shift]).random(8)
+    u = np.where(u >= 1.0, u - 1.0, u)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:, 0:6:2]))
+    angle = 2.0 * np.pi * u[:, 1:6:2]
+    normals = np.empty((n, 6))
+    normals[:, 0::2] = r * np.cos(angle)
+    normals[:, 1::2] = r * np.sin(angle)
+    cos_theta = 2.0 * u[:, 6] - 1.0
+    sin_theta = 2.0 * np.sqrt(u[:, 6] * (1.0 - u[:, 6]))
+    phi = 2.0 * np.pi * u[:, 7]
+    omega = np.column_stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta])
+    return normals[:, :3], normals[:, 3:], omega
+
+
+def _collision_tuples(state1, state2, consts, side, za, zb, omega):
+    """(weight, v1, v2, v3, v4) of the (n, 3) normals za, zb and unit omega:
+    side 0 forms the loss product (v1, v2 ground; open above threshold),
+    side 1 the gain product (v3 excited, v4 ground)."""
+    m1 = state1.rho * consts.maxwellian_mass
+    pref = 2.0 * math.pi * consts.C0_kernel
+    eps0 = consts.epsilon0
+    first = state1 if side == 0 else state2
+    a = first.u + math.sqrt(first.T / 2.0) * za
+    b = state1.u + math.sqrt(state1.T / 2.0) * zb
+    d = a - b
+    rel2 = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
+    center = 0.5 * (a + b)
+    if side == 0:
+        k = np.sqrt(np.maximum(0.25 * rel2 - eps0, 0.0))
+        weight = np.where(rel2 > 4.0 * eps0, m1 * m1 * pref * np.sqrt(np.maximum(rel2 - 4.0 * eps0, 0.0)), 0.0)
+        return weight, a, b, center + k[:, None] * omega, center - k[:, None] * omega
+    kp = np.sqrt(0.25 * rel2 + eps0)
+    m2 = state2.rho * consts.maxwellian_mass
+    weight = m2 * m1 * pref * np.sqrt(rel2 + 4.0 * eps0)
+    return weight, center + kp[:, None] * omega, center - kp[:, None] * omega, a, b
+
+
+def lattice_weak_form(state1, state2, consts, seed, n_shifts, phi1, phi2):
+    """(value, std_error) per test-function column of the paired
+    shifted-lattice estimate of <phi, K_non.el[F]>, the reference for the
+    chunked, threaded pass of `kinetic._weak_form_moments`.
+
+    Each shift of each side is one whole lattice of (n, 3) expressions, its
+    weighted changes w * (phi2(v3) + phi1(v4) - phi1(v1) - phi1(v2))
+    materialized and summed column by column; `phi1` and `phi2` map (n, 3)
+    velocities to (n, k) columns.  Loss shift r is paired with gain shift
+    r: d_r = (L_r - G_r) / n, and the estimate is mean(d) with standard
+    error sd(d) / sqrt(R), floored at 1e-16 times the mean weight over
+    sqrt(R n)."""
+    n = 8191
+    sums, weights = [], []
+    for side in (0, 1):
+        per_shift = []
+        for shift in range(n_shifts):
+            normals = _shifted_lattice_normals(seed, side, shift)
+            w, v1, v2, v3, v4 = _collision_tuples(state1, state2, consts, side, *normals)
+            change = phi2(v3) + phi1(v4) - phi1(v1) - phi1(v2)
+            per_shift.append(np.ascontiguousarray((w[:, None] * change).T).sum(axis=1))
+            weights.append(w.sum())
+        sums.append(np.array(per_shift).T.copy())
+    loss, gain = sums
+    d = (loss - gain) / n
+    mean = d.sum(axis=1) / n_shifts
+    sd = np.sqrt(((d - mean[:, None]) ** 2).sum(axis=1) / (n_shifts - 1) / n_shifts)
+    points, weights = n_shifts * n, np.array(weights)
+    floor = 1e-16 * ((weights[:n_shifts].sum() + weights[n_shifts:].sum()) / points) / math.sqrt(points)
+    return [(float(m), float(s)) for m, s in zip(mean, np.maximum(sd, floor))]
+
+
 # ---------------------------------------------------------------------------
 # collision_reduction
 # ---------------------------------------------------------------------------

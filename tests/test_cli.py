@@ -297,10 +297,13 @@ class TestRun:
     # by <= 1.9e-15 relative, and when the entropy identity took its
     # derivatives by complex step: only its max_rel_error moved, from
     # 3.3e-11 to 1.5e-16, and when the number-conservation row, 0.0 on every
-    # tuple, was deleted: every other entry kept its bytes
+    # tuple, was deleted: every other entry kept its bytes, and when the
+    # weak-form pass moved to 16 shifts of a rank-1 lattice with paired
+    # errors and the report gained its `plan`: every estimate moved, and the
+    # detailed-balance, reduced and entropy entries kept their bytes
     VERIFY_REPORT_JSON = [
-        ("1", "e86ff1b01addf3a681bb45572ab4366366ff5dd882531bc4e014bfa9bc999f89"),
-        ("47", "835a5a9c7bc96a7c28a76a6aca8fe1a66c4f84edf5b148d23c499b7fda5cfb98"),
+        ("1", "5f64a2df7c664a0d39a566a5213b256f9e55d08279f8b7f5c9af7ffa37c86e6e"),
+        ("47", "86f20ec2520ea34c21e0014418de7c12453bb879336ea60ac8addc55fcd8e1bf"),
     ]
     VERIFY_REPORT_TXT = "a38f6b99f6e33f873d2f3d3866ff5d55d85af1964a0090292d1a6a8145d8e823"
 
@@ -583,8 +586,9 @@ class TestRun:
         assert len(built) == 1
 
     def test_negative_slab_profile_named(self, tmp_path, capsys):
+        # BoundaryProfile.constant holds the one rule, for --j0 of three-level too
         assert main(["slab-lte", "--j0-profile", "-1", "--out", str(tmp_path / "x")]) == 2
-        assert "'j0_profile': constant intensity '-1' is negative" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: BoundaryProfile: boundary intensity must be >= 0, got -1.0\n"
 
     def test_samples_outside_domain_named(self, tmp_path, capsys):
         assert main(["nonexist", "--domain", "ball", "--out", str(tmp_path / "x")]) == 2

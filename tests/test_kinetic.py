@@ -17,13 +17,16 @@ import radgas.kinetic
 from radgas import PhysConsts, MaxwellianState, energy_density, entropy_lambda
 from radgas.cli import main
 from radgas.kinetic import (
-    _BATCH,
     _CHUNK,
+    GATE_QUANTILE,
+    LATTICE_POINTS,
+    Estimate,
     McPlan,
     _Rows,
     _balance_sweep,
-    _batch_normals,
     _exchange_problem,
+    _lattice_chunk,
+    _lattice_table,
     _kernel_problem,
     _moment_change,
     _tuple_chunk,
@@ -33,60 +36,18 @@ from radgas.kinetic import (
     entropy_identity_check,
     exchange_reduced,
 )
-from oracles import CollisionTuple, detailed_balance_residual, energy_residual, momentum_residual, w_minus, w_plus
+from oracles import (
+    CollisionTuple,
+    detailed_balance_residual,
+    energy_residual,
+    lattice_weak_form,
+    momentum_residual,
+    w_minus,
+    w_plus,
+)
 
 CONSTS = PhysConsts(epsilon0=1.0)
 PLAN = McPlan(n_samples=200_000, seed=42)
-
-
-def _collision_batch(state1, state2, consts, side, rng, size):
-    """(weight, v1, v2, v3, v4) of one batch, drawn as three (size, 3) normal
-    blocks: side 0 draws the loss product (v1, v2 ground; open above
-    threshold), side 1 the gain product (v3 excited, v4 ground)."""
-    m1 = state1.rho * consts.maxwellian_mass
-    pref = 2.0 * math.pi * consts.C0_kernel
-    eps0 = consts.epsilon0
-    first = state1 if side == 0 else state2
-    a = first.u + math.sqrt(first.T / 2.0) * rng.standard_normal((size, 3))
-    b = state1.u + math.sqrt(state1.T / 2.0) * rng.standard_normal((size, 3))
-    omega = rng.standard_normal((size, 3))
-    omega /= np.linalg.norm(omega, axis=1, keepdims=True)
-    rel2 = np.sum((a - b) ** 2, axis=1)
-    center = 0.5 * (a + b)
-    if side == 0:
-        k = np.sqrt(np.maximum(0.25 * rel2 - eps0, 0.0))
-        weight = np.where(
-            rel2 > 4.0 * eps0, m1 * m1 * pref * np.sqrt(np.maximum(rel2 - 4.0 * eps0, 0.0)), 0.0
-        )
-        return weight, a, b, center + k[:, None] * omega, center - k[:, None] * omega
-    kp = np.sqrt(0.25 * rel2 + eps0)
-    m2 = state2.rho * consts.maxwellian_mass
-    weight = m2 * m1 * pref * np.sqrt(rel2 + 4.0 * eps0)
-    return weight, center + kp[:, None] * omega, center - kp[:, None] * omega, a, b
-
-
-def separate_pass_oracle(state1, state2, consts, plan, phi1, phi2):
-    """One estimator's own loss and gain passes: whole batches, the weighted
-    samples materialized and summed by column (the reference for the fused,
-    chunked pass)."""
-    n = plan.n_samples
-
-    def accumulate(side):
-        total = total_sq = weight_abs = 0.0
-        for b, start in enumerate(range(0, n, _BATCH)):
-            rng = np.random.default_rng([plan.seed, side, b])
-            w, v1, v2, v3, v4 = _collision_batch(state1, state2, consts, side, rng, min(_BATCH, n - start))
-            samples = w[:, None] * (phi1(v4) + phi2(v3) - phi1(v1) - phi1(v2))
-            total = total + np.sum(samples, axis=0)
-            total_sq = total_sq + np.sum(samples * samples, axis=0)
-            weight_abs += float(np.sum(np.abs(w)))
-        mean = total / n
-        se = np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
-        return mean, np.maximum(se, 1e-16 * (weight_abs / n) / math.sqrt(n))
-
-    (loss_mean, loss_se), (gain_mean, gain_se) = accumulate(0), accumulate(1)
-    se = np.sqrt(loss_se**2 + gain_se**2)
-    return [(float(m), float(e)) for m, e in zip(loss_mean - gain_mean, se)]
 
 
 def random_nonelastic_tuples(rng, n, u, T, consts):
@@ -321,9 +282,14 @@ class TestVectorTestFunctions:
             assert abs(one.value) > 3 * one.std_error
 
 
+def squared_speed(v):
+    """|v|^2 of the (n, 3) velocities `v`, summed as ((x^2 + y^2) + z^2)."""
+    return (v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]) + v[:, 2] * v[:, 2]
+
+
 def conserved_columns(v, excitation=0.0, *extra):
     """Columns 1, v, |v|^2/2 + excitation and the `extra` constants, stacked."""
-    cols = [np.ones(len(v)), v, 0.5 * np.sum(v * v, axis=1) + excitation]
+    cols = [np.ones(len(v)), v, squared_speed(v) * 0.5 + excitation]
     return np.column_stack(cols + [np.full(len(v), c) for c in extra])
 
 
@@ -334,34 +300,37 @@ class TestFusedPass:
     )
     LTE = MaxwellianState(1.0, (0.5, 0.0, -0.2), 5.0)
 
-    # 150_001 samples: a partial final batch that ends in a partial chunk
-    @pytest.mark.parametrize("n_samples", [200_000, 150_001])
-    def test_matches_separate_pass_oracle(self, n_samples):
+    # 16 shifts, the default plan, and 25, the plan of n_samples = 200_000
+    @pytest.mark.parametrize("n_samples", [16 * LATTICE_POINTS, 200_000])
+    def test_matches_per_shift_oracle(self, n_samples):
         plan = McPlan(n_samples=n_samples, seed=42)
         conservation, exchange, kernel_of_L = _weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS)
         eps0 = CONSTS.epsilon0
-        *_, mass, energy = separate_pass_oracle(
+        zeros = lambda v: np.zeros(len(v))  # noqa: E731
+        # test functions (0, 1), (v, v), (|v|^2/2, |v|^2/2 + eps0) and (0, |v|^2/2 + eps0)
+        exchange_columns = lattice_weak_form(
             *self.GENERIC,
             CONSTS,
-            plan,
-            lambda v: np.column_stack([conserved_columns(v, 0.0, 0.0), np.zeros(len(v))]),
-            lambda v: np.column_stack([conserved_columns(v, eps0, 1.0), 0.5 * np.sum(v * v, axis=1) + eps0]),
+            42,
+            plan.n_shifts,
+            lambda v: np.column_stack([zeros(v), v, squared_speed(v) * 0.5 + 0.0, zeros(v)]),
+            lambda v: np.column_stack([np.ones(len(v)), v, *[squared_speed(v) * 0.5 + eps0] * 2]),
         )
         q = math.exp(-2.0 * eps0 / self.LTE.T)
         lte2 = MaxwellianState(self.LTE.rho * q, self.LTE.u, self.LTE.T)
-        kernel = separate_pass_oracle(
+        kernel = lattice_weak_form(
             self.LTE,
             lte2,
             CONSTS,
-            plan,
+            42,
+            plan.n_shifts,
             lambda v: np.zeros((len(v), 5)),
             lambda v: conserved_columns(v - self.LTE.u),
         )
-        got = [*exchange.values(), *kernel_of_L.values()]
-        assert len(got) == 7
-        for est, (value, std_error) in zip(got, [mass, energy, *kernel]):
-            assert abs(est.value - value) <= 1e-9 * std_error
-            assert est.std_error == pytest.approx(std_error, rel=1e-9, abs=0)
+        got = [exchange["mass"], *conservation.values(), exchange["energy"], *kernel_of_L.values()]
+        want = [*exchange_columns, *kernel]
+        assert len(got) == len(want) == 11
+        assert [(e.value, e.std_error) for e in got] == want
         assert all(abs(e.value) < 1e-12 and e.consistent_with_zero() for e in conservation.values())
 
     def test_equals_separate_estimator_calls(self):
@@ -374,11 +343,11 @@ class TestFusedPass:
 
     @pytest.mark.parametrize("with_balance", [False, True], ids=["weak_form", "verify_checks"])
     def test_peak_memory_bounded(self, with_balance):
-        # one reused buffer of normals per side (2 x 2^17 x 3 floats, 6.0 MiB
-        # each, 12.0 MiB together) plus one chunk's rows per side peaks at
-        # 15.1 MiB traced, with or without the detailed-balance sweep of 10^5
-        # tuples, which runs once both buffers are freed: a second live batch
-        # or an unchunked pass exceeds the bound
+        # one chunk's rows per side (29 rows of 2^13 floats, 1.8 MiB each)
+        # and the 0.5 MiB lattice table peak at 4.4 MiB traced at 123 shifts;
+        # the detailed-balance sweep of 10^5 tuples, which draws its 4.6 MiB
+        # of pairs once both sides' rows are freed, at 6.9 MiB: a second live
+        # set of rows or the shifts' points kept whole exceed the bounds
         plan = McPlan(n_samples=10**6, seed=1)
         # the first import of numpy.random allocates about 0.7 MiB; it is
         # loaded here so the traced peak does not depend on the test order
@@ -393,7 +362,7 @@ class TestFusedPass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < (8 if with_balance else 5) * 2**20
 
 
 class TestChunkTuples:
@@ -444,8 +413,8 @@ class TestVerifyChecks:
     GENERIC, LTE = TestFusedPass.GENERIC, TestFusedPass.LTE
     PAIR = TestDetailedBalanceCheck.PAIR
 
-    # fewer tuples than a batch of samples, and more
-    @pytest.mark.parametrize("n_tuples", [20_000, _BATCH + 1])
+    # a few chunks of tuples, and many
+    @pytest.mark.parametrize("n_tuples", [20_000, 2**17 + 1])
     def test_equals_separate_calls(self, n_tuples):
         plan = McPlan(n_samples=20_000, seed=5)
         got = verify_checks(self.PAIR, n_tuples, self.GENERIC, self.LTE, plan, CONSTS)
@@ -457,21 +426,34 @@ class TestVerifyChecks:
         assert got[0] is not None
 
 
-class TestStreamedDraw:
-    # a full batch, and the partial last batch of 10^6 samples: 82,496 rows,
-    # ten full chunks and one of 576 rows
-    @pytest.mark.parametrize("side", [0, 1])
-    @pytest.mark.parametrize("b, size", [(0, _BATCH), (7, 10**6 - 7 * _BATCH)])
-    def test_equals_one_draw_of_the_batch(self, side, b, size):
-        pair, omega = np.empty(6 * _BATCH), np.empty((_CHUNK, 3))
-        chunks = [
-            [zab[0].copy(), zab[1].copy(), om.copy()]
-            for zab, om in _batch_normals(np.random.default_rng([7, side, b]), size, pair, omega)
-        ]
-        streamed = np.stack([np.concatenate(parts) for parts in zip(*chunks)])
-        want = np.random.default_rng([7, side, b]).standard_normal((3, size, 3))
-        assert np.array_equal(streamed, want)
-        assert [len(chunk[2]) for chunk in chunks][-1] == (576 if b else _CHUNK)
+class TestLatticePoints:
+    def test_gate_is_the_t_quantile(self):
+        from scipy.stats import t
+
+        assert GATE_QUANTILE == pytest.approx(t.ppf(1 - 0.00135, 15), rel=0, abs=1e-12)
+
+    def test_zero_shift_origin_gives_finite_normals(self):
+        # u = 0 at k = 0: 1 - u = 1, so the radii are 0 and the direction is
+        # the south pole
+        (za, zb), omega = _lattice_chunk(_lattice_table()[:, :_CHUNK], np.zeros(8), _Rows(1))
+        assert np.isfinite(za).all() and np.isfinite(zb).all() and np.isfinite(omega).all()
+        assert za[0].tolist() == zb[0].tolist() == [0.0, 0.0, 0.0]
+        assert omega[0].tolist() == [0.0, 0.0, -1.0]
+
+    def test_moments_pass_the_gate(self):
+        # the means of |za|^2 and |zb|^2 (3 each), of omega (0) and of
+        # omega_z^2 (1/3) on the 16 shifts of each of 20 seeds, each moment
+        # one estimate over the 320 shifts
+        table, rows = _lattice_table(), _Rows(1)
+        means = []
+        for seed in range(20):
+            for shift in range(16):
+                (za, zb), omega = _lattice_chunk(table, np.random.default_rng([seed, 0, shift]).random(8), rows)
+                squares = [np.mean(za * za) * 3, np.mean(zb * zb) * 3]
+                means.append([*squares, *np.mean(omega, axis=0), np.mean(omega[:, 2] ** 2)])
+        for column, want in zip(np.array(means).T, [3.0, 3.0, 0.0, 0.0, 0.0, 1.0 / 3.0]):
+            est = Estimate(float(np.mean(column)), float(np.std(column, ddof=1) / math.sqrt(len(column))))
+            assert est.consistent_with(want)
 
 
 class _RecordedThread(threading.Thread):

@@ -14,6 +14,7 @@ from radgas.three_level import (
     ThreeLevelParams,
     constant_state,
     lte_deviation,
+    non_lte_curvature,
     radiation_solve_3p,
     solve_three_level,
 )
@@ -368,6 +369,26 @@ class TestLteDeviation:
         sol = solve_three_level(0.0, ZERO_BC, PARAMS, GRID, ANGLES)
         dev, _ = lte_deviation(sol)
         assert dev == 0.0
+
+    def test_lte_at_xi_reports_zero(self):
+        # the gamma2 = 0 state re-solved at its LTE-consistent xi*: the levels
+        # sit in the Boltzmann ratio at xi*, though sigma2 - sigma1 = beta is not 0
+        p = ThreeLevelParams(1.0, 0.0, eps=1.0, T0=2.0, rho0=1.0, P12=1.0, P23=1.0)
+        first = solve_three_level(0.0, DRIVE_BC, p, GRID, ANGLES)
+        sol = solve_three_level(p.T0 / (2 * p.eps) * (first.sigma2 - first.sigma1), DRIVE_BC, p, GRID, ANGLES)
+        assert np.max(np.abs(sol.beta)) > 0.04
+        assert lte_deviation(sol)[0] <= 1e-12
+        assert non_lte_curvature(sol) <= 1e-12
+
+    def test_curvature_stays_in_the_thick_limit(self):
+        # kappa L from 0.51 to 33: the second difference of the levels grows
+        # from 2.57 to 3.66 and does not vanish
+        grid = SlabGrid(L=1.0, n_y=257)
+        curvature = []
+        for rho0 in (1.0, 64.0):
+            p = ThreeLevelParams(0.7, 0.3, eps=1.0, T0=2.0, rho0=rho0, P12=1.0, P23=1.0)
+            curvature.append(non_lte_curvature(solve_three_level(0.0, DRIVE_BC, p, grid, ANGLES, mass_C0=0.0)))
+        assert curvature == pytest.approx([2.5662685695876464, 3.6585743966133055], rel=1e-9)
 
     def test_mirror_invariance(self):
         sol_fwd = solve_three_level(0.0, DRIVE_BC, PARAMS, GRID, ANGLES)
