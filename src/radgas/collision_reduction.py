@@ -15,13 +15,13 @@ Each triple integral is pi^3 times the mean of its kernel over two
 independent standard 3-D normal vectors rho and r (a = |rho|^2, c = |r|^2).
 An orthogonal rotation of the pair puts the G_delta radicand on one normal
 vector alone; the other enters only through its exact moments, so every
-kernel is a Gauss-Legendre sum over one radial axis.  G_delta, F_delta and
-B2delta are summed in one pass for one T1 and a vector of T2
-(`_pair_integrals`); A_kern and B1 depend on T1 alone.
+kernel is a Gauss-Legendre sum over one radial axis.  A_kern and B1 depend
+on T1 alone; G_delta, F_delta and B2delta are summed in one pass
+(`_pair_integrals`).
 
-The functionals and H, S, L have one implementation, `_row`, for one T1 and
-a vector of T2.  `levelscan.scan` runs it on blocks of each row;
-`functionals`, `H_func`, `S_func` and `L_func` run it on a row of one node.
+The functionals and H, S, L have one implementation, `_rows`, for K values
+of T1, each with its own vector of T2.  `levelscan.scan` runs it on blocks
+of rows; `functionals`, `H_func`, `S_func` and `L_func` on one point.
 
 Two evaluation modes exist.  "printed" evaluates the reduced formulas exactly
 as stated; the level-curve scan draws its L.  "calibrated" restores the
@@ -38,9 +38,9 @@ by lambda^(-1/2); the printed L follows no such law.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -146,9 +146,10 @@ def triple_integral(kind: str, params: ReducedKernelParams, spec: TripleQuadSpec
     return float(np.add.reduce(vals * w))
 
 
-def _pair_integrals(T1: float, T2: np.ndarray, epsilon0: float, spec: TripleQuadSpec) -> tuple:
-    """The triple integral of G_delta at T2 = T1 (a float), then those of
-    G_delta, F_delta and B2delta at each entry of the vector T2 (arrays).
+def _pair_integrals(T1: np.ndarray, T2: np.ndarray, epsilon0: float, spec: TripleQuadSpec) -> tuple:
+    """For T1 of shape (K,) and T2 broadcasting to (K, m): the triple integral
+    of G_delta at T2 = T1, (K, 1), then those of G_delta, F_delta and B2delta
+    at each (T1[k], T2[k, j]), (K, m).
 
     With kappa = 4*eps0/T1 and h = 1 + delta/2 the G_delta radicand is
     r1^2 = |h*rho - (delta/2)*r|^2 + kappa.  The rotation z = (h*rho -
@@ -161,27 +162,30 @@ def _pair_integrals(T1: float, T2: np.ndarray, epsilon0: float, spec: TripleQuad
     h*a/(r1 + r2), since s^2 - 1 = delta*h, so no formula divides by delta and
     the diagonal T2 = T1 needs no special case.  At T2 = T1, s^2 = 1 exactly
     and r1 is r2, so the first sum is the G_delta sum at delta = 0, bit for bit.
-    Each row of the (len(T2), n_r) kernels sums in the order of a sum over
-    one vector, so no entry depends on the others.
+    Each row of the (K, m, n_r) kernels sums in the order of a sum over one
+    vector, so no entry depends on the others.
     """
     a, w = _quad_grid(spec)
+    T1 = T1[:, None, None]
     kappa = 4.0 * epsilon0 / T1
     r2 = np.sqrt(a + kappa)
-    T2 = T2[:, None]
+    T2 = T2[..., None]
     delta = np.sqrt(T2 / T1) - 1.0
     h = 1.0 + 0.5 * delta
     s2 = h * h + 0.25 * delta * delta
-    s_T = math.sqrt(T1) + np.sqrt(T2)
+    s_T = np.sqrt(T1) + np.sqrt(T2)
     r1 = np.sqrt(s2 * a + kappa)
-    dd = h * a / (r1 + r2)  # (r1 - r2)/delta
+    dd = h * a
+    dd /= r1 + r2  # (r1 - r2)/delta
 
-    def integral(vals):  # fixed summation order for cross-run determinism
-        return np.add.reduce(vals * w, axis=-1)
+    def integral(vals):  # of a temporary, in place; fixed summation order for cross-run determinism
+        vals *= w
+        return np.add.reduce(vals, axis=-1)
 
     # the rho.r term of B2delta: u*r2 integrates to zero, u*r1 to its mean given z
     B2 = integral(4.0 * math.pi * T2 / s_T * (0.25 * (a + 3.0) * dd - 0.25 * (h / s2) * (3.0 - a) * r1))
     G, F = integral(8.0 * math.pi * r1), integral(8.0 * math.pi / s_T * dd)
-    return float(integral(8.0 * math.pi * r2)), G, F, B2
+    return integral(8.0 * math.pi * r2), G, F, B2
 
 
 @dataclass(frozen=True)
@@ -189,8 +193,7 @@ class CollisionFunctionals:
     """The five reduced functionals at one (T1, T2) pair.
 
     P_diff and B_diff are the divided differences (P(T2,T1)-P(T1))/(T2-T1)
-    and B(T1,T2)/(T2-T1); both are regular at T2 = T1.  In a `_Row`, P11
-    and A, which depend on T1 alone, are floats and the rest arrays over T2.
+    and B(T1,T2)/(T2-T1); both are regular at T2 = T1.
     """
 
     P11: float
@@ -205,16 +208,10 @@ class CollisionFunctionals:
 _NON_FINITE, _NOT_POSITIVE, _GAP, _BRACKET = 1, 2, 3, 4
 
 
-class _Row(NamedTuple):
-    """The functionals and H, S, L at (T1, T2[j]), one entry per T2."""
-
-    funcs: CollisionFunctionals
-    H: np.ndarray
-    gap: np.ndarray
-    bracket: np.ndarray
-    S: np.ndarray
-    L: np.ndarray  # NaN where a check fails
-    fail: np.ndarray  # 0, or the first check that fails
+#: The functionals and H, S, L at each (T1[k], T2[k, j]): (K, 1) arrays for
+#: P11 and A, which depend on T1 alone, and (K, m) arrays for the rest; L is
+#: NaN where a check fails, and fail is 0 or the first check that fails.
+_Row = namedtuple("_Row", "P11 P21 P_diff A B_diff H gap bracket S L fail")
 
 
 def _vanishes(value, x, y):
@@ -222,24 +219,29 @@ def _vanishes(value, x, y):
     return np.abs(value) <= _SINGULAR_RTOL * np.maximum(np.maximum(np.abs(x), np.abs(y)), 1e-300)
 
 
-def _row(T1: float, T2: np.ndarray, consts: PhysConsts, spec: TripleQuadSpec, mode: str = "printed") -> _Row:
-    """The five functionals and H, S, L at T1 and each entry of the vector T2.
+def _rows(T1: np.ndarray, T2: np.ndarray, consts: PhysConsts, spec: TripleQuadSpec, mode: str = "printed") -> _Row:
+    """The five functionals and H, S, L at each (T1[k], T2[k, j]), for T1 of
+    shape (K,) and T2 of any shape that broadcasts to (K, m).
 
     mode="calibrated" multiplies G_delta, G_0 and B1 by sqrt(T1) and every
-    functional by c0^2 (see above); "printed" multiplies by 1, which changes
-    no bit.  A node that fails a check warns nothing; its L is NaN.
+    functional by c0^2 (see above); "printed" takes the integrals as they
+    are.  A node that fails a check warns nothing; its L is NaN.
     """
     if mode not in ("printed", "calibrated"):
         raise ValueError(f"unknown mode {mode!r}")
     eps0 = consts.epsilon0
-    p = ReducedKernelParams(T1, T1, eps0)
-    t_a, t_b1 = triple_integral("A_kern", p, spec), triple_integral("B1", p, spec)
+    per_t1 = []  # math.exp, not np.exp over T1, keeps the bits of one T1 at a time
+    for t in T1.tolist():
+        p = ReducedKernelParams(t, t, eps0)
+        per_t1.append((triple_integral("A_kern", p, spec), triple_integral("B1", p, spec), math.exp(-2.0 * eps0 / t)))
+    A, t_b1, e = np.array(per_t1).T[:, :, None]
     with np.errstate(all="ignore"):
-        t_g0, t_gd, t_fd, t_b2 = _pair_integrals(T1, T2, eps0, spec)
-        k, s1 = (consts.c0**2, math.sqrt(T1)) if mode == "calibrated" else (1.0, 1.0)
-        P11, P21, P_diff, A = k * s1 * t_g0, k * s1 * t_gd, k * t_fd, k * t_a
-        B_diff = -k * (s1 * t_b1 + t_b2)
-        e = math.exp(-2.0 * eps0 / T1)
+        P11, P21, P_diff, t_b2 = _pair_integrals(T1, T2, eps0, spec)
+        T1 = T1[:, None]
+        B_diff = -(t_b1 + t_b2)
+        if mode == "calibrated":
+            k, s1 = consts.c0**2, np.sqrt(T1)
+            P11, P21, P_diff, A, B_diff = k * s1 * P11, k * s1 * P21, k * P_diff, k * A, -k * (s1 * t_b1 + t_b2)
         H = (T2 / T1) * e * P11 / P21  # the constants of the P's cancel
         T1H = T1 * H
         gap = T2 - T1H
@@ -249,55 +251,53 @@ def _row(T1: float, T2: np.ndarray, consts: PhysConsts, spec: TripleQuadSpec, mo
         S = 4.0 * math.pi * H / gap / ((4.0 * consts.sigma / 3.0) / T1 * bracket)
         L = S * (1.0 / T1 + H / T2)
         # the last check first, so that each node keeps the first it fails
-        fail = np.zeros(len(T2), dtype=np.int8)
+        fail = np.zeros(L.shape, dtype=np.int8)
         fail[_vanishes(bracket, term_a, term_b)] = _BRACKET
         fail[_vanishes(gap, T2, T1H)] = _GAP
-        fail[~((P21 > 0) & (P11 > 0 and A > 0))] = _NOT_POSITIVE
-        finite = np.isfinite(P21) & np.isfinite(P_diff) & np.isfinite(B_diff)
-        fail[~(finite & (math.isfinite(P11) and math.isfinite(A)))] = _NON_FINITE
+        fail[np.minimum(np.minimum(P11, A), P21) <= 0] = _NOT_POSITIVE  # a NaN fails the next check
+        finite = np.isfinite(P11) & np.isfinite(A) & np.isfinite(P21) & np.isfinite(P_diff) & np.isfinite(B_diff)
+        fail[~finite] = _NON_FINITE
     L[fail != 0] = np.nan
-    return _Row(CollisionFunctionals(P11, P21, P_diff, A, B_diff), H, gap, bracket, S, L, fail)
+    return _Row(P11, P21, P_diff, A, B_diff, H, gap, bracket, S, L, fail)
 
 
 def _node(T1, T2, consts, spec, mode="printed", last_check=_BRACKET) -> _Row:
-    """The row of the one node (T1, T2); raises SingularDenominator, naming
+    """`_rows` at the one point (T1, T2); raises SingularDenominator, naming
     the first check that fails, where one up to `last_check` fails."""
     ReducedKernelParams(T1, T2, consts.epsilon0)  # rejects a temperature <= 0
-    row = _row(float(T1), np.array([T2], dtype=float), consts, spec, mode)
-    fail = int(row.fail[0])
+    row = _rows(np.array([T1], dtype=float), np.array([[T2]], dtype=float), consts, spec, mode)
+    fail = row.fail.item()
     if fail == _NON_FINITE:
-        raise SingularDenominator(f"non-finite functional: {_values(row.funcs)}")
+        raise SingularDenominator(f"non-finite functional: {_values(row)}")
     if fail == _NOT_POSITIVE:
         raise SingularDenominator("P11, P21, A must be positive")
     if 0 < fail <= last_check:
-        name, value = ("T2 - T1*H", row.gap[0]) if fail == _GAP else ("S bracket", row.bracket[0])
-        raise SingularDenominator(
-            f"{name} = {value:.3e} vanishes within tolerance at (T1, T2) = ({T1}, {T2})"
-        )
+        name, value = ("T2 - T1*H", row.gap) if fail == _GAP else ("S bracket", row.bracket)
+        raise SingularDenominator(f"{name} = {value.item():.3e} vanishes within tolerance at (T1, T2) = ({T1}, {T2})")
     return row
 
 
-def _values(f: CollisionFunctionals) -> tuple:
-    return float(f.P11), float(f.P21[0]), float(f.P_diff[0]), float(f.A), float(f.B_diff[0])
+def _values(row: _Row) -> tuple:
+    return tuple(v.item() for v in (row.P11, row.P21, row.P_diff, row.A, row.B_diff))
 
 
 def functionals(T1, T2, consts: PhysConsts, spec=TripleQuadSpec(), mode="printed") -> CollisionFunctionals:
     """All five functionals at (T1, T2) in `mode`, "printed" or "calibrated".
     Raises SingularDenominator where one is not finite or P11, P21 or A not positive."""
-    return CollisionFunctionals(*_values(_node(T1, T2, consts, spec, mode, _NOT_POSITIVE).funcs))
+    return CollisionFunctionals(*_values(_node(T1, T2, consts, spec, mode, _NOT_POSITIVE)))
 
 
 def H_func(T1, T2, consts: PhysConsts, spec=TripleQuadSpec()) -> float:
     """H = (T2/T1) * exp(-2*eps0/T1) * P(T1) / P(T2,T1), the same in both modes."""
-    return float(_node(T1, T2, consts, spec, last_check=_NOT_POSITIVE).H[0])
+    return _node(T1, T2, consts, spec, last_check=_NOT_POSITIVE).H.item()
 
 
 def S_func(T1, T2, consts: PhysConsts, spec=TripleQuadSpec()) -> float:
     """Singularity-removed S: 4*pi*H/(T2 - T1*H) over the collisional bracket.
     Raises SingularDenominator where either vanishes within tolerance."""
-    return float(_node(T1, T2, consts, spec).S[0])
+    return _node(T1, T2, consts, spec).S.item()
 
 
 def L_func(T1, T2, consts: PhysConsts, spec=TripleQuadSpec()) -> float:
     """L = S * (1/T1 + H/T2): the level-curve quantity of the nonexistence result."""
-    return float(_node(T1, T2, consts, spec).L[0])
+    return _node(T1, T2, consts, spec).L.item()

@@ -17,12 +17,13 @@ the segments follows those groups.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import PhysConsts
-from .collision_reduction import TripleQuadSpec, _row
+from .collision_reduction import TripleQuadSpec, _rows
 from .errors import EmptyLevel
 
 __all__ = [
@@ -34,16 +35,16 @@ __all__ = [
     "smoothness_report",
 ]
 
-#: Most grid nodes a window may have (the Figure-1 window has 441).  At the
-#: cap `scan` took 4.5-6 s at the default TripleQuadSpec on a 2-core Xeon VM
-#: (4.5-6 us per node; the per-node loop it replaced took 30-47 us), and
-#: `extract_contours` with `smoothness_report` 0.04-0.06 s for 8 or 20
-#: levels.
+#: Most grid nodes a window may have (the Figure-1 window has 441).  At the cap
+#: `scan` took 2.6-3.4 s at the default TripleQuadSpec on a 2-core Xeon VM, and
+#: `extract_contours` with `smoothness_report` 0.04-0.06 s for 8 or 20 levels.
 _MAX_NODES = 10**6
 
-#: T2 nodes per block of a scanned row.  A row may hold 5*10^5 nodes; each
-#: (block, n_r) array of the quadrature is 3 MB at the default TripleQuadSpec.
-_BLOCK = 2**12
+#: Most nodes per `_rows` call in `scan`.  Of 64 to 512, timed in process on
+#: six windows on a 2-core Xeon VM, 128 and 160 were fastest; 96 and below
+#: lost on rows of 61-81 nodes, 192 and above ran the Figure-1 and 31 x 61
+#: windows 1.3-1.4x slower than 128.
+_BLOCK_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class ScanWindow:
             raise ValueError(f"step must be > 0, got {self.step}")
         for lo, hi in ((self.t1_min, self.t1_max), (self.t2_min, self.t2_max)):
             n = round((hi - lo) / self.step)
-            if n < 1 or abs(n * self.step - (hi - lo)) > 1e-9:
+            if n < 1 or abs(n * self.step - (hi - lo)) > 1e-9 * (hi - lo):
                 raise ValueError(f"step {self.step} does not divide range [{lo}, {hi}]")
         if (self.n1 + 1) * (self.n2 + 1) > _MAX_NODES:
             raise ValueError(f"step {self.step} gives more than {_MAX_NODES} grid nodes")
@@ -111,22 +112,21 @@ class ContourSet:
 def scan(
     window: ScanWindow, consts: PhysConsts, spec: TripleQuadSpec = TripleQuadSpec()
 ) -> ScanResult:
-    """Evaluate L on the window grid, a T1 row at a time, `_BLOCK` T2 nodes
-    per call of `collision_reduction._row`.
-
-    A node that fails one of `_row`'s checks is NaN and is recorded in
-    `failures`, in row-major order; the scan goes on.  No node's value
-    depends on the others in its block.
+    """Evaluate L on the window grid, one `collision_reduction._rows` call
+    per block of `_BLOCK_NODES` nodes or fewer: whole rows, or runs of a row
+    longer than a block.  A node that fails one of `_rows`' checks is NaN
+    and is recorded in `failures`, in row-major order; the scan goes on.  No
+    node's value depends on the others in its block.
     """
-    t2s = window.t2_values()
-    grid = np.empty((window.n1 + 1, len(t2s)))
-    failures = []
-    for i, T1 in enumerate(window.t1_values().tolist()):
-        for j in range(0, len(t2s), _BLOCK):
-            row = _row(T1, t2s[j : j + _BLOCK], consts, spec)
-            grid[i, j : j + _BLOCK] = row.L
-            failures += [(i, j + k) for k in np.flatnonzero(row.fail).tolist()]
-    return ScanResult(grid=grid, window=window, failures=failures)
+    t1s, t2s = window.t1_values(), window.t2_values()
+    rows, cols = max(1, _BLOCK_NODES // len(t2s)), min(len(t2s), _BLOCK_NODES)
+    grid = np.empty((len(t1s), len(t2s)))
+    fail = np.empty(grid.shape, dtype=np.int8)
+    for i, j in itertools.product(range(0, len(t1s), rows), range(0, len(t2s), cols)):
+        block = _rows(t1s[i : i + rows], t2s[j : j + cols], consts, spec)
+        grid[i : i + rows, j : j + cols] = block.L
+        fail[i : i + rows, j : j + cols] = block.fail
+    return ScanResult(grid=grid, window=window, failures=[(i, j) for i, j in np.argwhere(fail).tolist()])
 
 
 #: Cell edges in local [0, 1]^2 coordinates, x along axis 0: 0 bottom (v00 to

@@ -450,7 +450,7 @@ def L_per_node(T1, T2, consts, f) -> float:
     return S * (1.0 / T1 + H / T2)
 
 
-def scan_per_node(window, consts, spec) -> ScanResult:
+def scan_per_node(window, consts, spec, mode="printed") -> ScanResult:
     """L on the window grid, one node at a time; a node that raises is NaN."""
     t1s = window.t1_values()
     t2s = window.t2_values()
@@ -459,7 +459,7 @@ def scan_per_node(window, consts, spec) -> ScanResult:
     for i, T1 in enumerate(t1s):
         for j, T2 in enumerate(t2s):
             try:
-                funcs = functionals_per_node(float(T1), float(T2), consts, spec)
+                funcs = functionals_per_node(float(T1), float(T2), consts, spec, mode)
                 grid[i, j] = L_per_node(float(T1), float(T2), consts, funcs)
             except SingularDenominator:
                 grid[i, j] = np.nan

@@ -445,6 +445,12 @@ class TestRun:
             pytest.param(["levelscan", "--n-r", "8"], id="n-r-below-16"),
             pytest.param(["levelscan", "--n-rho", "16"], id="n-rho-removed"),
             pytest.param(["levelscan", "--step", "0.3"], id="step-not-dividing"),
+            pytest.param(["levelscan", "--t1-max", "10.25"], id="step-not-dividing-t1"),
+            pytest.param(
+                ["levelscan", "--epsilon0", "1e-12", "--t1-min", "1e-11", "--t1-max", "1.5e-11", "--t2-min", "1e-11",
+                 "--t2-max", "1.5e-11", "--step", "1e-11", "--n-levels", "1"],
+                id="step-not-dividing-tiny-range",
+            ),
             pytest.param(["levelscan", "--n-theta", "4"], id="n-theta-removed"),
             pytest.param(["domain3d", "--sigma", "7"], id="domain3d-sigma-removed"),
             pytest.param(["nonexist", "--domain", "ball"], id="default-samples-outside-ball"),

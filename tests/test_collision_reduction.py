@@ -22,7 +22,7 @@ from radgas import (
     S_func,
     L_func,
 )
-from radgas.collision_reduction import _pair_integrals, _quad_grid, _row, _vanishes
+from radgas.collision_reduction import _pair_integrals, _quad_grid, _rows, _vanishes
 from oracles import DomainError, eval_reduced_kernel, plane_integrals, plane_quad_grid
 
 FIG1 = PhysConsts(epsilon0=1.0, sigma=1.0, c0=1.0)
@@ -34,9 +34,9 @@ PAIR_KINDS = ("G_delta", "F_delta", "B2delta")  # the order _pair_integrals retu
 def all_integrals(T1, T2, eps0, spec) -> tuple:
     """G_delta, F_delta, B2delta, G0, A_kern and B1 at one (T1, T2): the order
     of `plane_integrals`."""
-    g0, *pair = _pair_integrals(T1, np.array([T2]), eps0, spec)
+    g0, *pair = _pair_integrals(np.array([T1]), np.array([T2]), eps0, spec)
     p = ReducedKernelParams(T1, T1, eps0)
-    return (*(float(v[0]) for v in pair), g0, triple_integral("A_kern", p, spec), triple_integral("B1", p, spec))
+    return (*(v.item() for v in pair), g0.item(), triple_integral("A_kern", p, spec), triple_integral("B1", p, spec))
 
 
 def values(f) -> tuple:
@@ -203,19 +203,22 @@ class TestTripleIntegral:
     def test_diagonal_g_is_the_pair_pass_at_delta_zero(self, T1, spec):
         # _pair_integrals takes G_delta at T2 = T1 from the delta = 0 identity
         # in place of a pair pass at T2 = T1; the shortcut must keep every bit
-        g0, g, _, _ = _pair_integrals(T1, np.array([T1, 2.0 * T1]), 1.0, spec)
-        assert g0 == g[0]
+        g0, g, _, _ = _pair_integrals(np.array([T1]), np.array([T1, 2.0 * T1]), 1.0, spec)
+        assert g0[0, 0] == g[0, 0]
 
+    @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 7, 96, 300])
-    def test_a_row_sums_each_pair_as_a_row_of_one(self, n):
-        # np.add.reduce along each row of the (n, n_r) kernels sums in the
-        # order of the one-dimensional sum, so no entry depends on its row
-        T2 = np.linspace(0.3, 40.0, n)
-        whole = _pair_integrals(10.7, T2, 1.3, FAST)
-        assert whole[0] == _pair_integrals(10.7, T2[:1], 1.3, FAST)[0]
-        for j in range(0, n, max(1, n // 9)):
-            one = _pair_integrals(10.7, T2[j : j + 1], 1.3, FAST)
-            assert [v[j] for v in whole[1:]] == [v[0] for v in one[1:]]
+    def test_a_block_sums_each_pair_as_a_point(self, n, k):
+        # np.add.reduce along each row of the (k, n, n_r) kernels sums in the
+        # order of the one-dimensional sum, so no entry depends on its block
+        T1 = np.array([10.7, 0.4, 33.0])[:k]
+        T2 = np.linspace(0.3, 40.0, k * n).reshape(k, n)
+        whole = _pair_integrals(T1, T2, 1.3, FAST)
+        for i in range(k):
+            assert whole[0][i, 0] == _pair_integrals(T1[i : i + 1], T2[i, :1], 1.3, FAST)[0].item()
+            for j in range(0, n, max(1, n // 9)):
+                one = _pair_integrals(T1[i : i + 1], T2[i, j : j + 1], 1.3, FAST)
+                assert [v[i, j] for v in whole[1:]] == [v.item() for v in one[1:]]
 
 
 class TestFunctionals:
@@ -389,6 +392,52 @@ class TestRowOfOne:
                 L_func(T1, T2, FIG1, FAST)
 
 
+def per_node(T1, T2, consts, spec, mode):
+    """The per-node path at one point: its functionals (None where they
+    raise), its L (NaN where a check raises) and the check that raises."""
+    try:
+        f = oracles.functionals_per_node(T1, T2, consts, spec, mode)
+    except SingularDenominator as exc:
+        return None, math.nan, 1 if str(exc).startswith("non-finite") else 2
+    try:
+        return values(f), oracles.L_per_node(T1, T2, consts, f), 0
+    except SingularDenominator as exc:
+        return values(f), math.nan, 3 if str(exc).startswith("T2 - T1*H") else 4
+
+
+class TestRowsAtPoints:
+    """`_rows` at K arbitrary values of T1, each with its own T2 values,
+    against the per-node path bit for bit: functionals, L and the check
+    that fails.  m = 1 gives K arbitrary points."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        T1=st.lists(st.floats(0.2, 60.0), min_size=1, max_size=8),
+        T2=st.lists(st.floats(0.2, 60.0) | st.sampled_from([10.0, 12.0]), min_size=1, max_size=24),
+        m=st.sampled_from([1, 3]),
+        diagonal=st.booleans(),
+        eps0=st.sampled_from([1.0, 0.1, 3.7, 1e-300, 1e12]),
+        sigma=st.sampled_from([1.0, 0.01]),
+        c0=st.sampled_from([1.0, 1e150, 1e-300]),
+        n_r=st.sampled_from([16, 33]),
+        mode=st.sampled_from(["printed", "calibrated"]),
+    )
+    def test_random_points(self, T1, T2, m, diagonal, eps0, sigma, c0, n_r, mode):
+        consts, spec = PhysConsts(epsilon0=eps0, sigma=sigma, c0=c0), TripleQuadSpec(n_r=n_r)
+        T1 = np.array(T1)
+        T2 = np.resize(np.array(T2), (len(T1), m))
+        if diagonal:  # eps0 = 1e-300 makes the gap vanish there
+            T2[:, 0] = T1
+        with np.errstate(all="ignore"):
+            got = _rows(T1, T2, consts, spec, mode)
+            for k, j in np.ndindex(T2.shape):
+                funcs, L, fail = per_node(float(T1[k]), float(T2[k, j]), consts, spec, mode)
+                assert got.fail[k, j] == fail
+                assert got.L[k, j].tobytes() == np.float64(L).tobytes()
+                if funcs is not None:
+                    assert (got.P11[k, 0], got.P21[k, j], got.P_diff[k, j], got.A[k, 0], got.B_diff[k, j]) == funcs
+
+
 class TestScalingLaw:
     """Scaling (T1, T2, eps0) by lambda multiplies each calibrated functional
     by lambda^degree, and the calibrated L by lambda^(-1/2); the printed L
@@ -398,8 +447,8 @@ class TestScalingLaw:
 
     @staticmethod
     def calibrated(T1, T2, eps0):
-        row = _row(T1, np.array([T2]), PhysConsts(epsilon0=eps0, c0=1.0), SPEC, "calibrated")
-        return [float(np.ravel(v)[0]) for v in values(row.funcs)], float(row.L[0])
+        row = _rows(np.array([T1]), np.array([T2]), PhysConsts(epsilon0=eps0, c0=1.0), SPEC, "calibrated")
+        return [v.item() for v in values(row)], row.L.item()
 
     @pytest.mark.parametrize("lam", [2.0, 4.0])
     @pytest.mark.parametrize("T1, T2", [(10.0, 11.0), (3.0, 30.0)])
@@ -412,14 +461,15 @@ class TestScalingLaw:
 
     def test_calibrated_l_scales_as_one_over_c0_squared(self):
         # c0 = 2 scales every functional by exactly 4, so L by exactly 1/4
-        rows = [_row(10.0, np.array([11.0]), PhysConsts(c0=c0), SPEC, "calibrated").L[0] for c0 in (1.0, 2.0)]
-        assert rows[1] == rows[0] / 4.0
+        T1, T2 = np.array([10.0]), np.array([11.0])
+        L = [_rows(T1, T2, PhysConsts(c0=c0), SPEC, "calibrated").L.item() for c0 in (1.0, 2.0)]
+        assert L[1] == L[0] / 4.0
 
     @pytest.mark.parametrize("mode", ["printed", "calibrated"])
     def test_l_scales_as_one_over_sigma(self, mode):
         # sigma enters L only through 4*sigma/3, so sigma = 2 halves L exactly
         T2 = np.array([3.0, 11.0, 30.0])
-        rows = [_row(10.0, T2, PhysConsts(sigma=sigma, c0=1.0), SPEC, mode).L for sigma in (1.0, 2.0)]
+        rows = [_rows(np.array([10.0]), T2, PhysConsts(sigma=sigma, c0=1.0), SPEC, mode).L for sigma in (1.0, 2.0)]
         assert rows[1].tobytes() == (rows[0] / 2.0).tobytes()
 
     def test_printed_l_fails_the_law(self):

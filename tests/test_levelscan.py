@@ -1,5 +1,6 @@
 """Level scan, marching squares, and the smoothness report."""
 
+import functools
 import tracemalloc
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from radgas import levelscan
+from radgas import collision_reduction, levelscan
 from radgas import PhysConsts, TripleQuadSpec, EmptyLevel
 from radgas.levelscan import (
     ContourSet,
@@ -47,6 +48,18 @@ class TestScanWindow:
         with pytest.raises(ValueError, match="temperatures must be > 0"):
             ScanWindow(t1_min, 2.0, t2_min, 2.0, 0.5)
 
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_step_check_is_the_same_at_every_scale(self, k):
+        # the tolerance is relative to the range: Figure-1 scaled by 2^k is
+        # accepted with the same shape, and [10, 10.25] at step 0.1 (2.5
+        # steps) is rejected, also at 2^-40, where 0.05 * 2^-40 < 1e-9
+        s = 2.0**k
+        w = ScanWindow(10.0 * s, 12.0 * s, 10.0 * s, 12.0 * s, 0.1 * s)
+        assert (w.n1, w.n2) == (20, 20)
+        for t1_max, t2_max in ((10.25, 12.0), (12.0, 10.25)):
+            with pytest.raises(ValueError, match="does not divide"):
+                ScanWindow(10.0 * s, t1_max * s, 10.0 * s, t2_max * s, 0.1 * s)
+
     def test_degenerate_two_by_two(self):
         w = ScanWindow(1.0, 2.0, 1.0, 2.0, 1.0)
         assert w.n1 == w.n2 == 1
@@ -84,34 +97,36 @@ class TestScan:
         assert np.isnan(result.grid).all()
 
     def test_singular_cells_recorded_not_fatal(self, monkeypatch):
-        import radgas.collision_reduction as mod
-
-        real = mod._pair_integrals
+        real = collision_reduction._pair_integrals
 
         def patched(T1, T2, epsilon0, spec):
-            # P21 = 0 at (10.0, 10.3) only: that node's functionals are unusable
+            # P21 = 0 at (10.0, 10.3) and (10.3, 10.0) only: those nodes' functionals are unusable
             g0, gd, fd, b2 = real(T1, T2, epsilon0, spec)
-            return g0, np.where((T1 == 10.0) & (T2 == 10.3), 0.0, gd), fd, b2
+            singular = ((T1[:, None] == 10.0) & (T2 == 10.3)) | ((T1[:, None] == 10.3) & (T2 == 10.0))
+            return g0, np.where(singular, 0.0, gd), fd, b2
 
-        monkeypatch.setattr(mod, "_pair_integrals", patched)
+        monkeypatch.setattr(collision_reduction, "_pair_integrals", patched)
+        assert 3 * 3 <= levelscan._BLOCK_NODES  # both failing rows in one block
         result = scan(ScanWindow(10.0, 10.6, 10.0, 10.6, 0.3), FIG1, FAST)
-        assert result.failures == [(0, 1)]
-        assert np.isnan(result.grid[0, 1])
-        finite = np.delete(result.grid.ravel(), 1)
+        assert result.failures == [(0, 1), (1, 0)]  # row-major
+        assert np.isnan(result.grid[0, 1]) and np.isnan(result.grid[1, 0])
+        finite = np.delete(result.grid.ravel(), [1, 3])
         assert np.all(np.isfinite(finite))
 
 
-def assert_scan_matches_per_node(window, consts, spec):
-    with np.errstate(all="ignore"):
-        got, want = scan(window, consts, spec), oracles.scan_per_node(window, consts, spec)
+def assert_scan_matches_per_node(window, consts, spec, mode="printed"):
+    rows = functools.partial(collision_reduction._rows, mode=mode)
+    with np.errstate(all="ignore"), mock.patch.object(levelscan, "_rows", rows):
+        got, want = scan(window, consts, spec), oracles.scan_per_node(window, consts, spec, mode)
     assert got.grid.tobytes() == want.grid.tobytes()
     assert got.failures == want.failures
     return got
 
 
 class TestScanMatchesPerNodeOracle:
-    """`scan`, a T1 row at a time as arrays, against the per-node loop it
-    replaced, bit for bit: grid, NaNs and failures alike."""
+    """`scan`, in blocks of rows as arrays, against the per-node loop it
+    replaced, bit for bit: grid, NaNs and failures alike.  Calibrated mode
+    runs `scan` on `_rows` in that mode."""
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
@@ -121,12 +136,16 @@ class TestScanMatchesPerNodeOracle:
         step=st.sampled_from([0.05, 0.1, 0.5, 1.0]),
         eps0=st.sampled_from([1.0, 0.3, 2.5, 1e-300, 1e12]),
         sigma=st.sampled_from([1.0, 0.1]),
-        block=st.sampled_from([1, 3, 5, 2**12]),
+        block=st.sampled_from([1, 3, 5, 16, 2**12]),
+        mode=st.sampled_from(["printed", "calibrated"]),
     )
-    def test_random_windows(self, t1, t2, shape, step, eps0, sigma, block):
+    def test_random_windows(self, t1, t2, shape, step, eps0, sigma, block, mode):
+        # block 16 puts several rows of up to 8 nodes in one block and runs of
+        # 16 nodes of longer rows
         window = ScanWindow(t1, t1 + shape[0] * step, t2, t2 + shape[1] * step, step)
-        with mock.patch.object(levelscan, "_BLOCK", block):
-            assert_scan_matches_per_node(window, PhysConsts(epsilon0=eps0, sigma=sigma, c0=1.0), FAST)
+        with mock.patch.object(levelscan, "_BLOCK_NODES", block):
+            consts = PhysConsts(epsilon0=eps0, sigma=sigma, c0=1.0)
+            assert_scan_matches_per_node(window, consts, FAST, mode)
 
     @pytest.mark.parametrize(
         "spec, consts",
@@ -156,25 +175,47 @@ class TestScanMatchesPerNodeOracle:
         )
         assert result.failures == [(i, i) for i in range(5)]
 
-    def test_row_longer_than_a_block(self):
-        n2 = levelscan._BLOCK + 1
+    @pytest.mark.parametrize("mode", ["printed", "calibrated"])
+    def test_row_longer_than_a_block(self, mode):
+        n2 = levelscan._BLOCK_NODES + 1
         window = ScanWindow(3.0, 3.01, 1.0, 1.0 + 0.01 * n2, 0.01)
-        assert window.n2 + 1 > levelscan._BLOCK + 1
-        assert_scan_matches_per_node(window, FIG1, TripleQuadSpec(n_r=16))
+        assert window.n2 + 1 > levelscan._BLOCK_NODES + 1
+        assert_scan_matches_per_node(window, FIG1, TripleQuadSpec(n_r=16), mode)
+
+
+@pytest.mark.parametrize(
+    "window, runs",
+    [
+        (ScanWindow(10.0, 10.5, 11.0, 11.2, 0.1), 1),  # 6 x 3: one block
+        (ScanWindow(10.0, 10.1, 10.0, 10.8, 0.1), 1),  # 2 x 9: one block
+        (ScanWindow(10.0, 12.0, 10.0, 12.0, 0.1), 1),  # 21 x 21: six rows a block
+        (ScanWindow(0.5, 40.5, 0.5, 40.5, 0.5), 1),  # 81 x 81: one row a block
+        (ScanWindow(10.0, 10.1, 1.0, 1.0 + 0.1 * 2 * levelscan._BLOCK_NODES, 0.1), 3),
+    ],
+    ids=["6x3", "2x9", "figure-1", "81x81", "row-of-three-runs"],
+)
+def test_two_triple_integrals_per_row(window, runs):
+    # the benchmark's levelscan.triples_per_point counts these calls: two per
+    # T1 row, or per run of a row longer than a block
+    spy = mock.Mock(wraps=collision_reduction.triple_integral)
+    with mock.patch.object(collision_reduction, "triple_integral", spy):
+        scan(window, FIG1, TripleQuadSpec(n_r=16))
+    assert spy.call_count == 2 * (window.n1 + 1) * runs
+    assert [c.args[0] for c in spy.call_args_list[:2]] == ["A_kern", "B1"]
 
 
 def test_multi_block_row_memory():
-    # two rows of ten blocks each: the quadrature holds a few (block, n_r)
-    # arrays at a time, 3 MB each (a peak of about 14 MB), where a whole row
-    # at once would hold 31 MB arrays (a peak of about 126 MB)
-    window = ScanWindow(10.0, 10.001, 1.0, 1.0 + 0.001 * 10 * levelscan._BLOCK, 0.001)
+    # two rows of 40961 nodes, 321 blocks each: the quadrature holds a few
+    # (block, n_r) arrays at a time, 0.1 MB each, where a whole row at once
+    # would hold 31 MB arrays (a peak of about 126 MB)
+    window = ScanWindow(10.0, 10.001, 1.0, 1.0 + 0.001 * 40960, 0.001)
     tracemalloc.start()
     try:
         result = scan(window, FIG1, TripleQuadSpec())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.grid.shape == (2, 10 * levelscan._BLOCK + 1)
+    assert result.grid.shape == (2, 40961)
     assert peak <= 24 * 2**20
 
 
