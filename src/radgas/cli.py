@@ -133,8 +133,7 @@ _SCHEMAS = {
     },
     "verify": {
         **{key: _COMMON_SCHEMA[key] for key in ("epsilon0", "c0", "c0_kernel")},
-        "n_samples": (int, McPlan.n_samples, "at least this many lattice points per side"),
-        "n_tuples": (int, 10**5, "tuples for the detailed-balance sweep"),
+        "n_samples": (int, McPlan.n_samples, "at least this many lattice points per side and in the balance sweep"),
         "t_lte": (float, 5.0, "temperature of the LTE annihilation check"),
         "t1": (float, 4.0, "ground temperature of the generic pair"),
         "t2": (float, 7.0, "excited temperature of the generic pair"),
@@ -401,7 +400,6 @@ def _three_level_inputs(v, seed):
 
 
 def _verify_inputs(v, seed):
-    n_tuples = _positive(v, "n_tuples")
     consts = _consts(v)
     temps = _finite_floats("t_entropy", v["t_entropy"])
     # entropy_identity_check's complex step T*2^-60 must be a normal float
@@ -409,7 +407,6 @@ def _verify_inputs(v, seed):
         raise ConfigError(f"key 't_entropy' needs temperatures >= 2^-962 (about 2.1e-290), got {v['t_entropy']!r}")
     u, T = np.array([0.3, 0.0, 0.0]), v["t_lte"]
     return SimpleNamespace(
-        n_tuples=n_tuples,
         consts=consts,
         plan=McPlan(n_samples=v["n_samples"], seed=seed),
         # a Boltzmann-ratio pair drifting at u, for detailed balance
@@ -647,9 +644,7 @@ def _run_verify(config: RunConfig, art: _Artifacts) -> int:
     # detailed balance on a Boltzmann-ratio pair; weak-form conservation and
     # mass and energy exchange on the generic pair and the kernel of the
     # linearized operator at LTE, from one lattice pass per side
-    res, (conservation, exchange, kernel) = verify_checks(
-        p.lte_pair, p.n_tuples, p.generic_pair, p.lte_at_rest, p.plan, consts
-    )
+    res, (conservation, exchange, kernel) = verify_checks(p.lte_pair, p.generic_pair, p.lte_at_rest, p.plan, consts)
 
     def rows_check(name, estimates):
         return {

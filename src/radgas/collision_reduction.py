@@ -80,6 +80,8 @@ class TripleQuadSpec:
     def __post_init__(self):
         if not self.r_max > 0:
             raise ValueError(f"r_max must be > 0, got {self.r_max}")
+        if not math.isfinite(self.r_max * self.r_max):  # the nodes are a = x^2 on [0, r_max]
+            raise ValueError(f"r_max must have a finite square, got {self.r_max}")
         if self.n_r < 16:
             raise ValueError(f"n_r must be >= 16, got {self.n_r}")
 
@@ -230,12 +232,15 @@ def _rows(T1: np.ndarray, T2: np.ndarray, consts: PhysConsts, spec: TripleQuadSp
     if mode not in ("printed", "calibrated"):
         raise ValueError(f"unknown mode {mode!r}")
     eps0 = consts.epsilon0
-    per_t1 = []  # math.exp, not np.exp over T1, keeps the bits of one T1 at a time
-    for t in T1.tolist():
-        p = ReducedKernelParams(t, t, eps0)
-        per_t1.append((triple_integral("A_kern", p, spec), triple_integral("B1", p, spec), math.exp(-2.0 * eps0 / t)))
-    A, t_b1, e = np.array(per_t1).T[:, :, None]
+    # an overflow or 0/0 anywhere, the T1-only integrals included, makes a
+    # non-finite functional, which the _NON_FINITE check flags
     with np.errstate(all="ignore"):
+        per_t1 = []  # math.exp, not np.exp over T1, keeps the bits of one T1 at a time
+        for t in T1.tolist():
+            p = ReducedKernelParams(t, t, eps0)
+            integrals = triple_integral("A_kern", p, spec), triple_integral("B1", p, spec)
+            per_t1.append((*integrals, math.exp(-2.0 * eps0 / t)))
+        A, t_b1, e = np.array(per_t1).T[:, :, None]
         P11, P21, P_diff, t_b2 = _pair_integrals(T1, T2, eps0, spec)
         T1 = T1[:, None]
         B_diff = -(t_b1 + t_b2)

@@ -41,16 +41,17 @@ in contiguous coordinate rows and (k, c) test-function rows that each
 thread allocates once; every tuple step writes them with `out=` in the order
 of the (c, 3) expressions it replaced.
 
-The detailed-balance sweep of `radgas verify` (`_balance_sweep`) draws its
-own pseudo-random pairs and runs on the same rows after both sides: the
-loss-side tuples of `_tuple_chunk` and the squared speeds of
-`_moment_change` give F1(v1) F1(v2) - F2(v3) F1(v4) tuple by tuple.
+The detailed-balance sweep of `radgas verify` (`_balance_sweep`) runs after
+both sides, on the loss side's shifted lattices: every open loss-side tuple
+of `_tuple_chunk` gives F1(v1) F1(v2) - F2(v3) F1(v4), so the identity is
+checked pointwise on the points the weak form integrates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,26 +151,6 @@ def _squared_speeds(v, out=None):
     return out
 
 
-def _pair_rows(first, second, zab, ab, scratch, rel2):
-    """Writes a = u + sqrt(T / 2) za for the state `first` and b the same
-    from zb for `second` into the (2, 3, c) rows `ab`, from the (2, c, 3)
-    normals `zab`, and |a - b|^2 into `rel2`; `scratch` is (3, c)."""
-    np.multiply(zab.transpose(0, 2, 1), [[[math.sqrt(first.T / 2.0)]], [[math.sqrt(second.T / 2.0)]]], out=ab)
-    ab += np.stack([first.u, second.u])[:, :, None]
-    np.subtract(ab[0], ab[1], out=scratch)
-    _squared_speeds(scratch, rel2)
-
-
-def _normalize(omega, rows):
-    """omega /= |omega| for the (c, 3) directions `omega`, the norm summed as
-    ((x^2 + y^2) + z^2) in the scratch of `rows`."""
-    c = len(omega)
-    squares, norm = rows.samples[:3, :c], rows.kw[0, :c]
-    np.copyto(squares, omega.T)
-    np.sqrt(_squared_speeds(squares, norm), out=norm)
-    np.divide(omega.T, norm, out=omega.T)
-
-
 def _side_prefactors(state1, state2, consts) -> tuple:
     """The constant factors of the loss-side and gain-side weights of
     `_tuple_chunk`."""
@@ -197,7 +178,13 @@ def _tuple_chunk(state1, state2, consts, side, normals, rows, exponent=0):
     kw, scratch = rows.kw[:2, :c], rows.samples[:3, :c]
     prefactor = math.ldexp(_side_prefactors(state1, state2, consts)[side], -exponent)
     eps0 = consts.epsilon0
-    _pair_rows(state1 if side == 0 else state2, state1, zab, ab, scratch, rel2)
+    # a = u + sqrt(T / 2) za of the first drawn state, b the same from zb of
+    # state1, and |a - b|^2
+    first = state1 if side == 0 else state2
+    np.multiply(zab.transpose(0, 2, 1), [[[math.sqrt(first.T / 2.0)]], [[math.sqrt(state1.T / 2.0)]]], out=ab)
+    ab += np.stack([first.u, state1.u])[:, :, None]
+    np.subtract(a, b, out=scratch)
+    _squared_speeds(scratch, rel2)
     np.add(a, b, out=centre)
     centre *= 0.5
     # k from 0.25 rel2 -+ eps0 and the weight's root from rel2 -+ 4 eps0, as two rows
@@ -248,46 +235,17 @@ def _balance_residual(state1, state2, consts, v):
     return rhs
 
 
-def _balance_sweep(lte_pair, n_tuples, seed, consts):
-    """Largest |`_balance_residual`| of `lte_pair` over the nonelastic tuples
-    among `n_tuples` sampled ground-state pairs, or None when no pair is
-    above threshold (nothing was checked).
-
-    Both molecules come from the ground Maxwellian of `lte_pair` and the
-    scattering direction is uniform; the RNG, keyed by (seed, 1), draws every
-    pair first and then the directions of the kept tuples, one `_CHUNK` of
-    pairs at a time.  The kept tuples are the loss-side tuples of
-    `_tuple_chunk`.
-    """
-    from numpy.random import default_rng
-
-    s1, s2 = lte_pair
-    rng = default_rng([seed, 1])
-    zab = rng.standard_normal((2, n_tuples, 3))
-    rows, omega = _Rows(3), np.empty((_CHUNK, 3))
-    # a max is exact in any grouping
-    chunk_max = []
-    for lo in range(0, n_tuples, _CHUNK):
-        z = zab[:, lo : lo + _CHUNK]
-        c = z.shape[1]
-        rel2 = rows.kw[2, :c]
-        _pair_rows(s1, s1, z, rows.v[2:, :, :c], rows.samples[:3, :c], rel2)
-        kept = np.flatnonzero(rel2 > 4 * consts.epsilon0 + 1e-9)
-        if len(kept):
-            om = rng.standard_normal(out=omega[: len(kept)])
-            _normalize(om, rows)
-            _, v = _tuple_chunk(s1, s2, consts, 0, (z[:, kept], om), rows)
-            chunk_max.append(np.max(np.abs(_balance_residual(s1, s2, consts, v))))
-    return float(np.max(chunk_max)) if chunk_max else None
-
-
+@lru_cache(maxsize=1)
 def _lattice_table():
     """The (8, LATTICE_POINTS) unshifted lattice: row j holds (k z_j mod n) / n
     for k = 0 .. n - 1, with n = LATTICE_POINTS and z_j = a^j mod n, the
-    products taken in exact int64 arithmetic."""
+    products taken in exact int64 arithmetic.  Built once and read-only: the
+    weak-form pass and the detailed-balance sweep share it."""
     n = LATTICE_POINTS
     z = np.array([pow(_KOROBOV_A, j, n) for j in range(8)], dtype=np.int64)
-    return (z[:, None] * np.arange(n, dtype=np.int64) % n) / n
+    table = (z[:, None] * np.arange(n, dtype=np.int64) % n) / n
+    table.flags.writeable = False
+    return table
 
 
 def _lattice_chunk(table, delta, rows):
@@ -306,7 +264,9 @@ def _lattice_chunk(table, delta, rows):
     z = rows.z[:, :c]
     u = z[:8]
     np.add(table, delta[:, None], out=u)
-    np.subtract(u, 1.0, out=u, where=u >= 1.0)
+    # u - 1 where u >= 1, exact in [1, 2): subtracting the comparison's 0 or 1
+    # gives the bits of a masked subtraction, which costs several times more
+    np.subtract(u, u >= 1.0, out=u)
     # radii into rows 0, 2 and 4, angles into rows 1, 3 and 5, then the
     # normals r cos and r sin in their place
     radius, angle, cosine = u[0:6:2], u[1:6:2], rows.samples[:3, :c]
@@ -353,17 +313,52 @@ def _add_chunk(acc, problem, consts, side, normals, rows):
     acc[1] = acc[1] + samples.sum(axis=1)
 
 
-def _add_side(side_sums, problems, consts, plan, side, table, default_rng):
-    """Adds the points of each of `side`'s shifted lattices to that shift's
-    totals of each problem, shift by shift, the shift keyed by (seed, side,
-    shift) in the generators `default_rng` makes."""
-    rows = _Rows(max(problem[3] for problem in problems))
-    for shift, shift_sums in enumerate(side_sums):
+def _shifted_chunks(plan, side, table, rows, default_rng):
+    """Yields (shift, normals) for each chunk of each of `side`'s
+    `plan.n_shifts` shifted lattices, shift by shift, the shift keyed by
+    (seed, side, shift) in the generators `default_rng` makes; the normals
+    are those of `_lattice_chunk`, in the rows of `rows`."""
+    for shift in range(plan.n_shifts):
         delta = default_rng([plan.seed, side, shift]).random(8)
         for lo in range(0, LATTICE_POINTS, _CHUNK):
-            normals = _lattice_chunk(table[:, lo : lo + _CHUNK], delta, rows)
-            for acc, problem in zip(shift_sums, problems):
-                _add_chunk(acc, problem, consts, side, normals, rows)
+            yield shift, _lattice_chunk(table[:, lo : lo + _CHUNK], delta, rows)
+
+
+def _add_side(side_sums, problems, consts, plan, side, table, default_rng):
+    """Adds the points of each of `side`'s shifted lattices to that shift's
+    totals of each problem (`_shifted_chunks`)."""
+    rows = _Rows(max(problem[3] for problem in problems))
+    for shift, normals in _shifted_chunks(plan, side, table, rows, default_rng):
+        for acc, problem in zip(side_sums[shift], problems):
+            _add_chunk(acc, problem, consts, side, normals, rows)
+
+
+def _balance_sweep(lte_pair, plan, consts):
+    """Largest |`_balance_residual`| of `lte_pair` over the open loss-side
+    tuples of the weak-form pass's lattice points, or None when no tuple is
+    above threshold (nothing was checked).
+
+    The sweep walks the loss side's own shifts (`_shifted_chunks`, keyed by
+    (seed, 0, r)), so it checks the tuples that the weak form integrates,
+    and forms them by `_tuple_chunk` on side 0.  A tuple is open where its
+    weight is > 0: the weights are scaled by 2^-e, e the binary exponent of
+    the loss-side prefactor, so an open tuple's weight does not underflow.
+    The residual is formed on every tuple of a chunk, in place, and its max
+    taken over the open ones.
+    """
+    from numpy.random import default_rng
+
+    s1, s2 = lte_pair
+    exponent = math.frexp(_side_prefactors(s1, s2, consts)[0])[1]
+    rows = _Rows(3)
+    # a max is exact in any grouping
+    chunk_max = []
+    for _, normals in _shifted_chunks(plan, 0, _lattice_table(), rows, default_rng):
+        weight, v = _tuple_chunk(s1, s2, consts, 0, normals, rows, exponent)
+        is_open = weight > 0
+        if is_open.any():
+            chunk_max.append(np.max(np.abs(_balance_residual(s1, s2, consts, v)[is_open])))
+    return float(np.max(chunk_max)) if chunk_max else None
 
 
 def _paired_estimates(loss, gain, exponent) -> list:
@@ -528,13 +523,13 @@ def _weak_form_checks(generic_pair, lte_state, plan, consts):
     return dict(zip(names, moments)), {"mass": mass, "energy": energy}, dict(zip(["number", *names], kernel))
 
 
-def verify_checks(lte_pair, n_tuples, generic_pair, lte_state, plan, consts) -> tuple:
+def verify_checks(lte_pair, generic_pair, lte_state, plan, consts) -> tuple:
     """The checks of `radgas verify`: (balance, (conservation, exchange,
     kernel)), the last three dicts of name -> Estimate.
 
     `balance` is the largest detailed-balance residual of `lte_pair` over
-    `n_tuples` sampled ground-state pairs (`_balance_sweep`, keyed by
-    (plan.seed, 1)), or None when no pair is above threshold.
+    the open loss-side tuples of the plan's lattice shifts
+    (`_balance_sweep`), or None when no tuple is above threshold.
 
     The rest comes from one lattice pass per side.  The conservation and
     exchange estimates are those of `generic_pair`.  Conservation: test
@@ -560,7 +555,7 @@ def verify_checks(lte_pair, n_tuples, generic_pair, lte_state, plan, consts) -> 
     that pass, on the calling thread, once both sides' buffers are freed.
     """
     checks = _weak_form_checks(generic_pair, lte_state, plan, consts)
-    return _balance_sweep(lte_pair, n_tuples, plan.seed, consts), checks
+    return _balance_sweep(lte_pair, plan, consts), checks
 
 
 def entropy_identity_check(T_list, consts: PhysConsts) -> dict:

@@ -40,7 +40,7 @@ from .constants import PhysConsts
 from .domain3d import _leggauss, _next_fast_len
 from .errors import NonContraction, NonPositiveW, SingularDenominator
 from .physics import pseudo_planck
-from .picard import fixed_point
+from .picard import FixedPoint, fixed_point
 
 __all__ = [
     "SlabGrid",
@@ -511,6 +511,17 @@ class _CellToeplitz:
         r = g - (s - self.apply(s))
         return s + self.solve_shifted(r), float(np.max(np.abs(r)))
 
+    def solve(self, g: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, float, FixedPoint]:
+        """(x, direct_residual, picard) for x = A x + g.
+
+        x is the direct solve s on the cached factor after one `refine` step,
+        and `direct_residual` is max|(I - A) s - g| before the step; `picard`
+        is the GMRES fixed-point solve from zero on FFT products
+        (`picard.fixed_point`), the cross-check of x.
+        """
+        x, direct_residual = self.refine(g, self.solve_shifted(g))
+        return x, direct_residual, fixed_point(self.apply, g, tol=tol, max_iter=max_iter)
+
 
 def _nystrom_operator(y: np.ndarray) -> _CellToeplitz:
     """Product-integration operator A with (A u)_i ~= int_0^L K(y_i - xi) u(xi) dxi.
@@ -607,17 +618,6 @@ def _slab_operators(grid: SlabGrid):
     return A, sup, _CellToeplitz(*_toeplitz_weights(y, _flux_moments, _FLUX_PARITY))
 
 
-def _e2_product_flux(u: np.ndarray, grid: SlabGrid, boundary_term: np.ndarray, coeff: float):
-    """J(y)/(2*pi) = boundary_term + coeff * int_0^L u(xi) sgn(y-xi) E2(|y-xi|) dxi.
-
-    Piecewise-linear u with analytic E2/E3/E4 moments (mu integrated exactly),
-    so the only inconsistency left is the interpolation of u itself.  The
-    odd kernel has the same offset structure as K and is applied by FFT.
-    """
-    _, _, flux_operator = _slab_operators(grid)
-    return boundary_term + coeff * flux_operator.apply(u)
-
-
 def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, angles: AngleGrid):
     """The solve both slab models share: u = A u + g, then the field and flux of u.
 
@@ -625,15 +625,15 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
     incoming profile at y = 0, and the rays carry the emission coupling * u.
     A, its contraction bound and the flux operator depend on the grid alone
     and come from `_slab_operators`, built once per grid; only g is per solve.
-    The direct Nystroem solve (on A's cached Levinson factor, then one step
-    of iterative refinement) is authoritative; `direct_residual` is
-    max|(I - A) s - g| before the step and `residual_max` the same after it.
-    The GMRES fixed-point solve from zero, on FFT products, cross-checks it
-    on every solve.  `picard_ratio` is the max-norm
-    contraction bound, the largest row sum of A: the integral of K over the
-    slab at a node, `kernel_sup(L)` to rounding when a node sits at the
-    midpoint.  Returns (u, field, flux_j, diagnostics), the diagnostics as
-    result-dataclass keywords.
+    `A.solve` gives the direct Nystroem solve (on A's cached Levinson factor,
+    then one step of iterative refinement), which is authoritative;
+    `direct_residual` is max|(I - A) s - g| before the step and
+    `residual_max` the same after it.  Its GMRES fixed-point solve from
+    zero, on FFT products, cross-checks it on every solve.  `picard_ratio`
+    is the max-norm contraction bound, the largest row sum of A: the
+    integral of K over the slab at a node, `kernel_sup(L)` to rounding when
+    a node sits at the midpoint.  Returns (u, field, flux_j, diagnostics),
+    the diagnostics as result-dataclass keywords.
     """
     y = grid.y
     mu = angles.mu
@@ -644,9 +644,8 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
     boundary_term = decay @ (wq * mu * vals)
     del decay  # as large as one angle-resolved field
 
-    A, sup, _ = _slab_operators(grid)
-    u, direct_residual = A.refine(g, A.solve_shifted(g))
-    picard = fixed_point(A.apply, g, tol=1e-13, max_iter=200)
+    A, sup, flux_operator = _slab_operators(grid)
+    u, direct_residual, picard = A.solve(g, tol=1e-13, max_iter=200)
     diagnostics = {
         "picard_ratio": sup,
         "direct_residual": direct_residual,
@@ -656,7 +655,8 @@ def _slab_fredholm(profile: BoundaryProfile, coupling: float, grid: SlabGrid, an
     }
 
     field = ray_integrate(np.ones_like(y), coupling * u, profile, BoundaryProfile.zero(), grid, angles)
-    flux_j = 2.0 * math.pi * _e2_product_flux(u, grid, boundary_term, coupling)
+    # J(y)/(2 pi) = boundary_term + coupling * int_0^L u(xi) sgn(y - xi) E2(|y - xi|) dxi
+    flux_j = 2.0 * math.pi * (boundary_term + coupling * flux_operator.apply(u))
     return u, field, flux_j, diagnostics
 
 

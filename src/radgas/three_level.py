@@ -35,7 +35,6 @@ import numpy as np
 from .constants import PhysConsts
 from .errors import SingularDenominator, SingularSystem
 from .physics import pseudo_planck
-from .picard import fixed_point
 from .slab import AngleGrid, BoundaryProfile, RadiationField, SlabGrid
 from .slab import _CellToeplitz, angular_mean, angular_response, ray_integrate
 
@@ -162,6 +161,10 @@ def _node_matrix(params: ThreeLevelParams, G_p: float):
     return np.vstack([row1, row2, row3])
 
 
+# an input so large that the solve overflows gives a non-finite G_p (raised
+# below), or a non-finite sigma, residual or path_gap, or an unconverged
+# check, which the caller reports; none of them warns
+@np.errstate(all="ignore")
 def solve_three_level(
     xi,
     boundary: tuple[BoundaryProfile, BoundaryProfile],
@@ -203,8 +206,7 @@ def solve_three_level(
     else:
         C0 = float(mass_C0)
 
-    with np.errstate(divide="ignore", invalid="ignore"):  # reported below
-        G_p = constant_state(params)["G_p"]
+    G_p = constant_state(params)["G_p"]
     if not math.isfinite(G_p):
         raise SingularDenominator(
             f"coupling G_p = {G_p} at T0 {params.T0}, eps {params.eps}: 1 - exp(-2*eps/T0) rounds to 0"
@@ -243,9 +245,8 @@ def solve_three_level(
     def sigma_of(src):
         return np.linalg.solve(local, node_rhs(M_src.apply(src) + b_I))
 
-    src, direct_residual = A.refine(g, A.solve_shifted(g))
+    src, direct_residual, picard = A.solve(g, tol=1e-14, max_iter=2000)
     sigma = sigma_of(src)
-    picard = fixed_point(A.apply, g, tol=1e-14, max_iter=2000)
     h = radiation_solve_3p(*sigma, params, boundary, grid, angles)
     residuals = np.max(np.abs(local @ sigma - node_rhs(angular_mean(h))), axis=1)
     return ThreeLevelSolution(

@@ -196,6 +196,15 @@ def _collision_tuples(state1, state2, consts, side, za, zb, omega):
     return weight, center + kp[:, None] * omega, center - kp[:, None] * omega, a, b
 
 
+def loss_tuples(state1, state2, consts, seed, shift):
+    """(open, tuples): every loss-side tuple of the lattice shift keyed by
+    (seed, 0, shift), in lattice order, and the mask of the open ones
+    (weight > 0), over which `kinetic._balance_sweep` takes the largest
+    detailed-balance residual."""
+    weight, *v = _collision_tuples(state1, state2, consts, 0, *_shifted_lattice_normals(seed, 0, shift))
+    return weight > 0, CollisionTuple(*v)
+
+
 def lattice_weak_form(state1, state2, consts, seed, n_shifts, phi1, phi2):
     """(value, std_error) per test-function column of the paired
     shifted-lattice estimate of <phi, K_non.el[F]>, the reference for the

@@ -25,7 +25,7 @@ JOBS = [
     {"id": "domain3d", "argv": ["domain3d", "--domain=ball", "--lattice-n=12", "--f-profile=isotropic"]},
     {"id": "nonexist", "argv": ["nonexist", "--domain=ball", "--f-profile=up", "--samples=0,0,0.3;0.2,-0.1,0.5"]},
     {"id": "three-level", "argv": ["three-level", "--n-y=33", "--n-mu=16"]},
-    {"id": "verify", "argv": ["verify", "--n-samples=10000", "--n-tuples=2000"]},
+    {"id": "verify", "argv": ["verify", "--n-samples=10000"]},
 ]
 #: WORK entries no subcommand calls: radgas no longer has these functions;
 #: `verify` takes the conservation, mass-exchange and kernel-of-L estimates

@@ -24,7 +24,6 @@ import radgas.domain3d
 import radgas.kinetic
 import radgas.picard
 import radgas.slab
-import radgas.three_level
 from radgas import ConfigError
 from radgas.cli import (
     SUBCOMMANDS,
@@ -41,8 +40,8 @@ from radgas.slab import AngleGrid, RadiationField, SlabGrid
 import oracles
 
 
-# One small run per subcommand: n_y <= 65, lattice_n <= 12, n_samples and
-# n_tuples <= 2e4, levelscan windows of at most 3 x 3 points at n_r = 16.
+# One small run per subcommand: n_y <= 65, lattice_n <= 12, n_samples <= 2e4,
+# levelscan windows of at most 3 x 3 points at n_r = 16.
 SMALL_RUNS = {
     "levelscan": ["levelscan", "--t1-max=10.2", "--t2-max=10.2", "--n-r=16"],
     "slab-lte": ["slab-lte", "--n-y=33", "--n-mu=16"],
@@ -50,7 +49,7 @@ SMALL_RUNS = {
     "domain3d": ["domain3d", "--lattice-n=8", "--sphere-n-theta=8", "--sphere-n-phi=16"],
     "nonexist": ["nonexist", "--sphere-n-theta=8", "--sphere-n-phi=16"],
     "three-level": ["three-level", "--n-y=33", "--n-mu=16"],
-    "verify": ["verify", "--n-samples=10000", "--n-tuples=2000"],
+    "verify": ["verify", "--n-samples=10000"],
 }
 
 
@@ -269,7 +268,7 @@ class TestRun:
 
     def test_verify_quick_plan_passes(self, tmp_path):
         out = tmp_path / "verify"
-        code = main(["verify", "--n-samples", "20000", "--n-tuples", "20000", "--out", str(out)])
+        code = main(["verify", "--n-samples", "20000", "--out", str(out)])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["all_pass"]
@@ -300,10 +299,13 @@ class TestRun:
     # tuple, was deleted: every other entry kept its bytes, and when the
     # weak-form pass moved to 16 shifts of a rank-1 lattice with paired
     # errors and the report gained its `plan`: every estimate moved, and the
-    # detailed-balance, reduced and entropy entries kept their bytes
+    # detailed-balance, reduced and entropy entries kept their bytes, and
+    # when the detailed-balance sweep moved onto the loss side's lattice
+    # shifts: only the detailed-balance value moved, 5.3e-15 -> 7.3e-15
+    # (seed 1) and 7.2e-15 -> 6.7e-15 (seed 47)
     VERIFY_REPORT_JSON = [
-        ("1", "5f64a2df7c664a0d39a566a5213b256f9e55d08279f8b7f5c9af7ffa37c86e6e"),
-        ("47", "86f20ec2520ea34c21e0014418de7c12453bb879336ea60ac8addc55fcd8e1bf"),
+        ("1", "7ec4d1330a172e549216e89d3d1e30f6baad5893c874e3c5e29f299fc002558e"),
+        ("47", "07a6ca98bd5e33950d81bbf646d7e7ab66e99aa8dccb483fb30b779a40ea1a70"),
     ]
     VERIFY_REPORT_TXT = "a38f6b99f6e33f873d2f3d3866ff5d55d85af1964a0090292d1a6a8145d8e823"
 
@@ -335,9 +337,9 @@ class TestRun:
 
     @pytest.mark.parametrize("seed", ["1", "6"])
     def test_verify_empty_detailed_balance_set_fails_without_traceback(self, tmp_path, seed):
-        # one tuple below the threshold leaves nothing to check
+        # at T 0.05 no lattice point is above the threshold: nothing to check
         out = tmp_path / "verify"
-        argv = ["verify", "--n-tuples", "1", "--n-samples", "10000", "--seed", seed, "--out", str(out)]
+        argv = ["verify", "--t-lte", "0.05", "--n-samples", "10000", "--seed", seed, "--out", str(out)]
         assert main(argv) == 1
         report = json.loads((out / "report.json").read_text())
         assert report["checks"][0] == {"name": "detailed_balance", "value": None, "pass": False}
@@ -374,7 +376,7 @@ class TestRun:
         # rate exactly, and every verdict stays
         def run(c0_kernel):
             out = tmp_path / c0_kernel
-            argv = ["verify", "--n-samples=100000", "--n-tuples=2000", f"--c0-kernel={c0_kernel}"]
+            argv = ["verify", "--n-samples=100000", f"--c0-kernel={c0_kernel}"]
             assert main(argv + ["--out", str(out)]) == 0
             return json.loads((out / "report.json").read_text())
 
@@ -471,7 +473,7 @@ class TestRun:
             pytest.param(["nonexist", "--sigma", "7"], id="nonexist-sigma-removed"),
             pytest.param(["verify", "--sigma", "7"], id="verify-sigma-removed"),
             pytest.param(["verify", "--n-samples", "100"], id="verify-n-samples-below-plan"),
-            pytest.param(["verify", "--n-tuples", "0"], id="verify-n-tuples-zero"),
+            pytest.param(["verify", "--n-tuples", "5"], id="verify-n-tuples-removed"),
             pytest.param(["verify", "--t-entropy", "abc"], id="verify-t-entropy-not-numbers"),
             pytest.param(["verify", "--t-entropy", "1,-2"], id="verify-t-entropy-negative"),
             pytest.param(["verify", "--t1", "-1"], id="verify-t1-negative"),
@@ -547,6 +549,7 @@ class TestRun:
             (["three-level", "--slab-l=1e300"], "SlabGrid: L must have a finite square"),
             (["domain3d", "--radius=1e300"], "ConvexDomain: radius must have a finite square"),
             (["three-level", "--rho0=1e300"], "ThreeLevelParams: absorption kappa must have a finite square"),
+            (["levelscan", "--r-max=1e300"], "TripleQuadSpec: r_max must have a finite square"),
             # a temperature whose complex step T*2^-60 is subnormal or 0
             (["verify", "--t-entropy=1e-305"], "key 't_entropy' needs temperatures >= 2^-962"),
             (["verify", "--t-entropy=1,1e-307"], "key 't_entropy' needs temperatures >= 2^-962"),
@@ -640,7 +643,7 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "subcommand, module",
-        [("slab-lte", radgas.slab), ("slab-exp", radgas.slab), ("three-level", radgas.three_level)],
+        [("slab-lte", radgas.slab), ("slab-exp", radgas.slab), ("three-level", radgas.slab)],
     )
     def test_picard_unconverged_exits_one(self, tmp_path, monkeypatch, subcommand, module):
         def capped(apply, b, tol, max_iter):
@@ -732,17 +735,25 @@ class TestRun:
         "argv, message",
         [
             (["levelscan", "--r-max=1e-300"], "L is singular at all 9 grid nodes"),
-            (["levelscan", "--r-max=1e300"], "L is singular at all 9 grid nodes"),
+            (["levelscan", "--r-max=1e150"], "L is singular at all 9 grid nodes"),
             (["levelscan", "--epsilon0=1e300"], "L is singular at all 9 grid nodes"),
+            (
+                ["levelscan", "--t1-min=1e300", "--t1-max=1.2e300", "--t2-min=1e300", "--t2-max=1.2e300",
+                 "--step=1e299"],
+                "L is singular at all 9 grid nodes",
+            ),
             (["verify", "--c0=1e100", "--t1=1e96", "--rho1=1e-100"], "non-finite functional: "),
         ],
-        ids=["r-max-tiny", "r-max-huge", "epsilon0-huge", "verify-t1-huge"],
+        ids=["r-max-tiny", "r-max-huge", "epsilon0-huge", "window-huge", "verify-t1-huge"],
     )
     def test_unusable_functionals_are_a_solver_error(self, tmp_path, capsys, argv, message):
-        # the reduced functionals are non-finite or not positive at every node
+        # the reduced functionals are non-finite or not positive at every
+        # node, the T1-only integrals included, with no warning on the way
         name = argv[0]
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(SMALL_RUNS[name] + argv[1:] + ["--out", str(tmp_path / "run")]) == 1
+        assert caught == []
         err = capsys.readouterr().err
         assert err.startswith(f"solver error: {message}") and err.count("\n") == 1
 
@@ -785,6 +796,21 @@ class TestRun:
             assert main(SMALL_RUNS["three-level"] + [option, "--out", str(out)]) == code
         assert caught == []
         assert json.loads((out / "report.json").read_text())["converged"] is (code == 0)
+
+    @pytest.mark.parametrize(
+        "options",
+        [["--j0=1e300", "--rho0=1e12"], ["--j0=1e12", "--p12=1e300"], ["--j0=1e12", "--p23=1e300"]],
+        ids=["j0-rho0-huge", "j0-p12-huge", "j0-p23-huge"],
+    )
+    def test_overflowing_three_level_exits_one_clean(self, tmp_path, options):
+        # the solve overflows: the report holds a non-finite path_gap as null
+        # and the run exits 1, with no warning on the way
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(SMALL_RUNS["three-level"] + options + ["--out", str(out)]) == 1
+        assert caught == []
+        assert json.loads((out / "report.json").read_text())["path_gap"] is None
 
     def test_verify_at_a_tiny_c0_runs_clean(self, tmp_path):
         # c0 cancels from the detailed-balance residual, so a c0 whose F1 F1
@@ -1050,7 +1076,7 @@ E2E_VALUES = {
         "m0": ["none", "2", "-1", "abc"],
     },
     "verify": {
-        "n_samples": ["10000", "20000", "100", "x"], "n_tuples": ["1", "2000", "20000", "0"],
+        "n_samples": ["10000", "20000", "100", "x"],
         "t_lte": ["5", "0.5", "0.001", "0", "-1"], "t1": _POS, "t2": _POS, "rho1": _POS,
         "rho2": _POS, "t_entropy": ["0.5,2", "1", "abc", "1,-2", "inf"], "epsilon0": _POS,
         "c0": _POS, "c0_kernel": _POS, "seed": ["0", "3", "-1"],
@@ -1074,6 +1100,28 @@ def test_random_small_runs_end_cleanly(subcommand, data):
     argv = list(SMALL_RUNS[subcommand])
     for key in keys:
         argv.append(f"--{key.replace('_', '-')}={data.draw(st.sampled_from(candidates[key]), label=key)}")
+    _assert_ends_cleanly(argv)
+
+
+@pytest.mark.parametrize(
+    "subcommand, option",
+    [
+        pytest.param(sub, f"--{key.replace('_', '-')}={value}", id=f"{sub}-{key}={value}")
+        for sub in SUBCOMMANDS
+        for key, (kind, _, _) in _SCHEMAS[sub].items()
+        if kind is float
+        for value in _EXTREMES
+    ],
+)
+def test_each_extreme_value_alone_ends_cleanly(subcommand, option):
+    # every extreme on every float key, one at a time: the random runs above
+    # draw two keys at once and need not draw a given value
+    _assert_ends_cleanly(SMALL_RUNS[subcommand] + [option])
+
+
+def _assert_ends_cleanly(argv):
+    """Runs `argv` with RuntimeWarning as an error: it ends 0, 1 or 2, and a
+    2 is a config error that writes nothing."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "run")
         err = io.StringIO()

@@ -296,7 +296,7 @@ class TestSingularGuard:
     @pytest.mark.parametrize(
         "T1, T2, spec, consts, mode, message",
         [
-            (10.0, 11.0, TripleQuadSpec(r_max=1e300, n_r=16), FIG1, "printed", "non-finite functional: "),
+            (10.0, 11.0, TripleQuadSpec(r_max=1e150, n_r=16), FIG1, "printed", "non-finite functional: "),
             (10.0, 11.0, TripleQuadSpec(n_r=16), PhysConsts(epsilon0=1e300, c0=1.0), "printed", "non-finite"),
             (10.0, 11.0, TripleQuadSpec(r_max=1e-300, n_r=16), FIG1, "printed", "P11, P21, A must be positive"),
             (10.0, 11.0, TripleQuadSpec(n_r=16), PhysConsts(c0=1e-300), "calibrated", "P11, P21, A must be"),
@@ -342,7 +342,7 @@ class TestSingularGuard:
         "spec, consts",
         [
             (TripleQuadSpec(r_max=1e-300, n_r=16), FIG1),  # every weight underflows to 0
-            (TripleQuadSpec(r_max=1e300, n_r=16), FIG1),  # NaN sums
+            (TripleQuadSpec(r_max=1e150, n_r=16), FIG1),  # NaN sums
             (TripleQuadSpec(n_r=16), PhysConsts(epsilon0=1e300, c0=1.0)),  # A overflows
         ],
         ids=["r-max-tiny", "r-max-huge", "epsilon0-huge"],

@@ -41,6 +41,7 @@ from oracles import (
     detailed_balance_residual,
     energy_residual,
     lattice_weak_form,
+    loss_tuples,
     momentum_residual,
     w_minus,
     w_plus,
@@ -90,19 +91,35 @@ class TestDetailedBalance:
         assert np.max(np.abs(res)) > 1e-3
 
 
-def sweep_residuals(monkeypatch, pair, n_tuples, seed):
-    """(residuals, max) of `_balance_sweep`: the residual of every kept
-    tuple, in the order the sweep forms them, and the max it returns."""
+def sweep_residuals(monkeypatch, pair, plan):
+    """(residuals, max) of `_balance_sweep`: the residual of every tuple, in
+    the order the sweep forms them, and the max it returns."""
     recorded = []
     residual = radgas.kinetic._balance_residual
 
     def recording(*args):
-        recorded.append(residual(*args).copy())
-        return recorded[-1]
+        out = residual(*args)
+        recorded.append(out.copy())
+        return out
 
     monkeypatch.setattr(radgas.kinetic, "_balance_residual", recording)
-    largest = _balance_sweep(pair, n_tuples, seed, CONSTS)
+    largest = _balance_sweep(pair, plan, CONSTS)
     return np.concatenate(recorded) if recorded else np.empty(0), largest
+
+
+def oracle_residuals(pair, plan):
+    """(open, residuals): the oracle's open mask and residual of every
+    loss-side tuple of the plan's shifts, keyed by (seed, 0, r), shift by
+    shift."""
+    shifts = [loss_tuples(*pair, CONSTS, plan.seed, r) for r in range(plan.n_shifts)]
+    residuals = [np.asarray(detailed_balance_residual(*pair, tup, CONSTS)) for _, tup in shifts]
+    return np.concatenate([is_open for is_open, _ in shifts]), np.concatenate(residuals)
+
+
+def open_max(pair, plan):
+    """The oracle's largest |residual| over the open tuples, and their count."""
+    is_open, residuals = oracle_residuals(pair, plan)
+    return float(np.max(np.abs(residuals[is_open]))), np.count_nonzero(is_open)
 
 
 class TestDetailedBalanceCheck:
@@ -110,42 +127,45 @@ class TestDetailedBalanceCheck:
     PAIR = (MaxwellianState(1.0, U, T), MaxwellianState(math.exp(-2.0 / T), U, T))
 
     def test_max_residual_of_the_seeded_tuples(self):
-        # the tuples drawn from the (seed, 1) stream, as the check draws them
-        tup = random_nonelastic_tuples(np.random.default_rng([3, 1]), 20_000, self.U, self.T, CONSTS)
-        want = float(np.max(np.abs(detailed_balance_residual(*self.PAIR, tup, CONSTS))))
-        assert _balance_sweep(self.PAIR, 20_000, 3, CONSTS) == want
+        # the loss side's own shifts, keyed by (seed, 0, r)
+        plan = McPlan(seed=3)
+        want, _ = open_max(self.PAIR, plan)
+        assert _balance_sweep(self.PAIR, plan, CONSTS) == want
         assert want < 1e-12
 
     def test_no_tuple_above_threshold_gives_none(self):
-        # the single pair that seed 1 draws is below the threshold
-        assert _balance_sweep(self.PAIR, 1, 1, CONSTS) is None
+        # at T 0.05 no lattice point reaches |v1 - v2|^2 > 4 eps0
+        T = 0.05
+        pair = (MaxwellianState(1.0, self.U, T), MaxwellianState(math.exp(-2.0 / T), self.U, T))
+        assert not oracle_residuals(pair, McPlan(seed=1))[0].any()
+        assert _balance_sweep(pair, McPlan(seed=1), CONSTS) is None
 
     @pytest.mark.parametrize("seed", [1, 5, 33])
     def test_chunked_max_equals_unchunked_formula(self, seed):
         # a pair off the Boltzmann ratio: O(1) residuals whose largest sits in
-        # one of the 11 chunks of 2^13 kept tuples
+        # one of the 16 chunks, one per shift
         pair = (self.PAIR[0], MaxwellianState(self.PAIR[1].rho, self.U, 6.0))
-        tup = random_nonelastic_tuples(np.random.default_rng([seed, 1]), 10**5, self.U, self.T, CONSTS)
-        assert len(tup.v1) > 10 * _CHUNK
-        want = float(np.max(np.abs(detailed_balance_residual(*pair, tup, CONSTS))))
-        assert _balance_sweep(pair, 10**5, seed, CONSTS) == want
+        want, n_open = open_max(pair, McPlan(seed=seed))
+        assert n_open > 10 * _CHUNK
+        assert _balance_sweep(pair, McPlan(seed=seed), CONSTS) == want
         assert want > 1e-3
 
-    # T 0.7: a chunk keeps few pairs; n_tuples _CHUNK + 1: a one-pair chunk
+    # T 0.7: a chunk keeps few tuples; 150 001 samples: 19 shifts
     @pytest.mark.parametrize("T", [0.7, 5.0, 20.0])
-    @pytest.mark.parametrize("n_tuples", [1, 20_000, _CHUNK + 1, 10**5])
+    @pytest.mark.parametrize("n_samples", [10**4, 150_001])
     @pytest.mark.parametrize("T2_over_T", [1.0, 1.2], ids=["lte", "off"])
-    def test_residuals_bit_identical_to_the_oracle(self, monkeypatch, T, n_tuples, T2_over_T):
+    def test_residuals_bit_identical_to_the_oracle(self, monkeypatch, T, n_samples, T2_over_T):
         # every residual of the (4, 3, c) row path, against the (m, 3) oracle:
         # at the Boltzmann ratio they are rounding noise, which any change of
         # expression order moves
         pair = (MaxwellianState(1.0, self.U, T), MaxwellianState(math.exp(-2.0 / T), self.U, T2_over_T * T))
-        got, largest = sweep_residuals(monkeypatch, pair, n_tuples, 7)
-        tup = random_nonelastic_tuples(np.random.default_rng([7, 1]), n_tuples, self.U, T, CONSTS)
-        want = np.asarray(detailed_balance_residual(*pair, tup, CONSTS))
-        assert got.tobytes() == want.tobytes()
-        assert largest == (float(np.max(np.abs(want))) if len(want) else None)
-        if T2_over_T == 1.0 and len(want):
+        plan = McPlan(n_samples=n_samples, seed=7)
+        got, largest = sweep_residuals(monkeypatch, pair, plan)
+        is_open, want = oracle_residuals(pair, plan)
+        assert is_open.any() and len(got) == len(want)
+        assert got[is_open].tobytes() == want[is_open].tobytes()
+        assert largest == open_max(pair, plan)[0]
+        if T2_over_T == 1.0:
             assert largest < 1e-12
 
 
@@ -345,9 +365,9 @@ class TestFusedPass:
     def test_peak_memory_bounded(self, with_balance):
         # one chunk's rows per side (29 rows of 2^13 floats, 1.8 MiB each)
         # and the 0.5 MiB lattice table peak at 4.4 MiB traced at 123 shifts;
-        # the detailed-balance sweep of 10^5 tuples, which draws its 4.6 MiB
-        # of pairs once both sides' rows are freed, at 6.9 MiB: a second live
-        # set of rows or the shifts' points kept whole exceed the bounds
+        # the detailed-balance sweep walks the same shifts once both sides'
+        # rows are freed, in one set of rows of its own: a second live set of
+        # rows per side or the shifts' points kept whole exceed the bound
         plan = McPlan(n_samples=10**6, seed=1)
         # the first import of numpy.random allocates about 0.7 MiB; it is
         # loaded here so the traced peak does not depend on the test order
@@ -356,13 +376,13 @@ class TestFusedPass:
         tracemalloc.start()
         try:
             if with_balance:
-                verify_checks(TestDetailedBalanceCheck.PAIR, 10**5, self.GENERIC, self.LTE, plan, CONSTS)
+                verify_checks(TestDetailedBalanceCheck.PAIR, self.GENERIC, self.LTE, plan, CONSTS)
             else:
                 _weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (8 if with_balance else 5) * 2**20
+        assert peak < 5 * 2**20
 
 
 class TestChunkTuples:
@@ -413,13 +433,13 @@ class TestVerifyChecks:
     GENERIC, LTE = TestFusedPass.GENERIC, TestFusedPass.LTE
     PAIR = TestDetailedBalanceCheck.PAIR
 
-    # a few chunks of tuples, and many
-    @pytest.mark.parametrize("n_tuples", [20_000, 2**17 + 1])
-    def test_equals_separate_calls(self, n_tuples):
-        plan = McPlan(n_samples=20_000, seed=5)
-        got = verify_checks(self.PAIR, n_tuples, self.GENERIC, self.LTE, plan, CONSTS)
+    # the least number of shifts, and one more
+    @pytest.mark.parametrize("n_samples", [20_000, 2**17 + 1])
+    def test_equals_separate_calls(self, n_samples):
+        plan = McPlan(n_samples=n_samples, seed=5)
+        got = verify_checks(self.PAIR, self.GENERIC, self.LTE, plan, CONSTS)
         want = (
-            _balance_sweep(self.PAIR, n_tuples, 5, CONSTS),
+            _balance_sweep(self.PAIR, plan, CONSTS),
             _weak_form_checks(self.GENERIC, self.LTE, plan, CONSTS),
         )
         assert got == want
@@ -504,7 +524,7 @@ class TestWorkerThread:
     def test_verify_reports_one_out_of_memory_line(self, failing_side, side, tmp_path, capsys):
         failing_side(side)
         before = threading.active_count()
-        argv = ["verify", "--n-samples", "20000", "--n-tuples", "2000", "--out", str(tmp_path / "run")]
+        argv = ["verify", "--n-samples", "20000", "--out", str(tmp_path / "run")]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"solver error: out of memory: Unable to allocate on side {side}\n"
@@ -528,7 +548,7 @@ class TestWorkerThread:
             if event == "call" and threading.current_thread() is not main_thread:
                 called.add((frame.f_globals.get("__name__"), frame.f_code.co_name))
 
-        argv = ["verify", "--n-samples", "20000", "--n-tuples", "2000", "--out", str(tmp_path / "run")]
+        argv = ["verify", "--n-samples", "20000", "--out", str(tmp_path / "run")]
         threading.setprofile(record)
         try:
             assert main(argv) == 0

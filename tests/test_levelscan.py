@@ -150,7 +150,7 @@ class TestScanMatchesPerNodeOracle:
     @pytest.mark.parametrize(
         "spec, consts",
         [
-            (TripleQuadSpec(r_max=1e300, n_r=16), FIG1),
+            (TripleQuadSpec(r_max=1e150, n_r=16), FIG1),
             (TripleQuadSpec(r_max=1e-300, n_r=16), FIG1),
             (TripleQuadSpec(n_r=16), PhysConsts(epsilon0=1e12, c0=1.0)),
             (TripleQuadSpec(n_r=16), PhysConsts(epsilon0=1e300, c0=1.0)),

@@ -10,7 +10,6 @@ import pytest
 import radgas.domain3d
 import radgas.picard
 import radgas.slab
-import radgas.three_level
 from radgas.cli import main
 from radgas.picard import FixedPoint, fixed_point
 
@@ -183,7 +182,7 @@ SOLVES = pytest.mark.parametrize(
     [
         (radgas.slab, ["slab-lte", "--n-y", "257"]),
         (radgas.slab, ["slab-exp", "--n-y", "257"]),
-        (radgas.three_level, ["three-level"]),
+        (radgas.slab, ["three-level"]),
         (radgas.domain3d, ["domain3d", "--lattice-n", "16"]),
     ],
     ids=["slab-lte", "slab-exp", "three-level", "domain3d"],
@@ -235,8 +234,8 @@ def test_thick_corners_match_the_levinson_source(tmp_path, monkeypatch, corner, 
 
     monkeypatch.setattr(radgas.slab._CellToeplitz, "solve_shifted", recorded)
     argv = [*CORNERS[corner], "--n-y", "65"]
-    code, (_, _, gmres) = _run_recorded(tmp_path, monkeypatch, radgas.three_level, argv, fixed_point)
-    _, (_, _, anderson) = _run_recorded(tmp_path, monkeypatch, radgas.three_level, argv, _anderson_loop)
+    code, (_, _, gmres) = _run_recorded(tmp_path, monkeypatch, radgas.slab, argv, fixed_point)
+    _, (_, _, anderson) = _run_recorded(tmp_path, monkeypatch, radgas.slab, argv, _anderson_loop)
     assert code == 0 and gmres.converged
     assert len(gmres.diffs) <= len(anderson.diffs)
     assert len(direct) == 4  # per run, the Levinson solve and the refinement's correction

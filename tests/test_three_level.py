@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import radgas.slab
 import radgas.three_level
 from radgas import SingularDenominator, SingularSystem
 from radgas.picard import fixed_point
@@ -190,7 +191,7 @@ class TestStructuredSolve:
         def capped(apply, b, tol, max_iter):
             return fixed_point(apply, b, tol, max_iter=1)
 
-        monkeypatch.setattr(radgas.three_level, "fixed_point", capped)
+        monkeypatch.setattr(radgas.slab, "fixed_point", capped)
         sol = solve_three_level(xi, DRIVE_BC, params, grid, ANGLES, mass_C0=0.0)
         src, sigma = dense_source_solve(xi, DRIVE_BC, params, grid, ANGLES, sol.C0)
         got = np.vstack([sol.sigma1, sol.sigma2, sol.sigma3])
@@ -243,7 +244,7 @@ class TestSourceLoop:
             loops.append(fixed_point(*args, **kwargs))
             return loops[-1]
 
-        monkeypatch.setattr(radgas.three_level, "fixed_point", recorded)
+        monkeypatch.setattr(radgas.slab, "fixed_point", recorded)
         sol = solve_three_level(xi, DRIVE_BC, params, grid, ANGLES, mass_C0=0.0)
         old, sigma_of = density_loop(xi, DRIVE_BC, params, grid, ANGLES, sol.C0)
         assert sol.converged == old.converged
